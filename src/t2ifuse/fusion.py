@@ -10,13 +10,21 @@ Three mechanisms are provided:
   a small self-attention encoder stack (no positional encoding on the prefix),
   then mean pooling over all positions and an MLP.
 
+Heads run on a padded batch: a ``PackBatch`` stacks the token sequences of B
+packs, padded with zero rows to the longest text and image sequence, with
+boolean masks marking the real positions. Every attention block masks padded
+keys and every pooling averages real positions only, so a sample's logits do
+not depend on what it is batched with, and padded rows take zero gradient.
+A lone ``FeaturePack`` runs as a batch of one whose batch axis is dropped from
+the output.
+
 Only the head trains; encoders are external providers and stay frozen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,9 +33,6 @@ from . import tensorcore as tc
 from .tensorcore import ParamStore, ShapeError
 
 MECHANISMS = ("concat", "cross_attention", "deep_prefix")
-
-# Pythonic display order used by report tables comparing mechanisms.
-MECHANISM_ORDER = {name: i for i, name in enumerate(MECHANISMS)}
 
 
 class FusionConfigError(ValueError):
@@ -71,7 +76,8 @@ class AttentionBundle:
 
     ``kind`` is "cross" (queries = text tokens, keys = image tokens) or
     "self" (joint sequence of ``prefix_len`` visual tokens + text tokens).
-    ``maps`` holds one (heads, queries, keys) array per attention block.
+    ``maps`` holds one (B, heads, queries, keys) array per attention block,
+    or (heads, queries, keys) when the forward ran on a lone pack.
     """
 
     kind: str
@@ -81,9 +87,58 @@ class AttentionBundle:
 
 @dataclass
 class FusionOutput:
-    logits: np.ndarray  # shape (num_classes,)
+    logits: np.ndarray  # (B, num_classes), or (num_classes,) for a lone pack
     attention: AttentionBundle | None
     backward: Callable[[np.ndarray], None]  # accumulates parameter grads
+
+
+@dataclass(frozen=True)
+class PackBatch:
+    """B feature packs stacked into zero-padded arrays.
+
+    Token arrays are (B, L, dim) with L the longest sequence in the batch;
+    a mask is True at real positions and False at padding.
+    """
+
+    text_tokens: np.ndarray  # (B, T, text_dim)
+    text_mask: np.ndarray  # (B, T) bool
+    image_tokens: np.ndarray  # (B, I, image_dim)
+    image_mask: np.ndarray  # (B, I) bool
+    text_pooled: np.ndarray  # (B, text_dim)
+    image_pooled: np.ndarray  # (B, image_dim)
+
+    def __len__(self) -> int:
+        return self.text_tokens.shape[0]
+
+    @classmethod
+    def from_packs(cls, packs: Sequence[FeaturePack], dtype=np.float64) -> "PackBatch":
+        if not packs:
+            raise ShapeError("a pack batch needs at least one pack")
+        text_tokens, text_mask = _pad([p.text_tokens for p in packs], "text", dtype)
+        image_tokens, image_mask = _pad([p.image_tokens for p in packs], "image", dtype)
+        return cls(
+            text_tokens=text_tokens,
+            text_mask=text_mask,
+            image_tokens=image_tokens,
+            image_mask=image_mask,
+            text_pooled=np.stack([p.text_pooled for p in packs]).astype(dtype, copy=False),
+            image_pooled=np.stack([p.image_pooled for p in packs]).astype(dtype, copy=False),
+        )
+
+
+def _pad(seqs: list[np.ndarray], kind: str, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Stack (n_i, dim) sequences into a zero-padded (B, max n_i, dim) array
+    and its (B, max n_i) mask of real positions."""
+    lengths = np.array([s.shape[0] for s in seqs])
+    dims = {s.shape[1] for s in seqs}
+    if len(dims) != 1:
+        raise ShapeError(f"packs in one batch have different {kind} dims {sorted(dims)}")
+    if lengths.min() < 1:
+        raise ShapeError("token sequences must be non-empty")
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    out = np.zeros(mask.shape + (dims.pop(),), dtype=dtype)
+    out[mask] = np.concatenate(seqs)
+    return out, mask
 
 
 @dataclass
@@ -164,102 +219,133 @@ def build_fusion_head(
     return FusionHead(config=config, text_dim=text_dim, image_dim=image_dim, params=store)
 
 
-def _check_pack(head: FusionHead, pack: FeaturePack) -> None:
-    if pack.text_tokens.shape[1] != head.text_dim:
+def _check_batch(head: FusionHead, batch: PackBatch) -> None:
+    if batch.text_tokens.shape[2] != head.text_dim:
         raise ShapeError(
-            f"pack text dim {pack.text_tokens.shape[1]} != head text dim {head.text_dim}"
+            f"pack text dim {batch.text_tokens.shape[2]} != head text dim {head.text_dim}"
         )
-    if pack.image_tokens.shape[1] != head.image_dim:
+    if batch.image_tokens.shape[2] != head.image_dim:
         raise ShapeError(
-            f"pack image dim {pack.image_tokens.shape[1]} != head image dim {head.image_dim}"
+            f"pack image dim {batch.image_tokens.shape[2]} != head image dim {head.image_dim}"
         )
-    if pack.text_tokens.shape[0] < 1 or pack.image_tokens.shape[0] < 1:
-        raise ShapeError("token sequences must be non-empty")
+
+
+def _affine(store: ParamStore, x: np.ndarray, w_name: str, b_name: str):
+    """``x @ w + b`` over the last axis of ``x``, any leading shape.
+
+    backward(g) accumulates the parameter gradients and returns dx.
+    """
+    out, back = tc.dense_affine(
+        x.reshape(-1, x.shape[-1]), store.params[w_name], store.params[b_name]
+    )
+
+    def backward(grad: np.ndarray) -> np.ndarray:
+        dx, dw, db = back(np.asarray(grad).reshape(out.shape))
+        store.accumulate(w_name, dw)
+        store.accumulate(b_name, db)
+        return dx.reshape(x.shape)
+
+    return out.reshape(x.shape[:-1] + out.shape[-1:]), backward
+
+
+def _layer_norm(store: ParamStore, x: np.ndarray, prefix: str):
+    """Layer norm with parameters ``prefix.gain``/``prefix.shift``;
+    backward(g) accumulates their gradients and returns dx."""
+    out, back = tc.layer_norm(x, store.params[f"{prefix}.gain"], store.params[f"{prefix}.shift"])
+
+    def backward(grad: np.ndarray) -> np.ndarray:
+        dx, dgain, dshift = back(grad)
+        store.accumulate(f"{prefix}.gain", dgain)
+        store.accumulate(f"{prefix}.shift", dshift)
+        return dx
+
+    return out, backward
 
 
 def _classifier(store: ParamStore, x: np.ndarray, train_mode: bool, config: FusionConfig, rng):
-    steps = []
+    b_drop = None
     if train_mode and config.dropout_rate > 0.0:
         x, b_drop = tc.dropout(x, config.dropout_rate, rng)
-        steps.append(("drop", b_drop))
-    h, b1 = tc.dense_affine(x, store.params["cls.w1"], store.params["cls.b1"])
+    h, b1 = _affine(store, x, "cls.w1", "cls.b1")
     g, bg = tc.gelu(h)
-    logits, b2 = tc.dense_affine(g, store.params["cls.w2"], store.params["cls.b2"])
+    logits, b2 = _affine(store, g, "cls.w2", "cls.b2")
 
     def backward(grad: np.ndarray) -> np.ndarray:
-        dg, dw2, db2 = b2(grad)
-        store.accumulate("cls.w2", dw2)
-        store.accumulate("cls.b2", db2)
-        (dh,) = bg(dg)
-        dx, dw1, db1 = b1(dh)
-        store.accumulate("cls.w1", dw1)
-        store.accumulate("cls.b1", db1)
-        for kind, back in reversed(steps):
-            (dx,) = back(dx)
-        return dx
+        dx = b1(bg(b2(grad))[0])
+        return dx if b_drop is None else b_drop(dx)[0]
 
     return logits, backward
 
 
-def _encoder_block(store: ParamStore, prefix: str, q_in: np.ndarray, kv_in: np.ndarray, heads: int):
+def _encoder_block(store: ParamStore, prefix: str, q_in: np.ndarray, kv_in: np.ndarray,
+                   heads: int, key_mask: np.ndarray):
     """Attention + residual + norm + feed-forward + residual + norm.
 
-    When ``q_in is kv_in`` the block is a self-attention encoder layer and the
-    returned backward folds both gradient paths into one input gradient.
+    ``q_in`` is (B, m, d) and ``kv_in`` is (B, n, d) with key mask (B, n);
+    the row-wise layers run on the flattened (B*m, d) view. When ``q_in is
+    kv_in`` the block is a self-attention encoder layer and the returned
+    backward folds both gradient paths into one input gradient.
     """
     p = store.params
+    attn_names = [f"{prefix}.attn.{w}" for w in ("wq", "wk", "wv", "wo")]
     attn, maps, b_attn = tc.multi_head_attention(
-        q_in, kv_in,
-        p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wk"],
-        p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wo"],
-        heads,
+        q_in, kv_in, *(p[name] for name in attn_names), heads, key_mask
     )
-    r1 = q_in + attn
-    n1, b_ln1 = tc.layer_norm(r1, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.shift"])
-    f1, b_f1 = tc.dense_affine(n1, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"])
+    shape = q_in.shape
+    n1, b_ln1 = _layer_norm(store, (q_in + attn).reshape(-1, shape[-1]), f"{prefix}.ln1")
+    f1, b_f1 = _affine(store, n1, f"{prefix}.ffn.w1", f"{prefix}.ffn.b1")
     g1, b_g = tc.gelu(f1)
-    f2, b_f2 = tc.dense_affine(g1, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
-    r2 = n1 + f2
-    out, b_ln2 = tc.layer_norm(r2, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.shift"])
+    f2, b_f2 = _affine(store, g1, f"{prefix}.ffn.w2", f"{prefix}.ffn.b2")
+    out, b_ln2 = _layer_norm(store, n1 + f2, f"{prefix}.ln2")
     self_attention = q_in is kv_in
 
     def backward(grad: np.ndarray):
-        dr2, dg2, ds2 = b_ln2(grad)
-        store.accumulate(f"{prefix}.ln2.gain", dg2)
-        store.accumulate(f"{prefix}.ln2.shift", ds2)
-        dn1 = dr2.copy()
-        dg1, dwf2, dbf2 = b_f2(dr2)
-        store.accumulate(f"{prefix}.ffn.w2", dwf2)
-        store.accumulate(f"{prefix}.ffn.b2", dbf2)
-        (df1,) = b_g(dg1)
-        dn1_ffn, dwf1, dbf1 = b_f1(df1)
-        store.accumulate(f"{prefix}.ffn.w1", dwf1)
-        store.accumulate(f"{prefix}.ffn.b1", dbf1)
-        dn1 += dn1_ffn
-        dr1, dg, ds = b_ln1(dn1)
-        store.accumulate(f"{prefix}.ln1.gain", dg)
-        store.accumulate(f"{prefix}.ln1.shift", ds)
-        dq, dkv, dwq, dwk, dwv, dwo = b_attn(dr1)
-        store.accumulate(f"{prefix}.attn.wq", dwq)
-        store.accumulate(f"{prefix}.attn.wk", dwk)
-        store.accumulate(f"{prefix}.attn.wv", dwv)
-        store.accumulate(f"{prefix}.attn.wo", dwo)
+        dr2 = b_ln2(np.asarray(grad).reshape(out.shape))
+        dn1 = dr2 + b_f1(b_g(b_f2(dr2))[0])  # residual path + feed-forward path
+        dr1 = b_ln1(dn1).reshape(shape)
+        dq, dkv, *d_weights = b_attn(dr1)
+        for name, grad_w in zip(attn_names, d_weights):
+            store.accumulate(name, grad_w)
         dq_total = dq + dr1  # residual path
         if self_attention:
             return dq_total + dkv, None
         return dq_total, dkv
 
-    return out, maps, backward
+    return out.reshape(shape), maps, backward
 
 
-def fuse_forward(head: FusionHead, pack: FeaturePack, train_mode: bool = False) -> FusionOutput:
-    """Run the head on one sample's feature pack.
+def _unbatch(out: FusionOutput) -> FusionOutput:
+    """A batch-of-one output with the batch axis dropped everywhere."""
+    bundle = out.attention
+    if bundle is not None:
+        bundle = AttentionBundle(bundle.kind, [m[0] for m in bundle.maps], bundle.prefix_len)
+    batched_backward = out.backward
 
-    Returns logits of shape (num_classes,), attention maps for the attention
-    mechanisms, and a ``backward`` closure that accumulates parameter
-    gradients from d(loss)/d(logits).
+    def backward(dlogits: np.ndarray) -> None:
+        batched_backward(np.asarray(dlogits).reshape(1, -1))
+
+    return FusionOutput(logits=out.logits[0], attention=bundle, backward=backward)
+
+
+def fuse_forward(head: FusionHead, batch: PackBatch | FeaturePack,
+                 train_mode: bool = False) -> FusionOutput:
+    """Run the head on a padded batch of feature packs.
+
+    Returns (B, num_classes) logits, the attention maps of the attention
+    mechanisms as (B, heads, queries, keys) arrays, and one ``backward``
+    closure that accumulates parameter gradients from the (B, num_classes)
+    gradient d(loss)/d(logits). Padded keys get attention weight 0 and padded
+    positions are left out of every pooling, so each row of the logits equals
+    that pack's logits computed alone.
+
+    A lone ``FeaturePack`` runs as a batch of one with the batch axis dropped:
+    logits (num_classes,), maps (heads, queries, keys), and a backward taking
+    a (num_classes,) gradient.
     """
-    _check_pack(head, pack)
+    if isinstance(batch, FeaturePack):
+        batch_of_one = PackBatch.from_packs([batch], head.params.dtype)
+        return _unbatch(fuse_forward(head, batch_of_one, train_mode))
+    _check_batch(head, batch)
     config = head.config
     store = head.params
     dtype = store.dtype
@@ -269,91 +355,73 @@ def fuse_forward(head: FusionHead, pack: FeaturePack, train_mode: bool = False) 
             head.reset_train_rng(store.seed)
         rng = head.train_rng
 
-    text_tokens = pack.text_tokens.astype(dtype)
-    image_tokens = pack.image_tokens.astype(dtype)
-    text_pooled = pack.text_pooled.astype(dtype).reshape(1, -1)
-    image_pooled = pack.image_pooled.astype(dtype).reshape(1, -1)
+    text_tokens = batch.text_tokens.astype(dtype, copy=False)
+    image_tokens = batch.image_tokens.astype(dtype, copy=False)
+    text_pooled = batch.text_pooled.astype(dtype, copy=False)
+    image_pooled = batch.image_pooled.astype(dtype, copy=False)
 
     if config.mechanism == "concat":
-        ht, b_t = tc.dense_affine(text_pooled, store.params["text_proj.w"], store.params["text_proj.b"])
-        hi, b_i = tc.dense_affine(image_pooled, store.params["image_proj.w"], store.params["image_proj.b"])
-        joined, b_cat = tc.concat_cols(ht, hi)
-        logits2d, b_cls = _classifier(store, joined, train_mode, config, rng)
+        ht, b_t = _affine(store, text_pooled, "text_proj.w", "text_proj.b")
+        hi, b_i = _affine(store, image_pooled, "image_proj.w", "image_proj.b")
+        pooled, b_cat = tc.concat_cols(ht, hi)
+        bundle = None
 
-        def backward(dlogits: np.ndarray) -> None:
-            djoined = b_cls(np.asarray(dlogits).reshape(1, -1))
-            dht, dhi = b_cat(djoined)
-            _, dwt, dbt = b_t(dht)
-            store.accumulate("text_proj.w", dwt)
-            store.accumulate("text_proj.b", dbt)
-            _, dwi, dbi = b_i(dhi)
-            store.accumulate("image_proj.w", dwi)
-            store.accumulate("image_proj.b", dbi)
+        def features_backward(dpooled: np.ndarray) -> None:
+            dht, dhi = b_cat(dpooled)
+            b_t(dht)
+            b_i(dhi)
 
-        return FusionOutput(logits=logits2d[0], attention=None, backward=backward)
-
-    if config.mechanism == "cross_attention":
-        t_seq, b_tp = tc.dense_affine(text_tokens, store.params["text_proj.w"], store.params["text_proj.b"])
-        i_seq, b_ip = tc.dense_affine(image_tokens, store.params["image_proj.w"], store.params["image_proj.b"])
-        fused, maps, b_block = _encoder_block(store, "xattn", t_seq, i_seq, config.heads)
-        pooled, b_pool = tc.mean_rows(fused)
-        logits2d, b_cls = _classifier(store, pooled, train_mode, config, rng)
+    elif config.mechanism == "cross_attention":
+        t_seq, b_tp = _affine(store, text_tokens, "text_proj.w", "text_proj.b")
+        i_seq, b_ip = _affine(store, image_tokens, "image_proj.w", "image_proj.b")
+        fused, maps, b_block = _encoder_block(
+            store, "xattn", t_seq, i_seq, config.heads, batch.image_mask
+        )
+        pooled, b_pool = tc.masked_mean_pool(fused, batch.text_mask)
         bundle = AttentionBundle(kind="cross", maps=[maps])
 
-        def backward(dlogits: np.ndarray) -> None:
-            dpooled = b_cls(np.asarray(dlogits).reshape(1, -1))
-            (dfused,) = b_pool(dpooled)
-            dt, di = b_block(dfused)
-            _, dwt, dbt = b_tp(dt)
-            store.accumulate("text_proj.w", dwt)
-            store.accumulate("text_proj.b", dbt)
-            _, dwi, dbi = b_ip(di)
-            store.accumulate("image_proj.w", dwi)
-            store.accumulate("image_proj.b", dbi)
+        def features_backward(dpooled: np.ndarray) -> None:
+            dt, di = b_block(*b_pool(dpooled))
+            b_tp(dt)
+            b_ip(di)
 
-        return FusionOutput(logits=logits2d[0], attention=bundle, backward=backward)
+    else:  # deep_prefix
+        k = config.visual_prefix_len
+        d = config.model_dim
+        prefix_flat, b_pref = _affine(store, image_pooled, "prefix.w", "prefix.b")
+        t_seq, b_tp = _affine(store, text_tokens, "text_proj.w", "text_proj.b")
+        x = np.concatenate([prefix_flat.reshape(len(batch), k, d), t_seq], axis=1)
+        mask = np.concatenate([np.ones((len(batch), k), dtype=bool), batch.text_mask], axis=1)
+        block_backs = []
+        all_maps = []
+        for layer in range(config.encoder_layers):
+            x, maps, b_block = _encoder_block(store, f"enc{layer}", x, x, config.heads, mask)
+            all_maps.append(maps)
+            block_backs.append(b_block)
+        pooled, b_pool = tc.masked_mean_pool(x, mask)
+        bundle = AttentionBundle(kind="self", maps=all_maps, prefix_len=k)
 
-    # deep_prefix
-    k = config.visual_prefix_len
-    d = config.model_dim
-    prefix_flat, b_pref = tc.dense_affine(image_pooled, store.params["prefix.w"], store.params["prefix.b"])
-    prefix_tokens = prefix_flat.reshape(k, d)
-    t_seq, b_tp = tc.dense_affine(text_tokens, store.params["text_proj.w"], store.params["text_proj.b"])
-    joint = np.concatenate([prefix_tokens, t_seq], axis=0)
+        def features_backward(dpooled: np.ndarray) -> None:
+            (dx,) = b_pool(dpooled)
+            for b_block in reversed(block_backs):
+                dx, _ = b_block(dx)
+            b_pref(dx[:, :k].reshape(prefix_flat.shape))
+            b_tp(dx[:, k:])
 
-    block_backs = []
-    all_maps = []
-    x = joint
-    for layer in range(config.encoder_layers):
-        x, maps, b_block = _encoder_block(store, f"enc{layer}", x, x, config.heads)
-        all_maps.append(maps)
-        block_backs.append(b_block)
-    pooled, b_pool = tc.mean_rows(x)
-    logits2d, b_cls = _classifier(store, pooled, train_mode, config, rng)
-    bundle = AttentionBundle(kind="self", maps=all_maps, prefix_len=k)
+    logits, b_cls = _classifier(store, pooled, train_mode, config, rng)
 
     def backward(dlogits: np.ndarray) -> None:
-        dpooled = b_cls(np.asarray(dlogits).reshape(1, -1))
-        (dx,) = b_pool(dpooled)
-        for b_block in reversed(block_backs):
-            dx, _ = b_block(dx)
-        dprefix = dx[:k].reshape(1, k * d)
-        dt = dx[k:]
-        _, dwp, dbp = b_pref(dprefix)
-        store.accumulate("prefix.w", dwp)
-        store.accumulate("prefix.b", dbp)
-        _, dwt, dbt = b_tp(dt)
-        store.accumulate("text_proj.w", dwt)
-        store.accumulate("text_proj.b", dbt)
+        features_backward(b_cls(np.asarray(dlogits)))
 
-    return FusionOutput(logits=logits2d[0], attention=bundle, backward=backward)
+    return FusionOutput(logits=logits, attention=bundle, backward=backward)
 
 
 def head_averaged_map(bundle: AttentionBundle, layer: int = -1) -> np.ndarray:
-    """Average the chosen block's attention weights over heads -> (queries, keys)."""
+    """Average the chosen block's attention weights over heads -> (queries, keys),
+    or (B, queries, keys) for a batched bundle."""
     if not bundle.maps:
         raise ValueError("bundle has no attention maps")
-    return bundle.maps[layer].mean(axis=0)
+    return bundle.maps[layer].mean(axis=-3)
 
 
 def export_attention(

@@ -635,7 +635,7 @@ def _stage_training(config: ExperimentConfig, registry: ProviderRegistry, run_di
     return artifacts
 
 
-def _clip_pairs(config: ExperimentConfig, packs: LabeledPacks) -> tuple[list[float], list[float]]:
+def _clip_pairs(packs: LabeledPacks) -> tuple[list[float], list[float]]:
     from .embedding import cosine_similarity, clip_score as _clip
 
     cosines, scores = [], []
@@ -697,7 +697,7 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
     for seed in config.seeds:
         head = _head_for(config, packs, label_space, seed)
         head.params.restore(load_checkpoint(run_dir / f"train_s{seed}" / "best.ntc"))
-        accuracy, macro_f1, preds = evaluate_split(head, packs["test"])
+        accuracy, macro_f1, preds = evaluate_split(head, packs["test"], config.training.batch_size)
         report = compute_metrics(preds)
         report.bootstrap_std = bootstrap_std(
             preds,
@@ -705,7 +705,7 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
             resamples=config.evaluation.bootstrap_resamples,
             seed=config.evaluation.bootstrap_seed,
         )
-        cosines, scores = _clip_pairs(config, packs["test"])
+        cosines, scores = _clip_pairs(packs["test"])
         if scores:
             report.clip_cos_mean, report.clip_cos_std = clip_score_stats(cosines)
             report.clip_score_mean, report.clip_score_std = clip_score_stats(scores)

@@ -1,12 +1,19 @@
-"""Dense 2-D kernels with hand-written reverse-mode gradients.
+"""Dense kernels with hand-written reverse-mode gradients.
 
 Every op returns its output together with a ``backward`` closure mapping the
 upstream gradient to input gradients. The fusion heads compose these closures
 explicitly; there is no general-purpose tape. Two build modes are supported:
 float64 for gradient verification, float32 for training runs.
 
-Matrix convention: a tensor is a 2-D ``numpy`` array (rows x cols). Bias and
-gain/shift vectors are 1 x d row matrices.
+Shape convention: row-wise ops (``dense_affine``, ``layer_norm``, ``gelu``,
+``dropout``, ``concat_cols``) take 2-D ``numpy`` arrays (rows x cols); a
+padded batch of sequences runs through them as its flattened (B*L, d) view.
+Sequence ops take a leading batch axis: ``multi_head_attention`` maps
+(B, L, d) inputs plus a boolean (B, n) key mask, and ``masked_mean_pool``
+maps (B, L, d) plus a (B, L) mask to (B, d). A mask is True at real positions
+and False at padding; padded positions get exactly zero weight and exactly
+zero gradient. Parameters, bias and gain/shift vectors are 2-D (1 x d for the
+vectors).
 """
 
 from __future__ import annotations
@@ -31,10 +38,10 @@ class NondeterministicClosureError(RuntimeError):
     pass
 
 
-def _check_2d(name: str, x: np.ndarray) -> np.ndarray:
+def _check_ndim(name: str, x: np.ndarray, ndim: int = 2) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {x.shape}")
+    if x.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-D, got shape {x.shape}")
     return x
 
 
@@ -109,14 +116,6 @@ class ParamStore:
                 raise ShapeError(f"snapshot shape mismatch for {name!r}")
             self.params[name][...] = value
 
-    def astype(self, dtype) -> "ParamStore":
-        """Copy of this store in another precision (same values, fresh slots)."""
-        clone = ParamStore(self.seed, dtype=dtype)
-        for name, p in self.params.items():
-            clone.params[name] = p.astype(dtype)
-            clone.grads[name] = np.zeros_like(clone.params[name])
-        return clone
-
 
 # --- checkpoint container -----------------------------------------------
 # Layout: magic "NTC1" | uint32 tensor count | per tensor:
@@ -178,9 +177,9 @@ def dense_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
     backward(g) -> (dx, dw, db).
     """
-    x = _check_2d("x", x)
-    w = _check_2d("w", w)
-    b = _check_2d("b", b)
+    x = _check_ndim("x", x)
+    w = _check_ndim("w", w)
+    b = _check_ndim("b", b)
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"x cols {x.shape[1]} != w rows {w.shape[0]}")
     if b.shape != (1, w.shape[1]):
@@ -195,15 +194,16 @@ def dense_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def softmax_rows(x: np.ndarray):
-    """Row-wise softmax with max-subtraction; backward(g) -> (dx,)."""
-    x = _check_2d("x", x)
-    shifted = x - x.max(axis=1, keepdims=True)
+    """Softmax over the last axis with max-subtraction, so every row of an
+    array of any leading shape sums to 1; backward(g) -> (dx,)."""
+    x = np.asarray(x)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray):
         g = np.asarray(g)
-        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
     return p, backward
 
@@ -213,9 +213,9 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 
 
     backward(g) -> (dx, dgain, dshift).
     """
-    x = _check_2d("x", x)
-    gain = _check_2d("gain", gain)
-    shift = _check_2d("shift", shift)
+    x = _check_ndim("x", x)
+    gain = _check_ndim("gain", gain)
+    shift = _check_ndim("shift", shift)
     d = x.shape[1]
     if gain.shape != (1, d) or shift.shape != (1, d):
         raise ShapeError(f"gain/shift must be 1x{d}")
@@ -246,7 +246,7 @@ _GELU_A = 0.044715
 
 def gelu(x: np.ndarray):
     """Smooth GELU (tanh form); backward(g) -> (dx,)."""
-    x = _check_2d("x", x)
+    x = _check_ndim("x", x)
     u = _GELU_C * (x + _GELU_A * x**3)
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
@@ -259,23 +259,31 @@ def gelu(x: np.ndarray):
     return out, backward
 
 
-def mean_rows(x: np.ndarray):
-    """Mean over rows -> 1 x d; backward(g) -> (dx,)."""
-    x = _check_2d("x", x)
-    n = x.shape[0]
-    out = x.mean(axis=0, keepdims=True)
+def masked_mean_pool(x: np.ndarray, mask: np.ndarray):
+    """Mean over the real positions of each sequence: (B, L, d) with a boolean
+    (B, L) mask -> (B, d). backward(g) -> (dx,), exactly zero on padded rows.
+    """
+    x = _check_ndim("x", x, 3)
+    mask = _check_ndim("mask", mask, 2).astype(bool)
+    if mask.shape != x.shape[:2]:
+        raise ShapeError(f"mask shape {mask.shape} != sequence shape {x.shape[:2]}")
+    count = mask.sum(axis=1)
+    if count.min() < 1:
+        raise ShapeError("every sequence needs at least one unmasked position")
+    weight = mask[:, :, None].astype(x.dtype)
+    out = (x * weight).sum(axis=1) / count[:, None].astype(x.dtype)
 
     def backward(g: np.ndarray):
         g = np.asarray(g)
-        return (np.repeat(g, n, axis=0) / n,)
+        return (weight * (g / count[:, None].astype(x.dtype))[:, None, :],)
 
     return out, backward
 
 
 def concat_cols(a: np.ndarray, b: np.ndarray):
     """Column-wise concatenation; backward(g) -> (da, db)."""
-    a = _check_2d("a", a)
-    b = _check_2d("b", b)
+    a = _check_ndim("a", a)
+    b = _check_ndim("b", b)
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"row mismatch {a.shape[0]} vs {b.shape[0]}")
     out = np.concatenate([a, b], axis=1)
@@ -290,7 +298,7 @@ def concat_cols(a: np.ndarray, b: np.ndarray):
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator):
     """Inverted dropout with a seeded mask; backward(g) -> (dx,)."""
-    x = _check_2d("x", x)
+    x = _check_ndim("x", x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
@@ -305,6 +313,12 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator):
     return out, backward
 
 
+# Score given to masked keys before the softmax. It is finite, so a row
+# whose keys are all masked stays finite (uniform weights), and far enough
+# below any real score that exp() of a masked key underflows to exactly 0.
+MASKED_SCORE = -1e9
+
+
 def multi_head_attention(
     q_in: np.ndarray,
     kv_in: np.ndarray,
@@ -313,67 +327,75 @@ def multi_head_attention(
     w_v: np.ndarray,
     w_o: np.ndarray,
     heads: int,
+    key_mask: np.ndarray | None = None,
 ):
-    """Scaled dot-product attention; queries come from ``q_in``, keys/values
-    from ``kv_in``. Head ``i`` uses column block ``[i*dh, (i+1)*dh)`` of the
-    projections, with scale 1/sqrt(dh).
+    """Batched scaled dot-product attention; queries come from ``q_in``
+    (B, m, d), keys/values from ``kv_in`` (B, n, d). Head ``i`` uses column
+    block ``[i*dh, (i+1)*dh)`` of the projections, with scale 1/sqrt(dh).
+    ``key_mask`` (B, n) is True at real keys; ``None`` means no padding.
+    In every query row with at least one real key, masked keys get weight
+    exactly 0, so their ``kv_in`` rows get exactly zero gradient. A row whose
+    keys are all masked stays finite and weighs them uniformly.
 
-    Returns ``(out, maps, backward)`` where ``maps`` holds the post-softmax
-    weights, shape (heads, m, n), and ``backward(g) -> (d_q_in, d_kv_in, d_wq,
-    d_wk, d_wv, d_wo)``.
+    Returns ``(out, maps, backward)`` where ``out`` is (B, m, d), ``maps``
+    holds the post-softmax weights, shape (B, heads, m, n), and
+    ``backward(g) -> (d_q_in, d_kv_in, d_wq, d_wk, d_wv, d_wo)``.
     """
-    q_in = _check_2d("q_in", q_in)
-    kv_in = _check_2d("kv_in", kv_in)
-    m, d = q_in.shape
-    n, d_kv = kv_in.shape
+    q_in = _check_ndim("q_in", q_in, 3)
+    kv_in = _check_ndim("kv_in", kv_in, 3)
+    batch, m, d = q_in.shape
+    batch_kv, n, d_kv = kv_in.shape
     if d_kv != d:
         raise ShapeError(f"query dim {d} != key/value dim {d_kv}")
+    if batch_kv != batch:
+        raise ShapeError(f"query batch {batch} != key/value batch {batch_kv}")
     for name, w in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v), ("w_o", w_o)):
-        w = _check_2d(name, w)
+        w = _check_ndim(name, w)
         if w.shape != (d, d):
             raise ShapeError(f"{name} must be {d}x{d}, got {w.shape}")
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"heads={heads} must divide model dim {d}")
+    if key_mask is not None:
+        key_mask = _check_ndim("key_mask", key_mask).astype(bool)
+        if key_mask.shape != (batch, n):
+            raise ShapeError(f"key_mask must be ({batch}, {n}), got {key_mask.shape}")
+        key_mask = key_mask[:, None, None, :]  # broadcast over heads and queries
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
-    q = q_in @ w_q
-    k = kv_in @ w_k
-    v = kv_in @ w_v
-    maps = np.empty((heads, m, n), dtype=q.dtype)
-    ctx = np.empty((m, d), dtype=q.dtype)
-    softmax_backs = []
-    for h in range(heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        scores = (q[:, cols] @ k[:, cols].T) * scale
-        a, sback = softmax_rows(scores)
-        maps[h] = a
-        ctx[:, cols] = a @ v[:, cols]
-        softmax_backs.append(sback)
-    out = ctx @ w_o
+    def split_heads(x):  # (B, L, d) -> (B, heads, L, dh)
+        return x.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge_heads(x):  # (B, heads, L, dh) -> (B*L, d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    q_flat = q_in.reshape(-1, d)
+    kv_flat = kv_in.reshape(-1, d)
+    q = split_heads(q_flat @ w_q)
+    k = split_heads(kv_flat @ w_k)
+    v = split_heads(kv_flat @ w_v)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    if key_mask is not None:
+        scores = np.where(key_mask, scores, scores.dtype.type(MASKED_SCORE))
+    maps, softmax_back = softmax_rows(scores)
+    ctx = merge_heads(maps @ v)
+    out = (ctx @ w_o).reshape(batch, m, d)
 
     def backward(g: np.ndarray):
-        g = np.asarray(g)
-        d_ctx = g @ w_o.T
+        g = np.asarray(g).reshape(-1, d)
+        d_ctx = split_heads(g @ w_o.T)
         d_wo = ctx.T @ g
-        dq = np.empty_like(q)
-        dk = np.empty_like(k)
-        dv = np.empty_like(v)
-        for h in range(heads):
-            cols = slice(h * dh, (h + 1) * dh)
-            a = maps[h]
-            da = d_ctx[:, cols] @ v[:, cols].T
-            dv[:, cols] = a.T @ d_ctx[:, cols]
-            (ds,) = softmax_backs[h](da)
-            ds = ds * scale
-            dq[:, cols] = ds @ k[:, cols]
-            dk[:, cols] = ds.T @ q[:, cols]
-        d_q_in = dq @ w_q.T
-        d_kv_in = dk @ w_k.T + dv @ w_v.T
-        d_wq = q_in.T @ dq
-        d_wk = kv_in.T @ dk
-        d_wv = kv_in.T @ dv
-        return d_q_in, d_kv_in, d_wq, d_wk, d_wv, d_wo
+        dv = maps.transpose(0, 1, 3, 2) @ d_ctx
+        (ds,) = softmax_back(d_ctx @ v.transpose(0, 1, 3, 2))
+        if key_mask is not None:
+            ds = np.where(key_mask, ds, 0.0)
+        ds = ds * scale
+        dq = merge_heads(ds @ k)
+        dk = merge_heads(ds.transpose(0, 1, 3, 2) @ q)
+        dv = merge_heads(dv)
+        d_q_in = (dq @ w_q.T).reshape(q_in.shape)
+        d_kv_in = (dk @ w_k.T + dv @ w_v.T).reshape(kv_in.shape)
+        return d_q_in, d_kv_in, q_flat.T @ dq, kv_flat.T @ dk, kv_flat.T @ dv, d_wo
 
     return out, maps, backward
 
@@ -383,7 +405,7 @@ def cross_entropy(logits: np.ndarray, labels) -> tuple[float, Callable[[], np.nd
 
     ``backward()`` returns d(loss)/d(logits) = (softmax - onehot) / n.
     """
-    logits = _check_2d("logits", logits)
+    logits = _check_ndim("logits", logits)
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
     if labels.shape != (n,):

@@ -11,7 +11,7 @@ import numpy as np
 from .corpus import LabelSpace
 from .embedding import FeaturePack
 from .evaluation import PredictionSet, compute_metrics
-from .fusion import FusionHead, fuse_forward
+from .fusion import FusionHead, PackBatch, fuse_forward
 from .storage import append_jsonl
 from .tensorcore import ParamStore, cross_entropy, save_checkpoint
 
@@ -58,9 +58,6 @@ TRAIN_PRESETS: dict[str, dict] = {
         learning_rate=1e-3, batch_size=32, weight_decay=0.01, max_epochs=5, patience=2
     ),
 }
-
-# Learning-rate grid used by the fusion-stability sweep.
-LR_SWEEP_GRID = (1e-5, 3e-5, 5e-5)
 
 
 def train_config_from_preset(name: str, **overrides) -> TrainConfig:
@@ -163,19 +160,27 @@ def _clip_gradients(store: ParamStore, max_norm: float) -> None:
 def _train_batch(head: FusionHead, data: LabeledPacks, indices: np.ndarray) -> float:
     if indices.size == 0:
         raise TrainingError("empty batch")
-    outputs = [fuse_forward(head, data.packs[i], train_mode=True) for i in indices]
-    logits = np.stack([o.logits for o in outputs])
-    loss, ce_backward = cross_entropy(logits, data.labels[indices])
-    grads = ce_backward()
-    for out, row in zip(outputs, grads):
-        out.backward(row)
+    batch = PackBatch.from_packs([data.packs[i] for i in indices], head.params.dtype)
+    out = fuse_forward(head, batch, train_mode=True)
+    loss, ce_backward = cross_entropy(out.logits, data.labels[indices])
+    out.backward(ce_backward())
     return loss
 
 
-def evaluate_split(head: FusionHead, data: LabeledPacks) -> tuple[float, float, PredictionSet]:
+def evaluate_split(
+    head: FusionHead, data: LabeledPacks, batch_size: int = TrainConfig.batch_size
+) -> tuple[float, float, PredictionSet]:
     """Accuracy and Macro-F1 on a split; logits are archived in the returned
-    prediction set for report and bootstrap reuse."""
-    logits = np.stack([fuse_forward(head, p).logits for p in data.packs])
+    prediction set for report and bootstrap reuse.
+
+    The split runs in padded chunks of ``batch_size`` packs, which bounds the
+    memory of one forward; a pack's logits do not depend on its chunk.
+    """
+    chunks = (
+        PackBatch.from_packs(data.packs[start : start + batch_size], head.params.dtype)
+        for start in range(0, len(data), batch_size)
+    )
+    logits = np.concatenate([fuse_forward(head, chunk).logits for chunk in chunks])
     preds = PredictionSet.from_logits(data.ids, data.labels, logits, data.label_space)
     report = compute_metrics(preds)
     return report.accuracy, report.macro_f1, preds
@@ -222,7 +227,7 @@ def train_loop(
         if val_metric_fn is not None:
             val_acc, val_f1 = val_metric_fn(head, epoch)
         else:
-            val_acc, val_f1, _ = evaluate_split(head, val)
+            val_acc, val_f1, _ = evaluate_split(head, val, config.batch_size)
 
         improved = val_f1 > state.best_val_macro_f1
         if improved:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,13 @@ from t2ifuse.embedding import FeaturePack
 from t2ifuse.fusion import (
     FusionConfig,
     FusionConfigError,
+    PackBatch,
     build_fusion_head,
     export_attention,
     fuse_forward,
     head_averaged_map,
 )
-from t2ifuse.tensorcore import cross_entropy, grad_check
+from t2ifuse.tensorcore import ShapeError, cross_entropy, grad_check
 from tests.conftest import random_pack
 
 
@@ -229,3 +232,117 @@ def test_deep_prefix_attention_bundle_shape_and_export():
     for line in lines[1:]:
         values = [float(v) for v in line.split("\t")[1:]]
         assert abs(sum(values) - 1.0) <= 1e-6
+
+
+# --- padded batches ------------------------------------------------------------
+
+# Ragged on both sides, with a 1-token text beside a 5-token one.
+_TEXT_LENS = (1, 5, 3, 2, 4, 1)
+_IMAGE_LENS = (2, 1, 3, 1, 2, 3)
+
+
+def _ragged_setup(mechanism, seed=30):
+    config = FusionConfig(
+        mechanism=mechanism, model_dim=8, heads=2, num_classes=3,
+        hidden_dim=10, encoder_layers=2, visual_prefix_len=2,
+    )
+    head = build_fusion_head(config, text_dim=6, image_dim=5, seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed + 1)
+    packs = [
+        random_pack(rng, n_text=t, n_image=i, text_dim=6, image_dim=5)
+        for t, i in zip(_TEXT_LENS, _IMAGE_LENS)
+    ]
+    labels = rng.integers(0, 3, size=len(packs))
+    return head, packs, labels
+
+
+def _batch_loss(head, batch, labels):
+    out = fuse_forward(head, batch)
+    loss, back = cross_entropy(out.logits, labels)
+    out.backward(back())
+    return loss, out
+
+
+def test_pack_batch_pads_and_masks():
+    _, packs, _ = _ragged_setup("concat")
+    batch = PackBatch.from_packs(packs)
+    assert batch.text_tokens.shape == (6, 5, 6)
+    assert batch.image_tokens.shape == (6, 3, 5)
+    assert batch.text_mask.sum(axis=1).tolist() == list(_TEXT_LENS)
+    assert batch.image_mask.sum(axis=1).tolist() == list(_IMAGE_LENS)
+    assert np.all(batch.text_tokens[~batch.text_mask] == 0.0)
+    for b, pack in enumerate(packs):
+        assert np.array_equal(batch.text_tokens[b, : _TEXT_LENS[b]], pack.text_tokens)
+        assert np.array_equal(batch.image_pooled[b], pack.image_pooled)
+    bad = random_pack(np.random.default_rng(0), text_dim=7, image_dim=5)
+    with pytest.raises(ShapeError, match="text dims"):
+        PackBatch.from_packs(packs + [bad])
+
+
+@pytest.mark.parametrize("mechanism", ["concat", "cross_attention", "deep_prefix"])
+def test_batched_logits_and_gradients_match_per_sample(mechanism):
+    head, packs, labels = _ragged_setup(mechanism)
+    store = head.params
+    store.zero_grads()
+    out = fuse_forward(head, PackBatch.from_packs(packs))
+    _, back = cross_entropy(out.logits, labels)
+    dlogits = back()
+    out.backward(dlogits)
+    batched = {name: g.copy() for name, g in store.grads.items()}
+
+    store.zero_grads()
+    for pack, row_logits, row_grad in zip(packs, out.logits, dlogits):
+        single = fuse_forward(head, pack)
+        assert np.allclose(single.logits, row_logits, rtol=0, atol=1e-12)
+        single.backward(row_grad)
+    for name, g in store.grads.items():
+        assert np.allclose(batched[name], g, rtol=0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("mechanism", ["concat", "cross_attention", "deep_prefix"])
+def test_batched_grad_check(mechanism):
+    head, packs, labels = _ragged_setup(mechanism, seed=40)
+    batch = PackBatch.from_packs(packs)
+    report = grad_check(
+        lambda: _batch_loss(head, batch, labels)[0], head.params, tolerance=1e-4, seed=2
+    )
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("mechanism", ["concat", "cross_attention", "deep_prefix"])
+def test_padding_takes_no_weight_and_no_gradient(mechanism):
+    """Padded keys get weight exactly 0, and padded rows get exactly zero
+    gradient: filling the padding with noise changes no logit and no
+    parameter gradient by a single bit."""
+    head, packs, labels = _ragged_setup(mechanism, seed=50)
+    batch = PackBatch.from_packs(packs)
+    head.params.zero_grads()
+    _, out = _batch_loss(head, batch, labels)
+    grads = {name: g.copy() for name, g in head.params.grads.items()}
+
+    rng = np.random.default_rng(51)
+    noisy = dataclasses.replace(
+        batch,
+        text_tokens=np.where(batch.text_mask[..., None], batch.text_tokens,
+                             10 * rng.standard_normal(batch.text_tokens.shape)),
+        image_tokens=np.where(batch.image_mask[..., None], batch.image_tokens,
+                              10 * rng.standard_normal(batch.image_tokens.shape)),
+    )
+    head.params.zero_grads()
+    _, noisy_out = _batch_loss(head, noisy, labels)
+
+    assert np.array_equal(out.logits, noisy_out.logits)
+    for name, g in head.params.grads.items():
+        assert np.array_equal(grads[name], g), name
+        assert np.isfinite(g).all()
+    assert np.isfinite(out.logits).all()
+    if mechanism == "concat":
+        return
+    prefix = head.config.visual_prefix_len if mechanism == "deep_prefix" else 0
+    key_mask = batch.image_mask if mechanism == "cross_attention" else np.concatenate(
+        [np.ones((len(batch), prefix), dtype=bool), batch.text_mask], axis=1
+    )
+    for maps in out.attention.maps:
+        assert np.isfinite(maps).all()
+        assert np.all(np.where(key_mask[:, None, None, :], 0.0, maps) == 0.0)
+        assert np.allclose(maps.sum(axis=-1), 1.0, atol=1e-12)

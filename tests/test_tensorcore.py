@@ -13,7 +13,7 @@ from t2ifuse.tensorcore import (
     grad_check,
     layer_norm,
     load_checkpoint,
-    mean_rows,
+    masked_mean_pool,
     multi_head_attention,
     save_checkpoint,
     softmax_rows,
@@ -133,11 +133,11 @@ def test_attention_single_kv_token():
     wq, wk, wv, wo = _attn_params(rng, d)
     q_in = rng.standard_normal((3, d))
     kv = rng.standard_normal((1, d))
-    out, maps, _ = multi_head_attention(q_in, kv, wq, wk, wv, wo, heads=2)
+    out, maps, _ = multi_head_attention(q_in[None], kv[None], wq, wk, wv, wo, heads=2)
     assert np.allclose(maps, 1.0)
     expected_row = (kv @ wv) @ wo
     for i in range(3):
-        assert np.allclose(out[i], expected_row[0], atol=1e-12)
+        assert np.allclose(out[0, i], expected_row[0], atol=1e-12)
 
 
 def test_attention_kv_permutation_invariance():
@@ -147,10 +147,10 @@ def test_attention_kv_permutation_invariance():
     q_in = rng.standard_normal((2, d))
     kv = rng.standard_normal((5, d))
     perm = rng.permutation(5)
-    out_a, maps_a, _ = multi_head_attention(q_in, kv, wq, wk, wv, wo, heads=2)
-    out_b, maps_b, _ = multi_head_attention(q_in, kv[perm], wq, wk, wv, wo, heads=2)
+    out_a, maps_a, _ = multi_head_attention(q_in[None], kv[None], wq, wk, wv, wo, heads=2)
+    out_b, maps_b, _ = multi_head_attention(q_in[None], kv[perm][None], wq, wk, wv, wo, heads=2)
     assert np.allclose(out_a, out_b, atol=1e-12)
-    assert np.allclose(maps_a[:, :, perm], maps_b, atol=1e-12)
+    assert np.allclose(maps_a[..., perm], maps_b, atol=1e-12)
 
 
 def test_attention_matches_scripted_recomputation():
@@ -159,7 +159,8 @@ def test_attention_matches_scripted_recomputation():
     wq, wk, wv, wo = _attn_params(rng, d)
     q_in = rng.standard_normal((2, d))
     kv = rng.standard_normal((3, d))
-    out, maps, _ = multi_head_attention(q_in, kv, wq, wk, wv, wo, heads=h)
+    out, maps, _ = multi_head_attention(q_in[None], kv[None], wq, wk, wv, wo, heads=h)
+    out, maps = out[0], maps[0]
 
     # independent step-by-step oracle at extended precision
     ql = (q_in @ wq).astype(np.longdouble)
@@ -185,8 +186,97 @@ def test_attention_head_divisibility_error():
     wq, wk, wv, wo = _attn_params(rng, d)
     with pytest.raises(ShapeError):
         multi_head_attention(
-            rng.standard_normal((2, d)), rng.standard_normal((2, d)), wq, wk, wv, wo, heads=3
+            rng.standard_normal((1, 2, d)), rng.standard_normal((1, 2, d)), wq, wk, wv, wo, heads=3
         )
+
+
+def _ragged_attention_batch(rng, d, q_lens, kv_lens):
+    """Zero-padded (B, L, d) query/key batches with their masks, plus the
+    unpadded per-sample sequences."""
+    qs = [rng.standard_normal((m, d)) for m in q_lens]
+    kvs = [rng.standard_normal((n, d)) for n in kv_lens]
+    q_mask = np.arange(max(q_lens)) < np.array(q_lens)[:, None]
+    kv_mask = np.arange(max(kv_lens)) < np.array(kv_lens)[:, None]
+    q_in = np.zeros(q_mask.shape + (d,))
+    kv_in = np.zeros(kv_mask.shape + (d,))
+    q_in[q_mask] = np.concatenate(qs)
+    kv_in[kv_mask] = np.concatenate(kvs)
+    return qs, kvs, q_in, kv_in, q_mask, kv_mask
+
+
+def test_attention_padded_batch_matches_per_sample():
+    rng = np.random.default_rng(14)
+    d = 6
+    wq, wk, wv, wo = _attn_params(rng, d)
+    q_lens, kv_lens = [1, 5, 3, 2, 4], [3, 1, 5, 2, 4]
+    qs, kvs, q_in, kv_in, q_mask, kv_mask = _ragged_attention_batch(rng, d, q_lens, kv_lens)
+    out, maps, back = multi_head_attention(q_in, kv_in, wq, wk, wv, wo, heads=2, key_mask=kv_mask)
+    g = rng.standard_normal(out.shape) * q_mask[:, :, None]  # no gradient into padded queries
+    d_q, d_kv, *d_w = back(g)
+
+    summed = [np.zeros((d, d)) for _ in range(4)]
+    for b, (q, kv) in enumerate(zip(qs, kvs)):
+        m, n = q.shape[0], kv.shape[0]
+        out_1, maps_1, back_1 = multi_head_attention(q[None], kv[None], wq, wk, wv, wo, heads=2)
+        assert np.allclose(out[b, :m], out_1[0], rtol=0, atol=1e-12)
+        assert np.allclose(maps[b, :, :m, :n], maps_1[0], rtol=0, atol=1e-12)
+        dq_1, dkv_1, *dw_1 = back_1(g[b : b + 1, :m])
+        assert np.allclose(d_q[b, :m], dq_1[0], rtol=0, atol=1e-12)
+        assert np.allclose(d_kv[b, :n], dkv_1[0], rtol=0, atol=1e-12)
+        summed = [acc + w for acc, w in zip(summed, dw_1)]
+    for batched, reference in zip(d_w, summed):
+        assert np.allclose(batched, reference, rtol=0, atol=1e-12)
+
+    # padded keys take exactly zero weight, padded rows exactly zero gradient
+    assert np.all(np.where(kv_mask[:, None, None, :], 0.0, maps) == 0.0)
+    assert np.all(d_kv[~kv_mask] == 0.0)
+    assert np.all(d_q[~q_mask] == 0.0)
+    for arr in (out, maps, d_q, d_kv, *d_w):
+        assert np.isfinite(arr).all()
+
+
+def test_attention_fully_masked_row_stays_finite():
+    rng = np.random.default_rng(15)
+    d = 4
+    wq, wk, wv, wo = _attn_params(rng, d)
+    q_in = rng.standard_normal((2, 2, d))
+    kv_in = rng.standard_normal((2, 3, d))
+    key_mask = np.array([[True, True, False], [False, False, False]])
+    out, maps, back = multi_head_attention(q_in, kv_in, wq, wk, wv, wo, heads=2, key_mask=key_mask)
+    grads = back(rng.standard_normal(out.shape))
+    assert np.isfinite(out).all() and np.isfinite(maps).all()
+    assert all(np.isfinite(gr).all() for gr in grads)
+    assert np.allclose(maps.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.all(maps[0, :, :, 2] == 0.0)
+    # with every key masked the weights are uniform whatever the queries are
+    assert np.all(grads[0][1] == 0.0)
+
+
+def test_attention_key_mask_shape_error():
+    rng = np.random.default_rng(16)
+    d = 4
+    wq, wk, wv, wo = _attn_params(rng, d)
+    with pytest.raises(ShapeError, match="key_mask"):
+        multi_head_attention(
+            rng.standard_normal((2, 2, d)), rng.standard_normal((2, 3, d)),
+            wq, wk, wv, wo, heads=2, key_mask=np.ones((2, 2), dtype=bool),
+        )
+
+
+# --- masked mean pool ------------------------------------------------------------
+
+def test_masked_mean_pool_averages_real_rows_only():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((3, 4, 5))
+    mask = np.array([[True, False, False, False], [True] * 4, [True, True, True, False]])
+    out, back = masked_mean_pool(x, mask)
+    for b in range(3):
+        assert np.allclose(out[b], x[b, mask[b]].mean(axis=0), rtol=0, atol=1e-15)
+    (dx,) = back(rng.standard_normal((3, 5)))
+    assert np.all(dx[~mask] == 0.0)
+    assert np.allclose(dx[1], dx[1, 0])  # equal share for each real row
+    with pytest.raises(ShapeError, match="unmasked"):
+        masked_mean_pool(x, np.zeros((3, 4), dtype=bool))
 
 
 # --- cross entropy -----------------------------------------------------------
@@ -266,10 +356,11 @@ def test_grad_check_gelu_layernorm_softmax_chain():
         g, b2 = tc.gelu(h)
         n, b3 = layer_norm(g, store.params["gain"], store.params["shift"])
         p, b4 = softmax_rows(n)
-        m, b5 = mean_rows(p)
+        m, b5 = masked_mean_pool(p[None], np.ones((1, 3), dtype=bool))
         loss = float((m**2).sum())
         dm = 2 * m
         (dp,) = b5(dm)
+        dp = dp[0]
         (dn,) = b4(dp)
         dg, dgain, dshift = b3(dn)
         (dh,) = b2(dg)
@@ -286,8 +377,8 @@ def test_grad_check_attention_end_to_end():
     store = ParamStore(seed=3, dtype=np.float64)
     for name in ("wq", "wk", "wv", "wo"):
         store.add(name, d, d)
-    q_in = rng.standard_normal((2, d))
-    kv = rng.standard_normal((3, d))
+    q_in = rng.standard_normal((1, 2, d))
+    kv = rng.standard_normal((1, 3, d))
 
     def forward():
         out, _, back = multi_head_attention(
@@ -296,6 +387,29 @@ def test_grad_check_attention_end_to_end():
         )
         loss = float((out**2).sum())
         _, _, dwq, dwk, dwv, dwo = back(2 * out)
+        return loss, {"wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo}
+
+    report = grad_check(_loss_closure(store, forward), store, tolerance=1e-4)
+    assert report.passed, str(report)
+
+
+def test_grad_check_masked_attention_and_pool():
+    rng = np.random.default_rng(18)
+    d = 6
+    store = ParamStore(seed=6, dtype=np.float64)
+    for name in ("wq", "wk", "wv", "wo"):
+        store.add(name, d, d)
+    _, _, q_in, kv_in, q_mask, kv_mask = _ragged_attention_batch(rng, d, [1, 5, 2], [4, 1, 3])
+
+    def forward():
+        out, _, back = multi_head_attention(
+            q_in, kv_in, store.params["wq"], store.params["wk"],
+            store.params["wv"], store.params["wo"], heads=2, key_mask=kv_mask,
+        )
+        pooled, b_pool = masked_mean_pool(out, q_mask)
+        loss = float((pooled**2).sum())
+        (d_out,) = b_pool(2 * pooled)
+        _, _, dwq, dwk, dwv, dwo = back(d_out)
         return loss, {"wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo}
 
     report = grad_check(_loss_closure(store, forward), store, tolerance=1e-4)

@@ -147,6 +147,51 @@ def test_train_determinism_bitwise():
     assert hist_a == hist_b  # equal to the last bit
 
 
+def _ragged_data(n=24, seed=0, dim=6):
+    """Two-class packs with 1-5 text tokens and 1-3 image tokens each."""
+    rng = np.random.default_rng(seed)
+    packs, labels = [], []
+    for i in range(n):
+        label = i % 2
+        text = rng.standard_normal((int(rng.integers(1, 6)), dim)) + (1.0 if label else -1.0)
+        image = rng.standard_normal((int(rng.integers(1, 4)), dim))
+        packs.append(FeaturePack(text, image, text.mean(axis=0), image.mean(axis=0)))
+        labels.append(label)
+    ids = [f"r{i}" for i in range(n)]
+    return LabeledPacks(ids, packs, np.array(labels), LabelSpace(("neg", "pos")))
+
+
+def _xattn_head(seed=0, dropout_rate=0.0):
+    config = FusionConfig(
+        mechanism="cross_attention", model_dim=8, heads=2, num_classes=2,
+        hidden_dim=8, dropout_rate=dropout_rate,
+    )
+    return build_fusion_head(config, text_dim=6, image_dim=6, seed=seed)
+
+
+def test_train_determinism_with_dropout_and_padding():
+    config = TrainConfig(learning_rate=3e-3, batch_size=5, max_epochs=3, patience=3, seed=4)
+    runs = [
+        train_loop(_xattn_head(seed=2, dropout_rate=0.3), _ragged_data(seed=1),
+                   _ragged_data(seed=2), config)
+        for _ in range(2)
+    ]
+    (head_a, state_a), (head_b, state_b) = runs
+    assert [h.to_dict() for h in state_a.history] == [h.to_dict() for h in state_b.history]
+    for name, value in head_a.params.params.items():
+        assert np.array_equal(value, head_b.params.params[name])
+
+
+def test_evaluate_split_logits_independent_of_chunking():
+    data = _ragged_data(n=23, seed=3)
+    head = _xattn_head(seed=5)
+    _, _, whole = evaluate_split(head, data, batch_size=len(data))
+    for batch_size in (1, 4, 7):
+        _, _, chunked = evaluate_split(head, data, batch_size=batch_size)
+        assert np.array_equal(whole.logits, chunked.logits), batch_size
+        assert chunked.sample_ids == data.ids
+
+
 def test_early_stopping_protocol_trace(tmp_path):
     forced = {1: 0.5, 2: 0.6, 3: 0.59, 4: 0.58, 5: 0.7}
     snapshots = {}
