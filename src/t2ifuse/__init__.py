@@ -6,7 +6,7 @@ The package is organized as a library of independently testable stages:
 - :mod:`t2ifuse.prompting` -- text-to-image prompt strategies and LLM rewrites.
 - :mod:`t2ifuse.generation` -- image backends, content-addressed cache, cost ledger.
 - :mod:`t2ifuse.embedding` -- encoder providers, embedding cache, CLIP-style scoring.
-- :mod:`t2ifuse.tensorcore` -- dense 2-D kernels with hand-written gradients.
+- :mod:`t2ifuse.tensorcore` -- batched, masked kernels with hand-written gradients.
 - :mod:`t2ifuse.fusion` -- the three fusion heads mapping features to class logits.
 - :mod:`t2ifuse.training` -- AdamW, early stopping, deterministic training loop.
 - :mod:`t2ifuse.evaluation` -- metrics, confusion matrices, bootstrap, report tables.

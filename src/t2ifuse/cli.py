@@ -11,7 +11,7 @@ import argparse
 import logging
 import sys
 
-from .config import ConfigError, parse_config
+from .config import COST_MODES, ConfigError, parse_config
 from .orchestrator import OrchestrationError, report_cli, run_experiment, run_sweep
 
 _STAGE_COMMANDS = {
@@ -33,7 +33,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="forbid remote calls; only stub/fixture providers may run",
     )
     parser.add_argument(
-        "--cost-mode", choices=("measured", "estimated"), dest="cost_mode",
+        "--cost-mode", choices=COST_MODES, dest="cost_mode",
         help="override how per-image cost is accounted",
     )
 

@@ -9,15 +9,18 @@ any semantic change changes the hash.
 from __future__ import annotations
 
 import dataclasses
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import yaml
 
+from .corpus import DATASET_FORMATS
 from .fusion import FusionConfig, MECHANISMS
 from .generation import _PRESETS as GENERATION_PRESETS
-from .generation import GenerationParams, preset_params
+from .generation import COST_MODES, GenerationParams, preset_params
 from .prompting import STRATEGIES
 from .storage import stable_key
 from .training import TRAIN_PRESETS, TrainConfig
@@ -31,7 +34,6 @@ METHODS = (
     "oracle_image",
 )
 GENERATIVE_METHODS = ("gen_image", "gen_image_fast")
-COST_MODES = ("measured", "estimated")
 
 
 class ConfigError(ValueError):
@@ -147,32 +149,34 @@ class ExperimentConfig:
         return stable_key(self.to_dict())
 
 
-def _coerce(value, target_type, path: str, problems: list[str]):
-    if target_type is float and isinstance(value, int):
-        return float(value)
-    if target_type is int and isinstance(value, bool):
-        problems.append(f"{path}: expected int, got bool")
-        return value
-    if not isinstance(value, target_type):
-        problems.append(f"{path}: expected {target_type.__name__}, got {type(value).__name__}")
-    return value
+def _matches(value, hint) -> bool:
+    """Whether a parsed YAML value fits a field annotation. An int fits a
+    float field and is kept as an int, so the config hash does not change."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_matches(value, a) for a in args)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(_matches(v, a) for v, a in zip(value, args)))
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, origin or hint)
 
 
-_SECTION_TYPES = {
-    "dataset": DatasetConfig,
-    "providers": ProvidersConfig,
-    "generation": GenerationConfig,
-    "evaluation": EvalConfig,
-}
+def _check_type(value, hint, path: str, problems: list[str]) -> None:
+    if not _matches(value, hint):
+        expected = hint.__name__ if isinstance(hint, type) and not typing.get_args(hint) else hint
+        problems.append(f"{path}: expected {expected}, got {type(value).__name__}")
 
 
 def _parse_section(cls, data: dict, path: str, problems: list[str]) -> dict:
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     out: dict[str, Any] = {}
     for key, value in data.items():
-        if key not in fields:
+        if key not in hints:
             problems.append(f"{path}.{key}: unknown key")
             continue
+        _check_type(value, hints[key], f"{path}.{key}", problems)
         out[key] = value
     return out
 
@@ -237,7 +241,7 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
     else:
         dataset_kwargs = _parse_section(DatasetConfig, dataset_raw, "dataset", problems)
         fmt = dataset_kwargs.get("format", "delimited_rows")
-        if fmt not in ("delimited_rows", "record_lines"):
+        if fmt not in DATASET_FORMATS:
             problems.append(f"dataset.format: unknown format {fmt!r}")
         if "split_fractions" in dataset_kwargs:
             dataset_kwargs["split_fractions"] = tuple(dataset_kwargs["split_fractions"])
@@ -277,7 +281,11 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
     cost_mode = data.get("cost_mode", "estimated")
     if cost_mode not in COST_MODES:
         problems.append(f"cost_mode: must be one of {COST_MODES}")
-    offline = bool(data.get("offline", True))
+    hints = typing.get_type_hints(ExperimentConfig)
+    for key in ("task_id", "cache_dir", "offline"):
+        if key in data:
+            _check_type(data[key], hints[key], key, problems)
+    offline = data.get("offline", True)
 
     # method-dependent requirements
     if method == "textual_expansion" and not providers_kwargs.get("elaborator"):
@@ -305,7 +313,11 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
                     sweep_axes[axis] = tuple(values)
 
     if problems:
-        raise ConfigError(problems)
+        # one problem per field: a null backend is not also "required"
+        first: dict[str, str] = {}
+        for problem in problems:
+            first.setdefault(problem.split(":", 1)[0], problem)
+        raise ConfigError(list(first.values()))
 
     if base_dir is not None:
         for key in ("path",):

@@ -83,7 +83,7 @@ class FeaturePack:
 
 class TextEncoderProvider(Protocol):
     provider_id: str
-    dim: int
+    dim: int  # a remote provider learns it from its first response
 
     def encode_text(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Return (pooled (dim,), tokens (n, dim)); n >= 1."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -9,6 +10,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import LabelSpace
+from .fusion import MECHANISMS
+from .generation import _PRESETS as GENERATION_PRESETS
+from .prompting import STRATEGIES
 
 
 class EvaluationError(ValueError):
@@ -83,29 +87,10 @@ class EvalReport:
     cost_summary: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class": [
-                {
-                    "name": s.name,
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "support": s.support,
-                }
-                for s in self.per_class
-            ],
-            "confusion": self.confusion.tolist(),
-            "confusion_normalized": self.confusion_normalized.tolist(),
-            "zero_support_classes": list(self.zero_support_classes),
-            "bootstrap_std": self.bootstrap_std,
-            "clip_cos_mean": self.clip_cos_mean,
-            "clip_cos_std": self.clip_cos_std,
-            "clip_score_mean": self.clip_score_mean,
-            "clip_score_std": self.clip_score_std,
-            "cost_summary": self.cost_summary,
-        }
+        data = dataclasses.asdict(self)
+        data["confusion"] = self.confusion.tolist()
+        data["confusion_normalized"] = self.confusion_normalized.tolist()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalReport":
@@ -246,6 +231,8 @@ LAYOUT_AXES = {
     "fusion_table": ("mechanism",),
 }
 
+# Mirrors config.METHODS, which this module cannot import: config imports
+# training, and training imports this module.
 _METHOD_ORDER = (
     "text_only",
     "textual_expansion",
@@ -254,16 +241,30 @@ _METHOD_ORDER = (
     "gen_image_fast",
     "oracle_image",
 )
-_BACKEND_ORDER = ("sd15", "sdxl", "sdxl-lightning", "flux-schnell", "dalle3", "stub")
-_STRATEGY_ORDER = ("direct", "keyword", "stylized", "elaborated")
-_MECHANISM_ORDER = ("concat", "cross_attention", "deep_prefix")
 
 _AXIS_ORDERS = {
     "method": _METHOD_ORDER,
-    "backend": _BACKEND_ORDER,
-    "strategy": _STRATEGY_ORDER,
-    "mechanism": _MECHANISM_ORDER,
+    "backend": tuple(dict.fromkeys(p[0] for p in GENERATION_PRESETS.values())) + ("stub",),
+    "strategy": STRATEGIES,
+    "mechanism": MECHANISMS,
 }
+
+
+def table_layout(axis_names: Sequence[str]) -> tuple[str, tuple[str, ...]]:
+    """The layout for cells that vary along ``axis_names``, and the axis order
+    its cell keys use.
+
+    The paper's tables get their own layouts: backend x strategy, mechanism
+    (alone, or with one other axis as columns) and method x dataset. Any other
+    set of axes gets ``axis_table``: one column per axis and one row per cell.
+    """
+    names = set(axis_names)
+    if "mechanism" in names and len(names) <= 2:
+        return "fusion_table", ("mechanism", *(a for a in axis_names if a != "mechanism"))
+    for layout in ("t2i_prompt_table", "main_table"):
+        if names == set(LAYOUT_AXES[layout]):
+            return layout, LAYOUT_AXES[layout]
+    return "axis_table", tuple(axis_names)
 
 
 def _axis_sort_key(axis: str, value: str):
@@ -303,9 +304,10 @@ def render_report(
     ``main_table`` (method rows x per-dataset Acc/Ma-F1 columns),
     ``t2i_prompt_table`` (backend x strategy rows with Ma-F1 and semantic
     consistency columns), ``fusion_table`` (mechanism rows, optional second
-    axis as columns), or ``axis_table`` (generic rows over one axis). The
-    declared axis grid must be complete. Best values per column are flagged
-    with ``*``; machine records keep full precision.
+    axis as columns), or ``axis_table`` (one row per cell, one column per
+    axis). The two-axis grid layouts need every cell of their grid. Best
+    values per column are flagged with ``*``; machine records keep full
+    precision.
     """
     if not reports:
         raise EvaluationError("no report cells")
@@ -328,14 +330,15 @@ def render_report(
             )
     # The grid spanned by observed axis values must be fully populated.
     observed = [sorted({key[i] for key in reports}, key=lambda v: _axis_sort_key(axes[i], v)) for i in range(len(axes))]
-    if len(axes) == 2:
+    if len(axes) == 2 and layout != "axis_table":
         for a in observed[0]:
             for b in observed[1]:
                 if (a, b) not in reports:
                     raise EvaluationError(f"missing cell for axes ({a!r}, {b!r})")
 
+    cells = sorted(reports, key=lambda k: tuple(_axis_sort_key(axes[i], k[i]) for i in range(len(axes))))
     records: list[dict] = []
-    for key in sorted(reports, key=lambda k: tuple(_axis_sort_key(axes[i], k[i]) for i in range(len(axes)))):
+    for key in cells:
         report = reports[key]
         axes_map = {axes[i]: key[i] for i in range(len(axes))}
         metric_values = {
@@ -378,9 +381,7 @@ def render_report(
             rows.append(row)
         table = _render_rows(headers, rows)
     elif layout == "t2i_prompt_table":
-        backends, strategies = observed
         headers = ["backend", "strategy", "acc", "ma-f1", "clip-cos", "clip-score"]
-        cells = [(b, s) for b in backends for s in strategies]
         best_f1 = max(reports[c].macro_f1 for c in cells)
         rows = []
         for b, s in cells:
@@ -412,18 +413,16 @@ def render_report(
             rows.append(row)
         table = _render_rows(headers, rows)
     else:
-        # single-axis tables: fusion_table (mechanism) and generic axis_table
-        axis = axes[0]
-        values = observed[0]
-        headers = [axis, "acc", "ma-f1"]
-        best_f1 = max(reports[(v,)].macro_f1 for v in values)
+        # one row per cell: single-axis fusion_table, and axis_table over any axes
+        headers = [*axes, "acc", "ma-f1"]
+        best_f1 = max(reports[c].macro_f1 for c in cells)
         rows = []
-        for v in values:
-            rep = reports[(v,)]
+        for c in cells:
+            rep = reports[c]
             pm = f" (±{rep.bootstrap_std * 100:.2f})" if rep.bootstrap_std is not None else ""
             rows.append(
                 [
-                    v,
+                    *c,
                     _fmt_pct(rep.accuracy, False),
                     _fmt_pct(rep.macro_f1, rep.macro_f1 == best_f1) + pm,
                 ]

@@ -9,6 +9,7 @@ totals use decimal arithmetic).
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import hashlib
 import logging
@@ -17,7 +18,7 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Any, Callable, Iterable, Mapping, Protocol
 
 from .prompting import PromptSpec
 from .storage import ArtifactCache, append_jsonl, canonical_json, read_jsonl, sha256_hex
@@ -25,6 +26,7 @@ from .storage import ArtifactCache, append_jsonl, canonical_json, read_jsonl, sh
 logger = logging.getLogger(__name__)
 
 STUB_IMAGE_SIZE = 4096  # bytes emitted by the offline stub backend
+COST_MODES = ("measured", "estimated")
 
 
 class GenerationError(RuntimeError):
@@ -33,6 +35,44 @@ class GenerationError(RuntimeError):
 
 class TransientBackendError(GenerationError):
     """Transport failure or 5xx; the request may be retried."""
+
+
+class RetriesExhaustedError(GenerationError):
+    """Every attempt failed transiently; the last failure is the cause."""
+
+    def __init__(self, attempts: int, last: TransientBackendError):
+        super().__init__(f"failed after {attempts} attempts: {last}")
+        self.attempts = attempts
+
+
+def retry_transient(
+    call: Callable[[], Any],
+    *,
+    retries: int = 3,
+    backoff_s: float = 0.5,
+    sleep: Callable[[float], None] = time.sleep,
+) -> Any:
+    """Return ``call()``, retrying :class:`TransientBackendError` up to
+    ``retries`` attempts in all.
+
+    The k-th failure sleeps ``backoff_s * 2**(k-1)`` before the next attempt;
+    after the last it raises :class:`RetriesExhaustedError`. Any other error
+    propagates at once.
+    """
+    attempt = 0
+    while True:
+        attempt += 1
+        try:
+            return call()
+        except TransientBackendError as exc:
+            if attempt >= retries:
+                raise RetriesExhaustedError(attempt, exc) from exc
+            delay = backoff_s * (2 ** (attempt - 1))
+            logger.warning(
+                "transient failure (attempt %d/%d), retrying in %.1fs: %s",
+                attempt, retries, delay, exc,
+            )
+            sleep(delay)
 
 
 class UnknownBackendError(GenerationError):
@@ -156,23 +196,12 @@ class GeneratedImageRecord:
             raise ValueError("latency and cost must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "content_hash": self.content_hash,
-            "prompt_key": self.prompt_key,
-            "backend_id": self.backend_id,
-            "steps": self.steps,
-            "image_ref": self.image_ref,
-            "latency_s": self.latency_s,
-            "cost_usd": self.cost_usd,
-            "created_at": self.created_at,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratedImageRecord":
-        return cls(**{k: data[k] for k in (
-            "content_hash", "prompt_key", "backend_id", "steps",
-            "image_ref", "latency_s", "cost_usd", "created_at",
-        )})
+        """Build from any mapping holding the fields; other keys are ignored."""
+        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
 
     def ledger_line(self) -> dict:
         return {
@@ -283,37 +312,27 @@ def generate_image(
     """Generate (or fetch) the image for a prompt.
 
     On a cache hit the stored record is returned without any backend call. On
-    a miss the backend is called with up to ``retries`` attempts (exponential
-    backoff, transient errors only), the bytes are verified non-empty and
-    stored atomically, and a ledger entry is appended. ``cost_mode`` selects
+    a miss the backend is called through :func:`retry_transient`, the latency
+    of the successful attempt is recorded, the bytes are verified non-empty
+    and stored atomically, and a ledger entry is appended. ``cost_mode`` selects
     between backend-reported cost ("measured", 0 when not reported) and the
     cost model's per-image estimate ("estimated").
     """
-    if cost_mode not in ("measured", "estimated"):
+    if cost_mode not in COST_MODES:
         raise ValueError(f"unknown cost mode {cost_mode!r}")
     key = prompt_key(prompt.positive, prompt.negative, params)
     if store.has(key):
         return GeneratedImageRecord.from_dict(store.get_meta(key))
 
-    attempt = 0
-    while True:
-        attempt += 1
+    def attempt() -> tuple[bytes, float]:
         start = time.perf_counter()
-        try:
-            data = backend.generate(prompt.positive, prompt.negative, params)
-            break
-        except TransientBackendError as exc:
-            if attempt >= retries:
-                raise GenerationError(
-                    f"backend {backend.backend_id!r} failed after {attempt} attempts: {exc}"
-                ) from exc
-            delay = backoff_s * (2 ** (attempt - 1))
-            logger.warning(
-                "backend %s transient failure (attempt %d/%d), retrying in %.1fs",
-                backend.backend_id, attempt, retries, delay,
-            )
-            sleep(delay)
-    latency = time.perf_counter() - start
+        data = backend.generate(prompt.positive, prompt.negative, params)
+        return data, time.perf_counter() - start
+
+    try:
+        data, latency = retry_transient(attempt, retries=retries, backoff_s=backoff_s, sleep=sleep)
+    except RetriesExhaustedError as exc:
+        raise GenerationError(f"backend {backend.backend_id!r} {exc}") from exc
 
     if not data:
         raise GenerationError(f"backend {backend.backend_id!r} returned empty image bytes")
@@ -364,7 +383,7 @@ def ledger_totals(
     cost model's per-backend rates. Decimal arithmetic keeps the totals exact
     and associative: totals(A ++ B) equals totals(A) + totals(B) componentwise.
     """
-    if mode not in ("measured", "estimated"):
+    if mode not in COST_MODES:
         raise ValueError(f"unknown cost mode {mode!r}")
     model = model if model is not None else DEFAULT_COST_MODEL
     counts: dict[str, int] = {}

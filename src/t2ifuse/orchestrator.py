@@ -27,6 +27,7 @@ from .config import GENERATIVE_METHODS, ExperimentConfig
 from .corpus import (
     LabelSpace,
     TextSample,
+    apply_split_assignments,
     load_dataset,
     load_split_assignments,
     make_splits,
@@ -48,6 +49,7 @@ from .evaluation import (
     compute_metrics,
     render_records,
     render_report,
+    table_layout,
 )
 from .fusion import build_fusion_head, export_attention, fuse_forward
 from .generation import (
@@ -116,12 +118,38 @@ class KeywordOverlapRetriever:
         return best_doc
 
 
+def _hash_fixture(name: str):
+    return HashProjectionProvider(name, int(name[5:])) if name.startswith("hash-") else None
+
+
+# kind -> (registry table, fixture the name selects, remote adapter in
+# ``remotes``, offline default or None)
+_PROVIDER_KINDS = {
+    "backend": ("backends", lambda name: StubImageBackend() if name == "stub" else None,
+                "HttpImageBackend", StubImageBackend),
+    "text provider": ("text_providers", _hash_fixture, "HttpEmbeddingProvider", None),
+    "image provider": ("image_providers", _hash_fixture, "HttpEmbeddingProvider", None),
+    "chat client": ("chat_clients", lambda name: StubChatClient() if name == "stub-chat" else None,
+                    "HttpChatClient", lambda name: StubChatClient(client_id=name)),
+}
+
+
 @dataclass
 class ProviderRegistry:
-    """Named provider instances; defaults are offline stubs and fixtures.
+    """Named provider instances, resolved by one rule for every kind.
 
-    Instances persist across runs handed the same registry, so their call
-    counters survive resume tests.
+    A name resolves, in this order, to:
+
+    1. the instance registered under it;
+    2. the fixture the name selects: ``hash-<dim>`` for encoders, ``stub``
+       for the image backend, ``stub-chat`` for the chat client;
+    3. the remote adapter, when the config names an endpoint for that kind
+       (an offline run raises :class:`OfflineViolationError` instead);
+    4. the offline default: the stub backend or stub chat client under that
+       name; an encoder has none, so an unknown encoder is an error.
+
+    Resolved instances are kept, so their call counters survive resume tests
+    that hand the same registry to several runs.
     """
 
     backends: dict = field(default_factory=dict)
@@ -130,82 +158,41 @@ class ProviderRegistry:
     chat_clients: dict = field(default_factory=dict)
     retrievers: dict = field(default_factory=dict)
 
-    def resolve_backend(self, config: ExperimentConfig):
-        logical = config.generation.backend
-        if logical in self.backends:
-            return self.backends[logical]
-        endpoint = config.generation.endpoint
-        if endpoint and not config.offline:
-            from .remotes import HttpImageBackend
+    def _resolve(self, kind: str, name: str, endpoint: str | None, offline: bool):
+        table_name, fixture, adapter, default = _PROVIDER_KINDS[kind]
+        table = getattr(self, table_name)
+        if name not in table:
+            instance = fixture(name)
+            if instance is None and endpoint:
+                if offline:
+                    raise OfflineViolationError(f"offline run cannot call remote {kind} {name!r}")
+                from . import remotes  # imports requests; only remote runs pay for it
 
-            backend = HttpImageBackend(logical, endpoint)
-        elif endpoint and config.offline:
-            raise OfflineViolationError(
-                f"offline run cannot call remote backend {logical!r}"
-            )
-        else:
-            backend = StubImageBackend(backend_id=logical)
-        self.backends[logical] = backend
-        return backend
-
-    def _resolve_encoder(self, provider_id: str, endpoint: str | None, dim_hint: int | None,
-                         offline: bool, table: dict):
-        if provider_id in table:
-            return table[provider_id]
-        if provider_id.startswith("hash-"):
-            dim = int(provider_id.split("-", 1)[1])
-            provider = HashProjectionProvider(provider_id, dim)
-        elif endpoint:
-            if offline:
-                raise OfflineViolationError(
-                    f"offline run cannot call remote provider {provider_id!r}"
-                )
-            from .remotes import HttpEmbeddingProvider
-
-            if not dim_hint:
+                instance = getattr(remotes, adapter)(name, endpoint)
+            if instance is None and default is None:
                 raise OrchestrationError(
-                    f"remote provider {provider_id!r} needs a declared dim"
+                    f"unknown {kind} {name!r} (register it, use hash-<dim>, or configure an endpoint)"
                 )
-            provider = HttpEmbeddingProvider(provider_id, endpoint, dim_hint)
-        else:
-            raise OrchestrationError(
-                f"unknown provider {provider_id!r} (register it, use hash-<dim>, "
-                "or configure an endpoint)"
-            )
-        table[provider_id] = provider
-        return provider
+            table[name] = instance if instance is not None else default(name)
+        return table[name]
+
+    def resolve_backend(self, config: ExperimentConfig):
+        gen = config.generation
+        return self._resolve("backend", gen.backend, gen.endpoint, config.offline)
 
     def resolve_text_provider(self, config: ExperimentConfig):
-        return self._resolve_encoder(
-            config.providers.text, config.providers.text_endpoint, None,
-            config.offline, self.text_providers,
-        )
+        p = config.providers
+        return self._resolve("text provider", p.text, p.text_endpoint, config.offline)
 
     def resolve_image_provider(self, config: ExperimentConfig):
-        return self._resolve_encoder(
-            config.providers.image, config.providers.image_endpoint, None,
-            config.offline, self.image_providers,
-        )
+        p = config.providers
+        return self._resolve("image provider", p.image, p.image_endpoint, config.offline)
 
     def resolve_chat_client(self, config: ExperimentConfig):
-        client_id = config.providers.elaborator
-        if client_id is None:
+        p = config.providers
+        if p.elaborator is None:
             raise OrchestrationError("no elaborator configured")
-        if client_id in self.chat_clients:
-            return self.chat_clients[client_id]
-        endpoint = config.providers.chat_endpoint
-        if endpoint and not config.offline:
-            from .remotes import HttpChatClient
-
-            client = HttpChatClient(client_id, endpoint)
-        elif endpoint and config.offline:
-            raise OfflineViolationError(
-                f"offline run cannot call remote chat client {client_id!r}"
-            )
-        else:
-            client = StubChatClient(client_id=client_id)
-        self.chat_clients[client_id] = client
-        return client
+        return self._resolve("chat client", p.elaborator, p.chat_endpoint, config.offline)
 
     def resolve_retriever(self, config: ExperimentConfig):
         path = config.providers.retrieval_corpus
@@ -299,18 +286,7 @@ class RunManifest:
             self.stages.setdefault(stage, StageStatus())
 
     def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "descriptor": self.descriptor,
-            "stages": {
-                name: {"status": s.status, "artifacts": s.artifacts, "reason": s.reason}
-                for name, s in self.stages.items()
-            },
-            "created_at": self.created_at,
-            "updated_at": self.updated_at,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
@@ -385,11 +361,7 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
     samples, label_space = load_dataset(config.dataset.path, config.dataset.format)
     splits_path = run_dir / "splits.jsonl"
     if splits_path.exists():
-        assignments = load_split_assignments(splits_path)
-        for s in samples:
-            s.split = assignments.get(s.id)
-        if any(s.split is None for s in samples):
-            raise OrchestrationError("persisted split assignments do not cover the dataset")
+        apply_split_assignments(samples, load_split_assignments(splits_path))
     else:
         make_splits(samples, config.dataset.split_fractions, config.dataset.split_seed)
         write_split_assignments(samples, splits_path)
@@ -495,6 +467,9 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
     return [images_path]
 
 
+_DIM_PROBE_TEXT = "image feature width probe"
+
+
 def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
                       caches: dict) -> list[Path]:
     rows = list(read_jsonl(run_dir / "prompts.jsonl"))
@@ -504,6 +479,7 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
     image_provider = None
     if config.method in GENERATIVE_METHODS:
         image_provider = registry.resolve_image_provider(config)
+    zero_dim = None
 
     records = []
     for row in sorted(rows, key=lambda r: r["sample_id"]):
@@ -524,7 +500,11 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
                 "path": config.providers.oracle_features,
             }
         else:
-            zero_dim = registry.resolve_image_provider(config).dim
+            if zero_dim is None:
+                # A remote encoder learns its dim from its first response; the
+                # probe goes through the cache, so a warm run calls nothing.
+                probe, _ = embed_text(_DIM_PROBE_TEXT, registry.resolve_image_provider(config), emb_cache)
+                zero_dim = probe.dim
             image_entry = {"kind": "zero", "dim": zero_dim}
         records.append(
             {
@@ -654,9 +634,7 @@ def _cost_summary(config: ExperimentConfig, run_dir: Path) -> dict | None:
     image_rows = list(read_jsonl(run_dir / "images.jsonl"))
     if not image_rows:
         return None
-    records = [GeneratedImageRecord.from_dict({k: r[k] for k in (
-        "content_hash", "prompt_key", "backend_id", "steps",
-        "image_ref", "latency_s", "cost_usd", "created_at")}) for r in image_rows]
+    records = [GeneratedImageRecord.from_dict(r) for r in image_rows]
     try:
         totals = ledger_totals(records, mode=config.cost_mode)
     except UnknownBackendError as exc:
@@ -959,7 +937,7 @@ def run_sweep(
     table = None
     records: list[dict] = []
     if reports:
-        layout, ordered_axes = _sweep_layout(axis_names)
+        layout, ordered_axes = table_layout(axis_names)
         keyed = {
             tuple(cell_key[axis_names.index(a)] for a in ordered_axes): rep
             for cell_key, rep in reports.items()
@@ -968,7 +946,7 @@ def run_sweep(
             table, records = render_report(
                 keyed, layout=layout,
                 experiment_id=base_config.experiment_id,
-                axis_names=tuple(ordered_axes),
+                axis_names=ordered_axes,
             )
         except Exception as exc:
             # failed cells can leave the grid incomplete; the summary still
@@ -992,32 +970,15 @@ def run_sweep(
     return SweepResult(cells=cells, table=table, records=records, out_dir=sweep_dir)
 
 
-def _sweep_layout(axis_names: list[str]) -> tuple[str, list[str]]:
-    names = set(axis_names)
-    if names == {"backend", "strategy"}:
-        return "t2i_prompt_table", ["backend", "strategy"]
-    if names == {"mechanism"}:
-        return "fusion_table", ["mechanism"]
-    if "mechanism" in names and len(names) == 2:
-        other = next(n for n in axis_names if n != "mechanism")
-        return "fusion_table", ["mechanism", other]
-    if names == {"method", "dataset"}:
-        return "main_table", ["method", "dataset"]
-    if len(axis_names) == 1:
-        return "axis_table", list(axis_names)
-    # generic fallback: flatten the grid into one row axis
-    return "axis_table", list(axis_names[:1])
-
-
 # --- consolidated reporting ----------------------------------------------
 
 
 def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None) -> str:
     """Aggregate finished runs into consolidated tables and cost totals.
 
-    Corrupt or unfinished run directories are reported and skipped. When the
-    runs differ along a recognizable axis (mechanism, backend/strategy,
-    method) the matching table layout is used; a single run reproduces its own
+    Corrupt or unfinished run directories are reported and skipped. The axes
+    along which the runs' descriptors differ pick the table through
+    :func:`t2ifuse.evaluation.table_layout`; a single run reproduces its own
     report verbatim.
     """
     loaded = []
@@ -1056,23 +1017,12 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
                 for axis in ("mechanism", "backend", "strategy", "method", "dataset", "steps", "learning_rate")
                 if len({str(m.descriptor.get(axis)) for _, m, _ in loaded}) > 1
             ]
-            if set(varying) >= {"backend", "strategy"}:
-                keyed = {
-                    (m.descriptor["backend"], m.descriptor["strategy"]): r for _, m, r in loaded
-                }
-                table, _ = render_report(keyed, "t2i_prompt_table")
-            elif varying == ["mechanism"]:
-                keyed = {(m.descriptor["mechanism"],): r for _, m, r in loaded}
-                table, _ = render_report(keyed, "fusion_table")
-            elif set(varying) >= {"method", "dataset"}:
-                keyed = {(m.descriptor["method"], m.descriptor["dataset"]): r for _, m, r in loaded}
-                table, _ = render_report(keyed, "main_table")
-            else:
-                axis = varying[0] if varying else "experiment_id"
-                keyed = {
-                    (str(m.descriptor.get(axis, m.experiment_id)),): r for _, m, r in loaded
-                }
-                table, _ = render_report(keyed, "axis_table", axis_names=(axis,))
+            layout, axes = table_layout(varying or ["experiment_id"])
+            keyed = {
+                tuple(str(m.descriptor.get(a, m.experiment_id)) for a in axes): r
+                for _, m, r in loaded
+            }
+            table, _ = render_report(keyed, layout, axis_names=axes)
             lines.append(table.rstrip())
 
         total = Decimal(0)

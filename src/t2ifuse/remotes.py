@@ -9,20 +9,30 @@ All adapters speak minimal JSON contracts:
 - chat client: POST {system, user, model_id, temperature} -> {"text": "..."}.
 
 Credentials come from per-adapter environment variables (never from config
-files); transport failures and 5xx responses are retried by the callers via
-:class:`t2ifuse.generation.TransientBackendError`.
+files). Transport failures and 5xx responses raise
+:class:`t2ifuse.generation.TransientBackendError`, and every retry goes
+through :func:`t2ifuse.generation.retry_transient`: ``generate_image`` wraps
+the image backend, and the embedding provider and chat client wrap their own
+requests.
 """
 
 from __future__ import annotations
 
 import base64
 import os
-from typing import Any
+import time
+from typing import Any, Callable
 
 import numpy as np
 import requests
 
-from .generation import GenerationParams, TransientBackendError, GenerationError
+from .generation import (
+    GenerationError,
+    GenerationParams,
+    RetriesExhaustedError,
+    TransientBackendError,
+    retry_transient,
+)
 from .prompting import ElaborationError
 
 
@@ -40,36 +50,59 @@ def _headers(api_key_env: str | None) -> dict[str, str]:
     return headers
 
 
-def _post(session, url: str, payload: dict, headers: dict, timeout: float):
-    try:
-        response = session.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransientBackendError(f"transport failure calling {url}: {exc}") from exc
-    if response.status_code >= 500:
-        raise TransientBackendError(f"{url} returned {response.status_code}")
-    if response.status_code >= 400:
-        raise GenerationError(f"{url} rejected the request: {response.status_code}")
-    return response
+class _HttpAdapter:
+    """Endpoint, credential, timeout and session shared by the adapters.
 
-
-class HttpImageBackend:
-    """Generic text-to-image endpoint adapter; provider specifics live in the
-    endpoint URL and credential env var."""
+    ``retries`` and ``sleep`` feed :func:`retry_transient` in
+    :meth:`_post_retrying`; the image backend posts once, because
+    ``generate_image`` retries it.
+    """
 
     def __init__(
         self,
-        backend_id: str,
+        adapter_id: str,
         endpoint: str,
         *,
+        model_id: str | None = None,
         api_key_env: str | None = None,
-        timeout_s: float = 120.0,
+        timeout_s: float = 60.0,
         session: Any | None = None,
+        retries: int = 3,
+        sleep: Callable[[float], None] = time.sleep,
     ):
-        self.backend_id = backend_id
         self.endpoint = endpoint
-        self.api_key_env = api_key_env if api_key_env is not None else _credential_env(backend_id)
+        self.model_id = model_id or adapter_id
+        self.api_key_env = api_key_env if api_key_env is not None else _credential_env(adapter_id)
         self.timeout_s = timeout_s
         self.session = session if session is not None else requests.Session()
+        self.retries = retries
+        self.sleep = sleep
+
+    def _post(self, payload: dict):
+        url = self.endpoint
+        try:
+            response = self.session.post(
+                url, json=payload, headers=_headers(self.api_key_env), timeout=self.timeout_s
+            )
+        except requests.RequestException as exc:
+            raise TransientBackendError(f"transport failure calling {url}: {exc}") from exc
+        if response.status_code >= 500:
+            raise TransientBackendError(f"{url} returned {response.status_code}")
+        if response.status_code >= 400:
+            raise GenerationError(f"{url} rejected the request: {response.status_code}")
+        return response
+
+    def _post_retrying(self, payload: dict):
+        return retry_transient(lambda: self._post(payload), retries=self.retries, sleep=self.sleep)
+
+
+class HttpImageBackend(_HttpAdapter):
+    """Generic text-to-image endpoint adapter; provider specifics live in the
+    endpoint URL and credential env var."""
+
+    def __init__(self, backend_id: str, endpoint: str, *, timeout_s: float = 120.0, **kwargs):
+        super().__init__(backend_id, endpoint, timeout_s=timeout_s, **kwargs)
+        self.backend_id = backend_id
 
     def generate(self, positive: str, negative: str, params: GenerationParams) -> bytes:
         payload = {
@@ -81,38 +114,29 @@ class HttpImageBackend:
             "height": params.height,
             "seed": params.seed,
         }
-        response = _post(self.session, self.endpoint, payload, _headers(self.api_key_env), self.timeout_s)
-        return response.content
+        return self._post(payload).content
 
 
-class HttpEmbeddingProvider:
-    """Remote encoder for both text and image content."""
+class HttpEmbeddingProvider(_HttpAdapter):
+    """Remote encoder for both text and image content.
 
-    def __init__(
-        self,
-        provider_id: str,
-        endpoint: str,
-        dim: int,
-        *,
-        model_id: str | None = None,
-        api_key_env: str | None = None,
-        timeout_s: float = 60.0,
-        session: Any | None = None,
-    ):
+    ``dim`` is ``None`` until the first response; that response's width
+    becomes the dim, and :func:`t2ifuse.embedding._validate_provider_output`
+    checks every later response against it.
+    """
+
+    def __init__(self, provider_id: str, endpoint: str, **kwargs):
+        super().__init__(provider_id, endpoint, **kwargs)
         self.provider_id = provider_id
-        self.endpoint = endpoint
-        self.dim = dim
-        self.model_id = model_id or provider_id
-        self.api_key_env = api_key_env if api_key_env is not None else _credential_env(provider_id)
-        self.timeout_s = timeout_s
-        self.session = session if session is not None else requests.Session()
+        self.dim: int | None = None
 
     def _request(self, kind: str, content: str) -> tuple[np.ndarray, np.ndarray]:
         payload = {"kind": kind, "content": content, "model_id": self.model_id}
-        response = _post(self.session, self.endpoint, payload, _headers(self.api_key_env), self.timeout_s)
-        body = response.json()
+        body = self._post_retrying(payload).json()
         pooled = np.asarray(body["pooled"], dtype=np.float32)
         tokens = np.asarray(body.get("tokens") or [body["pooled"]], dtype=np.float32)
+        if self.dim is None:
+            self.dim = int(pooled.shape[0])
         return pooled, tokens
 
     def encode_text(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -122,30 +146,14 @@ class HttpEmbeddingProvider:
         return self._request("image", base64.b64encode(data).decode("ascii"))
 
 
-class HttpChatClient:
+class HttpChatClient(_HttpAdapter):
     """Chat-completion-style rewrite endpoint; temperature defaults to 0 for
     reproducibility."""
 
-    def __init__(
-        self,
-        client_id: str,
-        endpoint: str,
-        *,
-        model_id: str | None = None,
-        temperature: float = 0.0,
-        api_key_env: str | None = None,
-        timeout_s: float = 60.0,
-        session: Any | None = None,
-        retries: int = 3,
-    ):
+    def __init__(self, client_id: str, endpoint: str, *, temperature: float = 0.0, **kwargs):
+        super().__init__(client_id, endpoint, **kwargs)
         self.client_id = client_id
-        self.endpoint = endpoint
-        self.model_id = model_id or client_id
         self.temperature = temperature
-        self.api_key_env = api_key_env if api_key_env is not None else _credential_env(client_id)
-        self.timeout_s = timeout_s
-        self.session = session if session is not None else requests.Session()
-        self.retries = retries
 
     def complete(self, system: str, user: str) -> str:
         payload = {
@@ -154,15 +162,8 @@ class HttpChatClient:
             "model_id": self.model_id,
             "temperature": self.temperature,
         }
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                response = _post(
-                    self.session, self.endpoint, payload, _headers(self.api_key_env), self.timeout_s
-                )
-                break
-            except TransientBackendError as exc:
-                if attempt >= self.retries:
-                    raise ElaborationError(str(exc), attempts=attempt) from exc
+        try:
+            response = self._post_retrying(payload)
+        except RetriesExhaustedError as exc:
+            raise ElaborationError(str(exc.__cause__), attempts=exc.attempts) from exc
         return str(response.json()["text"])

@@ -29,10 +29,11 @@ def stable_key(obj: Any) -> str:
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write via a temp file in the same directory + rename, so readers never
-    observe partial content."""
+    observe partial content. The temp name is unique per process and thread,
+    so concurrent writers of one path never share a temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     with open(tmp, "wb") as fh:
         fh.write(data)
         fh.flush()
@@ -68,8 +69,9 @@ class ArtifactCache:
     """Content-addressed, write-once artifact store.
 
     Each entry is a payload file plus a sibling ``.meta`` JSON record. Writes
-    are atomic (temp file + rename) and serialized; existing entries are never
-    overwritten, which makes retries and concurrent writers idempotent.
+    are atomic (temp file + rename) and serialized; ``put`` writes only the
+    files that are missing and never overwrites one, which makes retries and
+    concurrent writers idempotent.
     """
 
     def __init__(self, root: Path, suffix: str = ".bin", shard: bool = True):
@@ -109,7 +111,11 @@ class ArtifactCache:
             payload = self._payload_path(key)
             if not payload.exists():
                 atomic_write_bytes(payload, data)
-                atomic_write_text(self._meta_path(key), canonical_json(meta))
+            # a crash between the two writes leaves a payload without .meta,
+            # which has() counts as a miss: the retry must write the .meta
+            meta_path = self._meta_path(key)
+            if not meta_path.exists():
+                atomic_write_text(meta_path, canonical_json(meta))
             return payload
 
     def verify(self, key: str, expected_sha256: str) -> bool:

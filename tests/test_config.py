@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import yaml
 import pytest
 
@@ -148,3 +150,40 @@ def test_missing_file_and_empty_config(tmp_path):
     empty.write_text("")
     with pytest.raises(ConfigError, match="empty config"):
         parse_config(empty)
+
+
+def test_field_types_checked_at_parse_time_with_paths(tmp_path):
+    data = _minimal(
+        tmp_path,
+        offline="false",
+        generation={"concurrency": "4"},
+        dataset={"path": "data.csv", "max_text_tokens": "9"},
+        training={"max_epochs": "3", "betas": [0.9]},
+        fusion={"dropout_rate": True},
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(data)
+    assert sorted(err.value.problems) == [
+        "dataset.max_text_tokens: expected int, got str",
+        "fusion.dropout_rate: expected float, got bool",
+        "generation.concurrency: expected int, got str",
+        "offline: expected bool, got str",
+        "training.betas: expected tuple[float, float], got list",
+        "training.max_epochs: expected int, got str",
+    ]
+
+
+def test_int_for_float_field_is_kept_and_hashes_as_before(tmp_path):
+    data = _minimal(tmp_path, training={"learning_rate": 1, "grad_clip_norm": 2})
+    config = parse_config_data(data)
+    assert config.training.learning_rate == 1 and type(config.training.learning_rate) is int
+    assert config.training.grad_clip_norm == 2
+
+
+def test_example_config_keeps_its_hash():
+    """Type checks add no conversion, so the shipped example hashes as it
+    always has (paths left relative, so the hash does not depend on where the
+    checkout lives)."""
+    path = Path(__file__).resolve().parents[1] / "demos" / "config.example.yaml"
+    config = parse_config_data(yaml.safe_load(path.read_text()))
+    assert config.config_hash() == "0fccadfd5c871d0e79c6ddd11adecebb7ed844810aaff2face57b3dbd5653145"

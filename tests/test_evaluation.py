@@ -13,6 +13,7 @@ from t2ifuse.evaluation import (
     parse_records,
     render_records,
     render_report,
+    table_layout,
 )
 
 
@@ -287,3 +288,43 @@ def test_main_table_layout():
     assert lines[0].split() == ["method", "reviews:acc", "reviews:ma-f1", "topics:acc", "topics:ma-f1"]
     assert lines[2].split()[0] == "text_only"  # canonical method order
     assert lines[3].split()[0] == "gen_image"
+
+
+@pytest.mark.parametrize(
+    "axis_names, expected",
+    [
+        (["strategy", "backend"], ("t2i_prompt_table", ("backend", "strategy"))),
+        (["mechanism"], ("fusion_table", ("mechanism",))),
+        (["learning_rate", "mechanism"], ("fusion_table", ("mechanism", "learning_rate"))),
+        (["dataset", "method"], ("main_table", ("method", "dataset"))),
+        (["strategy"], ("axis_table", ("strategy",))),
+        (["strategy", "steps"], ("axis_table", ("strategy", "steps"))),
+        (["backend", "strategy", "steps"], ("axis_table", ("backend", "strategy", "steps"))),
+        (["mechanism", "backend", "strategy"], ("axis_table", ("mechanism", "backend", "strategy"))),
+    ],
+)
+def test_table_layout(axis_names, expected):
+    assert table_layout(axis_names) == expected
+
+
+def test_axis_table_has_one_row_per_cell_over_any_axes():
+    reports = {
+        ("keyword", "10"): _report(0.7, 0.69),
+        ("direct", "10"): _report(0.6, 0.59),
+        ("direct", "4"): _report(0.8, 0.79, bootstrap_std=0.01),
+    }  # not a full grid: one row per cell needs none
+    table, records = render_report(reports, "axis_table", axis_names=("strategy", "steps"))
+    lines = table.strip().split("\n")
+    assert lines[0].split() == ["strategy", "steps", "acc", "ma-f1"]
+    assert [line.split()[:2] for line in lines[2:]] == [["direct", "4"], ["direct", "10"], ["keyword", "10"]]
+    assert lines[2].split()[3:] == ["79.00*", "(±1.00)"]
+    assert len({tuple(sorted(r["axes"].items())) for r in records}) == 3
+
+
+def test_axis_orders_follow_the_source_constants():
+    backends = ("stub", "dalle3", "flux-schnell", "sdxl-lightning", "sdxl", "sd15")
+    table, _ = render_report({(b,): _report(0.5, 0.5) for b in backends}, "axis_table", axis_names=("backend",))
+    assert [line.split()[0] for line in table.strip().split("\n")[2:]] == list(reversed(backends))
+    strategies = ("elaborated", "stylized", "keyword", "direct")
+    table, _ = render_report({(s,): _report(0.5, 0.5) for s in strategies}, "axis_table", axis_names=("strategy",))
+    assert [line.split()[0] for line in table.strip().split("\n")[2:]] == list(reversed(strategies))

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from decimal import Decimal
 
 import pytest
@@ -11,6 +12,7 @@ from t2ifuse.generation import (
     GenerationParams,
     ImageStore,
     PromptPair,
+    RetriesExhaustedError,
     StubImageBackend,
     TransientBackendError,
     UnknownBackendError,
@@ -18,6 +20,7 @@ from t2ifuse.generation import (
     ledger_totals,
     preset_params,
     prompt_key,
+    retry_transient,
     stub_generate,
 )
 from t2ifuse.prompting import NEGATIVE_PROMPT, PromptSpec
@@ -146,6 +149,66 @@ def test_generate_image_retries_transient_then_succeeds(tmp_path):
             _spec("other prompt"), params, exhausted, ImageStore(tmp_path / "img2"),
             retries=3, sleep=lambda s: None,
         )
+
+
+def _flaky(failures, error=TransientBackendError):
+    calls = []
+
+    def call():
+        calls.append(None)
+        if len(calls) <= failures:
+            raise error(f"failure {len(calls)}")
+        return "ok"
+
+    return call, calls
+
+
+def test_retry_transient_backoff_and_exhaustion():
+    sleeps = []
+    call, calls = _flaky(failures=2)
+    assert retry_transient(call, retries=3, backoff_s=0.5, sleep=sleeps.append) == "ok"
+    assert len(calls) == 3
+    assert sleeps == [0.5, 1.0]
+
+    sleeps.clear()
+    call, calls = _flaky(failures=10)
+    with pytest.raises(RetriesExhaustedError, match="after 4 attempts: failure 4") as err:
+        retry_transient(call, retries=4, backoff_s=0.25, sleep=sleeps.append)
+    assert err.value.attempts == 4
+    assert isinstance(err.value.__cause__, TransientBackendError)
+    assert sleeps == [0.25, 0.5, 1.0]  # no sleep after the last attempt
+
+
+def test_retry_transient_propagates_other_errors_at_once():
+    sleeps = []
+    call, calls = _flaky(failures=1, error=GenerationError)
+    with pytest.raises(GenerationError, match="failure 1") as err:
+        retry_transient(call, retries=3, backoff_s=0.5, sleep=sleeps.append)
+    assert not isinstance(err.value, RetriesExhaustedError)
+    assert len(calls) == 1
+    assert sleeps == []
+
+
+def test_generate_image_latency_is_the_successful_attempt(tmp_path, monkeypatch):
+    # the failed attempt starts at 0 s; the successful one runs from 10 s to 10.25 s
+    clock = iter([0.0, 10.0, 10.25])
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+
+    class SlowThenFast:
+        backend_id = "flaky"
+        calls = 0
+
+        def generate(self, positive, negative, params):
+            self.calls += 1
+            if self.calls == 1:
+                raise TransientBackendError("timeout")
+            return b"image-bytes"
+
+    params = GenerationParams("flaky", steps=4, guidance_scale=0.0, width=512, height=512)
+    record = generate_image(
+        _spec(), params, SlowThenFast(), ImageStore(tmp_path / "img"), sleep=lambda s: None,
+    )
+    assert record.latency_s == 0.25
 
 
 def test_generate_image_rejects_empty_bytes(tmp_path):

@@ -1,14 +1,19 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from t2ifuse.config import parse_config_data
 from t2ifuse.corpus import TextSample
+from t2ifuse.embedding import HashProjectionProvider
+from t2ifuse.generation import StubImageBackend
 from t2ifuse.orchestrator import (
     ComposeHelpers,
     KeywordOverlapRetriever,
+    OfflineViolationError,
     OrchestrationError,
     ProviderRegistry,
     RunManifest,
@@ -19,6 +24,7 @@ from t2ifuse.orchestrator import (
     SweepError,
 )
 from t2ifuse.prompting import StubChatClient, VISUAL_DESCRIPTION_SYSTEM
+from t2ifuse.remotes import HttpChatClient, HttpEmbeddingProvider, HttpImageBackend
 from t2ifuse.storage import write_jsonl
 from t2ifuse.synthetic import build_separability_fixture
 
@@ -312,3 +318,135 @@ def test_b3_fallback_accounting(tmp_path, fixture_dataset):
     summary = json.loads((Path(config.output_dir) / "prompts_summary.json").read_text())
     # retrieval hits + fallbacks account for every sample
     assert summary["with_retrieval"] + summary["fallbacks"] == summary["samples"]
+
+
+# --- provider resolution --------------------------------------------------------
+
+ENDPOINT = "https://remote.example/v1"
+
+# kind -> (resolver, registry table, config section, name key, endpoint key,
+#          fixture name, fixture type, remote adapter type, offline default type)
+_KINDS = {
+    "backend": ("resolve_backend", "backends", "generation", "backend", "endpoint",
+                "stub", StubImageBackend, HttpImageBackend, StubImageBackend),
+    "text": ("resolve_text_provider", "text_providers", "providers", "text", "text_endpoint",
+             "hash-8", HashProjectionProvider, HttpEmbeddingProvider, None),
+    "image": ("resolve_image_provider", "image_providers", "providers", "image", "image_endpoint",
+              "hash-8", HashProjectionProvider, HttpEmbeddingProvider, None),
+    "chat": ("resolve_chat_client", "chat_clients", "providers", "elaborator", "chat_endpoint",
+             "stub-chat", StubChatClient, HttpChatClient, StubChatClient),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_registry_resolves_every_kind_by_one_rule(tmp_path, kind):
+    resolver, table, section, name_key, endpoint_key, fixture, fixture_type, remote_type, default_type = _KINDS[kind]
+
+    def resolve(registry, name, endpoint=None, offline=True):
+        values = {name_key: name, **({endpoint_key: endpoint} if endpoint else {})}
+        config = parse_config_data({
+            "experiment_id": "registry", "dataset": {"path": "d.csv"},
+            "output_dir": str(tmp_path), "offline": offline, section: values,
+        })
+        return getattr(registry, resolver)(config)
+
+    # 1. a registered instance wins over everything, even an endpoint on an offline run
+    registry = ProviderRegistry()
+    mine = object()
+    getattr(registry, table)["mine"] = mine
+    assert resolve(registry, "mine", ENDPOINT, offline=True) is mine
+
+    # 2. a fixture the name selects is never remote
+    for offline in (True, False):
+        assert type(resolve(ProviderRegistry(), fixture, ENDPOINT, offline)) is fixture_type
+
+    # 3. an endpoint selects the remote adapter, which an offline run refuses
+    registry = ProviderRegistry()
+    remote = resolve(registry, "remote-model", ENDPOINT, offline=False)
+    assert type(remote) is remote_type
+    assert resolve(registry, "remote-model", ENDPOINT, offline=False) is remote  # kept
+    with pytest.raises(OfflineViolationError, match="remote-model"):
+        resolve(ProviderRegistry(), "remote-model", ENDPOINT, offline=True)
+
+    # 4. otherwise the offline default; an encoder has none
+    if default_type is None:
+        with pytest.raises(OrchestrationError, match=f"unknown {kind} provider 'plain'"):
+            resolve(ProviderRegistry(), "plain")
+    else:
+        default = resolve(ProviderRegistry(), "plain")
+        assert type(default) is default_type
+        assert getattr(default, "backend_id", getattr(default, "client_id", None)) == "plain"
+
+
+class _EncoderSession:
+    """Answers every embedding request with a width-4 pooled vector."""
+
+    def __init__(self):
+        self.requests = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.requests += 1
+        vec = [float(b) for b in hashlib.sha256(json["content"].encode()).digest()[:4]]
+        return SimpleNamespace(status_code=200, json=lambda: {"pooled": vec})
+
+
+def test_text_only_run_with_remote_encoders_of_undeclared_dim(tmp_path, fixture_dataset, monkeypatch):
+    monkeypatch.setenv("SIGLIP_API_KEY", "k")
+
+    def run(out_name):
+        config = _base_config(
+            tmp_path, fixture_dataset, out_name=out_name, method="text_only", offline=False,
+            providers={"text": "siglip", "image": "siglip",
+                       "text_endpoint": ENDPOINT, "image_endpoint": ENDPOINT},
+        )
+        registry = ProviderRegistry()
+        sessions = []
+        for provider in (registry.resolve_text_provider(config), registry.resolve_image_provider(config)):
+            provider.session = _EncoderSession()
+            sessions.append(provider.session)
+        _, report = run_experiment(config, registry)
+        features = [json.loads(line) for line in (Path(config.output_dir) / "features.jsonl").open()]
+        return report, features, sum(s.requests for s in sessions)
+
+    cold_report, features, cold_requests = run("cold")
+    assert cold_report is not None
+    assert {f["text_dim"] for f in features} == {4}
+    assert {f["image"]["dim"] for f in features} == {4}  # learned through the probe
+    assert cold_requests == len(features) + 1  # every sample once, plus the probe
+
+    warm_report, _, warm_requests = run("warm")
+    assert warm_requests == 0  # the probe is cached like every other embedding
+    assert warm_report.to_dict() == cold_report.to_dict()
+
+
+# --- tables over any set of axes --------------------------------------------------
+
+def test_sweep_over_axes_without_a_dedicated_layout_keeps_every_cell(tmp_path, fixture_dataset):
+    base = _base_config(tmp_path, fixture_dataset, out_name="sweep4")
+    result = run_sweep(base, {"strategy": ["direct", "keyword"], "steps": [2, 4]}, ProviderRegistry())
+    assert [c.status for c in result.cells] == ["done"] * 4
+    lines = result.table.strip().split("\n")
+    assert lines[0].split() == ["strategy", "steps", "acc", "ma-f1"]
+    assert [line.split()[:2] for line in lines[2:]] == [
+        ["direct", "2"], ["direct", "4"], ["keyword", "2"], ["keyword", "4"],
+    ]
+    assert len({tuple(sorted(r["axes"].items())) for r in result.records}) == 4
+    assert (Path(base.output_dir) / "combined_table.txt").read_text() == result.table
+
+
+def test_report_cli_mechanism_by_learning_rate_keeps_every_cell(tmp_path, fixture_dataset):
+    registry = ProviderRegistry()
+    run_dirs = []
+    for mechanism in ("concat", "cross_attention"):
+        for lr in (1e-3, 2e-3):
+            config = _base_config(
+                tmp_path, fixture_dataset, out_name=f"{mechanism}-{lr}",
+                fusion={"mechanism": mechanism, "model_dim": 8, "heads": 2, "hidden_dim": 12},
+                training={"learning_rate": lr, "batch_size": 16, "max_epochs": 1, "patience": 1},
+            )
+            run_experiment(config, registry)
+            run_dirs.append(config.output_dir)
+    lines = report_cli(run_dirs).split("\n")
+    assert lines[0].split() == ["mechanism", "ma-f1@0.001", "ma-f1@0.002"]
+    assert [line.split()[0] for line in lines[2:4]] == ["concat", "cross_attention"]
+    assert all(len(line.split()) == 3 for line in lines[2:4])
