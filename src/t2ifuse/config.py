@@ -163,22 +163,34 @@ def _matches(value, hint) -> bool:
     return isinstance(value, origin or hint)
 
 
-def _check_type(value, hint, path: str, problems: list[str]) -> None:
-    if not _matches(value, hint):
-        expected = hint.__name__ if isinstance(hint, type) and not typing.get_args(hint) else hint
-        problems.append(f"{path}: expected {expected}, got {type(value).__name__}")
+def _check_type(value, hint, path: str, problems: list[str]) -> bool:
+    if _matches(value, hint):
+        return True
+    expected = hint.__name__ if isinstance(hint, type) and not typing.get_args(hint) else hint
+    problems.append(f"{path}: expected {expected}, got {type(value).__name__}")
+    return False
 
 
 def _parse_section(cls, data: dict, path: str, problems: list[str]) -> dict:
+    """The well-typed known keys of a section; every other key is a problem
+    and is left out, so later checks only ever see values of the right type."""
+    if not isinstance(data, dict):
+        problems.append(f"{path}: expected a mapping, got {type(data).__name__}")
+        return {}
     hints = typing.get_type_hints(cls)
     out: dict[str, Any] = {}
     for key, value in data.items():
         if key not in hints:
             problems.append(f"{path}.{key}: unknown key")
-            continue
-        _check_type(value, hints[key], f"{path}.{key}", problems)
-        out[key] = value
+        elif _check_type(value, hints[key], f"{path}.{key}", problems):
+            out[key] = value
     return out
+
+
+def _lacks(kwargs: dict, raw: Any, key: str) -> bool:
+    """Whether a required field is absent or empty. A value that failed its
+    type check is already reported, so it does not count as absent."""
+    return not kwargs.get(key) and (key in kwargs or not isinstance(raw, dict) or key not in raw)
 
 
 def _parse_fusion(data: dict, problems: list[str]) -> dict:
@@ -190,11 +202,13 @@ def _parse_fusion(data: dict, problems: list[str]) -> dict:
 
 
 def _parse_training(data: dict, problems: list[str]) -> dict:
+    if not isinstance(data, dict):
+        return _parse_section(TrainConfig, data, "training", problems)
     data = dict(data)
     preset = data.pop("preset", None)
     out: dict[str, Any] = {}
     if preset is not None:
-        if preset not in TRAIN_PRESETS:
+        if not isinstance(preset, str) or preset not in TRAIN_PRESETS:
             problems.append(
                 f"training.preset: unknown preset {preset!r}; have {sorted(TRAIN_PRESETS)}"
             )
@@ -253,12 +267,10 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
     if strategy not in STRATEGIES:
         problems.append(f"strategy: unknown strategy {strategy!r}; have {STRATEGIES}")
 
-    providers_kwargs = _parse_section(
-        ProvidersConfig, data.get("providers", {}) or {}, "providers", problems
-    )
-    generation_kwargs = _parse_section(
-        GenerationConfig, data.get("generation", {}) or {}, "generation", problems
-    )
+    providers_raw = data.get("providers", {}) or {}
+    providers_kwargs = _parse_section(ProvidersConfig, providers_raw, "providers", problems)
+    generation_raw = data.get("generation", {}) or {}
+    generation_kwargs = _parse_section(GenerationConfig, generation_raw, "generation", problems)
     fusion_kwargs = _parse_fusion(data.get("fusion", {}) or {}, problems)
     training_kwargs = _parse_training(data.get("training", {}) or {}, problems)
     eval_kwargs = _parse_section(
@@ -288,15 +300,16 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
     offline = data.get("offline", True)
 
     # method-dependent requirements
-    if method == "textual_expansion" and not providers_kwargs.get("elaborator"):
+    lacks_elaborator = _lacks(providers_kwargs, providers_raw, "elaborator")
+    if method == "textual_expansion" and lacks_elaborator:
         problems.append("providers.elaborator: required for method textual_expansion")
-    if method == "knowledge_retrieval" and not providers_kwargs.get("retrieval_corpus"):
+    if method == "knowledge_retrieval" and _lacks(providers_kwargs, providers_raw, "retrieval_corpus"):
         problems.append("providers.retrieval_corpus: required for method knowledge_retrieval")
-    if method == "oracle_image" and not providers_kwargs.get("oracle_features"):
+    if method == "oracle_image" and _lacks(providers_kwargs, providers_raw, "oracle_features"):
         problems.append("providers.oracle_features: required for method oracle_image")
-    if method in GENERATIVE_METHODS and not generation_kwargs.get("backend"):
+    if method in GENERATIVE_METHODS and _lacks(generation_kwargs, generation_raw, "backend"):
         problems.append(f"generation.backend: required for method {method}")
-    if strategy == "elaborated" and method in GENERATIVE_METHODS and not providers_kwargs.get("elaborator"):
+    if strategy == "elaborated" and method in GENERATIVE_METHODS and lacks_elaborator:
         problems.append("providers.elaborator: required for strategy elaborated")
 
     sweep_raw = data.get("sweep", {}) or {}
@@ -313,11 +326,7 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
                     sweep_axes[axis] = tuple(values)
 
     if problems:
-        # one problem per field: a null backend is not also "required"
-        first: dict[str, str] = {}
-        for problem in problems:
-            first.setdefault(problem.split(":", 1)[0], problem)
-        raise ConfigError(list(first.values()))
+        raise ConfigError(problems)
 
     if base_dir is not None:
         for key in ("path",):

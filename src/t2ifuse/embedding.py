@@ -289,15 +289,19 @@ def embed_text(
 
 
 def embed_image(
-    image_ref: str | Path,
+    image_ref: str | Path | bytes,
     provider: ImageEncoderProvider,
     cache: EmbeddingCache | None = None,
 ) -> tuple[EmbeddingVector, np.ndarray]:
-    """Encode stored image bytes, cache-keyed by (provider id, content hash)."""
-    path = Path(image_ref)
-    if not path.exists():
-        raise ProviderError(f"missing image artifact: {path}")
-    data = path.read_bytes()
+    """Encode image bytes, given as such or as the path of a stored image,
+    cache-keyed by (provider id, content hash)."""
+    if isinstance(image_ref, bytes):
+        data = image_ref
+    else:
+        path = Path(image_ref)
+        if not path.exists():
+            raise ProviderError(f"missing image artifact: {path}")
+        data = path.read_bytes()
     key = sha256_hex(data)
     if cache is not None:
         hit = cache.get(provider.provider_id, key)

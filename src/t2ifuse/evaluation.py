@@ -380,24 +380,6 @@ def render_report(
                 row.append(_fmt_pct(rep.macro_f1, rep.macro_f1 == best_f1[ds]))
             rows.append(row)
         table = _render_rows(headers, rows)
-    elif layout == "t2i_prompt_table":
-        headers = ["backend", "strategy", "acc", "ma-f1", "clip-cos", "clip-score"]
-        best_f1 = max(reports[c].macro_f1 for c in cells)
-        rows = []
-        for b, s in cells:
-            rep = reports[(b, s)]
-            pm = f" (±{rep.bootstrap_std * 100:.2f})" if rep.bootstrap_std is not None else ""
-            rows.append(
-                [
-                    b,
-                    s,
-                    _fmt_pct(rep.accuracy, False),
-                    _fmt_pct(rep.macro_f1, rep.macro_f1 == best_f1) + pm,
-                    "-" if rep.clip_cos_mean is None else f"{rep.clip_cos_mean:.2f}",
-                    "-" if rep.clip_score_mean is None else f"{rep.clip_score_mean:.2f}",
-                ]
-            )
-        table = _render_rows(headers, rows)
     elif layout == "fusion_table" and len(axes) == 2:
         # mechanism rows x second-axis columns (e.g. a learning-rate grid)
         mechanisms = observed[0]
@@ -413,20 +395,19 @@ def render_report(
             rows.append(row)
         table = _render_rows(headers, rows)
     else:
-        # one row per cell: single-axis fusion_table, and axis_table over any axes
-        headers = [*axes, "acc", "ma-f1"]
+        # one row per cell: t2i_prompt_table (plus semantic-consistency
+        # columns), single-axis fusion_table, and axis_table over any axes
+        with_clip = layout == "t2i_prompt_table"
+        headers = [*axes, "acc", "ma-f1"] + (["clip-cos", "clip-score"] if with_clip else [])
         best_f1 = max(reports[c].macro_f1 for c in cells)
         rows = []
         for c in cells:
             rep = reports[c]
             pm = f" (±{rep.bootstrap_std * 100:.2f})" if rep.bootstrap_std is not None else ""
-            rows.append(
-                [
-                    *c,
-                    _fmt_pct(rep.accuracy, False),
-                    _fmt_pct(rep.macro_f1, rep.macro_f1 == best_f1) + pm,
-                ]
-            )
+            row = [*c, _fmt_pct(rep.accuracy, False), _fmt_pct(rep.macro_f1, rep.macro_f1 == best_f1) + pm]
+            if with_clip:
+                row += ["-" if v is None else f"{v:.2f}" for v in (rep.clip_cos_mean, rep.clip_score_mean)]
+            rows.append(row)
         table = _render_rows(headers, rows)
 
     return table, records

@@ -45,10 +45,13 @@ class RetriesExhaustedError(GenerationError):
         self.attempts = attempts
 
 
+TRANSIENT_RETRIES = 3  # attempts in all, unless a caller configures its own
+
+
 def retry_transient(
     call: Callable[[], Any],
     *,
-    retries: int = 3,
+    retries: int = TRANSIENT_RETRIES,
     backoff_s: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Any:
@@ -305,7 +308,7 @@ def generate_image(
     ledger: GenerationLedger | None = None,
     cost_model: CostModel | None = None,
     cost_mode: str = "measured",
-    retries: int = 3,
+    retries: int = TRANSIENT_RETRIES,
     backoff_s: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
 ) -> GeneratedImageRecord:

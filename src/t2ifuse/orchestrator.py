@@ -446,16 +446,9 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
         )
         return row["sample_id"], record
 
-    results: dict[str, GeneratedImageRecord] = {}
     workers = max(1, config.generation.concurrency)
-    if workers == 1:
-        for row in rows:
-            sid, record = run_one(row)
-            results[sid] = record
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for sid, record in pool.map(run_one, rows):
-                results[sid] = record
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        results = dict(pool.map(run_one, rows))
 
     write_jsonl(
         images_path,
@@ -467,7 +460,7 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
     return [images_path]
 
 
-_DIM_PROBE_TEXT = "image feature width probe"
+_DIM_PROBE_IMAGE = b"image feature width probe"
 
 
 def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
@@ -501,10 +494,12 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
             }
         else:
             if zero_dim is None:
-                # A remote encoder learns its dim from its first response; the
-                # probe goes through the cache, so a warm run calls nothing.
-                probe, _ = embed_text(_DIM_PROBE_TEXT, registry.resolve_image_provider(config), emb_cache)
-                zero_dim = probe.dim
+                image_provider = registry.resolve_image_provider(config)
+                zero_dim = image_provider.dim
+                if zero_dim is None:
+                    # A remote encoder learns its dim from its first response;
+                    # the probe goes through the cache, so a warm run calls nothing.
+                    zero_dim = embed_image(_DIM_PROBE_IMAGE, image_provider, emb_cache)[0].dim
             image_entry = {"kind": "zero", "dim": zero_dim}
         records.append(
             {
@@ -908,6 +903,7 @@ def run_sweep(
         )
         cell_dir = str(sweep_dir / "cells" / cell_id)
         key = tuple(str(v) for v in combo)
+        status, error = "done", None
         try:
             cell_config = base_config
             for name, value in zip(axis_names, combo):
@@ -919,20 +915,12 @@ def run_sweep(
                 cache_dir=str(base_config.resolved_cache_dir()),
                 sweep_axes={},
             )
-            _, report = run_experiment(cell_config, registry)
+            _, reports[key] = run_experiment(cell_config, registry)
         except Exception as exc:
             logger.warning("sweep cell %s failed: %s", cell_id, exc)
-            cells.append(
-                SweepCell(
-                    axes=dict(zip(axis_names, key)), output_dir=cell_dir,
-                    status="failed", error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        reports[key] = report
-        cells.append(
-            SweepCell(axes=dict(zip(axis_names, key)), output_dir=cell_dir, status="done")
-        )
+            status, error = "failed", f"{type(exc).__name__}: {exc}"
+        cells.append(SweepCell(axes=dict(zip(axis_names, key)), output_dir=cell_dir,
+                               status=status, error=error))
 
     table = None
     records: list[dict] = []

@@ -29,6 +29,7 @@ import requests
 from .generation import (
     GenerationError,
     GenerationParams,
+    TRANSIENT_RETRIES,
     RetriesExhaustedError,
     TransientBackendError,
     retry_transient,
@@ -51,32 +52,21 @@ def _headers(api_key_env: str | None) -> dict[str, str]:
 
 
 class _HttpAdapter:
-    """Endpoint, credential, timeout and session shared by the adapters.
-
-    ``retries`` and ``sleep`` feed :func:`retry_transient` in
-    :meth:`_post_retrying`; the image backend posts once, because
-    ``generate_image`` retries it.
-    """
+    """Endpoint, credential, timeout and session shared by the adapters."""
 
     def __init__(
         self,
         adapter_id: str,
         endpoint: str,
         *,
-        model_id: str | None = None,
         api_key_env: str | None = None,
         timeout_s: float = 60.0,
         session: Any | None = None,
-        retries: int = 3,
-        sleep: Callable[[float], None] = time.sleep,
     ):
         self.endpoint = endpoint
-        self.model_id = model_id or adapter_id
         self.api_key_env = api_key_env if api_key_env is not None else _credential_env(adapter_id)
         self.timeout_s = timeout_s
         self.session = session if session is not None else requests.Session()
-        self.retries = retries
-        self.sleep = sleep
 
     def _post(self, payload: dict):
         url = self.endpoint
@@ -92,13 +82,11 @@ class _HttpAdapter:
             raise GenerationError(f"{url} rejected the request: {response.status_code}")
         return response
 
-    def _post_retrying(self, payload: dict):
-        return retry_transient(lambda: self._post(payload), retries=self.retries, sleep=self.sleep)
-
 
 class HttpImageBackend(_HttpAdapter):
     """Generic text-to-image endpoint adapter; provider specifics live in the
-    endpoint URL and credential env var."""
+    endpoint URL and credential env var. It posts once: ``generate_image``
+    retries it."""
 
     def __init__(self, backend_id: str, endpoint: str, *, timeout_s: float = 120.0, **kwargs):
         super().__init__(backend_id, endpoint, timeout_s=timeout_s, **kwargs)
@@ -125,14 +113,24 @@ class HttpEmbeddingProvider(_HttpAdapter):
     checks every later response against it.
     """
 
-    def __init__(self, provider_id: str, endpoint: str, **kwargs):
+    def __init__(
+        self,
+        provider_id: str,
+        endpoint: str,
+        *,
+        model_id: str | None = None,
+        sleep: Callable[[float], None] = time.sleep,
+        **kwargs,
+    ):
         super().__init__(provider_id, endpoint, **kwargs)
         self.provider_id = provider_id
+        self.model_id = model_id or provider_id
+        self.sleep = sleep
         self.dim: int | None = None
 
     def _request(self, kind: str, content: str) -> tuple[np.ndarray, np.ndarray]:
         payload = {"kind": kind, "content": content, "model_id": self.model_id}
-        body = self._post_retrying(payload).json()
+        body = retry_transient(lambda: self._post(payload), sleep=self.sleep).json()
         pooled = np.asarray(body["pooled"], dtype=np.float32)
         tokens = np.asarray(body.get("tokens") or [body["pooled"]], dtype=np.float32)
         if self.dim is None:
@@ -150,10 +148,23 @@ class HttpChatClient(_HttpAdapter):
     """Chat-completion-style rewrite endpoint; temperature defaults to 0 for
     reproducibility."""
 
-    def __init__(self, client_id: str, endpoint: str, *, temperature: float = 0.0, **kwargs):
+    def __init__(
+        self,
+        client_id: str,
+        endpoint: str,
+        *,
+        model_id: str | None = None,
+        temperature: float = 0.0,
+        retries: int = TRANSIENT_RETRIES,
+        sleep: Callable[[float], None] = time.sleep,
+        **kwargs,
+    ):
         super().__init__(client_id, endpoint, **kwargs)
         self.client_id = client_id
+        self.model_id = model_id or client_id
         self.temperature = temperature
+        self.retries = retries
+        self.sleep = sleep
 
     def complete(self, system: str, user: str) -> str:
         payload = {
@@ -163,7 +174,9 @@ class HttpChatClient(_HttpAdapter):
             "temperature": self.temperature,
         }
         try:
-            response = self._post_retrying(payload)
+            response = retry_transient(
+                lambda: self._post(payload), retries=self.retries, sleep=self.sleep
+            )
         except RetriesExhaustedError as exc:
             raise ElaborationError(str(exc.__cause__), attempts=exc.attempts) from exc
         return str(response.json()["text"])

@@ -69,9 +69,9 @@ class ArtifactCache:
     """Content-addressed, write-once artifact store.
 
     Each entry is a payload file plus a sibling ``.meta`` JSON record. Writes
-    are atomic (temp file + rename) and serialized; ``put`` writes only the
-    files that are missing and never overwrites one, which makes retries and
-    concurrent writers idempotent.
+    are atomic (temp file + rename) and serialized; ``put`` writes both files
+    of an incomplete entry and never overwrites a complete one, which makes
+    retries and concurrent writers idempotent.
     """
 
     def __init__(self, root: Path, suffix: str = ".bin", shard: bool = True):
@@ -108,13 +108,12 @@ class ArtifactCache:
 
     def put(self, key: str, data: bytes, meta: dict) -> Path:
         with self._write_lock:
-            payload = self._payload_path(key)
-            if not payload.exists():
+            payload, meta_path = self._payload_path(key), self._meta_path(key)
+            # a crash between the two writes leaves a payload without .meta;
+            # that payload is untrusted, so an incomplete entry gets both
+            # files rewritten and they describe the same bytes
+            if not (payload.exists() and meta_path.exists()):
                 atomic_write_bytes(payload, data)
-            # a crash between the two writes leaves a payload without .meta,
-            # which has() counts as a miss: the retry must write the .meta
-            meta_path = self._meta_path(key)
-            if not meta_path.exists():
                 atomic_write_text(meta_path, canonical_json(meta))
             return payload
 

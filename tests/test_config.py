@@ -156,20 +156,45 @@ def test_field_types_checked_at_parse_time_with_paths(tmp_path):
     data = _minimal(
         tmp_path,
         offline="false",
-        generation={"concurrency": "4"},
-        dataset={"path": "data.csv", "max_text_tokens": "9"},
-        training={"max_epochs": "3", "betas": [0.9]},
+        generation={"concurrency": "4", "preset": ["sdxl"]},
+        dataset={"path": "data.csv", "max_text_tokens": "9", "split_fractions": 0.8},
+        training={"max_epochs": "3", "betas": [0.9], "preset": ["frozen-head"]},
         fusion={"dropout_rate": True},
+        evaluation=["bootstrap_resamples"],
     )
     with pytest.raises(ConfigError) as err:
         parse_config_data(data)
     assert sorted(err.value.problems) == [
         "dataset.max_text_tokens: expected int, got str",
+        "dataset.split_fractions: expected tuple[float, float, float], got float",
+        "evaluation: expected a mapping, got list",
         "fusion.dropout_rate: expected float, got bool",
         "generation.concurrency: expected int, got str",
+        "generation.preset: expected str | None, got list",
         "offline: expected bool, got str",
         "training.betas: expected tuple[float, float], got list",
         "training.max_epochs: expected int, got str",
+        "training.preset: unknown preset ['frozen-head']; have ['backbone-finetune', 'frozen-head']",
+    ]
+
+    data = _minimal(tmp_path, training={"betas": 0.9})
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(data)
+    assert err.value.problems == ["training.betas: expected tuple[float, float], got float"]
+
+
+def test_ill_typed_required_field_is_reported_once_per_problem(tmp_path):
+    data = _minimal(tmp_path, method="textual_expansion", providers={"elaborator": 5})
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(data)
+    assert err.value.problems == ["providers.elaborator: expected str | None, got int"]
+
+    data = _minimal(tmp_path, method="gen_image", generation={"backend": 7, "preset": ["a"]})
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(data)
+    assert err.value.problems == [  # two problems with one section prefix both survive
+        "generation.backend: expected str, got int",
+        "generation.preset: expected str | None, got list",
     ]
 
 

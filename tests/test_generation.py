@@ -89,6 +89,31 @@ def test_generate_image_cache_idempotency(tmp_path):
     assert store.verify(first.prompt_key, first.content_hash)
 
 
+def test_generate_image_after_a_lost_meta_stores_the_bytes_it_records(tmp_path):
+    class NondeterministicBackend:
+        backend_id = "flux-schnell"
+
+        def __init__(self):
+            self.calls = 0
+
+        def generate(self, positive, negative, params):
+            self.calls += 1
+            return b"image-%d" % self.calls
+
+    backend = NondeterministicBackend()
+    store = ImageStore(tmp_path / "images")
+    params = preset_params("flux-schnell", seed=1)
+    first = generate_image(_spec(), params, backend, store)
+    store.path_for(first.prompt_key).with_suffix(".meta").unlink()  # crash before the .meta
+
+    second = generate_image(_spec(), params, backend, store)
+    assert backend.calls == 2 and second.content_hash != first.content_hash
+    assert store.verify(second.prompt_key, second.content_hash)
+    assert store.get_meta(second.prompt_key)["content_hash"] == second.content_hash
+    third = generate_image(_spec(), params, backend, store)
+    assert backend.calls == 2 and third.content_hash == second.content_hash
+
+
 def test_generate_image_seed_sensitivity(tmp_path):
     backend = StubImageBackend("flux-schnell")
     store = ImageStore(tmp_path / "images")

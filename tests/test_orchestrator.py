@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from t2ifuse.config import parse_config_data
@@ -383,9 +384,11 @@ class _EncoderSession:
 
     def __init__(self):
         self.requests = 0
+        self.kinds = set()
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.requests += 1
+        self.kinds.add(json["kind"])
         vec = [float(b) for b in hashlib.sha256(json["content"].encode()).digest()[:4]]
         return SimpleNamespace(status_code=200, json=lambda: {"pooled": vec})
 
@@ -406,6 +409,8 @@ def test_text_only_run_with_remote_encoders_of_undeclared_dim(tmp_path, fixture_
             sessions.append(provider.session)
         _, report = run_experiment(config, registry)
         features = [json.loads(line) for line in (Path(config.output_dir) / "features.jsonl").open()]
+        if sessions[1].requests:
+            assert sessions[1].kinds == {"image"}  # the probe uses the image encoder's own method
         return report, features, sum(s.requests for s in sessions)
 
     cold_report, features, cold_requests = run("cold")
@@ -417,6 +422,32 @@ def test_text_only_run_with_remote_encoders_of_undeclared_dim(tmp_path, fixture_
     warm_report, _, warm_requests = run("warm")
     assert warm_requests == 0  # the probe is cached like every other embedding
     assert warm_report.to_dict() == cold_report.to_dict()
+
+
+def test_text_only_run_with_a_registered_image_only_encoder(tmp_path, fixture_dataset):
+    class ImageOnlyEncoder:
+        provider_id = "image-only"
+        dim = 8
+
+        def __init__(self):
+            self.calls = 0
+
+        def encode_image(self, data):
+            self.calls += 1
+            return np.ones(self.dim, dtype=np.float32), np.ones((1, self.dim), dtype=np.float32)
+
+    encoder = ImageOnlyEncoder()
+    registry = ProviderRegistry()
+    registry.image_providers["image-only"] = encoder
+    config = _base_config(
+        tmp_path, fixture_dataset, out_name="image-only", method="text_only",
+        providers={"text": "hash-16", "image": "image-only"},
+    )
+    _, report = run_experiment(config, registry)
+    assert report is not None
+    features = [json.loads(line) for line in (Path(config.output_dir) / "features.jsonl").open()]
+    assert {f["image"]["dim"] for f in features} == {8}
+    assert encoder.calls == 0  # a declared dim needs no probe
 
 
 # --- tables over any set of axes --------------------------------------------------
