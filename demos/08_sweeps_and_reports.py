@@ -1,4 +1,5 @@
-"""Grid sweeps: inference-step sensitivity and learning-rate x fusion tables.
+"""Grid sweeps: inference-step sensitivity, learning-rate x fusion, and the
+method x dataset main table.
 
 Run: python3 demos/08_sweeps_and_reports.py
 """
@@ -46,6 +47,20 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     print("learning-rate x fusion sweep (6 cells):\n")
     print(lr_fusion.table)
+
+    # the paper's main table: methods as rows, one Acc/Ma-F1 pair per dataset
+    # (named by file stem, so the two files need distinct stems)
+    first = fixture.dataset_csv.with_name("synthetic_a.csv")
+    first.write_bytes(fixture.dataset_csv.read_bytes())
+    second = build_separability_fixture(tmp / "data-b", samples_per_class=12, seed=7).dataset_csv
+    second = second.rename(second.with_name("synthetic_b.csv"))
+    main = run_sweep(
+        base("main"),
+        {"method": ["text_only", "gen_image"], "dataset": [str(first), str(second)]},
+        registry,
+    )
+    print("method x dataset sweep (4 cells, main table):\n")
+    print(main.table)
 
     calls = registry.backends["sdxl"].calls
     run_sweep(base("steps"), {"steps": [50, 25, 10, 4]}, registry)

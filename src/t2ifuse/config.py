@@ -149,6 +149,30 @@ class ExperimentConfig:
         return stable_key(self.to_dict())
 
 
+def _with(config: ExperimentConfig, section: str | None, **changes) -> ExperimentConfig:
+    """``config`` with fields of ``section`` (``None``: the top level) replaced."""
+    if section:
+        changes = {section: dataclasses.replace(getattr(config, section), **changes)}
+    return dataclasses.replace(config, **changes)
+
+
+# Sweep axis -> (its value in a config, the config with the axis set to a
+# value). The manifest descriptor, sweep cells, the sweep.axes check and the
+# combined tables all read this table; its order is their column order.
+SWEEP_AXES = {
+    "mechanism": (lambda c: c.fusion.mechanism, lambda c, v: _with(c, "fusion", mechanism=str(v))),
+    "backend": (lambda c: c.generation.backend,
+                lambda c, v: _with(c, "generation", backend=str(v), preset=None)),
+    "strategy": (lambda c: c.strategy, lambda c, v: _with(c, None, strategy=str(v))),
+    "method": (lambda c: c.method, lambda c, v: _with(c, None, method=str(v))),
+    "dataset": (lambda c: Path(c.dataset.path).stem, lambda c, v: _with(c, "dataset", path=str(v))),
+    "steps": (lambda c: c.generation_params().steps,
+              lambda c, v: _with(c, "generation", steps=int(v))),
+    "learning_rate": (lambda c: c.training.learning_rate,
+                      lambda c, v: _with(c, "training", learning_rate=float(v))),
+}
+
+
 def _matches(value, hint) -> bool:
     """Whether a parsed YAML value fits a field annotation. An int fits a
     float field and is kept as an int, so the config hash does not change."""
@@ -225,7 +249,8 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
     """Validate a raw mapping and build the resolved config.
 
     Raises :class:`ConfigError` carrying every detected problem, not just the
-    first. Relative dataset/feature paths resolve against ``base_dir``.
+    first. Relative dataset/feature paths, ``sweep.axes.dataset`` paths among
+    them, resolve against ``base_dir``.
     """
     problems: list[str] = []
     if not isinstance(data, dict):
@@ -284,9 +309,9 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
         )
 
     seeds = data.get("seeds", [0, 1, 2])
-    if isinstance(seeds, int):
+    if _matches(seeds, int):
         seeds = [seeds]
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(_matches(s, int) for s in seeds):
         problems.append("seeds: must be a non-empty list of integers")
         seeds = [0]
 
@@ -320,7 +345,9 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
             problems.append("sweep.axes: must be a non-empty mapping of axis -> values")
         else:
             for axis, values in axes.items():
-                if not isinstance(values, list) or not values:
+                if axis not in SWEEP_AXES:
+                    problems.append(f"sweep.axes.{axis}: unknown axis; have {tuple(SWEEP_AXES)}")
+                elif not isinstance(values, list) or not values:
                     problems.append(f"sweep.axes.{axis}: must be a non-empty list")
                 else:
                     sweep_axes[axis] = tuple(values)
@@ -329,13 +356,15 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
         raise ConfigError(problems)
 
     if base_dir is not None:
-        for key in ("path",):
-            if key in dataset_kwargs and not Path(dataset_kwargs[key]).is_absolute():
-                dataset_kwargs[key] = str(base_dir / dataset_kwargs[key])
+        def resolve(path: str) -> str:
+            return path if Path(path).is_absolute() else str(base_dir / path)
+
+        dataset_kwargs["path"] = resolve(dataset_kwargs["path"])
         for key in ("retrieval_corpus", "oracle_features"):
-            value = providers_kwargs.get(key)
-            if value and not Path(value).is_absolute():
-                providers_kwargs[key] = str(base_dir / value)
+            if providers_kwargs.get(key):
+                providers_kwargs[key] = resolve(providers_kwargs[key])
+        if "dataset" in sweep_axes:
+            sweep_axes["dataset"] = tuple(resolve(str(v)) for v in sweep_axes["dataset"])
 
     try:
         config = ExperimentConfig(

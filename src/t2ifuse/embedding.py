@@ -17,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .storage import ArtifactCache, read_jsonl, sha256_hex, write_jsonl
+from .storage import ArtifactCache, CacheError, read_jsonl, sha256_hex, write_jsonl
 
 # Weight of the rescaled-cosine semantic consistency score.
 CLIP_SCORE_WEIGHT = 2.5
@@ -202,9 +202,13 @@ def encode_vec_payload(pooled: np.ndarray, tokens: np.ndarray) -> bytes:
 
 
 def decode_vec_payload(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    if data[:4] != VEC_MAGIC:
-        raise ValueError("not an embedding payload")
+    """Raises :class:`CacheError` unless ``data`` is exactly one payload."""
+    if len(data) < 12 or data[:4] != VEC_MAGIC:
+        raise CacheError("not an embedding payload")
     dim, n_tokens = struct.unpack_from("<II", data, 4)
+    expected = 12 + 4 * dim * (1 + n_tokens)
+    if len(data) != expected:
+        raise CacheError(f"embedding payload has {len(data)} bytes, expected {expected}")
     offset = 12
     pooled = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).copy()
     offset += dim * 4
@@ -227,10 +231,16 @@ class EmbeddingCache:
         return self._per_provider[provider_id]
 
     def get(self, provider_id: str, key: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """The cached (pooled, tokens), or ``None`` on a miss. A corrupt entry
+        is a miss too, and is invalidated so the next ``put`` rewrites it."""
         cache = self._cache(provider_id)
         if not cache.has(key):
             return None
-        return decode_vec_payload(cache.get(key))
+        try:
+            return decode_vec_payload(cache.get(key))
+        except CacheError:
+            cache.invalidate(key)
+            return None
 
     def put(
         self,

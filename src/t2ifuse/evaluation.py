@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -250,20 +251,22 @@ _AXIS_ORDERS = {
 }
 
 
-def table_layout(axis_names: Sequence[str]) -> tuple[str, tuple[str, ...]]:
-    """The layout for cells that vary along ``axis_names``, and the axis order
-    its cell keys use.
+def table_layout(axis_names: Sequence[str], keys: Iterable[Sequence[str]]) -> tuple[str, tuple[str, ...]]:
+    """The layout for the cells ``keys`` (values in ``axis_names`` order), and
+    the axis order its cell keys use.
 
     The paper's tables get their own layouts: backend x strategy, mechanism
-    (alone, or with one other axis as columns) and method x dataset. Any other
-    set of axes gets ``axis_table``: one column per axis and one row per cell.
+    (alone, or with one other axis as columns) and method x dataset, each
+    only when the cells fill its grid. Any other set of axes or cells gets
+    ``axis_table``: one column per axis and one row per cell.
     """
-    names = set(axis_names)
-    if "mechanism" in names and len(names) <= 2:
-        return "fusion_table", ("mechanism", *(a for a in axis_names if a != "mechanism"))
-    for layout in ("t2i_prompt_table", "main_table"):
-        if names == set(LAYOUT_AXES[layout]):
-            return layout, LAYOUT_AXES[layout]
+    names, cells = set(axis_names), {tuple(key) for key in keys}
+    if math.prod(len({key[i] for key in cells}) for i in range(len(names))) == len(cells):
+        if "mechanism" in names and len(names) <= 2:
+            return "fusion_table", ("mechanism", *(a for a in axis_names if a != "mechanism"))
+        for layout in ("t2i_prompt_table", "main_table"):
+            if names == set(LAYOUT_AXES[layout]):
+                return layout, LAYOUT_AXES[layout]
     return "axis_table", tuple(axis_names)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .config import GENERATIVE_METHODS, ExperimentConfig
+from .config import GENERATIVE_METHODS, SWEEP_AXES, ExperimentConfig
 from .corpus import (
     LabelSpace,
     TextSample,
@@ -344,16 +344,9 @@ class RunManifest:
 
 
 def _descriptor(config: ExperimentConfig) -> dict:
-    return {
-        "experiment_id": config.experiment_id,
-        "method": config.method,
-        "strategy": config.strategy,
-        "backend": config.generation.backend,
-        "mechanism": config.fusion.mechanism,
-        "dataset": Path(config.dataset.path).stem,
-        "steps": config.generation_params().steps,
-        "learning_rate": config.training.learning_rate,
-    }
+    """The run's id and its value on every sweep axis, kept in the manifest."""
+    values = {axis: value_of(config) for axis, (value_of, _) in SWEEP_AXES.items()}
+    return {"experiment_id": config.experiment_id, **values}
 
 
 def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
@@ -824,41 +817,27 @@ def run_experiment(
             break
 
     report = None
-    eval_path = run_dir / "eval" / f"eval_seed{config.seeds[0]}.json"
-    if manifest.stages["evaluation"].status == "done" and eval_path.exists():
-        report = EvalReport.from_dict(json.loads(eval_path.read_text(encoding="utf-8")))
+    if manifest.stages["evaluation"].status == "done":
+        report = _headline_report(run_dir)
     return manifest, report
+
+
+def _headline_report(run_dir: Path) -> EvalReport | None:
+    """The report of the run's first configured seed, the one ``report.txt``
+    shows; ``None`` when the run has not written it."""
+    try:
+        summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+        path = run_dir / "eval" / f"eval_seed{summary['per_seed'][0]['seed']}.json"
+        return EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, IndexError):
+        return None
 
 
 # --- sweeps -------------------------------------------------------------------
 
 
-class SweepError(ValueError):
+class SweepError(OrchestrationError):
     pass
-
-
-def _apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "strategy":
-        return dataclasses.replace(config, strategy=str(value))
-    if axis == "backend":
-        return dataclasses.replace(
-            config, generation=dataclasses.replace(config.generation, backend=str(value), preset=None)
-        )
-    if axis == "steps":
-        return dataclasses.replace(
-            config, generation=dataclasses.replace(config.generation, steps=int(value))
-        )
-    if axis == "learning_rate":
-        return dataclasses.replace(
-            config, training=dataclasses.replace(config.training, learning_rate=float(value))
-        )
-    if axis == "mechanism":
-        return dataclasses.replace(
-            config, fusion=dataclasses.replace(config.fusion, mechanism=str(value))
-        )
-    if axis == "method":
-        return dataclasses.replace(config, method=str(value))
-    raise SweepError(f"unknown sweep axis {axis!r}")
 
 
 @dataclass
@@ -888,6 +867,8 @@ def run_sweep(
     if not axes:
         raise SweepError("sweep needs at least one axis")
     for name, values in axes.items():
+        if name not in SWEEP_AXES:
+            raise SweepError(f"unknown sweep axis {name!r}; have {tuple(SWEEP_AXES)}")
         if not values:
             raise SweepError(f"sweep axis {name!r} has no values")
     registry = registry if registry is not None else ProviderRegistry()
@@ -896,18 +877,17 @@ def run_sweep(
     sweep_dir.mkdir(parents=True, exist_ok=True)
 
     cells: list[SweepCell] = []
-    reports: dict[tuple[str, ...], EvalReport] = {}
+    runs: list[tuple[str, dict, EvalReport]] = []
     for combo in itertools.product(*(axes[name] for name in axis_names)):
         cell_id = "-".join(
             f"{name}={str(value).replace('/', '_')}" for name, value in zip(axis_names, combo)
         )
         cell_dir = str(sweep_dir / "cells" / cell_id)
-        key = tuple(str(v) for v in combo)
         status, error = "done", None
         try:
             cell_config = base_config
             for name, value in zip(axis_names, combo):
-                cell_config = _apply_axis(cell_config, name, value)
+                cell_config = SWEEP_AXES[name][1](cell_config, value)
             cell_config = dataclasses.replace(
                 cell_config,
                 experiment_id=f"{base_config.experiment_id}/{cell_id}",
@@ -915,34 +895,20 @@ def run_sweep(
                 cache_dir=str(base_config.resolved_cache_dir()),
                 sweep_axes={},
             )
-            _, reports[key] = run_experiment(cell_config, registry)
+            manifest, report = run_experiment(cell_config, registry)
+            runs.append((cell_id, manifest.descriptor, report))
         except Exception as exc:
             logger.warning("sweep cell %s failed: %s", cell_id, exc)
             status, error = "failed", f"{type(exc).__name__}: {exc}"
-        cells.append(SweepCell(axes=dict(zip(axis_names, key)), output_dir=cell_dir,
-                               status=status, error=error))
+        cells.append(SweepCell(axes={name: str(v) for name, v in zip(axis_names, combo)},
+                               output_dir=cell_dir, status=status, error=error))
 
     table = None
     records: list[dict] = []
-    if reports:
-        layout, ordered_axes = table_layout(axis_names)
-        keyed = {
-            tuple(cell_key[axis_names.index(a)] for a in ordered_axes): rep
-            for cell_key, rep in reports.items()
-        }
-        try:
-            table, records = render_report(
-                keyed, layout=layout,
-                experiment_id=base_config.experiment_id,
-                axis_names=ordered_axes,
-            )
-        except Exception as exc:
-            # failed cells can leave the grid incomplete; the summary still
-            # records per-cell status
-            logger.warning("combined table unavailable: %s", exc)
-        else:
-            atomic_write_text(sweep_dir / "combined_table.txt", table)
-            atomic_write_text(sweep_dir / "combined_records.jsonl", render_records(records))
+    if runs:
+        table, records = _combined_table(runs, axis_names, base_config.experiment_id)
+        atomic_write_text(sweep_dir / "combined_table.txt", table)
+        atomic_write_text(sweep_dir / "combined_records.jsonl", render_records(records))
 
     atomic_write_text(
         sweep_dir / "sweep_summary.json",
@@ -961,15 +927,35 @@ def run_sweep(
 # --- consolidated reporting ----------------------------------------------
 
 
+def _combined_table(
+    runs: Sequence[tuple[str | Path, dict, EvalReport]],
+    axis_names: Sequence[str],
+    experiment_id: str = "experiment",
+) -> tuple[str, list[dict]]:
+    """One table over ``(name, descriptor, report)`` runs, keyed by their
+    descriptor values on ``axis_names``. No run is dropped: when the axes
+    leave two runs on one key (or there are none), the name becomes one last
+    axis, ``run``."""
+    axis_names = list(axis_names)
+    keys = [tuple(str(descriptor.get(a)) for a in axis_names) for _, descriptor, _ in runs]
+    if not axis_names or len(set(keys)) < len(keys):
+        axis_names.append("run")
+        keys = [key + (str(name),) for key, (name, _, _) in zip(keys, runs)]
+    layout, ordered = table_layout(axis_names, keys)
+    positions = [axis_names.index(a) for a in ordered]
+    cells = {tuple(key[i] for i in positions): report for key, (_, _, report) in zip(keys, runs)}
+    return render_report(cells, layout, experiment_id=experiment_id, axis_names=ordered)
+
+
 def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None) -> str:
     """Aggregate finished runs into consolidated tables and cost totals.
 
-    Corrupt or unfinished run directories are reported and skipped. The axes
-    along which the runs' descriptors differ pick the table through
-    :func:`t2ifuse.evaluation.table_layout`; a single run reproduces its own
-    report verbatim.
+    Corrupt or unfinished run directories are reported and skipped. Each run
+    shows its first configured seed. Several runs form one table over the
+    sweep axes on which their descriptors differ; a single run reproduces its
+    own report verbatim.
     """
-    loaded = []
+    runs: list[tuple[Path, dict, EvalReport]] = []
     problems = []
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
@@ -981,12 +967,11 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
         if manifest.stages["evaluation"].status != "done":
             problems.append(f"{run_dir}: evaluation not finished")
             continue
-        eval_files = sorted((run_dir / "eval").glob("eval_seed*.json"))
-        if not eval_files:
+        report = _headline_report(run_dir)
+        if report is None:
             problems.append(f"{run_dir}: no evaluation artifacts")
             continue
-        report = EvalReport.from_dict(json.loads(eval_files[0].read_text(encoding="utf-8")))
-        loaded.append((run_dir, manifest, report))
+        runs.append((run_dir, manifest.descriptor, report))
 
     lines = []
     if problems:
@@ -994,29 +979,20 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
         lines.extend(f"  {p}" for p in problems)
         lines.append("")
 
-    if loaded:
-        if len(loaded) == 1:
-            report_txt = loaded[0][0] / "report.txt"
+    if runs:
+        if len(runs) == 1:
+            report_txt = runs[0][0] / "report.txt"
             if report_txt.exists():
                 lines.append(report_txt.read_text(encoding="utf-8").rstrip())
         else:
-            varying = [
-                axis
-                for axis in ("mechanism", "backend", "strategy", "method", "dataset", "steps", "learning_rate")
-                if len({str(m.descriptor.get(axis)) for _, m, _ in loaded}) > 1
-            ]
-            layout, axes = table_layout(varying or ["experiment_id"])
-            keyed = {
-                tuple(str(m.descriptor.get(a, m.experiment_id)) for a in axes): r
-                for _, m, r in loaded
-            }
-            table, _ = render_report(keyed, layout, axis_names=axes)
+            varying = [a for a in SWEEP_AXES if len({str(d.get(a)) for _, d, _ in runs}) > 1]
+            table, _ = _combined_table(runs, varying)
             lines.append(table.rstrip())
 
         total = Decimal(0)
         image_count = 0
         attention_files = []
-        for run_dir, manifest, report in loaded:
+        for run_dir, _, report in runs:
             if report.cost_summary:
                 total += Decimal(report.cost_summary["total_cost_usd"])
                 image_count += int(report.cost_summary["images"])

@@ -117,6 +117,11 @@ class ArtifactCache:
                 atomic_write_text(meta_path, canonical_json(meta))
             return payload
 
+    def invalidate(self, key: str) -> None:
+        """Drop an entry's ``.meta``: the entry is then incomplete, a miss
+        for ``has``, and the next ``put`` rewrites it."""
+        self._meta_path(key).unlink(missing_ok=True)
+
     def verify(self, key: str, expected_sha256: str) -> bool:
         """Recompute the payload hash and compare with the recorded one."""
         if not self.has(key):

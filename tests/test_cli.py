@@ -77,6 +77,13 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "run" / "combined_table.txt").exists()
 
 
+def test_cli_sweep_without_axes_is_an_error(tmp_path, capsys):
+    fix = build_separability_fixture(tmp_path / "data", samples_per_class=8, seed=2)
+    config = _write_config(tmp_path, fix)
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: sweep needs at least one axis\n"
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump({"experiment_id": "x"}))

@@ -143,6 +143,20 @@ def test_sweep_axes_parsing(tmp_path):
         parse_config_data(_minimal(tmp_path, sweep={"axes": {"strategy": []}}))
 
 
+def test_sweep_axis_names_checked_and_dataset_paths_resolved(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(_minimal(tmp_path, sweep={"axes": {"strategy": ["direct"], "seed": [1, 2]}}))
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith("sweep.axes.seed: unknown axis; have ('mechanism',")
+
+    axes = {"dataset": ["reviews.csv", "topics/news.csv", "/abs/other.csv"], "method": ["text_only"]}
+    config = parse_config(_write(tmp_path, _minimal(tmp_path, sweep={"axes": axes})))
+    assert config.sweep_axes["dataset"] == (
+        str(tmp_path / "reviews.csv"), str(tmp_path / "topics" / "news.csv"), "/abs/other.csv",
+    )  # the way dataset.path resolves
+    assert config.sweep_axes["method"] == ("text_only",)
+
+
 def test_missing_file_and_empty_config(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "none.yaml")
@@ -181,6 +195,11 @@ def test_field_types_checked_at_parse_time_with_paths(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_data(data)
     assert err.value.problems == ["training.betas: expected tuple[float, float], got float"]
+
+    for seeds in (True, [0, True]):  # a bool is not an int seed
+        with pytest.raises(ConfigError) as err:
+            parse_config_data(_minimal(tmp_path, seeds=seeds))
+        assert err.value.problems == ["seeds: must be a non-empty list of integers"]
 
 
 def test_ill_typed_required_field_is_reported_once_per_problem(tmp_path):

@@ -21,6 +21,7 @@ from t2ifuse.embedding import (
     encode_vec_payload,
     write_oracle_features,
 )
+from t2ifuse.storage import CacheError
 
 
 class CountingProvider:
@@ -144,6 +145,13 @@ def test_vec_payload_format():
     p2, t2 = decode_vec_payload(payload)
     assert np.array_equal(p2, pooled)
     assert np.array_equal(t2, tokens)
+
+
+def test_vec_payload_decode_rejects_malformed_bytes():
+    payload = encode_vec_payload(np.ones(2, dtype=np.float32), np.ones((2, 2), dtype=np.float32))
+    for bad in (payload[:-1], payload + b"\0", payload[:10], b"", b"EVC0" + payload[4:]):
+        with pytest.raises(CacheError):
+            decode_vec_payload(bad)
 
 
 def test_oracle_provider_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -304,7 +306,21 @@ def test_main_table_layout():
     ],
 )
 def test_table_layout(axis_names, expected):
-    assert table_layout(axis_names) == expected
+    keys = itertools.product(*(("a", "b") for _ in axis_names))  # the full grid
+    assert table_layout(axis_names, keys) == expected
+
+
+@pytest.mark.parametrize(
+    "axis_names",
+    [["backend", "strategy"], ["mechanism", "learning_rate"], ["method", "dataset"]],
+)
+def test_table_layout_falls_back_to_axis_table_on_an_incomplete_grid(axis_names):
+    keys = [("a", "x"), ("a", "y"), ("b", "x")]  # (b, y) is missing
+    assert table_layout(axis_names, keys) == ("axis_table", tuple(axis_names))
+    # a grid layout asked for directly still refuses the incomplete grid
+    reports = {key: _report(0.5, 0.5) for key in keys}
+    with pytest.raises(EvaluationError, match="missing cell"):
+        render_report(reports, "main_table")
 
 
 def test_axis_table_has_one_row_per_cell_over_any_axes():

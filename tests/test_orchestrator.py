@@ -6,8 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
-from t2ifuse.config import parse_config_data
+from t2ifuse.cli import main as cli_main
+from t2ifuse.config import parse_config, parse_config_data
 from t2ifuse.corpus import TextSample
 from t2ifuse.embedding import HashProjectionProvider
 from t2ifuse.generation import StubImageBackend
@@ -23,6 +25,7 @@ from t2ifuse.orchestrator import (
     run_experiment,
     run_sweep,
     SweepError,
+    _descriptor,
 )
 from t2ifuse.prompting import StubChatClient, VISUAL_DESCRIPTION_SYSTEM
 from t2ifuse.remotes import HttpChatClient, HttpEmbeddingProvider, HttpImageBackend
@@ -272,6 +275,8 @@ def test_sweep_empty_axis_errors(tmp_path, fixture_dataset):
         run_sweep(base, {})
     with pytest.raises(SweepError):
         run_sweep(base, {"strategy": []})
+    with pytest.raises(SweepError, match="unknown sweep axis 'seed'"):
+        run_sweep(base, {"seed": [1, 2]})
 
 
 def test_sweep_failure_isolation(tmp_path, fixture_dataset):
@@ -481,3 +486,156 @@ def test_report_cli_mechanism_by_learning_rate_keeps_every_cell(tmp_path, fixtur
     assert lines[0].split() == ["mechanism", "ma-f1@0.001", "ma-f1@0.002"]
     assert [line.split()[0] for line in lines[2:4]] == ["concat", "cross_attention"]
     assert all(len(line.split()) == 3 for line in lines[2:4])
+
+
+# --- one axis table, one combined table -------------------------------------------
+
+def _rows(text):
+    """Header and data rows of the first table in ``text``, split on whitespace."""
+    lines = text.strip().split("\n")
+    end = lines.index("") if "" in lines else len(lines)
+    return lines[0].split(), [line.split() for line in lines[2:end]]
+
+
+def test_descriptor_keeps_its_keys_values_and_types():
+    pinned = {
+        '{"training": {"learning_rate": 1e-3}}':
+            '{"backend": "stub", "dataset": "reviews", "experiment_id": "pinned", '
+            '"learning_rate": 0.001, "mechanism": "cross_attention", "method": "text_only", '
+            '"steps": 4, "strategy": "keyword"}',
+        '{"method": "gen_image_fast", "generation": {"backend": "sdxl"}, '
+        '"training": {"learning_rate": 2e-5}, "fusion": {"mechanism": "deep_prefix"}}':
+            '{"backend": "sdxl", "dataset": "reviews", "experiment_id": "pinned", '
+            '"learning_rate": 2e-05, "mechanism": "deep_prefix", "method": "gen_image_fast", '
+            '"steps": 1, "strategy": "keyword"}',
+        '{"method": "gen_image", "strategy": "direct", "generation": {"backend": "sdxl", "steps": 10}, '
+        '"training": {"preset": "backbone-finetune"}}':
+            '{"backend": "sdxl", "dataset": "reviews", "experiment_id": "pinned", '
+            '"learning_rate": 2e-05, "mechanism": "cross_attention", "method": "gen_image", '
+            '"steps": 10, "strategy": "direct"}',
+    }
+    for extra, expected in pinned.items():
+        data = {"experiment_id": "pinned", "dataset": {"path": "data/reviews.csv"}, "output_dir": "out"}
+        config = parse_config_data({**data, **json.loads(extra)})
+        assert json.dumps(_descriptor(config), sort_keys=True) == expected
+
+
+def test_dataset_sweep_renders_the_main_table(tmp_path, fixture_dataset):
+    other = fixture_dataset.dataset_csv.with_name("other.csv")
+    other.write_bytes(fixture_dataset.dataset_csv.read_bytes())
+    base = _base_config(tmp_path, fixture_dataset, out_name="main")
+    axes = {"method": ["text_only", "gen_image"],
+            "dataset": [str(fixture_dataset.dataset_csv), str(other)]}
+    result = run_sweep(base, axes, ProviderRegistry())
+    assert [c.status for c in result.cells] == ["done"] * 4
+    header, rows = _rows(result.table)
+    assert header == ["method", "dataset:acc", "dataset:ma-f1", "other:acc", "other:ma-f1"]
+    assert [row[0] for row in rows] == ["text_only", "gen_image"]
+    assert all(len(row) == 5 for row in rows)
+    assert len({tuple(sorted(r["axes"].items())) for r in result.records}) == 4
+
+
+def test_runs_that_share_a_key_get_the_run_as_one_last_axis(tmp_path, fixture_dataset):
+    registry = ProviderRegistry()
+    run_dirs = []
+    for name, extra in (
+        ("seeds-0", {}),
+        ("seeds-1", {"seeds": [1]}),
+        ("concat", {"fusion": {"mechanism": "concat", "model_dim": 8, "heads": 2, "hidden_dim": 12}}),
+    ):
+        config = _base_config(tmp_path, fixture_dataset, out_name=name, **extra)
+        run_experiment(config, registry)
+        run_dirs.append(config.output_dir)
+    header, rows = _rows(report_cli(run_dirs))
+    assert header == ["mechanism", "run", "acc", "ma-f1"]
+    assert sorted((row[0], row[1]) for row in rows) == [
+        ("concat", run_dirs[2]), ("cross_attention", run_dirs[0]), ("cross_attention", run_dirs[1]),
+    ]
+
+    # two datasets with one stem: the sweep keeps all four cells, too
+    twin = fixture_dataset.dataset_csv.parent / "twin" / fixture_dataset.dataset_csv.name
+    twin.parent.mkdir()
+    twin.write_bytes(fixture_dataset.dataset_csv.read_bytes())
+    base = _base_config(tmp_path, fixture_dataset, out_name="twins")
+    axes = {"method": ["text_only", "gen_image"], "dataset": [str(fixture_dataset.dataset_csv), str(twin)]}
+    header, rows = _rows(run_sweep(base, axes, registry).table)
+    assert header == ["method", "dataset", "run", "acc", "ma-f1"]
+    assert len(rows) == 4
+
+
+def test_incomplete_grids_render_every_cell(tmp_path, fixture_dataset, capsys):
+    registry = ProviderRegistry()
+    run_dirs = []
+    for backend, strategy in (("sd15", "keyword"), ("sd15", "direct"), ("sdxl", "keyword")):
+        config = _base_config(tmp_path, fixture_dataset, out_name=f"{backend}-{strategy}",
+                              strategy=strategy, generation={"backend": backend})
+        run_experiment(config, registry)
+        run_dirs.append(config.output_dir)
+    text = report_cli(run_dirs)
+    header, rows = _rows(text)
+    assert header == ["backend", "strategy", "acc", "ma-f1"]
+    assert [row[:2] for row in rows] == [["sd15", "direct"], ["sd15", "keyword"], ["sdxl", "keyword"]]
+    assert cli_main(["report", *run_dirs]) == 0
+    assert capsys.readouterr().out == text
+
+    # a sweep whose failed cell leaves the method x dataset grid incomplete:
+    # the oracle file has no features for the larger dataset's extra samples
+    larger = build_separability_fixture(tmp_path / "larger", samples_per_class=14, seed=3).dataset_csv
+    larger = larger.rename(larger.with_name("larger.csv"))
+    base = _base_config(tmp_path, fixture_dataset, out_name="holey")
+    axes = {"method": ["text_only", "oracle_image"], "dataset": [str(fixture_dataset.dataset_csv), str(larger)]}
+    result = run_sweep(base, axes, registry)
+    assert [c.status for c in result.cells] == ["done", "done", "done", "failed"]
+    header, rows = _rows(result.table)
+    assert header == ["method", "dataset", "acc", "ma-f1"]
+    assert [row[:2] for row in rows] == [
+        ["text_only", "dataset"], ["text_only", "larger"], ["oracle_image", "dataset"],
+    ]
+    assert (Path(base.output_dir) / "combined_table.txt").read_text() == result.table
+
+
+def test_sweep_and_report_label_cells_alike(tmp_path, fixture_dataset):
+    data = {
+        "experiment_id": "lr",
+        "dataset": {"path": str(fixture_dataset.dataset_csv), "split_seed": 5,
+                    "split_fractions": [0.6, 0.2, 0.2]},
+        "output_dir": str(tmp_path / "lr"),
+        "providers": {"text": "hash-16", "image": "hash-16"},
+        "fusion": {"mechanism": "concat", "model_dim": 8, "heads": 2, "hidden_dim": 12},
+        "training": {"batch_size": 16, "max_epochs": 1, "patience": 1},
+        "seeds": [0],
+    }
+    path = tmp_path / "lr.yaml"
+    # YAML 1.1 reads 1e-3 (no dot) as the string "1e-3"
+    path.write_text(yaml.safe_dump(data) + "sweep:\n  axes:\n    learning_rate: [1e-3, 2e-3]\n")
+    config = parse_config(path)
+    assert config.sweep_axes == {"learning_rate": ("1e-3", "2e-3")}
+    result = run_sweep(config)
+    header, rows = _rows(result.table)
+    assert [row[0] for row in rows] == ["0.001", "0.002"]
+    report = report_cli([c.output_dir for c in result.cells])
+    assert report.startswith(result.table)
+
+
+def test_report_shows_the_first_configured_seed(tmp_path, fixture_dataset):
+    registry = ProviderRegistry()
+    run_dirs, headline = [], []
+    for mechanism in ("concat", "cross_attention"):
+        config = _base_config(
+            tmp_path, fixture_dataset, out_name=mechanism, seeds=[2, 10],
+            fusion={"mechanism": mechanism, "model_dim": 8, "heads": 2, "hidden_dim": 12},
+        )
+        _, report = run_experiment(config, registry)
+        eval_dir = Path(config.output_dir) / "eval"
+        seed2, seed10 = (json.loads((eval_dir / f"eval_seed{s}.json").read_text()) for s in (2, 10))
+        assert report.accuracy == seed2["accuracy"]
+        run_dirs.append(config.output_dir)
+        headline.append(seed2)
+    assert any(  # the two seeds tell apart which report is shown
+        json.loads((Path(d) / "eval" / "eval_seed10.json").read_text())["macro_f1"] != h["macro_f1"]
+        for d, h in zip(run_dirs, headline)
+    )
+    header, rows = _rows(report_cli(run_dirs))
+    assert header == ["mechanism", "acc", "ma-f1"]
+    assert [row[1] for row in rows] == [f"{h['accuracy'] * 100:.2f}" for h in headline]
+    assert [row[2].rstrip("*") for row in rows] == [f"{h['macro_f1'] * 100:.2f}" for h in headline]

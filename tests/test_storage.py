@@ -18,6 +18,23 @@ def test_put_writes_the_missing_meta_after_a_crash(tmp_path):
     assert meta.exists()
 
 
+def test_a_truncated_embedding_is_a_miss_that_the_next_put_repairs(tmp_path):
+    provider = HashProjectionProvider("hash-8", 8)
+    cache = EmbeddingCache(tmp_path / "emb")
+    first, tokens = embed_text("a red kettle", provider, cache)
+    vec = tmp_path / "emb" / "hash-8" / (sha256_hex(b"a red kettle") + ".vec")
+    intact = vec.read_bytes()
+    vec.write_bytes(intact[:-5])  # a torn write, or a disk that lost the tail
+
+    again, tokens_again = embed_text("a red kettle", provider, cache)
+    assert provider.calls == 2  # the corrupt entry is a miss: one encode
+    assert vec.read_bytes() == intact  # ... whose put rewrote the entry
+    assert again.values.tobytes() == first.values.tobytes()
+    assert tokens_again.tobytes() == tokens.tobytes()
+    embed_text("a red kettle", provider, cache)
+    assert provider.calls == 2  # and the call after that is a hit
+
+
 def test_put_never_overwrites_an_existing_file(tmp_path):
     cache = ArtifactCache(tmp_path / "c")
     cache.put("k1", b"first", {"n": 1})
