@@ -279,7 +279,7 @@ class ImageStore(ArtifactCache):
     """Cache layout: ``<root>/<first2-of-key>/<key>.bin`` plus ``.meta``."""
 
     def __init__(self, root: str | Path):
-        super().__init__(Path(root), suffix=".bin", shard=True)
+        super().__init__(Path(root), suffix=".bin")
 
 
 class GenerationLedger:

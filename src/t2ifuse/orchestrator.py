@@ -505,6 +505,7 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
                 "image": image_entry,
             }
         )
+    emb_cache.sync()  # every entry features.jsonl names is durable before the stage is done
     features_path = run_dir / "features.jsonl"
     write_jsonl(features_path, records)
     return [features_path]
@@ -760,7 +761,7 @@ def _build_caches(config: ExperimentConfig) -> dict:
     return {
         "images": ImageStore(cache_root / "images"),
         "embeddings": EmbeddingCache(cache_root / "emb"),
-        "chat": ArtifactCache(cache_root / "chat", suffix=".txt", shard=True),
+        "chat": ArtifactCache(cache_root / "chat", suffix=".txt"),
     }
 
 
@@ -802,19 +803,22 @@ def run_experiment(
         )
         manifest.save(run_dir)
 
-    for stage in STAGES:
-        if not force and manifest.stage_verified(stage, run_dir):
-            logger.info("stage %s: verified, skipping", stage)
-        else:
-            logger.info("stage %s: running", stage)
-            try:
-                artifacts = _STAGE_FUNCS[stage](config, registry, run_dir, caches)
-            except Exception as exc:
-                manifest.mark_failed(stage, run_dir, f"{type(exc).__name__}: {exc}")
-                raise
-            manifest.mark_done(stage, run_dir, artifacts)
-        if until_stage is not None and stage == until_stage:
-            break
+    try:
+        for stage in STAGES:
+            if not force and manifest.stage_verified(stage, run_dir):
+                logger.info("stage %s: verified, skipping", stage)
+            else:
+                logger.info("stage %s: running", stage)
+                try:
+                    artifacts = _STAGE_FUNCS[stage](config, registry, run_dir, caches)
+                except Exception as exc:
+                    manifest.mark_failed(stage, run_dir, f"{type(exc).__name__}: {exc}")
+                    raise
+                manifest.mark_done(stage, run_dir, artifacts)
+            if until_stage is not None and stage == until_stage:
+                break
+    finally:
+        caches["embeddings"].close()
 
     report = None
     if manifest.stages["evaluation"].status == "done":
@@ -856,6 +860,24 @@ class SweepResult:
     out_dir: Path
 
 
+# Longest file name, in bytes, that common file systems accept (NAME_MAX).
+_MAX_NAME_BYTES = 255
+
+
+def _cell_id(axis_names: Sequence[str], combo: Sequence) -> str:
+    """A cell's name, which is also its directory name: its axis settings,
+    or, when they are too long for one file name, a readable prefix of them
+    plus a sha256 of the whole, so cells that share the prefix stay apart."""
+    cell_id = "-".join(
+        f"{name}={str(value).replace('/', '_')}" for name, value in zip(axis_names, combo)
+    )
+    raw = cell_id.encode("utf-8")
+    if len(raw) <= _MAX_NAME_BYTES:
+        return cell_id
+    suffix = "~" + sha256_hex(raw)[:16]
+    return raw[: _MAX_NAME_BYTES - len(suffix)].decode("utf-8", errors="ignore") + suffix
+
+
 def run_sweep(
     base_config: ExperimentConfig,
     axes: dict[str, Sequence] | None = None,
@@ -879,9 +901,7 @@ def run_sweep(
     cells: list[SweepCell] = []
     runs: list[tuple[str, dict, EvalReport]] = []
     for combo in itertools.product(*(axes[name] for name in axis_names)):
-        cell_id = "-".join(
-            f"{name}={str(value).replace('/', '_')}" for name, value in zip(axis_names, combo)
-        )
+        cell_id = _cell_id(axis_names, combo)
         cell_dir = str(sweep_dir / "cells" / cell_id)
         status, error = "done", None
         try:

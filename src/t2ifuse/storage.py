@@ -68,22 +68,23 @@ def read_jsonl(path: Path) -> Iterator[dict]:
 class ArtifactCache:
     """Content-addressed, write-once artifact store.
 
-    Each entry is a payload file plus a sibling ``.meta`` JSON record. Writes
-    are atomic (temp file + rename) and serialized; ``put`` writes both files
-    of an incomplete entry and never overwrites a complete one, which makes
-    retries and concurrent writers idempotent.
+    Each entry is a payload file ``<root>/<first2-of-key>/<key><suffix>``
+    plus a sibling ``.meta`` JSON record, each written atomically (temp file
+    + rename). ``put`` writes both files of an incomplete entry and never
+    overwrites a complete one, so a retry after a crash is idempotent. Its
+    lock is a ``threading.Lock``: it serializes the threads of one process
+    only. Writers in two processes can both complete one entry, and with a
+    backend that is not byte-deterministic the entry may then pair one
+    writer's payload with the other's ``.meta``.
     """
 
-    def __init__(self, root: Path, suffix: str = ".bin", shard: bool = True):
+    def __init__(self, root: Path, suffix: str = ".bin"):
         self.root = Path(root)
         self.suffix = suffix
-        self.shard = shard
         self._write_lock = threading.Lock()
 
     def _payload_path(self, key: str) -> Path:
-        if self.shard:
-            return self.root / key[:2] / f"{key}{self.suffix}"
-        return self.root / f"{key}{self.suffix}"
+        return self.root / key[:2] / f"{key}{self.suffix}"
 
     def _meta_path(self, key: str) -> Path:
         return self._payload_path(key).with_suffix(".meta")
@@ -116,14 +117,3 @@ class ArtifactCache:
                 atomic_write_bytes(payload, data)
                 atomic_write_text(meta_path, canonical_json(meta))
             return payload
-
-    def invalidate(self, key: str) -> None:
-        """Drop an entry's ``.meta``: the entry is then incomplete, a miss
-        for ``has``, and the next ``put`` rewrites it."""
-        self._meta_path(key).unlink(missing_ok=True)
-
-    def verify(self, key: str, expected_sha256: str) -> bool:
-        """Recompute the payload hash and compare with the recorded one."""
-        if not self.has(key):
-            return False
-        return sha256_hex(self.get(key)) == expected_sha256

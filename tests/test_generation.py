@@ -24,6 +24,7 @@ from t2ifuse.generation import (
     stub_generate,
 )
 from t2ifuse.prompting import NEGATIVE_PROMPT, PromptSpec
+from t2ifuse.storage import sha256_hex
 
 
 def _spec(positive="a sleek black coffee machine", sample_id="s1"):
@@ -86,7 +87,8 @@ def test_generate_image_cache_idempotency(tmp_path):
     assert backend.calls == 1
     assert first.content_hash == second.content_hash
     assert first.prompt_key == second.prompt_key
-    assert store.verify(first.prompt_key, first.content_hash)
+    assert store.has(first.prompt_key)
+    assert sha256_hex(store.get(first.prompt_key)) == first.content_hash
 
 
 def test_generate_image_after_a_lost_meta_stores_the_bytes_it_records(tmp_path):
@@ -108,7 +110,8 @@ def test_generate_image_after_a_lost_meta_stores_the_bytes_it_records(tmp_path):
 
     second = generate_image(_spec(), params, backend, store)
     assert backend.calls == 2 and second.content_hash != first.content_hash
-    assert store.verify(second.prompt_key, second.content_hash)
+    assert store.has(second.prompt_key)
+    assert sha256_hex(store.get(second.prompt_key)) == second.content_hash
     assert store.get_meta(second.prompt_key)["content_hash"] == second.content_hash
     third = generate_image(_spec(), params, backend, store)
     assert backend.calls == 2 and third.content_hash == second.content_hash

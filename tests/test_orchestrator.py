@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from t2ifuse.orchestrator import (
 )
 from t2ifuse.prompting import StubChatClient, VISUAL_DESCRIPTION_SYSTEM
 from t2ifuse.remotes import HttpChatClient, HttpEmbeddingProvider, HttpImageBackend
-from t2ifuse.storage import write_jsonl
+from t2ifuse.storage import read_jsonl, write_jsonl
 from t2ifuse.synthetic import build_separability_fixture
 
 
@@ -206,6 +207,56 @@ def test_resume_after_partial_run(tmp_path, fixture_dataset):
     assert report is not None
 
 
+def _segments(config):
+    """Each embedding segment of the run's cache, by real path, with its size."""
+    root = Path(config.resolved_cache_dir()) / "emb"
+    return {os.path.realpath(p): p.stat().st_size for p in root.rglob("*.seg")}
+
+
+def _open_files():
+    """What this process's descriptors point at; listing them opens one more,
+    which is closed again before it can be read."""
+    files = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            files.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except FileNotFoundError:
+            pass
+    return files
+
+
+def test_embeddings_stage_fsyncs_once_per_segment_not_per_entry(tmp_path, fixture_dataset, monkeypatch):
+    config = _base_config(tmp_path, fixture_dataset, method="oracle_image")
+    run_experiment(config, until_stage="images")
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.readlink(f"/proc/self/fd/{fd}"))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    run_experiment(config, until_stage="embeddings")
+    run_dir = os.path.realpath(config.output_dir)
+    entries = len(list(read_jsonl(Path(config.output_dir) / "features.jsonl")))
+    assert sorted(p for p in synced if p.endswith(".seg")) == sorted(_segments(config)) != []
+    assert all(p.startswith(run_dir + os.sep) for p in synced if not p.endswith(".seg"))
+    assert len(synced) < entries
+
+
+def test_a_warm_run_appends_nothing_and_no_run_leaves_a_segment_open(tmp_path, fixture_dataset):
+    config = _base_config(tmp_path, fixture_dataset, method="oracle_image")
+    open_before = len(_open_files())
+    run_experiment(config)
+    cold = _segments(config)
+    assert cold and len(_open_files()) == open_before
+
+    run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")))
+    assert _segments(config) == cold  # no new segment, and not one byte appended
+    assert len(_open_files()) == open_before
+    assert not set(_open_files()) & set(cold)
+
+
 def test_run_rejects_mismatched_config_hash(tmp_path, fixture_dataset):
     config = _base_config(tmp_path, fixture_dataset)
     run_experiment(config, until_stage="prompts")
@@ -267,6 +318,24 @@ def test_sweep_cells_independent_and_resumable(tmp_path, fixture_dataset):
     result = run_sweep(base, {"strategy": ["direct", "keyword"]}, registry)
     assert [c.status for c in result.cells] == ["done", "done"]
     assert backend.calls == calls_before  # images all cache hits
+
+
+def test_sweep_cells_with_long_dataset_paths_get_distinct_short_dirs(tmp_path, fixture_dataset):
+    deep = tmp_path / ("d" * 200) / ("e" * 40)
+    deep.mkdir(parents=True)
+    long_paths = []
+    for name in ("one.csv", "two.csv"):
+        (deep / name).write_bytes(fixture_dataset.dataset_csv.read_bytes())
+        long_paths.append(str(deep / name))
+    assert all(len(p) >= 260 for p in long_paths)
+    short = str(fixture_dataset.dataset_csv)
+    base = _base_config(tmp_path, fixture_dataset, out_name="long", method="text_only")
+    result = run_sweep(base, {"dataset": [short, *long_paths]}, ProviderRegistry())
+    assert [c.status for c in result.cells] == ["done"] * 3
+    names = [Path(c.output_dir).name for c in result.cells]
+    assert names[0] == "dataset=" + short.replace("/", "_")  # an id that fits is kept as it is
+    assert len(set(names)) == 3 and all(len(n.encode()) <= 255 for n in names)
+    assert names[1][:200] == names[2][:200] == "dataset=" + long_paths[0].replace("/", "_")[:192]
 
 
 def test_sweep_empty_axis_errors(tmp_path, fixture_dataset):
