@@ -6,7 +6,7 @@ Run: python3 demos/05_fusion_gradients.py
 import numpy as np
 
 from t2ifuse.embedding import FeaturePack
-from t2ifuse.fusion import FusionConfig, build_fusion_head, export_attention, fuse_forward
+from t2ifuse.fusion import FusionConfig, PackBatch, build_fusion_head, export_attention, fuse_forward
 from t2ifuse.tensorcore import cross_entropy, grad_check
 
 rng = np.random.default_rng(0)
@@ -18,6 +18,7 @@ pack = FeaturePack(
     text_pooled=text_tokens.mean(axis=0),
     image_pooled=image_tokens.mean(axis=0),
 )
+batch = PackBatch.from_packs([pack])  # the heads take padded batches; this one holds one sample
 
 for mechanism in ("concat", "cross_attention", "deep_prefix"):
     config = FusionConfig(
@@ -28,9 +29,9 @@ for mechanism in ("concat", "cross_attention", "deep_prefix"):
     head = build_fusion_head(config, text_dim=12, image_dim=10, seed=1, dtype=np.float64)
 
     def loss_fn():
-        out = fuse_forward(head, pack)
-        loss, back = cross_entropy(out.logits[None, :], [1])
-        out.backward(back()[0])
+        out = fuse_forward(head, batch)
+        loss, back = cross_entropy(out.logits, [1])
+        out.backward(back())
         return loss
 
     report = grad_check(loss_fn, head.params, tolerance=1e-4)
@@ -43,7 +44,7 @@ head = build_fusion_head(
     FusionConfig(mechanism="cross_attention", model_dim=16, heads=2, num_classes=3, hidden_dim=24),
     text_dim=12, image_dim=10, seed=1,
 )
-out = fuse_forward(head, pack)
+out = fuse_forward(head, batch)
 table = export_attention(out.attention, [f"tok{i}" for i in range(4)], [f"img{j}" for j in range(3)])
 for line in table.strip().split("\n"):
     cells = line.split("\t")

@@ -7,7 +7,7 @@ import numpy as np
 
 from t2ifuse.corpus import LabelSpace
 from t2ifuse.embedding import FeaturePack
-from t2ifuse.fusion import FusionConfig, build_fusion_head
+from t2ifuse.fusion import FusionConfig, PackBatch, build_fusion_head
 from t2ifuse.training import LabeledPacks, TrainConfig, evaluate_split, train_loop
 
 
@@ -22,7 +22,7 @@ def make_toy_split(n_per_class, seed, dim=8, separation=2.0):
         ids.append(f"s{seed}-{i}")
         packs.append(FeaturePack(text, image, text.mean(axis=0), image.mean(axis=0)))
         labels.append(label)
-    return LabeledPacks(ids, packs, np.array(labels), LabelSpace(("neg", "pos")))
+    return LabeledPacks(ids, PackBatch.from_packs(packs), np.array(labels), LabelSpace(("neg", "pos")))
 
 
 train = make_toy_split(32, seed=1)

@@ -18,6 +18,7 @@ from typing import Any
 import yaml
 
 from .corpus import DATASET_FORMATS
+from .evaluation import METHODS
 from .fusion import FusionConfig, MECHANISMS
 from .generation import _PRESETS as GENERATION_PRESETS
 from .generation import COST_MODES, GenerationParams, preset_params
@@ -25,14 +26,6 @@ from .prompting import STRATEGIES
 from .storage import stable_key
 from .training import TRAIN_PRESETS, TrainConfig
 
-METHODS = (
-    "text_only",
-    "textual_expansion",
-    "knowledge_retrieval",
-    "gen_image",
-    "gen_image_fast",
-    "oracle_image",
-)
 GENERATIVE_METHODS = ("gen_image", "gen_image_fast")
 
 

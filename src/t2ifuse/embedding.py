@@ -65,27 +65,13 @@ class EmbeddingVector:
 
 @dataclass
 class FeaturePack:
-    """Per-sample encoder outputs consumed by the fusion heads."""
+    """One sample's encoder outputs, as :meth:`fusion.PackBatch.from_packs`
+    takes them; that constructor validates them, once per batch."""
 
     text_tokens: np.ndarray  # (n_text, text_dim)
     image_tokens: np.ndarray  # (n_image, image_dim)
     text_pooled: np.ndarray  # (text_dim,)
     image_pooled: np.ndarray  # (image_dim,)
-
-    def __post_init__(self):
-        self.text_tokens = np.atleast_2d(np.asarray(self.text_tokens))
-        self.image_tokens = np.atleast_2d(np.asarray(self.image_tokens))
-        self.text_pooled = np.asarray(self.text_pooled).reshape(-1)
-        self.image_pooled = np.asarray(self.image_pooled).reshape(-1)
-        if self.text_tokens.shape[0] < 1 or self.image_tokens.shape[0] < 1:
-            raise ValueError("token sequences must be non-empty")
-        if self.text_tokens.shape[1] != self.text_pooled.shape[0]:
-            raise ValueError("pooled text dim does not match token dim")
-        if self.image_tokens.shape[1] != self.image_pooled.shape[0]:
-            raise ValueError("pooled image dim does not match token dim")
-        for arr in (self.text_tokens, self.image_tokens, self.text_pooled, self.image_pooled):
-            if not np.isfinite(arr).all():
-                raise ValueError("feature pack contains non-finite entries")
 
 
 class TextEncoderProvider(Protocol):

@@ -232,9 +232,8 @@ LAYOUT_AXES = {
     "fusion_table": ("mechanism",),
 }
 
-# Mirrors config.METHODS, which this module cannot import: config imports
-# training, and training imports this module.
-_METHOD_ORDER = (
+# The experiment methods, in the order the main table lists them.
+METHODS = (
     "text_only",
     "textual_expansion",
     "knowledge_retrieval",
@@ -244,7 +243,7 @@ _METHOD_ORDER = (
 )
 
 _AXIS_ORDERS = {
-    "method": _METHOD_ORDER,
+    "method": METHODS,
     "backend": tuple(dict.fromkeys(p[0] for p in GENERATION_PRESETS.values())) + ("stub",),
     "strategy": STRATEGIES,
     "mechanism": MECHANISMS,

@@ -1,4 +1,4 @@
-"""Fusion heads mapping text/image feature packs to class logits.
+"""Fusion heads mapping padded batches of text/image features to class logits.
 
 Three mechanisms are provided:
 
@@ -10,13 +10,12 @@ Three mechanisms are provided:
   a small self-attention encoder stack (no positional encoding on the prefix),
   then mean pooling over all positions and an MLP.
 
-Heads run on a padded batch: a ``PackBatch`` stacks the token sequences of B
-packs, padded with zero rows to the longest text and image sequence, with
+Heads take only a padded batch: a ``PackBatch`` stacks the token sequences of
+B samples, padded with zero rows to the longest text and image sequence, with
 boolean masks marking the real positions. Every attention block masks padded
 keys and every pooling averages real positions only, so a sample's logits do
 not depend on what it is batched with, and padded rows take zero gradient.
-A lone ``FeaturePack`` runs as a batch of one whose batch axis is dropped from
-the output.
+One sample runs as a batch of one.
 
 Only the head trains; encoders are external providers and stay frozen.
 """
@@ -76,8 +75,7 @@ class AttentionBundle:
 
     ``kind`` is "cross" (queries = text tokens, keys = image tokens) or
     "self" (joint sequence of ``prefix_len`` visual tokens + text tokens).
-    ``maps`` holds one (B, heads, queries, keys) array per attention block,
-    or (heads, queries, keys) when the forward ran on a lone pack.
+    ``maps`` holds one (B, heads, queries, keys) array per attention block.
     """
 
     kind: str
@@ -87,17 +85,19 @@ class AttentionBundle:
 
 @dataclass
 class FusionOutput:
-    logits: np.ndarray  # (B, num_classes), or (num_classes,) for a lone pack
+    logits: np.ndarray  # (B, num_classes)
     attention: AttentionBundle | None
     backward: Callable[[np.ndarray], None]  # accumulates parameter grads
 
 
 @dataclass(frozen=True)
 class PackBatch:
-    """B feature packs stacked into zero-padded arrays.
+    """B samples' features stacked into zero-padded arrays.
 
     Token arrays are (B, L, dim) with L the longest sequence in the batch;
-    a mask is True at real positions and False at padding.
+    a mask is True at real positions and False at padding, and real positions
+    come first in every row. ``from_packs`` validates its packs once; ``take``
+    cuts a sub-batch without validating again.
     """
 
     text_tokens: np.ndarray  # (B, T, text_dim)
@@ -112,17 +112,39 @@ class PackBatch:
 
     @classmethod
     def from_packs(cls, packs: Sequence[FeaturePack], dtype=np.float64) -> "PackBatch":
+        """Pad and stack ``packs`` in ``dtype``, after checking that every
+        sequence is non-empty, every pooled dim equals its token dim, and
+        every entry is finite."""
         if not packs:
             raise ShapeError("a pack batch needs at least one pack")
-        text_tokens, text_mask = _pad([p.text_tokens for p in packs], "text", dtype)
-        image_tokens, image_mask = _pad([p.image_tokens for p in packs], "image", dtype)
-        return cls(
-            text_tokens=text_tokens,
-            text_mask=text_mask,
-            image_tokens=image_tokens,
-            image_mask=image_mask,
-            text_pooled=np.stack([p.text_pooled for p in packs]).astype(dtype, copy=False),
-            image_pooled=np.stack([p.image_pooled for p in packs]).astype(dtype, copy=False),
+        arrays = {}
+        for kind in ("text", "image"):
+            tokens, mask = _pad([getattr(p, f"{kind}_tokens") for p in packs], kind, dtype)
+            pooled = [getattr(p, f"{kind}_pooled") for p in packs]
+            if {v.shape for v in pooled} != {tokens.shape[2:]}:
+                raise ShapeError(f"pooled {kind} dim does not match token dim")
+            pooled = np.stack(pooled).astype(dtype, copy=False)
+            if not (np.isfinite(tokens).all() and np.isfinite(pooled).all()):
+                raise ValueError(f"{kind} features contain non-finite entries")
+            arrays.update({f"{kind}_tokens": tokens, f"{kind}_mask": mask, f"{kind}_pooled": pooled})
+        return cls(**arrays)
+
+    def take(self, rows) -> "PackBatch":
+        """The batch of ``rows``, in that order, trimmed to their longest real
+        text and image sequence: the arrays ``from_packs`` builds from those
+        rows' packs."""
+        rows = np.asarray(rows, dtype=np.intp)
+        text_mask = self.text_mask[rows]
+        image_mask = self.image_mask[rows]
+        n_text = int(text_mask.sum(axis=1).max())
+        n_image = int(image_mask.sum(axis=1).max())
+        return PackBatch(
+            text_tokens=self.text_tokens[rows, :n_text],
+            text_mask=text_mask[:, :n_text],
+            image_tokens=self.image_tokens[rows, :n_image],
+            image_mask=image_mask[:, :n_image],
+            text_pooled=self.text_pooled[rows],
+            image_pooled=self.image_pooled[rows],
         )
 
 
@@ -314,21 +336,7 @@ def _encoder_block(store: ParamStore, prefix: str, q_in: np.ndarray, kv_in: np.n
     return out.reshape(shape), maps, backward
 
 
-def _unbatch(out: FusionOutput) -> FusionOutput:
-    """A batch-of-one output with the batch axis dropped everywhere."""
-    bundle = out.attention
-    if bundle is not None:
-        bundle = AttentionBundle(bundle.kind, [m[0] for m in bundle.maps], bundle.prefix_len)
-    batched_backward = out.backward
-
-    def backward(dlogits: np.ndarray) -> None:
-        batched_backward(np.asarray(dlogits).reshape(1, -1))
-
-    return FusionOutput(logits=out.logits[0], attention=bundle, backward=backward)
-
-
-def fuse_forward(head: FusionHead, batch: PackBatch | FeaturePack,
-                 train_mode: bool = False) -> FusionOutput:
+def fuse_forward(head: FusionHead, batch: PackBatch, train_mode: bool = False) -> FusionOutput:
     """Run the head on a padded batch of feature packs.
 
     Returns (B, num_classes) logits, the attention maps of the attention
@@ -336,15 +344,8 @@ def fuse_forward(head: FusionHead, batch: PackBatch | FeaturePack,
     closure that accumulates parameter gradients from the (B, num_classes)
     gradient d(loss)/d(logits). Padded keys get attention weight 0 and padded
     positions are left out of every pooling, so each row of the logits equals
-    that pack's logits computed alone.
-
-    A lone ``FeaturePack`` runs as a batch of one with the batch axis dropped:
-    logits (num_classes,), maps (heads, queries, keys), and a backward taking
-    a (num_classes,) gradient.
+    that sample's logits computed in a batch of one.
     """
-    if isinstance(batch, FeaturePack):
-        batch_of_one = PackBatch.from_packs([batch], head.params.dtype)
-        return _unbatch(fuse_forward(head, batch_of_one, train_mode))
     _check_batch(head, batch)
     config = head.config
     store = head.params
@@ -417,11 +418,10 @@ def fuse_forward(head: FusionHead, batch: PackBatch | FeaturePack,
 
 
 def head_averaged_map(bundle: AttentionBundle, layer: int = -1) -> np.ndarray:
-    """Average the chosen block's attention weights over heads -> (queries, keys),
-    or (B, queries, keys) for a batched bundle."""
+    """Average the chosen block's attention weights over heads -> (B, queries, keys)."""
     if not bundle.maps:
         raise ValueError("bundle has no attention maps")
-    return bundle.maps[layer].mean(axis=-3)
+    return bundle.maps[layer].mean(axis=1)
 
 
 def export_attention(
@@ -430,13 +430,17 @@ def export_attention(
     image_token_labels: list[str],
     layer: int = -1,
 ) -> str:
-    """Render head-averaged attention weights as a tab-delimited heatmap table.
+    """Render the head-averaged attention weights of a batch-of-one bundle as
+    a tab-delimited heatmap table.
 
     For "cross" bundles rows are text tokens and columns are image tokens; for
     "self" bundles both axes are the joint sequence (visual prefix labels
     followed by text labels). Every row of post-softmax weights sums to 1.
     """
-    matrix = head_averaged_map(bundle, layer)
+    averaged = head_averaged_map(bundle, layer)
+    if averaged.shape[0] != 1:
+        raise ValueError(f"export_attention takes a batch of one, got {averaged.shape[0]} rows")
+    matrix = averaged[0]
     if bundle.kind == "cross":
         row_labels = list(text_token_labels)
         col_labels = list(image_token_labels)

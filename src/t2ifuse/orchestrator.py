@@ -39,6 +39,8 @@ from .embedding import (
     FeaturePack,
     HashProjectionProvider,
     OracleFeatureProvider,
+    clip_score,
+    cosine_similarity,
     embed_image,
     embed_text,
 )
@@ -51,7 +53,7 @@ from .evaluation import (
     render_report,
     table_layout,
 )
-from .fusion import build_fusion_head, export_attention, fuse_forward
+from .fusion import PackBatch, build_fusion_head, export_attention, fuse_forward
 from .generation import (
     GeneratedImageRecord,
     GenerationLedger,
@@ -513,7 +515,8 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
 
 def _load_packs(config: ExperimentConfig, run_dir: Path, caches: dict,
                 label_space: LabelSpace) -> dict[str, LabeledPacks]:
-    """Rebuild per-split feature packs purely from artifacts and caches."""
+    """Rebuild each split's padded feature batch purely from artifacts and
+    caches, in float32 (the cache's dtype)."""
     emb_cache: EmbeddingCache = caches["embeddings"]
     oracle: OracleFeatureProvider | None = None
     split_data: dict[str, dict[str, list]] = {
@@ -542,19 +545,13 @@ def _load_packs(config: ExperimentConfig, run_dir: Path, caches: dict,
             dim = int(image_entry["dim"])
             image_pooled = np.zeros(dim, dtype=np.float32)
             image_tokens = np.zeros((1, dim), dtype=np.float32)
-        pack = FeaturePack(
-            text_tokens=text_tokens,
-            image_tokens=image_tokens,
-            text_pooled=text_pooled.values if hasattr(text_pooled, "values") else text_pooled,
-            image_pooled=image_pooled,
-        )
         bucket = split_data[row["split"]]
         bucket["ids"].append(row["sample_id"])
-        bucket["packs"].append(pack)
+        bucket["packs"].append(FeaturePack(text_tokens, image_tokens, text_pooled, image_pooled))
         bucket["labels"].append(int(row["label"]))
     return {
         name: LabeledPacks(
-            ids=data["ids"], packs=data["packs"],
+            ids=data["ids"], batch=PackBatch.from_packs(data["packs"], np.float32),
             labels=np.asarray(data["labels"], dtype=np.int64),
             label_space=label_space,
         )
@@ -568,12 +565,12 @@ def _load_label_space(run_dir: Path) -> LabelSpace:
 
 
 def _head_for(config: ExperimentConfig, packs: dict[str, LabeledPacks], label_space: LabelSpace, seed: int):
-    sample_pack = packs["train"].packs[0]
+    batch = packs["train"].batch
     fusion_config = dataclasses.replace(config.fusion, num_classes=len(label_space))
     return build_fusion_head(
         fusion_config,
-        text_dim=sample_pack.text_tokens.shape[1],
-        image_dim=sample_pack.image_tokens.shape[1],
+        text_dim=batch.text_tokens.shape[2],
+        image_dim=batch.image_tokens.shape[2],
         seed=seed,
     )
 
@@ -605,17 +602,15 @@ def _stage_training(config: ExperimentConfig, registry: ProviderRegistry, run_di
 
 
 def _clip_pairs(packs: LabeledPacks) -> tuple[list[float], list[float]]:
-    from .embedding import cosine_similarity, clip_score as _clip
-
+    batch = packs.batch
+    if batch.text_pooled.shape[1] != batch.image_pooled.shape[1]:
+        return [], []
     cosines, scores = [], []
-    for pack in packs.packs:
-        if pack.text_pooled.shape[0] != pack.image_pooled.shape[0]:
-            return [], []
-        if not np.any(pack.image_pooled):
+    for image_vec, text_vec in zip(batch.image_pooled, batch.text_pooled):
+        if not np.any(image_vec):
             return [], []  # zero image features: no semantic consistency to score
-        cos = cosine_similarity(pack.image_pooled, pack.text_pooled)
-        cosines.append(cos)
-        scores.append(_clip(pack.image_pooled, pack.text_pooled))
+        cosines.append(cosine_similarity(image_vec, text_vec))
+        scores.append(clip_score(image_vec, text_vec))
     return cosines, scores
 
 
@@ -700,10 +695,10 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
             headline_report = report
             # Attention heatmap from the first test sample of the first seed.
             if config.fusion.mechanism in ("cross_attention", "deep_prefix"):
-                pack = packs["test"].packs[0]
-                out = fuse_forward(head, pack)
-                n_text = pack.text_tokens.shape[0]
-                n_image = pack.image_tokens.shape[0]
+                first = packs["test"].batch.take([0])
+                out = fuse_forward(head, first)
+                n_text = first.text_tokens.shape[1]
+                n_image = first.image_tokens.shape[1]
                 if config.fusion.mechanism == "deep_prefix":
                     image_labels = [f"vis{i}" for i in range(config.fusion.visual_prefix_len)]
                 else:

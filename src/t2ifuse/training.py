@@ -9,7 +9,6 @@ from typing import Callable
 import numpy as np
 
 from .corpus import LabelSpace
-from .embedding import FeaturePack
 from .evaluation import PredictionSet, compute_metrics
 from .fusion import FusionHead, PackBatch, fuse_forward
 from .storage import append_jsonl
@@ -98,17 +97,18 @@ class TrainState:
 
 @dataclass
 class LabeledPacks:
-    """A split's feature packs with aligned ids and label indices."""
+    """A split as one padded feature batch, row-aligned with its ids and
+    label indices; training and evaluation cut sub-batches with ``take``."""
 
     ids: list[str]
-    packs: list[FeaturePack]
+    batch: PackBatch
     labels: np.ndarray
     label_space: LabelSpace
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if not (len(self.ids) == len(self.packs) == self.labels.shape[0]):
-            raise TrainingError("ids, packs, and labels must align")
+        if not (len(self.ids) == len(self.batch) == self.labels.shape[0]):
+            raise TrainingError("ids, batch rows, and labels must align")
         if len(self.ids) == 0:
             raise TrainingError("empty split")
         if self.labels.size and self.labels.max() >= len(self.label_space):
@@ -160,8 +160,7 @@ def _clip_gradients(store: ParamStore, max_norm: float) -> None:
 def _train_batch(head: FusionHead, data: LabeledPacks, indices: np.ndarray) -> float:
     if indices.size == 0:
         raise TrainingError("empty batch")
-    batch = PackBatch.from_packs([data.packs[i] for i in indices], head.params.dtype)
-    out = fuse_forward(head, batch, train_mode=True)
+    out = fuse_forward(head, data.batch.take(indices), train_mode=True)
     loss, ce_backward = cross_entropy(out.logits, data.labels[indices])
     out.backward(ce_backward())
     return loss
@@ -173,11 +172,12 @@ def evaluate_split(
     """Accuracy and Macro-F1 on a split; logits are archived in the returned
     prediction set for report and bootstrap reuse.
 
-    The split runs in padded chunks of ``batch_size`` packs, which bounds the
-    memory of one forward; a pack's logits do not depend on its chunk.
+    The split runs in chunks of ``batch_size`` rows, each trimmed to its
+    longest sequence, which bounds the memory of one forward; a sample's
+    logits do not depend on its chunk.
     """
     chunks = (
-        PackBatch.from_packs(data.packs[start : start + batch_size], head.params.dtype)
+        data.batch.take(range(start, min(start + batch_size, len(data))))
         for start in range(0, len(data), batch_size)
     )
     logits = np.concatenate([fuse_forward(head, chunk).logits for chunk in chunks])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from t2ifuse.corpus import TextSample
-from t2ifuse.embedding import FeaturePack
+from t2ifuse.embedding import EmbeddingCache, FeaturePack
 
 
 COFFEE_REVIEW = (
@@ -48,6 +48,14 @@ def random_pack(rng: np.random.Generator, n_text=3, n_image=4, text_dim=6, image
         text_pooled=text_tokens.mean(axis=0),
         image_pooled=image_tokens.mean(axis=0),
     )
+
+
+@pytest.fixture
+def emb_cache(tmp_path):
+    """An embedding cache under ``tmp_path / "emb"``, closed after the test."""
+    cache = EmbeddingCache(tmp_path / "emb")
+    yield cache
+    cache.close()
 
 
 @pytest.fixture

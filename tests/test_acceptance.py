@@ -19,6 +19,7 @@ from t2ifuse.embedding import FeaturePack, clip_score
 from t2ifuse.evaluation import PredictionSet, compute_metrics
 from t2ifuse.fusion import (
     FusionConfig,
+    PackBatch,
     build_fusion_head,
     export_attention,
     fuse_forward,
@@ -66,13 +67,15 @@ def test_criterion_1_gradient_correctness():
             )
             head = build_fusion_head(config, text_dim=6, image_dim=5,
                                      seed=int(rng.integers(1 << 16)), dtype=np.float64)
-            pack = random_pack(rng, n_text=3, n_image=4, text_dim=6, image_dim=5)
+            batch = PackBatch.from_packs(
+                [random_pack(rng, n_text=3, n_image=4, text_dim=6, image_dim=5)]
+            )
             label = int(rng.integers(c))
 
             def loss_fn():
-                out = fuse_forward(head, pack)
-                loss, back = cross_entropy(out.logits[None, :], [label])
-                out.backward(back()[0])
+                out = fuse_forward(head, batch)
+                loss, back = cross_entropy(out.logits, [label])
+                out.backward(back())
                 return loss
 
             report = grad_check(loss_fn, head.params, tolerance=1e-4,
@@ -348,7 +351,7 @@ def test_criterion_9_attention_properties():
     head = build_fusion_head(config, text_dim=6, image_dim=5, seed=4)
     rng = np.random.default_rng(9)
     pack = random_pack(rng, n_text=4, n_image=5, text_dim=6, image_dim=5)
-    out = fuse_forward(head, pack)
+    out = fuse_forward(head, PackBatch.from_packs([pack]))
     table = export_attention(
         out.attention, [f"t{i}" for i in range(4)], [f"i{j}" for j in range(5)]
     )
@@ -362,10 +365,11 @@ def test_criterion_9_attention_properties():
     permuted = FeaturePack(
         pack.text_tokens, pack.image_tokens[perm], pack.text_pooled, pack.image_pooled
     )
-    invariant = np.allclose(out.logits, fuse_forward(head, permuted).logits, atol=1e-10)
+    permuted_out = fuse_forward(head, PackBatch.from_packs([permuted]))
+    invariant = np.allclose(out.logits[0], permuted_out.logits[0], atol=1e-10)
 
     single = random_pack(rng, n_text=3, n_image=1, text_dim=6, image_dim=5)
-    matrix = head_averaged_map(fuse_forward(head, single).attention)
+    matrix = head_averaged_map(fuse_forward(head, PackBatch.from_packs([single])).attention)[0]
     all_ones = matrix.shape == (3, 1) and np.allclose(matrix, 1.0)
 
     _criterion(

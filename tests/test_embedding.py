@@ -6,7 +6,6 @@ import pytest
 from t2ifuse.embedding import (
     CLIP_SCORE_WEIGHT,
     DimensionMismatchError,
-    EmbeddingCache,
     EmbeddingVector,
     FeaturePack,
     HashProjectionProvider,
@@ -21,6 +20,7 @@ from t2ifuse.embedding import (
     encode_vec_payload,
     write_oracle_features,
 )
+from t2ifuse.fusion import PackBatch
 from t2ifuse.storage import CacheError
 
 
@@ -48,19 +48,18 @@ class CountingProvider:
         return vec, vec[None, :]
 
 
-def test_embed_text_caches_by_text_hash(tmp_path):
+def test_embed_text_caches_by_text_hash(emb_cache):
     provider = CountingProvider()
-    cache = EmbeddingCache(tmp_path / "emb")
-    a, _ = embed_text("same text", provider, cache)
-    b, _ = embed_text("same text", provider, cache)
+    a, _ = embed_text("same text", provider, emb_cache)
+    b, _ = embed_text("same text", provider, emb_cache)
     assert provider.calls == 1
     assert np.array_equal(a.values, b.values)
 
 
-def test_embed_text_dim_mismatch(tmp_path):
+def test_embed_text_dim_mismatch(emb_cache):
     provider = CountingProvider(extra=1)
     with pytest.raises(DimensionMismatchError):
-        embed_text("anything", provider, EmbeddingCache(tmp_path / "emb"))
+        embed_text("anything", provider, emb_cache)
     with pytest.raises(ProviderError):
         embed_text("   ", provider, None)
 
@@ -96,27 +95,25 @@ def test_fixture_image_embedding_golden():
     assert tokens.shape == (1, 8)
 
 
-def test_embed_image_keyed_on_content_not_prompt(tmp_path):
+def test_embed_image_keyed_on_content_not_prompt(tmp_path, emb_cache):
     provider = CountingProvider()
-    cache = EmbeddingCache(tmp_path / "emb")
     # two different artifact paths, same bytes -> single provider call
     path_a = tmp_path / "a.bin"
     path_b = tmp_path / "b.bin"
     path_a.write_bytes(b"same-bytes")
     path_b.write_bytes(b"same-bytes")
-    embed_image(path_a, provider, cache)
-    embed_image(path_b, provider, cache)
+    embed_image(path_a, provider, emb_cache)
+    embed_image(path_b, provider, emb_cache)
     assert provider.calls == 1
 
 
-def test_provider_swap_creates_distinct_cache_entries(tmp_path):
-    cache = EmbeddingCache(tmp_path / "emb")
+def test_provider_swap_creates_distinct_cache_entries(tmp_path, emb_cache):
     image = tmp_path / "img.bin"
     image.write_bytes(b"payload")
     siglip_like = HashProjectionProvider("siglip-like", 8)
     dino_like = HashProjectionProvider("dino-like", 8)
-    a, _ = embed_image(image, siglip_like, cache)
-    b, _ = embed_image(image, dino_like, cache)
+    a, _ = embed_image(image, siglip_like, emb_cache)
+    b, _ = embed_image(image, dino_like, emb_cache)
     assert siglip_like.calls == 1 and dino_like.calls == 1
     assert not np.array_equal(a.values, b.values)
     assert (tmp_path / "emb" / "siglip-like").exists()
@@ -128,11 +125,10 @@ def test_embed_missing_artifact(tmp_path):
         embed_image(tmp_path / "nope.bin", CountingProvider(), None)
 
 
-def test_cache_round_trip_bit_identical(tmp_path):
+def test_cache_round_trip_bit_identical(emb_cache):
     provider = HashProjectionProvider("hash-16", 16)
-    cache = EmbeddingCache(tmp_path / "emb")
-    first, tokens_first = embed_text("a stitch in time", provider, cache)
-    reloaded, tokens_again = embed_text("a stitch in time", provider, cache)
+    first, tokens_first = embed_text("a stitch in time", provider, emb_cache)
+    reloaded, tokens_again = embed_text("a stitch in time", provider, emb_cache)
     assert first.values.tobytes() == reloaded.values.tobytes()
     assert tokens_first.tobytes() == tokens_again.tobytes()
 
@@ -175,6 +171,7 @@ def test_oracle_packs_share_shape_contract(tmp_path):
     pack_gen = FeaturePack(np.ones((2, 8)), gen_tokens, np.ones(8), gen_pooled)
     assert pack_oracle.image_tokens.shape == pack_gen.image_tokens.shape
     assert pack_oracle.image_pooled.shape == pack_gen.image_pooled.shape
+    assert len(PackBatch.from_packs([pack_oracle, pack_gen])) == 2  # validated as one batch
 
 
 def test_clip_score_unit_cases():

@@ -17,11 +17,18 @@ from t2ifuse.tensorcore import ShapeError, cross_entropy, grad_check
 from tests.conftest import random_pack
 
 
+def _one(pack):
+    """A batch of one pack."""
+    return PackBatch.from_packs([pack])
+
+
 def _loss_closure(head, pack, label):
+    batch = _one(pack)
+
     def loss_fn():
-        out = fuse_forward(head, pack)
-        loss, back = cross_entropy(out.logits[None, :], [label])
-        out.backward(back()[0])
+        out = fuse_forward(head, batch)
+        loss, back = cross_entropy(out.logits, [label])
+        out.backward(back())
         return loss
     return loss_fn
 
@@ -60,7 +67,7 @@ def test_concat_zero_image_sits_at_bias_point():
     head = build_fusion_head(config, text_dim=5, image_dim=4, seed=1)
     text_tokens = rng.standard_normal((2, 5))
     pack = FeaturePack(text_tokens, np.zeros((1, 4)), text_tokens.mean(axis=0), np.zeros(4))
-    out = fuse_forward(head, pack)
+    out = fuse_forward(head, _one(pack))
 
     # manual forward oracle with the image pathway pinned at its bias
     p = head.params.params
@@ -70,15 +77,15 @@ def test_concat_zero_image_sits_at_bias_point():
     h1 = joined @ p["cls.w1"] + p["cls.b1"]
     g = 0.5 * h1 * (1 + np.tanh(np.sqrt(2 / np.pi) * (h1 + 0.044715 * h1**3)))
     logits = g @ p["cls.w2"] + p["cls.b2"]
-    assert np.allclose(out.logits, logits[0], atol=1e-6)
+    assert np.allclose(out.logits[0], logits[0], atol=1e-6)
 
 
 def test_cross_attention_single_image_token_degenerate():
     config = FusionConfig(mechanism="cross_attention", model_dim=8, heads=2, num_classes=2)
     head = build_fusion_head(config, text_dim=6, image_dim=5, seed=2)
     pack = random_pack(np.random.default_rng(3), n_text=4, n_image=1, text_dim=6, image_dim=5)
-    out = fuse_forward(head, pack)
-    maps = out.attention.maps[0]
+    out = fuse_forward(head, _one(pack))
+    maps = out.attention.maps[0][0]
     assert maps.shape == (2, 4, 1)
     assert np.allclose(maps, 1.0)
 
@@ -96,9 +103,9 @@ def test_image_token_permutation_leaves_logits_unchanged(mechanism):
     permuted = FeaturePack(
         pack.text_tokens, pack.image_tokens[perm], pack.text_pooled, pack.image_pooled
     )
-    out_a = fuse_forward(head, pack)
-    out_b = fuse_forward(head, permuted)
-    assert np.allclose(out_a.logits, out_b.logits, atol=1e-10)
+    out_a = fuse_forward(head, _one(pack))
+    out_b = fuse_forward(head, _one(permuted))
+    assert np.allclose(out_a.logits[0], out_b.logits[0], atol=1e-10)
 
 
 def test_cross_attention_matches_manual_forward_oracle():
@@ -106,7 +113,7 @@ def test_cross_attention_matches_manual_forward_oracle():
     head = build_fusion_head(config, text_dim=3, image_dim=3, seed=6)
     rng = np.random.default_rng(7)
     pack = random_pack(rng, n_text=2, n_image=3, text_dim=3, image_dim=3)
-    out = fuse_forward(head, pack)
+    out = fuse_forward(head, _one(pack))
 
     # scripted recomputation at float64 with independent numpy code
     p = {k: v.astype(np.float64) for k, v in head.params.params.items()}
@@ -134,8 +141,8 @@ def test_cross_attention_matches_manual_forward_oracle():
     pooled = n2.mean(axis=0, keepdims=True)
     logits = gelu(pooled @ p["cls.w1"] + p["cls.b1"]) @ p["cls.w2"] + p["cls.b2"]
 
-    assert np.allclose(out.logits, logits[0], atol=1e-5)
-    assert np.allclose(out.attention.maps[0][0], a, atol=1e-6)
+    assert np.allclose(out.logits[0], logits[0], atol=1e-5)
+    assert np.allclose(out.attention.maps[0][0][0], a, atol=1e-6)
 
 
 @pytest.mark.parametrize("mechanism", ["concat", "cross_attention", "deep_prefix"])
@@ -155,14 +162,14 @@ def test_forward_dim_mismatch_errors():
     head = build_fusion_head(config, text_dim=6, image_dim=5, seed=10)
     bad = random_pack(np.random.default_rng(11), text_dim=7, image_dim=5)
     with pytest.raises(Exception, match="text dim"):
-        fuse_forward(head, bad)
+        fuse_forward(head, _one(bad))
 
 
 def test_export_attention_rows_and_labels():
     config = FusionConfig(mechanism="cross_attention", model_dim=8, heads=2, num_classes=2)
     head = build_fusion_head(config, text_dim=6, image_dim=5, seed=12)
     pack = random_pack(np.random.default_rng(13), n_text=3, n_image=4, text_dim=6, image_dim=5)
-    out = fuse_forward(head, pack)
+    out = fuse_forward(head, _one(pack))
     table = export_attention(out.attention, ["t0", "t1", "t2"], ["i0", "i1", "i2", "i3"])
     lines = table.strip().split("\n")
     assert lines[0] == "token\ti0\ti1\ti2\ti3"
@@ -179,8 +186,8 @@ def test_export_attention_single_image_token_all_ones_column():
     config = FusionConfig(mechanism="cross_attention", model_dim=8, heads=2, num_classes=2)
     head = build_fusion_head(config, text_dim=6, image_dim=5, seed=14)
     pack = random_pack(np.random.default_rng(15), n_text=3, n_image=1, text_dim=6, image_dim=5)
-    out = fuse_forward(head, pack)
-    matrix = head_averaged_map(out.attention)
+    out = fuse_forward(head, _one(pack))
+    matrix = head_averaged_map(out.attention)[0]
     assert matrix.shape == (3, 1)
     assert np.allclose(matrix, 1.0)
 
@@ -193,8 +200,8 @@ def test_export_attention_identical_image_tokens_near_uniform():
     image_tokens = np.tile(token, (4, 1))
     text_tokens = rng.standard_normal((2, 6))
     pack = FeaturePack(text_tokens, image_tokens, text_tokens.mean(axis=0), token)
-    out = fuse_forward(head, pack)
-    matrix = head_averaged_map(out.attention)
+    out = fuse_forward(head, _one(pack))
+    matrix = head_averaged_map(out.attention)[0]
     assert np.allclose(matrix, 0.25, atol=1e-9)
 
 
@@ -202,12 +209,12 @@ def test_export_attention_golden_pinned():
     config = FusionConfig(mechanism="cross_attention", model_dim=4, heads=1, num_classes=2, hidden_dim=4)
     head = build_fusion_head(config, text_dim=3, image_dim=3, seed=20)
     pack = random_pack(np.random.default_rng(21), n_text=2, n_image=2, text_dim=3, image_dim=3)
-    out_1 = fuse_forward(head, pack)
-    out_2 = fuse_forward(head, pack)
+    out_1 = fuse_forward(head, _one(pack))
+    out_2 = fuse_forward(head, _one(pack))
     table_1 = export_attention(out_1.attention, ["a", "b"], ["x", "y"])
     table_2 = export_attention(out_2.attention, ["a", "b"], ["x", "y"])
     assert table_1 == table_2  # byte-stable across forwards
-    matrix = head_averaged_map(out_1.attention)
+    matrix = head_averaged_map(out_1.attention)[0]
     reparsed = [
         [float(v) for v in line.split("\t")[1:]]
         for line in table_1.strip().split("\n")[1:]
@@ -222,10 +229,10 @@ def test_deep_prefix_attention_bundle_shape_and_export():
     )
     head = build_fusion_head(config, text_dim=6, image_dim=5, seed=18)
     pack = random_pack(np.random.default_rng(19), n_text=3, n_image=4, text_dim=6, image_dim=5)
-    out = fuse_forward(head, pack)
+    out = fuse_forward(head, _one(pack))
     assert out.attention.kind == "self"
     assert len(out.attention.maps) == 2
-    assert out.attention.maps[0].shape == (2, 5, 5)
+    assert out.attention.maps[0].shape == (1, 2, 5, 5)
     table = export_attention(out.attention, ["t0", "t1", "t2"], ["v0", "v1"])
     lines = table.strip().split("\n")
     assert lines[0] == "token\tv0\tv1\tt0\tt1\tt2"
@@ -279,6 +286,51 @@ def test_pack_batch_pads_and_masks():
         PackBatch.from_packs(packs + [bad])
 
 
+_BATCH_FIELDS = ("text_tokens", "text_mask", "image_tokens", "image_mask", "text_pooled", "image_pooled")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [[4, 0, 2], [3], [5, 1], list(range(6))], ids=str)
+def test_take_equals_from_packs_of_those_rows(rows, dtype):
+    _, packs, _ = _ragged_setup("concat")
+    taken = PackBatch.from_packs(packs, dtype).take(np.array(rows))
+    built = PackBatch.from_packs([packs[i] for i in rows], dtype)
+    for name in _BATCH_FIELDS:
+        a, b = getattr(taken, name), getattr(built, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["text", "image"])
+def test_from_packs_validates_every_pack(kind):
+    _, packs, _ = _ragged_setup("concat")
+
+    def broken(field, value):
+        return packs[:2] + [dataclasses.replace(packs[2], **{f"{kind}_{field}": value})]
+
+    tokens = getattr(packs[2], f"{kind}_tokens")
+    pooled = getattr(packs[2], f"{kind}_pooled")
+    with_nan = tokens.copy()
+    with_nan[-1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        PackBatch.from_packs(broken("tokens", with_nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        PackBatch.from_packs(broken("pooled", np.full_like(pooled, np.inf)))
+    with pytest.raises(ShapeError, match=f"pooled {kind} dim"):
+        PackBatch.from_packs(broken("pooled", pooled[:-1]))
+    with pytest.raises(ShapeError, match="non-empty"):
+        PackBatch.from_packs(broken("tokens", tokens[:0]))
+
+
+def test_export_attention_needs_a_batch_of_one():
+    head, packs, _ = _ragged_setup("cross_attention")
+    out = fuse_forward(head, PackBatch.from_packs(packs[:2]))
+    assert head_averaged_map(out.attention).shape == (2, 5, 2)
+    with pytest.raises(ValueError, match="batch of one"):
+        export_attention(out.attention, [f"t{i}" for i in range(5)], ["i0", "i1"])
+
+
 @pytest.mark.parametrize("mechanism", ["concat", "cross_attention", "deep_prefix"])
 def test_batched_logits_and_gradients_match_per_sample(mechanism):
     head, packs, labels = _ragged_setup(mechanism)
@@ -292,9 +344,9 @@ def test_batched_logits_and_gradients_match_per_sample(mechanism):
 
     store.zero_grads()
     for pack, row_logits, row_grad in zip(packs, out.logits, dlogits):
-        single = fuse_forward(head, pack)
-        assert np.allclose(single.logits, row_logits, rtol=0, atol=1e-12)
-        single.backward(row_grad)
+        single = fuse_forward(head, _one(pack))
+        assert np.allclose(single.logits[0], row_logits, rtol=0, atol=1e-12)
+        single.backward(row_grad[None, :])
     for name, g in store.grads.items():
         assert np.allclose(batched[name], g, rtol=0, atol=1e-12), name
 

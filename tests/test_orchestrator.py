@@ -282,6 +282,25 @@ def test_text_only_and_oracle_methods(tmp_path, fixture_dataset):
     assert report is not None
 
 
+def test_non_finite_oracle_features_fail_the_training_stage(tmp_path, fixture_dataset):
+    rows = list(read_jsonl(fixture_dataset.oracle_features))
+    rows[0]["values"][1] = float("nan")
+    poisoned = tmp_path / "poisoned_oracle.jsonl"
+    write_jsonl(poisoned, rows)
+    config = _base_config(
+        tmp_path, fixture_dataset, method="oracle_image",
+        providers={"text": "hash-16", "image": "hash-16", "oracle_features": str(poisoned)},
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        run_experiment(config)
+    manifest = RunManifest.load(Path(config.output_dir))
+    assert manifest.stages["embeddings"].status == "done"
+    training = manifest.stages["training"]
+    assert training.status == "failed"
+    assert training.reason == "ValueError: image features contain non-finite entries"
+    assert manifest.stages["evaluation"].status == "pending"
+
+
 def test_textual_expansion_pipeline_and_chat_cache(tmp_path, fixture_dataset):
     registry = ProviderRegistry()
     config = _base_config(

@@ -4,7 +4,7 @@ import pytest
 import requests
 
 from t2ifuse.config import parse_config_data
-from t2ifuse.embedding import DimensionMismatchError, EmbeddingCache, embed_text
+from t2ifuse.embedding import DimensionMismatchError, embed_text
 from t2ifuse.generation import GenerationError, GenerationParams, TransientBackendError
 from t2ifuse.orchestrator import ProviderRegistry
 from t2ifuse.prompting import ElaborationError
@@ -146,7 +146,7 @@ def test_embedding_provider_retries_a_503(monkeypatch):
         provider.encode_text("hello")
 
 
-def test_remote_encoder_from_config_learns_its_dim(monkeypatch, tmp_path):
+def test_remote_encoder_from_config_learns_its_dim(monkeypatch, tmp_path, emb_cache):
     monkeypatch.setenv("SIGLIP_API_KEY", "k")
     config = parse_config_data({
         "experiment_id": "remote",
@@ -162,8 +162,7 @@ def test_remote_encoder_from_config_learns_its_dim(monkeypatch, tmp_path):
         FakeResponse(body={"pooled": [1.0, 0.0, 2.0], "tokens": [[1.0, 0.0, 2.0]] * 2}),
         FakeResponse(body={"pooled": [1.0, 0.0]}),
     ])
-    cache = EmbeddingCache(tmp_path / "emb")
-    pooled, tokens = embed_text("first text", provider, cache)
+    pooled, tokens = embed_text("first text", provider, emb_cache)
     assert provider.dim == 3 and pooled.dim == 3 and tokens.shape == (2, 3)
     with pytest.raises(DimensionMismatchError, match="declared dim 3 but returned 2"):
-        embed_text("second text", provider, cache)
+        embed_text("second text", provider, emb_cache)

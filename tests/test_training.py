@@ -5,7 +5,7 @@ import pytest
 
 from t2ifuse.corpus import LabelSpace
 from t2ifuse.embedding import FeaturePack
-from t2ifuse.fusion import FusionConfig, build_fusion_head
+from t2ifuse.fusion import FusionConfig, PackBatch, build_fusion_head
 from t2ifuse.tensorcore import ParamStore
 from t2ifuse.training import (
     LabeledPacks,
@@ -119,7 +119,7 @@ def _toy_data(n_per_class=16, dim=6, seed=0, separation=3.0):
         ids.append(f"t{i}")
         packs.append(FeaturePack(text, image, text.mean(axis=0), image[0]))
         labels.append(label)
-    return LabeledPacks(ids, packs, np.array(labels), space)
+    return LabeledPacks(ids, PackBatch.from_packs(packs), np.array(labels), space)
 
 
 def _toy_head(seed=0, num_classes=2):
@@ -158,7 +158,7 @@ def _ragged_data(n=24, seed=0, dim=6):
         packs.append(FeaturePack(text, image, text.mean(axis=0), image.mean(axis=0)))
         labels.append(label)
     ids = [f"r{i}" for i in range(n)]
-    return LabeledPacks(ids, packs, np.array(labels), LabelSpace(("neg", "pos")))
+    return LabeledPacks(ids, PackBatch.from_packs(packs), np.array(labels), LabelSpace(("neg", "pos")))
 
 
 def _xattn_head(seed=0, dropout_rate=0.0):
