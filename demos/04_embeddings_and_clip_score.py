@@ -38,6 +38,7 @@ with tempfile.TemporaryDirectory() as tmp:
     record = generate_image(spec, preset_params("flux-schnell"), StubImageBackend("flux-schnell"), store)
     image_vec, image_tokens = embed_image(record.image_ref, provider, cache)
     cache.close()  # releases the segment files of cache/emb/hash-32/
+    store.close()  # ... and the record segment of cache/images/log/
     print(f"image -> pooled dim {image_vec.dim}, keyed by content hash {record.content_hash[:12]}...")
 
     cos = cosine_similarity(image_vec, pooled)

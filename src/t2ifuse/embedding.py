@@ -3,28 +3,25 @@
 Providers are pluggable: remote HTTP encoders for real runs, deterministic
 hash-projection fixtures for offline tests, and a curated-feature reader for
 the oracle upper-bound configuration. Embeddings are cached per provider in
-append-only segment files under ``cache/emb/<provider_id>/``: each entry is
-one checksummed record holding its float32 ``EVC1`` payload, so a cache
+a :class:`storage.SegmentLog` under ``cache/emb/<provider_id>/``: each entry
+is one checksummed record holding its float32 ``EVC1`` payload, so a cache
 round-trip is bit-identical. An entry is durable after
 :meth:`EmbeddingCache.sync`; a record torn by a crash is a miss, and
-re-encoding it appends a fresh one. :class:`EmbeddingCache` gives the layout.
+re-encoding it appends a fresh one. An image embeds under its content hash;
+given that hash, :func:`embed_image` serves a hit without reading the image.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
-import threading
-import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
-from .storage import CacheError, read_jsonl, sha256_hex, write_jsonl
+from .storage import CacheError, SegmentLogs, read_jsonl, sha256_hex, write_jsonl
 
 # Weight of the rescaled-cosine semantic consistency score.
 CLIP_SCORE_WEIGHT = 2.5
@@ -36,6 +33,10 @@ class ProviderError(RuntimeError):
 
 class DimensionMismatchError(ProviderError):
     pass
+
+
+class ImageContentError(ProviderError):
+    """A stored image's bytes do not hash to the content hash recorded for it."""
 
 
 class ZeroVectorError(ValueError):
@@ -183,13 +184,8 @@ def write_oracle_features(path: str | Path, features: dict[str, np.ndarray]) -> 
 # --- cache -----------------------------------------------------------------
 # payload: magic "EVC1" | uint32 dim | uint32 n_tokens |
 #   float32 LE pooled values (dim) | float32 LE token rows (n_tokens * dim).
-# segment record: magic "ESG1" | sha256 of the key (32 bytes) |
-#   uint32 LE payload length | uint32 LE crc32 of (digest, length, payload) | payload.
 
 VEC_MAGIC = b"EVC1"
-SEGMENT_MAGIC = b"ESG1"
-SEGMENT_SUFFIX = ".seg"
-_RECORD_HEADER = struct.Struct("<4s32sII")
 
 
 def encode_vec_payload(pooled: np.ndarray, tokens: np.ndarray) -> bytes:
@@ -214,189 +210,40 @@ def decode_vec_payload(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     return pooled, tokens.reshape(n_tokens, dim).copy()
 
 
-def _record_crc(digest: bytes, length: int, payload: bytes) -> int:
-    return zlib.crc32(payload, zlib.crc32(digest + length.to_bytes(4, "little")))
-
-
-class _ProviderLog:
-    """The segments of one provider directory and an index over their records.
-
-    ``_segments`` maps a segment's file name to ``[fd, bytes indexed]``;
-    ``_index`` maps a key digest to its first record ``(fd, payload offset,
-    length, crc)``, and ``_spares`` holds later records of the same key, used
-    when the first one fails its crc.
-    """
-
-    def __init__(self, directory: Path):
-        self.directory = directory
-        self._lock = threading.Lock()
-        self._segments: dict[str, list[int]] = {}
-        self._index: dict[bytes, tuple[int, int, int, int]] = {}
-        self._spares: dict[bytes, list[tuple[int, int, int, int]]] = {}
-        self._own: list[int] | None = None  # the segment this process appends to
-        self._unsynced: set[int] = set()
-        with self._lock:
-            self._refresh()
-
-    def _refresh(self) -> None:
-        """Index the records appended since the last scan; the caller holds
-        the lock. A segment's scan stops at its first short or malformed
-        record and resumes there next time, so a record that another process
-        is still writing is picked up once it is complete."""
-        try:
-            names = sorted(n for n in os.listdir(self.directory) if n.endswith(SEGMENT_SUFFIX))
-        except FileNotFoundError:
-            return
-        for name in names:
-            segment = self._segments.get(name)
-            if segment is None:
-                fd = os.open(self.directory / name, os.O_RDONLY)
-                segment = self._segments[name] = [fd, 0]
-            fd, pos = segment
-            size = os.fstat(fd).st_size
-            while pos + _RECORD_HEADER.size <= size:
-                header = os.pread(fd, _RECORD_HEADER.size, pos)
-                if len(header) < _RECORD_HEADER.size:
-                    break
-                magic, digest, length, crc = _RECORD_HEADER.unpack(header)
-                end = pos + _RECORD_HEADER.size + length
-                if magic != SEGMENT_MAGIC or end > size:
-                    break
-                location = (fd, pos + _RECORD_HEADER.size, length, crc)
-                if digest in self._index:
-                    self._spares.setdefault(digest, []).append(location)
-                else:
-                    self._index[digest] = location
-                pos = end
-            segment[1] = pos
-
-    def get(self, key: str) -> bytes | None:
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        location = self._index.get(digest)
-        if location is None:
-            with self._lock:
-                self._refresh()
-                location = self._index.get(digest)
-        while location is not None:
-            fd, offset, length, crc = location
-            payload = os.pread(fd, length, offset)
-            if len(payload) == length and _record_crc(digest, length, payload) == crc:
-                return payload
-            with self._lock:  # corrupt: fall back to a later record of the key, if any
-                spares = self._spares.get(digest)
-                if self._index.get(digest) == location:
-                    if spares:
-                        self._index[digest] = spares.pop(0)
-                    else:
-                        del self._index[digest]
-                location = self._index.get(digest)
-        return None
-
-    def put(self, key: str, payload: bytes) -> None:
-        """Append one record unless the key is already indexed."""
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        length = len(payload)
-        crc = _record_crc(digest, length, payload)
-        record = _RECORD_HEADER.pack(SEGMENT_MAGIC, digest, length, crc) + payload
-        with self._lock:
-            if digest in self._index:
-                return
-            if self._own is None:
-                # a segment of this process's own: no other writer ever appends to it
-                self.directory.mkdir(parents=True, exist_ok=True)
-                name = f"{time.time_ns():020d}-{os.getpid()}{SEGMENT_SUFFIX}"
-                fd = os.open(
-                    self.directory / name, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644
-                )
-                self._own = self._segments[name] = [fd, 0]
-            fd, offset = self._own
-            self._unsynced.add(fd)
-            if os.write(fd, record) != len(record):
-                self._own = None  # never append after a torn tail: the next put starts a new segment
-                raise CacheError(f"short write to the embedding segment in {self.directory}")
-            self._own[1] = offset + len(record)
-            self._index[digest] = (fd, offset + _RECORD_HEADER.size, length, crc)
-
-    def sync(self) -> None:
-        with self._lock:
-            for fd in self._unsynced:
-                os.fsync(fd)
-            self._unsynced.clear()
-
-    def close(self) -> None:
-        for fd, _ in self._segments.values():
-            os.close(fd)
-
-
 class EmbeddingCache:
-    """Per-provider, append-only embedding store under ``<root>/<provider_id>/``.
+    """Per-provider, append-only embedding store: one :class:`storage.SegmentLog`
+    under ``<root>/<provider_id>/``, whose record payloads are the ``EVC1``
+    vector format. The log gives the layout, durability and recovery.
 
-    Layout: each provider directory holds segment files
-    ``<creation time ns>-<pid>.seg``. A segment is a sequence of records,
-    ``magic "ESG1" | sha256 of the key (32 bytes) | uint32 length | uint32
-    crc32 | payload``; the crc covers the digest, the length and the payload,
-    and the payload is the ``EVC1`` vector format. Other files in the
-    directory are ignored.
-
-    Writes: each process lazily creates a segment of its own (``O_EXCL``) and
-    only ever appends to that one, with one ``os.write`` per record; threads
-    share it under a lock, and a forked child starts afresh. Entries are
-    write-once: a ``put`` of an indexed key is a no-op.
-
-    Durability: an entry is durable after :meth:`sync`, which fsyncs each
-    segment written since the last sync. The embeddings stage syncs before
-    it writes ``features.jsonl``, so every entry a recorded artifact names
-    is on disk before the manifest marks the stage done.
-
-    Reads: the first use of a provider scans its segments header by header
-    into a digest -> record index; a miss rescans only the bytes appended
-    since, so entries written by other processes become visible. When
-    segments disagree on a key, the record in the oldest segment wins.
-
-    Recovery: a scan stops at a segment's first record that is short or has
-    a bad magic, so a torn tail is a miss. A record that fails its crc on
-    read is a miss too; re-encoding appends a fresh record to this
-    process's own segment, never after the torn one.
-
-    :meth:`close` releases the file descriptors; the next use scans again.
+    Entries are write-once: a ``put`` of an indexed key is a no-op. When
+    segments disagree on a key, the record in the oldest segment wins. The
+    embeddings stage calls :meth:`sync` before it writes ``features.jsonl``,
+    so every entry a recorded artifact names is on disk before the manifest
+    marks the stage done. A record that fails its crc is a miss; re-encoding
+    appends a fresh record to this process's own segment, never after the
+    torn one. :meth:`close` releases the file descriptors; the next use
+    scans again.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._logs: dict[str, _ProviderLog] = {}
-        self._lock = threading.Lock()
-        self._pid = os.getpid()
-
-    def _log(self, provider_id: str) -> _ProviderLog:
-        if self._pid != os.getpid():  # a forked child: its own segment, fds and index
-            self.close()
-            self._lock, self._pid = threading.Lock(), os.getpid()
-        log = self._logs.get(provider_id)
-        if log is None:
-            with self._lock:
-                log = self._logs.get(provider_id)
-                if log is None:
-                    log = self._logs[provider_id] = _ProviderLog(self.root / provider_id)
-        return log
+        self._logs = SegmentLogs(self.root)
 
     def get(self, provider_id: str, key: str) -> tuple[np.ndarray, np.ndarray] | None:
         """The cached (pooled, tokens), or ``None`` on a miss."""
-        payload = self._log(provider_id).get(key)
+        payload = self._logs[provider_id].find(key)
         return None if payload is None else decode_vec_payload(payload)
 
     def put(self, provider_id: str, key: str, pooled: np.ndarray, tokens: np.ndarray) -> None:
-        self._log(provider_id).put(key, encode_vec_payload(pooled, tokens))
+        self._logs[provider_id].append(key, encode_vec_payload(pooled, tokens), once=True)
 
     def sync(self) -> None:
         """Make every entry put so far durable."""
-        for log in list(self._logs.values()):
-            log.sync()
+        self._logs.sync()
 
     def close(self) -> None:
         """Close every segment; call it when no other thread uses the cache."""
-        logs, self._logs = self._logs, {}
-        for log in logs.values():
-            log.close()
+        self._logs.close()
 
 
 def _validate_provider_output(provider, pooled: np.ndarray, tokens: np.ndarray):
@@ -438,26 +285,46 @@ def embed_text(
     return EmbeddingVector(pooled, provider.provider_id), tokens
 
 
+def _read_image(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise ProviderError(f"missing image artifact: {path}") from None
+
+
 def embed_image(
     image_ref: str | Path | bytes,
     provider: ImageEncoderProvider,
     cache: EmbeddingCache | None = None,
+    *,
+    content_hash: str | None = None,
 ) -> tuple[EmbeddingVector, np.ndarray]:
     """Encode image bytes, given as such or as the path of a stored image,
-    cache-keyed by (provider id, content hash)."""
+    cache-keyed by (provider id, content hash).
+
+    With the path's known ``content_hash`` a cache hit reads no file; a miss
+    reads it and raises :class:`ImageContentError` unless its sha256 is that
+    hash.
+    """
     if isinstance(image_ref, bytes):
-        data = image_ref
+        data, key = image_ref, sha256_hex(image_ref)
+    elif content_hash is None:
+        data = _read_image(Path(image_ref))
+        key = sha256_hex(data)
     else:
-        path = Path(image_ref)
-        if not path.exists():
-            raise ProviderError(f"missing image artifact: {path}")
-        data = path.read_bytes()
-    key = sha256_hex(data)
+        data, key = None, content_hash
     if cache is not None:
         hit = cache.get(provider.provider_id, key)
         if hit is not None:
             pooled, tokens = hit
             return EmbeddingVector(pooled, provider.provider_id), tokens
+    if data is None:
+        data = _read_image(Path(image_ref))
+        actual = sha256_hex(data)
+        if actual != key:
+            raise ImageContentError(
+                f"image artifact {image_ref} has sha256 {actual}, but its record says {key}"
+            )
     pooled, tokens = _validate_provider_output(provider, *provider.encode_image(data))
     if cache is not None:
         cache.put(provider.provider_id, key, pooled, tokens)

@@ -2,9 +2,12 @@
 
 A generation request is keyed by a hash over (backend id, positive, negative,
 params, seed); repeated requests are served from the cache without touching
-the backend. Every fresh generation appends a ledger record carrying latency
-and cost, which :func:`ledger_totals` aggregates exactly (costs are money, so
-totals use decimal arithmetic).
+the backend. The cache (:class:`ImageStore`) keeps each image as a file of its
+own and its :class:`GeneratedImageRecord` in a segment log, and the record it
+serves always describes the bytes at its ``image_ref``. Every fresh
+generation appends a ledger record carrying latency and cost, which
+:func:`ledger_totals` aggregates exactly (costs are money, so totals use
+decimal arithmetic).
 """
 
 from __future__ import annotations
@@ -276,7 +279,10 @@ class StubImageBackend:
 
 
 class ImageStore(ArtifactCache):
-    """Cache layout: ``<root>/<first2-of-key>/<key>.bin`` plus ``.meta``."""
+    """Generated images by prompt key: each image is the file
+    ``<root>/<first2-of-key>/<key>.bin`` (its ``image_ref``), and its
+    :class:`GeneratedImageRecord` is a record in ``<root>/log/``, stamped
+    with that file's identity. See :class:`storage.ArtifactCache`."""
 
     def __init__(self, root: str | Path):
         super().__init__(Path(root), suffix=".bin")
@@ -317,7 +323,8 @@ def generate_image(
     On a cache hit the stored record is returned without any backend call. On
     a miss the backend is called through :func:`retry_transient`, the latency
     of the successful attempt is recorded, the bytes are verified non-empty
-    and stored atomically, and a ledger entry is appended. ``cost_mode`` selects
+    and stored atomically, and a ledger entry is appended. The record returned
+    is the one stored: another thread's, when it stored the same key first. ``cost_mode`` selects
     between backend-reported cost ("measured", 0 when not reported) and the
     cost model's per-image estimate ("estimated").
     """
@@ -355,10 +362,10 @@ def generate_image(
         cost_usd=cost,
         created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
-    store.put(key, data, record.to_dict())
+    stored = store.put(key, data, record.to_dict())
     if ledger is not None:
         ledger.append(record)
-    return record
+    return GeneratedImageRecord.from_dict(stored)
 
 
 @dataclass(frozen=True)

@@ -398,6 +398,7 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
             }
         )
 
+    caches["chat"].sync()  # every response prompts.jsonl rests on is durable before the stage is done
     prompts_path = run_dir / "prompts.jsonl"
     write_jsonl(prompts_path, records)
     labels_path = run_dir / "labels.json"
@@ -445,6 +446,7 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         results = dict(pool.map(run_one, rows))
 
+    store.sync()  # every record images.jsonl names is durable before the stage is done
     write_jsonl(
         images_path,
         (
@@ -475,7 +477,8 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
         text_key = sha256_hex(row["effective_text"].encode("utf-8"))
         if row["image_source"] == "generate":
             image_row = images[row["sample_id"]]
-            embed_image(image_row["image_ref"], image_provider, emb_cache)
+            embed_image(image_row["image_ref"], image_provider, emb_cache,
+                        content_hash=image_row["content_hash"])
             image_entry = {
                 "kind": "cached",
                 "provider": image_provider.provider_id,
@@ -813,7 +816,8 @@ def run_experiment(
             if until_stage is not None and stage == until_stage:
                 break
     finally:
-        caches["embeddings"].close()
+        for cache in caches.values():
+            cache.close()
 
     report = None
     if manifest.stages["evaluation"].status == "done":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -48,6 +49,32 @@ def random_pack(rng: np.random.Generator, n_text=3, n_image=4, text_dim=6, image
         text_pooled=text_tokens.mean(axis=0),
         image_pooled=image_tokens.mean(axis=0),
     )
+
+
+def _open_segments() -> set[str]:
+    """The segment files this process holds a descriptor on."""
+    paths = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            path = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        if path.endswith(".seg"):
+            paths.add(path)
+    return paths
+
+
+@pytest.fixture(autouse=True)
+def no_segment_left_open():
+    """Fail a test that leaves a segment descriptor open: a cache it built
+    and kept alive without closing it. Skipped where ``/proc`` is absent."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _open_segments()
+    yield
+    leaked = _open_segments() - before
+    assert not leaked, f"segment files left open: {sorted(leaked)}"
 
 
 @pytest.fixture

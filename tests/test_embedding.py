@@ -9,6 +9,7 @@ from t2ifuse.embedding import (
     EmbeddingVector,
     FeaturePack,
     HashProjectionProvider,
+    ImageContentError,
     OracleFeatureProvider,
     ProviderError,
     ZeroVectorError,
@@ -118,6 +119,28 @@ def test_provider_swap_creates_distinct_cache_entries(tmp_path, emb_cache):
     assert not np.array_equal(a.values, b.values)
     assert (tmp_path / "emb" / "siglip-like").exists()
     assert (tmp_path / "emb" / "dino-like").exists()
+
+
+def test_embed_image_with_its_known_hash_serves_a_hit_without_the_file(tmp_path, emb_cache):
+    provider = CountingProvider()
+    image = tmp_path / "img.bin"
+    image.write_bytes(b"payload")
+    first, _ = embed_image(image, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
+    image.unlink()  # a hit never opens it
+    again, _ = embed_image(image, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
+    assert provider.calls == 1 and again.values.tobytes() == first.values.tobytes()
+
+
+def test_embed_image_rejects_bytes_that_are_not_its_known_hash(tmp_path, emb_cache):
+    provider = CountingProvider()
+    image = tmp_path / "img.bin"
+    image.write_bytes(b"tampered")
+    recorded = hashlib.sha256(b"payload").hexdigest()
+    with pytest.raises(ImageContentError, match=recorded) as err:
+        embed_image(image, provider, emb_cache, content_hash=recorded)
+    assert isinstance(err.value, ProviderError)
+    assert provider.calls == 0
+    assert emb_cache.get(provider.provider_id, recorded) is None
 
 
 def test_embed_missing_artifact(tmp_path):

@@ -24,7 +24,22 @@ from t2ifuse.generation import (
     stub_generate,
 )
 from t2ifuse.prompting import NEGATIVE_PROMPT, PromptSpec
-from t2ifuse.storage import sha256_hex
+from t2ifuse.storage import SegmentLog, sha256_hex
+
+
+@pytest.fixture
+def open_store(tmp_path):
+    """Opens an :class:`ImageStore` under ``tmp_path`` (``images`` by
+    default); every store it opened is closed after the test."""
+    stores = []
+
+    def open_store(name="images"):
+        stores.append(ImageStore(tmp_path / name))
+        return stores[-1]
+
+    yield open_store
+    for store in stores:
+        store.close()
 
 
 def _spec(positive="a sleek black coffee machine", sample_id="s1"):
@@ -78,9 +93,9 @@ def test_stub_generate_prompt_sensitivity_and_totality():
     assert stub_generate(PromptPair("", ""), params) == empty
 
 
-def test_generate_image_cache_idempotency(tmp_path):
+def test_generate_image_cache_idempotency(open_store):
     backend = StubImageBackend("flux-schnell")
-    store = ImageStore(tmp_path / "images")
+    store = open_store()
     params = preset_params("flux-schnell", seed=1)
     first = generate_image(_spec(), params, backend, store)
     second = generate_image(_spec(), params, backend, store)
@@ -91,44 +106,126 @@ def test_generate_image_cache_idempotency(tmp_path):
     assert sha256_hex(store.get(first.prompt_key)) == first.content_hash
 
 
-def test_generate_image_after_a_lost_meta_stores_the_bytes_it_records(tmp_path):
-    class NondeterministicBackend:
-        backend_id = "flux-schnell"
+class NondeterministicBackend:
+    """New bytes on every call, as a sampler without a fixed noise seed gives."""
 
-        def __init__(self):
-            self.calls = 0
+    backend_id = "flux-schnell"
 
-        def generate(self, positive, negative, params):
-            self.calls += 1
-            return b"image-%d" % self.calls
+    def __init__(self):
+        self.calls = 0
 
+    def generate(self, positive, negative, params):
+        self.calls += 1
+        return b"image-%d" % self.calls
+
+
+def _assert_serves(store, record):
+    """``store`` serves ``record``, and the bytes at its image_ref are the ones it names."""
+    key = record.prompt_key
+    assert store.has(key)
+    assert store.get_meta(key) == record.to_dict()
+    assert record.image_ref == str(store.path_for(key))
+    assert sha256_hex(store.get(key)) == record.content_hash
+
+
+class Crash(BaseException):
+    """The process dies here."""
+
+
+def test_a_payload_written_without_its_record_is_a_miss_that_regenerating_repairs(
+        open_store, monkeypatch):
     backend = NondeterministicBackend()
-    store = ImageStore(tmp_path / "images")
+    store = open_store()
+    params = preset_params("flux-schnell", seed=1)
+
+    def crash(*args, **kwargs):
+        raise Crash
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SegmentLog, "append", crash)  # killed between the payload and its record
+        with pytest.raises(Crash):
+            generate_image(_spec(), params, backend, store)
+    key = prompt_key(_spec().positive, _spec().negative, params)
+    assert store.get(key) == b"image-1"  # the payload is on disk, fsynced ...
+    assert not store.has(key)  # ... but without its record it is a miss
+
+    second = generate_image(_spec(), params, backend, store)
+    assert backend.calls == 2 and second.content_hash == sha256_hex(b"image-2")
+    _assert_serves(store, second)
+    third = generate_image(_spec(), params, backend, store)
+    assert backend.calls == 2 and third == second
+    _assert_serves(open_store(), second)  # a fresh store reads the same record
+
+
+def test_a_deleted_payload_is_a_miss_whose_regeneration_leaves_a_matching_record(open_store):
+    backend = NondeterministicBackend()
+    store = open_store()
     params = preset_params("flux-schnell", seed=1)
     first = generate_image(_spec(), params, backend, store)
-    store.path_for(first.prompt_key).with_suffix(".meta").unlink()  # crash before the .meta
+    store.path_for(first.prompt_key).unlink()  # its record stays in the log
+    assert not store.has(first.prompt_key)
 
     second = generate_image(_spec(), params, backend, store)
     assert backend.calls == 2 and second.content_hash != first.content_hash
-    assert store.has(second.prompt_key)
-    assert sha256_hex(store.get(second.prompt_key)) == second.content_hash
-    assert store.get_meta(second.prompt_key)["content_hash"] == second.content_hash
+    _assert_serves(store, second)
     third = generate_image(_spec(), params, backend, store)
-    assert backend.calls == 2 and third.content_hash == second.content_hash
+    assert backend.calls == 2 and third == second
+    _assert_serves(open_store(), second)
 
 
-def test_generate_image_seed_sensitivity(tmp_path):
+def test_a_torn_record_is_a_miss_and_the_torn_segment_is_never_appended_to(tmp_path, open_store):
+    backend = NondeterministicBackend()
+    store = open_store()
+    params = preset_params("flux-schnell", seed=1)
+    kept = generate_image(_spec("first prompt"), params, backend, store)
+    lost = generate_image(_spec("second prompt"), params, backend, store)
+    store.sync()
+    store.close()
+    [segment] = (tmp_path / "images" / "log").glob("*.seg")
+    torn = segment.read_bytes()[:-5]  # a crash mid-append, or a disk that lost the tail
+    segment.write_bytes(torn)
+
+    store = open_store()
+    _assert_serves(store, kept)
+    assert not store.has(lost.prompt_key)
+    again = generate_image(_spec("second prompt"), params, backend, store)
+    assert backend.calls == 3 and again.content_hash == sha256_hex(b"image-3")
+    _assert_serves(store, again)
+    assert segment.read_bytes() == torn and len(list(segment.parent.glob("*.seg"))) == 2
+    fresh = open_store()
+    _assert_serves(fresh, kept)
+    _assert_serves(fresh, again)
+
+
+def test_an_entry_of_the_old_meta_layout_is_regenerated_once(open_store):
+    backend = NondeterministicBackend()
+    store = open_store()
+    params = preset_params("flux-schnell", seed=1)
+    key = prompt_key(_spec().positive, _spec().negative, params)
+    old = store.path_for(key)
+    old.parent.mkdir(parents=True)
+    old.write_bytes(b"old image")
+    old.with_suffix(".meta").write_text('{"content_hash": "%s"}' % sha256_hex(b"old image"))
+
+    assert not store.has(key)
+    record = generate_image(_spec(), params, backend, store)
+    assert backend.calls == 1 and record.content_hash == sha256_hex(b"image-1")
+    _assert_serves(store, record)
+    assert generate_image(_spec(), params, backend, store) == record and backend.calls == 1
+
+
+def test_generate_image_seed_sensitivity(open_store):
     backend = StubImageBackend("flux-schnell")
-    store = ImageStore(tmp_path / "images")
+    store = open_store()
     r42 = generate_image(_spec(), preset_params("flux-schnell", seed=42), backend, store)
     r43 = generate_image(_spec(), preset_params("flux-schnell", seed=43), backend, store)
     assert r42.content_hash != r43.content_hash
     assert backend.calls == 2
 
 
-def test_generate_image_ledger_and_estimated_cost(tmp_path):
+def test_generate_image_ledger_and_estimated_cost(tmp_path, open_store):
     backend = StubImageBackend("sdxl")
-    store = ImageStore(tmp_path / "images")
+    store = open_store()
     ledger = GenerationLedger(tmp_path / "ledger.jsonl")
     record = generate_image(
         _spec(), preset_params("sdxl"), backend, store,
@@ -146,7 +243,7 @@ def test_generate_image_ledger_and_estimated_cost(tmp_path):
     }
 
 
-def test_generate_image_retries_transient_then_succeeds(tmp_path):
+def test_generate_image_retries_transient_then_succeeds(open_store):
     class FlakyBackend:
         backend_id = "flaky"
 
@@ -164,7 +261,7 @@ def test_generate_image_retries_transient_then_succeeds(tmp_path):
     backend = FlakyBackend(failures=2)
     params = GenerationParams("flaky", steps=4, guidance_scale=0.0, width=512, height=512)
     record = generate_image(
-        _spec(), params, backend, ImageStore(tmp_path / "img"),
+        _spec(), params, backend, open_store("img"),
         retries=3, backoff_s=0.5, sleep=sleeps.append,
     )
     assert backend.calls == 3
@@ -174,7 +271,7 @@ def test_generate_image_retries_transient_then_succeeds(tmp_path):
     exhausted = FlakyBackend(failures=10)
     with pytest.raises(GenerationError, match="after 3 attempts"):
         generate_image(
-            _spec("other prompt"), params, exhausted, ImageStore(tmp_path / "img2"),
+            _spec("other prompt"), params, exhausted, open_store("img2"),
             retries=3, sleep=lambda s: None,
         )
 
@@ -217,7 +314,7 @@ def test_retry_transient_propagates_other_errors_at_once():
     assert sleeps == []
 
 
-def test_generate_image_latency_is_the_successful_attempt(tmp_path, monkeypatch):
+def test_generate_image_latency_is_the_successful_attempt(open_store, monkeypatch):
     # the failed attempt starts at 0 s; the successful one runs from 10 s to 10.25 s
     clock = iter([0.0, 10.0, 10.25])
     monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
@@ -234,12 +331,12 @@ def test_generate_image_latency_is_the_successful_attempt(tmp_path, monkeypatch)
 
     params = GenerationParams("flaky", steps=4, guidance_scale=0.0, width=512, height=512)
     record = generate_image(
-        _spec(), params, SlowThenFast(), ImageStore(tmp_path / "img"), sleep=lambda s: None,
+        _spec(), params, SlowThenFast(), open_store("img"), sleep=lambda s: None,
     )
     assert record.latency_s == 0.25
 
 
-def test_generate_image_rejects_empty_bytes(tmp_path):
+def test_generate_image_rejects_empty_bytes(open_store):
     class EmptyBackend:
         backend_id = "empty"
 
@@ -248,7 +345,7 @@ def test_generate_image_rejects_empty_bytes(tmp_path):
 
     params = GenerationParams("empty", steps=1, guidance_scale=0.0, width=512, height=512)
     with pytest.raises(GenerationError, match="empty image bytes"):
-        generate_image(_spec(), params, EmptyBackend(), ImageStore(tmp_path / "img"))
+        generate_image(_spec(), params, EmptyBackend(), open_store("img"))
 
 
 def test_cache_key_covers_full_request():

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +14,7 @@ import yaml
 from t2ifuse.cli import main as cli_main
 from t2ifuse.config import parse_config, parse_config_data
 from t2ifuse.corpus import TextSample
-from t2ifuse.embedding import HashProjectionProvider
+from t2ifuse.embedding import HashProjectionProvider, ImageContentError
 from t2ifuse.generation import StubImageBackend
 from t2ifuse.orchestrator import (
     ComposeHelpers,
@@ -255,6 +257,79 @@ def test_a_warm_run_appends_nothing_and_no_run_leaves_a_segment_open(tmp_path, f
     assert _segments(config) == cold  # no new segment, and not one byte appended
     assert len(_open_files()) == open_before
     assert not set(_open_files()) & set(cold)
+
+
+def _log_segments(config, cache):
+    """Each record segment of the run's ``images`` or ``chat`` cache, by real path, with its size."""
+    root = Path(config.resolved_cache_dir()) / cache / "log"
+    return {os.path.realpath(p): p.stat().st_size for p in root.glob("*.seg")}
+
+
+def test_prompt_and_image_stages_fsync_each_segment_once_and_a_warm_run_appends_nothing(
+        tmp_path, fixture_dataset, monkeypatch):
+    config = _base_config(
+        tmp_path, fixture_dataset, strategy="elaborated",
+        providers={"text": "hash-16", "image": "hash-16", "elaborator": "stub-chat"},
+    )
+    cache_root = os.path.realpath(config.resolved_cache_dir())
+    run_dir = os.path.realpath(config.output_dir)
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.readlink(f"/proc/self/fd/{fd}"))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    for stage, cache, suffix in (("prompts", "chat", ".txt"), ("images", "images", ".bin")):
+        synced.clear()
+        run_experiment(config, until_stage=stage)
+        payloads = sorted(os.path.realpath(p) for p in Path(cache_root, cache).rglob(f"*{suffix}"))
+        assert len(payloads) > 1
+        in_cache = [p for p in synced if p.startswith(cache_root + os.sep)]
+        assert sorted(p for p in in_cache if p.endswith(".seg")) == sorted(_log_segments(config, cache)) != []
+        # each payload once, fsynced under its temp name before the rename
+        assert sorted(re.sub(r"\.\d+\.\d+\.tmp$", "", p) for p in in_cache if not p.endswith(".seg")) == payloads
+        assert all(p.startswith(run_dir + os.sep) for p in synced if p not in in_cache)
+    logs = {cache: _log_segments(config, cache) for cache in ("chat", "images")}
+
+    run_experiment(config)
+    run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")))
+    assert {cache: _log_segments(config, cache) for cache in ("chat", "images")} == logs
+
+
+_OPENED: list[str] | None = None  # while a list, _record_opens adds each path opened
+
+
+def _record_opens(event, args):
+    if event == "open" and _OPENED is not None and isinstance(args[0], (str, bytes, os.PathLike)):
+        _OPENED.append(os.path.realpath(args[0]))
+
+
+def test_a_warm_gen_image_run_opens_no_image_payload(tmp_path, fixture_dataset):
+    global _OPENED
+    config = _base_config(tmp_path, fixture_dataset)
+    run_experiment(config)
+    images = os.path.realpath(Path(config.resolved_cache_dir()) / "images")
+    sys.addaudithook(_record_opens)  # stays installed, idle, for the rest of the session
+    _OPENED = []
+    try:
+        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")))
+        opened = [p for p in _OPENED if p.startswith(images + os.sep)]
+    finally:
+        _OPENED = None
+    assert opened and all(p.endswith(".seg") for p in opened)  # the record log, never an image
+
+
+def test_a_tampered_image_fails_the_embeddings_stage(tmp_path, fixture_dataset):
+    config = _base_config(tmp_path, fixture_dataset)
+    run_experiment(config, until_stage="images")
+    row = next(read_jsonl(Path(config.output_dir) / "images.jsonl"))
+    Path(row["image_ref"]).write_bytes(b"not the generated image")
+    with pytest.raises(ImageContentError, match=row["content_hash"]):
+        run_experiment(config)
+    embeddings = RunManifest.load(Path(config.output_dir)).stages["embeddings"]
+    assert embeddings.status == "failed" and embeddings.reason.startswith("ImageContentError: ")
 
 
 def test_run_rejects_mismatched_config_hash(tmp_path, fixture_dataset):

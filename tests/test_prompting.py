@@ -191,6 +191,7 @@ def test_cached_chat_client_is_idempotent(tmp_path):
     assert cached.complete("sys", "user") == "stable answer"
     assert cached.complete("sys", "user") == "stable answer"
     assert len(inner.requests) == 1
+    cached.cache.close()
 
 
 def test_determinism_of_strategies(coffee_sample):

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import shutil
 import signal
 import sys
 import threading
@@ -7,8 +8,9 @@ import time
 
 import numpy as np
 
+from t2ifuse import storage
 from t2ifuse.embedding import EmbeddingCache, HashProjectionProvider, embed_text, encode_vec_payload
-from t2ifuse.storage import ArtifactCache, atomic_write_bytes
+from t2ifuse.storage import ArtifactCache, atomic_write_bytes, sha256_hex
 
 # The crash tests fork on purpose: a child that inherits a live cache must
 # start a segment of its own.
@@ -203,6 +205,117 @@ def test_put_never_overwrites_an_existing_file(tmp_path):
     cache.put("k1", b"second", {"n": 2})
     assert cache.get("k1") == b"first"
     assert cache.get_meta("k1") == {"n": 1}
+
+
+def _meta_of(data):
+    return {"content_hash": sha256_hex(data)}
+
+
+def _assert_record_matches_payload(cache, key):
+    assert cache.has(key)
+    assert cache.get_meta(key)["content_hash"] == sha256_hex(cache.get(key))
+
+
+def _scanned_store(root):
+    """A store that has indexed the log before any writer of the tested key starts."""
+    cache = ArtifactCache(root)
+    cache.put("unrelated", b"x", _meta_of(b"x"))
+    return cache
+
+
+def test_threads_putting_the_same_keys_leave_one_record_of_the_bytes_on_disk(tmp_path):
+    root, keys = tmp_path / "c", [f"{i:064x}" for i in range(30)]
+    old, cache = _scanned_store(root), ArtifactCache(root)
+    start = threading.Barrier(8)
+    returned = {key: [] for key in keys}
+    errors = []
+
+    def writer(n):
+        start.wait()
+        try:
+            for key in keys:
+                data = b"thread %d, key %s" % (n, key.encode())
+                returned[key].append(cache.put(key, data, _meta_of(data)))
+        except Exception as exc:  # reported below; a thread's exception is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    fresh = ArtifactCache(root)
+    for key in keys:
+        # every put of a key after the first found its entry and returned it
+        assert len(returned[key]) == 8 and all(meta == cache.get_meta(key) for meta in returned[key])
+        for store in (cache, old, fresh):
+            _assert_record_matches_payload(store, key)
+    for store in (cache, old, fresh):
+        store.close()
+
+
+def _put_in_turn(cache, key, data, missed, turn, done):
+    """Put ``data``; its payload is written once both writers have missed,
+    and not before ``turn`` is set."""
+    write = storage.atomic_write_bytes
+
+    def write_in_turn(*args, **kwargs):
+        missed.wait(10)
+        if turn is not None:
+            assert turn.wait(10)
+        return write(*args, **kwargs)
+
+    storage.atomic_write_bytes = write_in_turn  # this forked child's copy of the module only
+    cache.put(key, data, _meta_of(data))
+    cache.sync()
+    done.set()
+
+
+def test_two_processes_putting_one_key_leave_one_record_of_the_bytes_on_disk(tmp_path):
+    root, key = tmp_path / "c", "k" * 64
+    old = _scanned_store(root)  # both writers inherit it, live, through fork
+    missed, first_done, second_done = FORK.Barrier(2), FORK.Event(), FORK.Event()
+    # both miss; the first writes its payload and appends its record, then the
+    # second replaces the payload and appends its own, in a newer segment
+    writers = [
+        FORK.Process(target=_put_in_turn, args=(old, key, b"process a", missed, None, first_done)),
+        FORK.Process(target=_put_in_turn, args=(old, key, b"process b", missed, first_done, second_done)),
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(30)
+    assert [w.exitcode for w in writers] == [0, 0]
+    assert old.get(key) == b"process b"
+    assert len(list((root / "log").glob("*.seg"))) == 3  # the old store's and one per writer
+
+    fresh = ArtifactCache(root)
+    for store in (old, fresh):
+        _assert_record_matches_payload(store, key)
+        assert store.get_meta(key) == _meta_of(b"process b")
+        store.close()
+
+
+def test_a_copied_cache_serves_its_entries_by_their_bytes(tmp_path):
+    cache = ArtifactCache(tmp_path / "c")
+    for n in range(3):
+        cache.put(f"k{n}", b"payload %d" % n, {"n": n})
+    cache.sync()
+    cache.close()
+    shutil.copytree(tmp_path / "c", tmp_path / "copy")  # new inodes: no stamp matches
+    (tmp_path / "copy" / "k2" / "k2.bin").write_bytes(b"other bytes")
+
+    copy = ArtifactCache(tmp_path / "copy")
+    assert [copy.has(f"k{n}") for n in range(3)] == [True, True, False]
+    assert [copy.get_meta(f"k{n}") for n in range(2)] == [{"n": 0}, {"n": 1}]
+    assert copy.put("k2", b"payload 2", {"n": 2}) == {"n": 2} and copy.get("k2") == b"payload 2"
+    copy.close()
 
 
 def test_concurrent_writers_of_one_path_use_their_own_temp_files(tmp_path):
