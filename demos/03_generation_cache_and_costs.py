@@ -42,6 +42,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"different seed -> different image: {third.content_hash != first.content_hash}\n")
 
     store.close()  # releases the record segment of cache/images/log/
+    ledger.close()
     totals = ledger_totals(ledger.read(), mode="estimated")
     print(f"ledger: {sum(t.images for t in totals.per_backend.values())} generations, "
           f"estimated cost ${totals.total_cost_usd}, latency {totals.total_latency_s}s")

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Protocol
 
 from .prompting import PromptSpec
-from .storage import ArtifactCache, append_jsonl, canonical_json, read_jsonl, sha256_hex
+from .storage import ArtifactCache, CacheError, canonical_json, read_jsonl, sha256_hex
 
 logger = logging.getLogger(__name__)
 
@@ -289,15 +289,30 @@ class ImageStore(ArtifactCache):
 
 
 class GenerationLedger:
-    """Append-only record-per-line log of generation events."""
+    """Append-only record-per-line log of generation events.
+
+    Appends share one handle, opened by the first and flushed after each
+    record; :meth:`close` closes it, and a later append opens it again.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._fh = None
 
     def append(self, record: GeneratedImageRecord) -> None:
         with self._lock:
-            append_jsonl(self.path, record.ledger_line())
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.write(canonical_json(record.ledger_line()) + "\n")
+            self._fh.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def read(self) -> list[dict]:
         if not self.path.exists():
@@ -331,8 +346,10 @@ def generate_image(
     if cost_mode not in COST_MODES:
         raise ValueError(f"unknown cost mode {cost_mode!r}")
     key = prompt_key(prompt.positive, prompt.negative, params)
-    if store.has(key):
+    try:
         return GeneratedImageRecord.from_dict(store.get_meta(key))
+    except CacheError:
+        pass  # a miss, or a payload deleted since it was stored: generate it
 
     def attempt() -> tuple[bytes, float]:
         start = time.perf_counter()

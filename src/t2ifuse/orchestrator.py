@@ -5,6 +5,11 @@ training, evaluation -- each leaving verifiable artifacts in the run
 directory and a transactionally updated manifest. Re-running skips stages
 whose artifacts still hash-verify, and the content-addressed caches make any
 repeated generation/embedding work free (and remote-call free).
+
+Training and evaluation read each split as one padded feature batch. A
+``run_experiment`` call builds those batches once, from ``features.jsonl``
+and the embedding cache, and both stages share them; a later call (a resume,
+or a single stage from the CLI) builds them again from the same artifacts.
 """
 
 from __future__ import annotations
@@ -35,12 +40,12 @@ from .corpus import (
     write_split_assignments,
 )
 from .embedding import (
+    CLIP_SCORE_WEIGHT,
     EmbeddingCache,
     FeaturePack,
     HashProjectionProvider,
     OracleFeatureProvider,
-    clip_score,
-    cosine_similarity,
+    ZeroVectorError,
     embed_image,
     embed_text,
 )
@@ -61,6 +66,7 @@ from .generation import (
     StubImageBackend,
     generate_image,
     ledger_totals,
+    prompt_key,
     UnknownBackendError,
 )
 from .prompting import (
@@ -432,19 +438,29 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
     ledger = GenerationLedger(run_dir / "ledger.jsonl")
     params = config.generation_params()
 
-    def run_one(row: dict) -> tuple[str, GeneratedImageRecord]:
-        spec = PromptSpec.from_dict(row["prompt"])
-        record = generate_image(
+    def run_one(spec: PromptSpec) -> GeneratedImageRecord:
+        return generate_image(
             spec, params, backend, store,
             ledger=ledger,
             cost_mode=config.cost_mode,
             retries=config.generation.retries,
         )
-        return row["sample_id"], record
 
-    workers = max(1, config.generation.concurrency)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = dict(pool.map(run_one, rows))
+    # Hits are served in this thread; only misses pay for the pool.
+    results: dict[str, GeneratedImageRecord] = {}
+    misses: dict[str, PromptSpec] = {}
+    try:
+        for row in rows:
+            spec = PromptSpec.from_dict(row["prompt"])
+            if store.has(prompt_key(spec.positive, spec.negative, params)):
+                results[row["sample_id"]] = run_one(spec)
+            else:
+                misses[row["sample_id"]] = spec
+        workers = max(1, config.generation.concurrency)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            results.update(zip(misses, pool.map(run_one, misses.values())))
+    finally:
+        ledger.close()
 
     store.sync()  # every record images.jsonl names is durable before the stage is done
     write_jsonl(
@@ -516,16 +532,46 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
     return [features_path]
 
 
+class _PackMemo(dict):
+    """The split batches built during one ``run_experiment`` call, keyed by
+    the sha256 of the ``features.jsonl`` and ``labels.json`` bytes they were
+    built from; it holds at most one entry."""
+
+    def close(self) -> None:
+        self.clear()
+
+
 def _load_packs(config: ExperimentConfig, run_dir: Path, caches: dict,
                 label_space: LabelSpace) -> dict[str, LabeledPacks]:
-    """Rebuild each split's padded feature batch purely from artifacts and
-    caches, in float32 (the cache's dtype)."""
-    emb_cache: EmbeddingCache = caches["embeddings"]
+    """Each split's padded feature batch, in float32 (the cache's dtype).
+
+    The first call in a ``run_experiment`` call builds the batches purely
+    from artifacts and caches; a later call in the same ``run_experiment``
+    call (evaluation, after training) gets the same objects back while
+    ``features.jsonl`` and ``labels.json`` hold the bytes they were built
+    from. A stage started by a fresh call (a resume, ``t2ifuse eval``)
+    builds them again. The batch arrays are read-only, so no head can write
+    into what a later stage reads.
+    """
+    features = (run_dir / "features.jsonl").read_bytes()
+    key = (sha256_hex(features), sha256_hex((run_dir / "labels.json").read_bytes()))
+    memo: _PackMemo = caches["packs"]
+    if key not in memo:
+        memo.clear()
+        memo[key] = _build_packs(features, caches["embeddings"], label_space)
+    return memo[key]
+
+
+def _build_packs(features: bytes, emb_cache: EmbeddingCache,
+                 label_space: LabelSpace) -> dict[str, LabeledPacks]:
     oracle: OracleFeatureProvider | None = None
     split_data: dict[str, dict[str, list]] = {
         name: {"ids": [], "packs": [], "labels": []} for name in ("train", "validation", "test")
     }
-    for row in read_jsonl(run_dir / "features.jsonl"):
+    for line in features.decode("utf-8").splitlines():
+        if not line.strip():
+            continue
+        row = json.loads(line)
         hit = emb_cache.get(row["text_provider"], row["text_key"])
         if hit is None:
             raise OrchestrationError(
@@ -552,14 +598,14 @@ def _load_packs(config: ExperimentConfig, run_dir: Path, caches: dict,
         bucket["ids"].append(row["sample_id"])
         bucket["packs"].append(FeaturePack(text_tokens, image_tokens, text_pooled, image_pooled))
         bucket["labels"].append(int(row["label"]))
-    return {
-        name: LabeledPacks(
-            ids=data["ids"], batch=PackBatch.from_packs(data["packs"], np.float32),
-            labels=np.asarray(data["labels"], dtype=np.int64),
-            label_space=label_space,
-        )
-        for name, data in split_data.items()
-    }
+    splits = {}
+    for name, data in split_data.items():
+        batch = PackBatch.from_packs(data["packs"], np.float32)
+        labels = np.asarray(data["labels"], dtype=np.int64)
+        for array in (labels, *vars(batch).values()):
+            array.flags.writeable = False
+        splits[name] = LabeledPacks(ids=data["ids"], batch=batch, labels=labels, label_space=label_space)
+    return splits
 
 
 def _load_label_space(run_dir: Path) -> LabelSpace:
@@ -604,17 +650,33 @@ def _stage_training(config: ExperimentConfig, registry: ProviderRegistry, run_di
     return artifacts
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[i])`` for every row, bit for bit: a stacked matmul
+    reduces each row as ``np.dot`` does (``einsum`` does not)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _clip_pairs(packs: LabeledPacks) -> tuple[list[float], list[float]]:
+    """Every row's :func:`embedding.cosine_similarity` and
+    :func:`embedding.clip_score` of its pooled image and text features,
+    bit-identical to calling them row by row, in one pass. As row by row,
+    the first row holding a zero vector decides: a zero image gives
+    ``([], [])`` (nothing to score), a zero text raises
+    :class:`ZeroVectorError`. Differing dims give ``([], [])``."""
     batch = packs.batch
     if batch.text_pooled.shape[1] != batch.image_pooled.shape[1]:
         return [], []
-    cosines, scores = [], []
-    for image_vec, text_vec in zip(batch.image_pooled, batch.text_pooled):
-        if not np.any(image_vec):
+    image = batch.image_pooled.astype(np.float64)
+    text = batch.text_pooled.astype(np.float64)
+    image_norm = np.sqrt(_row_dots(image, image))
+    text_norm = np.sqrt(_row_dots(text, text))
+    zero = np.flatnonzero((image_norm == 0.0) | (text_norm == 0.0))
+    if zero.size:
+        if not image[zero[0]].any():
             return [], []  # zero image features: no semantic consistency to score
-        cosines.append(cosine_similarity(image_vec, text_vec))
-        scores.append(clip_score(image_vec, text_vec))
-    return cosines, scores
+        raise ZeroVectorError("cosine undefined for the zero vector")
+    cosines = _row_dots(image / image_norm[:, None], text / text_norm[:, None]).tolist()
+    return cosines, [CLIP_SCORE_WEIGHT * max(c, 0.0) for c in cosines]
 
 
 def _cost_summary(config: ExperimentConfig, run_dir: Path) -> dict | None:
@@ -658,6 +720,7 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
     artifacts = []
     per_seed_metrics = []
     cost = _cost_summary(config, run_dir)
+    cosines, scores = _clip_pairs(packs["test"])  # the same for every seed
     headline_report: EvalReport | None = None
     for seed in config.seeds:
         head = _head_for(config, packs, label_space, seed)
@@ -670,7 +733,6 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
             resamples=config.evaluation.bootstrap_resamples,
             seed=config.evaluation.bootstrap_seed,
         )
-        cosines, scores = _clip_pairs(packs["test"])
         if scores:
             report.clip_cos_mean, report.clip_cos_std = clip_score_stats(cosines)
             report.clip_score_mean, report.clip_score_std = clip_score_stats(scores)
@@ -760,6 +822,7 @@ def _build_caches(config: ExperimentConfig) -> dict:
         "images": ImageStore(cache_root / "images"),
         "embeddings": EmbeddingCache(cache_root / "emb"),
         "chat": ArtifactCache(cache_root / "chat", suffix=".txt"),
+        "packs": _PackMemo(),
     }
 
 

@@ -173,6 +173,26 @@ def test_a_deleted_payload_is_a_miss_whose_regeneration_leaves_a_matching_record
     _assert_serves(open_store(), second)
 
 
+def test_a_payload_deleted_just_before_its_lookup_is_a_miss_that_regenerating_repairs(
+        open_store, monkeypatch):
+    backend = NondeterministicBackend()
+    store = open_store()
+    params = preset_params("flux-schnell", seed=1)
+    first = generate_image(_spec(), params, backend, store)
+    get_meta = ImageStore.get_meta
+
+    def lose_the_payload_then_look(self, key):
+        self.path_for(key).unlink(missing_ok=True)  # deleted after the entry was known to exist
+        return get_meta(self, key)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ImageStore, "get_meta", lose_the_payload_then_look)
+        second = generate_image(_spec(), params, backend, store)
+    assert backend.calls == 2 and second.content_hash == sha256_hex(b"image-2") != first.content_hash
+    _assert_serves(store, second)
+    _assert_serves(open_store(), second)
+
+
 def test_a_torn_record_is_a_miss_and_the_torn_segment_is_never_appended_to(tmp_path, open_store):
     backend = NondeterministicBackend()
     store = open_store()
@@ -233,6 +253,7 @@ def test_generate_image_ledger_and_estimated_cost(tmp_path, open_store):
     )
     assert record.cost_usd == pytest.approx(0.022)
     assert record.steps == 50
+    ledger.close()
     lines = ledger.read()
     assert len(lines) == 1
     assert lines[0]["backend_id"] == "sdxl"

@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import re
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,8 +16,16 @@ import yaml
 from t2ifuse.cli import main as cli_main
 from t2ifuse.config import parse_config, parse_config_data
 from t2ifuse.corpus import TextSample
-from t2ifuse.embedding import HashProjectionProvider, ImageContentError
-from t2ifuse.generation import StubImageBackend
+from t2ifuse import orchestrator
+from t2ifuse.embedding import (
+    HashProjectionProvider,
+    ImageContentError,
+    ZeroVectorError,
+    clip_score,
+    cosine_similarity,
+)
+from t2ifuse.fusion import PackBatch
+from t2ifuse.generation import GenerationError, ImageStore, PromptPair, StubImageBackend, stub_generate
 from t2ifuse.orchestrator import (
     ComposeHelpers,
     KeywordOverlapRetriever,
@@ -299,6 +309,7 @@ def test_prompt_and_image_stages_fsync_each_segment_once_and_a_warm_run_appends_
 
 
 _OPENED: list[str] | None = None  # while a list, _record_opens adds each path opened
+_HOOKED = False
 
 
 def _record_opens(event, args):
@@ -306,18 +317,27 @@ def _record_opens(event, args):
         _OPENED.append(os.path.realpath(args[0]))
 
 
+@contextlib.contextmanager
+def _recording_opens():
+    """Yields a list of the real path of every file opened in the block."""
+    global _OPENED, _HOOKED
+    if not _HOOKED:
+        sys.addaudithook(_record_opens)  # stays installed, idle, for the rest of the session
+        _HOOKED = True
+    _OPENED = []
+    try:
+        yield _OPENED
+    finally:
+        _OPENED = None
+
+
 def test_a_warm_gen_image_run_opens_no_image_payload(tmp_path, fixture_dataset):
-    global _OPENED
     config = _base_config(tmp_path, fixture_dataset)
     run_experiment(config)
     images = os.path.realpath(Path(config.resolved_cache_dir()) / "images")
-    sys.addaudithook(_record_opens)  # stays installed, idle, for the rest of the session
-    _OPENED = []
-    try:
+    with _recording_opens() as opened:
         run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")))
-        opened = [p for p in _OPENED if p.startswith(images + os.sep)]
-    finally:
-        _OPENED = None
+    opened = [p for p in opened if p.startswith(images + os.sep)]
     assert opened and all(p.endswith(".seg") for p in opened)  # the record log, never an image
 
 
@@ -802,3 +822,214 @@ def test_report_shows_the_first_configured_seed(tmp_path, fixture_dataset):
     assert header == ["mechanism", "acc", "ma-f1"]
     assert [row[1] for row in rows] == [f"{h['accuracy'] * 100:.2f}" for h in headline]
     assert [row[2].rstrip("*") for row in rows] == [f"{h['macro_f1'] * 100:.2f}" for h in headline]
+
+
+# --- split batches shared within a run ------------------------------------------
+
+
+@pytest.fixture
+def pack_loads(monkeypatch):
+    """Records what each ``_load_packs`` call returns and how many batches
+    ``PackBatch.from_packs`` builds."""
+    loads, built = [], []
+    load_packs = orchestrator._load_packs
+    from_packs = PackBatch.from_packs.__func__
+
+    def recording_load_packs(*args):
+        loads.append(load_packs(*args))
+        return loads[-1]
+
+    def counting_from_packs(cls, packs, dtype=np.float64):
+        built.append(len(packs))
+        return from_packs(cls, packs, dtype)
+
+    monkeypatch.setattr(orchestrator, "_load_packs", recording_load_packs)
+    monkeypatch.setattr(PackBatch, "from_packs", classmethod(counting_from_packs))
+    return SimpleNamespace(loads=loads, built=built)
+
+
+def _split_outputs(run_dir: Path) -> dict[str, bytes]:
+    """What training and evaluation write, by path under the run dir."""
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes()
+        for pattern in ("eval/*", "train_s*/history.jsonl")
+        for p in sorted(run_dir.glob(pattern))
+    }
+
+
+def test_one_run_builds_each_split_batch_once_and_shares_it(tmp_path, fixture_dataset, pack_loads):
+    config = _base_config(tmp_path, fixture_dataset, seeds=[0, 1])
+    run_experiment(config)
+    assert len(pack_loads.built) == 3  # train, validation, test: once each
+    training, evaluation = pack_loads.loads
+    assert evaluation is training
+    for packs in training.values():
+        for array in (packs.labels, *vars(packs.batch).values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+def test_a_run_resumed_after_training_rebuilds_the_batches_and_writes_the_same(
+        tmp_path, fixture_dataset, pack_loads):
+    whole = _base_config(tmp_path, fixture_dataset, out_name="whole", seeds=[0, 1])
+    run_experiment(whole)
+    resumed = dataclasses.replace(whole, output_dir=str(tmp_path / "resumed"))
+    run_experiment(resumed, until_stage="training")
+    run_experiment(resumed)
+    assert len(pack_loads.built) == 9  # three builds: the whole run, then each call of the resumed one
+    assert pack_loads.loads[2] is not pack_loads.loads[1]
+    whole_out = _split_outputs(Path(whole.output_dir))
+    assert len(whole_out) == 6  # two seeds: history, eval report, predictions
+    assert _split_outputs(Path(resumed.output_dir)) == whole_out
+
+
+def test_features_rewritten_after_training_are_read_again_by_evaluation(
+        tmp_path, fixture_dataset, pack_loads, monkeypatch):
+    config = _base_config(tmp_path, fixture_dataset)
+    features_path = Path(config.output_dir) / "features.jsonl"
+    train = orchestrator._STAGE_FUNCS["training"]
+
+    def train_then_rewrite(*args):
+        artifacts = train(*args)
+        rows = list(read_jsonl(features_path))
+        write_jsonl(features_path, reversed(rows))  # same rows, new order
+        return artifacts
+
+    monkeypatch.setitem(orchestrator._STAGE_FUNCS, "training", train_then_rewrite)
+    run_experiment(config)
+    training, evaluation = pack_loads.loads
+    assert evaluation is not training and len(pack_loads.built) == 6
+    assert evaluation["test"].ids == training["test"].ids[::-1]
+
+
+def _pooled(image, text):
+    return SimpleNamespace(batch=SimpleNamespace(image_pooled=image, text_pooled=text))
+
+
+@pytest.mark.parametrize("dim", [1, 8, 16, 33, 512])
+def test_clip_pairs_equal_the_row_by_row_scores_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    image = rng.standard_normal((300, dim)).astype(np.float32)
+    text = rng.standard_normal((300, dim)).astype(np.float32)
+    cosines, scores = orchestrator._clip_pairs(_pooled(image, text))
+    assert cosines == [cosine_similarity(i, t) for i, t in zip(image, text)]
+    assert scores == [clip_score(i, t) for i, t in zip(image, text)]
+    assert all(type(v) is float for v in cosines + scores)
+
+
+def test_clip_pairs_edge_cases_match_the_row_by_row_scores():
+    rng = np.random.default_rng(0)
+    image = rng.standard_normal((4, 8)).astype(np.float32)
+    text = rng.standard_normal((4, 8)).astype(np.float32)
+    assert orchestrator._clip_pairs(_pooled(image, text[:, :5])) == ([], [])  # mismatched dims
+
+    zero_image = image.copy()
+    zero_image[2] = 0.0
+    assert orchestrator._clip_pairs(_pooled(zero_image, text)) == ([], [])
+
+    zero_text = text.copy()
+    zero_text[1] = 0.0
+    with pytest.raises(ZeroVectorError):
+        cosine_similarity(image[1], zero_text[1])
+    with pytest.raises(ZeroVectorError):
+        orchestrator._clip_pairs(_pooled(image, zero_text))
+    with pytest.raises(ZeroVectorError):  # the zero text row comes first
+        orchestrator._clip_pairs(_pooled(zero_image, zero_text))
+    zero_image[0] = 0.0  # now the zero image row comes first
+    assert orchestrator._clip_pairs(_pooled(zero_image, zero_text)) == ([], [])
+
+
+# --- the images stage -------------------------------------------------------------
+
+
+def test_a_warm_images_stage_serves_every_hit_in_the_calling_thread(
+        tmp_path, fixture_dataset, monkeypatch):
+    config = _base_config(tmp_path, fixture_dataset)
+    threads = []
+    generate_image = orchestrator.generate_image
+
+    def recording_generate_image(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return generate_image(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "generate_image", recording_generate_image)
+    run_experiment(config, until_stage="images")
+    assert len(threads) == 48 and threading.get_ident() not in threads  # misses: the pool
+
+    threads.clear()
+    warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
+    run_experiment(warm, until_stage="images")
+    assert threads == [threading.get_ident()] * 48
+    cold_rows = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))
+    assert list(read_jsonl(Path(warm.output_dir) / "images.jsonl")) == cold_rows
+
+
+def test_an_image_deleted_after_the_stage_finds_it_is_generated_again(
+        tmp_path, fixture_dataset, monkeypatch):
+    config = _base_config(tmp_path, fixture_dataset)
+    registry = ProviderRegistry()
+    run_experiment(config, registry, until_stage="images")
+    backend = registry.backends["flux-schnell"]
+    calls = backend.calls
+    deleted = []
+    has = ImageStore.has
+
+    def has_then_lose_the_payload(store, key):
+        found = has(store, key)
+        if found and not deleted:
+            store.path_for(key).unlink()  # another process cleans the cache right here
+            deleted.append(key)
+        return found
+
+    monkeypatch.setattr(ImageStore, "has", has_then_lose_the_payload)
+    warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
+    run_experiment(warm, registry, until_stage="images")
+    assert backend.calls == calls + 1
+    [row] = [r for r in read_jsonl(Path(warm.output_dir) / "images.jsonl") if r["prompt_key"] == deleted[0]]
+    assert hashlib.sha256(Path(row["image_ref"]).read_bytes()).hexdigest() == row["content_hash"]
+    [ledger_line] = read_jsonl(Path(warm.output_dir) / "ledger.jsonl")
+    assert ledger_line["prompt_key"] == deleted[0]
+
+
+def _ledger_handles(run_dir) -> list[str]:
+    ledger = os.path.realpath(Path(run_dir) / "ledger.jsonl")
+    return [p for p in _open_files() if p == ledger]
+
+
+def test_the_images_stage_opens_its_ledger_once_and_closes_it(tmp_path, fixture_dataset):
+    config = _base_config(tmp_path, fixture_dataset)
+    ledger = os.path.realpath(Path(config.output_dir) / "ledger.jsonl")
+    with _recording_opens() as opened:
+        run_experiment(config, until_stage="images")
+    assert opened.count(ledger) == 1 and not _ledger_handles(config.output_dir)
+    lines = list(read_jsonl(Path(ledger)))
+    images = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))
+    assert sorted(line["content_hash"] for line in lines) == sorted(r["content_hash"] for r in images)
+
+
+class _FailingBackend:
+    """Generates ``good`` images, then fails for good."""
+
+    backend_id = "flux-schnell"
+
+    def __init__(self, good):
+        self.good = good
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, positive, negative, params):
+        with self._lock:
+            self.calls += 1
+            if self.calls > self.good:
+                raise GenerationError("backend is gone")
+        return stub_generate(PromptPair(positive, negative), params)
+
+
+def test_a_failed_images_stage_closes_its_ledger(tmp_path, fixture_dataset):
+    config = _base_config(tmp_path, fixture_dataset)
+    registry = ProviderRegistry(backends={"flux-schnell": _FailingBackend(good=5)})
+    with pytest.raises(GenerationError, match="backend is gone"):
+        run_experiment(config, registry)
+    assert RunManifest.load(Path(config.output_dir)).stages["images"].status == "failed"
+    assert not _ledger_handles(config.output_dir)
+    assert len(list(read_jsonl(Path(config.output_dir) / "ledger.jsonl"))) == 5
