@@ -17,16 +17,14 @@ from typing import Any
 
 import yaml
 
+from .axes import GENERATIVE_METHODS, METHODS
 from .corpus import DATASET_FORMATS
-from .evaluation import METHODS
 from .fusion import FusionConfig, MECHANISMS
 from .generation import _PRESETS as GENERATION_PRESETS
 from .generation import COST_MODES, GenerationParams, preset_params
 from .prompting import STRATEGIES
 from .storage import stable_key
 from .training import TRAIN_PRESETS, TrainConfig
-
-GENERATIVE_METHODS = ("gen_image", "gen_image_fast")
 
 
 class ConfigError(ValueError):

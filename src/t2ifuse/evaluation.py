@@ -10,10 +10,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .axes import AXIS_ORDERS, LAYOUT_AXES
 from .corpus import LabelSpace
-from .fusion import MECHANISMS
-from .generation import _PRESETS as GENERATION_PRESETS
-from .prompting import STRATEGIES
 
 
 class EvaluationError(ValueError):
@@ -226,30 +224,6 @@ def clip_score_stats(scored: Iterable) -> tuple[float, float]:
 
 # --- report rendering -------------------------------------------------------
 
-LAYOUT_AXES = {
-    "main_table": ("method", "dataset"),
-    "t2i_prompt_table": ("backend", "strategy"),
-    "fusion_table": ("mechanism",),
-}
-
-# The experiment methods, in the order the main table lists them.
-METHODS = (
-    "text_only",
-    "textual_expansion",
-    "knowledge_retrieval",
-    "gen_image",
-    "gen_image_fast",
-    "oracle_image",
-)
-
-_AXIS_ORDERS = {
-    "method": METHODS,
-    "backend": tuple(dict.fromkeys(p[0] for p in GENERATION_PRESETS.values())) + ("stub",),
-    "strategy": STRATEGIES,
-    "mechanism": MECHANISMS,
-}
-
-
 def table_layout(axis_names: Sequence[str], keys: Iterable[Sequence[str]]) -> tuple[str, tuple[str, ...]]:
     """The layout for the cells ``keys`` (values in ``axis_names`` order), and
     the axis order its cell keys use.
@@ -263,14 +237,14 @@ def table_layout(axis_names: Sequence[str], keys: Iterable[Sequence[str]]) -> tu
     if math.prod(len({key[i] for key in cells}) for i in range(len(names))) == len(cells):
         if "mechanism" in names and len(names) <= 2:
             return "fusion_table", ("mechanism", *(a for a in axis_names if a != "mechanism"))
-        for layout in ("t2i_prompt_table", "main_table"):
-            if names == set(LAYOUT_AXES[layout]):
-                return layout, LAYOUT_AXES[layout]
+        for layout, axes in LAYOUT_AXES.items():
+            if names == set(axes):
+                return layout, axes
     return "axis_table", tuple(axis_names)
 
 
 def _axis_sort_key(axis: str, value: str):
-    known = _AXIS_ORDERS.get(axis, ())
+    known = AXIS_ORDERS.get(axis, ())
     if value in known:
         return (0, known.index(value), value)
     # Numeric axis values (steps, learning rates) sort numerically.

@@ -202,12 +202,13 @@ class GeneratedImageRecord:
             raise ValueError("latency and cost must be non-negative")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # every field is a scalar, so a shallow copy equals dataclasses.asdict
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratedImageRecord":
         """Build from any mapping holding the fields; other keys are ignored."""
-        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
+        return cls(**{name: data[name] for name in _RECORD_FIELDS})
 
     def ledger_line(self) -> dict:
         return {
@@ -219,6 +220,9 @@ class GeneratedImageRecord:
             "content_hash": self.content_hash,
             "timestamp": self.created_at,
         }
+
+
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(GeneratedImageRecord))
 
 
 def prompt_key(positive: str, negative: str, params: GenerationParams) -> str:
@@ -332,6 +336,7 @@ def generate_image(
     retries: int = TRANSIENT_RETRIES,
     backoff_s: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
+    key: str | None = None,
 ) -> GeneratedImageRecord:
     """Generate (or fetch) the image for a prompt.
 
@@ -341,11 +346,14 @@ def generate_image(
     and stored atomically, and a ledger entry is appended. The record returned
     is the one stored: another thread's, when it stored the same key first. ``cost_mode`` selects
     between backend-reported cost ("measured", 0 when not reported) and the
-    cost model's per-image estimate ("estimated").
+    cost model's per-image estimate ("estimated"). ``key`` is the request's
+    :func:`prompt_key`, for a caller that already computed it; it is
+    computed here when not given.
     """
     if cost_mode not in COST_MODES:
         raise ValueError(f"unknown cost mode {cost_mode!r}")
-    key = prompt_key(prompt.positive, prompt.negative, params)
+    if key is None:
+        key = prompt_key(prompt.positive, prompt.negative, params)
     try:
         return GeneratedImageRecord.from_dict(store.get_meta(key))
     except CacheError:

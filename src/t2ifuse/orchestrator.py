@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .config import GENERATIVE_METHODS, SWEEP_AXES, ExperimentConfig
+from .axes import GENERATIVE_METHODS
+from .config import SWEEP_AXES, ExperimentConfig
 from .corpus import (
     LabelSpace,
     TextSample,
@@ -438,24 +439,28 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
     ledger = GenerationLedger(run_dir / "ledger.jsonl")
     params = config.generation_params()
 
-    def run_one(spec: PromptSpec) -> GeneratedImageRecord:
+    def run_one(request: tuple[PromptSpec, str]) -> GeneratedImageRecord:
+        spec, key = request
         return generate_image(
             spec, params, backend, store,
             ledger=ledger,
             cost_mode=config.cost_mode,
             retries=config.generation.retries,
+            key=key,
         )
 
-    # Hits are served in this thread; only misses pay for the pool.
+    # Each row's key is computed once. Hits are served in this thread; only
+    # misses pay for the pool.
     results: dict[str, GeneratedImageRecord] = {}
-    misses: dict[str, PromptSpec] = {}
+    misses: dict[str, tuple[PromptSpec, str]] = {}
     try:
         for row in rows:
             spec = PromptSpec.from_dict(row["prompt"])
-            if store.has(prompt_key(spec.positive, spec.negative, params)):
-                results[row["sample_id"]] = run_one(spec)
+            key = prompt_key(spec.positive, spec.negative, params)
+            if store.has(key):
+                results[row["sample_id"]] = run_one((spec, key))
             else:
-                misses[row["sample_id"]] = spec
+                misses[row["sample_id"]] = (spec, key)
         workers = max(1, config.generation.concurrency)
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             results.update(zip(misses, pool.map(run_one, misses.values())))

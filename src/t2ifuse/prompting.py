@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .corpus import TextSample, truncate_text
+from .storage import stable_key
 
 logger = logging.getLogger(__name__)
 
@@ -364,8 +365,6 @@ class CachedChatClient:
         self.cache = cache  # storage.ArtifactCache
 
     def complete(self, system: str, user: str) -> str:
-        from .storage import stable_key
-
         key = stable_key({"client": self.client_id, "system": system, "user": user})
         if self.cache.has(key):
             return self.cache.get(key).decode("utf-8")

@@ -40,7 +40,8 @@ def stable_key(obj: Any) -> str:
     return sha256_hex(canonical_json(obj).encode("utf-8"))
 
 
-def atomic_write_bytes(path: Path, data: bytes, *, mtime_ns: int | None = None) -> os.stat_result:
+def atomic_write_bytes(path: str | Path, data: bytes, *,
+                       mtime_ns: int | None = None) -> os.stat_result:
     """Write via a temp file in the same directory + rename, so readers never
     observe partial content. The temp name is unique per process and thread,
     so concurrent writers of one path never share a temp file. ``mtime_ns``,
@@ -317,13 +318,19 @@ class ArtifactCache:
         self.root = Path(root)
         self.suffix = suffix
         self._logs = SegmentLogs(self.root)
+        # str(self.root / x), spelled as a string join: "." joins as nothing
+        self._prefix = "" if str(self.root) == "." else os.path.join(str(self.root), "")
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}{self.suffix}"
+        return Path(self._payload_path(key))
+
+    def _payload_path(self, key: str) -> str:
+        """``str(path_for(key))``, without building a ``Path`` on every lookup."""
+        return f"{self._prefix}{key[:2]}/{key}{self.suffix}"
 
     def _meta_record(self, key: str) -> bytes | None:
         """The meta JSON of the record that matches the payload file as it is now."""
-        path = self.path_for(key)
+        path = self._payload_path(key)
         try:
             stamp = _stamp(os.stat(path))
         except FileNotFoundError:
@@ -332,7 +339,8 @@ class ArtifactCache:
         record = log.find(key, lambda payload: payload.startswith(stamp))
         if record is None:
             try:
-                digest = hashlib.sha256(path.read_bytes()).digest()
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).digest()
             except FileNotFoundError:
                 return None
             record = log.find(key, lambda payload: payload[_STAMP.size:_META_AT] == digest)
@@ -343,7 +351,8 @@ class ArtifactCache:
 
     def get(self, key: str) -> bytes:
         try:
-            return self.path_for(key).read_bytes()
+            with open(self._payload_path(key), "rb") as fh:
+                return fh.read()
         except FileNotFoundError:
             raise CacheError(f"cache miss for key {key}") from None
 
@@ -363,7 +372,7 @@ class ArtifactCache:
                 return json.loads(record)
             # an mtime to the nanosecond: a payload that reuses the inode of a
             # deleted one still gets a stamp of its own
-            written = atomic_write_bytes(self.path_for(key), data, mtime_ns=time.time_ns())
+            written = atomic_write_bytes(self._payload_path(key), data, mtime_ns=time.time_ns())
             digest = hashlib.sha256(data).digest()
             log.append(key, _stamp(written) + digest + canonical_json(meta).encode("utf-8"))
             return meta

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -455,3 +457,35 @@ def test_record_round_trip_and_validation():
     assert GeneratedImageRecord.from_dict(record.to_dict()) == record
     with pytest.raises(ValueError):
         _record("sdxl", cost=-1.0)
+
+
+def test_record_to_dict_equals_asdict_and_from_dict_ignores_other_keys(open_store):
+    record = generate_image(_spec(), preset_params("flux-schnell", seed=1),
+                            StubImageBackend("flux-schnell"), open_store())
+    as_dict = record.to_dict()
+    assert as_dict == dataclasses.asdict(record)
+    assert list(as_dict) == [f.name for f in dataclasses.fields(record)]
+    assert GeneratedImageRecord.from_dict(as_dict) == record
+    assert GeneratedImageRecord.from_dict({"sample_id": "s1", **as_dict}) == record
+
+
+@pytest.mark.parametrize("root", ["absolute", "relative", "trailing slash", "current dir"])
+def test_path_for_is_the_root_joined_with_the_key_shard_and_suffix(tmp_path, monkeypatch, root):
+    monkeypatch.chdir(tmp_path)
+    given = {
+        "absolute": tmp_path / "images",
+        "relative": "cache/images",
+        "trailing slash": f"{tmp_path}/images/",
+        "current dir": ".",
+    }[root]
+    backend = StubImageBackend("flux-schnell")
+    store = ImageStore(given)
+    try:
+        record = generate_image(_spec(), preset_params("flux-schnell", seed=1), backend, store)
+        key = record.prompt_key
+        expected = str(Path(given) / key[:2] / f"{key}.bin")
+        assert str(store.path_for(key)) == expected == record.image_ref
+        assert Path(expected).read_bytes() == store.get(key)
+        assert store.has(key) and store.get_meta(key) == record.to_dict()
+    finally:
+        store.close()

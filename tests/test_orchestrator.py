@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -16,7 +17,7 @@ import yaml
 from t2ifuse.cli import main as cli_main
 from t2ifuse.config import parse_config, parse_config_data
 from t2ifuse.corpus import TextSample
-from t2ifuse import orchestrator
+from t2ifuse import generation, orchestrator
 from t2ifuse.embedding import (
     HashProjectionProvider,
     ImageContentError,
@@ -989,6 +990,34 @@ def test_an_image_deleted_after_the_stage_finds_it_is_generated_again(
     assert hashlib.sha256(Path(row["image_ref"]).read_bytes()).hexdigest() == row["content_hash"]
     [ledger_line] = read_jsonl(Path(warm.output_dir) / "ledger.jsonl")
     assert ledger_line["prompt_key"] == deleted[0]
+
+
+def test_the_images_stage_keys_each_row_once_and_looks_up_a_warm_hit_once(
+        tmp_path, fixture_dataset, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def count_then_call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count_then_call
+
+    key = counted("prompt_key", generation.prompt_key)
+    monkeypatch.setattr(generation, "prompt_key", key)
+    monkeypatch.setattr(orchestrator, "prompt_key", key)
+    monkeypatch.setattr(ImageStore, "has", counted("has", ImageStore.has))
+    monkeypatch.setattr(ImageStore, "get_meta", counted("get_meta", ImageStore.get_meta))
+    config = _base_config(tmp_path, fixture_dataset)
+    run_experiment(config, until_stage="images")
+    cold = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))
+    rows = len(cold)
+    assert rows > 0 and calls["prompt_key"] == rows
+
+    calls.clear()
+    warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
+    run_experiment(warm, until_stage="images")
+    assert calls == {"prompt_key": rows, "has": rows, "get_meta": rows}
+    assert list(read_jsonl(Path(warm.output_dir) / "images.jsonl")) == cold
 
 
 def _ledger_handles(run_dir) -> list[str]:
