@@ -6,10 +6,13 @@ directory and a transactionally updated manifest. Re-running skips stages
 whose artifacts still hash-verify, and the content-addressed caches make any
 repeated generation/embedding work free (and remote-call free).
 
-Training and evaluation read each split as one padded feature batch. A
-``run_experiment`` call builds those batches once, from ``features.jsonl``
-and the embedding cache, and both stages share them; a later call (a resume,
-or a single stage from the CLI) builds them again from the same artifacts.
+Within one ``run_experiment`` call the stages hand on in memory what they
+wrote, keyed by artifact name and the sha256 of the artifact's bytes: the
+rows of ``prompts.jsonl`` and ``images.jsonl``, and the features of each
+sample, which training and evaluation stack into one shared batch per
+split. A reader hashes the file and parses it (or reads the embedding
+cache) only on a miss: in a resume, a single stage from the CLI, or after
+the file was rewritten. Each is released after its last reader.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import logging
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from . import __version__
 from .axes import GENERATIVE_METHODS
 from .config import SWEEP_AXES, ExperimentConfig
 from .corpus import (
+    SPLIT_NAMES,
     LabelSpace,
     TextSample,
     apply_split_assignments,
@@ -79,7 +83,7 @@ from .prompting import (
     elaborate_text,
     extract_keywords,
 )
-from .storage import ArtifactCache, atomic_write_text, read_jsonl, sha256_hex, write_jsonl
+from .storage import ArtifactCache, atomic_write_text, iter_jsonl, read_jsonl, sha256_hex, write_jsonl
 from .training import LabeledPacks, evaluate_split, train_loop
 from .tensorcore import load_checkpoint
 
@@ -105,6 +109,7 @@ class KeywordOverlapRetriever:
     Stands in for live encyclopedia lookups: documents are a record-per-line
     file with ``text`` (and optional ``id``/``title``) fields; the best match
     is the document sharing the most query words, ties going to file order.
+    Each document's word set is built once, when the corpus is loaded.
     """
 
     def __init__(self, corpus_path: str | Path):
@@ -113,13 +118,13 @@ class KeywordOverlapRetriever:
             self.documents.append(str(record["text"]))
         if not self.documents:
             raise OrchestrationError(f"empty retrieval corpus: {corpus_path}")
+        self._words = [frozenset(w.strip(".,;:!?").lower() for w in doc.split()) for doc in self.documents]
 
     def retrieve(self, keywords: Sequence[str]) -> str | None:
         terms = {w.lower() for phrase in keywords for w in phrase.split()}
         best_score = 0
         best_doc = None
-        for doc in self.documents:
-            words = {w.strip(".,;:!?").lower() for w in doc.split()}
+        for doc, words in zip(self.documents, self._words):
             score = len(terms & words)
             if score > best_score:
                 best_score = score
@@ -331,8 +336,11 @@ class RunManifest:
         if status.status != "done":
             return False
         for rel, digest in status.artifacts.items():
-            path = run_dir / rel
-            if not path.exists() or sha256_hex(path.read_bytes()) != digest:
+            try:
+                data = (run_dir / rel).read_bytes()
+            except OSError:  # removed, or not a file: the stage runs again
+                return False
+            if sha256_hex(data) != digest:
                 return False
         return True
 
@@ -350,6 +358,39 @@ class RunManifest:
 
 
 # --- stage implementations -----------------------------------------------
+
+
+class _ArtifactMemo(dict):
+    """What the stages of one ``run_experiment`` call hand to each other:
+    artifact name -> (key, value), the key being the sha256 of the bytes the
+    value stands for, and the value what a reader would build from them."""
+
+    def recall(self, name: str, key, build: Callable, *, last: bool = False):
+        """The value kept under ``name`` for ``key``, else ``build()``; it stays
+        kept for the next reader, unless this one is the ``last``."""
+        entry = self.pop(name, None) if last else self.get(name)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        value = build()
+        if not last:
+            self[name] = (key, value)
+        return value
+
+    def close(self) -> None:
+        self.clear()
+
+
+def _read_rows(caches: dict, path: Path, *, last: bool = False) -> list[dict]:
+    """The rows of a JSONL artifact: those its writer kept in this call while
+    the file holds the bytes they were written as, else parsed from it."""
+    data = path.read_bytes()
+    return caches["artifacts"].recall(path.name, sha256_hex(data), lambda: list(iter_jsonl(data)),
+                                      last=last)
+
+
+def _write_rows(caches: dict, path: Path, rows: list[dict]) -> None:
+    """Write a JSONL artifact and keep its rows for the stages after this one."""
+    caches["artifacts"][path.name] = (sha256_hex(write_jsonl(path, rows)), rows)
 
 
 def _descriptor(config: ExperimentConfig) -> dict:
@@ -407,7 +448,7 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
 
     caches["chat"].sync()  # every response prompts.jsonl rests on is durable before the stage is done
     prompts_path = run_dir / "prompts.jsonl"
-    write_jsonl(prompts_path, records)
+    _write_rows(caches, prompts_path, records)
     labels_path = run_dir / "labels.json"
     atomic_write_text(labels_path, json.dumps({"class_names": list(label_space.class_names)}, sort_keys=True))
     summary_path = run_dir / "prompts_summary.json"
@@ -431,9 +472,9 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
                   caches: dict) -> list[Path]:
     images_path = run_dir / "images.jsonl"
     if config.method not in GENERATIVE_METHODS:
-        write_jsonl(images_path, [])
+        _write_rows(caches, images_path, [])
         return [images_path]
-    rows = [r for r in read_jsonl(run_dir / "prompts.jsonl") if r["prompt"]]
+    rows = [r for r in _read_rows(caches, run_dir / "prompts.jsonl") if r["prompt"]]
     backend = registry.resolve_backend(config)
     store: ImageStore = caches["images"]
     ledger = GenerationLedger(run_dir / "ledger.jsonl")
@@ -468,149 +509,144 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
         ledger.close()
 
     store.sync()  # every record images.jsonl names is durable before the stage is done
-    write_jsonl(
-        images_path,
-        (
-            {"sample_id": sid, **results[sid].to_dict()}
-            for sid in sorted(results)
-        ),
-    )
+    image_rows = [{"sample_id": sid, **results[sid].to_dict()} for sid in sorted(results)]
+    _write_rows(caches, images_path, image_rows)
     return [images_path]
 
 
 _DIM_PROBE_IMAGE = b"image feature width probe"
 
 
+class _SplitFeatures:
+    """Each split's sample ids, feature packs and labels, in ``features.jsonl``
+    order. The first :meth:`batches` call stacks each split into one padded,
+    read-only float32 batch (the cache's dtype) and drops the packs; later
+    calls return the same batches."""
+
+    def __init__(self):
+        self._splits = {name: ([], [], []) for name in SPLIT_NAMES}
+        self._batches: dict[str, LabeledPacks] | None = None
+
+    def add(self, row: dict, pack: FeaturePack) -> None:
+        ids, packs, labels = self._splits[row["split"]]
+        ids.append(row["sample_id"])
+        packs.append(pack)
+        labels.append(int(row["label"]))
+
+    def batches(self, label_space: LabelSpace) -> dict[str, LabeledPacks]:
+        if self._batches is None:
+            batches = {}
+            for name, (ids, packs, labels) in self._splits.items():
+                batch = PackBatch.from_packs(packs, np.float32)
+                labels = np.asarray(labels, dtype=np.int64)
+                for array in (labels, *vars(batch).values()):
+                    array.flags.writeable = False
+                batches[name] = LabeledPacks(ids=ids, batch=batch, labels=labels, label_space=label_space)
+            self._batches, self._splits = batches, None
+        return self._batches
+
+
+def _stand_in_image(entry: dict, sample_id: str, oracles: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The features of an ``oracle`` or ``zero`` image entry of
+    ``features.jsonl``; ``oracles`` keeps each oracle file read, by path."""
+    if entry["kind"] == "oracle":
+        if entry["path"] not in oracles:
+            oracles[entry["path"]] = OracleFeatureProvider(entry["path"])
+        return oracles[entry["path"]].features_for(sample_id)
+    dim = int(entry["dim"])
+    return np.zeros(dim, dtype=np.float32), np.zeros((1, dim), dtype=np.float32)
+
+
 def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
                       caches: dict) -> list[Path]:
-    rows = list(read_jsonl(run_dir / "prompts.jsonl"))
-    images = {r["sample_id"]: r for r in read_jsonl(run_dir / "images.jsonl")}
+    rows = _read_rows(caches, run_dir / "prompts.jsonl", last=True)
+    images = {r["sample_id"]: r for r in _read_rows(caches, run_dir / "images.jsonl")}
     text_provider = registry.resolve_text_provider(config)
     emb_cache: EmbeddingCache = caches["embeddings"]
     image_provider = None
     if config.method in GENERATIVE_METHODS:
         image_provider = registry.resolve_image_provider(config)
     zero_dim = None
+    oracles: dict = {}
+    features = _SplitFeatures()
 
-    records = []
-    for row in sorted(rows, key=lambda r: r["sample_id"]):
-        pooled, _ = embed_text(row["effective_text"], text_provider, emb_cache)
-        text_key = sha256_hex(row["effective_text"].encode("utf-8"))
-        if row["image_source"] == "generate":
-            image_row = images[row["sample_id"]]
-            embed_image(image_row["image_ref"], image_provider, emb_cache,
-                        content_hash=image_row["content_hash"])
-            image_entry = {
-                "kind": "cached",
-                "provider": image_provider.provider_id,
-                "key": image_row["content_hash"],
-                "image_ref": image_row["image_ref"],
-            }
-        elif row["image_source"] == "oracle":
-            image_entry = {
-                "kind": "oracle",
-                "path": config.providers.oracle_features,
-            }
-        else:
-            if zero_dim is None:
-                image_provider = registry.resolve_image_provider(config)
-                zero_dim = image_provider.dim
-                if zero_dim is None:
-                    # A remote encoder learns its dim from its first response;
-                    # the probe goes through the cache, so a warm run calls nothing.
-                    zero_dim = embed_image(_DIM_PROBE_IMAGE, image_provider, emb_cache)[0].dim
-            image_entry = {"kind": "zero", "dim": zero_dim}
-        records.append(
-            {
+    def records():
+        # made as write_jsonl takes them, so they are never all held at once
+        nonlocal image_provider, zero_dim
+        for row in sorted(rows, key=lambda r: r["sample_id"]):
+            text_pooled, text_tokens = embed_text(row["effective_text"], text_provider, emb_cache)
+            text_key = sha256_hex(row["effective_text"].encode("utf-8"))
+            if row["image_source"] == "generate":
+                image_row = images[row["sample_id"]]
+                image_pooled, image_tokens = embed_image(image_row["image_ref"], image_provider, emb_cache,
+                                                         content_hash=image_row["content_hash"])
+                image_pooled = image_pooled.values
+                image_entry = {
+                    "kind": "cached",
+                    "provider": image_provider.provider_id,
+                    "key": image_row["content_hash"],
+                    "image_ref": image_row["image_ref"],
+                }
+            else:
+                if row["image_source"] == "oracle":
+                    image_entry = {"kind": "oracle", "path": config.providers.oracle_features}
+                else:
+                    if zero_dim is None:
+                        image_provider = registry.resolve_image_provider(config)
+                        zero_dim = image_provider.dim
+                        if zero_dim is None:
+                            # A remote encoder learns its dim from its first response;
+                            # the probe goes through the cache, so a warm run calls nothing.
+                            zero_dim = embed_image(_DIM_PROBE_IMAGE, image_provider, emb_cache)[0].dim
+                    image_entry = {"kind": "zero", "dim": zero_dim}
+                image_pooled, image_tokens = _stand_in_image(image_entry, row["sample_id"], oracles)
+            features.add(row, FeaturePack(text_tokens, image_tokens, text_pooled.values, image_pooled))
+            yield {
                 "sample_id": row["sample_id"],
                 "split": row["split"],
                 "label": row["label"],
                 "text_provider": text_provider.provider_id,
                 "text_key": text_key,
-                "text_dim": pooled.dim,
+                "text_dim": text_pooled.dim,
                 "image": image_entry,
             }
-        )
-    emb_cache.sync()  # every entry features.jsonl names is durable before the stage is done
+        emb_cache.sync()  # every entry features.jsonl names is durable before it is written
+
     features_path = run_dir / "features.jsonl"
-    write_jsonl(features_path, records)
+    data = write_jsonl(features_path, records())
+    labels = (run_dir / "labels.json").read_bytes()
+    caches["artifacts"][features_path.name] = ((sha256_hex(data), sha256_hex(labels)), features)
     return [features_path]
-
-
-class _PackMemo(dict):
-    """The split batches built during one ``run_experiment`` call, keyed by
-    the sha256 of the ``features.jsonl`` and ``labels.json`` bytes they were
-    built from; it holds at most one entry."""
-
-    def close(self) -> None:
-        self.clear()
 
 
 def _load_packs(config: ExperimentConfig, run_dir: Path, caches: dict,
                 label_space: LabelSpace) -> dict[str, LabeledPacks]:
-    """Each split's padded feature batch, in float32 (the cache's dtype).
-
-    The first call in a ``run_experiment`` call builds the batches purely
-    from artifacts and caches; a later call in the same ``run_experiment``
-    call (evaluation, after training) gets the same objects back while
-    ``features.jsonl`` and ``labels.json`` hold the bytes they were built
-    from. A stage started by a fresh call (a resume, ``t2ifuse eval``)
-    builds them again. The batch arrays are read-only, so no head can write
-    into what a later stage reads.
-    """
+    """Each split's read-only padded feature batch, stacked once per
+    ``run_experiment`` call and shared by training and evaluation: from the
+    features the embeddings stage kept, while ``features.jsonl`` and
+    ``labels.json`` hold the bytes they were kept for, else (a resume,
+    ``t2ifuse eval``, a rewritten file) from those files and the cache."""
     features = (run_dir / "features.jsonl").read_bytes()
     key = (sha256_hex(features), sha256_hex((run_dir / "labels.json").read_bytes()))
-    memo: _PackMemo = caches["packs"]
-    if key not in memo:
-        memo.clear()
-        memo[key] = _build_packs(features, caches["embeddings"], label_space)
-    return memo[key]
+    kept = caches["artifacts"].recall("features.jsonl", key,
+                                      lambda: _read_features(features, caches["embeddings"]))
+    return kept.batches(label_space)
 
 
-def _build_packs(features: bytes, emb_cache: EmbeddingCache,
-                 label_space: LabelSpace) -> dict[str, LabeledPacks]:
-    oracle: OracleFeatureProvider | None = None
-    split_data: dict[str, dict[str, list]] = {
-        name: {"ids": [], "packs": [], "labels": []} for name in ("train", "validation", "test")
-    }
-    for line in features.decode("utf-8").splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        hit = emb_cache.get(row["text_provider"], row["text_key"])
-        if hit is None:
-            raise OrchestrationError(
-                f"embedding cache lost entry for sample {row['sample_id']!r}"
-            )
-        text_pooled, text_tokens = hit
+def _read_features(features: bytes, emb_cache: EmbeddingCache) -> _SplitFeatures:
+    split_features = _SplitFeatures()
+    oracles: dict = {}
+    for row in iter_jsonl(features):
+        text = emb_cache.get(row["text_provider"], row["text_key"])
         image_entry = row["image"]
         if image_entry["kind"] == "cached":
-            image_hit = emb_cache.get(image_entry["provider"], image_entry["key"])
-            if image_hit is None:
-                raise OrchestrationError(
-                    f"embedding cache lost image entry for {row['sample_id']!r}"
-                )
-            image_pooled, image_tokens = image_hit
-        elif image_entry["kind"] == "oracle":
-            if oracle is None:
-                oracle = OracleFeatureProvider(image_entry["path"])
-            image_pooled, image_tokens = oracle.features_for(row["sample_id"])
+            image = emb_cache.get(image_entry["provider"], image_entry["key"])
         else:
-            dim = int(image_entry["dim"])
-            image_pooled = np.zeros(dim, dtype=np.float32)
-            image_tokens = np.zeros((1, dim), dtype=np.float32)
-        bucket = split_data[row["split"]]
-        bucket["ids"].append(row["sample_id"])
-        bucket["packs"].append(FeaturePack(text_tokens, image_tokens, text_pooled, image_pooled))
-        bucket["labels"].append(int(row["label"]))
-    splits = {}
-    for name, data in split_data.items():
-        batch = PackBatch.from_packs(data["packs"], np.float32)
-        labels = np.asarray(data["labels"], dtype=np.int64)
-        for array in (labels, *vars(batch).values()):
-            array.flags.writeable = False
-        splits[name] = LabeledPacks(ids=data["ids"], batch=batch, labels=labels, label_space=label_space)
-    return splits
+            image = _stand_in_image(image_entry, row["sample_id"], oracles)
+        if text is None or image is None:
+            raise OrchestrationError(f"embedding cache lost an entry of sample {row['sample_id']!r}")
+        split_features.add(row, FeaturePack(text[1], image[1], text[0], image[0]))
+    return split_features
 
 
 def _load_label_space(run_dir: Path) -> LabelSpace:
@@ -684,15 +720,13 @@ def _clip_pairs(packs: LabeledPacks) -> tuple[list[float], list[float]]:
     return cosines, [CLIP_SCORE_WEIGHT * max(c, 0.0) for c in cosines]
 
 
-def _cost_summary(config: ExperimentConfig, run_dir: Path) -> dict | None:
-    image_rows = list(read_jsonl(run_dir / "images.jsonl"))
+def _cost_summary(config: ExperimentConfig, image_rows: list[dict]) -> dict | None:
     if not image_rows:
         return None
-    records = [GeneratedImageRecord.from_dict(r) for r in image_rows]
     try:
-        totals = ledger_totals(records, mode=config.cost_mode)
+        totals = ledger_totals(image_rows, mode=config.cost_mode)
     except UnknownBackendError as exc:
-        totals = ledger_totals(records, mode="measured")
+        totals = ledger_totals(image_rows, mode="measured")
         note = f"estimate unavailable ({exc}); measured totals reported"
         mode = "measured"
     else:
@@ -701,8 +735,8 @@ def _cost_summary(config: ExperimentConfig, run_dir: Path) -> dict | None:
     return {
         "mode": mode,
         "note": note,
-        "images": len(records),
-        "unique_images": len({r.content_hash for r in records}),
+        "images": len(image_rows),
+        "unique_images": len({r["content_hash"] for r in image_rows}),
         "total_cost_usd": str(totals.total_cost_usd),
         "total_latency_s": str(totals.total_latency_s),
         "per_backend": {
@@ -724,7 +758,7 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
     eval_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     per_seed_metrics = []
-    cost = _cost_summary(config, run_dir)
+    cost = _cost_summary(config, _read_rows(caches, run_dir / "images.jsonl", last=True))
     cosines, scores = _clip_pairs(packs["test"])  # the same for every seed
     headline_report: EvalReport | None = None
     for seed in config.seeds:
@@ -827,7 +861,7 @@ def _build_caches(config: ExperimentConfig) -> dict:
         "images": ImageStore(cache_root / "images"),
         "embeddings": EmbeddingCache(cache_root / "emb"),
         "chat": ArtifactCache(cache_root / "chat", suffix=".txt"),
-        "packs": _PackMemo(),
+        "artifacts": _ArtifactMemo(),
     }
 
 

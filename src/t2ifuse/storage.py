@@ -12,6 +12,7 @@ the log, stamped with the identity of that file.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import struct
@@ -68,9 +69,11 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
-def write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    lines = "".join(canonical_json(r) + "\n" for r in records)
-    atomic_write_text(Path(path), lines)
+def write_jsonl(path: Path, records: Iterable[dict]) -> bytes:
+    """Write ``records`` one canonical JSON line each; returns the bytes written."""
+    data = "".join(canonical_json(r) + "\n" for r in records).encode("utf-8")
+    atomic_write_bytes(Path(path), data)
+    return data
 
 
 def append_jsonl(path: Path, record: dict) -> None:
@@ -80,12 +83,22 @@ def append_jsonl(path: Path, record: dict) -> None:
         fh.write(canonical_json(record) + "\n")
 
 
+def _records(lines: Iterable[str]) -> Iterator[dict]:
+    for line in lines:
+        line = line.strip()
+        if line:
+            yield json.loads(line)
+
+
 def read_jsonl(path: Path) -> Iterator[dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        yield from _records(fh)
+
+
+def iter_jsonl(data: bytes) -> Iterator[dict]:
+    """The records of JSONL bytes, split into lines as :func:`read_jsonl`
+    splits a file that holds them."""
+    return _records(io.StringIO(data.decode("utf-8"), newline=None))
 
 
 # --- segment log -------------------------------------------------------------

@@ -8,8 +8,10 @@ import os
 import numpy as np
 import pytest
 
+from t2ifuse import orchestrator
 from t2ifuse.corpus import TextSample
 from t2ifuse.embedding import EmbeddingCache, FeaturePack
+from t2ifuse.storage import read_jsonl
 
 
 COFFEE_REVIEW = (
@@ -75,6 +77,40 @@ def no_segment_left_open():
     yield
     leaked = _open_segments() - before
     assert not leaked, f"segment files left open: {sorted(leaked)}"
+
+
+def _assert_same(kept, parsed, where: str) -> None:
+    """``kept == parsed``, with the same type at every level."""
+    assert type(kept) is type(parsed), f"{where}: {type(kept).__name__} is not {type(parsed).__name__}"
+    if isinstance(kept, dict):
+        assert kept.keys() == parsed.keys(), where
+        for key in kept:
+            _assert_same(kept[key], parsed[key], f"{where}[{key!r}]")
+    elif isinstance(kept, list):
+        assert len(kept) == len(parsed), where
+        for i, (a, b) in enumerate(zip(kept, parsed)):
+            _assert_same(a, b, f"{where}[{i}]")
+    else:
+        assert kept == parsed, where
+
+
+@pytest.fixture(autouse=True)
+def memo_hits_match_the_file(monkeypatch):
+    """Whenever a stage takes an artifact's rows from the run's memo instead
+    of parsing the file, parse the file too and require the same rows, of
+    the same types: lists where the file has arrays, and no row that an
+    earlier reader changed. (The features a run keeps are checked against a
+    fresh read in ``test_orchestrator.py``.)"""
+    read_rows = orchestrator._read_rows
+
+    def read_rows_and_check_a_hit(caches, path, **kwargs):
+        entry = caches["artifacts"].get(path.name)
+        rows = read_rows(caches, path, **kwargs)
+        if entry is not None and entry[1] is rows:
+            _assert_same(rows, list(read_jsonl(path)), path.name)
+        return rows
+
+    monkeypatch.setattr(orchestrator, "_read_rows", read_rows_and_check_a_hit)
 
 
 @pytest.fixture

@@ -121,6 +121,38 @@ def test_retriever_exhaustive_match_over_three_docs(tmp_path):
     assert miss.effective_text == "quantum flux capacitor"
 
 
+def _rescan_retrieve(documents, keywords):
+    """The reference loop: every document split and stripped again on each query."""
+    terms = {w.lower() for phrase in keywords for w in phrase.split()}
+    best_score, best_doc = 0, None
+    for doc in documents:
+        score = len(terms & {w.strip(".,;:!?").lower() for w in doc.split()})
+        if score > best_score:
+            best_score, best_doc = score, doc
+    return best_doc
+
+
+def test_the_retriever_picks_what_rescanning_every_document_picks(tmp_path):
+    documents = [
+        "Kettles boil water, fast!",
+        "A kettle; a KETTLE: water?",
+        "Water boils. Kettles whistle.",
+        "Nothing relevant here",
+        "kettle water",
+        "(kettle) water...",
+    ]
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [{"text": d} for d in documents])
+    retriever = KeywordOverlapRetriever(path)
+    queries = [["kettle"], ["water"], ["Kettles", "water"], ["water boil"], ["quantum"], [],
+               ["KETTLE water", "whistle"], ["(kettle)"], ["relevant here nothing"]]
+    for keywords in queries:
+        assert retriever.retrieve(keywords) == _rescan_retrieve(documents, keywords), keywords
+    assert retriever.retrieve(["water"]) == documents[0]  # a tie goes to file order
+    assert retriever.retrieve(["kettle", "water"]) == documents[1]
+    assert retriever.retrieve(["quantum"]) is None  # no overlap
+
+
 # --- staged pipeline ----------------------------------------------------------
 
 def _base_config(tmp_path, fix, out_name="run", **overrides):
@@ -351,6 +383,37 @@ def test_a_tampered_image_fails_the_embeddings_stage(tmp_path, fixture_dataset):
         run_experiment(config)
     embeddings = RunManifest.load(Path(config.output_dir)).stages["embeddings"]
     assert embeddings.status == "failed" and embeddings.reason.startswith("ImageContentError: ")
+
+
+def test_an_artifact_gone_when_the_manifest_checks_it_reruns_its_stage(
+        tmp_path, fixture_dataset, monkeypatch):
+    config = _base_config(tmp_path, fixture_dataset, method="text_only")
+    run_experiment(config)
+    run_dir = Path(config.output_dir)
+    ran = []
+    for stage, fn in orchestrator._STAGE_FUNCS.items():
+        def recording(*args, _stage=stage, _fn=fn):
+            ran.append(_stage)
+            return _fn(*args)
+        monkeypatch.setitem(orchestrator._STAGE_FUNCS, stage, recording)
+    gone = run_dir / "features.jsonl"
+    read_bytes = Path.read_bytes
+    raised = []
+
+    def removed_on_first_read(path):
+        if path == gone and not raised:
+            raised.append(path)  # another process removes it, then puts it back
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", removed_on_first_read)
+    manifest, report = run_experiment(config)
+    assert raised and ran == ["embeddings"]
+    assert manifest.stages["embeddings"].status == "done" and report is not None
+
+    (run_dir / "prompts_summary.json").unlink()
+    (run_dir / "prompts_summary.json").mkdir()  # a directory where an artifact was
+    assert RunManifest.load(run_dir).stage_verified("prompts", run_dir) is False
 
 
 def test_run_rejects_mismatched_config_hash(tmp_path, fixture_dataset):
@@ -597,7 +660,7 @@ def test_text_only_run_with_remote_encoders_of_undeclared_dim(tmp_path, fixture_
             provider.session = _EncoderSession()
             sessions.append(provider.session)
         _, report = run_experiment(config, registry)
-        features = [json.loads(line) for line in (Path(config.output_dir) / "features.jsonl").open()]
+        features = list(read_jsonl(Path(config.output_dir) / "features.jsonl"))
         if sessions[1].requests:
             assert sessions[1].kinds == {"image"}  # the probe uses the image encoder's own method
         return report, features, sum(s.requests for s in sessions)
@@ -634,7 +697,7 @@ def test_text_only_run_with_a_registered_image_only_encoder(tmp_path, fixture_da
     )
     _, report = run_experiment(config, registry)
     assert report is not None
-    features = [json.loads(line) for line in (Path(config.output_dir) / "features.jsonl").open()]
+    features = list(read_jsonl(Path(config.output_dir) / "features.jsonl"))
     assert {f["image"]["dim"] for f in features} == {8}
     assert encoder.calls == 0  # a declared dim needs no probe
 
@@ -901,6 +964,58 @@ def test_features_rewritten_after_training_are_read_again_by_evaluation(
     training, evaluation = pack_loads.loads
     assert evaluation is not training and len(pack_loads.built) == 6
     assert evaluation["test"].ids == training["test"].ids[::-1]
+
+
+def _same_batches(kept: dict, fresh: dict) -> None:
+    assert kept.keys() == fresh.keys()
+    for name in kept:
+        a, b = kept[name], fresh[name]
+        assert a.ids == b.ids and a.label_space == b.label_space
+        for x, y in ((a.labels, b.labels), *zip(vars(a.batch).values(), vars(b.batch).values())):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("method", ["gen_image", "oracle_image", "text_only"])
+def test_the_batches_a_run_hands_on_equal_a_fresh_read_of_its_artifacts(
+        tmp_path, fixture_dataset, pack_loads, method):
+    config = _base_config(tmp_path, fixture_dataset, method=method)
+    run_experiment(config)
+    run_dir = Path(config.output_dir)
+    cache = orchestrator.EmbeddingCache(Path(config.resolved_cache_dir()) / "emb")
+    try:
+        fresh = orchestrator._read_features((run_dir / "features.jsonl").read_bytes(), cache)
+        _same_batches(pack_loads.loads[0], fresh.batches(orchestrator._load_label_space(run_dir)))
+    finally:
+        cache.close()
+
+
+@pytest.mark.parametrize("method, lookups_per_sample", [("gen_image", 2), ("oracle_image", 1)])
+def test_a_warm_run_parses_no_run_artifact_and_reads_each_embedding_once(
+        tmp_path, fixture_dataset, monkeypatch, method, lookups_per_sample):
+    config = _base_config(tmp_path, fixture_dataset, method=method)
+    run_experiment(config)
+    samples = len(list(read_jsonl(Path(config.output_dir) / "features.jsonl")))
+    warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
+    read, parsed, lookups = [], [], []
+
+    def recording_read_jsonl(path):
+        read.append(os.path.realpath(path))
+        return read_jsonl(path)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("t2ifuse") and getattr(module, "read_jsonl", None) is read_jsonl:
+            monkeypatch.setattr(module, "read_jsonl", recording_read_jsonl)
+    iter_jsonl = orchestrator.iter_jsonl
+    monkeypatch.setattr(orchestrator, "iter_jsonl", lambda data: parsed.append(data) or iter_jsonl(data))
+    get = orchestrator.EmbeddingCache.get
+    monkeypatch.setattr(orchestrator.EmbeddingCache, "get",
+                        lambda cache, *key: lookups.append(key) or get(cache, *key))
+    _, report = run_experiment(warm)
+    run_dir = os.path.realpath(warm.output_dir)
+    assert report is not None and samples > 0
+    assert not [p for p in read if p.startswith(run_dir + os.sep)]
+    assert parsed == []
+    assert len(lookups) == lookups_per_sample * samples
 
 
 def _pooled(image, text):
