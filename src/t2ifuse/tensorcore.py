@@ -14,6 +14,11 @@ maps (B, L, d) plus a (B, L) mask to (B, d). A mask is True at real positions
 and False at padding; padded positions get exactly zero weight and exactly
 zero gradient. Parameters, bias and gain/shift vectors are 2-D (1 x d for the
 vectors).
+
+``ParamStore`` keeps a head's parameters, gradients and optimizer moments in
+a flat arena: one contiguous buffer each, with every named parameter and
+gradient a reshaped view into it. The ops above read and accumulate through
+the views; the optimizer and ``zero_grads`` work on the whole buffers at once.
 """
 
 from __future__ import annotations
@@ -46,7 +51,21 @@ def _check_ndim(name: str, x: np.ndarray, ndim: int = 2) -> np.ndarray:
 
 
 class ParamStore:
-    """Named 2-D parameters with same-shape gradient buffers and optimizer slots.
+    """Named 2-D parameters held in one flat arena.
+
+    Four contiguous 1-D buffers of the store's dtype hold every parameter,
+    its gradient and its two AdamW moments: ``flat_params``, ``flat_grads``,
+    ``flat_m`` and ``flat_v``. Names are laid out in the order they were
+    added. ``params[name]`` and ``grads[name]`` are reshaped views into the
+    first two buffers, so an in-place write through a view reaches the
+    arena, and a whole-store operation (an optimizer step, ``zero_grads``,
+    ``snapshot``) is one vectorized pass. Callers must never rebind a view:
+    write into it with ``[...] =`` or an in-place operator.
+
+    ``add`` re-packs the existing values into new, larger buffers and
+    rebinds every view, so an array obtained before a later ``add`` no
+    longer aliases the store. Heads add all their parameters up front and
+    hold no views across an ``add``.
 
     Initialization is seeded: weight matrices are uniform(-s, s) with
     s = sqrt(6 / (fan_in + fan_out)); "zeros"/"ones" cover biases and
@@ -59,7 +78,10 @@ class ParamStore:
         self._rng = np.random.default_rng(self.seed)
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self._slots: dict[str, dict[str, np.ndarray]] = {}
+        self.flat_params = np.zeros(0, dtype=self.dtype)
+        self.flat_grads = np.zeros(0, dtype=self.dtype)
+        self.flat_m = np.zeros(0, dtype=self.dtype)
+        self.flat_v = np.zeros(0, dtype=self.dtype)
 
     def add(self, name: str, rows: int, cols: int, init: str = "uniform_fan") -> np.ndarray:
         if name in self.params:
@@ -75,13 +97,33 @@ class ParamStore:
             value = np.ones((rows, cols))
         else:
             raise ValueError(f"unknown init {init!r}")
-        self.params[name] = value.astype(self.dtype)
-        self.grads[name] = np.zeros((rows, cols), dtype=self.dtype)
+        shapes = self._shapes() + [(name, (rows, cols))]
+        used = self.flat_params.size
+        buffers = []
+        for old in (self.flat_params, self.flat_grads, self.flat_m, self.flat_v):
+            buf = np.zeros(used + rows * cols, dtype=self.dtype)
+            buf[:used] = old
+            buffers.append(buf)
+        self.flat_params, self.flat_grads, self.flat_m, self.flat_v = buffers
+        self.flat_params[used:] = value.astype(self.dtype).reshape(-1)
+        self._bind(self.params, self.flat_params, shapes)
+        self._bind(self.grads, self.flat_grads, shapes)
         return self.params[name]
 
+    def _shapes(self) -> list[tuple[str, tuple[int, int]]]:
+        return [(name, p.shape) for name, p in self.params.items()]
+
+    @staticmethod
+    def _bind(views: dict[str, np.ndarray], flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+        """Point ``views[name]`` at its span of ``flat``, in ``shapes`` order."""
+        offset = 0
+        for name, (rows, cols) in shapes:
+            views[name] = flat[offset : offset + rows * cols].reshape(rows, cols)
+            offset += rows * cols
+        return views
+
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.flat_grads.fill(0.0)
 
     def accumulate(self, name: str, grad: np.ndarray) -> None:
         buf = self.grads[name]
@@ -92,29 +134,29 @@ class ParamStore:
             )
         buf += grad
 
-    def slot(self, name: str, slot_name: str) -> np.ndarray:
-        """Optimizer state buffer (zeros on first access), e.g. AdamW moments."""
-        if name not in self.params:
-            raise KeyError(f"unknown parameter {name!r}")
-        per_param = self._slots.setdefault(name, {})
-        if slot_name not in per_param:
-            per_param[slot_name] = np.zeros_like(self.params[name])
-        return per_param[slot_name]
-
     @property
     def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.flat_params.size
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.copy() for name, p in self.params.items()}
+        """A copy of every parameter: one copy of the arena, returned as
+        per-name views into it."""
+        return self._bind({}, self.flat_params.copy(), self._shapes())
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
+        """Overwrite every parameter from ``snapshot``, which must hold
+        exactly the store's names with matching shapes. Nothing is written
+        unless the whole snapshot checks out."""
         for name, value in snapshot.items():
             if name not in self.params:
                 raise KeyError(f"snapshot parameter {name!r} not in store")
-            if value.shape != self.params[name].shape:
+            if np.shape(value) != self.params[name].shape:
                 raise ShapeError(f"snapshot shape mismatch for {name!r}")
-            self.params[name][...] = value
+        for name in self.params:
+            if name not in snapshot:
+                raise KeyError(f"snapshot lacks parameter {name!r}")
+        for name, view in self.params.items():
+            view[...] = snapshot[name]
 
 
 # --- checkpoint container -----------------------------------------------
@@ -146,24 +188,35 @@ def save_checkpoint(store: ParamStore, path: str | Path) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Read an ``NTC1`` container. A container that ends before its last
+    tensor does, or holds bytes after it, raises ``ValueError`` naming
+    ``path``."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a parameter container")
     offset = 4
-    (count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+
+    def take(n_bytes: int) -> int:
+        nonlocal offset
+        if offset + n_bytes > len(data):
+            raise ValueError(
+                f"{path}: truncated parameter container ({len(data)} bytes, "
+                f"needs at least {offset + n_bytes})"
+            )
+        offset += n_bytes
+        return offset - n_bytes
+
+    (count,) = struct.unpack_from("<I", data, take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        rows, cols = struct.unpack_from("<II", data, offset)
-        offset += 8
-        n_bytes = rows * cols * 4
-        values = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=offset)
-        offset += n_bytes
+        (name_len,) = struct.unpack_from("<H", data, take(2))
+        at = take(name_len)
+        name = data[at : at + name_len].decode("utf-8")
+        rows, cols = struct.unpack_from("<II", data, take(8))
+        values = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=take(rows * cols * 4))
         tensors[name] = values.reshape(rows, cols).copy()
+    if offset != len(data):
+        raise ValueError(f"{path}: {len(data) - offset} trailing bytes after the last tensor")
     return tensors
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -36,10 +37,17 @@ class TrainConfig:
     grad_clip_norm: float | None = None  # off by default
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("learning_rate, batch_size, max_epochs must be positive")
-        if self.weight_decay < 0 or self.eps <= 0:
-            raise ValueError("weight_decay must be >= 0 and eps > 0")
+        for name in ("learning_rate", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        clip = self.grad_clip_norm
+        if clip is not None and not (math.isfinite(clip) and clip > 0):
+            raise ValueError(f"grad_clip_norm must be finite and > 0, or null, got {clip}")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("batch_size and max_epochs must be positive")
         if not (0 < self.patience <= self.max_epochs):
             raise ValueError("patience must be in [1, max_epochs]")
         if not (0 < self.betas[0] < 1 and 0 < self.betas[1] < 1):
@@ -123,38 +131,50 @@ def adamw_step(store: ParamStore, config: TrainConfig, step_index: int) -> None:
 
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2; with bias-corrected m^, v^:
     theta <- theta - lr * (m^ / (sqrt(v^) + eps) + wd * theta).
+
+    The update runs once over the store's flat arena (``flat_params``,
+    ``flat_grads``, ``flat_m``, ``flat_v``) rather than once per parameter.
+    Every op is elementwise, so each element sees the same float operations
+    in the same order as a per-parameter loop, and the result is identical
+    to the bit. A non-finite gradient anywhere raises ``NanGradientError``
+    naming the first parameter that holds one, before anything is updated.
     """
     if step_index < 1:
         raise ValueError("step_index starts at 1")
+    g = store.flat_grads
+    if not np.isfinite(g).all():
+        name = next(n for n, grad in store.grads.items() if not np.isfinite(grad).all())
+        raise NanGradientError(f"non-finite gradient in parameter {name!r}")
     b1, b2 = config.betas
     bc1 = 1.0 - b1**step_index
     bc2 = 1.0 - b2**step_index
-    for name, theta in store.params.items():
-        g = store.grads[name]
-        if not np.isfinite(g).all():
-            raise NanGradientError(f"non-finite gradient in parameter {name!r}")
-        m = store.slot(name, "m")
-        v = store.slot(name, "v")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        theta -= config.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * theta
-        )
+    m, v, theta = store.flat_m, store.flat_v, store.flat_params
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    m_hat = m / bc1
+    v_hat = v / bc2
+    theta -= config.learning_rate * (
+        m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * theta
+    )
 
 
-def _clip_gradients(store: ParamStore, max_norm: float) -> None:
+def _clip_gradients(store: ParamStore, max_norm: float) -> float:
+    """Scale the gradients so their global L2 norm is at most ``max_norm``;
+    returns the norm before clipping.
+
+    The squared norm is summed in float64 one parameter at a time, in store
+    order. One sum over the flat buffer would group the terms differently
+    and can move the norm, and so the history, in the last bit.
+    """
     total = 0.0
     for g in store.grads.values():
         total += float((g.astype(np.float64) ** 2).sum())
     norm = total**0.5
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in store.grads.values():
-            g *= scale
+        store.flat_grads *= max_norm / norm
+    return norm
 
 
 def _train_batch(head: FusionHead, data: LabeledPacks, indices: np.ndarray) -> float:

@@ -224,6 +224,18 @@ def test_int_for_float_field_is_kept_and_hashes_as_before(tmp_path):
     assert config.training.grad_clip_norm == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grad_clip_norm", -1.0), ("grad_clip_norm", 0.0), ("grad_clip_norm", float("nan")),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+])
+def test_training_numbers_out_of_range_are_rejected_by_name(tmp_path, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(_minimal(tmp_path, training={key: value}))
+    [problem] = err.value.problems
+    assert problem.startswith(f"{key} must be finite"), problem
+
+
 def test_example_config_keeps_its_hash():
     """Type checks add no conversion, so the shipped example hashes as it
     always has (paths left relative, so the hash does not depend on where the

@@ -472,6 +472,94 @@ def test_param_store_duplicate_and_shape_errors():
         store.accumulate("w", np.zeros((3, 3)))
 
 
+def test_param_store_keeps_every_array_in_one_flat_arena():
+    store = ParamStore(seed=3)
+    store.add("w", 3, 4)
+    store.add("b", 1, 4, init="zeros")
+    w_before = store.params["w"].copy()
+    store.grads["w"][...] = 2.0
+    store.flat_m[:] = 1.0
+    store.flat_v[:] = 3.0
+    store.add("gain", 1, 4, init="ones")  # re-packs into larger buffers
+
+    assert np.array_equal(store.params["w"], w_before)
+    assert np.array_equal(store.grads["w"], np.full((3, 4), 2.0))
+    assert store.num_params == store.flat_params.size == 20
+    for buf, old in ((store.flat_m, 1.0), (store.flat_v, 3.0)):
+        assert np.array_equal(buf[:16], np.full(16, old)) and not buf[16:].any()
+    assert np.array_equal(
+        store.flat_params, np.concatenate([p.reshape(-1) for p in store.params.values()])
+    )
+    for name in store.params:
+        assert store.params[name].dtype == store.grads[name].dtype == np.float32
+        assert np.shares_memory(store.params[name], store.flat_params), name
+        assert np.shares_memory(store.grads[name], store.flat_grads), name
+
+    store.accumulate("gain", np.ones((1, 4)))
+    store.zero_grads()
+    for name, g in store.grads.items():
+        assert not g.any(), name
+
+    snap = store.snapshot()
+    assert list(snap) == list(store.params)
+    assert not np.shares_memory(snap["w"], store.flat_params)
+    store.params["w"][...] = 0.0
+    assert np.array_equal(snap["w"], w_before)
+
+
+def test_grad_check_probes_reach_the_flat_buffer():
+    """The loss reads only ``flat_params``, so the finite differences are
+    non-zero only if grad_check's in-place probes land in the arena."""
+    store = ParamStore(seed=7, dtype=np.float64)
+    store.add("a", 2, 3)
+    store.add("b", 1, 3)
+    weights = np.arange(1.0, 10.0)
+
+    def loss_fn():
+        flat = store.flat_params
+        grad = 2.0 * weights * flat
+        store.accumulate("a", grad[:6].reshape(2, 3))
+        store.accumulate("b", grad[6:].reshape(1, 3))
+        return float((weights * flat**2).sum())
+
+    report = grad_check(loss_fn, store, tolerance=1e-6)
+    assert report.passed, str(report)
+
+
+def test_restore_requires_exactly_the_store_names():
+    store = ParamStore(seed=4)
+    store.add("w", 2, 3)
+    store.add("b", 1, 3)
+    snap = store.snapshot()
+    before = store.flat_params.copy()
+    with pytest.raises(KeyError, match="'b'"):
+        store.restore({"w": snap["w"] + 1.0})
+    with pytest.raises(KeyError, match="'extra'"):
+        store.restore({**snap, "extra": np.zeros((1, 1))})
+    with pytest.raises(ShapeError, match="'w'"):
+        store.restore({"w": np.zeros((3, 2)), "b": snap["b"]})
+    assert np.array_equal(store.flat_params, before)  # nothing was written
+    store.params["w"][...] = 0.0
+    store.restore(snap)
+    assert np.array_equal(store.flat_params, before)
+
+
+def test_load_checkpoint_rejects_truncated_and_trailing_bytes(tmp_path):
+    store = ParamStore(seed=9)
+    store.add("layer.w", 3, 4)
+    store.add("layer.b", 1, 4, init="zeros")
+    data = save_checkpoint(store, tmp_path / "params.ntc").read_bytes()
+    bad = tmp_path / "bad.ntc"
+    # cut inside the tensor count, the first name, and the last tensor's values
+    for cut in (6, 12, len(data) - 1):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="bad.ntc: truncated"):
+            load_checkpoint(bad)
+    bad.write_bytes(data + b"\x00")
+    with pytest.raises(ValueError, match="bad.ntc: 1 trailing bytes"):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_round_trip(tmp_path):
     store = ParamStore(seed=9)
     store.add("layer.w", 3, 4)

@@ -11,6 +11,7 @@ from t2ifuse.training import (
     LabeledPacks,
     NanGradientError,
     TrainConfig,
+    _clip_gradients,
     adamw_step,
     evaluate_split,
     train_config_from_preset,
@@ -98,12 +99,104 @@ def test_adamw_wd_zero_equals_adam_reference():
 
 
 def test_adamw_rejects_nan_gradient():
-    store = _store_with(1.0)
-    store.grads["w"][0, 0] = np.nan
-    with pytest.raises(NanGradientError):
+    store = ParamStore(seed=0, dtype=np.float64)
+    store.add("w", 2, 2)
+    store.add("b", 1, 2, init="zeros")
+    store.grads["w"][...] = 0.5
+    store.grads["b"][0, 1] = np.nan
+    before = store.flat_params.copy()
+    with pytest.raises(NanGradientError, match="'b'"):
+        adamw_step(store, TrainConfig(), 1)
+    assert np.array_equal(store.flat_params, before)  # nothing was updated
+    store.grads["w"][1, 0] = np.inf
+    with pytest.raises(NanGradientError, match="'w'"):  # the first one in store order
         adamw_step(store, TrainConfig(), 1)
     with pytest.raises(ValueError):
         adamw_step(_store_with(1.0), TrainConfig(), 0)
+
+
+def _reference_adamw_step(params, grads, moments, config, step_index):
+    """The per-parameter AdamW loop that the flat arena replaced."""
+    b1, b2 = config.betas
+    bc1 = 1.0 - b1**step_index
+    bc2 = 1.0 - b2**step_index
+    for name, theta in params.items():
+        g = grads[name]
+        m, v = moments.setdefault(name, (np.zeros_like(theta), np.zeros_like(theta)))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        theta -= config.learning_rate * (
+            m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * theta
+        )
+
+
+@pytest.mark.parametrize("mechanism", ["concat", "cross_attention", "deep_prefix"])
+def test_flat_adamw_matches_the_per_parameter_loop_bit_for_bit(mechanism):
+    fusion = FusionConfig(mechanism=mechanism, model_dim=8, heads=2, num_classes=3, hidden_dim=16)
+    store = build_fusion_head(fusion, text_dim=6, image_dim=5, seed=3).params
+    assert store.dtype == np.float32
+    reference = {name: p.copy() for name, p in store.params.items()}
+    moments = {}
+    config = TrainConfig(learning_rate=2.5e-3, weight_decay=0.03)
+    rng = np.random.default_rng(17)
+    for step in range(1, 26):
+        grads = {
+            name: (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 2)).astype(np.float32)
+            for name, p in reference.items()
+        }
+        store.zero_grads()
+        for name, g in grads.items():
+            store.accumulate(name, g)
+        adamw_step(store, config, step)
+        _reference_adamw_step(reference, grads, moments, config, step)
+    for name, value in store.params.items():
+        assert value.dtype == np.float32
+        assert np.array_equal(value, reference[name]), name
+
+
+def _head_grads(seed, scale):
+    """A float32 cross-attention head's store (20 arrays) with random gradients."""
+    store = _xattn_head().params
+    rng = np.random.default_rng(seed)
+    for g in store.grads.values():
+        g[...] = rng.standard_normal(g.shape) * scale
+    return store
+
+
+def _per_array_norm(store):
+    total = 0.0
+    for g in store.grads.values():
+        total += float((g.astype(np.float64) ** 2).sum())
+    return total**0.5
+
+
+def test_clip_gradients_leaves_gradients_under_the_threshold_untouched():
+    store = _head_grads(0, 1e-3)
+    before = store.flat_grads.tobytes()
+    norm = _clip_gradients(store, 1.0)
+    assert 0.0 < norm < 1.0
+    assert store.flat_grads.tobytes() == before
+
+
+def test_clip_gradients_scales_the_global_norm_to_max_norm():
+    store = _head_grads(1, 10.0)
+    before = store.flat_grads.copy()
+    norm = _clip_gradients(store, 0.5)
+    assert norm > 0.5
+    assert _per_array_norm(store) == pytest.approx(0.5, rel=1e-6)
+    assert np.array_equal(store.flat_grads, before * (0.5 / norm))  # one scale for all
+
+
+def test_clip_gradients_sums_the_norm_per_parameter_in_store_order():
+    store = _head_grads(2, 3.0)
+    flat_norm = float((store.flat_grads.astype(np.float64) ** 2).sum()) ** 0.5
+    expected = _per_array_norm(store)
+    assert flat_norm != expected  # the data tells the two summation orders apart
+    assert _clip_gradients(store, 1.0) == expected
 
 
 def _toy_data(n_per_class=16, dim=6, seed=0, separation=3.0):
