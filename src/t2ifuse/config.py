@@ -1,7 +1,17 @@
 """Experiment configuration: YAML parsing, validation, presets, stable hashing.
 
-Config files are nested key-value YAML. Validation is strict (unknown keys
-are errors) and exhaustive: every problem is collected and reported at once.
+Config files are nested key-value YAML, parsed in one walk over the config
+dataclasses that reports every problem at once, each naming its field:
+
+- types by annotation: a key that is not a field is unknown, a value must fit
+  its field's type, a list for a tuple field becomes a tuple, and a field
+  without a default is required;
+- ``CHOICES``: a well-typed value of a field listed there must be one of its
+  values; ``training.preset`` merges a preset under the section's own keys;
+- section checks: each section is built on its own, and its range checks and
+  the generation preset/override combination report in their own words;
+- method requirements: a method or strategy may need a provider or a backend.
+
 The resolved config hashes identically regardless of key order in the file;
 any semantic change changes the hash.
 """
@@ -17,8 +27,9 @@ from typing import Any
 
 import yaml
 
-from .axes import GENERATIVE_METHODS, METHODS
-from .corpus import DATASET_FORMATS
+from .axes import AXES, GENERATIVE_METHODS, METHODS
+from .corpus import DATASET_FORMATS, split_fractions_problem
+from .evaluation import BOOTSTRAP_METRICS
 from .fusion import FusionConfig, MECHANISMS
 from .generation import _PRESETS as GENERATION_PRESETS
 from .generation import COST_MODES, GenerationParams, preset_params
@@ -33,6 +44,13 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in problems))
 
 
+def _reject(*problems: str | bool | None) -> None:
+    """Raise a :class:`ConfigError` of the ``problems`` that are messages, not ``False`` or ``None``."""
+    problems = [p for p in problems if p]
+    if problems:
+        raise ConfigError(problems)
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     path: str
@@ -40,6 +58,10 @@ class DatasetConfig:
     max_text_tokens: int = 256
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     split_seed: int = 13
+
+    def __post_init__(self):
+        _reject(self.max_text_tokens < 1 and f"max_text_tokens must be >= 1, got {self.max_text_tokens}",
+                split_fractions_problem(self.split_fractions, "split_fractions"))
 
 
 @dataclass(frozen=True)
@@ -66,7 +88,36 @@ class GenerationConfig:
     seed: int = 0
     endpoint: str | None = None
     concurrency: int = 2
-    retries: int = 3
+    retries: int = 3  # attempts in all
+
+    def __post_init__(self):
+        _reject(*(getattr(self, name) < 1 and f"{name} must be >= 1, got {getattr(self, name)}"
+                  for name in ("concurrency", "retries")))
+
+    def params(self, method: str) -> GenerationParams:
+        """Generation parameters from preset and/or explicit overrides.
+
+        ``backend`` is the logical backend id carried into cache keys, ledger
+        records, and cost estimates; whether a real endpoint or the offline
+        stub executes the request is the registry's concern.
+        """
+        preset = self.preset
+        if preset is None and self.backend in GENERATION_PRESETS:
+            preset = self.backend
+        if preset is not None:
+            base = dataclasses.asdict(preset_params(preset, seed=self.seed))
+        else:
+            base = dict(
+                steps=4, guidance_scale=0.0, width=512, height=512,
+                scheduler_id=None, seed=self.seed, provider_managed=False,
+            )
+        for name in ("steps", "guidance_scale", "width", "height", "scheduler_id"):
+            if getattr(self, name) is not None:
+                base[name] = getattr(self, name)
+        if method == "gen_image_fast":
+            base["steps"] = 1  # strict-latency variant: single inference step
+        base["backend_id"] = self.backend
+        return GenerationParams(**base)
 
 
 @dataclass(frozen=True)
@@ -74,6 +125,10 @@ class EvalConfig:
     bootstrap_resamples: int = 200
     bootstrap_seed: int = 0
     bootstrap_metric: str = "macro_f1"
+
+    def __post_init__(self):
+        _reject(self.bootstrap_resamples < 2
+                and f"bootstrap_resamples must be >= 2, got {self.bootstrap_resamples}")
 
 
 @dataclass(frozen=True)
@@ -99,36 +154,7 @@ class ExperimentConfig:
         return Path(self.cache_dir) if self.cache_dir else Path(self.output_dir) / "cache"
 
     def generation_params(self) -> GenerationParams:
-        """Generation parameters from preset and/or explicit overrides.
-
-        ``generation.backend`` is the logical backend id carried into cache
-        keys, ledger records, and cost estimates; whether a real endpoint or
-        the offline stub executes the request is the registry's concern.
-        """
-        gen = self.generation
-        preset = gen.preset
-        if preset is None and gen.backend in GENERATION_PRESETS:
-            preset = gen.backend
-        if preset is not None:
-            base = dataclasses.asdict(preset_params(preset, seed=gen.seed))
-        else:
-            base = dict(
-                steps=4, guidance_scale=0.0, width=512, height=512,
-                scheduler_id=None, seed=gen.seed, provider_managed=False,
-            )
-        for name, value in (
-            ("steps", gen.steps),
-            ("guidance_scale", gen.guidance_scale),
-            ("width", gen.width),
-            ("height", gen.height),
-            ("scheduler_id", gen.scheduler_id),
-        ):
-            if value is not None:
-                base[name] = value
-        if self.method == "gen_image_fast":
-            base["steps"] = 1  # strict-latency variant: single inference step
-        base["backend_id"] = gen.backend
-        return GenerationParams(**base)
+        return self.generation.params(self.method)
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -140,27 +166,17 @@ class ExperimentConfig:
         return stable_key(self.to_dict())
 
 
-def _with(config: ExperimentConfig, section: str | None, **changes) -> ExperimentConfig:
-    """``config`` with fields of ``section`` (``None``: the top level) replaced."""
-    if section:
-        changes = {section: dataclasses.replace(getattr(config, section), **changes)}
-    return dataclasses.replace(config, **changes)
-
-
-# Sweep axis -> (its value in a config, the config with the axis set to a
-# value). The manifest descriptor, sweep cells, the sweep.axes check and the
-# combined tables all read this table; its order is their column order.
-SWEEP_AXES = {
-    "mechanism": (lambda c: c.fusion.mechanism, lambda c, v: _with(c, "fusion", mechanism=str(v))),
-    "backend": (lambda c: c.generation.backend,
-                lambda c, v: _with(c, "generation", backend=str(v), preset=None)),
-    "strategy": (lambda c: c.strategy, lambda c, v: _with(c, None, strategy=str(v))),
-    "method": (lambda c: c.method, lambda c, v: _with(c, None, method=str(v))),
-    "dataset": (lambda c: Path(c.dataset.path).stem, lambda c, v: _with(c, "dataset", path=str(v))),
-    "steps": (lambda c: c.generation_params().steps,
-              lambda c, v: _with(c, "generation", steps=int(v))),
-    "learning_rate": (lambda c: c.training.learning_rate,
-                      lambda c, v: _with(c, "training", learning_rate=float(v))),
+# Field path -> its allowed values; a value is checked here once it has its
+# field's type. ``training.preset`` names a row of TRAIN_PRESETS.
+CHOICES = {
+    "method": METHODS,
+    "strategy": STRATEGIES,
+    "cost_mode": COST_MODES,
+    "dataset.format": DATASET_FORMATS,
+    "fusion.mechanism": MECHANISMS,
+    "generation.preset": sorted(GENERATION_PRESETS),
+    "training.preset": sorted(TRAIN_PRESETS),
+    "evaluation.bootstrap_metric": BOOTSTRAP_METRICS,
 }
 
 
@@ -178,62 +194,61 @@ def _matches(value, hint) -> bool:
     return isinstance(value, origin or hint)
 
 
-def _check_type(value, hint, path: str, problems: list[str]) -> bool:
-    if _matches(value, hint):
+def _check_choice(value, path: str, problems: list[str]) -> bool:
+    choices = CHOICES.get(path)
+    if choices is None or value is None or value in choices:
         return True
-    expected = hint.__name__ if isinstance(hint, type) and not typing.get_args(hint) else hint
-    problems.append(f"{path}: expected {expected}, got {type(value).__name__}")
+    problems.append(f"{path}: unknown {path.rpartition('.')[2]} {value!r}; have {choices}")
     return False
 
 
-def _parse_section(cls, data: dict, path: str, problems: list[str]) -> dict:
-    """The well-typed known keys of a section; every other key is a problem
-    and is left out, so later checks only ever see values of the right type."""
+def _lacks(data: Any, cls, key: str) -> bool:
+    """Whether ``data`` gives field ``key`` of ``cls`` no value: the key is
+    absent or its value empty. A value that fails its type check is already
+    reported, so it does not count as absent."""
+    if not isinstance(data, dict) or key not in data:
+        return True
+    return not data[key] and _matches(data[key], typing.get_type_hints(cls)[key])
+
+
+def _parse_section(cls, data: Any, path: str, problems: list[str], skip=()) -> tuple[dict, bool]:
+    """The well-typed, known, in-choice values ``data`` gives for ``cls``'s
+    fields, and whether ``cls`` can be built from them (no ill-typed value or
+    missing required field). Fields in ``skip`` have rules of their own. A
+    section field is parsed as one (absent or empty: all defaults) and built
+    when it can be, so its own range checks report too."""
     if not isinstance(data, dict):
         problems.append(f"{path}: expected a mapping, got {type(data).__name__}")
-        return {}
+        return {}, False
     hints = typing.get_type_hints(cls)
     out: dict[str, Any] = {}
+    buildable = True
     for key, value in data.items():
-        if key not in hints:
-            problems.append(f"{path}.{key}: unknown key")
-        elif _check_type(value, hints[key], f"{path}.{key}", problems):
-            out[key] = value
-    return out
-
-
-def _lacks(kwargs: dict, raw: Any, key: str) -> bool:
-    """Whether a required field is absent or empty. A value that failed its
-    type check is already reported, so it does not count as absent."""
-    return not kwargs.get(key) and (key in kwargs or not isinstance(raw, dict) or key not in raw)
-
-
-def _parse_fusion(data: dict, problems: list[str]) -> dict:
-    out = _parse_section(FusionConfig, data, "fusion", problems)
-    mech = out.get("mechanism")
-    if mech is not None and mech not in MECHANISMS:
-        problems.append(f"fusion.mechanism: unknown mechanism {mech!r}; have {MECHANISMS}")
-    return out
-
-
-def _parse_training(data: dict, problems: list[str]) -> dict:
-    if not isinstance(data, dict):
-        return _parse_section(TrainConfig, data, "training", problems)
-    data = dict(data)
-    preset = data.pop("preset", None)
-    out: dict[str, Any] = {}
-    if preset is not None:
-        if not isinstance(preset, str) or preset not in TRAIN_PRESETS:
-            problems.append(
-                f"training.preset: unknown preset {preset!r}; have {sorted(TRAIN_PRESETS)}"
-            )
-        else:
-            out.update(TRAIN_PRESETS[preset])
-    section = _parse_section(TrainConfig, data, "training", problems)
-    if "betas" in section:
-        section["betas"] = tuple(section["betas"])
-    out.update(section)
-    return out
+        where = f"{path}.{key}" if path else key
+        hint = None if key in skip else hints.get(key)
+        if hint is None:
+            problems.append(f"{where}: unknown key")
+        elif not dataclasses.is_dataclass(hint):  # a section is parsed below
+            if not _matches(value, hint):
+                expected = hint.__name__ if isinstance(hint, type) and not typing.get_args(hint) else hint
+                problems.append(f"{where}: expected {expected}, got {type(value).__name__}")
+                buildable = False
+            elif _check_choice(value, where, problems):
+                out[key] = tuple(value) if typing.get_origin(hint) is tuple else value
+    for f in dataclasses.fields(cls):
+        where, hint = f"{path}.{f.name}" if path else f.name, hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            section, section_buildable = _parse_section(hint, data.get(f.name) or {}, where, problems)
+            if section_buildable:
+                try:
+                    out[f.name] = hint(**section)
+                except ValueError as exc:  # a ConfigError carries several
+                    problems.extend(getattr(exc, "problems", [str(exc)]))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING \
+                and _lacks(data, cls, f.name):
+            problems.append(f"{where}: required")
+            buildable = False
+    return out, buildable
 
 
 def parse_config_data(data: dict, *, base_dir: Path | None = None) -> ExperimentConfig:
@@ -248,87 +263,15 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
         raise ConfigError(["config root must be a mapping"])
     data = dict(data)
 
-    known_top = {
-        "experiment_id", "dataset", "output_dir", "method", "strategy", "task_id",
-        "generation", "providers", "fusion", "training", "evaluation", "seeds",
-        "cache_dir", "offline", "cost_mode", "sweep",
-    }
-    for key in data:
-        if key not in known_top:
-            problems.append(f"{key}: unknown key")
-
-    experiment_id = data.get("experiment_id")
-    if not experiment_id or not isinstance(experiment_id, str):
-        problems.append("experiment_id: required string")
-    output_dir = data.get("output_dir")
-    if not output_dir or not isinstance(output_dir, str):
-        problems.append("output_dir: required string")
-
-    dataset_raw = data.get("dataset")
-    dataset_kwargs: dict[str, Any] = {}
-    if not isinstance(dataset_raw, dict) or "path" not in dataset_raw:
-        problems.append("dataset.path: required")
-    else:
-        dataset_kwargs = _parse_section(DatasetConfig, dataset_raw, "dataset", problems)
-        fmt = dataset_kwargs.get("format", "delimited_rows")
-        if fmt not in DATASET_FORMATS:
-            problems.append(f"dataset.format: unknown format {fmt!r}")
-        if "split_fractions" in dataset_kwargs:
-            dataset_kwargs["split_fractions"] = tuple(dataset_kwargs["split_fractions"])
-
-    method = data.get("method", "text_only")
-    if method not in METHODS:
-        problems.append(f"method: unknown method {method!r}; have {METHODS}")
-    strategy = data.get("strategy", "keyword")
-    if strategy not in STRATEGIES:
-        problems.append(f"strategy: unknown strategy {strategy!r}; have {STRATEGIES}")
-
-    providers_raw = data.get("providers", {}) or {}
-    providers_kwargs = _parse_section(ProvidersConfig, providers_raw, "providers", problems)
-    generation_raw = data.get("generation", {}) or {}
-    generation_kwargs = _parse_section(GenerationConfig, generation_raw, "generation", problems)
-    fusion_kwargs = _parse_fusion(data.get("fusion", {}) or {}, problems)
-    training_kwargs = _parse_training(data.get("training", {}) or {}, problems)
-    eval_kwargs = _parse_section(
-        EvalConfig, data.get("evaluation", {}) or {}, "evaluation", problems
-    )
-
-    preset = generation_kwargs.get("preset")
-    if preset is not None and preset not in GENERATION_PRESETS:
-        problems.append(
-            f"generation.preset: unknown preset {preset!r}; have {sorted(GENERATION_PRESETS)}"
-        )
-
-    seeds = data.get("seeds", [0, 1, 2])
+    seeds = data.pop("seeds", [0, 1, 2])
     if _matches(seeds, int):
         seeds = [seeds]
     if not isinstance(seeds, list) or not seeds or not all(_matches(s, int) for s in seeds):
         problems.append("seeds: must be a non-empty list of integers")
-        seeds = [0]
+    elif len(set(seeds)) < len(seeds):
+        problems.append(f"seeds: must not repeat a seed, got {seeds}")
 
-    cost_mode = data.get("cost_mode", "estimated")
-    if cost_mode not in COST_MODES:
-        problems.append(f"cost_mode: must be one of {COST_MODES}")
-    hints = typing.get_type_hints(ExperimentConfig)
-    for key in ("task_id", "cache_dir", "offline"):
-        if key in data:
-            _check_type(data[key], hints[key], key, problems)
-    offline = data.get("offline", True)
-
-    # method-dependent requirements
-    lacks_elaborator = _lacks(providers_kwargs, providers_raw, "elaborator")
-    if method == "textual_expansion" and lacks_elaborator:
-        problems.append("providers.elaborator: required for method textual_expansion")
-    if method == "knowledge_retrieval" and _lacks(providers_kwargs, providers_raw, "retrieval_corpus"):
-        problems.append("providers.retrieval_corpus: required for method knowledge_retrieval")
-    if method == "oracle_image" and _lacks(providers_kwargs, providers_raw, "oracle_features"):
-        problems.append("providers.oracle_features: required for method oracle_image")
-    if method in GENERATIVE_METHODS and _lacks(generation_kwargs, generation_raw, "backend"):
-        problems.append(f"generation.backend: required for method {method}")
-    if strategy == "elaborated" and method in GENERATIVE_METHODS and lacks_elaborator:
-        problems.append("providers.elaborator: required for strategy elaborated")
-
-    sweep_raw = data.get("sweep", {}) or {}
+    sweep_raw = data.pop("sweep", None) or {}
     sweep_axes: dict[str, tuple] = {}
     if sweep_raw:
         axes = sweep_raw.get("axes") if isinstance(sweep_raw, dict) else None
@@ -336,12 +279,42 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
             problems.append("sweep.axes: must be a non-empty mapping of axis -> values")
         else:
             for axis, values in axes.items():
-                if axis not in SWEEP_AXES:
-                    problems.append(f"sweep.axes.{axis}: unknown axis; have {tuple(SWEEP_AXES)}")
+                if axis not in AXES:
+                    problems.append(f"sweep.axes.{axis}: unknown axis; have {tuple(AXES)}")
                 elif not isinstance(values, list) or not values:
                     problems.append(f"sweep.axes.{axis}: must be a non-empty list")
                 else:
                     sweep_axes[axis] = tuple(values)
+
+    training = data.get("training")
+    if isinstance(training, dict) and "preset" in training:
+        training = dict(training)
+        preset = training.pop("preset")
+        if _check_choice(preset, "training.preset", problems):
+            training = {**TRAIN_PRESETS.get(preset, {}), **training}  # the section's own keys win
+        data["training"] = training
+
+    kwargs, _ = _parse_section(ExperimentConfig, data, "", problems, skip=("seeds", "sweep_axes"))
+    method, strategy = kwargs.get("method", "text_only"), kwargs.get("strategy", "keyword")
+    if "generation" in kwargs:
+        try:
+            kwargs["generation"].params(method)  # the preset/override combination
+        except ValueError as exc:
+            problems.append(str(exc))
+
+    # method-dependent requirements
+    providers, generation = data.get("providers") or {}, data.get("generation") or {}
+    lacks_elaborator = _lacks(providers, ProvidersConfig, "elaborator")
+    if method == "textual_expansion" and lacks_elaborator:
+        problems.append("providers.elaborator: required for method textual_expansion")
+    if method == "knowledge_retrieval" and _lacks(providers, ProvidersConfig, "retrieval_corpus"):
+        problems.append("providers.retrieval_corpus: required for method knowledge_retrieval")
+    if method == "oracle_image" and _lacks(providers, ProvidersConfig, "oracle_features"):
+        problems.append("providers.oracle_features: required for method oracle_image")
+    if method in GENERATIVE_METHODS and _lacks(generation, GenerationConfig, "backend"):
+        problems.append(f"generation.backend: required for method {method}")
+    if strategy == "elaborated" and method in GENERATIVE_METHODS and lacks_elaborator:
+        problems.append("providers.elaborator: required for strategy elaborated")
 
     if problems:
         raise ConfigError(problems)
@@ -350,36 +323,15 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
         def resolve(path: str) -> str:
             return path if Path(path).is_absolute() else str(base_dir / path)
 
-        dataset_kwargs["path"] = resolve(dataset_kwargs["path"])
-        for key in ("retrieval_corpus", "oracle_features"):
-            if providers_kwargs.get(key):
-                providers_kwargs[key] = resolve(providers_kwargs[key])
+        dataset, providers = kwargs["dataset"], kwargs["providers"]
+        kwargs["dataset"] = dataclasses.replace(dataset, path=resolve(dataset.path))
+        kwargs["providers"] = dataclasses.replace(providers, **{
+            key: resolve(getattr(providers, key))
+            for key in ("retrieval_corpus", "oracle_features") if getattr(providers, key)
+        })
         if "dataset" in sweep_axes:
             sweep_axes["dataset"] = tuple(resolve(str(v)) for v in sweep_axes["dataset"])
-
-    try:
-        config = ExperimentConfig(
-            experiment_id=experiment_id,
-            dataset=DatasetConfig(**dataset_kwargs),
-            output_dir=str(output_dir),
-            method=method,
-            strategy=strategy,
-            task_id=data.get("task_id", "sentiment"),
-            generation=GenerationConfig(**generation_kwargs),
-            providers=ProvidersConfig(**providers_kwargs),
-            fusion=FusionConfig(**fusion_kwargs),
-            training=TrainConfig(**training_kwargs),
-            evaluation=EvalConfig(**eval_kwargs),
-            seeds=tuple(seeds),
-            cache_dir=data.get("cache_dir"),
-            offline=offline,
-            cost_mode=cost_mode,
-            sweep_axes=sweep_axes,
-        )
-        config.generation_params()  # validates preset/override combination
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([str(exc)]) from exc
-    return config
+    return ExperimentConfig(**kwargs, seeds=tuple(seeds), sweep_axes=sweep_axes)
 
 
 def parse_config(path: str | Path, *, overrides: dict | None = None) -> ExperimentConfig:

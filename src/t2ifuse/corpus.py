@@ -137,6 +137,17 @@ def _largest_remainder(total: int, fractions: Sequence[float]) -> list[int]:
     return counts
 
 
+def split_fractions_problem(fractions: Sequence[float], name: str = "fractions") -> str | None:
+    """Why ``fractions``, named ``name``, are not (train, validation, test)
+    shares in [0, 1] that sum to 1; ``None`` when they are."""
+    if len(fractions) != len(SPLIT_NAMES):
+        return f"{name} must be (train, validation, test)"
+    if not all(0 <= f <= 1 for f in fractions):
+        return f"{name} must lie in [0, 1]"
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        return f"{name} must sum to 1, got {sum(fractions)!r}"
+
+
 def make_splits(
     samples: Sequence[TextSample],
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -148,12 +159,9 @@ def make_splits(
     within one sample of exact proportionality. Identical inputs and seed give
     an identical assignment.
     """
-    if len(fractions) != len(SPLIT_NAMES):
-        raise DatasetError("fractions must be (train, validation, test)")
-    if any(f < 0 or f > 1 for f in fractions):
-        raise DatasetError("fractions must lie in [0, 1]")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DatasetError(f"fractions must sum to 1, got {sum(fractions)!r}")
+    problem = split_fractions_problem(fractions)
+    if problem:
+        raise DatasetError(problem)
     if not samples:
         raise DatasetError("cannot split an empty dataset")
 

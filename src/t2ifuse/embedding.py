@@ -258,6 +258,8 @@ def _validate_provider_output(provider, pooled: np.ndarray, tokens: np.ndarray):
         raise DimensionMismatchError(
             f"provider {provider.provider_id!r} returned token matrix {tokens.shape}"
         )
+    if not (np.isfinite(pooled).all() and np.isfinite(tokens).all()):
+        raise ProviderError(f"provider {provider.provider_id!r} returned non-finite entries")
     return pooled, tokens
 
 

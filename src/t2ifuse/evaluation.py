@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .axes import AXIS_ORDERS, LAYOUT_AXES
+from .axes import AXES, LAYOUT_AXES
 from .corpus import LabelSpace
 
 
@@ -178,6 +178,9 @@ def compute_metrics(preds: PredictionSet) -> EvalReport:
     )
 
 
+BOOTSTRAP_METRICS = ("accuracy", "macro_f1")
+
+
 def bootstrap_std(
     preds: PredictionSet,
     metric: str = "macro_f1",
@@ -192,7 +195,7 @@ def bootstrap_std(
     """
     if resamples < 2:
         raise EvaluationError("resamples must be >= 2")
-    if metric not in ("accuracy", "macro_f1"):
+    if metric not in BOOTSTRAP_METRICS:
         raise EvaluationError(f"unknown metric {metric!r}")
     order = np.argsort(np.asarray(preds.sample_ids))
     y_true = preds.y_true[order]
@@ -244,7 +247,7 @@ def table_layout(axis_names: Sequence[str], keys: Iterable[Sequence[str]]) -> tu
 
 
 def _axis_sort_key(axis: str, value: str):
-    known = AXIS_ORDERS.get(axis, ())
+    known = AXES[axis].order if axis in AXES else ()
     if value in known:
         return (0, known.index(value), value)
     # Numeric axis values (steps, learning rates) sort numerically.

@@ -31,8 +31,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .axes import GENERATIVE_METHODS
-from .config import SWEEP_AXES, ExperimentConfig
+from .axes import AXES, GENERATIVE_METHODS
+from .config import ExperimentConfig
 from .corpus import (
     SPLIT_NAMES,
     LabelSpace,
@@ -98,6 +98,10 @@ class OrchestrationError(RuntimeError):
 
 class OfflineViolationError(OrchestrationError):
     pass
+
+
+class ManifestError(OrchestrationError):
+    """A ``manifest.json`` that does not have the shape of a run manifest."""
 
 
 # --- providers ---------------------------------------------------------------
@@ -303,21 +307,24 @@ class RunManifest:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        manifest = cls(
-            experiment_id=data["experiment_id"],
-            config_hash=data["config_hash"],
-            version=data.get("version", ""),
-            descriptor=data.get("descriptor", {}),
-            created_at=data.get("created_at", ""),
-            updated_at=data.get("updated_at", ""),
-        )
-        for name, raw in data.get("stages", {}).items():
-            manifest.stages[name] = StageStatus(
-                status=raw.get("status", "pending"),
-                artifacts=dict(raw.get("artifacts", {})),
-                reason=raw.get("reason"),
+    def from_dict(cls, data: dict, source: str = "manifest") -> "RunManifest":
+        try:
+            manifest = cls(
+                experiment_id=data["experiment_id"],
+                config_hash=data["config_hash"],
+                version=data.get("version", ""),
+                descriptor=dict(data.get("descriptor", {})),
+                created_at=data.get("created_at", ""),
+                updated_at=data.get("updated_at", ""),
             )
+            for name, raw in data.get("stages", {}).items():
+                manifest.stages[name] = StageStatus(
+                    status=raw.get("status", "pending"),
+                    artifacts=dict(raw.get("artifacts", {})),
+                    reason=raw.get("reason"),
+                )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ManifestError(f"{source}: not a run manifest ({type(exc).__name__}: {exc})") from exc
         return manifest
 
     def save(self, run_dir: Path) -> None:
@@ -329,7 +336,7 @@ class RunManifest:
     @classmethod
     def load(cls, run_dir: Path) -> "RunManifest":
         path = Path(run_dir) / "manifest.json"
-        return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), source=str(path))
 
     def stage_verified(self, stage: str, run_dir: Path) -> bool:
         status = self.stages[stage]
@@ -395,7 +402,7 @@ def _write_rows(caches: dict, path: Path, rows: list[dict]) -> None:
 
 def _descriptor(config: ExperimentConfig) -> dict:
     """The run's id and its value on every sweep axis, kept in the manifest."""
-    values = {axis: value_of(config) for axis, (value_of, _) in SWEEP_AXES.items()}
+    values = {name: axis.value_of(config) for name, axis in AXES.items()}
     return {"experiment_id": config.experiment_id, **values}
 
 
@@ -502,8 +509,7 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
                 results[row["sample_id"]] = run_one((spec, key))
             else:
                 misses[row["sample_id"]] = (spec, key)
-        workers = max(1, config.generation.concurrency)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=config.generation.concurrency) as pool:
             results.update(zip(misses, pool.map(run_one, misses.values())))
     finally:
         ledger.close()
@@ -990,8 +996,8 @@ def run_sweep(
     if not axes:
         raise SweepError("sweep needs at least one axis")
     for name, values in axes.items():
-        if name not in SWEEP_AXES:
-            raise SweepError(f"unknown sweep axis {name!r}; have {tuple(SWEEP_AXES)}")
+        if name not in AXES:
+            raise SweepError(f"unknown sweep axis {name!r}; have {tuple(AXES)}")
         if not values:
             raise SweepError(f"sweep axis {name!r} has no values")
     registry = registry if registry is not None else ProviderRegistry()
@@ -1008,7 +1014,7 @@ def run_sweep(
         try:
             cell_config = base_config
             for name, value in zip(axis_names, combo):
-                cell_config = SWEEP_AXES[name][1](cell_config, value)
+                cell_config = AXES[name].set_to(cell_config, value)
             cell_config = dataclasses.replace(
                 cell_config,
                 experiment_id=f"{base_config.experiment_id}/{cell_id}",
@@ -1082,7 +1088,7 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
         run_dir = Path(run_dir)
         try:
             manifest = RunManifest.load(run_dir)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError, ManifestError) as exc:
             problems.append(f"{run_dir}: unreadable manifest ({type(exc).__name__})")
             continue
         if manifest.stages["evaluation"].status != "done":
@@ -1106,7 +1112,7 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
             if report_txt.exists():
                 lines.append(report_txt.read_text(encoding="utf-8").rstrip())
         else:
-            varying = [a for a in SWEEP_AXES if len({str(d.get(a)) for _, d, _ in runs}) > 1]
+            varying = [a for a in AXES if len({str(d.get(a)) for _, d, _ in runs}) > 1]
             table, _ = _combined_table(runs, varying)
             lines.append(table.rstrip())
 

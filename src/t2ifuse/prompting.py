@@ -369,5 +369,6 @@ class CachedChatClient:
         if self.cache.has(key):
             return self.cache.get(key).decode("utf-8")
         response = self.client.complete(system, user)
-        self.cache.put(key, response.encode("utf-8"), {"client_id": self.client_id})
+        if response.strip():  # a blank rewrite is an error, not an answer to keep
+            self.cache.put(key, response.encode("utf-8"), {"client_id": self.client_id})
         return response

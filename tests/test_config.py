@@ -243,3 +243,44 @@ def test_example_config_keeps_its_hash():
     path = Path(__file__).resolve().parents[1] / "demos" / "config.example.yaml"
     config = parse_config_data(yaml.safe_load(path.read_text()))
     assert config.config_hash() == "0fccadfd5c871d0e79c6ddd11adecebb7ed844810aaff2face57b3dbd5653145"
+
+
+def test_every_section_reports_its_own_check(tmp_path):
+    data = _minimal(tmp_path, fusion={"heads": 3}, training={"grad_clip_norm": -1},
+                    generation={"steps": 0})
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(data)
+    assert sorted(err.value.problems) == [
+        "grad_clip_norm must be finite and > 0, or null, got -1",
+        "heads=3 must divide model_dim=16",
+        "steps must be >= 1",
+    ]
+
+
+def test_values_that_would_fail_a_later_stage_are_rejected_by_name(tmp_path):
+    data = _minimal(
+        tmp_path,
+        dataset={"path": "data.csv", "max_text_tokens": 0, "split_fractions": [0.5, 0.5, 0.5]},
+        generation={"concurrency": -3, "retries": 0},
+        evaluation={"bootstrap_resamples": 1, "bootstrap_metric": "auc"},
+        seeds=[1, 1],
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(data)
+    assert sorted(err.value.problems) == [
+        "bootstrap_resamples must be >= 2, got 1",
+        "concurrency must be >= 1, got -3",
+        "evaluation.bootstrap_metric: unknown bootstrap_metric 'auc'; have ('accuracy', 'macro_f1')",
+        "max_text_tokens must be >= 1, got 0",
+        "retries must be >= 1, got 0",
+        "seeds: must not repeat a seed, got [1, 1]",
+        "split_fractions must sum to 1, got 1.5",
+    ]
+
+
+def test_a_section_with_an_ill_typed_value_is_not_range_checked(tmp_path):
+    """Its range checks would see a default in place of the value given."""
+    data = _minimal(tmp_path, fusion={"model_dim": "12", "heads": 3}, sweep_axes={"method": ["x"]})
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(data)
+    assert err.value.problems == ["sweep_axes: unknown key", "fusion.model_dim: expected int, got str"]

@@ -65,6 +65,33 @@ def test_embed_text_dim_mismatch(emb_cache):
         embed_text("   ", provider, None)
 
 
+class NanProvider(CountingProvider):
+    """Returns a NaN entry until ``healed`` is set."""
+
+    healed = False
+
+    def _vec(self, data: bytes):
+        vec = super()._vec(data)
+        if not self.healed:
+            vec[1] = np.nan
+        return vec
+
+
+@pytest.mark.parametrize("embed, item", [(embed_text, "some text"), (embed_image, b"image bytes")])
+def test_non_finite_output_is_rejected_before_it_is_cached(emb_cache, embed, item):
+    provider = NanProvider()
+    with pytest.raises(ProviderError, match="non-finite"):
+        embed(item, provider, emb_cache)
+    with pytest.raises(ProviderError, match="non-finite"):
+        embed(item, provider, emb_cache)
+    assert provider.calls == 2  # the failure was not served from the cache
+    key = hashlib.sha256(item if isinstance(item, bytes) else item.encode()).hexdigest()
+    assert emb_cache.get(provider.provider_id, key) is None
+    provider.healed = True
+    vec, _ = embed(item, provider, emb_cache)
+    assert np.isfinite(vec.values).all() and provider.calls == 3
+
+
 def test_hash_projection_matches_formula_recompute():
     provider = HashProjectionProvider("hash-8", 8)
     pooled, tokens = provider.encode_text("coffee machine")

@@ -561,6 +561,18 @@ def test_report_cli_single_and_grouped(tmp_path, fixture_dataset):
     assert "skipped runs" in out
 
 
+@pytest.mark.parametrize("manifest", [[], {"experiment_id": "x", "config_hash": "0", "stages": {"prompts": "done"}}])
+def test_manifest_of_the_wrong_shape_is_a_typed_error(tmp_path, fixture_dataset, manifest):
+    config = _base_config(tmp_path, fixture_dataset, out_name="odd", method="text_only")
+    path = Path(config.output_dir) / "manifest.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(manifest))
+    out = report_cli([config.output_dir])
+    assert out.startswith("skipped runs:\n") and f"{config.output_dir}: unreadable manifest" in out
+    with pytest.raises(OrchestrationError, match=re.escape(f"{path}: not a run manifest")):
+        run_experiment(config)
+
+
 def test_b3_fallback_accounting(tmp_path, fixture_dataset):
     corpus = _corpus(tmp_path)
     config = _base_config(

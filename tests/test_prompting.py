@@ -194,6 +194,28 @@ def test_cached_chat_client_is_idempotent(tmp_path):
     cached.cache.close()
 
 
+class _FlakyChat(StubChatClient):
+    """Answers blank until ``recovered`` is set."""
+
+    recovered = False
+
+    def complete(self, system: str, user: str) -> str:
+        reply = super().complete(system, user)
+        return reply if self.recovered else "  \n "
+
+
+def test_cached_chat_client_does_not_keep_a_blank_rewrite(tmp_path):
+    inner = _FlakyChat(response="A steel blender on a counter.")
+    cached = CachedChatClient(inner, ArtifactCache(tmp_path / "chat", suffix=".txt"))
+    with pytest.raises(ElaborationError):
+        elaborate_text("a loud blender", "visual_description", cached)
+    inner.recovered = True
+    for _ in range(2):  # the recovered client is asked once; its rewrite is kept
+        assert elaborate_text("a loud blender", "visual_description", cached) == "A steel blender on a counter."
+    assert len(inner.requests) == 2
+    cached.cache.close()
+
+
 def test_determinism_of_strategies(coffee_sample):
     for strategy in ("direct", "keyword"):
         a = build_prompt(coffee_sample, strategy)
