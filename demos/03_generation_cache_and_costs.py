@@ -32,13 +32,13 @@ with tempfile.TemporaryDirectory() as tmp:
                       positive="A photorealistic image of a red vacuum cleaner.")
     params = preset_params("flux-schnell", seed=42)
 
-    first = generate_image(spec, params, backend, store, ledger=ledger, cost_mode="estimated")
-    second = generate_image(spec, params, backend, store, ledger=ledger, cost_mode="estimated")
+    first = generate_image(spec, params, backend, store, ledger=ledger)
+    second = generate_image(spec, params, backend, store, ledger=ledger)
     print(f"backend calls after two identical requests: {backend.calls} (cache hit)")
     print(f"content hash stable: {first.content_hash == second.content_hash}")
 
     other_seed = preset_params("flux-schnell", seed=43)
-    third = generate_image(spec, other_seed, backend, store, ledger=ledger, cost_mode="estimated")
+    third = generate_image(spec, other_seed, backend, store, ledger=ledger)
     print(f"different seed -> different image: {third.content_hash != first.content_hash}\n")
 
     store.close()  # releases the record segment of cache/images/log/

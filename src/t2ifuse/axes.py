@@ -43,9 +43,9 @@ AXES = {
                                lambda c, v: _with(c, "training", learning_rate=float(v))),
 }
 
-# Paper table -> the axes of its cells, in cell-key order.
+# Paper table -> the axes of its cells, in cell-key order. Only
+# evaluation.table_layout reads it; the fusion table's axes follow its own rule.
 LAYOUT_AXES = {
     "main_table": ("method", "dataset"),
     "t2i_prompt_table": ("backend", "strategy"),
-    "fusion_table": ("mechanism",),
 }

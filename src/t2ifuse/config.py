@@ -75,6 +75,11 @@ class ProvidersConfig:
     image_endpoint: str | None = None
     chat_endpoint: str | None = None
 
+    def __post_init__(self):
+        _reject(*(f"{name} must be hash-<dim> with a positive integer dim, got {value!r}"
+                  for name, value in (("text", self.text), ("image", self.image))
+                  if value.startswith("hash-") and not (value[5:].isdecimal() and int(value[5:]) > 0)))
+
 
 @dataclass(frozen=True)
 class GenerationConfig:

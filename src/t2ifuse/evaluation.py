@@ -271,111 +271,61 @@ def _render_rows(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Grid layout -> one (header format, metric) pair per column under each value
+# of its second axis.
+_GRID_COLUMNS = {
+    "main_table": (("{}:acc", "accuracy"), ("{}:ma-f1", "macro_f1")),
+    "fusion_table": (("ma-f1@{}", "macro_f1"),),
+}
+
+_RECORD_METRICS = ("accuracy", "macro_f1", "bootstrap_std", "clip_cos_mean", "clip_cos_std",
+                   "clip_score_mean", "clip_score_std")
+
+
 def render_report(
     reports: Mapping[tuple[str, ...], EvalReport],
-    layout: str,
+    axis_names: Sequence[str],
     experiment_id: str = "experiment",
-    axis_names: Sequence[str] | None = None,
 ) -> tuple[str, list[dict]]:
     """Render experiment cells as an aligned text table plus machine records.
 
-    ``reports`` maps axis-value tuples to reports. ``layout`` is one of
-    ``main_table`` (method rows x per-dataset Acc/Ma-F1 columns),
-    ``t2i_prompt_table`` (backend x strategy rows with Ma-F1 and semantic
-    consistency columns), ``fusion_table`` (mechanism rows, optional second
-    axis as columns), or ``axis_table`` (one row per cell, one column per
-    axis). The two-axis grid layouts need every cell of their grid. Best
-    values per column are flagged with ``*``; machine records keep full
-    precision.
+    ``reports`` maps each cell's values on ``axis_names`` to its report. The
+    cells decide the layout, through :func:`table_layout`, and the axis order
+    of the table and its records. A full method x dataset grid draws one row
+    per method and Acc/Ma-F1 columns per dataset; a full mechanism x other
+    axis grid draws one row per mechanism and a Ma-F1 column per value of the
+    other axis. Any other cells get one row each, and a full backend x
+    strategy grid adds the semantic-consistency columns. Best values per
+    column are flagged with ``*``; machine records keep full precision.
     """
     if not reports:
         raise EvaluationError("no report cells")
-    if layout == "fusion_table" and all(len(k) == 2 for k in reports):
-        # mechanism grid with a second axis (e.g. learning rate) as columns
-        second = axis_names[-1] if axis_names else "variant"
-        axes: tuple[str, ...] = ("mechanism", second)
-    elif layout in LAYOUT_AXES:
-        axes = LAYOUT_AXES[layout]
-    elif layout == "axis_table":
-        if not axis_names:
-            raise EvaluationError("axis_table layout needs axis_names")
-        axes = tuple(axis_names)
-    else:
-        raise EvaluationError(f"unknown layout {layout!r}")
     for key in reports:
-        if len(key) != len(axes):
-            raise EvaluationError(
-                f"cell key {key!r} does not match axes {axes!r}"
-            )
-    # The grid spanned by observed axis values must be fully populated.
-    observed = [sorted({key[i] for key in reports}, key=lambda v: _axis_sort_key(axes[i], v)) for i in range(len(axes))]
-    if len(axes) == 2 and layout != "axis_table":
-        for a in observed[0]:
-            for b in observed[1]:
-                if (a, b) not in reports:
-                    raise EvaluationError(f"missing cell for axes ({a!r}, {b!r})")
-
+        if len(key) != len(axis_names):
+            raise EvaluationError(f"cell key {key!r} does not match axes {tuple(axis_names)!r}")
+    layout, axes = table_layout(axis_names, reports)
+    positions = [list(axis_names).index(a) for a in axes]
+    reports = {tuple(key[i] for i in positions): report for key, report in reports.items()}
     cells = sorted(reports, key=lambda k: tuple(_axis_sort_key(axes[i], k[i]) for i in range(len(axes))))
-    records: list[dict] = []
-    for key in cells:
-        report = reports[key]
-        axes_map = {axes[i]: key[i] for i in range(len(axes))}
-        metric_values = {
-            "accuracy": report.accuracy,
-            "macro_f1": report.macro_f1,
-        }
-        for name, value in (
-            ("bootstrap_std", report.bootstrap_std),
-            ("clip_cos_mean", report.clip_cos_mean),
-            ("clip_cos_std", report.clip_cos_std),
-            ("clip_score_mean", report.clip_score_mean),
-            ("clip_score_std", report.clip_score_std),
-        ):
-            if value is not None:
-                metric_values[name] = value
-        for metric, value in metric_values.items():
-            records.append(
-                {
-                    "experiment_id": experiment_id,
-                    "axes": axes_map,
-                    "metric": metric,
-                    "value": value,
-                }
-            )
+    records = [
+        {"experiment_id": experiment_id, "axes": dict(zip(axes, key)), "metric": metric, "value": value}
+        for key in cells
+        for metric in _RECORD_METRICS
+        if (value := getattr(reports[key], metric)) is not None
+    ]
 
-    if layout == "main_table":
-        methods, datasets = observed
-        headers = ["method"]
-        for ds in datasets:
-            headers += [f"{ds}:acc", f"{ds}:ma-f1"]
-        best_acc = {ds: max(reports[(m, ds)].accuracy for m in methods) for ds in datasets}
-        best_f1 = {ds: max(reports[(m, ds)].macro_f1 for m in methods) for ds in datasets}
-        rows = []
-        for m in methods:
-            row = [m]
-            for ds in datasets:
-                rep = reports[(m, ds)]
-                row.append(_fmt_pct(rep.accuracy, rep.accuracy == best_acc[ds]))
-                row.append(_fmt_pct(rep.macro_f1, rep.macro_f1 == best_f1[ds]))
-            rows.append(row)
-        table = _render_rows(headers, rows)
-    elif layout == "fusion_table" and len(axes) == 2:
-        # mechanism rows x second-axis columns (e.g. a learning-rate grid)
-        mechanisms = observed[0]
-        cols = observed[1]
-        headers = ["mechanism"] + [f"ma-f1@{c}" for c in cols]
-        best = {c: max(reports[(m, c)].macro_f1 for m in mechanisms) for c in cols}
-        rows = []
-        for m in mechanisms:
-            row = [m]
-            for c in cols:
-                rep = reports[(m, c)]
-                row.append(_fmt_pct(rep.macro_f1, rep.macro_f1 == best[c]))
-            rows.append(row)
-        table = _render_rows(headers, rows)
+    grid = _GRID_COLUMNS.get(layout) if len(axes) == 2 else None
+    if grid:  # the first axis gives the rows, each value of the second its columns
+        row_values, col_values = (list(dict.fromkeys(key[i] for key in cells)) for i in (0, 1))
+        columns = [(fmt.format(c), c, metric) for c in col_values for fmt, metric in grid]
+        best = [max(getattr(reports[(r, c)], metric) for r in row_values) for _, c, metric in columns]
+        headers = [axes[0]] + [header for header, _, _ in columns]
+        rows = [
+            [r] + [_fmt_pct(v := getattr(reports[(r, c)], metric), v == top)
+                   for (_, c, metric), top in zip(columns, best)]
+            for r in row_values
+        ]
     else:
-        # one row per cell: t2i_prompt_table (plus semantic-consistency
-        # columns), single-axis fusion_table, and axis_table over any axes
         with_clip = layout == "t2i_prompt_table"
         headers = [*axes, "acc", "ma-f1"] + (["clip-cos", "clip-score"] if with_clip else [])
         best_f1 = max(reports[c].macro_f1 for c in cells)
@@ -387,9 +337,7 @@ def render_report(
             if with_clip:
                 row += ["-" if v is None else f"{v:.2f}" for v in (rep.clip_cos_mean, rep.clip_score_mean)]
             rows.append(row)
-        table = _render_rows(headers, rows)
-
-    return table, records
+    return _render_rows(headers, rows), records
 
 
 def render_records(records: list[dict]) -> str:

@@ -331,8 +331,6 @@ def generate_image(
     store: ImageStore,
     *,
     ledger: GenerationLedger | None = None,
-    cost_model: CostModel | None = None,
-    cost_mode: str = "measured",
     retries: int = TRANSIENT_RETRIES,
     backoff_s: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
@@ -344,14 +342,12 @@ def generate_image(
     a miss the backend is called through :func:`retry_transient`, the latency
     of the successful attempt is recorded, the bytes are verified non-empty
     and stored atomically, and a ledger entry is appended. The record returned
-    is the one stored: another thread's, when it stored the same key first. ``cost_mode`` selects
-    between backend-reported cost ("measured", 0 when not reported) and the
-    cost model's per-image estimate ("estimated"). ``key`` is the request's
+    is the one stored: another thread's, when it stored the same key first.
+    The record keeps the cost the backend reported (``unit_cost_usd``, else
+    0); estimates come from :func:`ledger_totals`. ``key`` is the request's
     :func:`prompt_key`, for a caller that already computed it; it is
     computed here when not given.
     """
-    if cost_mode not in COST_MODES:
-        raise ValueError(f"unknown cost mode {cost_mode!r}")
     if key is None:
         key = prompt_key(prompt.positive, prompt.negative, params)
     try:
@@ -371,12 +367,6 @@ def generate_image(
 
     if not data:
         raise GenerationError(f"backend {backend.backend_id!r} returned empty image bytes")
-    if cost_mode == "estimated":
-        model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        cost = float(model.entry(params.backend_id).unit_cost_usd)
-    else:
-        cost = float(getattr(backend, "unit_cost_usd", 0.0))
-
     record = GeneratedImageRecord(
         content_hash=sha256_hex(data),
         prompt_key=key,
@@ -384,7 +374,7 @@ def generate_image(
         steps=params.steps,
         image_ref=str(store.path_for(key)),
         latency_s=latency,
-        cost_usd=cost,
+        cost_usd=float(getattr(backend, "unit_cost_usd", 0.0)),
         created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
     stored = store.put(key, data, record.to_dict())

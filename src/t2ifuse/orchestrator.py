@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .axes import AXES, GENERATIVE_METHODS
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig, parse_config_data
 from .corpus import (
     SPLIT_NAMES,
     LabelSpace,
@@ -61,7 +61,6 @@ from .evaluation import (
     compute_metrics,
     render_records,
     render_report,
-    table_layout,
 )
 from .fusion import PackBatch, build_fusion_head, export_attention, fuse_forward
 from .generation import (
@@ -492,7 +491,6 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
         return generate_image(
             spec, params, backend, store,
             ledger=ledger,
-            cost_mode=config.cost_mode,
             retries=config.generation.retries,
             key=key,
         )
@@ -839,10 +837,7 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
     atomic_write_text(summary_path, json.dumps(summary, sort_keys=True, indent=2))
 
     table, records = render_report(
-        {(config.method,): headline_report},
-        layout="axis_table",
-        experiment_id=config.experiment_id,
-        axis_names=("method",),
+        {(config.method,): headline_report}, ("method",), experiment_id=config.experiment_id
     )
     report_path = run_dir / "report.txt"
     atomic_write_text(report_path, table)
@@ -985,6 +980,21 @@ def _cell_id(axis_names: Sequence[str], combo: Sequence) -> str:
     return raw[: _MAX_NAME_BYTES - len(suffix)].decode("utf-8", errors="ignore") + suffix
 
 
+def _cell_config(base_config: ExperimentConfig, settings: dict) -> ExperimentConfig:
+    """``base_config`` with the axes set to ``settings``, checked by the same
+    walk as a parsed config: a value the config file would reject raises
+    :class:`ConfigError` naming its field."""
+    config = base_config
+    for name, value in settings.items():
+        try:
+            config = AXES[name].set_to(config, value)
+        except ValueError as exc:
+            raise ConfigError([f"sweep.axes.{name}: {value!r}: {exc}"]) from exc
+    data = config.to_dict()
+    del data["sweep_axes"]
+    return parse_config_data(data)
+
+
 def run_sweep(
     base_config: ExperimentConfig,
     axes: dict[str, Sequence] | None = None,
@@ -1012,15 +1022,12 @@ def run_sweep(
         cell_dir = str(sweep_dir / "cells" / cell_id)
         status, error = "done", None
         try:
-            cell_config = base_config
-            for name, value in zip(axis_names, combo):
-                cell_config = AXES[name].set_to(cell_config, value)
+            cell_config = _cell_config(base_config, dict(zip(axis_names, combo)))
             cell_config = dataclasses.replace(
                 cell_config,
                 experiment_id=f"{base_config.experiment_id}/{cell_id}",
                 output_dir=cell_dir,
                 cache_dir=str(base_config.resolved_cache_dir()),
-                sweep_axes={},
             )
             manifest, report = run_experiment(cell_config, registry)
             runs.append((cell_id, manifest.descriptor, report))
@@ -1068,10 +1075,8 @@ def _combined_table(
     if not axis_names or len(set(keys)) < len(keys):
         axis_names.append("run")
         keys = [key + (str(name),) for key, (name, _, _) in zip(keys, runs)]
-    layout, ordered = table_layout(axis_names, keys)
-    positions = [axis_names.index(a) for a in ordered]
-    cells = {tuple(key[i] for i in positions): report for key, (_, _, report) in zip(keys, runs)}
-    return render_report(cells, layout, experiment_id=experiment_id, axis_names=ordered)
+    cells = {key: report for key, (_, _, report) in zip(keys, runs)}
+    return render_report(cells, axis_names, experiment_id=experiment_id)
 
 
 def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None) -> str:

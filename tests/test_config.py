@@ -278,6 +278,18 @@ def test_values_that_would_fail_a_later_stage_are_rejected_by_name(tmp_path):
     ]
 
 
+def test_a_malformed_hash_encoder_name_is_rejected_by_name(tmp_path):
+    for text, image in (("hash-abc", "hash-0"), ("hash-", "hash--4")):
+        with pytest.raises(ConfigError) as err:
+            parse_config_data(_minimal(tmp_path, providers={"text": text, "image": image}))
+        assert err.value.problems == [
+            f"text must be hash-<dim> with a positive integer dim, got {text!r}",
+            f"image must be hash-<dim> with a positive integer dim, got {image!r}",
+        ]
+    config = parse_config_data(_minimal(tmp_path, providers={"text": "hash-8", "image": "clip-vit"}))
+    assert (config.providers.text, config.providers.image) == ("hash-8", "clip-vit")
+
+
 def test_a_section_with_an_ill_typed_value_is_not_range_checked(tmp_path):
     """Its range checks would see a default in place of the value given."""
     data = _minimal(tmp_path, fusion={"model_dim": "12", "heads": 3}, sweep_axes={"method": ["x"]})

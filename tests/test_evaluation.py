@@ -221,14 +221,13 @@ def _report(acc, f1, **kw):
 
 
 def test_render_single_cell():
-    table, records = render_report(
-        {("text_only",): _report(0.9, 0.89)}, "axis_table", axis_names=("method",)
-    )
+    table, records = render_report({("text_only",): _report(0.9, 0.89)}, ("method",))
     assert table.strip().split("\n")[2].split()[0] == "text_only"
     assert "90.00" in table
     assert len(records) == 2
-    with pytest.raises(EvaluationError, match="unknown layout"):
-        render_report({("x",): _report(0.5, 0.5)}, "pivot_table")
+    # cells on an axis of no paper table render as axis_table, one row per cell
+    table, _ = render_report({("x",): _report(0.5, 0.5), ("y",): _report(0.6, 0.6)}, ("pivot",))
+    assert [line.split()[0] for line in table.strip().split("\n")] == ["pivot", "-----", "x", "y"]
 
 
 def test_render_fusion_table_row_order():
@@ -237,21 +236,23 @@ def test_render_fusion_table_row_order():
         ("concat",): _report(0.7, 0.69),
         ("cross_attention",): _report(0.9, 0.88),
     }
-    table, _ = render_report(reports, "fusion_table")
+    table, _ = render_report(reports, ("mechanism",))
     lines = table.strip().split("\n")
     row_names = [line.split()[0] for line in lines[2:]]
     assert row_names == ["concat", "cross_attention", "deep_prefix"]
     assert "88.00*" in table  # best flagged
 
 
-def test_render_missing_cell_errors():
+def test_render_missing_cell_renders_an_axis_table():
     reports = {
         ("sdxl", "keyword"): _report(0.8, 0.79),
         ("sdxl", "direct"): _report(0.7, 0.69),
         ("sd15", "keyword"): _report(0.6, 0.59),
     }
-    with pytest.raises(EvaluationError, match="missing cell"):
-        render_report(reports, "t2i_prompt_table")
+    table, _ = render_report(reports, ("backend", "strategy"))
+    lines = table.strip().split("\n")
+    assert lines[0].split() == ["backend", "strategy", "acc", "ma-f1"]  # no clip columns
+    assert [line.split()[:2] for line in lines[2:]] == [["sd15", "keyword"], ["sdxl", "direct"], ["sdxl", "keyword"]]
 
 
 def test_render_golden_stability_and_round_trip():
@@ -261,8 +262,8 @@ def test_render_golden_stability_and_round_trip():
         ("sdxl", "keyword"): _report(0.7690, 0.7702, bootstrap_std=0.0048, clip_cos_mean=0.32),
         ("sdxl", "elaborated"): _report(0.7720, 0.7735, bootstrap_std=0.0042, clip_cos_mean=0.33),
     }
-    table_1, records_1 = render_report(reports, "t2i_prompt_table", experiment_id="cells")
-    table_2, records_2 = render_report(reports, "t2i_prompt_table", experiment_id="cells")
+    table_1, records_1 = render_report(reports, ("backend", "strategy"), experiment_id="cells")
+    table_2, records_2 = render_report(reports, ("backend", "strategy"), experiment_id="cells")
     assert table_1 == table_2
     assert records_1 == records_2
     lines = table_1.strip().split("\n")
@@ -285,7 +286,7 @@ def test_main_table_layout():
         for dataset in ("reviews", "topics"):
             bump = 0.05 if method == "gen_image" else 0.0
             reports[(method, dataset)] = _report(0.7 + bump, 0.69 + bump)
-    table, _ = render_report(reports, "main_table")
+    table, _ = render_report(reports, ("method", "dataset"))
     lines = table.strip().split("\n")
     assert lines[0].split() == ["method", "reviews:acc", "reviews:ma-f1", "topics:acc", "topics:ma-f1"]
     assert lines[2].split()[0] == "text_only"  # canonical method order
@@ -317,10 +318,11 @@ def test_table_layout(axis_names, expected):
 def test_table_layout_falls_back_to_axis_table_on_an_incomplete_grid(axis_names):
     keys = [("a", "x"), ("a", "y"), ("b", "x")]  # (b, y) is missing
     assert table_layout(axis_names, keys) == ("axis_table", tuple(axis_names))
-    # a grid layout asked for directly still refuses the incomplete grid
-    reports = {key: _report(0.5, 0.5) for key in keys}
-    with pytest.raises(EvaluationError, match="missing cell"):
-        render_report(reports, "main_table")
+    # and the incomplete grid renders as that axis_table, one row per cell
+    table, _ = render_report({key: _report(0.5, 0.5) for key in keys}, axis_names)
+    lines = table.strip().split("\n")
+    assert lines[0].split() == [*axis_names, "acc", "ma-f1"]
+    assert [line.split()[:2] for line in lines[2:]] == [list(key) for key in keys]
 
 
 def test_axis_table_has_one_row_per_cell_over_any_axes():
@@ -329,7 +331,7 @@ def test_axis_table_has_one_row_per_cell_over_any_axes():
         ("direct", "10"): _report(0.6, 0.59),
         ("direct", "4"): _report(0.8, 0.79, bootstrap_std=0.01),
     }  # not a full grid: one row per cell needs none
-    table, records = render_report(reports, "axis_table", axis_names=("strategy", "steps"))
+    table, records = render_report(reports, ("strategy", "steps"))
     lines = table.strip().split("\n")
     assert lines[0].split() == ["strategy", "steps", "acc", "ma-f1"]
     assert [line.split()[:2] for line in lines[2:]] == [["direct", "4"], ["direct", "10"], ["keyword", "10"]]
@@ -339,8 +341,8 @@ def test_axis_table_has_one_row_per_cell_over_any_axes():
 
 def test_axis_orders_follow_the_source_constants():
     backends = ("stub", "dalle3", "flux-schnell", "sdxl-lightning", "sdxl", "sd15")
-    table, _ = render_report({(b,): _report(0.5, 0.5) for b in backends}, "axis_table", axis_names=("backend",))
+    table, _ = render_report({(b,): _report(0.5, 0.5) for b in backends}, ("backend",))
     assert [line.split()[0] for line in table.strip().split("\n")[2:]] == list(reversed(backends))
     strategies = ("elaborated", "stylized", "keyword", "direct")
-    table, _ = render_report({(s,): _report(0.5, 0.5) for s in strategies}, "axis_table", axis_names=("strategy",))
+    table, _ = render_report({(s,): _report(0.5, 0.5) for s in strategies}, ("strategy",))
     assert [line.split()[0] for line in table.strip().split("\n")[2:]] == list(reversed(strategies))

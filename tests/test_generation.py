@@ -249,14 +249,12 @@ def test_generate_image_ledger_and_estimated_cost(tmp_path, open_store):
     backend = StubImageBackend("sdxl")
     store = open_store()
     ledger = GenerationLedger(tmp_path / "ledger.jsonl")
-    record = generate_image(
-        _spec(), preset_params("sdxl"), backend, store,
-        ledger=ledger, cost_mode="estimated",
-    )
-    assert record.cost_usd == pytest.approx(0.022)
+    record = generate_image(_spec(), preset_params("sdxl"), backend, store, ledger=ledger)
+    assert record.cost_usd == 0.0  # the stub reports no cost; the estimate is the ledger's
     assert record.steps == 50
     ledger.close()
     lines = ledger.read()
+    assert ledger_totals(lines, mode="estimated").total_cost_usd == Decimal("0.022")
     assert len(lines) == 1
     assert lines[0]["backend_id"] == "sdxl"
     assert lines[0]["content_hash"] == record.content_hash

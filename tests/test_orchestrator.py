@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import threading
+from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from t2ifuse.embedding import (
     clip_score,
     cosine_similarity,
 )
+from t2ifuse.evaluation import EvalReport
 from t2ifuse.fusion import PackBatch
 from t2ifuse.generation import GenerationError, ImageStore, PromptPair, StubImageBackend, stub_generate
 from t2ifuse.orchestrator import (
@@ -204,6 +206,31 @@ def test_full_run_produces_all_artifacts(tmp_path, fixture_dataset):
     cost = json.loads((run_dir / "cost_summary.json").read_text())
     assert cost["mode"] == "estimated"
     assert cost["images"] == 48
+
+
+def test_a_runs_cost_summary_does_not_depend_on_which_run_filled_the_image_cache(tmp_path, fixture_dataset):
+    registry = ProviderRegistry()
+
+    def cost_summary(out_name, cache, cost_mode, backend):
+        config = _base_config(tmp_path, fixture_dataset, out_name=out_name, cache_dir=str(tmp_path / cache),
+                              cost_mode=cost_mode, generation={"backend": backend})
+        run_experiment(config, registry)
+        summary = json.loads((Path(config.output_dir) / "cost_summary.json").read_text())
+        return summary["mode"], summary["note"], summary["total_cost_usd"]
+
+    # measured: what the backend reported, whether or not an estimated run filled the cache
+    cold = cost_summary("measured-cold", "fresh", "measured", "sdxl")
+    estimated = cost_summary("estimated", "shared", "estimated", "sdxl")
+    warm = cost_summary("measured-warm", "shared", "measured", "sdxl")
+    assert cold == warm == ("measured", None, "0.0")
+    assert estimated == ("estimated", None, str(48 * Decimal("0.022")))
+
+    # estimated on a backend without a cost entry: measured totals and a note, cold or warm
+    cold = cost_summary("mystery-cold", "mystery-fresh", "estimated", "mystery")
+    cost_summary("mystery-measured", "mystery-shared", "measured", "mystery")
+    warm = cost_summary("mystery-warm", "mystery-shared", "estimated", "mystery")
+    assert cold == warm
+    assert cold[0] == "measured" and cold[1].startswith("estimate unavailable") and cold[2] == "0.0"
 
 
 def test_rerun_same_dir_skips_all_stages(tmp_path, fixture_dataset):
@@ -535,6 +562,25 @@ def test_sweep_failure_isolation(tmp_path, fixture_dataset):
     assert result.table is None or "cross_attention" in result.table
 
 
+def test_sweep_cells_are_checked_like_a_parsed_config(tmp_path, fixture_dataset):
+    base = _base_config(tmp_path, fixture_dataset, out_name="checked",
+                        providers={"text": "hash-16", "image": "hash-16"})
+    result = run_sweep(base, {"method": ["text_only", "nope", "oracle_image"]}, ProviderRegistry())
+    assert [c.status for c in result.cells] == ["done", "failed", "failed"]
+    assert "method: unknown method 'nope'" in result.cells[1].error
+    assert "providers.oracle_features: required for method oracle_image" in result.cells[2].error
+
+    base = dataclasses.replace(base, output_dir=str(tmp_path / "checked-values"))
+    result = run_sweep(base, {"steps": [0, "four"], "mechanism": ["concat", "bogus"]}, ProviderRegistry())
+    assert [c.status for c in result.cells] == ["failed"] * 4
+    assert "steps must be" in result.cells[0].error
+    assert "sweep.axes.mechanism: 'bogus'" in result.cells[1].error
+    assert all("sweep.axes.steps: 'four'" in cell.error for cell in result.cells[2:])
+    for cell in result.cells:
+        assert cell.error.startswith("ConfigError")
+        assert not (Path(cell.output_dir) / "manifest.json").exists()
+
+
 def test_report_cli_single_and_grouped(tmp_path, fixture_dataset):
     registry = ProviderRegistry()
     config_a = _base_config(tmp_path, fixture_dataset, out_name="ra")
@@ -851,6 +897,158 @@ def test_incomplete_grids_render_every_cell(tmp_path, fixture_dataset, capsys):
         ["text_only", "dataset"], ["text_only", "larger"], ["oracle_image", "dataset"],
     ]
     assert (Path(base.output_dir) / "combined_table.txt").read_text() == result.table
+
+
+def _eval_report(acc, f1, **extra):
+    return EvalReport(accuracy=acc, macro_f1=f1, per_class=[], confusion=np.zeros((2, 2), dtype=int),
+                      confusion_normalized=np.zeros((2, 2)), **extra)
+
+
+_CLIP_CELLS = [  # (backend, strategy) cells with bootstrap and CLIP values, some missing
+    (("sdxl", "keyword"), _eval_report(0.75, 0.74, bootstrap_std=0.0125, clip_cos_mean=0.3125, clip_cos_std=0.01,
+                                       clip_score_mean=0.78125, clip_score_std=0.025)),
+    (("sd15", "keyword"), _eval_report(0.625, 0.62, bootstrap_std=0.015, clip_cos_mean=0.25, clip_cos_std=0.02,
+                                       clip_score_mean=0.625, clip_score_std=0.05)),
+    (("sdxl", "direct"), _eval_report(0.6875, 0.68, bootstrap_std=0.01)),
+    (("sd15", "direct"), _eval_report(0.5, 0.5, clip_cos_mean=0.1875, clip_score_mean=0.46875)),
+]
+_CLIP_RECORDS = {
+    ("sd15", "direct"): {"accuracy": 0.5, "macro_f1": 0.5, "clip_cos_mean": 0.1875, "clip_score_mean": 0.46875},
+    ("sd15", "keyword"): {"accuracy": 0.625, "macro_f1": 0.62, "bootstrap_std": 0.015, "clip_cos_mean": 0.25,
+                          "clip_cos_std": 0.02, "clip_score_mean": 0.625, "clip_score_std": 0.05},
+    ("sdxl", "direct"): {"accuracy": 0.6875, "macro_f1": 0.68, "bootstrap_std": 0.01},
+    ("sdxl", "keyword"): {"accuracy": 0.75, "macro_f1": 0.74, "bootstrap_std": 0.0125, "clip_cos_mean": 0.3125,
+                          "clip_cos_std": 0.01, "clip_score_mean": 0.78125, "clip_score_std": 0.025},
+}
+
+# name -> (axis names, cells keyed in that order, table, record axes, records in table order)
+_GOLDEN_TABLES = {
+    "method x dataset": (
+        ("dataset", "method"),
+        [(("topics", "gen_image"), _eval_report(0.8125, 0.8)),
+         (("topics", "text_only"), _eval_report(0.75, 0.7421875)),
+         (("reviews", "gen_image"), _eval_report(0.625, 0.6)),
+         (("reviews", "text_only"), _eval_report(0.6875, 0.65625))],
+        """\
+method     reviews:acc  reviews:ma-f1  topics:acc  topics:ma-f1
+---------  -----------  -------------  ----------  ------------
+text_only  68.75*       65.62*         75.00       74.22
+gen_image  62.50        60.00          81.25*      80.00*
+""",
+        ("method", "dataset"),
+        {("text_only", "reviews"): {"accuracy": 0.6875, "macro_f1": 0.65625},
+         ("text_only", "topics"): {"accuracy": 0.75, "macro_f1": 0.7421875},
+         ("gen_image", "reviews"): {"accuracy": 0.625, "macro_f1": 0.6},
+         ("gen_image", "topics"): {"accuracy": 0.8125, "macro_f1": 0.8}},
+    ),
+    "mechanism x learning_rate": (
+        ("learning_rate", "mechanism"),
+        [(("0.001", "cross_attention"), _eval_report(0.75, 0.75)),
+         (("0.0003", "cross_attention"), _eval_report(0.8125, 0.8)),
+         (("0.001", "concat"), _eval_report(0.875, 0.87)),
+         (("0.0003", "concat"), _eval_report(0.5, 0.5))],
+        """\
+mechanism        ma-f1@0.0003  ma-f1@0.001
+---------------  ------------  -----------
+concat           50.00         87.00*
+cross_attention  80.00*        75.00
+""",
+        ("mechanism", "learning_rate"),
+        {("concat", "0.0003"): {"accuracy": 0.5, "macro_f1": 0.5},
+         ("concat", "0.001"): {"accuracy": 0.875, "macro_f1": 0.87},
+         ("cross_attention", "0.0003"): {"accuracy": 0.8125, "macro_f1": 0.8},
+         ("cross_attention", "0.001"): {"accuracy": 0.75, "macro_f1": 0.75}},
+    ),
+    "mechanism": (
+        ("mechanism",),
+        [(("deep_prefix",), _eval_report(0.8, 0.79, bootstrap_std=0.02)),
+         (("concat",), _eval_report(0.7, 0.69)),
+         (("cross_attention",), _eval_report(0.9, 0.88))],
+        """\
+mechanism        acc    ma-f1
+---------------  -----  -------------
+concat           70.00  69.00
+cross_attention  90.00  88.00*
+deep_prefix      80.00  79.00 (±2.00)
+""",
+        ("mechanism",),
+        {("concat",): {"accuracy": 0.7, "macro_f1": 0.69},
+         ("cross_attention",): {"accuracy": 0.9, "macro_f1": 0.88},
+         ("deep_prefix",): {"accuracy": 0.8, "macro_f1": 0.79, "bootstrap_std": 0.02}},
+    ),
+    "backend x strategy": (
+        ("strategy", "backend"),
+        [((strategy, backend), report) for (backend, strategy), report in _CLIP_CELLS],
+        """\
+backend  strategy  acc    ma-f1           clip-cos  clip-score
+-------  --------  -----  --------------  --------  ----------
+sd15     direct    50.00  50.00           0.19      0.47
+sd15     keyword   62.50  62.00 (±1.50)   0.25      0.62
+sdxl     direct    68.75  68.00 (±1.00)   -         -
+sdxl     keyword   75.00  74.00* (±1.25)  0.31      0.78
+""",
+        ("backend", "strategy"),
+        _CLIP_RECORDS,
+    ),
+    "backend x strategy, one cell short": (
+        ("backend", "strategy"),
+        _CLIP_CELLS[:3],
+        """\
+backend  strategy  acc    ma-f1
+-------  --------  -----  --------------
+sd15     keyword   62.50  62.00 (±1.50)
+sdxl     direct    68.75  68.00 (±1.00)
+sdxl     keyword   75.00  74.00* (±1.25)
+""",
+        ("backend", "strategy"),
+        {key: metrics for key, metrics in _CLIP_RECORDS.items() if key != ("sd15", "direct")},
+    ),
+    "strategy x steps": (
+        ("steps", "strategy"),
+        [(("10", "keyword"), _eval_report(0.7, 0.69)),
+         (("10", "direct"), _eval_report(0.6, 0.59)),
+         (("4", "direct"), _eval_report(0.8, 0.79, bootstrap_std=0.01))],
+        """\
+steps  strategy  acc    ma-f1
+-----  --------  -----  --------------
+4      direct    80.00  79.00* (±1.00)
+10     direct    60.00  59.00
+10     keyword   70.00  69.00
+""",
+        ("steps", "strategy"),
+        {("4", "direct"): {"accuracy": 0.8, "macro_f1": 0.79, "bootstrap_std": 0.01},
+         ("10", "direct"): {"accuracy": 0.6, "macro_f1": 0.59},
+         ("10", "keyword"): {"accuracy": 0.7, "macro_f1": 0.69}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_TABLES))
+def test_combined_tables_keep_their_bytes_and_records(name):
+    axis_names, cells, table, record_axes, records = _GOLDEN_TABLES[name]
+    runs = [(f"cell{i}", dict(zip(axis_names, key)), report) for i, (key, report) in enumerate(cells)]
+    assert orchestrator._combined_table(runs, axis_names, "golden") == (table, [
+        {"experiment_id": "golden", "axes": dict(zip(record_axes, key)), "metric": metric, "value": value}
+        for key, metrics in records.items() for metric, value in metrics.items()
+    ])
+
+
+def test_two_runs_on_one_key_keep_their_bytes_and_records():
+    runs = [("run-b", {"method": "text_only"}, _eval_report(0.5, 0.5)),
+            ("run-a", {"method": "text_only"}, _eval_report(0.625, 0.6))]
+    table, records = orchestrator._combined_table(runs, ["method"], "golden")
+    assert table == """\
+method     run    acc    ma-f1
+---------  -----  -----  ------
+text_only  run-a  62.50  60.00*
+text_only  run-b  50.00  50.00
+"""
+    assert [(r["axes"], r["metric"], r["value"]) for r in records] == [
+        ({"method": "text_only", "run": "run-a"}, "accuracy", 0.625),
+        ({"method": "text_only", "run": "run-a"}, "macro_f1", 0.6),
+        ({"method": "text_only", "run": "run-b"}, "accuracy", 0.5),
+        ({"method": "text_only", "run": "run-b"}, "macro_f1", 0.5),
+    ]
 
 
 def test_sweep_and_report_label_cells_alike(tmp_path, fixture_dataset):
