@@ -32,13 +32,13 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"cache round-trip bit-identical: {np.array_equal(pooled.values, again.values)}")
     print(f"provider calls so far: {provider.calls} (second read was a cache hit)\n")
 
-    # generate a stub image and embed its bytes
+    # generate a stub image and embed the bytes the store keeps for it
     store = ImageStore(Path(tmp) / "cache" / "images")
     spec = PromptSpec(sample_id="d1", strategy="direct", positive=text)
     record = generate_image(spec, preset_params("flux-schnell"), StubImageBackend("flux-schnell"), store)
-    image_vec, image_tokens = embed_image(record.image_ref, provider, cache)
+    image_vec, image_tokens = embed_image(store.get(record.prompt_key), provider, cache)
     cache.close()  # releases the segment files of cache/emb/hash-32/
-    store.close()  # ... and the record segment of cache/images/log/
+    store.close()  # ... and those of cache/images/data/ and cache/images/meta/
     print(f"image -> pooled dim {image_vec.dim}, keyed by content hash {record.content_hash[:12]}...")
 
     cos = cosine_similarity(image_vec, pooled)

@@ -2,7 +2,9 @@
 
 Subcommands run the pipeline up to a stage (``prompt``, ``generate``,
 ``embed``, ``train``, ``eval``), end to end (``run``), over a config-declared
-grid (``sweep``), or aggregate finished runs (``report``).
+grid (``sweep``), or aggregate finished runs (``report``). A stage that fails
+prints the failure its run's manifest recorded and exits 2; ``--verbose``
+also prints the traceback.
 """
 
 from __future__ import annotations
@@ -10,9 +12,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import traceback
+from pathlib import Path
 
 from .config import COST_MODES, ConfigError, parse_config
-from .orchestrator import OrchestrationError, report_cli, run_experiment, run_sweep
+from .orchestrator import (ManifestError, OrchestrationError, RunManifest, report_cli,
+                           run_experiment, run_sweep)
 
 _STAGE_COMMANDS = {
     "prompt": "prompts",
@@ -73,6 +78,17 @@ def _config_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
+def _failed_stage(run_dir: Path, exc: Exception) -> str | None:
+    """The stage whose failure the run's manifest records as ``exc``, if any."""
+    try:
+        manifest = RunManifest.load(run_dir)
+    except (OSError, ValueError, ManifestError):  # no manifest to read: not a stage's failure
+        return None
+    reason = f"{type(exc).__name__}: {exc}"
+    return next((name for name, stage in manifest.stages.items()
+                 if stage.status == "failed" and stage.reason == reason), None)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -96,7 +112,16 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"cell {cell.axes} failed: {cell.error}", file=sys.stderr)
             return 1 if failed else 0
 
-        manifest, report = run_experiment(config, until_stage=_STAGE_COMMANDS[args.command])
+        try:
+            manifest, report = run_experiment(config, until_stage=_STAGE_COMMANDS[args.command])
+        except Exception as exc:
+            stage = _failed_stage(Path(config.output_dir), exc)
+            if stage is None:
+                raise
+            if args.verbose:
+                traceback.print_exc()
+            print(f"error: stage {stage} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
         done = [s for s in manifest.stages if manifest.stages[s].status == "done"]
         print(f"{config.experiment_id}: stages done: {', '.join(done)}")
         if report is not None:

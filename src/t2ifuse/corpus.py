@@ -39,9 +39,6 @@ class LabelSpace:
     def name_of(self, index: int) -> str:
         return self.class_names[index]
 
-    def index_of(self, name: str) -> int:
-        return self.class_names.index(name)
-
 
 @dataclass
 class TextSample:

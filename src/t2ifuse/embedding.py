@@ -17,7 +17,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -216,13 +216,15 @@ class EmbeddingCache:
     vector format. The log gives the layout, durability and recovery.
 
     Entries are write-once: a ``put`` of an indexed key is a no-op. When
-    segments disagree on a key, the record in the oldest segment wins. The
-    embeddings stage calls :meth:`sync` before it writes ``features.jsonl``,
-    so every entry a recorded artifact names is on disk before the manifest
-    marks the stage done. A record that fails its crc is a miss; re-encoding
-    appends a fresh record to this process's own segment, never after the
-    torn one. :meth:`close` releases the file descriptors; the next use
-    scans again.
+    segments disagree on a key, the record in the oldest segment wins. Each
+    provider's log is indexed when the cache first uses it, and a miss never
+    rescans: entries another process appends later are seen by the next
+    cache opened on the root. The embeddings stage calls :meth:`sync` before
+    it writes ``features.jsonl``, so every entry a recorded artifact names is
+    on disk before the manifest marks the stage done. A record that fails
+    its crc is a miss; re-encoding appends a fresh record to this process's
+    own segment, never after the torn one. :meth:`close` releases the file
+    descriptors; the next use scans again.
     """
 
     def __init__(self, root: str | Path):
@@ -287,47 +289,40 @@ def embed_text(
     return EmbeddingVector(pooled, provider.provider_id), tokens
 
 
-def _read_image(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:
-        raise ProviderError(f"missing image artifact: {path}") from None
-
-
 def embed_image(
-    image_ref: str | Path | bytes,
+    image: bytes | Callable[[], bytes],
     provider: ImageEncoderProvider,
     cache: EmbeddingCache | None = None,
     *,
     content_hash: str | None = None,
 ) -> tuple[EmbeddingVector, np.ndarray]:
-    """Encode image bytes, given as such or as the path of a stored image,
-    cache-keyed by (provider id, content hash).
+    """Encode image bytes, cache-keyed by (provider id, content hash).
 
-    With the path's known ``content_hash`` a cache hit reads no file; a miss
-    reads it and raises :class:`ImageContentError` unless its sha256 is that
-    hash.
+    ``image`` is the bytes, or a function that reads them, such as a stored
+    image's ``ImageStore.get``. With the image's known ``content_hash`` a
+    cache hit reads nothing; a miss reads the bytes and raises
+    :class:`ImageContentError` when the read finds no record
+    (:class:`storage.CacheError`) or the bytes' sha256 is not that hash.
     """
-    if isinstance(image_ref, bytes):
-        data, key = image_ref, sha256_hex(image_ref)
-    elif content_hash is None:
-        data = _read_image(Path(image_ref))
-        key = sha256_hex(data)
-    else:
-        data, key = None, content_hash
+    key = content_hash
+    if key is None:
+        image = image if isinstance(image, bytes) else image()
+        key = sha256_hex(image)
     if cache is not None:
         hit = cache.get(provider.provider_id, key)
         if hit is not None:
             pooled, tokens = hit
             return EmbeddingVector(pooled, provider.provider_id), tokens
-    if data is None:
-        data = _read_image(Path(image_ref))
-        actual = sha256_hex(data)
+    if not isinstance(image, bytes):
+        try:
+            image = image()
+        except CacheError as exc:
+            raise ImageContentError(f"missing image artifact with sha256 {key}: {exc}") from exc
+    if content_hash is not None:
+        actual = sha256_hex(image)
         if actual != key:
-            raise ImageContentError(
-                f"image artifact {image_ref} has sha256 {actual}, but its record says {key}"
-            )
-    pooled, tokens = _validate_provider_output(provider, *provider.encode_image(data))
+            raise ImageContentError(f"image bytes have sha256 {actual}, but their record says {key}")
+    pooled, tokens = _validate_provider_output(provider, *provider.encode_image(image))
     if cache is not None:
         cache.put(provider.provider_id, key, pooled, tokens)
     return EmbeddingVector(pooled, provider.provider_id), tokens

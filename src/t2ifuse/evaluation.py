@@ -342,7 +342,3 @@ def render_report(
 
 def render_records(records: list[dict]) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-
-
-def parse_records(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]

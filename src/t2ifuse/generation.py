@@ -2,10 +2,11 @@
 
 A generation request is keyed by a hash over (backend id, positive, negative,
 params, seed); repeated requests are served from the cache without touching
-the backend. The cache (:class:`ImageStore`) keeps each image as a file of its
-own and its :class:`GeneratedImageRecord` in a segment log, and the record it
-serves always describes the bytes at its ``image_ref``. Every fresh
-generation appends a ledger record carrying latency and cost, which
+the backend. The cache (:class:`ImageStore`) keeps each image and its
+:class:`GeneratedImageRecord` as two records in segment logs, read through an
+index built when the store is opened; a record's ``image_ref`` names its
+entry, and the image bytes are read back by prompt key and content hash.
+Every fresh generation appends a ledger record carrying latency and cost, which
 :func:`ledger_totals` aggregates exactly (costs are money, so totals use
 decimal arithmetic).
 """
@@ -283,13 +284,12 @@ class StubImageBackend:
 
 
 class ImageStore(ArtifactCache):
-    """Generated images by prompt key: each image is the file
-    ``<root>/<first2-of-key>/<key>.bin`` (its ``image_ref``), and its
-    :class:`GeneratedImageRecord` is a record in ``<root>/log/``, stamped
-    with that file's identity. See :class:`storage.ArtifactCache`."""
-
-    def __init__(self, root: str | Path):
-        super().__init__(Path(root), suffix=".bin")
+    """Generated images by prompt key: each image is a payload record in
+    ``<root>/data/`` and its :class:`GeneratedImageRecord` a meta record in
+    ``<root>/meta/``, so a hit reads the record and never the image. Each
+    log is indexed when the store first uses it, and a miss never rescans.
+    A record's ``image_ref`` is ``<root>#<prompt key>``, which names the
+    entry; nothing opens it as a path. See :class:`storage.ArtifactCache`."""
 
 
 class GenerationLedger:
@@ -341,7 +341,7 @@ def generate_image(
     On a cache hit the stored record is returned without any backend call. On
     a miss the backend is called through :func:`retry_transient`, the latency
     of the successful attempt is recorded, the bytes are verified non-empty
-    and stored atomically, and a ledger entry is appended. The record returned
+    and stored, and a ledger entry is appended. The record returned
     is the one stored: another thread's, when it stored the same key first.
     The record keeps the cost the backend reported (``unit_cost_usd``, else
     0); estimates come from :func:`ledger_totals`. ``key`` is the request's
@@ -353,7 +353,7 @@ def generate_image(
     try:
         return GeneratedImageRecord.from_dict(store.get_meta(key))
     except CacheError:
-        pass  # a miss, or a payload deleted since it was stored: generate it
+        pass  # a miss: generate it
 
     def attempt() -> tuple[bytes, float]:
         start = time.perf_counter()
@@ -372,7 +372,7 @@ def generate_image(
         prompt_key=key,
         backend_id=params.backend_id,
         steps=params.steps,
-        image_ref=str(store.path_for(key)),
+        image_ref=f"{store.root}#{key}",
         latency_s=latency,
         cost_usd=float(getattr(backend, "unit_cost_usd", 0.0)),
         created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),

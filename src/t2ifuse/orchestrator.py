@@ -20,6 +20,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import datetime as _dt
+import functools
 import itertools
 import json
 import logging
@@ -567,6 +568,7 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
     images = {r["sample_id"]: r for r in _read_rows(caches, run_dir / "images.jsonl")}
     text_provider = registry.resolve_text_provider(config)
     emb_cache: EmbeddingCache = caches["embeddings"]
+    store: ImageStore = caches["images"]
     image_provider = None
     if config.method in GENERATIVE_METHODS:
         image_provider = registry.resolve_image_provider(config)
@@ -582,13 +584,16 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
             text_key = sha256_hex(row["effective_text"].encode("utf-8"))
             if row["image_source"] == "generate":
                 image_row = images[row["sample_id"]]
-                image_pooled, image_tokens = embed_image(image_row["image_ref"], image_provider, emb_cache,
-                                                         content_hash=image_row["content_hash"])
+                content_hash = image_row["content_hash"]
+                # a miss reads the image from the store; a hit reads nothing
+                read = functools.partial(store.get, image_row["prompt_key"], sha256=content_hash)
+                image_pooled, image_tokens = embed_image(read, image_provider, emb_cache,
+                                                         content_hash=content_hash)
                 image_pooled = image_pooled.values
                 image_entry = {
                     "kind": "cached",
                     "provider": image_provider.provider_id,
-                    "key": image_row["content_hash"],
+                    "key": content_hash,
                     "image_ref": image_row["image_ref"],
                 }
             else:
@@ -861,7 +866,7 @@ def _build_caches(config: ExperimentConfig) -> dict:
     return {
         "images": ImageStore(cache_root / "images"),
         "embeddings": EmbeddingCache(cache_root / "emb"),
-        "chat": ArtifactCache(cache_root / "chat", suffix=".txt"),
+        "chat": ArtifactCache(cache_root / "chat"),
         "artifacts": _ArtifactMemo(),
     }
 

@@ -3,10 +3,12 @@ log that every cache keeps its records in.
 
 A :class:`SegmentLog` is one directory of append-only segment files. Each
 record is checksummed, and each segment has one writing process, so writers
-never share a file and need no lock across processes. The embedding cache
-stores whole entries in it; :class:`ArtifactCache` (images, chat responses)
-keeps each payload as a file of its own and stores the entry's meta record in
-the log, stamped with the identity of that file.
+never share a file and need no lock across processes. A log is indexed once,
+when it is opened; a lookup reads that index and this process's own appends,
+and a miss never rescans the directory. The embedding cache stores whole
+entries in one log per provider; :class:`ArtifactCache` (images, chat
+responses) stores each entry as a payload record in ``<root>/data/`` and a
+meta record in ``<root>/meta/``, so that a hit reads no payload bytes.
 """
 
 from __future__ import annotations
@@ -41,28 +43,18 @@ def stable_key(obj: Any) -> str:
     return sha256_hex(canonical_json(obj).encode("utf-8"))
 
 
-def atomic_write_bytes(path: str | Path, data: bytes, *,
-                       mtime_ns: int | None = None) -> os.stat_result:
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write via a temp file in the same directory + rename, so readers never
     observe partial content. The temp name is unique per process and thread,
-    so concurrent writers of one path never share a temp file. ``mtime_ns``,
-    if given, becomes the file's modification time.
-
-    Returns the file's stat, taken through the written descriptor after the
-    rename: it describes these bytes even if another writer has replaced the
-    path since.
-    """
+    so concurrent writers of one path never share a temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     with open(tmp, "wb") as fh:
         fh.write(data)
         fh.flush()
-        if mtime_ns is not None:
-            os.utime(fh.fileno(), ns=(mtime_ns, mtime_ns))
         os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return os.fstat(fh.fileno())
+    os.replace(tmp, path)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -111,14 +103,18 @@ _RECORD_HEADER = struct.Struct("<4s32sII")
 _KEY_LOCKS = 64
 
 
+def _key_digest(key: str) -> bytes:
+    return hashlib.sha256(key.encode("utf-8")).digest()
+
+
 def _record_crc(digest: bytes, length: int, payload: bytes) -> int:
     return zlib.crc32(payload, zlib.crc32(digest + length.to_bytes(4, "little")))
 
 
-def _close_segments(segments: dict[str, list[int]]) -> None:
-    for fd, _ in segments.values():
+def _close_fds(fds: list[int]) -> None:
+    for fd in fds:
         os.close(fd)
-    segments.clear()
+    fds.clear()
 
 
 class SegmentLog:
@@ -134,50 +130,45 @@ class SegmentLog:
     share it under a lock. A record is durable after :meth:`sync`, which
     fsyncs each segment written since the last sync.
 
-    Reads: opening scans the segments header by header into a key digest ->
-    records index, in order: oldest segment first, then append order. A
-    lookup that finds no record it accepts indexes the bytes appended since
-    the last scan and tries again, so records of other processes become
-    visible.
+    Reads: the log is indexed once, when it is opened: the segments are
+    scanned header by header into a key digest -> records index, oldest
+    segment first, then append order. After that the index grows only by
+    this process's own appends. A lookup reads the index and never rescans
+    the directory, so a record that another process appends after the open
+    is seen by the next log opened on the directory, not by this one.
 
     Recovery: a scan stops at a segment's first record that is short or has
-    a bad magic, and resumes there next time, so a torn tail is a miss and a
-    record another process is still writing is picked up once complete. A
-    record that fails its crc on read is dropped from the index. A writer
-    never appends after a torn record: after a short write the next append
-    starts a new segment.
+    a bad magic, so a torn tail is a miss. A record that fails its crc on
+    read is dropped from the index. A writer never appends after a torn
+    record: after a failed or short write the next append starts a new
+    segment.
 
-    ``_segments`` maps a segment's file name to ``[fd, bytes indexed]`` and
-    ``_index`` a key digest to its records' ``(fd, payload offset, length,
-    crc)``. The descriptors are closed by :meth:`close`, or when the log is
-    collected.
+    ``_index`` maps a key digest to its records' ``(fd, payload offset,
+    length, crc)``. The descriptors are closed by :meth:`close`, or when the
+    log is collected.
     """
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
         self._lock = threading.Lock()
         self._key_locks = [threading.Lock() for _ in range(_KEY_LOCKS)]
-        self._segments: dict[str, list[int]] = {}
+        self._fds: list[int] = []
         self._index: dict[bytes, tuple[tuple[int, int, int, int], ...]] = {}
-        self._own: list[int] | None = None  # the segment this process appends to
+        self._own: tuple[int, int] | None = None  # this process's segment: (fd, bytes written)
         self._unsynced: set[int] = set()
-        self._finalizer = weakref.finalize(self, _close_segments, self._segments)
-        with self._lock:
-            self._refresh()
+        self._finalizer = weakref.finalize(self, _close_fds, self._fds)
+        self._scan()
 
-    def _refresh(self) -> None:
-        """Index the records appended since the last scan; the caller holds the lock."""
+    def _scan(self) -> None:
+        """Index every whole record of the directory's segments."""
         try:
             names = sorted(n for n in os.listdir(self.directory) if n.endswith(SEGMENT_SUFFIX))
         except FileNotFoundError:
             return
         for name in names:
-            segment = self._segments.get(name)
-            if segment is None:
-                fd = os.open(self.directory / name, os.O_RDONLY)
-                segment = self._segments[name] = [fd, 0]
-            fd, pos = segment
-            size = os.fstat(fd).st_size
+            fd = os.open(self.directory / name, os.O_RDONLY)
+            self._fds.append(fd)
+            size, pos = os.fstat(fd).st_size, 0
             while pos + _RECORD_HEADER.size <= size:
                 header = os.pread(fd, _RECORD_HEADER.size, pos)
                 if len(header) < _RECORD_HEADER.size:
@@ -188,7 +179,6 @@ class SegmentLog:
                     break
                 self._add(digest, (fd, pos + _RECORD_HEADER.size, length, crc))
                 pos = end
-            segment[1] = pos
 
     def _add(self, digest: bytes, location: tuple[int, int, int, int]) -> None:
         self._index[digest] = (*self._index.get(digest, ()), location)
@@ -196,31 +186,28 @@ class SegmentLog:
     def find(self, key: str, accept: Callable[[bytes], bool] | None = None) -> bytes | None:
         """The payload of the first intact record of ``key`` that ``accept``
         takes (any, by default), or ``None``."""
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        tried = set()
-        for rescan in (False, True):
-            if rescan:
-                with self._lock:
-                    self._refresh()
-            for location in self._index.get(digest, ()):
-                if location in tried:
-                    continue
-                tried.add(location)
-                fd, offset, length, crc = location
-                payload = os.pread(fd, length, offset)
-                if len(payload) != length or _record_crc(digest, length, payload) != crc:
-                    with self._lock:  # corrupt: a miss, and never tried again
-                        self._index[digest] = tuple(
-                            r for r in self._index.get(digest, ()) if r != location
-                        )
-                    continue
-                if accept is None or accept(payload):
-                    return payload
+        digest = _key_digest(key)
+        for location in self._index.get(digest, ()):
+            fd, offset, length, crc = location
+            payload = os.pread(fd, length, offset)
+            if len(payload) != length or _record_crc(digest, length, payload) != crc:
+                with self._lock:  # corrupt: a miss, and never tried again
+                    self._index[digest] = tuple(
+                        r for r in self._index.get(digest, ()) if r != location
+                    )
+                continue
+            if accept is None or accept(payload):
+                return payload
         return None
+
+    def crcs(self, key: str) -> set[int]:
+        """The crc of each indexed record of ``key``: which records there are,
+        without reading one."""
+        return {crc for *_, crc in self._index.get(_key_digest(key), ())}
 
     def append(self, key: str, payload: bytes, *, once: bool = False) -> None:
         """Append one record of ``key``; with ``once``, only if none is indexed."""
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        digest = _key_digest(key)
         length = len(payload)
         crc = _record_crc(digest, length, payload)
         record = _RECORD_HEADER.pack(SEGMENT_MAGIC, digest, length, crc) + payload
@@ -234,13 +221,16 @@ class SegmentLog:
                 fd = os.open(
                     self.directory / name, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644
                 )
-                self._own = self._segments[name] = [fd, 0]
+                self._fds.append(fd)
+                self._own = (fd, 0)
             fd, offset = self._own
+            # until the record is whole, no segment is this process's: after a
+            # failed or short write, the next append starts a new one
+            self._own = None
             self._unsynced.add(fd)
             if os.write(fd, record) != len(record):
-                self._own = None  # never append after a torn tail: the next append starts a new segment
                 raise CacheError(f"short write to the segment in {self.directory}")
-            self._own[1] = offset + len(record)
+            self._own = (fd, offset + len(record))
             self._add(digest, (fd, offset + _RECORD_HEADER.size, length, crc))
 
     def key_lock(self, key: str) -> threading.Lock:
@@ -280,9 +270,13 @@ class SegmentLogs:
                     log = self._logs[name] = SegmentLog(self.root / name)
         return log
 
-    def sync(self) -> None:
-        for log in list(self._logs.values()):
-            log.sync()
+    def sync(self, *names: str) -> None:
+        """Fsync the named logs in that order (every log, by default); a log
+        not opened has nothing to sync."""
+        for name in names or list(self._logs):
+            log = self._logs.get(name)
+            if log is not None:
+                log.sync()
 
     def close(self) -> None:
         """Close every log; call it when no other thread uses them."""
@@ -292,108 +286,98 @@ class SegmentLogs:
 
 
 # --- artifact cache ------------------------------------------------------------
-# meta record: stamp of the payload file (uint64 LE inode | uint64 LE size |
-#   int64 LE mtime ns) | sha256 of the payload (32 bytes) | the meta as canonical JSON.
+# payload record, in <root>/data/: the payload's bytes.
+# meta record, in <root>/meta/: sha256 of the payload (32 bytes) |
+#   uint32 LE crc of its payload record | the meta as canonical JSON.
 
-_STAMP = struct.Struct("<QQq")
-_META_AT = _STAMP.size + 32
-_META_LOG = "log"
-
-
-def _stamp(st: os.stat_result) -> bytes:
-    return _STAMP.pack(st.st_ino, st.st_size, st.st_mtime_ns)
+_META_HEADER = struct.Struct("<32sI")
+_DATA, _META = "data", "meta"
 
 
 class ArtifactCache:
     """Content-addressed, write-once artifact store.
 
-    Each entry is a payload file ``<root>/<first2-of-key>/<key><suffix>``,
-    written atomically (temp file, fsync, rename), plus a meta record in the
-    segment log ``<root>/log/``. The record holds the stamp (inode, size,
-    mtime to the nanosecond, which :meth:`put` sets) of the payload file it
-    was written for and the sha256 of its bytes. An entry is the record that
-    matches its payload file as it is now: by stamp, which makes :meth:`has`
-    one ``stat`` plus an index lookup, or else, for a payload that was
-    copied and so has a new inode, by the sha256 of its bytes. So the meta an
-    entry returns always describes the bytes at its payload path, whichever
-    writer's rename came last. A payload without a matching record (a crash
-    between the two writes, or a lost race), a deleted payload and a torn or
-    bad-crc record are all misses, and the next :meth:`put` writes a fresh
-    payload and record. ``.meta`` files of older versions are ignored.
+    Each entry is two records of its key, each in a :class:`SegmentLog` of
+    its own: a payload record in ``<root>/data/`` holding the bytes, and a
+    meta record in ``<root>/meta/`` holding the payload's sha256, the crc of
+    its payload record and the meta as canonical JSON. They are apart so
+    that a hit never reads payload bytes, which for a real image are 1-2 MB.
 
-    :meth:`put` writes the payload before it appends the record and never
-    replaces a complete entry, so a retry after a crash is idempotent; the
-    threads of one process put a key one at a time. Records are durable
-    after :meth:`sync`; payloads are fsynced as they are written.
+    Lookups: an entry is the first intact meta record of its key (oldest
+    segment first) whose payload record is indexed, matched by crc. So
+    :meth:`has` and :meth:`get_meta` read one meta record and the data log's
+    index, and no payload. Each log is indexed when the cache first uses it,
+    and a miss never rescans; records that another process appends later are
+    seen by the next cache opened on the root. :meth:`get` returns the
+    crc-checked payload of the key whose sha256 is the one given, by default
+    the served meta's, so each writer of a lost race reads its own bytes.
+
+    :meth:`put` appends the payload record, then the meta record, unless the
+    entry is indexed; the threads of one process put a key one at a time. A
+    payload without its meta record (a crash between the two appends), a
+    torn record and a bad-crc record are misses, and the next :meth:`put`
+    appends a fresh pair. Records are durable after :meth:`sync`, which
+    fsyncs the payloads before the meta records that name them. Payload
+    files and ``log/`` segments of older versions are ignored.
     """
 
-    def __init__(self, root: Path, suffix: str = ".bin"):
+    def __init__(self, root: Path):
         self.root = Path(root)
-        self.suffix = suffix
         self._logs = SegmentLogs(self.root)
-        # str(self.root / x), spelled as a string join: "." joins as nothing
-        self._prefix = "" if str(self.root) == "." else os.path.join(str(self.root), "")
-
-    def path_for(self, key: str) -> Path:
-        return Path(self._payload_path(key))
-
-    def _payload_path(self, key: str) -> str:
-        """``str(path_for(key))``, without building a ``Path`` on every lookup."""
-        return f"{self._prefix}{key[:2]}/{key}{self.suffix}"
 
     def _meta_record(self, key: str) -> bytes | None:
-        """The meta JSON of the record that matches the payload file as it is now."""
-        path = self._payload_path(key)
-        try:
-            stamp = _stamp(os.stat(path))
-        except FileNotFoundError:
+        """The meta record served for ``key``: the first whose payload record is indexed."""
+        payloads = self._logs[_DATA].crcs(key)
+        if not payloads:
             return None
-        log = self._logs[_META_LOG]
-        record = log.find(key, lambda payload: payload.startswith(stamp))
-        if record is None:
-            try:
-                with open(path, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).digest()
-            except FileNotFoundError:
-                return None
-            record = log.find(key, lambda payload: payload[_STAMP.size:_META_AT] == digest)
-        return None if record is None else record[_META_AT:]
+        return self._logs[_META].find(
+            key, lambda record: _META_HEADER.unpack_from(record)[1] in payloads
+        )
 
     def has(self, key: str) -> bool:
         return self._meta_record(key) is not None
 
-    def get(self, key: str) -> bytes:
-        try:
-            with open(self._payload_path(key), "rb") as fh:
-                return fh.read()
-        except FileNotFoundError:
-            raise CacheError(f"cache miss for key {key}") from None
+    def get(self, key: str, sha256: str | None = None) -> bytes:
+        """The payload of ``key`` whose sha256 (hex) is ``sha256``, by default
+        the one its meta names; :class:`CacheError` if no intact record is."""
+        if sha256 is None:
+            record = self._meta_record(key)
+            if record is None:
+                raise CacheError(f"cache miss for key {key}")
+            digest, _ = _META_HEADER.unpack_from(record)
+        else:
+            digest = bytes.fromhex(sha256)
+        payload = self._logs[_DATA].find(key, lambda data: hashlib.sha256(data).digest() == digest)
+        if payload is None:
+            raise CacheError(f"no intact record of key {key} has sha256 {digest.hex()}")
+        return payload
 
     def get_meta(self, key: str) -> dict:
         record = self._meta_record(key)
         if record is None:
             raise CacheError(f"missing cache metadata for key {key}")
-        return json.loads(record)
+        return json.loads(record[_META_HEADER.size:])
 
     def put(self, key: str, data: bytes, meta: dict) -> dict:
         """Store ``data`` and ``meta`` under ``key`` unless the entry exists;
         returns the entry's meta as stored, an earlier writer's if it did."""
-        log = self._logs[_META_LOG]
-        with log.key_lock(key):
+        data_log, meta_log = self._logs[_DATA], self._logs[_META]
+        with meta_log.key_lock(key):
             record = self._meta_record(key)
             if record is not None:
-                return json.loads(record)
-            # an mtime to the nanosecond: a payload that reuses the inode of a
-            # deleted one still gets a stamp of its own
-            written = atomic_write_bytes(self._payload_path(key), data, mtime_ns=time.time_ns())
-            digest = hashlib.sha256(data).digest()
-            log.append(key, _stamp(written) + digest + canonical_json(meta).encode("utf-8"))
+                return json.loads(record[_META_HEADER.size:])
+            data_log.append(key, data)
+            header = _META_HEADER.pack(
+                hashlib.sha256(data).digest(), _record_crc(_key_digest(key), len(data), data)
+            )
+            meta_log.append(key, header + canonical_json(meta).encode("utf-8"))
             return meta
 
     def sync(self) -> None:
-        """Make every record put so far durable."""
-        self._logs.sync()
+        """Make every entry put so far durable: payloads first, so a durable
+        meta record never names a payload that is not."""
+        self._logs.sync(_DATA, _META)
 
     def close(self) -> None:
-        """Close the log's segments; call it when no other thread uses the cache."""
+        """Close the logs' segments; call it when no other thread uses the cache."""
         self._logs.close()

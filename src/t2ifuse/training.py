@@ -67,14 +67,6 @@ TRAIN_PRESETS: dict[str, dict] = {
 }
 
 
-def train_config_from_preset(name: str, **overrides) -> TrainConfig:
-    if name not in TRAIN_PRESETS:
-        raise KeyError(f"unknown training preset {name!r}; have {sorted(TRAIN_PRESETS)}")
-    params = dict(TRAIN_PRESETS[name])
-    params.update(overrides)
-    return TrainConfig(**params)
-
-
 @dataclass
 class EpochStats:
     epoch: int

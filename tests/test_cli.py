@@ -89,3 +89,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text(yaml.safe_dump({"experiment_id": "x"}))
     assert main(["run", "--config", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_a_failed_stage_is_one_error_line_and_exit_code_2(tmp_path, capsys):
+    fix = build_separability_fixture(tmp_path / "data", samples_per_class=8, seed=2)
+    config = _write_config(tmp_path, fix)
+    fix.dataset_csv.unlink()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    reason = manifest["stages"]["prompts"]["reason"]
+    assert reason.startswith("DatasetError: ") and err == f"error: stage prompts failed: {reason}\n"
+
+    assert main(["--verbose", "run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and err.endswith(f"error: stage prompts failed: {reason}\n")

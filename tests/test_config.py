@@ -129,6 +129,8 @@ def test_training_preset_resolution(tmp_path):
     config = parse_config_data(data)
     assert config.training.learning_rate == 1e-3
     assert config.training.max_epochs == 7
+    finetune = parse_config_data(_minimal(tmp_path, training={"preset": "backbone-finetune"})).training
+    assert (finetune.learning_rate, finetune.max_epochs, finetune.patience) == (2e-5, 5, 2)
     with pytest.raises(ConfigError, match="training.preset"):
         parse_config_data(_minimal(tmp_path, training={"preset": "nope"}))
 

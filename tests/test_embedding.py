@@ -22,6 +22,7 @@ from t2ifuse.embedding import (
     write_oracle_features,
 )
 from t2ifuse.fusion import PackBatch
+from t2ifuse.generation import ImageStore
 from t2ifuse.storage import CacheError
 
 
@@ -130,18 +131,16 @@ def test_embed_image_keyed_on_content_not_prompt(tmp_path, emb_cache):
     path_b = tmp_path / "b.bin"
     path_a.write_bytes(b"same-bytes")
     path_b.write_bytes(b"same-bytes")
-    embed_image(path_a, provider, emb_cache)
-    embed_image(path_b, provider, emb_cache)
+    embed_image(path_a.read_bytes(), provider, emb_cache)
+    embed_image(path_b.read_bytes, provider, emb_cache)
     assert provider.calls == 1
 
 
 def test_provider_swap_creates_distinct_cache_entries(tmp_path, emb_cache):
-    image = tmp_path / "img.bin"
-    image.write_bytes(b"payload")
     siglip_like = HashProjectionProvider("siglip-like", 8)
     dino_like = HashProjectionProvider("dino-like", 8)
-    a, _ = embed_image(image, siglip_like, emb_cache)
-    b, _ = embed_image(image, dino_like, emb_cache)
+    a, _ = embed_image(b"payload", siglip_like, emb_cache)
+    b, _ = embed_image(b"payload", dino_like, emb_cache)
     assert siglip_like.calls == 1 and dino_like.calls == 1
     assert not np.array_equal(a.values, b.values)
     assert (tmp_path / "emb" / "siglip-like").exists()
@@ -152,27 +151,32 @@ def test_embed_image_with_its_known_hash_serves_a_hit_without_the_file(tmp_path,
     provider = CountingProvider()
     image = tmp_path / "img.bin"
     image.write_bytes(b"payload")
-    first, _ = embed_image(image, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
-    image.unlink()  # a hit never opens it
-    again, _ = embed_image(image, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
+    first, _ = embed_image(image.read_bytes, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
+    image.unlink()  # a hit never reads it
+    again, _ = embed_image(image.read_bytes, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
     assert provider.calls == 1 and again.values.tobytes() == first.values.tobytes()
 
 
 def test_embed_image_rejects_bytes_that_are_not_its_known_hash(tmp_path, emb_cache):
     provider = CountingProvider()
-    image = tmp_path / "img.bin"
-    image.write_bytes(b"tampered")
     recorded = hashlib.sha256(b"payload").hexdigest()
-    with pytest.raises(ImageContentError, match=recorded) as err:
-        embed_image(image, provider, emb_cache, content_hash=recorded)
-    assert isinstance(err.value, ProviderError)
+    for image in (b"tampered", lambda: b"tampered"):
+        with pytest.raises(ImageContentError, match=recorded) as err:
+            embed_image(image, provider, emb_cache, content_hash=recorded)
+        assert isinstance(err.value, ProviderError)
     assert provider.calls == 0
     assert emb_cache.get(provider.provider_id, recorded) is None
 
 
 def test_embed_missing_artifact(tmp_path):
-    with pytest.raises(ProviderError, match="missing image artifact"):
-        embed_image(tmp_path / "nope.bin", CountingProvider(), None)
+    store = ImageStore(tmp_path / "images")
+    recorded = hashlib.sha256(b"payload").hexdigest()
+    try:
+        with pytest.raises(ImageContentError, match=f"missing image artifact with sha256 {recorded}"):
+            embed_image(lambda: store.get("no such key", sha256=recorded), CountingProvider(), None,
+                        content_hash=recorded)
+    finally:
+        store.close()
 
 
 def test_cache_round_trip_bit_identical(emb_cache):

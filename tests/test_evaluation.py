@@ -12,11 +12,11 @@ from t2ifuse.evaluation import (
     clip_score_stats,
     compute_metrics,
     confusion_matrix,
-    parse_records,
     render_records,
     render_report,
     table_layout,
 )
+from t2ifuse.storage import iter_jsonl
 
 
 def _space(c):
@@ -271,7 +271,7 @@ def test_render_golden_stability_and_round_trip():
     assert "77.35*" in table_1  # best macro-F1 flagged
 
     # machine records round-trip with full precision
-    parsed = parse_records(render_records(records_1))
+    parsed = list(iter_jsonl(render_records(records_1).encode("utf-8")))
     assert parsed == records_1
     f1_record = next(
         r for r in parsed

@@ -122,11 +122,11 @@ class NondeterministicBackend:
 
 
 def _assert_serves(store, record):
-    """``store`` serves ``record``, and the bytes at its image_ref are the ones it names."""
+    """``store`` serves ``record``, and the bytes it keeps for the entry are the ones it names."""
     key = record.prompt_key
     assert store.has(key)
     assert store.get_meta(key) == record.to_dict()
-    assert record.image_ref == str(store.path_for(key))
+    assert record.image_ref == f"{store.root}#{key}"
     assert sha256_hex(store.get(key)) == record.content_hash
 
 
@@ -139,16 +139,19 @@ def test_a_payload_written_without_its_record_is_a_miss_that_regenerating_repair
     backend = NondeterministicBackend()
     store = open_store()
     params = preset_params("flux-schnell", seed=1)
+    append = SegmentLog.append
 
-    def crash(*args, **kwargs):
-        raise Crash
+    def crash_at_the_meta_record(log, key, payload, **kwargs):
+        if log.directory.name == "meta":
+            raise Crash  # killed between the payload record and its meta record
+        return append(log, key, payload, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(SegmentLog, "append", crash)  # killed between the payload and its record
+        patch.setattr(SegmentLog, "append", crash_at_the_meta_record)
         with pytest.raises(Crash):
             generate_image(_spec(), params, backend, store)
     key = prompt_key(_spec().positive, _spec().negative, params)
-    assert store.get(key) == b"image-1"  # the payload is on disk, fsynced ...
+    assert store.get(key, sha256=sha256_hex(b"image-1")) == b"image-1"  # the payload is stored ...
     assert not store.has(key)  # ... but without its record it is a miss
 
     second = generate_image(_spec(), params, backend, store)
@@ -159,12 +162,16 @@ def test_a_payload_written_without_its_record_is_a_miss_that_regenerating_repair
     _assert_serves(open_store(), second)  # a fresh store reads the same record
 
 
-def test_a_deleted_payload_is_a_miss_whose_regeneration_leaves_a_matching_record(open_store):
+def test_a_deleted_payload_is_a_miss_whose_regeneration_leaves_a_matching_record(tmp_path, open_store):
     backend = NondeterministicBackend()
     store = open_store()
     params = preset_params("flux-schnell", seed=1)
     first = generate_image(_spec(), params, backend, store)
-    store.path_for(first.prompt_key).unlink()  # its record stays in the log
+    store.sync()
+    store.close()
+    for segment in (tmp_path / "images" / "data").glob("*.seg"):
+        segment.unlink()  # its meta record stays in the log
+    store = open_store()
     assert not store.has(first.prompt_key)
 
     second = generate_image(_spec(), params, backend, store)
@@ -172,27 +179,7 @@ def test_a_deleted_payload_is_a_miss_whose_regeneration_leaves_a_matching_record
     _assert_serves(store, second)
     third = generate_image(_spec(), params, backend, store)
     assert backend.calls == 2 and third == second
-    _assert_serves(open_store(), second)
-
-
-def test_a_payload_deleted_just_before_its_lookup_is_a_miss_that_regenerating_repairs(
-        open_store, monkeypatch):
-    backend = NondeterministicBackend()
-    store = open_store()
-    params = preset_params("flux-schnell", seed=1)
-    first = generate_image(_spec(), params, backend, store)
-    get_meta = ImageStore.get_meta
-
-    def lose_the_payload_then_look(self, key):
-        self.path_for(key).unlink(missing_ok=True)  # deleted after the entry was known to exist
-        return get_meta(self, key)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ImageStore, "get_meta", lose_the_payload_then_look)
-        second = generate_image(_spec(), params, backend, store)
-    assert backend.calls == 2 and second.content_hash == sha256_hex(b"image-2") != first.content_hash
-    _assert_serves(store, second)
-    _assert_serves(open_store(), second)
+    _assert_serves(open_store(), second)  # the first meta record names no payload: the second is served
 
 
 def test_a_torn_record_is_a_miss_and_the_torn_segment_is_never_appended_to(tmp_path, open_store):
@@ -203,7 +190,7 @@ def test_a_torn_record_is_a_miss_and_the_torn_segment_is_never_appended_to(tmp_p
     lost = generate_image(_spec("second prompt"), params, backend, store)
     store.sync()
     store.close()
-    [segment] = (tmp_path / "images" / "log").glob("*.seg")
+    [segment] = (tmp_path / "images" / "meta").glob("*.seg")
     torn = segment.read_bytes()[:-5]  # a crash mid-append, or a disk that lost the tail
     segment.write_bytes(torn)
 
@@ -219,21 +206,27 @@ def test_a_torn_record_is_a_miss_and_the_torn_segment_is_never_appended_to(tmp_p
     _assert_serves(fresh, again)
 
 
-def test_an_entry_of_the_old_meta_layout_is_regenerated_once(open_store):
+def test_an_entry_of_the_old_meta_layout_is_regenerated_once(tmp_path, open_store):
     backend = NondeterministicBackend()
-    store = open_store()
     params = preset_params("flux-schnell", seed=1)
     key = prompt_key(_spec().positive, _spec().negative, params)
-    old = store.path_for(key)
+    root = tmp_path / "images"
+    old = root / key[:2] / f"{key}.bin"  # a payload file, with a .meta file and a log/ record
     old.parent.mkdir(parents=True)
     old.write_bytes(b"old image")
     old.with_suffix(".meta").write_text('{"content_hash": "%s"}' % sha256_hex(b"old image"))
+    log = SegmentLog(root / "log")
+    log.append(key, bytes(56) + b'{"content_hash": "%s"}' % sha256_hex(b"old image").encode())
+    log.close()
+    old_files = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
+    store = open_store()
     assert not store.has(key)
     record = generate_image(_spec(), params, backend, store)
     assert backend.calls == 1 and record.content_hash == sha256_hex(b"image-1")
     _assert_serves(store, record)
     assert generate_image(_spec(), params, backend, store) == record and backend.calls == 1
+    assert all(p.read_bytes() == data for p, data in old_files.items())  # ignored, not removed
 
 
 def test_generate_image_seed_sensitivity(open_store):
@@ -468,7 +461,7 @@ def test_record_to_dict_equals_asdict_and_from_dict_ignores_other_keys(open_stor
 
 
 @pytest.mark.parametrize("root", ["absolute", "relative", "trailing slash", "current dir"])
-def test_path_for_is_the_root_joined_with_the_key_shard_and_suffix(tmp_path, monkeypatch, root):
+def test_image_ref_names_the_store_root_and_the_key(tmp_path, monkeypatch, root):
     monkeypatch.chdir(tmp_path)
     given = {
         "absolute": tmp_path / "images",
@@ -481,9 +474,9 @@ def test_path_for_is_the_root_joined_with_the_key_shard_and_suffix(tmp_path, mon
     try:
         record = generate_image(_spec(), preset_params("flux-schnell", seed=1), backend, store)
         key = record.prompt_key
-        expected = str(Path(given) / key[:2] / f"{key}.bin")
-        assert str(store.path_for(key)) == expected == record.image_ref
-        assert Path(expected).read_bytes() == store.get(key)
+        assert record.image_ref == f"{Path(given)}#{key}"
+        assert sha256_hex(store.get(key)) == record.content_hash
         assert store.has(key) and store.get_meta(key) == record.to_dict()
+        assert sorted(p.parent.name for p in Path(given).rglob("*.seg")) == ["data", "meta"]
     finally:
         store.close()

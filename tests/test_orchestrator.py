@@ -331,8 +331,8 @@ def test_a_warm_run_appends_nothing_and_no_run_leaves_a_segment_open(tmp_path, f
 
 def _log_segments(config, cache):
     """Each record segment of the run's ``images`` or ``chat`` cache, by real path, with its size."""
-    root = Path(config.resolved_cache_dir()) / cache / "log"
-    return {os.path.realpath(p): p.stat().st_size for p in root.glob("*.seg")}
+    root = Path(config.resolved_cache_dir()) / cache
+    return {os.path.realpath(p): p.stat().st_size for p in root.rglob("*.seg")}
 
 
 def test_prompt_and_image_stages_fsync_each_segment_once_and_a_warm_run_appends_nothing(
@@ -351,21 +351,43 @@ def test_prompt_and_image_stages_fsync_each_segment_once_and_a_warm_run_appends_
         fsync(fd)
 
     monkeypatch.setattr(os, "fsync", recording_fsync)
-    for stage, cache, suffix in (("prompts", "chat", ".txt"), ("images", "images", ".bin")):
+    for stage, cache in (("prompts", "chat"), ("images", "images")):
         synced.clear()
         run_experiment(config, until_stage=stage)
-        payloads = sorted(os.path.realpath(p) for p in Path(cache_root, cache).rglob(f"*{suffix}"))
-        assert len(payloads) > 1
+        segments = _log_segments(config, cache)
+        files = [os.path.realpath(p) for p in Path(cache_root, cache).rglob("*") if p.is_file()]
+        assert sorted(files) == sorted(segments)  # no file per entry: the logs' segments only
         in_cache = [p for p in synced if p.startswith(cache_root + os.sep)]
-        assert sorted(p for p in in_cache if p.endswith(".seg")) == sorted(_log_segments(config, cache)) != []
-        # each payload once, fsynced under its temp name before the rename
-        assert sorted(re.sub(r"\.\d+\.\d+\.tmp$", "", p) for p in in_cache if not p.endswith(".seg")) == payloads
+        # each segment once, the payloads before the meta records that name them
+        assert sorted(in_cache) == sorted(segments)
+        assert [Path(p).parent.name for p in in_cache] == ["data", "meta"]
         assert all(p.startswith(run_dir + os.sep) for p in synced if p not in in_cache)
     logs = {cache: _log_segments(config, cache) for cache in ("chat", "images")}
 
     run_experiment(config)
     run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")))
     assert {cache: _log_segments(config, cache) for cache in ("chat", "images")} == logs
+
+
+@pytest.mark.parametrize("method", ["oracle_image", "gen_image"])
+def test_a_run_lists_each_log_directory_once_however_many_misses(
+        tmp_path, fixture_dataset, monkeypatch, method):
+    config = _base_config(tmp_path, fixture_dataset, method=method)
+    cache_root = str(Path(config.resolved_cache_dir()))
+    listed = collections.Counter()
+    listdir = os.listdir
+
+    def recording_listdir(path="."):
+        listed[os.fspath(path)] += 1
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", recording_listdir)
+    for out in ("cold", "warm"):
+        listed.clear()
+        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / out)))
+        logs = {path: n for path, n in listed.items() if path.startswith(cache_root + os.sep)}
+        expected = ["emb/hash-16"] + (["images/data", "images/meta"] if method == "gen_image" else [])
+        assert logs == {os.path.join(cache_root, log): 1 for log in expected}
 
 
 _OPENED: list[str] | None = None  # while a list, _record_opens adds each path opened
@@ -391,21 +413,36 @@ def _recording_opens():
         _OPENED = None
 
 
-def test_a_warm_gen_image_run_opens_no_image_payload(tmp_path, fixture_dataset):
+def test_a_warm_gen_image_run_opens_no_image_payload(tmp_path, fixture_dataset, monkeypatch):
     config = _base_config(tmp_path, fixture_dataset)
     run_experiment(config)
     images = os.path.realpath(Path(config.resolved_cache_dir()) / "images")
+    reads = []
+    pread = os.pread
+
+    def recording_pread(fd, length, offset):
+        reads.append((os.readlink(f"/proc/self/fd/{fd}"), length))
+        return pread(fd, length, offset)
+
+    monkeypatch.setattr(os, "pread", recording_pread)
     with _recording_opens() as opened:
         run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")))
     opened = [p for p in opened if p.startswith(images + os.sep)]
-    assert opened and all(p.endswith(".seg") for p in opened)  # the record log, never an image
+    assert opened and all(p.endswith(".seg") for p in opened)  # the record logs, never an image file
+    data = [length for path, length in reads if path.startswith(os.path.join(images, "data", ""))]
+    assert data and set(data) == {44}  # the scan reads each record's header, and no image
 
 
 def test_a_tampered_image_fails_the_embeddings_stage(tmp_path, fixture_dataset):
     config = _base_config(tmp_path, fixture_dataset)
     run_experiment(config, until_stage="images")
-    row = next(read_jsonl(Path(config.output_dir) / "images.jsonl"))
-    Path(row["image_ref"]).write_bytes(b"not the generated image")
+    [segment] = (Path(config.resolved_cache_dir()) / "images" / "data").glob("*.seg")
+    data = bytearray(segment.read_bytes())
+    data[-1] ^= 0x01  # a bit of the last stored image rots
+    segment.write_bytes(bytes(data))
+    last = len(data) - (44 + generation.STUB_IMAGE_SIZE)  # the last record: its header, then the image
+    [row] = [r for r in read_jsonl(Path(config.output_dir) / "images.jsonl")
+             if hashlib.sha256(r["prompt_key"].encode()).digest() == data[last + 4:last + 36]]
     with pytest.raises(ImageContentError, match=row["content_hash"]):
         run_experiment(config)
     embeddings = RunManifest.load(Path(config.output_dir)).stages["embeddings"]
@@ -1288,33 +1325,6 @@ def test_a_warm_images_stage_serves_every_hit_in_the_calling_thread(
     assert threads == [threading.get_ident()] * 48
     cold_rows = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))
     assert list(read_jsonl(Path(warm.output_dir) / "images.jsonl")) == cold_rows
-
-
-def test_an_image_deleted_after_the_stage_finds_it_is_generated_again(
-        tmp_path, fixture_dataset, monkeypatch):
-    config = _base_config(tmp_path, fixture_dataset)
-    registry = ProviderRegistry()
-    run_experiment(config, registry, until_stage="images")
-    backend = registry.backends["flux-schnell"]
-    calls = backend.calls
-    deleted = []
-    has = ImageStore.has
-
-    def has_then_lose_the_payload(store, key):
-        found = has(store, key)
-        if found and not deleted:
-            store.path_for(key).unlink()  # another process cleans the cache right here
-            deleted.append(key)
-        return found
-
-    monkeypatch.setattr(ImageStore, "has", has_then_lose_the_payload)
-    warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
-    run_experiment(warm, registry, until_stage="images")
-    assert backend.calls == calls + 1
-    [row] = [r for r in read_jsonl(Path(warm.output_dir) / "images.jsonl") if r["prompt_key"] == deleted[0]]
-    assert hashlib.sha256(Path(row["image_ref"]).read_bytes()).hexdigest() == row["content_hash"]
-    [ledger_line] = read_jsonl(Path(warm.output_dir) / "ledger.jsonl")
-    assert ledger_line["prompt_key"] == deleted[0]
 
 
 def test_the_images_stage_keys_each_row_once_and_looks_up_a_warm_hit_once(

@@ -187,7 +187,7 @@ def test_style_lexicon_validation():
 
 def test_cached_chat_client_is_idempotent(tmp_path):
     inner = StubChatClient(response="stable answer")
-    cached = CachedChatClient(inner, ArtifactCache(tmp_path / "chat", suffix=".txt"))
+    cached = CachedChatClient(inner, ArtifactCache(tmp_path / "chat"))
     assert cached.complete("sys", "user") == "stable answer"
     assert cached.complete("sys", "user") == "stable answer"
     assert len(inner.requests) == 1
@@ -206,7 +206,7 @@ class _FlakyChat(StubChatClient):
 
 def test_cached_chat_client_does_not_keep_a_blank_rewrite(tmp_path):
     inner = _FlakyChat(response="A steel blender on a counter.")
-    cached = CachedChatClient(inner, ArtifactCache(tmp_path / "chat", suffix=".txt"))
+    cached = CachedChatClient(inner, ArtifactCache(tmp_path / "chat"))
     with pytest.raises(ElaborationError):
         elaborate_text("a loud blender", "visual_description", cached)
     inner.recovered = True

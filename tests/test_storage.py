@@ -7,10 +7,11 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from t2ifuse import storage
 from t2ifuse.embedding import EmbeddingCache, HashProjectionProvider, embed_text, encode_vec_payload
-from t2ifuse.storage import ArtifactCache, atomic_write_bytes, sha256_hex
+from t2ifuse.storage import ArtifactCache, CacheError, atomic_write_bytes, sha256_hex
 
 # The crash tests fork on purpose: a child that inherits a live cache must
 # start a segment of its own.
@@ -101,15 +102,16 @@ def test_a_killed_writer_keeps_its_completed_records_and_no_one_appends_to_it(tm
     [child_segment] = set(_segments(tmp_path / "emb")) - {parent_segment}
     child_bytes = child_segment.read_bytes()
 
-    reference = HashProjectionProvider("hash-8", 8)
+    reference, fresh = HashProjectionProvider("hash-8", 8), EmbeddingCache(tmp_path / "emb")
     for text in texts:
-        _assert_same(embed_text(text, provider, cache), embed_text(text, reference))
-    assert provider.calls == 1  # every record the child completed is a hit for the parent
+        _assert_same(embed_text(text, provider, fresh), embed_text(text, reference))
+    assert provider.calls == 1  # every record the child completed is a hit for a store opened after it
     embed_text("another parent text", provider, cache)
     assert provider.calls == 2
     assert child_segment.read_bytes() == child_bytes  # the parent appended to its own segment
     assert _segments(tmp_path / "emb") == sorted([parent_segment, child_segment])
     cache.close()
+    fresh.close()
 
 
 def _put_one_value(root, key, value, start):
@@ -137,29 +139,42 @@ def test_two_processes_putting_one_key_leave_one_value_per_store(tmp_path):
     for writer in writers:
         writer.join(30)
     assert [w.exitcode for w in writers] == [0, 0]
-    assert len(_segments(root)) == 2  # both appended: neither had seen the other's record
+    oldest, newer = _segments(root)  # both appended: neither had seen the other's record
 
-    seen = encode_vec_payload(*reader.get("hash-8", key))
-    assert seen in payloads
-    assert reader.get("hash-8", "absent" * 8) is None  # a miss rescans both segments
-    for _ in range(3):
-        assert encode_vec_payload(*reader.get("hash-8", key)) == seen
-    fresh = EmbeddingCache(root)
-    assert encode_vec_payload(*fresh.get("hash-8", key)) == seen
-    reader.close()
-    fresh.close()
+    assert reader.get("hash-8", key) is None  # opened before the writers, and a miss never rescans
+    fresh, again = EmbeddingCache(root), EmbeddingCache(root)
+    seen = encode_vec_payload(*fresh.get("hash-8", key))
+    assert seen in payloads and seen in oldest.read_bytes()  # the oldest segment's record wins
+    for store in (fresh, fresh, again):
+        assert encode_vec_payload(*store.get("hash-8", key)) == seen
+    for store in (reader, fresh, again):
+        store.close()
 
 
-def test_a_second_store_sees_entries_appended_after_its_first_scan(tmp_path):
+def test_a_store_lists_its_directory_once_and_a_miss_never_rescans(tmp_path, monkeypatch):
+    root = tmp_path / "emb"
+    listed = []
+    listdir = os.listdir
+
+    def recording_listdir(path):
+        listed.append(os.fspath(path))
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", recording_listdir)
     provider = HashProjectionProvider("hash-8", 8)
-    writer, reader = EmbeddingCache(tmp_path / "emb"), EmbeddingCache(tmp_path / "emb")
-    assert reader.get("hash-8", "0" * 64) is None  # the reader's first scan: nothing there yet
+    writer, reader = EmbeddingCache(root), EmbeddingCache(root)
+    assert reader.get("hash-8", "0" * 64) is None  # the reader indexes an empty log
     written = [embed_text(text, provider, writer) for text in TEXTS]
+    for text in TEXTS:  # appended after the reader's scan: misses, and none rescans
+        assert reader.get("hash-8", sha256_hex(text.encode("utf-8"))) is None
+    assert [p for p in listed if p.startswith(str(root))] == [str(root / "hash-8")] * 2
+
+    fresh = EmbeddingCache(root)  # a store opened after the appends sees them
     for text, expected in zip(TEXTS, written):
-        _assert_same(embed_text(text, provider, reader), expected)
+        _assert_same(embed_text(text, provider, fresh), expected)
     assert provider.calls == len(TEXTS)
-    writer.close()
-    reader.close()
+    for store in (writer, reader, fresh):
+        store.close()
 
 
 def test_threads_sharing_a_store_append_each_key_once_to_one_segment(tmp_path):
@@ -205,6 +220,7 @@ def test_put_never_overwrites_an_existing_file(tmp_path):
     cache.put("k1", b"second", {"n": 2})
     assert cache.get("k1") == b"first"
     assert cache.get_meta("k1") == {"n": 1}
+    cache.close()
 
 
 def _meta_of(data):
@@ -217,15 +233,30 @@ def _assert_record_matches_payload(cache, key):
 
 
 def _scanned_store(root):
-    """A store that has indexed the log before any writer of the tested key starts."""
+    """A store that has indexed its logs before any writer of the tested key starts."""
     cache = ArtifactCache(root)
     cache.put("unrelated", b"x", _meta_of(b"x"))
     return cache
 
 
+def _records(segment):
+    """The whole records at the start of a segment file, as ``(key digest,
+    crc intact)``, and the count of bytes after them."""
+    data, pos, records = segment.read_bytes(), 0, []
+    header = storage._RECORD_HEADER
+    while pos + header.size <= len(data):
+        magic, digest, length, crc = header.unpack_from(data, pos)
+        end = pos + header.size + length
+        if magic != storage.SEGMENT_MAGIC or end > len(data):
+            break
+        records.append((digest, storage._record_crc(digest, length, data[pos + header.size:end]) == crc))
+        pos = end
+    return records, len(data) - pos
+
+
 def test_threads_putting_the_same_keys_leave_one_record_of_the_bytes_on_disk(tmp_path):
     root, keys = tmp_path / "c", [f"{i:064x}" for i in range(30)]
-    old, cache = _scanned_store(root), ArtifactCache(root)
+    cache = ArtifactCache(root)
     start = threading.Barrier(8)
     returned = {key: [] for key in keys}
     errors = []
@@ -250,56 +281,57 @@ def test_threads_putting_the_same_keys_leave_one_record_of_the_bytes_on_disk(tmp
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
+    cache.sync()
     fresh = ArtifactCache(root)
     for key in keys:
         # every put of a key after the first found its entry and returned it
         assert len(returned[key]) == 8 and all(meta == cache.get_meta(key) for meta in returned[key])
-        for store in (cache, old, fresh):
+        for store in (cache, fresh):
             _assert_record_matches_payload(store, key)
-    for store in (cache, old, fresh):
+    digests = sorted(storage._key_digest(key) for key in keys)
+    for log in ("data", "meta"):
+        [segment] = (root / log).glob("*.seg")  # one segment per log, and one record per key in it
+        records, tail = _records(segment)
+        assert sorted(digest for digest, intact in records if intact) == digests and tail == 0
+    for store in (cache, fresh):
         store.close()
 
 
-def _put_in_turn(cache, key, data, missed, turn, done):
-    """Put ``data``; its payload is written once both writers have missed,
-    and not before ``turn`` is set."""
-    write = storage.atomic_write_bytes
-
-    def write_in_turn(*args, **kwargs):
-        missed.wait(10)
-        if turn is not None:
-            assert turn.wait(10)
-        return write(*args, **kwargs)
-
-    storage.atomic_write_bytes = write_in_turn  # this forked child's copy of the module only
+def _put_after_both_missed(cache, key, data, missed):
+    assert not cache.has(key)  # this child's own index, taken before either writer puts
+    missed.wait(10)
     cache.put(key, data, _meta_of(data))
     cache.sync()
-    done.set()
+    cache.close()
 
 
 def test_two_processes_putting_one_key_leave_one_record_of_the_bytes_on_disk(tmp_path):
+    """A lost race: each writer's bytes keep one payload record of their own,
+    and each reader asks for its own sha256."""
     root, key = tmp_path / "c", "k" * 64
     old = _scanned_store(root)  # both writers inherit it, live, through fork
-    missed, first_done, second_done = FORK.Barrier(2), FORK.Event(), FORK.Event()
-    # both miss; the first writes its payload and appends its record, then the
-    # second replaces the payload and appends its own, in a newer segment
+    missed = FORK.Barrier(2)
     writers = [
-        FORK.Process(target=_put_in_turn, args=(old, key, b"process a", missed, None, first_done)),
-        FORK.Process(target=_put_in_turn, args=(old, key, b"process b", missed, first_done, second_done)),
+        FORK.Process(target=_put_after_both_missed, args=(old, key, data, missed))
+        for data in (b"process a", b"process b")
     ]
     for writer in writers:
         writer.start()
     for writer in writers:
         writer.join(30)
     assert [w.exitcode for w in writers] == [0, 0]
-    assert old.get(key) == b"process b"
-    assert len(list((root / "log").glob("*.seg"))) == 3  # the old store's and one per writer
+    assert len(list((root / "meta").glob("*.seg"))) == 3  # the old store's and one per writer
+    payloads = [digest for segment in (root / "data").glob("*.seg") for digest, _ in _records(segment)[0]]
+    assert payloads.count(storage._key_digest(key)) == 2  # one of each writer's bytes, neither replaced
 
     fresh = ArtifactCache(root)
-    for store in (old, fresh):
-        _assert_record_matches_payload(store, key)
-        assert store.get_meta(key) == _meta_of(b"process b")
-        store.close()
+    for data in (b"process a", b"process b"):
+        assert fresh.get(key, sha256=sha256_hex(data)) == data
+    _assert_record_matches_payload(fresh, key)
+    assert fresh.get_meta(key) in (_meta_of(b"process a"), _meta_of(b"process b"))
+    assert not old.has(key)  # opened before the race, and a miss never rescans
+    old.close()
+    fresh.close()
 
 
 def test_a_copied_cache_serves_its_entries_by_their_bytes(tmp_path):
@@ -308,14 +340,96 @@ def test_a_copied_cache_serves_its_entries_by_their_bytes(tmp_path):
         cache.put(f"k{n}", b"payload %d" % n, {"n": n})
     cache.sync()
     cache.close()
-    shutil.copytree(tmp_path / "c", tmp_path / "copy")  # new inodes: no stamp matches
-    (tmp_path / "copy" / "k2" / "k2.bin").write_bytes(b"other bytes")
+    shutil.copytree(tmp_path / "c", tmp_path / "copy")
+    [segment] = (tmp_path / "copy" / "data").glob("*.seg")
+    rotted = bytearray(segment.read_bytes())
+    rotted[-1] ^= 0x01  # one bit of k2's payload, the last record, rots in the copy
+    segment.write_bytes(bytes(rotted))
 
     copy = ArtifactCache(tmp_path / "copy")
-    assert [copy.has(f"k{n}") for n in range(3)] == [True, True, False]
-    assert [copy.get_meta(f"k{n}") for n in range(2)] == [{"n": 0}, {"n": 1}]
+    assert [copy.get_meta(f"k{n}") for n in range(3)] == [{"n": 0}, {"n": 1}, {"n": 2}]
+    assert [copy.get(f"k{n}") for n in range(2)] == [b"payload 0", b"payload 1"]
+    with pytest.raises(CacheError, match=sha256_hex(b"payload 2")):
+        copy.get("k2")  # its crc fails, so the record leaves the index ...
+    assert not copy.has("k2")  # ... and the entry is a miss that the next put repairs
     assert copy.put("k2", b"payload 2", {"n": 2}) == {"n": 2} and copy.get("k2") == b"payload 2"
     copy.close()
+
+
+class _Crash(Exception):
+    """The process dies here."""
+
+
+def test_a_crash_at_any_write_or_fsync_of_a_put_leaves_a_store_that_serves_and_repairs(
+        tmp_path, monkeypatch):
+    entries = {key: b"the bytes of " + key.encode() for key in ("k0", "k1", "k2")}
+
+    def puts(store):
+        for key in ("k0", "k1"):
+            store.put(key, entries[key], {"key": key})
+        store.sync()
+        store.put("k2", entries["k2"], {"key": "k2"})
+        store.put("k0", b"other bytes", {"key": "other"})  # the entry exists: appends nothing
+        store.sync()
+
+    write, fsync = os.write, os.fsync
+
+    def seams(crash_at, torn, calls):
+        """``os.write`` and ``os.fsync`` that log each call and raise at the
+        ``crash_at``-th; a torn write first writes half its bytes."""
+        def seam_write(fd, data):
+            calls.append(("write", 0))
+            if len(calls) == crash_at:
+                if torn:
+                    calls[-1] = ("write", write(fd, data[: len(data) // 2]))
+                raise _Crash
+            return write(fd, data)
+
+        def seam_fsync(fd):
+            calls.append(("fsync", 0))
+            if len(calls) == crash_at:
+                raise _Crash
+            return fsync(fd)
+
+        return seam_write, seam_fsync
+
+    def run(root, crash_at, torn):
+        calls = []
+        store = ArtifactCache(root)
+        seam_write, seam_fsync = seams(crash_at, torn, calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", seam_write)
+            patch.setattr(os, "fsync", seam_fsync)
+            try:
+                puts(store)
+            except _Crash:
+                pass
+        return store, calls
+
+    store, kinds = run(tmp_path / "uncrashed", 0, False)
+    store.close()
+    crashes = [(k, False) for k in range(1, len(kinds) + 1)]
+    crashes += [(k, True) for k, (kind, _) in enumerate(kinds, 1) if kind == "write"]
+    for crash_at, torn in crashes:
+        root = tmp_path / f"crash-{crash_at}-{torn}"
+        crashed, calls = run(root, crash_at, torn)
+        assert len(calls) == crash_at
+        reopened = ArtifactCache(root)
+        for key, data in entries.items():
+            if reopened.has(key):  # every meta served names an intact payload of its sha256
+                assert reopened.get_meta(key) == {"key": key} and reopened.get(key) == data
+        for store in (crashed, reopened):  # a writer that survived the failed call, and a new one
+            for key, data in entries.items():  # a second put of every key succeeds
+                assert store.put(key, data, {"key": key}) == {"key": key} and store.get(key) == data
+            store.sync()
+            store.close()
+        leftover = 0
+        for segment in root.glob("*/*.seg"):
+            records, tail = _records(segment)
+            assert all(intact for _, intact in records)
+            leftover += tail
+        assert leftover == calls[-1][1]  # only the torn half is left: nothing was appended after it
+    assert len(kinds) == 10 and len(crashes) == 16
 
 
 def test_concurrent_writers_of_one_path_use_their_own_temp_files(tmp_path):

@@ -14,7 +14,6 @@ from t2ifuse.training import (
     _clip_gradients,
     adamw_step,
     evaluate_split,
-    train_config_from_preset,
     train_loop,
 )
 
@@ -32,15 +31,6 @@ def test_train_config_defaults_and_validation():
         TrainConfig(patience=9, max_epochs=5)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-
-
-def test_presets():
-    finetune = train_config_from_preset("backbone-finetune")
-    assert finetune.learning_rate == 2e-5
-    head = train_config_from_preset("frozen-head")
-    assert head.learning_rate == 1e-3
-    with pytest.raises(KeyError):
-        train_config_from_preset("imaginary")
 
 
 def _store_with(value, dtype=np.float64):
