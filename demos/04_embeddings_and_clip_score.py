@@ -26,10 +26,10 @@ with tempfile.TemporaryDirectory() as tmp:
 
     text = "a sleek black coffee machine on a kitchen counter"
     pooled, tokens = embed_text(text, provider, cache)
-    print(f"text -> pooled dim {pooled.dim}, {tokens.shape[0]} token vectors")
+    print(f"text -> pooled dim {pooled.shape[0]}, {tokens.shape[0]} token vectors")
 
     again, _ = embed_text(text, provider, cache)
-    print(f"cache round-trip bit-identical: {np.array_equal(pooled.values, again.values)}")
+    print(f"cache round-trip bit-identical: {np.array_equal(pooled, again)}")
     print(f"provider calls so far: {provider.calls} (second read was a cache hit)\n")
 
     # generate a stub image and embed the bytes the store keeps for it
@@ -39,7 +39,7 @@ with tempfile.TemporaryDirectory() as tmp:
     image_vec, image_tokens = embed_image(store.get(record.prompt_key), provider, cache)
     cache.close()  # releases the segment files of cache/emb/hash-32/
     store.close()  # ... and those of cache/images/data/ and cache/images/meta/
-    print(f"image -> pooled dim {image_vec.dim}, keyed by content hash {record.content_hash[:12]}...")
+    print(f"image -> pooled dim {image_vec.shape[0]}, keyed by content hash {record.content_hash[:12]}...")
 
     cos = cosine_similarity(image_vec, pooled)
     score = clip_score(image_vec, pooled)

@@ -92,6 +92,7 @@ class GenerationConfig:
     scheduler_id: str | None = None
     seed: int = 0
     endpoint: str | None = None
+    # image requests in flight; also encoder requests, for an encoder without batch methods
     concurrency: int = 2
     retries: int = 3  # attempts in all
 

@@ -8,13 +8,17 @@ is one checksummed record holding its float32 ``EVC1`` payload, so a cache
 round-trip is bit-identical. An entry is durable after
 :meth:`EmbeddingCache.sync`; a record torn by a crash is a miss, and
 re-encoding it appends a fresh one. An image embeds under its content hash;
-given that hash, :func:`embed_image` serves a hit without reading the image.
+given that hash, a hit never reads the image. :func:`embed_text` and
+:func:`embed_image` encode one item; :func:`embed_all` looks many up, then
+encodes the misses in batches, or on a pool of threads.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
@@ -43,27 +47,6 @@ class ZeroVectorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: np.ndarray  # 1-D float vector
-    provider_id: str
-    normalized: bool = False
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.ndim != 1:
-            raise ValueError(f"embedding must be 1-D, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("embedding contains non-finite entries")
-        if self.normalized and abs(float(np.linalg.norm(values)) - 1.0) > 1e-6:
-            raise ValueError("vector marked normalized but |v| != 1")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-
 @dataclass
 class FeaturePack:
     """One sample's encoder outputs, as :meth:`fusion.PackBatch.from_packs`
@@ -76,6 +59,10 @@ class FeaturePack:
 
 
 class TextEncoderProvider(Protocol):
+    """A text encoder. An optional ``encode_texts(list[str]) -> list[(pooled,
+    tokens)]`` gets one call per chunk of misses from :func:`embed_all`;
+    without it, ``encode_text`` is called from several threads at once."""
+
     provider_id: str
     dim: int  # a remote provider learns it from its first response
 
@@ -85,6 +72,8 @@ class TextEncoderProvider(Protocol):
 
 
 class ImageEncoderProvider(Protocol):
+    """An image encoder; ``encode_images(list[bytes])`` is optional, as above."""
+
     provider_id: str
     dim: int
 
@@ -109,6 +98,8 @@ class HashProjectionProvider:
     Text is split on whitespace; each token embeds as
     ``_hash_floats(provider_id|token|<token>, dim)`` and the pooled vector is
     the token mean. Image bytes embed as a single token keyed by their sha256.
+    The batch methods hash each distinct token of a batch once; ``calls``
+    counts the items encoded.
     """
 
     def __init__(self, provider_id: str, dim: int, max_tokens: int = 32):
@@ -118,24 +109,42 @@ class HashProjectionProvider:
         self.dim = dim
         self.max_tokens = max_tokens
         self.calls = 0
+        self._counters = [c.to_bytes(4, "big") for c in range(-(-dim // 32))]
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        tag = f"{self.provider_id}|token|{token}".encode("utf-8")
-        return _hash_floats(tag, self.dim)
+    def _hash_rows(self, tags: list[bytes]) -> np.ndarray:
+        """Row i is ``_hash_floats(tags[i], dim)``, all from one buffer."""
+        digests = b"".join(hashlib.sha256(tag + c).digest() for tag in tags for c in self._counters)
+        raw = np.frombuffer(digests, dtype=np.uint8).reshape(len(tags), -1)[:, : self.dim]
+        return (raw.astype(np.float32) / 255.0) * 2.0 - 1.0
+
+    def encode_texts(self, texts: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+        self.calls += len(texts)
+        tokens = [text.split()[: self.max_tokens] for text in texts]
+        if not all(tokens):
+            raise ProviderError("cannot encode empty text")
+        vocab = {token: i for i, token in enumerate(dict.fromkeys(t for ts in tokens for t in ts))}
+        rows = self._hash_rows([f"{self.provider_id}|token|{t}".encode("utf-8") for t in vocab])
+        by_length = defaultdict(list)  # texts of equal token count pool as one array
+        for i, ts in enumerate(tokens):
+            by_length[len(ts)].append(i)
+        out: list = [None] * len(texts)
+        for group in by_length.values():
+            mats = rows[[[vocab[t] for t in tokens[i]] for i in group]]
+            for i, matrix, pooled in zip(group, mats, mats.mean(axis=1)):
+                out[i] = pooled, matrix
+        return out
+
+    def encode_images(self, images: list[bytes]) -> list[tuple[np.ndarray, np.ndarray]]:
+        self.calls += len(images)
+        prefix = self.provider_id.encode("utf-8") + b"|image|"
+        rows = self._hash_rows([prefix + hashlib.sha256(data).digest() for data in images])
+        return [(vec, vec[None, :]) for vec in rows]
 
     def encode_text(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        self.calls += 1
-        tokens = text.split()[: self.max_tokens]
-        if not tokens:
-            raise ProviderError("cannot encode empty text")
-        matrix = np.stack([self._token_vector(t) for t in tokens])
-        return matrix.mean(axis=0), matrix
+        return self.encode_texts([text])[0]
 
     def encode_image(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-        self.calls += 1
-        tag = self.provider_id.encode("utf-8") + b"|image|" + hashlib.sha256(data).digest()
-        vec = _hash_floats(tag, self.dim)
-        return vec, vec[None, :]
+        return self.encode_images([data])[0]
 
 
 class OracleFeatureProvider:
@@ -265,28 +274,32 @@ def _validate_provider_output(provider, pooled: np.ndarray, tokens: np.ndarray):
     return pooled, tokens
 
 
+def text_key(text: str) -> str:
+    """The cache key of ``text``; blank text raises :class:`ProviderError`."""
+    if not text.strip():
+        raise ProviderError("cannot embed empty text")
+    return sha256_hex(text.encode("utf-8"))
+
+
 def embed_text(
     text: str,
     provider: TextEncoderProvider,
     cache: EmbeddingCache | None = None,
-) -> tuple[EmbeddingVector, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Encode text, cache-keyed by (provider id, text hash).
 
     Returns the pooled vector and the token sequence (length >= 1; providers
     that only pool yield a single row).
     """
-    if not text.strip():
-        raise ProviderError("cannot embed empty text")
-    key = sha256_hex(text.encode("utf-8"))
+    key = text_key(text)
     if cache is not None:
         hit = cache.get(provider.provider_id, key)
         if hit is not None:
-            pooled, tokens = hit
-            return EmbeddingVector(pooled, provider.provider_id), tokens
+            return hit
     pooled, tokens = _validate_provider_output(provider, *provider.encode_text(text))
     if cache is not None:
         cache.put(provider.provider_id, key, pooled, tokens)
-    return EmbeddingVector(pooled, provider.provider_id), tokens
+    return pooled, tokens
 
 
 def embed_image(
@@ -295,7 +308,7 @@ def embed_image(
     cache: EmbeddingCache | None = None,
     *,
     content_hash: str | None = None,
-) -> tuple[EmbeddingVector, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Encode image bytes, cache-keyed by (provider id, content hash).
 
     ``image`` is the bytes, or a function that reads them, such as a stored
@@ -311,8 +324,7 @@ def embed_image(
     if cache is not None:
         hit = cache.get(provider.provider_id, key)
         if hit is not None:
-            pooled, tokens = hit
-            return EmbeddingVector(pooled, provider.provider_id), tokens
+            return hit
     if not isinstance(image, bytes):
         try:
             image = image()
@@ -325,7 +337,68 @@ def embed_image(
     pooled, tokens = _validate_provider_output(provider, *provider.encode_image(image))
     if cache is not None:
         cache.put(provider.provider_id, key, pooled, tokens)
-    return EmbeddingVector(pooled, provider.provider_id), tokens
+    return pooled, tokens
+
+
+ENCODE_CHUNK = 64  # misses per batch call; also bounds the image bytes held at once
+
+
+def embed_all(
+    provider: TextEncoderProvider | ImageEncoderProvider,
+    kind: str,
+    items: dict,
+    cache: EmbeddingCache,
+    *,
+    workers: int,
+    read: Callable[[str, object], bytes] | None = None,
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Key -> (pooled, tokens) for ``items``: cache key -> text (``kind``
+    ``"text"``) or image bytes (``kind`` ``"image"``), or -> what
+    ``read(key, item)`` reads them from, for misses only. A read that finds
+    no record (:class:`storage.CacheError`) is an :class:`ImageContentError`.
+
+    Each key is looked up once. The misses go in order, in chunks of
+    :data:`ENCODE_CHUNK`: one ``encode_<kind>s`` call per chunk, or without
+    it one ``encode_<kind>`` call per item on ``workers`` threads. A provider
+    whose ``dim`` is ``None`` gets its first miss alone. Each output is
+    validated, then put; what was put before a failure stays cached.
+    """
+    found = {key: cache.get(provider.provider_id, key) for key in items}
+    misses = [key for key, hit in found.items() if hit is None]
+    if not misses:
+        return found
+    encode_one = getattr(provider, f"encode_{kind}")
+    encode_many = getattr(provider, f"encode_{kind}s", None)
+
+    def load(key):
+        if read is None:
+            return items[key]
+        try:
+            return read(key, items[key])
+        except CacheError as exc:
+            raise ImageContentError(f"missing image artifact with sha256 {key}: {exc}") from exc
+
+    def put(key, output):
+        pooled, tokens = found[key] = _validate_provider_output(provider, *output)
+        cache.put(provider.provider_id, key, pooled, tokens)
+
+    if provider.dim is None:
+        put(misses[0], encode_one(load(misses[0])))
+        misses = misses[1:]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:  # no thread until a map
+        for start in range(0, len(misses), ENCODE_CHUNK):
+            chunk = misses[start:start + ENCODE_CHUNK]
+            data = [load(key) for key in chunk]
+            if encode_many is None:
+                outputs = pool.map(encode_one, data)
+            else:
+                outputs = encode_many(data)
+                if len(outputs) != len(chunk):
+                    raise ProviderError(f"provider {provider.provider_id!r} returned {len(outputs)} "
+                                        f"outputs for {len(chunk)} inputs")
+            for key, output in zip(chunk, outputs):
+                put(key, output)
+    return found
 
 
 def _unit(values: np.ndarray) -> np.ndarray:
@@ -336,15 +409,14 @@ def _unit(values: np.ndarray) -> np.ndarray:
     return values / norm
 
 
-def cosine_similarity(a, b) -> float:
-    a = a.values if isinstance(a, EmbeddingVector) else a
-    b = b.values if isinstance(b, EmbeddingVector) else b
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     ua, ub = _unit(a), _unit(b)
     if ua.shape != ub.shape:
         raise ValueError(f"dim mismatch {ua.shape} vs {ub.shape}")
     return float(np.dot(ua, ub))
 
-def clip_score(image_vec, text_vec) -> float:
+
+def clip_score(image_vec: np.ndarray, text_vec: np.ndarray) -> float:
     """Semantic-consistency proxy: 2.5 * max(cosine, 0), range [0, 2.5].
 
     Inputs are normalized internally, so the score is symmetric and invariant

@@ -38,7 +38,12 @@ class GenerationError(RuntimeError):
 
 
 class TransientBackendError(GenerationError):
-    """Transport failure or 5xx; the request may be retried."""
+    """Transport failure, 5xx or 429; the request may be retried, though not
+    before ``retry_after_s`` seconds when the server asked for a delay."""
+
+    def __init__(self, message: str, retry_after_s: float | None = None):
+        super().__init__(message)
+        self.retry_after_s = retry_after_s
 
 
 class RetriesExhaustedError(GenerationError):
@@ -62,8 +67,9 @@ def retry_transient(
     """Return ``call()``, retrying :class:`TransientBackendError` up to
     ``retries`` attempts in all.
 
-    The k-th failure sleeps ``backoff_s * 2**(k-1)`` before the next attempt;
-    after the last it raises :class:`RetriesExhaustedError`. Any other error
+    The k-th failure sleeps ``backoff_s * 2**(k-1)``, or the failure's
+    ``retry_after_s`` if that is longer, before the next attempt; after the
+    last it raises :class:`RetriesExhaustedError`. Any other error
     propagates at once.
     """
     attempt = 0
@@ -74,7 +80,7 @@ def retry_transient(
         except TransientBackendError as exc:
             if attempt >= retries:
                 raise RetriesExhaustedError(attempt, exc) from exc
-            delay = backoff_s * (2 ** (attempt - 1))
+            delay = max(backoff_s * (2 ** (attempt - 1)), exc.retry_after_s or 0.0)
             logger.warning(
                 "transient failure (attempt %d/%d), retrying in %.1fs: %s",
                 attempt, retries, delay, exc,

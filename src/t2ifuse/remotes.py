@@ -9,8 +9,9 @@ All adapters speak minimal JSON contracts:
 - chat client: POST {system, user, model_id, temperature} -> {"text": "..."}.
 
 Credentials come from per-adapter environment variables (never from config
-files). Transport failures and 5xx responses raise
-:class:`t2ifuse.generation.TransientBackendError`, and every retry goes
+files). Transport failures, 5xx and 429 responses raise
+:class:`t2ifuse.generation.TransientBackendError`, carrying the delay a
+``Retry-After`` header asks for; any other 4xx is permanent. Every retry goes
 through :func:`t2ifuse.generation.retry_transient`: ``generate_image`` wraps
 the image backend, and the embedding provider and chat client wrap their own
 requests.
@@ -19,6 +20,8 @@ requests.
 from __future__ import annotations
 
 import base64
+import datetime as _dt
+import email.utils
 import os
 import time
 from typing import Any, Callable
@@ -51,6 +54,20 @@ def _headers(api_key_env: str | None) -> dict[str, str]:
     return headers
 
 
+def _retry_after_s(value: str | None) -> float | None:
+    """The wait a ``Retry-After`` header asks for, in seconds: delta-seconds or
+    an HTTP-date (RFC 9110 section 10.2.3); ``None`` if absent or malformed."""
+    if value is not None and value.strip().isascii() and value.strip().isdigit():
+        return float(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except ValueError:
+        return None
+    if when.tzinfo is None:  # "-0000": UTC, by RFC 5322
+        when = when.replace(tzinfo=_dt.timezone.utc)
+    return max(when.timestamp() - time.time(), 0.0)
+
+
 class _HttpAdapter:
     """Endpoint, credential, timeout and session shared by the adapters."""
 
@@ -76,8 +93,9 @@ class _HttpAdapter:
             )
         except requests.RequestException as exc:
             raise TransientBackendError(f"transport failure calling {url}: {exc}") from exc
-        if response.status_code >= 500:
-            raise TransientBackendError(f"{url} returned {response.status_code}")
+        if response.status_code >= 500 or response.status_code == 429:
+            raise TransientBackendError(f"{url} returned {response.status_code}",
+                                        _retry_after_s(response.headers.get("Retry-After")))
         if response.status_code >= 400:
             raise GenerationError(f"{url} rejected the request: {response.status_code}")
         return response

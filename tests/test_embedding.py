@@ -6,16 +6,17 @@ import pytest
 from t2ifuse.embedding import (
     CLIP_SCORE_WEIGHT,
     DimensionMismatchError,
-    EmbeddingVector,
     FeaturePack,
     HashProjectionProvider,
     ImageContentError,
     OracleFeatureProvider,
     ProviderError,
     ZeroVectorError,
+    _hash_floats,
     clip_score,
     cosine_similarity,
     decode_vec_payload,
+    embed_all,
     embed_image,
     embed_text,
     encode_vec_payload,
@@ -55,7 +56,7 @@ def test_embed_text_caches_by_text_hash(emb_cache):
     a, _ = embed_text("same text", provider, emb_cache)
     b, _ = embed_text("same text", provider, emb_cache)
     assert provider.calls == 1
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_embed_text_dim_mismatch(emb_cache):
@@ -90,7 +91,17 @@ def test_non_finite_output_is_rejected_before_it_is_cached(emb_cache, embed, ite
     assert emb_cache.get(provider.provider_id, key) is None
     provider.healed = True
     vec, _ = embed(item, provider, emb_cache)
-    assert np.isfinite(vec.values).all() and provider.calls == 3
+    assert np.isfinite(vec).all() and provider.calls == 3
+
+
+def test_embed_all_rejects_a_batch_of_the_wrong_length(emb_cache):
+    class ShortBatches(CountingProvider):
+        def encode_texts(self, texts):
+            return [self.encode_text(t) for t in texts[:-1]]
+
+    with pytest.raises(ProviderError, match="1 outputs for 2 inputs"):
+        embed_all(ShortBatches(), "text", {"k1": "one", "k2": "two"}, emb_cache, workers=1)
+    assert emb_cache.get("fix-4", "k1") is None
 
 
 def test_hash_projection_matches_formula_recompute():
@@ -111,6 +122,37 @@ def test_hash_projection_matches_formula_recompute():
     assert np.array_equal(tokens[0], expected_token("coffee"))
     assert np.array_equal(tokens[1], expected_token("machine"))
     assert np.allclose(pooled, tokens.mean(axis=0), atol=1e-7)
+
+
+@pytest.mark.parametrize("dim", [1, 16, 33, 48])
+def test_batch_hash_encoding_is_bit_identical_to_hashing_each_token(dim):
+    provider = HashProjectionProvider(f"hash-{dim}", dim)
+    rng = np.random.default_rng(dim)
+    words = [f"w{i}" for i in range(12)]  # few words, so texts repeat tokens
+    texts = [" ".join(rng.choice(words, size=n)) for n in range(1, 41)] + ["echo echo echo", "solo"]
+    outputs = provider.encode_texts(texts)
+    assert provider.calls == len(texts)  # items, not batches
+    for text, (pooled, tokens) in zip(texts, outputs):
+        matrix = np.stack([_hash_floats(f"hash-{dim}|token|{t}".encode(), dim)
+                           for t in text.split()[: provider.max_tokens]])
+        assert tokens.shape == (min(len(text.split()), 32), dim)
+        assert tokens.tobytes() == matrix.tobytes()
+        assert pooled.tobytes() == matrix.mean(axis=0).tobytes()
+        one_pooled, one_tokens = provider.encode_text(text)
+        assert one_pooled.tobytes() == pooled.tobytes() and one_tokens.tobytes() == tokens.tobytes()
+
+    images = [b"", b"fixture-image-bytes", bytes(range(256)) * 3, b"fixture-image-bytes"]
+    calls = provider.calls
+    batch = provider.encode_images(images)
+    assert provider.calls == calls + len(images)
+    for data, (pooled, tokens) in zip(images, batch):
+        expected = _hash_floats(f"hash-{dim}|image|".encode() + hashlib.sha256(data).digest(), dim)
+        assert pooled.tobytes() == expected.tobytes() and tokens.shape == (1, dim)
+        assert provider.encode_image(data)[0].tobytes() == expected.tobytes()
+
+    for bad in (["fine text", "   "], [""]):
+        with pytest.raises(ProviderError, match="empty text"):
+            provider.encode_texts(bad)
 
 
 def test_fixture_image_embedding_golden():
@@ -142,7 +184,7 @@ def test_provider_swap_creates_distinct_cache_entries(tmp_path, emb_cache):
     a, _ = embed_image(b"payload", siglip_like, emb_cache)
     b, _ = embed_image(b"payload", dino_like, emb_cache)
     assert siglip_like.calls == 1 and dino_like.calls == 1
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
     assert (tmp_path / "emb" / "siglip-like").exists()
     assert (tmp_path / "emb" / "dino-like").exists()
 
@@ -154,7 +196,7 @@ def test_embed_image_with_its_known_hash_serves_a_hit_without_the_file(tmp_path,
     first, _ = embed_image(image.read_bytes, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
     image.unlink()  # a hit never reads it
     again, _ = embed_image(image.read_bytes, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
-    assert provider.calls == 1 and again.values.tobytes() == first.values.tobytes()
+    assert provider.calls == 1 and again.tobytes() == first.tobytes()
 
 
 def test_embed_image_rejects_bytes_that_are_not_its_known_hash(tmp_path, emb_cache):
@@ -183,7 +225,7 @@ def test_cache_round_trip_bit_identical(emb_cache):
     provider = HashProjectionProvider("hash-16", 16)
     first, tokens_first = embed_text("a stitch in time", provider, emb_cache)
     reloaded, tokens_again = embed_text("a stitch in time", provider, emb_cache)
-    assert first.values.tobytes() == reloaded.values.tobytes()
+    assert first.tobytes() == reloaded.tobytes()
     assert tokens_first.tobytes() == tokens_again.tobytes()
 
 
@@ -253,12 +295,3 @@ def test_clip_score_zero_vector_and_dim_mismatch():
         clip_score(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError, match="dim mismatch"):
         cosine_similarity(np.ones(3), np.ones(4))
-
-
-def test_embedding_vector_invariants():
-    with pytest.raises(ValueError, match="normalized"):
-        EmbeddingVector(np.array([1.0, 1.0]), "p", normalized=True)
-    with pytest.raises(ValueError, match="non-finite"):
-        EmbeddingVector(np.array([np.inf, 0.0]), "p")
-    vec = EmbeddingVector(np.array([0.6, 0.8]), "p", normalized=True)
-    assert vec.dim == 2

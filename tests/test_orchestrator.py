@@ -4,9 +4,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import sys
 import threading
+import time
 from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,13 +20,17 @@ import yaml
 from t2ifuse.cli import main as cli_main
 from t2ifuse.config import parse_config, parse_config_data
 from t2ifuse.corpus import TextSample
-from t2ifuse import generation, orchestrator
+from t2ifuse import embedding, generation, orchestrator, storage
 from t2ifuse.embedding import (
+    EmbeddingCache,
     HashProjectionProvider,
     ImageContentError,
+    ProviderError,
     ZeroVectorError,
     clip_score,
     cosine_similarity,
+    embed_image,
+    embed_text,
 )
 from t2ifuse.evaluation import EvalReport
 from t2ifuse.fusion import PackBatch
@@ -1397,3 +1403,150 @@ def test_a_failed_images_stage_closes_its_ledger(tmp_path, fixture_dataset):
     assert RunManifest.load(Path(config.output_dir)).stages["images"].status == "failed"
     assert not _ledger_handles(config.output_dir)
     assert len(list(read_jsonl(Path(config.output_dir) / "ledger.jsonl"))) == 5
+
+
+# --- the embeddings stage: one lookup per key, then the misses in batches ---------
+
+
+class _PerItemEncoder:
+    """A ``hash-16`` encoder with only the one-item methods, so the stage
+    calls it once per miss from a pool. With ``jitter`` each call sleeps
+    1-5 ms at random, so the items of a chunk finish out of order. It counts
+    its calls and the peak number in flight, and fails on the item
+    ``fail_on``. With ``learn_dim`` its dim is ``None`` until its first call
+    returns, as a remote encoder's is."""
+
+    provider_id = "hash-16"
+
+    def __init__(self, *, jitter=True, fail_on=None, learn_dim=False):
+        self._inner = HashProjectionProvider("hash-16", 16)
+        self.dim = None if learn_dim else 16
+        self._jitter = random.Random(5) if jitter else None
+        self.fail_on = fail_on
+        self.calls = self.finished = self.in_flight = self.peak = 0
+        self.started_before_the_first_finished = 0
+        self._lock = threading.Lock()
+
+    def _call(self, encode, item):
+        with self._lock:
+            self.calls += 1
+            if self.calls > 1 and self.finished == 0:
+                self.started_before_the_first_finished += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            delay = self._jitter.uniform(0.001, 0.005) if self._jitter else 0.0
+        try:
+            time.sleep(delay)
+            if item == self.fail_on:
+                raise ProviderError(f"encoder failed on {item!r}")
+            output = encode(item)
+            self.dim = 16
+            return output
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+                self.finished += 1
+
+    def encode_text(self, text):
+        return self._call(self._inner.encode_text, text)
+
+    def encode_image(self, data):
+        return self._call(self._inner.encode_image, data)
+
+
+def _cache_records(root: Path) -> set[tuple[str, bytes, bytes]]:
+    """(log, key digest, payload) of every record in the logs under ``root``."""
+    header = storage._RECORD_HEADER
+    records = set()
+    for segment in root.rglob("*.seg"):
+        data, pos = segment.read_bytes(), 0
+        while pos < len(data):
+            _, digest, length, _ = header.unpack_from(data, pos)
+            pos += header.size
+            records.add((segment.parent.name, digest, data[pos:pos + length]))
+            pos += length
+    return records
+
+
+@pytest.mark.parametrize("method", ["text_only", "oracle_image", "gen_image"])
+def test_batched_pooled_and_serial_misses_write_the_same_features_and_cache(
+        tmp_path, fixture_dataset, monkeypatch, method):
+    monkeypatch.setattr(embedding, "ENCODE_CHUNK", 5)  # several chunks, the last one short
+    emb_root = tmp_path / "cache" / "emb"
+    features, records = {}, {}
+    for way, encoder, concurrency in (
+        ("batch", None, 2),  # hash-16's encode_texts / encode_images
+        ("pool", _PerItemEncoder, 2),  # one call per item, finishing out of order
+        ("serial", lambda: _PerItemEncoder(jitter=False), 1),
+    ):
+        registry = ProviderRegistry()
+        if encoder is not None:
+            registry.text_providers["hash-16"] = encoder()
+            registry.image_providers["hash-16"] = encoder()
+        config = _base_config(tmp_path, fixture_dataset, out_name=way, method=method,
+                              generation={"backend": "flux-schnell", "concurrency": concurrency})
+        run_experiment(config, registry)
+        providers = [*registry.text_providers.values(), *registry.image_providers.values()]
+        calls = sum(p.calls for p in providers)
+        assert calls > 0
+        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / f"{way}-warm")), registry)
+        assert sum(p.calls for p in providers) == calls  # a warm run calls no encoder
+        features[way] = (Path(config.output_dir) / "features.jsonl").read_bytes()
+        records[way] = _cache_records(emb_root)
+        emb_root.rename(tmp_path / f"emb-{way}")  # the next way starts on a cold embedding cache
+    assert features["batch"] == features["pool"] == features["serial"]
+    assert records["batch"] == records["pool"] == records["serial"] != set()
+
+    # ... which is what the one-item API writes, sample by sample
+    provider = HashProjectionProvider("hash-16", 16)
+    reference = EmbeddingCache(emb_root)
+    store = ImageStore(tmp_path / "cache" / "images")
+    try:
+        for row in read_jsonl(tmp_path / "batch" / "prompts.jsonl"):
+            embed_text(row["effective_text"], provider, reference)
+        for row in read_jsonl(tmp_path / "batch" / "images.jsonl"):
+            embed_image(store.get(row["prompt_key"]), provider, reference)
+    finally:
+        reference.close()
+        store.close()
+    assert _cache_records(emb_root) == records["batch"]
+
+
+def test_a_failed_item_fails_the_stage_and_a_resume_encodes_only_what_is_missing(
+        tmp_path, fixture_dataset, monkeypatch):
+    monkeypatch.setattr(embedding, "ENCODE_CHUNK", 5)
+    config = _base_config(tmp_path, fixture_dataset, method="text_only")
+    run_experiment(config, until_stage="images")
+    texts = sorted({r["effective_text"] for r in read_jsonl(Path(config.output_dir) / "prompts.jsonl")})
+    encoder = _PerItemEncoder(fail_on=texts[len(texts) // 2])
+    registry = ProviderRegistry(text_providers={"hash-16": encoder})
+    with pytest.raises(ProviderError, match="encoder failed"):
+        run_experiment(config, registry)
+    stage = RunManifest.load(Path(config.output_dir)).stages["embeddings"]
+    assert stage.status == "failed" and stage.reason.startswith("ProviderError: ")
+
+    cache = EmbeddingCache(Path(config.resolved_cache_dir()) / "emb")
+    try:
+        missing = [t for t in texts if cache.get("hash-16", embedding.text_key(t)) is None]
+    finally:
+        cache.close()
+    assert 0 < len(missing) < len(texts)  # the chunks before the failure were kept
+    encoder.fail_on, calls = None, encoder.calls
+    manifest, report = run_experiment(config, registry)
+    assert manifest.stages["embeddings"].status == "done" and report is not None
+    assert encoder.calls - calls == len(missing)
+
+
+@pytest.mark.parametrize("learn_dim", [False, True])
+def test_the_pool_runs_at_the_configured_concurrency(tmp_path, fixture_dataset, learn_dim):
+    encoder = _PerItemEncoder(learn_dim=learn_dim)
+    registry = ProviderRegistry(text_providers={"hash-16": encoder})
+    config = _base_config(tmp_path, fixture_dataset, method="oracle_image",
+                          generation={"backend": "flux-schnell", "concurrency": 2})
+    run_experiment(config, registry, until_stage="embeddings")
+    texts = {r["text_key"] for r in read_jsonl(Path(config.output_dir) / "features.jsonl")}
+    assert encoder.calls == len(texts) > 2
+    assert encoder.peak == 2
+    if learn_dim:  # its first call runs alone, and teaches it its dim
+        assert encoder.started_before_the_first_finished == 0 and encoder.dim == 16
+

@@ -1,3 +1,5 @@
+import datetime
+import email.utils
 import json
 
 import pytest
@@ -8,14 +10,15 @@ from t2ifuse.embedding import DimensionMismatchError, embed_text
 from t2ifuse.generation import GenerationError, GenerationParams, TransientBackendError
 from t2ifuse.orchestrator import ProviderRegistry
 from t2ifuse.prompting import ElaborationError
-from t2ifuse.remotes import HttpChatClient, HttpEmbeddingProvider, HttpImageBackend
+from t2ifuse.remotes import HttpChatClient, HttpEmbeddingProvider, HttpImageBackend, _retry_after_s
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, content=b"", body=None):
+    def __init__(self, status_code=200, content=b"", body=None, headers=None):
         self.status_code = status_code
         self.content = content
         self._body = body
+        self.headers = {} if headers is None else headers
 
     def json(self):
         return self._body
@@ -163,6 +166,55 @@ def test_remote_encoder_from_config_learns_its_dim(monkeypatch, tmp_path, emb_ca
         FakeResponse(body={"pooled": [1.0, 0.0]}),
     ])
     pooled, tokens = embed_text("first text", provider, emb_cache)
-    assert provider.dim == 3 and pooled.dim == 3 and tokens.shape == (2, 3)
+    assert provider.dim == 3 and pooled.shape == (3,) and tokens.shape == (2, 3)
     with pytest.raises(DimensionMismatchError, match="declared dim 3 but returned 2"):
         embed_text("second text", provider, emb_cache)
+
+
+def _rate_limited_provider(monkeypatch, responses):
+    monkeypatch.setenv("SIGLIP_API_KEY", "k")
+    session = FakeSession(responses)
+    sleeps = []
+    provider = HttpEmbeddingProvider("siglip", "https://emb.example", session=session, sleep=sleeps.append)
+    return provider, session, sleeps
+
+
+def test_a_429_with_retry_after_waits_that_long_then_succeeds(monkeypatch):
+    provider, session, sleeps = _rate_limited_provider(monkeypatch, [
+        FakeResponse(status_code=429, headers={"Retry-After": "1"}),
+        FakeResponse(body={"pooled": [1.0, 2.0]}),
+    ])
+    pooled, _ = provider.encode_text("hello")
+    assert pooled.tolist() == [1.0, 2.0]
+    assert len(session.requests) == 2
+    assert sleeps == [1.0]  # the server's delay, longer than the first backoff of 0.5 s
+
+
+def test_a_429_without_retry_after_backs_off(monkeypatch):
+    provider, session, sleeps = _rate_limited_provider(monkeypatch, [
+        FakeResponse(status_code=429),
+        FakeResponse(status_code=429, headers={"Retry-After": "soon"}),  # malformed: ignored
+        FakeResponse(body={"pooled": [1.0, 2.0]}),
+    ])
+    provider.encode_text("hello")
+    assert len(session.requests) == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_any_other_4xx_fails_on_the_first_post(monkeypatch):
+    provider, session, sleeps = _rate_limited_provider(monkeypatch, [FakeResponse(status_code=404)])
+    with pytest.raises(GenerationError, match="rejected the request: 404") as err:
+        provider.encode_text("hello")
+    assert not isinstance(err.value, TransientBackendError)
+    assert len(session.requests) == 1 and sleeps == []
+
+
+def test_retry_after_reads_delta_seconds_and_http_dates():
+    now = datetime.datetime.now(datetime.timezone.utc)
+    assert _retry_after_s("120") == 120.0
+    assert _retry_after_s(" 0 ") == 0.0
+    assert 25 <= _retry_after_s(email.utils.format_datetime(now + datetime.timedelta(seconds=30), usegmt=True)) <= 30
+    assert _retry_after_s(email.utils.format_datetime(now - datetime.timedelta(hours=1), usegmt=True)) == 0.0
+    assert _retry_after_s("Sun, 06 Nov 1994 08:49:37 GMT") == 0.0  # the RFC's example date, long past
+    for malformed in (None, "", "-5", "1.5", "soon", "\u00b2"):
+        assert _retry_after_s(malformed) is None

@@ -25,7 +25,7 @@ def _segments(root):
 
 def _assert_same(got, expected):
     (vec, tokens), (vec_expected, tokens_expected) = got, expected
-    assert vec.values.tobytes() == vec_expected.values.tobytes()
+    assert vec.tobytes() == vec_expected.tobytes()
     assert tokens.tobytes() == tokens_expected.tobytes()
 
 
