@@ -7,10 +7,10 @@ a :class:`storage.SegmentLog` under ``cache/emb/<provider_id>/``: each entry
 is one checksummed record holding its float32 ``EVC1`` payload, so a cache
 round-trip is bit-identical. An entry is durable after
 :meth:`EmbeddingCache.sync`; a record torn by a crash is a miss, and
-re-encoding it appends a fresh one. An image embeds under its content hash;
-given that hash, a hit never reads the image. :func:`embed_text` and
-:func:`embed_image` encode one item; :func:`embed_all` looks many up, then
-encodes the misses in batches, or on a pool of threads.
+re-encoding it appends a fresh one. An image embeds under its content hash.
+:func:`embed_text` and :func:`embed_image` encode one item; :func:`embed_all`
+looks many up, then encodes the misses in batches, or on a pool of threads,
+and given each image's hash a hit never reads the image.
 """
 
 from __future__ import annotations
@@ -303,38 +303,17 @@ def embed_text(
 
 
 def embed_image(
-    image: bytes | Callable[[], bytes],
+    data: bytes,
     provider: ImageEncoderProvider,
     cache: EmbeddingCache | None = None,
-    *,
-    content_hash: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode image bytes, cache-keyed by (provider id, content hash).
-
-    ``image`` is the bytes, or a function that reads them, such as a stored
-    image's ``ImageStore.get``. With the image's known ``content_hash`` a
-    cache hit reads nothing; a miss reads the bytes and raises
-    :class:`ImageContentError` when the read finds no record
-    (:class:`storage.CacheError`) or the bytes' sha256 is not that hash.
-    """
-    key = content_hash
-    if key is None:
-        image = image if isinstance(image, bytes) else image()
-        key = sha256_hex(image)
+    """Encode image bytes, cache-keyed by (provider id, content hash)."""
+    key = sha256_hex(data)
     if cache is not None:
         hit = cache.get(provider.provider_id, key)
         if hit is not None:
             return hit
-    if not isinstance(image, bytes):
-        try:
-            image = image()
-        except CacheError as exc:
-            raise ImageContentError(f"missing image artifact with sha256 {key}: {exc}") from exc
-    if content_hash is not None:
-        actual = sha256_hex(image)
-        if actual != key:
-            raise ImageContentError(f"image bytes have sha256 {actual}, but their record says {key}")
-    pooled, tokens = _validate_provider_output(provider, *provider.encode_image(image))
+    pooled, tokens = _validate_provider_output(provider, *provider.encode_image(data))
     if cache is not None:
         cache.put(provider.provider_id, key, pooled, tokens)
     return pooled, tokens

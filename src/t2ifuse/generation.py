@@ -55,6 +55,7 @@ class RetriesExhaustedError(GenerationError):
 
 
 TRANSIENT_RETRIES = 3  # attempts in all, unless a caller configures its own
+RETRY_AFTER_MAX_S = 60.0  # the longest wait a server's Retry-After gets
 
 
 def retry_transient(
@@ -68,9 +69,9 @@ def retry_transient(
     ``retries`` attempts in all.
 
     The k-th failure sleeps ``backoff_s * 2**(k-1)``, or the failure's
-    ``retry_after_s`` if that is longer, before the next attempt; after the
-    last it raises :class:`RetriesExhaustedError`. Any other error
-    propagates at once.
+    ``retry_after_s`` if that is longer, capped at :data:`RETRY_AFTER_MAX_S`,
+    before the next attempt; after the last it raises
+    :class:`RetriesExhaustedError`. Any other error propagates at once.
     """
     attempt = 0
     while True:
@@ -80,7 +81,7 @@ def retry_transient(
         except TransientBackendError as exc:
             if attempt >= retries:
                 raise RetriesExhaustedError(attempt, exc) from exc
-            delay = max(backoff_s * (2 ** (attempt - 1)), exc.retry_after_s or 0.0)
+            delay = max(backoff_s * (2 ** (attempt - 1)), min(exc.retry_after_s or 0.0, RETRY_AFTER_MAX_S))
             logger.warning(
                 "transient failure (attempt %d/%d), retrying in %.1fs: %s",
                 attempt, retries, delay, exc,

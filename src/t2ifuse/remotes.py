@@ -12,7 +12,8 @@ Credentials come from per-adapter environment variables (never from config
 files). Transport failures, 5xx and 429 responses raise
 :class:`t2ifuse.generation.TransientBackendError`, carrying the delay a
 ``Retry-After`` header asks for; any other 4xx is permanent. Every retry goes
-through :func:`t2ifuse.generation.retry_transient`: ``generate_image`` wraps
+through :func:`t2ifuse.generation.retry_transient`, which caps that delay at
+``RETRY_AFTER_MAX_S``: ``generate_image`` wraps
 the image backend, and the embedding provider and chat client wrap their own
 requests.
 """

@@ -174,7 +174,7 @@ def test_embed_image_keyed_on_content_not_prompt(tmp_path, emb_cache):
     path_a.write_bytes(b"same-bytes")
     path_b.write_bytes(b"same-bytes")
     embed_image(path_a.read_bytes(), provider, emb_cache)
-    embed_image(path_b.read_bytes, provider, emb_cache)
+    embed_image(path_b.read_bytes(), provider, emb_cache)
     assert provider.calls == 1
 
 
@@ -189,34 +189,45 @@ def test_provider_swap_creates_distinct_cache_entries(tmp_path, emb_cache):
     assert (tmp_path / "emb" / "dino-like").exists()
 
 
+def _read_path(content_hash, path):
+    return path.read_bytes()
+
+
 def test_embed_image_with_its_known_hash_serves_a_hit_without_the_file(tmp_path, emb_cache):
     provider = CountingProvider()
     image = tmp_path / "img.bin"
     image.write_bytes(b"payload")
-    first, _ = embed_image(image.read_bytes, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
+    items = {hashlib.sha256(b"payload").hexdigest(): image}
+    first = embed_all(provider, "image", items, emb_cache, workers=1, read=_read_path)
     image.unlink()  # a hit never reads it
-    again, _ = embed_image(image.read_bytes, provider, emb_cache, content_hash=hashlib.sha256(b"payload").hexdigest())
-    assert provider.calls == 1 and again.tobytes() == first.tobytes()
+    again = embed_all(provider, "image", items, emb_cache, workers=1, read=_read_path)
+    assert provider.calls == 1 and again.keys() == items.keys()
+    assert all(again[k][0].tobytes() == first[k][0].tobytes() for k in items)
 
 
 def test_embed_image_rejects_bytes_that_are_not_its_known_hash(tmp_path, emb_cache):
     provider = CountingProvider()
     recorded = hashlib.sha256(b"payload").hexdigest()
-    for image in (b"tampered", lambda: b"tampered"):
+    store = ImageStore(tmp_path / "images")
+    try:
+        store.put("k", b"tampered", {})
         with pytest.raises(ImageContentError, match=recorded) as err:
-            embed_image(image, provider, emb_cache, content_hash=recorded)
-        assert isinstance(err.value, ProviderError)
+            embed_all(provider, "image", {recorded: "k"}, emb_cache, workers=1,
+                      read=lambda content_hash, key: store.get(key, sha256=content_hash))
+    finally:
+        store.close()
+    assert isinstance(err.value, ProviderError)
     assert provider.calls == 0
     assert emb_cache.get(provider.provider_id, recorded) is None
 
 
-def test_embed_missing_artifact(tmp_path):
+def test_embed_missing_artifact(tmp_path, emb_cache):
     store = ImageStore(tmp_path / "images")
     recorded = hashlib.sha256(b"payload").hexdigest()
     try:
         with pytest.raises(ImageContentError, match=f"missing image artifact with sha256 {recorded}"):
-            embed_image(lambda: store.get("no such key", sha256=recorded), CountingProvider(), None,
-                        content_hash=recorded)
+            embed_all(CountingProvider(), "image", {recorded: "no such key"}, emb_cache, workers=1,
+                      read=lambda content_hash, key: store.get(key, sha256=content_hash))
     finally:
         store.close()
 

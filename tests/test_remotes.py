@@ -7,7 +7,7 @@ import requests
 
 from t2ifuse.config import parse_config_data
 from t2ifuse.embedding import DimensionMismatchError, embed_text
-from t2ifuse.generation import GenerationError, GenerationParams, TransientBackendError
+from t2ifuse.generation import RETRY_AFTER_MAX_S, GenerationError, GenerationParams, TransientBackendError
 from t2ifuse.orchestrator import ProviderRegistry
 from t2ifuse.prompting import ElaborationError
 from t2ifuse.remotes import HttpChatClient, HttpEmbeddingProvider, HttpImageBackend, _retry_after_s
@@ -199,6 +199,17 @@ def test_a_429_without_retry_after_backs_off(monkeypatch):
     provider.encode_text("hello")
     assert len(session.requests) == 3
     assert sleeps == [0.5, 1.0]
+
+
+def test_a_huge_retry_after_is_capped(monkeypatch):
+    provider, session, sleeps = _rate_limited_provider(monkeypatch, [
+        FakeResponse(status_code=503, headers={"Retry-After": "9" * 400}),  # parses to inf
+        FakeResponse(status_code=429, headers={"Retry-After": "Fri, 31 Dec 9999 23:59:59 GMT"}),
+        FakeResponse(body={"pooled": [1.0, 2.0]}),
+    ])
+    provider.encode_text("hello")
+    assert len(session.requests) == 3
+    assert sleeps == [RETRY_AFTER_MAX_S, RETRY_AFTER_MAX_S]
 
 
 def test_any_other_4xx_fails_on_the_first_post(monkeypatch):
