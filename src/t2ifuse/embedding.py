@@ -21,7 +21,7 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -224,7 +224,8 @@ class EmbeddingCache:
     under ``<root>/<provider_id>/``, whose record payloads are the ``EVC1``
     vector format. The log gives the layout, durability and recovery.
 
-    Entries are write-once: a ``put`` of an indexed key is a no-op. When
+    Entries are write-once: a ``put`` of an indexed key is a no-op, and
+    :meth:`put_many` stores a batch with one append. When
     segments disagree on a key, the record in the oldest segment wins. Each
     provider's log is indexed when the cache first uses it, and a miss never
     rescans: entries another process appends later are seen by the next
@@ -246,7 +247,13 @@ class EmbeddingCache:
         return None if payload is None else decode_vec_payload(payload)
 
     def put(self, provider_id: str, key: str, pooled: np.ndarray, tokens: np.ndarray) -> None:
-        self._logs[provider_id].append(key, encode_vec_payload(pooled, tokens), once=True)
+        self.put_many(provider_id, [(key, pooled, tokens)])
+
+    def put_many(self, provider_id: str, entries: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> None:
+        """Put each ``(key, pooled, tokens)`` with one append; a key already
+        stored, or earlier in ``entries``, is skipped."""
+        self._logs[provider_id].append_many(
+            ((key, encode_vec_payload(pooled, tokens)) for key, pooled, tokens in entries), once=True)
 
     def sync(self) -> None:
         """Make every entry put so far durable."""
@@ -257,7 +264,9 @@ class EmbeddingCache:
         self._logs.close()
 
 
-def _validate_provider_output(provider, pooled: np.ndarray, tokens: np.ndarray):
+def _validate_provider_output(provider, pooled: np.ndarray, tokens: np.ndarray, *, finite: bool = True):
+    """The output as float32 (pooled (dim,), tokens (n, dim)); its entries
+    are checked finite unless ``finite`` is false (see :func:`_finite_prefix`)."""
     pooled = np.asarray(pooled, dtype=np.float32).reshape(-1)
     tokens = np.atleast_2d(np.asarray(tokens, dtype=np.float32))
     if pooled.shape[0] != provider.dim:
@@ -269,9 +278,18 @@ def _validate_provider_output(provider, pooled: np.ndarray, tokens: np.ndarray):
         raise DimensionMismatchError(
             f"provider {provider.provider_id!r} returned token matrix {tokens.shape}"
         )
-    if not (np.isfinite(pooled).all() and np.isfinite(tokens).all()):
+    if finite and not (np.isfinite(pooled).all() and np.isfinite(tokens).all()):
         raise ProviderError(f"provider {provider.provider_id!r} returned non-finite entries")
     return pooled, tokens
+
+
+def _finite_prefix(outputs: list[tuple[np.ndarray, np.ndarray]]) -> int:
+    """How many leading (pooled, tokens) of ``outputs`` hold only finite
+    entries; one ``isfinite`` call when all of them do."""
+    if not outputs or np.isfinite(np.concatenate([a.ravel() for output in outputs for a in output])).all():
+        return len(outputs)
+    return next(i for i, (pooled, tokens) in enumerate(outputs)
+                if not (np.isfinite(pooled).all() and np.isfinite(tokens).all()))
 
 
 def text_key(text: str) -> str:
@@ -340,7 +358,9 @@ def embed_all(
     :data:`ENCODE_CHUNK`: one ``encode_<kind>s`` call per chunk, or without
     it one ``encode_<kind>`` call per item on ``workers`` threads. A provider
     whose ``dim`` is ``None`` gets its first miss alone. Each output is
-    validated, then put; what was put before a failure stays cached.
+    validated (a batch's entries checked finite with one call), and each
+    chunk put with one append; on a failure, the outputs before it are put,
+    and what was put stays cached.
     """
     found = {key: cache.get(provider.provider_id, key) for key in items}
     misses = [key for key, hit in found.items() if hit is None]
@@ -357,26 +377,37 @@ def embed_all(
         except CacheError as exc:
             raise ImageContentError(f"missing image artifact with sha256 {key}: {exc}") from exc
 
-    def put(key, output):
-        pooled, tokens = found[key] = _validate_provider_output(provider, *output)
-        cache.put(provider.provider_id, key, pooled, tokens)
+    def store(chunk, outputs, batch=False):
+        """Validate the outputs in order, a batch's finiteness with one check,
+        then put the valid ones before the first invalid output or failed
+        call with one append."""
+        valid = []
+        try:
+            for key, output in zip(chunk, outputs):
+                valid.append((key, _validate_provider_output(provider, *output, finite=not batch)))
+        finally:
+            # a non-finite output precedes the failure being raised, if any: its error replaces it
+            finite = _finite_prefix([output for _, output in valid]) if batch else len(valid)
+            found.update(valid[:finite])
+            cache.put_many(provider.provider_id, ((key, *output) for key, output in valid[:finite]))
+            if finite < len(valid):
+                raise ProviderError(f"provider {provider.provider_id!r} returned non-finite entries")
 
     if provider.dim is None:
-        put(misses[0], encode_one(load(misses[0])))
+        store(misses[:1], [encode_one(load(misses[0]))])
         misses = misses[1:]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:  # no thread until a map
         for start in range(0, len(misses), ENCODE_CHUNK):
             chunk = misses[start:start + ENCODE_CHUNK]
             data = [load(key) for key in chunk]
             if encode_many is None:
-                outputs = pool.map(encode_one, data)
+                store(chunk, pool.map(encode_one, data))
             else:
                 outputs = encode_many(data)
                 if len(outputs) != len(chunk):
                     raise ProviderError(f"provider {provider.provider_id!r} returned {len(outputs)} "
                                         f"outputs for {len(chunk)} inputs")
-            for key, output in zip(chunk, outputs):
-                put(key, output)
+                store(chunk, outputs, batch=True)
     return found
 
 

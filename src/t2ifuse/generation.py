@@ -9,12 +9,20 @@ entry, and the image bytes are read back by prompt key and content hash.
 Every fresh generation appends a ledger record carrying latency and cost, which
 :func:`ledger_totals` aggregates exactly (costs are money, so totals use
 decimal arithmetic).
+
+:func:`generate_all` generates many misses in chunks: one call per chunk to
+a backend's optional ``generate_many``, else one ``generate`` call per item
+on a pool of threads; each chunk is stored with one put and one ledger
+write. :func:`generate_image` looks one prompt up and, on a miss, is a
+one-item :func:`generate_all`.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import datetime as _dt
+import functools
 import hashlib
 import logging
 import threading
@@ -22,10 +30,10 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Protocol
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .prompting import PromptSpec
-from .storage import ArtifactCache, CacheError, canonical_json, read_jsonl, sha256_hex
+from .storage import ArtifactCache, canonical_json, read_jsonl, sha256_hex
 
 logger = logging.getLogger(__name__)
 
@@ -243,6 +251,13 @@ def prompt_key(positive: str, negative: str, params: GenerationParams) -> str:
 
 
 class ImageBackend(Protocol):
+    """A text-to-image backend. An optional ``generate_many(prompts, params)
+    -> list[bytes]``, one image per prompt (each with ``positive`` and
+    ``negative``) in order, gets one call per chunk of misses from
+    :func:`generate_all`, in the calling thread; a local diffusers pipeline
+    batches prompts this way. Without it, ``generate`` is called once per
+    miss from several threads at once, as a remote endpoint is."""
+
     backend_id: str
 
     def generate(self, positive: str, negative: str, params: GenerationParams) -> bytes: ...
@@ -289,6 +304,11 @@ class StubImageBackend:
         self.calls += 1
         return stub_generate(PromptPair(positive, negative), params)
 
+    def generate_many(self, prompts: Sequence[PromptSpec | PromptPair],
+                      params: GenerationParams) -> list[bytes]:
+        self.calls += len(prompts)
+        return [stub_generate(prompt, params) for prompt in prompts]
+
 
 class ImageStore(ArtifactCache):
     """Generated images by prompt key: each image is a payload record in
@@ -302,8 +322,9 @@ class ImageStore(ArtifactCache):
 class GenerationLedger:
     """Append-only record-per-line log of generation events.
 
-    Appends share one handle, opened by the first and flushed after each
-    record; :meth:`close` closes it, and a later append opens it again.
+    Appends share one handle, opened by the first; each writes its records
+    with one write and one flush. :meth:`close` closes the handle, and a
+    later append opens it again.
     """
 
     def __init__(self, path: str | Path):
@@ -311,12 +332,14 @@ class GenerationLedger:
         self._lock = threading.Lock()
         self._fh = None
 
-    def append(self, record: GeneratedImageRecord) -> None:
+    def append_many(self, records: Sequence[GeneratedImageRecord]) -> None:
+        if not records:
+            return
         with self._lock:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(canonical_json(record.ledger_line()) + "\n")
+            self._fh.write("".join(canonical_json(r.ledger_line()) + "\n" for r in records))
             self._fh.flush()
 
     def close(self) -> None:
@@ -329,6 +352,127 @@ class GenerationLedger:
         if not self.path.exists():
             return []
         return list(read_jsonl(self.path))
+
+
+GENERATE_CHUNK = 64  # misses per chunk: one batch call, one put and one ledger write each
+
+
+def generate_all(
+    misses: Sequence[tuple[str, PromptSpec | PromptPair]],
+    params: GenerationParams,
+    backend: ImageBackend,
+    store: ImageStore,
+    *,
+    ledger: GenerationLedger | None = None,
+    retries: int = TRANSIENT_RETRIES,
+    workers: int = 1,
+    backoff_s: float = 0.5,
+    sleep: Callable[[float], None] = time.sleep,
+) -> dict[str, GeneratedImageRecord]:
+    """Generate and store the image of each ``(prompt key, prompt)`` in
+    ``misses`` (distinct keys, none in ``store``); returns key -> record.
+
+    The misses go in order, in chunks of :data:`GENERATE_CHUNK`: one
+    ``backend.generate_many`` call per chunk, or without it one
+    ``backend.generate`` call per item on ``workers`` threads, each through
+    :func:`retry_transient`. Only backend calls leave this thread. Each
+    chunk is stored with one :meth:`ImageStore.put_many` and logged with one
+    ledger append, in input order: every non-empty image the backend
+    returned, before the chunk's first failure is raised. After a failure,
+    pool calls not yet started are cancelled; a batch of the wrong size
+    stores nothing, as no image can be matched to its prompt.
+
+    ``latency_s`` is the successful attempt's wall time; for a batch call,
+    that time divided by the chunk's size, so latencies still sum to the
+    backend's time. ``cost_usd`` is the backend's ``unit_cost_usd``, else 0;
+    estimates come from :func:`ledger_totals`. The record returned is the
+    one stored: another writer's, when it stored the key first.
+    """
+    generate_many = getattr(backend, "generate_many", None)
+    cost = float(getattr(backend, "unit_cost_usd", 0.0))
+
+    def timed(call: Callable[[], Any]) -> tuple[Any, float]:
+        def attempt():
+            start = time.perf_counter()
+            out = call()
+            return out, time.perf_counter() - start
+        try:
+            return retry_transient(attempt, retries=retries, backoff_s=backoff_s, sleep=sleep)
+        except RetriesExhaustedError as exc:
+            raise GenerationError(f"backend {backend.backend_id!r} {exc}") from exc
+
+    def checked(data: bytes, latency: float) -> tuple[bytes, float] | GenerationError:
+        if not data:
+            return GenerationError(f"backend {backend.backend_id!r} returned empty image bytes")
+        return data, latency
+
+    def one(prompt) -> tuple[bytes, float] | GenerationError:
+        return checked(*timed(lambda: backend.generate(prompt.positive, prompt.negative, params)))
+
+    def call_chunk(prompts, pool) -> list[tuple[bytes, float] | Exception]:
+        """Each prompt's (image, latency) or the error of its call, in order;
+        one at a time, the list ends at the first error."""
+        if generate_many is not None:
+            images, latency = timed(lambda: generate_many(prompts, params))
+            if len(images) != len(prompts):
+                raise GenerationError(f"backend {backend.backend_id!r} returned {len(images)} "
+                                      f"images for {len(prompts)} prompts")
+            return [checked(image, latency / len(prompts)) for image in images]
+        if pool is None:
+            futures, calls = [], [functools.partial(one, prompt) for prompt in prompts]
+        else:
+            futures = [pool.submit(one, prompt) for prompt in prompts]
+            calls = [future.result for future in futures]
+        outcomes = []
+        for call in calls:  # every future: one that ran beside a failure may return a paid image
+            try:
+                outcomes.append(call())
+            except Exception as exc:  # a cancelled future's is a CancelledError
+                outcomes.append(exc)
+            if isinstance(outcomes[-1], Exception):
+                if not futures:
+                    break
+                for future in futures:
+                    future.cancel()  # only those not started yet
+        return outcomes
+
+    results: dict[str, GeneratedImageRecord] = {}
+    pool = None
+    if generate_many is None and workers > 1 and len(misses) > 1:
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+    try:
+        for start in range(0, len(misses), GENERATE_CHUNK):
+            chunk = misses[start:start + GENERATE_CHUNK]
+            outcomes = call_chunk([prompt for _, prompt in chunk], pool)
+            created_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
+            records, entries, failure = [], [], None
+            for (key, _), outcome in zip(chunk, outcomes):
+                if isinstance(outcome, Exception):
+                    failure = failure or outcome
+                    continue
+                data, latency = outcome
+                record = GeneratedImageRecord(
+                    content_hash=sha256_hex(data),
+                    prompt_key=key,
+                    backend_id=params.backend_id,
+                    steps=params.steps,
+                    image_ref=f"{store.root}#{key}",
+                    latency_s=latency,
+                    cost_usd=cost,
+                    created_at=created_at,
+                )
+                records.append(record)
+                entries.append((key, data, record.to_dict()))
+            for record, (*_, meta), stored in zip(records, entries, store.put_many(entries)):
+                results[record.prompt_key] = record if stored is meta else GeneratedImageRecord.from_dict(stored)
+            if ledger is not None:
+                ledger.append_many(records)
+            if failure is not None:
+                raise failure
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return results
 
 
 def generate_image(
@@ -345,49 +489,18 @@ def generate_image(
 ) -> GeneratedImageRecord:
     """Generate (or fetch) the image for a prompt.
 
-    On a cache hit the stored record is returned without any backend call. On
-    a miss the backend is called through :func:`retry_transient`, the latency
-    of the successful attempt is recorded, the bytes are verified non-empty
-    and stored, and a ledger entry is appended. The record returned
-    is the one stored: another thread's, when it stored the same key first.
-    The record keeps the cost the backend reported (``unit_cost_usd``, else
-    0); estimates come from :func:`ledger_totals`. ``key`` is the request's
+    On a cache hit the stored record is returned without any backend call;
+    a miss is a one-item :func:`generate_all`. ``key`` is the request's
     :func:`prompt_key`, for a caller that already computed it; it is
     computed here when not given.
     """
     if key is None:
         key = prompt_key(prompt.positive, prompt.negative, params)
-    try:
-        return GeneratedImageRecord.from_dict(store.get_meta(key))
-    except CacheError:
-        pass  # a miss: generate it
-
-    def attempt() -> tuple[bytes, float]:
-        start = time.perf_counter()
-        data = backend.generate(prompt.positive, prompt.negative, params)
-        return data, time.perf_counter() - start
-
-    try:
-        data, latency = retry_transient(attempt, retries=retries, backoff_s=backoff_s, sleep=sleep)
-    except RetriesExhaustedError as exc:
-        raise GenerationError(f"backend {backend.backend_id!r} {exc}") from exc
-
-    if not data:
-        raise GenerationError(f"backend {backend.backend_id!r} returned empty image bytes")
-    record = GeneratedImageRecord(
-        content_hash=sha256_hex(data),
-        prompt_key=key,
-        backend_id=params.backend_id,
-        steps=params.steps,
-        image_ref=f"{store.root}#{key}",
-        latency_s=latency,
-        cost_usd=float(getattr(backend, "unit_cost_usd", 0.0)),
-        created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-    )
-    stored = store.put(key, data, record.to_dict())
-    if ledger is not None:
-        ledger.append(record)
-    return GeneratedImageRecord.from_dict(stored)
+    meta = store.lookup(key)
+    if meta is not None:
+        return GeneratedImageRecord.from_dict(meta)
+    return generate_all([(key, prompt)], params, backend, store, ledger=ledger, retries=retries,
+                        backoff_s=backoff_s, sleep=sleep)[key]
 
 
 @dataclass(frozen=True)

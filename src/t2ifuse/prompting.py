@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .corpus import TextSample, truncate_text
-from .storage import stable_key
+from .storage import CacheError, stable_key
 
 logger = logging.getLogger(__name__)
 
@@ -366,8 +366,10 @@ class CachedChatClient:
 
     def complete(self, system: str, user: str) -> str:
         key = stable_key({"client": self.client_id, "system": system, "user": user})
-        if self.cache.has(key):
+        try:  # one meta record read: a hit's payload is found by the hash it names
             return self.cache.get(key).decode("utf-8")
+        except CacheError:
+            pass  # a miss, or a payload that no longer reads back intact: ask again
         response = self.client.complete(system, user)
         if response.strip():  # a blank rewrite is an error, not an answer to keep
             self.cache.put(key, response.encode("utf-8"), {"client_id": self.client_id})

@@ -13,7 +13,7 @@ files). Transport failures, 5xx and 429 responses raise
 :class:`t2ifuse.generation.TransientBackendError`, carrying the delay a
 ``Retry-After`` header asks for; any other 4xx is permanent. Every retry goes
 through :func:`t2ifuse.generation.retry_transient`, which caps that delay at
-``RETRY_AFTER_MAX_S``: ``generate_image`` wraps
+``RETRY_AFTER_MAX_S``: ``generate_all`` wraps
 the image backend, and the embedding provider and chat client wrap their own
 requests.
 """
@@ -104,8 +104,9 @@ class _HttpAdapter:
 
 class HttpImageBackend(_HttpAdapter):
     """Generic text-to-image endpoint adapter; provider specifics live in the
-    endpoint URL and credential env var. It posts once: ``generate_image``
-    retries it."""
+    endpoint URL and credential env var. It posts once: ``generate_all``
+    retries it. It has no ``generate_many``, so a run calls it once per
+    miss, on ``generation.concurrency`` threads."""
 
     def __init__(self, backend_id: str, endpoint: str, *, timeout_s: float = 120.0, **kwargs):
         super().__init__(backend_id, endpoint, timeout_s=timeout_s, **kwargs)

@@ -23,7 +23,7 @@ import time
 import weakref
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class CacheError(RuntimeError):
@@ -100,7 +100,6 @@ def iter_jsonl(data: bytes) -> Iterator[dict]:
 SEGMENT_MAGIC = b"ESG1"
 SEGMENT_SUFFIX = ".seg"
 _RECORD_HEADER = struct.Struct("<4s32sII")
-_KEY_LOCKS = 64
 
 
 def _key_digest(key: str) -> bytes:
@@ -126,22 +125,25 @@ class SegmentLog:
     payload. Other files in the directory are ignored.
 
     Writes: each process lazily creates a segment of its own (``O_EXCL``) and
-    only ever appends to that one, with one ``os.write`` per record; threads
-    share it under a lock. A record is durable after :meth:`sync`, which
-    fsyncs each segment written since the last sync.
+    only ever appends to that one, with one ``os.write`` per
+    :meth:`append_many` call, however many records it holds; threads share
+    it under a lock. A record is durable after :meth:`sync`, which fsyncs
+    each segment written since the last sync.
 
     Reads: the log is indexed once, when it is opened: the segments are
     scanned header by header into a key digest -> records index, oldest
     segment first, then append order. After that the index grows only by
-    this process's own appends. A lookup reads the index and never rescans
-    the directory, so a record that another process appends after the open
-    is seen by the next log opened on the directory, not by this one.
+    this process's own appends, once their write has returned whole. A
+    lookup reads the index and never rescans the directory, so a record that
+    another process appends after the open is seen by the next log opened on
+    the directory, not by this one.
 
     Recovery: a scan stops at a segment's first record that is short or has
-    a bad magic, so a torn tail is a miss. A record that fails its crc on
-    read is dropped from the index. A writer never appends after a torn
-    record: after a failed or short write the next append starts a new
-    segment.
+    a bad magic, so a torn tail is a miss; a torn write of several records
+    may leave whole records before the tear, which a later scan indexes. A
+    record that fails its crc on read is dropped from the index. A writer
+    never appends after a torn record: after a failed or short write the
+    next append starts a new segment.
 
     ``_index`` maps a key digest to its records' ``(fd, payload offset,
     length, crc)``. The descriptors are closed by :meth:`close`, or when the
@@ -151,7 +153,8 @@ class SegmentLog:
     def __init__(self, directory: Path):
         self.directory = Path(directory)
         self._lock = threading.Lock()
-        self._key_locks = [threading.Lock() for _ in range(_KEY_LOCKS)]
+        # held by this process's writers that check the index, then append
+        self.write_lock = threading.Lock()
         self._fds: list[int] = []
         self._index: dict[bytes, tuple[tuple[int, int, int, int], ...]] = {}
         self._own: tuple[int, int] | None = None  # this process's segment: (fd, bytes written)
@@ -205,37 +208,46 @@ class SegmentLog:
         without reading one."""
         return {crc for *_, crc in self._index.get(_key_digest(key), ())}
 
-    def append(self, key: str, payload: bytes, *, once: bool = False) -> None:
-        """Append one record of ``key``; with ``once``, only if none is indexed."""
-        digest = _key_digest(key)
-        length = len(payload)
-        crc = _record_crc(digest, length, payload)
-        record = _RECORD_HEADER.pack(SEGMENT_MAGIC, digest, length, crc) + payload
+    def append_many(self, records: Iterable[tuple[str, bytes]], *, once: bool = False) -> list[int | None]:
+        """Append a record per ``(key, payload)``, in order, with one
+        ``os.write``; with ``once``, skip a key that is indexed or came
+        earlier in ``records``. Returns each record's crc, ``None`` for a
+        skipped one."""
+        crcs: list[int | None] = []
+        parts, added, seen, size = [], [], set(), 0
         with self._lock:
-            if once and self._index.get(digest):
-                return
-            if self._own is None:
-                # a segment of this process's own: no other writer ever appends to it
-                self.directory.mkdir(parents=True, exist_ok=True)
-                name = f"{time.time_ns():020d}-{os.getpid()}{SEGMENT_SUFFIX}"
-                fd = os.open(
-                    self.directory / name, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644
-                )
-                self._fds.append(fd)
-                self._own = (fd, 0)
-            fd, offset = self._own
-            # until the record is whole, no segment is this process's: after a
+            for key, payload in records:
+                digest = _key_digest(key)
+                if once and (digest in seen or self._index.get(digest)):
+                    crcs.append(None)
+                    continue
+                seen.add(digest)
+                crc = _record_crc(digest, len(payload), payload)
+                crcs.append(crc)
+                parts += (_RECORD_HEADER.pack(SEGMENT_MAGIC, digest, len(payload), crc), payload)
+                added.append((digest, size + _RECORD_HEADER.size, len(payload), crc))
+                size += _RECORD_HEADER.size + len(payload)
+            if not parts:
+                return crcs
+            fd, offset = self._own or self._create()
+            # until the write is whole, no segment is this process's: after a
             # failed or short write, the next append starts a new one
             self._own = None
             self._unsynced.add(fd)
-            if os.write(fd, record) != len(record):
+            if os.write(fd, b"".join(parts)) != size:
                 raise CacheError(f"short write to the segment in {self.directory}")
-            self._own = (fd, offset + len(record))
-            self._add(digest, (fd, offset + _RECORD_HEADER.size, length, crc))
+            self._own = (fd, offset + size)
+            for digest, start, length, crc in added:
+                self._add(digest, (fd, offset + start, length, crc))
+        return crcs
 
-    def key_lock(self, key: str) -> threading.Lock:
-        """A lock for this process's writers of ``key``, shared with a few other keys."""
-        return self._key_locks[hash(key) % _KEY_LOCKS]
+    def _create(self) -> tuple[int, int]:
+        """A new segment of this process's own: no other writer ever appends to it."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        name = f"{time.time_ns():020d}-{os.getpid()}{SEGMENT_SUFFIX}"
+        fd = os.open(self.directory / name, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644)
+        self._fds.append(fd)
+        return fd, 0
 
     def sync(self) -> None:
         with self._lock:
@@ -305,20 +317,22 @@ class ArtifactCache:
 
     Lookups: an entry is the first intact meta record of its key (oldest
     segment first) whose payload record is indexed, matched by crc. So
-    :meth:`has` and :meth:`get_meta` read one meta record and the data log's
-    index, and no payload. Each log is indexed when the cache first uses it,
-    and a miss never rescans; records that another process appends later are
-    seen by the next cache opened on the root. :meth:`get` returns the
+    :meth:`lookup` (and :meth:`has` and :meth:`get_meta`, which wrap it)
+    reads one meta record and the data log's index, and no payload. Each log
+    is indexed when the cache first uses it, and a miss never rescans;
+    records that another process appends later are seen by the next cache
+    opened on the root. :meth:`get` returns the
     crc-checked payload of the key whose sha256 is the one given, by default
     the served meta's, so each writer of a lost race reads its own bytes.
 
-    :meth:`put` appends the payload record, then the meta record, unless the
-    entry is indexed; the threads of one process put a key one at a time. A
-    payload without its meta record (a crash between the two appends), a
-    torn record and a bad-crc record are misses, and the next :meth:`put`
-    appends a fresh pair. Records are durable after :meth:`sync`, which
-    fsyncs the payloads before the meta records that name them. Payload
-    files and ``log/`` segments of older versions are ignored.
+    :meth:`put_many` appends the payload records of the keys without an
+    entry, then their meta records, one write each; the threads of one
+    process put one at a time. A payload without its meta record (a crash
+    between the two appends), a torn record and a bad-crc record are misses,
+    and the next put appends a fresh pair. Records are durable after
+    :meth:`sync`, which fsyncs the payloads before the meta records that
+    name them. Payload files and ``log/`` segments of older versions are
+    ignored.
     """
 
     def __init__(self, root: Path):
@@ -334,8 +348,13 @@ class ArtifactCache:
             key, lambda record: _META_HEADER.unpack_from(record)[1] in payloads
         )
 
+    def lookup(self, key: str) -> dict | None:
+        """The meta of ``key``'s entry, or ``None`` on a miss; one meta record read."""
+        record = self._meta_record(key)
+        return None if record is None else json.loads(record[_META_HEADER.size:])
+
     def has(self, key: str) -> bool:
-        return self._meta_record(key) is not None
+        return self.lookup(key) is not None
 
     def get(self, key: str, sha256: str | None = None) -> bytes:
         """The payload of ``key`` whose sha256 (hex) is ``sha256``, by default
@@ -353,25 +372,37 @@ class ArtifactCache:
         return payload
 
     def get_meta(self, key: str) -> dict:
-        record = self._meta_record(key)
-        if record is None:
+        if (meta := self.lookup(key)) is None:
             raise CacheError(f"missing cache metadata for key {key}")
-        return json.loads(record[_META_HEADER.size:])
+        return meta
 
     def put(self, key: str, data: bytes, meta: dict) -> dict:
-        """Store ``data`` and ``meta`` under ``key`` unless the entry exists;
-        returns the entry's meta as stored, an earlier writer's if it did."""
+        """Store ``data`` and ``meta`` under ``key``; see :meth:`put_many`."""
+        return self.put_many([(key, data, meta)])[0]
+
+    def put_many(self, entries: Sequence[tuple[str, bytes, dict]]) -> list[dict]:
+        """Store each ``(key, data, meta)`` unless its key has an entry, or
+        came earlier in ``entries``: every payload record with one append,
+        then every meta record with one. Returns each entry's meta as
+        stored, an earlier writer's where there was one."""
         data_log, meta_log = self._logs[_DATA], self._logs[_META]
-        with meta_log.key_lock(key):
-            record = self._meta_record(key)
-            if record is not None:
-                return json.loads(record[_META_HEADER.size:])
-            data_log.append(key, data)
-            header = _META_HEADER.pack(
-                hashlib.sha256(data).digest(), _record_crc(_key_digest(key), len(data), data)
-            )
-            meta_log.append(key, header + canonical_json(meta).encode("utf-8"))
-            return meta
+        stored: dict[str, dict] = {}
+        fresh = []
+        with meta_log.write_lock:
+            for key, data, meta in entries:
+                if key in stored:
+                    continue
+                # a key without a payload record has no entry: no meta record to read
+                record = self._meta_record(key) if data_log.crcs(key) else None
+                if record is None:
+                    fresh.append((key, data, meta))
+                stored[key] = meta if record is None else json.loads(record[_META_HEADER.size:])
+            crcs = data_log.append_many([(key, data) for key, data, _ in fresh])
+            meta_log.append_many([
+                (key, _META_HEADER.pack(hashlib.sha256(data).digest(), crc) + canonical_json(meta).encode("utf-8"))
+                for (key, data, meta), crc in zip(fresh, crcs)
+            ])
+        return [stored[key] for key, _, _ in entries]
 
     def sync(self) -> None:
         """Make every entry put so far durable: payloads first, so a durable

@@ -104,6 +104,32 @@ def test_embed_all_rejects_a_batch_of_the_wrong_length(emb_cache):
     assert emb_cache.get("fix-4", "k1") is None
 
 
+class FlawedBatches(CountingProvider):
+    """Batch outputs with a NaN entry for text ``nan`` and an extra entry
+    for text ``wide``; every other output is whole."""
+
+    def encode_texts(self, texts):
+        outputs = []
+        for text in texts:
+            vec = self._vec(text.encode())
+            if text == "nan":
+                vec[1] = np.nan
+            if text == "wide":
+                vec = np.append(vec, 1.0).astype(np.float32)
+            outputs.append((vec, vec[None, :]))
+        return outputs
+
+
+@pytest.mark.parametrize("texts, stored", [
+    (["one", "two", "nan", "four"], ["one", "two"]),
+    (["one", "nan", "wide", "four"], ["one"]),  # the first bad output, in order, is the error
+])
+def test_embed_all_checks_a_batch_finite_and_keeps_the_outputs_before_a_bad_one(emb_cache, texts, stored):
+    with pytest.raises(ProviderError, match="non-finite"):
+        embed_all(FlawedBatches(), "text", {text: text for text in texts}, emb_cache, workers=1)
+    assert [text for text in texts if emb_cache.get("fix-4", text) is not None] == stored
+
+
 def test_hash_projection_matches_formula_recompute():
     provider = HashProjectionProvider("hash-8", 8)
     pooled, tokens = provider.encode_text("coffee machine")

@@ -18,6 +18,7 @@ from t2ifuse.generation import (
     StubImageBackend,
     TransientBackendError,
     UnknownBackendError,
+    generate_all,
     generate_image,
     ledger_totals,
     preset_params,
@@ -25,6 +26,7 @@ from t2ifuse.generation import (
     retry_transient,
     stub_generate,
 )
+from t2ifuse import generation
 from t2ifuse.prompting import NEGATIVE_PROMPT, PromptSpec
 from t2ifuse.storage import SegmentLog, sha256_hex
 
@@ -139,15 +141,15 @@ def test_a_payload_written_without_its_record_is_a_miss_that_regenerating_repair
     backend = NondeterministicBackend()
     store = open_store()
     params = preset_params("flux-schnell", seed=1)
-    append = SegmentLog.append
+    append_many = SegmentLog.append_many
 
-    def crash_at_the_meta_record(log, key, payload, **kwargs):
+    def crash_at_the_meta_record(log, records, **kwargs):
         if log.directory.name == "meta":
             raise Crash  # killed between the payload record and its meta record
-        return append(log, key, payload, **kwargs)
+        return append_many(log, records, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(SegmentLog, "append", crash_at_the_meta_record)
+        patch.setattr(SegmentLog, "append_many", crash_at_the_meta_record)
         with pytest.raises(Crash):
             generate_image(_spec(), params, backend, store)
     key = prompt_key(_spec().positive, _spec().negative, params)
@@ -216,7 +218,7 @@ def test_an_entry_of_the_old_meta_layout_is_regenerated_once(tmp_path, open_stor
     old.write_bytes(b"old image")
     old.with_suffix(".meta").write_text('{"content_hash": "%s"}' % sha256_hex(b"old image"))
     log = SegmentLog(root / "log")
-    log.append(key, bytes(56) + b'{"content_hash": "%s"}' % sha256_hex(b"old image").encode())
+    log.append_many([(key, bytes(56) + b'{"content_hash": "%s"}' % sha256_hex(b"old image").encode())])
     log.close()
     old_files = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -360,6 +362,101 @@ def test_generate_image_rejects_empty_bytes(open_store):
     params = GenerationParams("empty", steps=1, guidance_scale=0.0, width=512, height=512)
     with pytest.raises(GenerationError, match="empty image bytes"):
         generate_image(_spec(), params, EmptyBackend(), open_store("img"))
+
+
+# --- generate_all: the misses in chunks ---------------------------------------------
+
+
+def _misses(params, *positives):
+    return [(prompt_key(p, "", params), PromptPair(p)) for p in positives]
+
+
+def test_the_stub_batch_method_returns_what_generate_returns():
+    params = preset_params("flux-schnell", seed=42)
+    backend = StubImageBackend("flux-schnell")
+    prompts = [PromptPair("a red vacuum cleaner", "text, watermark"), PromptPair("", "")]
+    assert backend.generate_many(prompts, params) == [stub_generate(p, params) for p in prompts]
+    assert backend.calls == 2
+
+
+def test_a_batch_call_splits_its_wall_time_over_its_images(open_store, monkeypatch):
+    clock = iter([0.0, 3.0])  # one batch call of three images, 3 s long
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    params = preset_params("flux-schnell", seed=1)
+    misses = _misses(params, "one", "two", "three")
+    records = generate_all(misses, params, StubImageBackend("flux-schnell"), open_store())
+    assert [records[key].latency_s for key, _ in misses] == [1.0, 1.0, 1.0]
+
+
+def test_a_batch_call_is_retried_whole(open_store):
+    class FlakyBatch(StubImageBackend):
+        def generate_many(self, prompts, params):
+            if self.calls == 0:
+                self.calls += len(prompts)
+                raise TransientBackendError("503")
+            return super().generate_many(prompts, params)
+
+    sleeps = []
+    backend, params = FlakyBatch("flux-schnell"), preset_params("flux-schnell", seed=1)
+    misses = _misses(params, "one", "two")
+    records = generate_all(misses, params, backend, open_store(), sleep=sleeps.append)
+    assert backend.calls == 4 and sleeps == [0.5] and list(records) == [key for key, _ in misses]
+
+
+def test_a_batch_of_the_wrong_size_stores_none_of_its_images(tmp_path, open_store, monkeypatch):
+    class ShortBatch(StubImageBackend):
+        def generate_many(self, prompts, params):
+            images = super().generate_many(prompts, params)
+            return images if self.calls <= 2 else images[:-1]
+
+    monkeypatch.setattr(generation, "GENERATE_CHUNK", 2)
+    store, params = open_store(), preset_params("flux-schnell", seed=1)
+    ledger = GenerationLedger(tmp_path / "ledger.jsonl")
+    misses = _misses(params, "one", "two", "three", "four")
+    with pytest.raises(GenerationError, match="returned 1 images for 2 prompts"):
+        generate_all(misses, params, ShortBatch("flux-schnell"), store, ledger=ledger)
+    ledger.close()
+    # the first chunk is stored; no image of the second can be matched to its prompt
+    assert [store.lookup(key) is not None for key, _ in misses] == [True, True, False, False]
+    assert [line["prompt_key"] for line in ledger.read()] == [key for key, _ in misses[:2]]
+
+
+class _FailsOn:
+    """Stub images from ``generate`` alone; the prompt ``bad`` fails after
+    ``delay`` seconds, so a call started beside it returns first."""
+
+    backend_id = "flux-schnell"
+
+    def __init__(self, delay=0.0):
+        self.delay = delay
+        self.called = []
+
+    def generate(self, positive, negative, params):
+        self.called.append(positive)
+        if positive == "bad":
+            time.sleep(self.delay)
+            raise GenerationError("the backend refused 'bad'")
+        return stub_generate(PromptPair(positive, negative), params)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_image_returned_before_a_failure_is_raised_is_stored_and_logged(
+        tmp_path, open_store, workers):
+    backend = _FailsOn(delay=0.05 if workers > 1 else 0.0)
+    store, params = open_store(), preset_params("flux-schnell", seed=1)
+    ledger = GenerationLedger(tmp_path / "ledger.jsonl")
+    misses = _misses(params, "first", "bad", "after")
+    with pytest.raises(GenerationError, match="refused"):
+        generate_all(misses, params, backend, store, ledger=ledger, workers=workers)
+    ledger.close()
+    stored = [store.lookup(key) is not None for key, _ in misses]
+    logged = [line["prompt_key"] for line in ledger.read()]
+    if workers == 1:  # one at a time: nothing is called after the failure
+        assert backend.called == ["first", "bad"] and stored == [True, False, False]
+        assert logged == [misses[0][0]]
+    else:  # "after" runs beside the slow failure, and its paid image is kept, in input order
+        assert sorted(backend.called) == ["after", "bad", "first"] and stored == [True, False, True]
+        assert logged == [misses[0][0], misses[2][0]]
 
 
 def test_cache_key_covers_full_request():

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import json
@@ -1308,29 +1309,79 @@ def test_clip_pairs_edge_cases_match_the_row_by_row_scores():
     assert orchestrator._clip_pairs(_pooled(zero_image, zero_text)) == ([], [])
 
 
-# --- the images stage -------------------------------------------------------------
+# --- the images stage: one lookup per key, then the misses in chunks --------------
+
+
+class _RecordingStub(StubImageBackend):
+    """The stub backend, recording the thread of each batch call."""
+
+    def __init__(self):
+        super().__init__("flux-schnell")
+        self.threads = []
+
+    def generate_many(self, prompts, params):
+        self.threads.append(threading.get_ident())
+        return super().generate_many(prompts, params)
+
+
+class _PerItemBackend:
+    """The stub's images from ``generate`` alone, so the stage calls it once
+    per miss from a pool. Each call sleeps 1-5 ms at random, so calls overlap
+    and finish out of order. It counts its calls and the peak number in
+    flight, and records each call's thread."""
+
+    backend_id = "flux-schnell"
+
+    def __init__(self):
+        self.calls = self.in_flight = self.peak = 0
+        self.threads = []
+        self._jitter = random.Random(7)
+        self._lock = threading.Lock()
+
+    def generate(self, positive, negative, params):
+        with self._lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.threads.append(threading.get_ident())
+            delay = self._jitter.uniform(0.001, 0.005)
+        try:
+            time.sleep(delay)
+            return stub_generate(PromptPair(positive, negative), params)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def _generated(run_dir):
+    """(sample id, prompt key, content hash) of each row of ``images.jsonl``."""
+    return [(r["sample_id"], r["prompt_key"], r["content_hash"])
+            for r in read_jsonl(Path(run_dir) / "images.jsonl")]
 
 
 def test_a_warm_images_stage_serves_every_hit_in_the_calling_thread(
         tmp_path, fixture_dataset, monkeypatch):
+    me = threading.get_ident()
+    batch = _RecordingStub()
+    registry = ProviderRegistry(backends={"flux-schnell": batch})
     config = _base_config(tmp_path, fixture_dataset)
-    threads = []
-    generate_image = orchestrator.generate_image
+    run_experiment(config, registry, until_stage="images")
+    assert batch.calls == 48 and batch.threads == [me]  # one chunk: one call, from this thread
 
-    def recording_generate_image(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return generate_image(*args, **kwargs)
-
-    monkeypatch.setattr(orchestrator, "generate_image", recording_generate_image)
-    run_experiment(config, until_stage="images")
-    assert len(threads) == 48 and threading.get_ident() not in threads  # misses: the pool
-
-    threads.clear()
+    started = []
+    start = threading.Thread.start
     warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
-    run_experiment(warm, until_stage="images")
-    assert threads == [threading.get_ident()] * 48
-    cold_rows = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))
-    assert list(read_jsonl(Path(warm.output_dir) / "images.jsonl")) == cold_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        run_experiment(warm, registry, until_stage="images")
+    assert started == [] and batch.calls == 48  # every hit served here; no thread started
+    assert _generated(warm.output_dir) == _generated(config.output_dir)
+
+    per_item = _PerItemBackend()  # concurrency 2, on a cache of its own
+    pooled = _base_config(tmp_path / "pooled", fixture_dataset)
+    run_experiment(pooled, ProviderRegistry(backends={"flux-schnell": per_item}), until_stage="images")
+    assert per_item.calls == 48 and per_item.peak == 2 and me not in per_item.threads
+    assert _generated(pooled.output_dir) == _generated(config.output_dir)
 
 
 def test_the_images_stage_keys_each_row_once_and_looks_up_a_warm_hit_once(
@@ -1346,19 +1397,46 @@ def test_the_images_stage_keys_each_row_once_and_looks_up_a_warm_hit_once(
     key = counted("prompt_key", generation.prompt_key)
     monkeypatch.setattr(generation, "prompt_key", key)
     monkeypatch.setattr(orchestrator, "prompt_key", key)
-    monkeypatch.setattr(ImageStore, "has", counted("has", ImageStore.has))
-    monkeypatch.setattr(ImageStore, "get_meta", counted("get_meta", ImageStore.get_meta))
+    monkeypatch.setattr(ImageStore, "_meta_record", counted("meta record", ImageStore._meta_record))
     config = _base_config(tmp_path, fixture_dataset)
     run_experiment(config, until_stage="images")
     cold = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))
     rows = len(cold)
-    assert rows > 0 and calls["prompt_key"] == rows
+    assert rows > 0 and len({row["prompt_key"] for row in cold}) == rows  # a key per row
+    # one lookup per key; storing a miss reads no meta record
+    assert calls == {"prompt_key": rows, "meta record": rows}
 
     calls.clear()
     warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
     run_experiment(warm, until_stage="images")
-    assert calls == {"prompt_key": rows, "has": rows, "get_meta": rows}
+    assert calls == {"prompt_key": rows, "meta record": rows}
     assert list(read_jsonl(Path(warm.output_dir) / "images.jsonl")) == cold
+
+
+@pytest.mark.parametrize("backend", [_RecordingStub, _PerItemBackend])
+def test_rows_that_share_a_prompt_generate_it_once_and_log_it_once(tmp_path, fixture_dataset, backend):
+    with open(fixture_dataset.dataset_csv, newline="", encoding="utf-8") as fh:
+        samples = list(csv.DictReader(fh))
+    twins = [dict(sample, id=f"twin{i:03d}") for i, sample in enumerate(samples[::2])]
+    shared = tmp_path / "shared.csv"
+    with open(shared, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["id", "text", "label"])
+        writer.writeheader()
+        writer.writerows(samples + twins)
+    config = _base_config(tmp_path, dataclasses.replace(fixture_dataset, dataset_csv=shared))
+    generator = backend()
+    run_experiment(config, ProviderRegistry(backends={"flux-schnell": generator}), until_stage="images")
+
+    images = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))
+    keys = [row["prompt_key"] for row in images]
+    assert len(images) == len(samples) + len(twins) and len(set(keys)) == len(samples)
+    assert generator.calls == len(set(keys))
+    ledger = [line["prompt_key"] for line in read_jsonl(Path(config.output_dir) / "ledger.jsonl")]
+    assert ledger == list(dict.fromkeys(keys))  # a line per key, in sample order
+    records = {}
+    for row in images:  # rows that share a key share its record
+        record = {name: value for name, value in row.items() if name != "sample_id"}
+        assert records.setdefault(row["prompt_key"], record) == record
 
 
 def _ledger_handles(run_dir) -> list[str]:
@@ -1395,6 +1473,19 @@ class _FailingBackend:
         return stub_generate(PromptPair(positive, negative), params)
 
 
+class _FailingBatchBackend(_FailingBackend):
+    """A batch backend that returns ``good`` images, then empty ones."""
+
+    def generate_many(self, prompts, params):
+        images = []
+        for prompt in prompts:
+            try:
+                images.append(self.generate(prompt.positive, prompt.negative, params))
+            except GenerationError:
+                images.append(b"")
+        return images
+
+
 def test_a_failed_images_stage_closes_its_ledger(tmp_path, fixture_dataset):
     config = _base_config(tmp_path, fixture_dataset)
     registry = ProviderRegistry(backends={"flux-schnell": _FailingBackend(good=5)})
@@ -1403,6 +1494,20 @@ def test_a_failed_images_stage_closes_its_ledger(tmp_path, fixture_dataset):
     assert RunManifest.load(Path(config.output_dir)).stages["images"].status == "failed"
     assert not _ledger_handles(config.output_dir)
     assert len(list(read_jsonl(Path(config.output_dir) / "ledger.jsonl"))) == 5
+
+
+def test_a_failed_batch_stores_and_logs_every_image_it_returned(tmp_path, fixture_dataset):
+    config = _base_config(tmp_path, fixture_dataset)
+    failing = _FailingBatchBackend(good=5)
+    with pytest.raises(GenerationError, match="empty image bytes"):
+        run_experiment(config, ProviderRegistry(backends={"flux-schnell": failing}))
+    assert RunManifest.load(Path(config.output_dir)).stages["images"].status == "failed"
+    assert not _ledger_handles(config.output_dir)
+    assert len(list(read_jsonl(Path(config.output_dir) / "ledger.jsonl"))) == 5
+
+    working = StubImageBackend("flux-schnell")  # a resume pays only for the images not stored
+    manifest, _ = run_experiment(config, ProviderRegistry(backends={"flux-schnell": working}))
+    assert manifest.stages["images"].status == "done" and working.calls == 48 - 5
 
 
 # --- the embeddings stage: one lookup per key, then the misses in batches ---------
@@ -1510,6 +1615,28 @@ def test_batched_pooled_and_serial_misses_write_the_same_features_and_cache(
         reference.close()
         store.close()
     assert _cache_records(emb_root) == records["batch"]
+
+
+def test_the_cold_embeddings_stage_stores_each_chunk_with_one_write(tmp_path, fixture_dataset, monkeypatch):
+    monkeypatch.setattr(embedding, "ENCODE_CHUNK", 5)
+    config = _base_config(tmp_path, fixture_dataset)
+    run_experiment(config, until_stage="images")
+    emb = os.path.realpath(Path(config.resolved_cache_dir()) / "emb")
+    writes = []
+    write = os.write
+
+    def recording_write(fd, data):
+        if os.readlink(f"/proc/self/fd/{fd}").startswith(emb + os.sep):
+            writes.append(len(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", recording_write)
+    run_experiment(config, until_stage="embeddings")
+    features = list(read_jsonl(Path(config.output_dir) / "features.jsonl"))
+    texts = len({row["text_key"] for row in features})
+    images = len({row["image"]["key"] for row in features})
+    assert texts == images == 48
+    assert len(writes) == -(-texts // 5) + -(-images // 5)  # one per chunk, not one per vector
 
 
 def test_a_failed_item_fails_the_stage_and_a_resume_encodes_only_what_is_missing(

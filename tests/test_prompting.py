@@ -216,6 +216,24 @@ def test_cached_chat_client_does_not_keep_a_blank_rewrite(tmp_path):
     cached.cache.close()
 
 
+def test_cached_chat_client_asks_again_for_a_reply_that_no_longer_reads_back(tmp_path):
+    inner = StubChatClient(response="stable answer")
+    cached = CachedChatClient(inner, ArtifactCache(tmp_path / "chat"))
+    assert cached.complete("sys", "user") == "stable answer"
+    cached.cache.sync()
+    cached.cache.close()
+    [segment] = (tmp_path / "chat" / "data").glob("*.seg")
+    rotted = bytearray(segment.read_bytes())
+    rotted[-1] ^= 0x01  # one bit of the stored reply rots
+    segment.write_bytes(bytes(rotted))
+
+    cached = CachedChatClient(inner, ArtifactCache(tmp_path / "chat"))
+    for _ in range(2):  # asked once more; the fresh reply is kept
+        assert cached.complete("sys", "user") == "stable answer"
+    assert len(inner.requests) == 2
+    cached.cache.close()
+
+
 def test_determinism_of_strategies(coffee_sample):
     for strategy in ("direct", "keyword"):
         a = build_prompt(coffee_sample, strategy)

@@ -362,7 +362,7 @@ class _Crash(Exception):
 
 def test_a_crash_at_any_write_or_fsync_of_a_put_leaves_a_store_that_serves_and_repairs(
         tmp_path, monkeypatch):
-    entries = {key: b"the bytes of " + key.encode() for key in ("k0", "k1", "k2")}
+    entries = {key: b"the bytes of " + key.encode() for key in ("k0", "k1", "k2", "k3", "k4", "k5")}
 
     def puts(store):
         for key in ("k0", "k1"):
@@ -370,6 +370,9 @@ def test_a_crash_at_any_write_or_fsync_of_a_put_leaves_a_store_that_serves_and_r
         store.sync()
         store.put("k2", entries["k2"], {"key": "k2"})
         store.put("k0", b"other bytes", {"key": "other"})  # the entry exists: appends nothing
+        store.sync()
+        # three records in each log, one write each; k0 exists and is skipped
+        store.put_many([(key, entries[key], {"key": key}) for key in ("k3", "k0", "k4", "k5")])
         store.sync()
 
     write, fsync = os.write, os.fsync
@@ -410,10 +413,20 @@ def test_a_crash_at_any_write_or_fsync_of_a_put_leaves_a_store_that_serves_and_r
     store.close()
     crashes = [(k, False) for k in range(1, len(kinds) + 1)]
     crashes += [(k, True) for k, (kind, _) in enumerate(kinds, 1) if kind == "write"]
+    torn_after_whole_records = 0
     for crash_at, torn in crashes:
         root = tmp_path / f"crash-{crash_at}-{torn}"
         crashed, calls = run(root, crash_at, torn)
         assert len(calls) == crash_at
+        tails = {}  # each segment with bytes after its whole records: the torn write's
+        for segment in root.glob("*/*.seg"):
+            records, tail = _records(segment)
+            assert all(intact for _, intact in records)
+            if tail:
+                assert tail <= calls[-1][1]  # the torn write's bytes after its last whole record
+                tails[segment] = segment.read_bytes()
+                torn_after_whole_records += tail < calls[-1][1]
+        assert len(tails) == torn
         reopened = ArtifactCache(root)
         for key, data in entries.items():
             if reopened.has(key):  # every meta served names an intact payload of its sha256
@@ -423,13 +436,17 @@ def test_a_crash_at_any_write_or_fsync_of_a_put_leaves_a_store_that_serves_and_r
                 assert store.put(key, data, {"key": key}) == {"key": key} and store.get(key) == data
             store.sync()
             store.close()
-        leftover = 0
         for segment in root.glob("*/*.seg"):
             records, tail = _records(segment)
             assert all(intact for _, intact in records)
-            leftover += tail
-        assert leftover == calls[-1][1]  # only the torn half is left: nothing was appended after it
-    assert len(kinds) == 10 and len(crashes) == 16
+            if segment in tails:  # nothing was appended after the tear
+                assert segment.read_bytes() == tails[segment]
+            else:
+                assert tail == 0
+    # 14 calls: 8 writes (one per log for each of the three single puts and
+    # the put_many) and 6 fsyncs; each a clean crash, and each write torn too
+    assert len(kinds) == 14 and len(crashes) == 22
+    assert torn_after_whole_records == 2  # the put_many's two writes tear after a whole record
 
 
 def test_concurrent_writers_of_one_path_use_their_own_temp_files(tmp_path):
