@@ -16,17 +16,8 @@ import traceback
 from pathlib import Path
 
 from .config import COST_MODES, ConfigError, parse_config
-from .orchestrator import (ManifestError, OrchestrationError, RunManifest, report_cli,
+from .orchestrator import (STAGES, ManifestError, OrchestrationError, RunManifest, report_cli,
                            run_experiment, run_sweep)
-
-_STAGE_COMMANDS = {
-    "prompt": "prompts",
-    "generate": "images",
-    "embed": "embeddings",
-    "train": "training",
-    "eval": "evaluation",
-    "run": None,
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,10 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, stage in _STAGE_COMMANDS.items():
-        help_text = "run all pipeline stages" if stage is None else f"run stages up to {stage}"
-        p = sub.add_parser(command, help=help_text)
-        _add_common(p)
+    for stage in STAGES:
+        _add_common(sub.add_parser(stage.command, help=f"run stages up to {stage.name}"))
+    _add_common(sub.add_parser("run", help="run all pipeline stages"))
 
     p = sub.add_parser("sweep", help="run the config's sweep grid, one cell per combination")
     _add_common(p)
@@ -113,7 +103,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1 if failed else 0
 
         try:
-            manifest, report = run_experiment(config, until_stage=_STAGE_COMMANDS[args.command])
+            until_stage = next((stage.name for stage in STAGES if stage.command == args.command), None)
+            manifest, report = run_experiment(config, until_stage=until_stage)
         except Exception as exc:
             stage = _failed_stage(Path(config.output_dir), exc)
             if stage is None:

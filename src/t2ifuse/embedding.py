@@ -8,14 +8,15 @@ is one checksummed record holding its float32 ``EVC1`` payload, so a cache
 round-trip is bit-identical. An entry is durable after
 :meth:`EmbeddingCache.sync`; a record torn by a crash is a miss, and
 re-encoding it appends a fresh one. An image embeds under its content hash.
-:func:`embed_text` and :func:`embed_image` encode one item; :func:`embed_all`
-looks many up, then encodes the misses in batches, or on a pool of threads,
-and given each image's hash a hit never reads the image.
+:func:`embed_all` looks each key up once, then encodes the misses through
+:func:`generation.run_misses`: one batch call per chunk, else one call per
+item on a pool of threads, each chunk put with one append. Given each
+image's hash, a hit never reads the image. :func:`embed_text` and
+:func:`embed_image` are one-item :func:`embed_all` calls.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import struct
 from collections import defaultdict
@@ -25,6 +26,7 @@ from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
+from .generation import run_misses
 from .storage import CacheError, SegmentLogs, read_jsonl, sha256_hex, write_jsonl
 
 # Weight of the rescaled-cosine semantic consistency score.
@@ -60,8 +62,10 @@ class FeaturePack:
 
 class TextEncoderProvider(Protocol):
     """A text encoder. An optional ``encode_texts(list[str]) -> list[(pooled,
-    tokens)]`` gets one call per chunk of misses from :func:`embed_all`;
-    without it, ``encode_text`` is called from several threads at once."""
+    tokens)]`` gets one call per chunk of misses from :func:`embed_all`, in
+    the calling thread; without it, ``encode_text`` is called once per miss,
+    from several threads at once when ``workers`` allows (see
+    :func:`generation.run_misses`)."""
 
     provider_id: str
     dim: int  # a remote provider learns it from its first response
@@ -224,16 +228,16 @@ class EmbeddingCache:
     under ``<root>/<provider_id>/``, whose record payloads are the ``EVC1``
     vector format. The log gives the layout, durability and recovery.
 
-    Entries are write-once: a ``put`` of an indexed key is a no-op, and
-    :meth:`put_many` stores a batch with one append. When
-    segments disagree on a key, the record in the oldest segment wins. Each
-    provider's log is indexed when the cache first uses it, and a miss never
-    rescans: entries another process appends later are seen by the next
-    cache opened on the root. The embeddings stage calls :meth:`sync` before
-    it writes ``features.jsonl``, so every entry a recorded artifact names is
-    on disk before the manifest marks the stage done. A record that fails
-    its crc is a miss; re-encoding appends a fresh record to this process's
-    own segment, never after the torn one. :meth:`close` releases the file
+    Entries are write-once: :meth:`put_many` stores a batch with one append
+    and skips every key already indexed. When segments disagree on a key,
+    the record in the oldest segment wins. Each provider's log is indexed
+    when the cache first uses it, and a miss never rescans: entries another
+    process appends later are seen by the next cache opened on the root.
+    The embeddings stage calls :meth:`sync` before it writes
+    ``features.jsonl``, so every entry a recorded artifact names is on disk
+    before the manifest marks the stage done. A record that fails its crc
+    is a miss; re-encoding appends a fresh record to this process's own
+    segment, never after the torn one. :meth:`close` releases the file
     descriptors; the next use scans again.
     """
 
@@ -245,9 +249,6 @@ class EmbeddingCache:
         """The cached (pooled, tokens), or ``None`` on a miss."""
         payload = self._logs[provider_id].find(key)
         return None if payload is None else decode_vec_payload(payload)
-
-    def put(self, provider_id: str, key: str, pooled: np.ndarray, tokens: np.ndarray) -> None:
-        self.put_many(provider_id, [(key, pooled, tokens)])
 
     def put_many(self, provider_id: str, entries: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> None:
         """Put each ``(key, pooled, tokens)`` with one append; a key already
@@ -264,9 +265,9 @@ class EmbeddingCache:
         self._logs.close()
 
 
-def _validate_provider_output(provider, pooled: np.ndarray, tokens: np.ndarray, *, finite: bool = True):
-    """The output as float32 (pooled (dim,), tokens (n, dim)); its entries
-    are checked finite unless ``finite`` is false (see :func:`_finite_prefix`)."""
+def _validate_provider_output(provider, pooled: np.ndarray, tokens: np.ndarray):
+    """The output as float32 (pooled (dim,), tokens (n, dim)), its entries
+    checked finite."""
     pooled = np.asarray(pooled, dtype=np.float32).reshape(-1)
     tokens = np.atleast_2d(np.asarray(tokens, dtype=np.float32))
     if pooled.shape[0] != provider.dim:
@@ -278,18 +279,9 @@ def _validate_provider_output(provider, pooled: np.ndarray, tokens: np.ndarray, 
         raise DimensionMismatchError(
             f"provider {provider.provider_id!r} returned token matrix {tokens.shape}"
         )
-    if finite and not (np.isfinite(pooled).all() and np.isfinite(tokens).all()):
+    if not (np.isfinite(pooled).all() and np.isfinite(tokens).all()):
         raise ProviderError(f"provider {provider.provider_id!r} returned non-finite entries")
     return pooled, tokens
-
-
-def _finite_prefix(outputs: list[tuple[np.ndarray, np.ndarray]]) -> int:
-    """How many leading (pooled, tokens) of ``outputs`` hold only finite
-    entries; one ``isfinite`` call when all of them do."""
-    if not outputs or np.isfinite(np.concatenate([a.ravel() for output in outputs for a in output])).all():
-        return len(outputs)
-    return next(i for i, (pooled, tokens) in enumerate(outputs)
-                if not (np.isfinite(pooled).all() and np.isfinite(tokens).all()))
 
 
 def text_key(text: str) -> str:
@@ -299,52 +291,31 @@ def text_key(text: str) -> str:
     return sha256_hex(text.encode("utf-8"))
 
 
-def embed_text(
-    text: str,
-    provider: TextEncoderProvider,
-    cache: EmbeddingCache | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode text, cache-keyed by (provider id, text hash).
+def embed_text(text: str, provider: TextEncoderProvider,
+               cache: EmbeddingCache | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Encode text, cache-keyed by (provider id, text hash): a one-item
+    :func:`embed_all`.
 
     Returns the pooled vector and the token sequence (length >= 1; providers
     that only pool yield a single row).
     """
     key = text_key(text)
-    if cache is not None:
-        hit = cache.get(provider.provider_id, key)
-        if hit is not None:
-            return hit
-    pooled, tokens = _validate_provider_output(provider, *provider.encode_text(text))
-    if cache is not None:
-        cache.put(provider.provider_id, key, pooled, tokens)
-    return pooled, tokens
+    return embed_all(provider, "text", {key: text}, cache, workers=1)[key]
 
 
-def embed_image(
-    data: bytes,
-    provider: ImageEncoderProvider,
-    cache: EmbeddingCache | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode image bytes, cache-keyed by (provider id, content hash)."""
+def embed_image(data: bytes, provider: ImageEncoderProvider,
+                cache: EmbeddingCache | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Encode image bytes, cache-keyed by (provider id, content hash): a
+    one-item :func:`embed_all`."""
     key = sha256_hex(data)
-    if cache is not None:
-        hit = cache.get(provider.provider_id, key)
-        if hit is not None:
-            return hit
-    pooled, tokens = _validate_provider_output(provider, *provider.encode_image(data))
-    if cache is not None:
-        cache.put(provider.provider_id, key, pooled, tokens)
-    return pooled, tokens
-
-
-ENCODE_CHUNK = 64  # misses per batch call; also bounds the image bytes held at once
+    return embed_all(provider, "image", {key: data}, cache, workers=1)[key]
 
 
 def embed_all(
     provider: TextEncoderProvider | ImageEncoderProvider,
     kind: str,
     items: dict,
-    cache: EmbeddingCache,
+    cache: EmbeddingCache | None,
     *,
     workers: int,
     read: Callable[[str, object], bytes] | None = None,
@@ -354,15 +325,15 @@ def embed_all(
     ``read(key, item)`` reads them from, for misses only. A read that finds
     no record (:class:`storage.CacheError`) is an :class:`ImageContentError`.
 
-    Each key is looked up once. The misses go in order, in chunks of
-    :data:`ENCODE_CHUNK`: one ``encode_<kind>s`` call per chunk, or without
-    it one ``encode_<kind>`` call per item on ``workers`` threads. A provider
-    whose ``dim`` is ``None`` gets its first miss alone. Each output is
-    validated (a batch's entries checked finite with one call), and each
-    chunk put with one append; on a failure, the outputs before it are put,
-    and what was put stays cached.
+    Each key is looked up in ``cache`` once (with no cache, every key is a
+    miss and nothing is put). The misses go through
+    :func:`generation.run_misses`: one ``encode_<kind>s`` call per chunk, or
+    without it one ``encode_<kind>`` call per item, on ``workers`` threads.
+    A provider whose ``dim`` is ``None`` gets its first miss alone. Each
+    output is validated, and each chunk's valid outputs are put with one
+    append; a batch of the wrong length puts nothing.
     """
-    found = {key: cache.get(provider.provider_id, key) for key in items}
+    found = {key: None if cache is None else cache.get(provider.provider_id, key) for key in items}
     misses = [key for key, hit in found.items() if hit is None]
     if not misses:
         return found
@@ -377,37 +348,26 @@ def embed_all(
         except CacheError as exc:
             raise ImageContentError(f"missing image artifact with sha256 {key}: {exc}") from exc
 
-    def store(chunk, outputs, batch=False):
-        """Validate the outputs in order, a batch's finiteness with one check,
-        then put the valid ones before the first invalid output or failed
-        call with one append."""
-        valid = []
-        try:
-            for key, output in zip(chunk, outputs):
-                valid.append((key, _validate_provider_output(provider, *output, finite=not batch)))
-        finally:
-            # a non-finite output precedes the failure being raised, if any: its error replaces it
-            finite = _finite_prefix([output for _, output in valid]) if batch else len(valid)
-            found.update(valid[:finite])
-            cache.put_many(provider.provider_id, ((key, *output) for key, output in valid[:finite]))
-            if finite < len(valid):
-                raise ProviderError(f"provider {provider.provider_id!r} returned non-finite entries")
+    def many(keys):
+        outputs = encode_many([load(key) for key in keys])
+        if len(outputs) != len(keys):
+            raise ProviderError(f"provider {provider.provider_id!r} returned {len(outputs)} "
+                                f"outputs for {len(keys)} inputs")
+        return outputs
+
+    def keep(pairs):
+        found.update(pairs)
+        if cache is not None:
+            cache.put_many(provider.provider_id, ((key, *output) for key, output in pairs))
+
+    def run(keys, threads):
+        run_misses(keys, lambda key: encode_one(load(key)), None if encode_many is None else many,
+                   lambda output: _validate_provider_output(provider, *output), keep, workers=threads)
 
     if provider.dim is None:
-        store(misses[:1], [encode_one(load(misses[0]))])
+        run(misses[:1], 1)
         misses = misses[1:]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:  # no thread until a map
-        for start in range(0, len(misses), ENCODE_CHUNK):
-            chunk = misses[start:start + ENCODE_CHUNK]
-            data = [load(key) for key in chunk]
-            if encode_many is None:
-                store(chunk, pool.map(encode_one, data))
-            else:
-                outputs = encode_many(data)
-                if len(outputs) != len(chunk):
-                    raise ProviderError(f"provider {provider.provider_id!r} returned {len(outputs)} "
-                                        f"outputs for {len(chunk)} inputs")
-                store(chunk, outputs, batch=True)
+    run(misses, workers)
     return found
 
 

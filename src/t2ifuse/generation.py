@@ -10,11 +10,12 @@ Every fresh generation appends a ledger record carrying latency and cost, which
 :func:`ledger_totals` aggregates exactly (costs are money, so totals use
 decimal arithmetic).
 
-:func:`generate_all` generates many misses in chunks: one call per chunk to
-a backend's optional ``generate_many``, else one ``generate`` call per item
-on a pool of threads; each chunk is stored with one put and one ledger
-write. :func:`generate_image` looks one prompt up and, on a miss, is a
-one-item :func:`generate_all`.
+:func:`run_misses` is the one way a stage's cache misses are made, here and
+in :mod:`embedding`: in chunks of :data:`CHUNK`, one batch call per chunk,
+else one call per item on a pool of threads, each chunk kept with one call;
+a failure is raised only after every output returned and checked is kept.
+:func:`generate_all` looks each prompt up once and generates the misses
+through it; :func:`generate_image` is a one-item :func:`generate_all`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import datetime as _dt
-import functools
 import hashlib
 import logging
 import threading
@@ -95,6 +95,75 @@ def retry_transient(
                 attempt, retries, delay, exc,
             )
             sleep(delay)
+
+
+CHUNK = 64  # misses per chunk: one batch call and one store each; also bounds what a chunk holds
+
+
+def _outcome(call: Callable[..., Any], *args) -> Any:
+    """``call(*args)``, or the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # a cancelled future's is a CancelledError
+        return exc
+
+
+def run_misses(
+    misses: Sequence,
+    one: Callable[[Any], Any],
+    many: Callable[[list], list] | None,
+    check: Callable[[Any], Any],
+    keep: Callable[[list[tuple[Any, Any]]], None],
+    *,
+    workers: int,
+) -> None:
+    """Make an output for each item of ``misses``, in order, in chunks of
+    :data:`CHUNK`, and ``keep`` each chunk's with one call.
+
+    A chunk gets one ``many(chunk)`` call, which returns its outputs in
+    order and whose error is raised as it is. Without ``many``, each item
+    gets one ``one(item)`` call: on a pool of ``workers`` threads when there
+    are more than one worker and more than one miss, else inline, stopping
+    at the first failure. After a pool call fails, the calls not started yet
+    are cancelled. ``check`` returns the output to keep, or raises.
+
+    What a failure keeps: every output that was returned and passes its
+    check is kept, as ``(item, output)`` pairs in input order, then the
+    chunk's first failure in input order is raised, and no later chunk is
+    called.
+    """
+    def checked(item):
+        return check(one(item))
+
+    pool = None
+    if many is None and workers > 1 and len(misses) > 1:
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+    try:
+        for start in range(0, len(misses), CHUNK):
+            chunk = misses[start:start + CHUNK]
+            if many is not None:
+                outcomes = [_outcome(check, output) for output in many(chunk)]
+            elif pool is None:
+                outcomes = []
+                for item in chunk:
+                    outcomes.append(_outcome(checked, item))
+                    if isinstance(outcomes[-1], Exception):
+                        break
+            else:
+                futures = [pool.submit(checked, item) for item in chunk]
+                outcomes = []
+                for future in futures:  # every future: one that ran beside a failure may return a paid output
+                    outcomes.append(_outcome(future.result))
+                    if isinstance(outcomes[-1], Exception):
+                        for pending in futures:
+                            pending.cancel()  # only those not started yet
+            keep([(item, out) for item, out in zip(chunk, outcomes) if not isinstance(out, Exception)])
+            failure = next((out for out in outcomes if isinstance(out, Exception)), None)
+            if failure is not None:
+                raise failure
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 class UnknownBackendError(GenerationError):
@@ -256,7 +325,8 @@ class ImageBackend(Protocol):
     ``negative``) in order, gets one call per chunk of misses from
     :func:`generate_all`, in the calling thread; a local diffusers pipeline
     batches prompts this way. Without it, ``generate`` is called once per
-    miss from several threads at once, as a remote endpoint is."""
+    miss, from several threads at once when ``workers`` allows, as a remote
+    endpoint is (see :func:`run_misses`)."""
 
     backend_id: str
 
@@ -354,11 +424,8 @@ class GenerationLedger:
         return list(read_jsonl(self.path))
 
 
-GENERATE_CHUNK = 64  # misses per chunk: one batch call, one put and one ledger write each
-
-
 def generate_all(
-    misses: Sequence[tuple[str, PromptSpec | PromptPair]],
+    items: Mapping[str, PromptSpec | PromptPair],
     params: GenerationParams,
     backend: ImageBackend,
     store: ImageStore,
@@ -369,18 +436,15 @@ def generate_all(
     backoff_s: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
 ) -> dict[str, GeneratedImageRecord]:
-    """Generate and store the image of each ``(prompt key, prompt)`` in
-    ``misses`` (distinct keys, none in ``store``); returns key -> record.
+    """Key -> record for ``items``: prompt key -> prompt.
 
-    The misses go in order, in chunks of :data:`GENERATE_CHUNK`: one
-    ``backend.generate_many`` call per chunk, or without it one
-    ``backend.generate`` call per item on ``workers`` threads, each through
-    :func:`retry_transient`. Only backend calls leave this thread. Each
-    chunk is stored with one :meth:`ImageStore.put_many` and logged with one
-    ledger append, in input order: every non-empty image the backend
-    returned, before the chunk's first failure is raised. After a failure,
-    pool calls not yet started are cancelled; a batch of the wrong size
-    stores nothing, as no image can be matched to its prompt.
+    Each key is looked up in ``store`` once; a hit makes no backend call.
+    The misses go through :func:`run_misses`: one ``backend.generate_many``
+    call per chunk, or without it one ``backend.generate`` call per item,
+    each through :func:`retry_transient`. An empty image is a failure. Each
+    chunk's images are stored with one :meth:`ImageStore.put_many` and
+    logged with one ledger append; a batch of the wrong size stores nothing,
+    as no image can be matched to its prompt.
 
     ``latency_s`` is the successful attempt's wall time; for a batch call,
     that time divided by the chunk's size, so latencies still sum to the
@@ -390,6 +454,9 @@ def generate_all(
     """
     generate_many = getattr(backend, "generate_many", None)
     cost = float(getattr(backend, "unit_cost_usd", 0.0))
+    results = {key: GeneratedImageRecord.from_dict(meta) for key in items
+               if (meta := store.lookup(key)) is not None}
+    misses = [key for key in items if key not in results]
 
     def timed(call: Callable[[], Any]) -> tuple[Any, float]:
         def attempt():
@@ -401,105 +468,45 @@ def generate_all(
         except RetriesExhaustedError as exc:
             raise GenerationError(f"backend {backend.backend_id!r} {exc}") from exc
 
-    def checked(data: bytes, latency: float) -> tuple[bytes, float] | GenerationError:
-        if not data:
-            return GenerationError(f"backend {backend.backend_id!r} returned empty image bytes")
-        return data, latency
+    def one(key: str) -> tuple[bytes, float]:
+        prompt = items[key]
+        return timed(lambda: backend.generate(prompt.positive, prompt.negative, params))
 
-    def one(prompt) -> tuple[bytes, float] | GenerationError:
-        return checked(*timed(lambda: backend.generate(prompt.positive, prompt.negative, params)))
+    def many(keys: list[str]) -> list[tuple[bytes, float]]:
+        images, latency = timed(lambda: generate_many([items[key] for key in keys], params))
+        if len(images) != len(keys):
+            raise GenerationError(f"backend {backend.backend_id!r} returned {len(images)} "
+                                  f"images for {len(keys)} prompts")
+        return [(image, latency / len(keys)) for image in images]
 
-    def call_chunk(prompts, pool) -> list[tuple[bytes, float] | Exception]:
-        """Each prompt's (image, latency) or the error of its call, in order;
-        one at a time, the list ends at the first error."""
-        if generate_many is not None:
-            images, latency = timed(lambda: generate_many(prompts, params))
-            if len(images) != len(prompts):
-                raise GenerationError(f"backend {backend.backend_id!r} returned {len(images)} "
-                                      f"images for {len(prompts)} prompts")
-            return [checked(image, latency / len(prompts)) for image in images]
-        if pool is None:
-            futures, calls = [], [functools.partial(one, prompt) for prompt in prompts]
-        else:
-            futures = [pool.submit(one, prompt) for prompt in prompts]
-            calls = [future.result for future in futures]
-        outcomes = []
-        for call in calls:  # every future: one that ran beside a failure may return a paid image
-            try:
-                outcomes.append(call())
-            except Exception as exc:  # a cancelled future's is a CancelledError
-                outcomes.append(exc)
-            if isinstance(outcomes[-1], Exception):
-                if not futures:
-                    break
-                for future in futures:
-                    future.cancel()  # only those not started yet
-        return outcomes
+    def check(output: tuple[bytes, float]) -> tuple[bytes, float]:
+        if not output[0]:
+            raise GenerationError(f"backend {backend.backend_id!r} returned empty image bytes")
+        return output
 
-    results: dict[str, GeneratedImageRecord] = {}
-    pool = None
-    if generate_many is None and workers > 1 and len(misses) > 1:
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-    try:
-        for start in range(0, len(misses), GENERATE_CHUNK):
-            chunk = misses[start:start + GENERATE_CHUNK]
-            outcomes = call_chunk([prompt for _, prompt in chunk], pool)
-            created_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
-            records, entries, failure = [], [], None
-            for (key, _), outcome in zip(chunk, outcomes):
-                if isinstance(outcome, Exception):
-                    failure = failure or outcome
-                    continue
-                data, latency = outcome
-                record = GeneratedImageRecord(
-                    content_hash=sha256_hex(data),
-                    prompt_key=key,
-                    backend_id=params.backend_id,
-                    steps=params.steps,
-                    image_ref=f"{store.root}#{key}",
-                    latency_s=latency,
-                    cost_usd=cost,
-                    created_at=created_at,
-                )
-                records.append(record)
-                entries.append((key, data, record.to_dict()))
-            for record, (*_, meta), stored in zip(records, entries, store.put_many(entries)):
-                results[record.prompt_key] = record if stored is meta else GeneratedImageRecord.from_dict(stored)
-            if ledger is not None:
-                ledger.append_many(records)
-            if failure is not None:
-                raise failure
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    def keep(pairs: list[tuple[str, tuple[bytes, float]]]) -> None:
+        created_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
+        records = [GeneratedImageRecord(content_hash=sha256_hex(data), prompt_key=key,
+                                        backend_id=params.backend_id, steps=params.steps,
+                                        image_ref=f"{store.root}#{key}", latency_s=latency,
+                                        cost_usd=cost, created_at=created_at)
+                   for key, (data, latency) in pairs]
+        entries = [(key, data, record.to_dict()) for (key, (data, _)), record in zip(pairs, records)]
+        for record, (*_, meta), stored in zip(records, entries, store.put_many(entries)):
+            results[record.prompt_key] = record if stored is meta else GeneratedImageRecord.from_dict(stored)
+        if ledger is not None:
+            ledger.append_many(records)
+
+    run_misses(misses, one, None if generate_many is None else many, check, keep, workers=workers)
     return results
 
 
-def generate_image(
-    prompt: PromptSpec,
-    params: GenerationParams,
-    backend: ImageBackend,
-    store: ImageStore,
-    *,
-    ledger: GenerationLedger | None = None,
-    retries: int = TRANSIENT_RETRIES,
-    backoff_s: float = 0.5,
-    sleep: Callable[[float], None] = time.sleep,
-    key: str | None = None,
-) -> GeneratedImageRecord:
-    """Generate (or fetch) the image for a prompt.
-
-    On a cache hit the stored record is returned without any backend call;
-    a miss is a one-item :func:`generate_all`. ``key`` is the request's
-    :func:`prompt_key`, for a caller that already computed it; it is
-    computed here when not given.
-    """
-    if key is None:
-        key = prompt_key(prompt.positive, prompt.negative, params)
-    meta = store.lookup(key)
-    if meta is not None:
-        return GeneratedImageRecord.from_dict(meta)
-    return generate_all([(key, prompt)], params, backend, store, ledger=ledger, retries=retries,
+def generate_image(prompt: PromptSpec, params: GenerationParams, backend: ImageBackend, store: ImageStore,
+                   *, ledger: GenerationLedger | None = None, retries: int = TRANSIENT_RETRIES,
+                   backoff_s: float = 0.5, sleep: Callable[[float], None] = time.sleep) -> GeneratedImageRecord:
+    """Generate (or fetch) the image for a prompt: a one-item :func:`generate_all`."""
+    key = prompt_key(prompt.positive, prompt.negative, params)
+    return generate_all({key: prompt}, params, backend, store, ledger=ledger, retries=retries,
                         backoff_s=backoff_s, sleep=sleep)[key]
 
 

@@ -65,7 +65,6 @@ from .evaluation import (
 )
 from .fusion import PackBatch, build_fusion_head, export_attention, fuse_forward
 from .generation import (
-    GeneratedImageRecord,
     GenerationLedger,
     ImageStore,
     StubImageBackend,
@@ -89,8 +88,6 @@ from .training import LabeledPacks, evaluate_split, train_loop
 from .tensorcore import load_checkpoint
 
 logger = logging.getLogger(__name__)
-
-STAGES = ("prompts", "images", "embeddings", "training", "evaluation")
 
 
 class OrchestrationError(RuntimeError):
@@ -302,7 +299,7 @@ class RunManifest:
 
     def __post_init__(self):
         for stage in STAGES:
-            self.stages.setdefault(stage, StageStatus())
+            self.stages.setdefault(stage.name, StageStatus())
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -488,26 +485,17 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
     ledger = GenerationLedger(run_dir / "ledger.jsonl")
     params = config.generation_params()
 
-    # Each row's key is computed, and each distinct key looked up, once;
-    # then the misses are generated in chunks, in sample order.
+    # Each row's key is computed once; generate_all looks each distinct key
+    # up once and generates the misses in chunks, in sample order.
     keys: dict[str, str] = {}
-    results: dict[str, GeneratedImageRecord] = {}
-    misses: dict[str, PromptSpec] = {}
+    prompts: dict[str, PromptSpec] = {}
     for row in rows:
         spec = PromptSpec.from_dict(row["prompt"])
         key = keys[row["sample_id"]] = prompt_key(spec.positive, spec.negative, params)
-        if key in results or key in misses:
-            continue
-        meta = store.lookup(key)
-        if meta is None:
-            misses[key] = spec
-        else:
-            results[key] = GeneratedImageRecord.from_dict(meta)
+        prompts.setdefault(key, spec)
     try:
-        results.update(generate_all(
-            list(misses.items()), params, backend, store,
-            ledger=ledger, retries=config.generation.retries, workers=config.generation.concurrency,
-        ))
+        results = generate_all(prompts, params, backend, store, ledger=ledger,
+                               retries=config.generation.retries, workers=config.generation.concurrency)
     finally:
         ledger.close()
 
@@ -568,7 +556,8 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
     store: ImageStore = caches["images"]
     workers = config.generation.concurrency
 
-    # Each distinct key is looked up once; then the misses are encoded in batches.
+    # embed_all looks each distinct key up once, then encodes the misses in
+    # chunks, in sample order, as generate_all does in the images stage.
     text_provider = registry.resolve_text_provider(config)
     text_keys = [text_key(row["effective_text"]) for row in rows]
     texts = embed_all(text_provider, "text", dict(zip(text_keys, (r["effective_text"] for r in rows))),
@@ -854,13 +843,24 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
     return artifacts
 
 
-_STAGE_FUNCS = {
-    "prompts": _stage_prompts,
-    "images": _stage_images,
-    "embeddings": _stage_embeddings,
-    "training": _stage_training,
-    "evaluation": _stage_evaluation,
-}
+@dataclass(frozen=True)
+class Stage:
+    """A pipeline stage: its ``name`` in the manifest, the CLI ``command``
+    that runs the pipeline up to it, and the function that ``run``s it and
+    returns the artifacts the manifest records."""
+
+    name: str
+    command: str
+    run: Callable[[ExperimentConfig, ProviderRegistry, Path, dict], list[Path]]
+
+
+STAGES = (  # in run order
+    Stage("prompts", "prompt", _stage_prompts),
+    Stage("images", "generate", _stage_images),
+    Stage("embeddings", "embed", _stage_embeddings),
+    Stage("training", "train", _stage_training),
+    Stage("evaluation", "eval", _stage_evaluation),
+)
 
 
 def _build_caches(config: ExperimentConfig) -> dict:
@@ -886,7 +886,7 @@ def run_experiment(
     recorded stage statuses. Returns the manifest and, when evaluation ran or
     was already done, the headline report.
     """
-    if until_stage is not None and until_stage not in STAGES:
+    if until_stage is not None and until_stage not in {stage.name for stage in STAGES}:
         raise OrchestrationError(f"unknown stage {until_stage!r}")
     registry = registry if registry is not None else ProviderRegistry()
     run_dir = Path(config.output_dir)
@@ -913,17 +913,17 @@ def run_experiment(
 
     try:
         for stage in STAGES:
-            if not force and manifest.stage_verified(stage, run_dir):
-                logger.info("stage %s: verified, skipping", stage)
+            if not force and manifest.stage_verified(stage.name, run_dir):
+                logger.info("stage %s: verified, skipping", stage.name)
             else:
-                logger.info("stage %s: running", stage)
+                logger.info("stage %s: running", stage.name)
                 try:
-                    artifacts = _STAGE_FUNCS[stage](config, registry, run_dir, caches)
+                    artifacts = stage.run(config, registry, run_dir, caches)
                 except Exception as exc:
-                    manifest.mark_failed(stage, run_dir, f"{type(exc).__name__}: {exc}")
+                    manifest.mark_failed(stage.name, run_dir, f"{type(exc).__name__}: {exc}")
                     raise
-                manifest.mark_done(stage, run_dir, artifacts)
-            if until_stage is not None and stage == until_stage:
+                manifest.mark_done(stage.name, run_dir, artifacts)
+            if stage.name == until_stage:
                 break
     finally:
         for cache in caches.values():

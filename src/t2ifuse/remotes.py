@@ -13,9 +13,11 @@ files). Transport failures, 5xx and 429 responses raise
 :class:`t2ifuse.generation.TransientBackendError`, carrying the delay a
 ``Retry-After`` header asks for; any other 4xx is permanent. Every retry goes
 through :func:`t2ifuse.generation.retry_transient`, which caps that delay at
-``RETRY_AFTER_MAX_S``: ``generate_all`` wraps
-the image backend, and the embedding provider and chat client wrap their own
-requests.
+``RETRY_AFTER_MAX_S``: ``generation.generate_all`` wraps each image backend
+call in it, and the embedding provider and chat client wrap their own
+requests. The image backend and the embedding provider have no batch
+method, so the shared miss runner (``generation.run_misses``) calls them
+once per miss, on a pool of ``generation.concurrency`` threads.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class HttpImageBackend(_HttpAdapter):
     """Generic text-to-image endpoint adapter; provider specifics live in the
     endpoint URL and credential env var. It posts once: ``generate_all``
     retries it. It has no ``generate_many``, so a run calls it once per
-    miss, on ``generation.concurrency`` threads."""
+    miss (see the module docstring)."""
 
     def __init__(self, backend_id: str, endpoint: str, *, timeout_s: float = 120.0, **kwargs):
         super().__init__(backend_id, endpoint, timeout_s=timeout_s, **kwargs)

@@ -35,3 +35,9 @@ def test_every_traced_site_resolves():
         "t2ifuse.orchestrator:evaluate_split",
         "t2ifuse.training:evaluate_split",
     } <= set(sites)
+
+
+def test_the_bench_times_the_declared_stages_in_order():
+    from t2ifuse import orchestrator
+
+    assert _tracing().STAGES == tuple(stage.name for stage in orchestrator.STAGES)

@@ -121,10 +121,10 @@ class FlawedBatches(CountingProvider):
 
 
 @pytest.mark.parametrize("texts, stored", [
-    (["one", "two", "nan", "four"], ["one", "two"]),
-    (["one", "nan", "wide", "four"], ["one"]),  # the first bad output, in order, is the error
+    (["one", "two", "nan", "four"], ["one", "two", "four"]),
+    (["one", "nan", "wide", "four"], ["one", "four"]),  # the first bad output, in order, is the error
 ])
-def test_embed_all_checks_a_batch_finite_and_keeps_the_outputs_before_a_bad_one(emb_cache, texts, stored):
+def test_embed_all_stores_every_valid_output_of_a_batch_and_raises_the_first_bad_one(emb_cache, texts, stored):
     with pytest.raises(ProviderError, match="non-finite"):
         embed_all(FlawedBatches(), "text", {text: text for text in texts}, emb_cache, workers=1)
     assert [text for text in texts if emb_cache.get("fix-4", text) is not None] == stored

@@ -27,6 +27,7 @@ from t2ifuse.generation import (
     stub_generate,
 )
 from t2ifuse import generation
+from t2ifuse.embedding import EmbeddingCache, HashProjectionProvider, embed_all
 from t2ifuse.prompting import NEGATIVE_PROMPT, PromptSpec
 from t2ifuse.storage import SegmentLog, sha256_hex
 
@@ -368,7 +369,7 @@ def test_generate_image_rejects_empty_bytes(open_store):
 
 
 def _misses(params, *positives):
-    return [(prompt_key(p, "", params), PromptPair(p)) for p in positives]
+    return {prompt_key(p, "", params): PromptPair(p) for p in positives}
 
 
 def test_the_stub_batch_method_returns_what_generate_returns():
@@ -385,7 +386,7 @@ def test_a_batch_call_splits_its_wall_time_over_its_images(open_store, monkeypat
     params = preset_params("flux-schnell", seed=1)
     misses = _misses(params, "one", "two", "three")
     records = generate_all(misses, params, StubImageBackend("flux-schnell"), open_store())
-    assert [records[key].latency_s for key, _ in misses] == [1.0, 1.0, 1.0]
+    assert [records[key].latency_s for key in misses] == [1.0, 1.0, 1.0]
 
 
 def test_a_batch_call_is_retried_whole(open_store):
@@ -400,7 +401,7 @@ def test_a_batch_call_is_retried_whole(open_store):
     backend, params = FlakyBatch("flux-schnell"), preset_params("flux-schnell", seed=1)
     misses = _misses(params, "one", "two")
     records = generate_all(misses, params, backend, open_store(), sleep=sleeps.append)
-    assert backend.calls == 4 and sleeps == [0.5] and list(records) == [key for key, _ in misses]
+    assert backend.calls == 4 and sleeps == [0.5] and list(records) == list(misses)
 
 
 def test_a_batch_of_the_wrong_size_stores_none_of_its_images(tmp_path, open_store, monkeypatch):
@@ -409,7 +410,7 @@ def test_a_batch_of_the_wrong_size_stores_none_of_its_images(tmp_path, open_stor
             images = super().generate_many(prompts, params)
             return images if self.calls <= 2 else images[:-1]
 
-    monkeypatch.setattr(generation, "GENERATE_CHUNK", 2)
+    monkeypatch.setattr(generation, "CHUNK", 2)
     store, params = open_store(), preset_params("flux-schnell", seed=1)
     ledger = GenerationLedger(tmp_path / "ledger.jsonl")
     misses = _misses(params, "one", "two", "three", "four")
@@ -417,26 +418,34 @@ def test_a_batch_of_the_wrong_size_stores_none_of_its_images(tmp_path, open_stor
         generate_all(misses, params, ShortBatch("flux-schnell"), store, ledger=ledger)
     ledger.close()
     # the first chunk is stored; no image of the second can be matched to its prompt
-    assert [store.lookup(key) is not None for key, _ in misses] == [True, True, False, False]
-    assert [line["prompt_key"] for line in ledger.read()] == [key for key, _ in misses[:2]]
+    assert [store.lookup(key) is not None for key in misses] == [True, True, False, False]
+    assert [line["prompt_key"] for line in ledger.read()] == list(misses)[:2]
 
 
 class _FailsOn:
-    """Stub images from ``generate`` alone; the prompt ``bad`` fails after
+    """Stub images from ``generate`` and ``hash-16`` vectors from
+    ``encode_text``, one item at a time; the item ``bad`` fails after
     ``delay`` seconds, so a call started beside it returns first."""
 
     backend_id = "flux-schnell"
+    provider_id, dim = "hash-16", 16
 
     def __init__(self, delay=0.0):
         self.delay = delay
         self.called = []
 
-    def generate(self, positive, negative, params):
-        self.called.append(positive)
-        if positive == "bad":
+    def _call(self, item, make):
+        self.called.append(item)
+        if item == "bad":
             time.sleep(self.delay)
             raise GenerationError("the backend refused 'bad'")
-        return stub_generate(PromptPair(positive, negative), params)
+        return make()
+
+    def generate(self, positive, negative, params):
+        return self._call(positive, lambda: stub_generate(PromptPair(positive, negative), params))
+
+    def encode_text(self, text):
+        return self._call(text, lambda: HashProjectionProvider("hash-16", 16).encode_text(text))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -449,14 +458,32 @@ def test_every_image_returned_before_a_failure_is_raised_is_stored_and_logged(
     with pytest.raises(GenerationError, match="refused"):
         generate_all(misses, params, backend, store, ledger=ledger, workers=workers)
     ledger.close()
-    stored = [store.lookup(key) is not None for key, _ in misses]
+    stored = [store.lookup(key) is not None for key in misses]
+    first, _, after = misses
     logged = [line["prompt_key"] for line in ledger.read()]
     if workers == 1:  # one at a time: nothing is called after the failure
         assert backend.called == ["first", "bad"] and stored == [True, False, False]
-        assert logged == [misses[0][0]]
+        assert logged == [first]
     else:  # "after" runs beside the slow failure, and its paid image is kept, in input order
         assert sorted(backend.called) == ["after", "bad", "first"] and stored == [True, False, True]
-        assert logged == [misses[0][0], misses[2][0]]
+        assert logged == [first, after]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_embedding_returned_before_a_failure_is_raised_is_stored(tmp_path, workers):
+    encoder = _FailsOn(delay=0.05 if workers > 1 else 0.0)
+    texts = {"key-first": "first", "key-bad": "bad", "key-after": "after"}
+    cache = EmbeddingCache(tmp_path / "emb")
+    try:
+        with pytest.raises(GenerationError, match="refused"):
+            embed_all(encoder, "text", texts, cache, workers=workers)
+        stored = [cache.get("hash-16", key) is not None for key in texts]
+    finally:
+        cache.close()
+    if workers == 1:  # the same rule as the images': nothing is called after the failure
+        assert encoder.called == ["first", "bad"] and stored == [True, False, False]
+    else:  # "after" runs beside the slow failure, and its paid vector is kept
+        assert sorted(encoder.called) == ["after", "bad", "first"] and stored == [True, False, True]
 
 
 def test_cache_key_covers_full_request():

@@ -462,11 +462,14 @@ def test_an_artifact_gone_when_the_manifest_checks_it_reruns_its_stage(
     run_experiment(config)
     run_dir = Path(config.output_dir)
     ran = []
-    for stage, fn in orchestrator._STAGE_FUNCS.items():
-        def recording(*args, _stage=stage, _fn=fn):
-            ran.append(_stage)
-            return _fn(*args)
-        monkeypatch.setitem(orchestrator._STAGE_FUNCS, stage, recording)
+
+    def recording(stage):
+        def run(*args):
+            ran.append(stage.name)
+            return stage.run(*args)
+        return dataclasses.replace(stage, run=run)
+
+    monkeypatch.setattr(orchestrator, "STAGES", tuple(map(recording, orchestrator.STAGES)))
     gone = run_dir / "features.jsonl"
     read_bytes = Path.read_bytes
     raised = []
@@ -1205,15 +1208,17 @@ def test_features_rewritten_after_training_are_read_again_by_evaluation(
         tmp_path, fixture_dataset, pack_loads, monkeypatch):
     config = _base_config(tmp_path, fixture_dataset)
     features_path = Path(config.output_dir) / "features.jsonl"
-    train = orchestrator._STAGE_FUNCS["training"]
+    train = next(stage for stage in orchestrator.STAGES if stage.name == "training")
 
     def train_then_rewrite(*args):
-        artifacts = train(*args)
+        artifacts = train.run(*args)
         rows = list(read_jsonl(features_path))
         write_jsonl(features_path, reversed(rows))  # same rows, new order
         return artifacts
 
-    monkeypatch.setitem(orchestrator._STAGE_FUNCS, "training", train_then_rewrite)
+    monkeypatch.setattr(orchestrator, "STAGES", tuple(
+        dataclasses.replace(stage, run=train_then_rewrite) if stage is train else stage
+        for stage in orchestrator.STAGES))
     run_experiment(config)
     training, evaluation = pack_loads.loads
     assert evaluation is not training and len(pack_loads.built) == 6
@@ -1576,7 +1581,7 @@ def _cache_records(root: Path) -> set[tuple[str, bytes, bytes]]:
 @pytest.mark.parametrize("method", ["text_only", "oracle_image", "gen_image"])
 def test_batched_pooled_and_serial_misses_write_the_same_features_and_cache(
         tmp_path, fixture_dataset, monkeypatch, method):
-    monkeypatch.setattr(embedding, "ENCODE_CHUNK", 5)  # several chunks, the last one short
+    monkeypatch.setattr(generation, "CHUNK", 5)  # several chunks, the last one short
     emb_root = tmp_path / "cache" / "emb"
     features, records = {}, {}
     for way, encoder, concurrency in (
@@ -1617,31 +1622,37 @@ def test_batched_pooled_and_serial_misses_write_the_same_features_and_cache(
     assert _cache_records(emb_root) == records["batch"]
 
 
-def test_the_cold_embeddings_stage_stores_each_chunk_with_one_write(tmp_path, fixture_dataset, monkeypatch):
-    monkeypatch.setattr(embedding, "ENCODE_CHUNK", 5)
+@pytest.mark.parametrize("stage", ["images", "embeddings"])
+def test_a_cold_stage_stores_each_chunk_with_one_write(tmp_path, fixture_dataset, monkeypatch, stage):
+    monkeypatch.setattr(generation, "CHUNK", 5)  # one constant for both stages
     config = _base_config(tmp_path, fixture_dataset)
-    run_experiment(config, until_stage="images")
-    emb = os.path.realpath(Path(config.resolved_cache_dir()) / "emb")
-    writes = []
+    run_experiment(config, until_stage="prompts" if stage == "images" else "images")
+    cache = os.path.realpath(config.resolved_cache_dir())
+    writes = collections.Counter()
     write = os.write
 
     def recording_write(fd, data):
-        if os.readlink(f"/proc/self/fd/{fd}").startswith(emb + os.sep):
-            writes.append(len(data))
+        log = os.path.relpath(os.path.dirname(os.readlink(f"/proc/self/fd/{fd}")), cache)
+        if log.startswith(("images", "emb")):
+            writes[log] += 1
         return write(fd, data)
 
     monkeypatch.setattr(os, "write", recording_write)
-    run_experiment(config, until_stage="embeddings")
-    features = list(read_jsonl(Path(config.output_dir) / "features.jsonl"))
-    texts = len({row["text_key"] for row in features})
-    images = len({row["image"]["key"] for row in features})
-    assert texts == images == 48
-    assert len(writes) == -(-texts // 5) + -(-images // 5)  # one per chunk, not one per vector
+    run_experiment(config, until_stage=stage)
+    images = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))
+    assert len({row["prompt_key"] for row in images}) == 48
+    chunks = -(-48 // 5)
+    if stage == "images":  # one write per chunk to each log, not one per image
+        assert writes == {"images/data": chunks, "images/meta": chunks}
+    else:  # one write per chunk of texts and per chunk of images, not one per vector
+        features = list(read_jsonl(Path(config.output_dir) / "features.jsonl"))
+        assert len({row["text_key"] for row in features}) == len({row["image"]["key"] for row in features}) == 48
+        assert writes == {"emb/hash-16": 2 * chunks}
 
 
 def test_a_failed_item_fails_the_stage_and_a_resume_encodes_only_what_is_missing(
         tmp_path, fixture_dataset, monkeypatch):
-    monkeypatch.setattr(embedding, "ENCODE_CHUNK", 5)
+    monkeypatch.setattr(generation, "CHUNK", 5)
     config = _base_config(tmp_path, fixture_dataset, method="text_only")
     run_experiment(config, until_stage="images")
     texts = sorted({r["effective_text"] for r in read_jsonl(Path(config.output_dir) / "prompts.jsonl")})

@@ -118,7 +118,7 @@ def _put_one_value(root, key, value, start):
     cache = EmbeddingCache(root)
     assert cache.get("hash-8", key) is None  # both writers miss before either puts
     start.wait(10)
-    cache.put("hash-8", key, np.full(8, value, np.float32), np.full((2, 8), value, np.float32))
+    cache.put_many("hash-8", [(key, np.full(8, value, np.float32), np.full((2, 8), value, np.float32))])
     cache.sync()
     cache.close()
 
@@ -189,7 +189,7 @@ def test_threads_sharing_a_store_append_each_key_once_to_one_segment(tmp_path):
             for key in keys:
                 if cache.get("hash-8", key) is None:
                     values = np.full(8, int(key, 16), np.float32)
-                    cache.put("hash-8", key, values, values[None, :])
+                    cache.put_many("hash-8", [(key, values, values[None, :])])
         except Exception as exc:  # reported below; a thread's exception is otherwise lost
             errors.append(exc)
 
