@@ -8,6 +8,7 @@ dataclasses that reports every problem at once, each naming its field:
   without a default is required;
 - ``CHOICES``: a well-typed value of a field listed there must be one of its
   values; ``training.preset`` merges a preset under the section's own keys;
+- ``PIPELINE_SET``: a field the pipeline sets for itself is rejected;
 - section checks: each section is built on its own, and its range checks and
   the generation preset/override combination report in their own words;
 - method requirements: a method or strategy may need a provider or a backend.
@@ -94,7 +95,7 @@ class GenerationConfig:
     endpoint: str | None = None
     # image requests in flight; also encoder requests, for an encoder without batch methods
     concurrency: int = 2
-    retries: int = 3  # attempts in all
+    retries: int = 3  # attempts in all, for every remote request: images, encoders and chat
 
     def __post_init__(self):
         _reject(*(getattr(self, name) < 1 and f"{name} must be >= 1, got {getattr(self, name)}"
@@ -185,6 +186,13 @@ CHOICES = {
     "evaluation.bootstrap_metric": BOOTSTRAP_METRICS,
 }
 
+# Field path -> what the pipeline sets it from; a config file may not set it,
+# as the value it gave would change the config hash and nothing else.
+PIPELINE_SET = {
+    "fusion.num_classes": "the dataset's label count",
+    "training.seed": "each value of seeds",
+}
+
 
 def _matches(value, hint) -> bool:
     """Whether a parsed YAML value fits a field annotation. An int fits a
@@ -232,7 +240,9 @@ def _parse_section(cls, data: Any, path: str, problems: list[str], skip=()) -> t
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
         hint = None if key in skip else hints.get(key)
-        if hint is None:
+        if where in PIPELINE_SET:
+            problems.append(f"{where}: set by the pipeline from {PIPELINE_SET[where]}, not by the config")
+        elif hint is None:
             problems.append(f"{where}: unknown key")
         elif not dataclasses.is_dataclass(hint):  # a section is parsed below
             if not _matches(value, hint):

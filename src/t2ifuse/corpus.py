@@ -1,4 +1,5 @@
-"""Dataset ingestion, label spaces, deterministic stratified splits, truncation."""
+"""Dataset ingestion, label spaces, deterministic stratified splits, and
+truncation to leading whitespace tokens."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -232,30 +233,13 @@ def apply_split_assignments(samples: Sequence[TextSample], assignments: dict[str
         s.split = assignments[s.id]
 
 
-class TokenProvider(Protocol):
-    def tokenize(self, text: str) -> list[str]: ...
-
-    def join(self, tokens: Sequence[str]) -> str: ...
-
-
-@dataclass(frozen=True)
-class WhitespaceTokenizer:
-    """Default token provider: whitespace tokens joined by single spaces."""
-
-    def tokenize(self, text: str) -> list[str]:
-        return text.split()
-
-    def join(self, tokens: Sequence[str]) -> str:
-        return " ".join(tokens)
-
-
-def truncate_text(text: str, max_tokens: int, tokenizer: TokenProvider | None = None) -> str:
-    """Keep at most ``max_tokens`` leading tokens; texts under the limit pass
-    through unchanged, so the operation is idempotent."""
+def truncate_text(text: str, max_tokens: int) -> str:
+    """Keep at most ``max_tokens`` leading whitespace tokens, joined by single
+    spaces; texts under the limit pass through unchanged, so the operation is
+    idempotent."""
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    tok = tokenizer if tokenizer is not None else WhitespaceTokenizer()
-    tokens = tok.tokenize(text)
+    tokens = text.split()
     if len(tokens) <= max_tokens:
         return text
-    return tok.join(tokens[:max_tokens])
+    return " ".join(tokens[:max_tokens])

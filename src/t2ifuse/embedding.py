@@ -102,16 +102,17 @@ class HashProjectionProvider:
     Text is split on whitespace; each token embeds as
     ``_hash_floats(provider_id|token|<token>, dim)`` and the pooled vector is
     the token mean. Image bytes embed as a single token keyed by their sha256.
-    The batch methods hash each distinct token of a batch once; ``calls``
-    counts the items encoded.
+    Only a text's first ``max_tokens`` tokens embed. The batch methods hash
+    each distinct token of a batch once; ``calls`` counts the items encoded.
     """
 
-    def __init__(self, provider_id: str, dim: int, max_tokens: int = 32):
+    max_tokens = 32
+
+    def __init__(self, provider_id: str, dim: int):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.provider_id = provider_id
         self.dim = dim
-        self.max_tokens = max_tokens
         self.calls = 0
         self._counters = [c.to_bytes(4, "big") for c in range(-(-dim // 32))]
 
@@ -155,8 +156,7 @@ class OracleFeatureProvider:
     """Curated image features read from a record-per-line file keyed by
     sample id; stands in for hand-picked reference images."""
 
-    def __init__(self, path: str | Path, provider_id: str = "oracle"):
-        self.provider_id = provider_id
+    def __init__(self, path: str | Path):
         self.path = Path(path)
         self._table: dict[str, np.ndarray] = {}
         for record in read_jsonl(self.path):

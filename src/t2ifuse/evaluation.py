@@ -210,18 +210,11 @@ def bootstrap_std(
     return float(np.std(values))
 
 
-def clip_score_stats(scored: Iterable) -> tuple[float, float]:
-    """Mean and population std over scores given as floats or (record, score)
-    pairs."""
-    values = []
-    for item in scored:
-        if isinstance(item, (tuple, list)):
-            values.append(float(item[1]))
-        else:
-            values.append(float(item))
-    if not values:
+def clip_score_stats(scores: Iterable[float]) -> tuple[float, float]:
+    """Mean and population std of ``scores``."""
+    arr = np.asarray([float(s) for s in scores], dtype=np.float64)
+    if not arr.size:
         raise EvaluationError("no scores to aggregate")
-    arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std())
 
 

@@ -417,27 +417,22 @@ def fuse_forward(head: FusionHead, batch: PackBatch, train_mode: bool = False) -
     return FusionOutput(logits=logits, attention=bundle, backward=backward)
 
 
-def head_averaged_map(bundle: AttentionBundle, layer: int = -1) -> np.ndarray:
-    """Average the chosen block's attention weights over heads -> (B, queries, keys)."""
+def head_averaged_map(bundle: AttentionBundle) -> np.ndarray:
+    """Average the last block's attention weights over heads -> (B, queries, keys)."""
     if not bundle.maps:
         raise ValueError("bundle has no attention maps")
-    return bundle.maps[layer].mean(axis=1)
+    return bundle.maps[-1].mean(axis=1)
 
 
-def export_attention(
-    bundle: AttentionBundle,
-    text_token_labels: list[str],
-    image_token_labels: list[str],
-    layer: int = -1,
-) -> str:
-    """Render the head-averaged attention weights of a batch-of-one bundle as
-    a tab-delimited heatmap table.
+def export_attention(bundle: AttentionBundle, text_token_labels: list[str], image_token_labels: list[str]) -> str:
+    """Render the last block's head-averaged attention weights of a
+    batch-of-one bundle as a tab-delimited heatmap table.
 
     For "cross" bundles rows are text tokens and columns are image tokens; for
     "self" bundles both axes are the joint sequence (visual prefix labels
     followed by text labels). Every row of post-softmax weights sums to 1.
     """
-    averaged = head_averaged_map(bundle, layer)
+    averaged = head_averaged_map(bundle)
     if averaged.shape[0] != 1:
         raise ValueError(f"export_attention takes a batch of one, got {averaged.shape[0]} rows")
     matrix = averaged[0]

@@ -433,7 +433,6 @@ def generate_all(
     ledger: GenerationLedger | None = None,
     retries: int = TRANSIENT_RETRIES,
     workers: int = 1,
-    backoff_s: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
 ) -> dict[str, GeneratedImageRecord]:
     """Key -> record for ``items``: prompt key -> prompt.
@@ -464,7 +463,7 @@ def generate_all(
             out = call()
             return out, time.perf_counter() - start
         try:
-            return retry_transient(attempt, retries=retries, backoff_s=backoff_s, sleep=sleep)
+            return retry_transient(attempt, retries=retries, sleep=sleep)
         except RetriesExhaustedError as exc:
             raise GenerationError(f"backend {backend.backend_id!r} {exc}") from exc
 
@@ -503,11 +502,10 @@ def generate_all(
 
 def generate_image(prompt: PromptSpec, params: GenerationParams, backend: ImageBackend, store: ImageStore,
                    *, ledger: GenerationLedger | None = None, retries: int = TRANSIENT_RETRIES,
-                   backoff_s: float = 0.5, sleep: Callable[[float], None] = time.sleep) -> GeneratedImageRecord:
+                   sleep: Callable[[float], None] = time.sleep) -> GeneratedImageRecord:
     """Generate (or fetch) the image for a prompt: a one-item :func:`generate_all`."""
     key = prompt_key(prompt.positive, prompt.negative, params)
-    return generate_all({key: prompt}, params, backend, store, ledger=ledger, retries=retries,
-                        backoff_s=backoff_s, sleep=sleep)[key]
+    return generate_all({key: prompt}, params, backend, store, ledger=ledger, retries=retries, sleep=sleep)[key]
 
 
 @dataclass(frozen=True)
@@ -524,20 +522,16 @@ class LedgerTotals:
     per_backend: dict[str, BackendTotals]
 
 
-def ledger_totals(
-    records: Iterable[GeneratedImageRecord | dict],
-    model: CostModel | None = None,
-    mode: str = "measured",
-) -> LedgerTotals:
+def ledger_totals(records: Iterable[GeneratedImageRecord | dict], mode: str = "measured") -> LedgerTotals:
     """Exact cost/latency sums with a per-backend breakdown.
 
-    "measured" sums the recorded figures; "estimated" prices each image at the
-    cost model's per-backend rates. Decimal arithmetic keeps the totals exact
-    and associative: totals(A ++ B) equals totals(A) + totals(B) componentwise.
+    "measured" sums the recorded figures; "estimated" prices each image at
+    ``DEFAULT_COST_MODEL``'s per-backend rates. Decimal arithmetic keeps the
+    totals exact and associative: totals(A ++ B) equals totals(A) + totals(B)
+    componentwise.
     """
     if mode not in COST_MODES:
         raise ValueError(f"unknown cost mode {mode!r}")
-    model = model if model is not None else DEFAULT_COST_MODEL
     counts: dict[str, int] = {}
     costs: dict[str, Decimal] = {}
     latencies: dict[str, Decimal] = {}
@@ -546,7 +540,7 @@ def ledger_totals(
         backend_id = rec["backend_id"]
         counts[backend_id] = counts.get(backend_id, 0) + 1
         if mode == "estimated":
-            entry = model.entry(backend_id)
+            entry = DEFAULT_COST_MODEL.entry(backend_id)
             cost = entry.unit_cost_usd
             latency = entry.nominal_latency_s
         else:

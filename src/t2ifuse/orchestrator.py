@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .axes import AXES, GENERATIVE_METHODS
-from .config import ConfigError, ExperimentConfig, parse_config_data
+from .config import PIPELINE_SET, ConfigError, ExperimentConfig, parse_config_data
 from .corpus import (
     SPLIT_NAMES,
     LabelSpace,
@@ -160,7 +160,9 @@ class ProviderRegistry:
     2. the fixture the name selects: ``hash-<dim>`` for encoders, ``stub``
        for the image backend, ``stub-chat`` for the chat client;
     3. the remote adapter, when the config names an endpoint for that kind
-       (an offline run raises :class:`OfflineViolationError` instead);
+       (an offline run raises :class:`OfflineViolationError` instead); the
+       encoder and chat adapters make ``generation.retries`` attempts per
+       request, as ``generate_all`` does per image;
     4. the offline default: the stub backend or stub chat client under that
        name; an encoder has none, so an unknown encoder is an error.
 
@@ -174,7 +176,7 @@ class ProviderRegistry:
     chat_clients: dict = field(default_factory=dict)
     retrievers: dict = field(default_factory=dict)
 
-    def _resolve(self, kind: str, name: str, endpoint: str | None, offline: bool):
+    def _resolve(self, kind: str, name: str, endpoint: str | None, offline: bool, **adapter_kwargs):
         table_name, fixture, adapter, default = _PROVIDER_KINDS[kind]
         table = getattr(self, table_name)
         if name not in table:
@@ -184,7 +186,7 @@ class ProviderRegistry:
                     raise OfflineViolationError(f"offline run cannot call remote {kind} {name!r}")
                 from . import remotes  # imports requests; only remote runs pay for it
 
-                instance = getattr(remotes, adapter)(name, endpoint)
+                instance = getattr(remotes, adapter)(name, endpoint, **adapter_kwargs)
             if instance is None and default is None:
                 raise OrchestrationError(
                     f"unknown {kind} {name!r} (register it, use hash-<dim>, or configure an endpoint)"
@@ -198,17 +200,20 @@ class ProviderRegistry:
 
     def resolve_text_provider(self, config: ExperimentConfig):
         p = config.providers
-        return self._resolve("text provider", p.text, p.text_endpoint, config.offline)
+        return self._resolve("text provider", p.text, p.text_endpoint, config.offline,
+                             retries=config.generation.retries)
 
     def resolve_image_provider(self, config: ExperimentConfig):
         p = config.providers
-        return self._resolve("image provider", p.image, p.image_endpoint, config.offline)
+        return self._resolve("image provider", p.image, p.image_endpoint, config.offline,
+                             retries=config.generation.retries)
 
     def resolve_chat_client(self, config: ExperimentConfig):
         p = config.providers
         if p.elaborator is None:
             raise OrchestrationError("no elaborator configured")
-        return self._resolve("chat client", p.elaborator, p.chat_endpoint, config.offline)
+        return self._resolve("chat client", p.elaborator, p.chat_endpoint, config.offline,
+                             retries=config.generation.retries)
 
     def resolve_retriever(self, config: ExperimentConfig):
         path = config.providers.retrieval_corpus
@@ -222,59 +227,41 @@ class ProviderRegistry:
 # --- input composition -------------------------------------------------------
 
 
-@dataclass
-class ComposedInput:
-    sample_id: str
-    effective_text: str
-    image_source: str  # "generate" | "oracle" | "none"
-    fallback: str | None = None
+def image_source(method: str) -> str:
+    """Where a method's visual features come from: "generate", "oracle" or "none"."""
+    return "generate" if method in GENERATIVE_METHODS else "oracle" if method == "oracle_image" else "none"
 
 
-@dataclass
-class ComposeHelpers:
-    elaborator: object | None = None
-    retriever: object | None = None
-    max_tokens: int = 256
-
-
-def compose_input(sample: TextSample, method: str, helpers: ComposeHelpers) -> ComposedInput:
-    """Build the effective text (and visual-feature request kind) per method.
+def compose_input(sample: TextSample, method: str, *, elaborator=None, retriever=None,
+                  max_tokens: int = 256) -> tuple[str, str | None]:
+    """The effective text of one sample under ``method``, and the fallback
+    taken, if any.
 
     Textual expansion appends an LLM scene description; knowledge retrieval
     appends the best-matching local document (falling back to the bare text
-    when nothing matches, counted via ``fallback``). Both append first and
-    truncate to the token budget afterwards.
+    when nothing matches, reported as ``"retrieval_miss"``). Both append
+    first and truncate to the token budget afterwards.
     """
     text = sample.text
     fallback = None
     if method == "textual_expansion":
-        if helpers.elaborator is None:
+        if elaborator is None:
             raise OrchestrationError("textual_expansion needs an elaborator client")
-        description = elaborate_text(text, "visual_description", helpers.elaborator)
+        description = elaborate_text(text, "visual_description", elaborator)
         text = f"{text} {description}"
     elif method == "knowledge_retrieval":
-        if helpers.retriever is None:
+        if retriever is None:
             raise OrchestrationError("knowledge_retrieval needs a retriever")
         try:
             keywords = extract_keywords(sample.text)
         except NoVisualContentError:
             keywords = []
-        doc = helpers.retriever.retrieve(keywords) if keywords else None
+        doc = retriever.retrieve(keywords) if keywords else None
         if doc is None:
             fallback = "retrieval_miss"
         else:
             text = f"{text} {doc}"
-    image_source = (
-        "generate" if method in GENERATIVE_METHODS
-        else "oracle" if method == "oracle_image"
-        else "none"
-    )
-    return ComposedInput(
-        sample_id=sample.id,
-        effective_text=truncate_text(text, helpers.max_tokens),
-        image_source=image_source,
-        fallback=fallback,
-    )
+    return truncate_text(text, max_tokens), fallback
 
 
 # --- manifest ----------------------------------------------------------------
@@ -414,29 +401,30 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
         make_splits(samples, config.dataset.split_fractions, config.dataset.split_seed)
         write_split_assignments(samples, splits_path)
 
-    helpers = ComposeHelpers(max_tokens=config.dataset.max_text_tokens)
-    if config.method == "textual_expansion":
-        helpers.elaborator = CachedChatClient(registry.resolve_chat_client(config), caches["chat"])
-    if config.method == "knowledge_retrieval":
-        helpers.retriever = registry.resolve_retriever(config)
+    max_tokens = config.dataset.max_text_tokens
+    source = image_source(config.method)
+    # textual_expansion rewrites the input text, the elaborated strategy the
+    # image prompt; no method does both, so one client serves either
     elaborator = None
-    if config.method in GENERATIVE_METHODS and config.strategy == "elaborated":
+    if config.method == "textual_expansion" or (source == "generate" and config.strategy == "elaborated"):
         elaborator = CachedChatClient(registry.resolve_chat_client(config), caches["chat"])
+    retriever = registry.resolve_retriever(config) if config.method == "knowledge_retrieval" else None
 
     records = []
     fallbacks = 0
     for sample in sorted(samples, key=lambda s: s.id):
-        composed = compose_input(sample, config.method, helpers)
-        if composed.fallback:
+        effective_text, fallback = compose_input(sample, config.method, elaborator=elaborator,
+                                                 retriever=retriever, max_tokens=max_tokens)
+        if fallback:
             fallbacks += 1
         prompt_dict = None
-        if composed.image_source == "generate":
+        if source == "generate":
             spec = build_prompt(
                 sample,
                 config.strategy,
                 task_id=config.task_id,
                 elaborator=elaborator,
-                max_tokens=config.dataset.max_text_tokens,
+                max_tokens=max_tokens,
             )
             prompt_dict = spec.to_dict()
         records.append(
@@ -444,9 +432,9 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
                 "sample_id": sample.id,
                 "split": sample.split,
                 "label": sample.label,
-                "effective_text": composed.effective_text,
-                "image_source": composed.image_source,
-                "fallback": composed.fallback,
+                "effective_text": effective_text,
+                "image_source": source,
+                "fallback": fallback,
                 "prompt": prompt_dict,
             }
         )
@@ -999,6 +987,9 @@ def _cell_config(base_config: ExperimentConfig, settings: dict) -> ExperimentCon
             raise ConfigError([f"sweep.axes.{name}: {value!r}: {exc}"]) from exc
     data = config.to_dict()
     del data["sweep_axes"]
+    for path in PIPELINE_SET:
+        section, _, name = path.partition(".")
+        del data[section][name]
     return parse_config_data(data)
 
 

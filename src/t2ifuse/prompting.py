@@ -4,13 +4,14 @@ Four strategies of increasing sophistication turn a source text into a
 positive prompt:
 
 - ``direct``: the (truncated) source text itself.
-- ``keyword``: content-word phrases extracted from the text, inserted into a
-  photorealism template.
-- ``stylized``: the keyword prompt plus task-specific style tags.
+- ``keyword``: content-word phrases extracted from the text, inserted into
+  ``KEYWORD_TEMPLATE``.
+- ``stylized``: the same phrases plus the task's style tags from
+  ``DEFAULT_STYLE_LEXICON``, inserted into ``STYLIZED_TEMPLATE``.
 - ``elaborated``: a chat-model rewrite of the text into a visual scene
   description.
 
-All strategies attach the same universal negative prompt.
+All strategies attach the same universal negative prompt, ``NEGATIVE_PROMPT``.
 """
 
 from __future__ import annotations
@@ -141,13 +142,8 @@ DEFAULT_STYLE_LEXICON = StyleLexicon(
 )
 
 
-@dataclass(frozen=True)
-class PromptTemplates:
-    keyword: str = "A photorealistic, high-quality image of {keywords}."
-    stylized: str = "A {style_tags}, photorealistic, high-quality image of {keywords}."
-
-
-DEFAULT_TEMPLATES = PromptTemplates()
+KEYWORD_TEMPLATE = "A photorealistic, high-quality image of {keywords}."
+STYLIZED_TEMPLATE = "A {style_tags}, photorealistic, high-quality image of {keywords}."
 
 
 @dataclass(frozen=True)
@@ -285,14 +281,9 @@ def build_prompt(
     sample: TextSample,
     strategy: str,
     task_id: str | None = None,
-    lexicon: StyleLexicon | None = None,
     elaborator: ChatClient | None = None,
     *,
-    templates: PromptTemplates = DEFAULT_TEMPLATES,
-    tagger: PosTagger | None = None,
-    max_keywords: int = 8,
     max_tokens: int = 256,
-    negative: str = NEGATIVE_PROMPT,
 ) -> PromptSpec:
     """Construct the positive/negative prompt pair for one sample.
 
@@ -305,50 +296,46 @@ def build_prompt(
     truncated = truncate_text(sample.text, max_tokens)
 
     if strategy == "direct":
-        return PromptSpec(sample.id, "direct", truncated, negative)
+        return PromptSpec(sample.id, "direct", truncated)
 
     if strategy in ("keyword", "stylized"):
         style_tags: tuple[str, ...] = ()
         if strategy == "stylized":
             if task_id is None:
                 raise PromptError("stylized strategy needs a task_id")
-            style_tags = (lexicon or DEFAULT_STYLE_LEXICON).tags_for(task_id)
+            style_tags = DEFAULT_STYLE_LEXICON.tags_for(task_id)
         try:
-            keywords = tuple(extract_keywords(sample.text, tagger, max_keywords))
+            keywords = tuple(extract_keywords(sample.text))
         except NoVisualContentError:
-            return PromptSpec(sample.id, strategy, truncated, negative)
+            return PromptSpec(sample.id, strategy, truncated)
         keyword_clause = ", ".join(keywords)
         if strategy == "keyword":
-            positive = templates.keyword.format(keywords=keyword_clause)
+            positive = KEYWORD_TEMPLATE.format(keywords=keyword_clause)
         else:
-            positive = templates.stylized.format(
+            positive = STYLIZED_TEMPLATE.format(
                 keywords=keyword_clause, style_tags=", ".join(style_tags)
             )
-        return PromptSpec(sample.id, strategy, positive, negative, keywords, style_tags)
+        return PromptSpec(sample.id, strategy, positive, keywords=keywords, style_tags=style_tags)
 
     # elaborated
     if elaborator is None:
         raise PromptError("elaborated strategy needs a chat client")
     positive = elaborate_text(truncated, "image_prompt", elaborator)
     return PromptSpec(
-        sample.id, "elaborated", positive, negative, elaborator_id=elaborator.client_id
+        sample.id, "elaborated", positive, elaborator_id=elaborator.client_id
     )
 
 
 class StubChatClient:
-    """Offline chat client: canned responses plus a request log for tests."""
+    """Offline chat client: one canned response plus a request log for tests."""
 
-    def __init__(self, response: str | None = None, responses: dict[str, str] | None = None,
-                 client_id: str = "stub-chat"):
+    def __init__(self, response: str | None = None, client_id: str = "stub-chat"):
         self.client_id = client_id
         self._response = response
-        self._responses = responses or {}
         self.requests: list[tuple[str, str]] = []
 
     def complete(self, system: str, user: str) -> str:
         self.requests.append((system, user))
-        if user in self._responses:
-            return self._responses[user]
         if self._response is not None:
             return self._response
         # Deterministic default: a scene line derived from the input.

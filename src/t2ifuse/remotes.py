@@ -5,8 +5,10 @@ All adapters speak minimal JSON contracts:
 - image backend: POST {positive, negative, steps, guidance, width, height,
   seed} -> raw image bytes in the response body.
 - embedding provider: POST {kind: "text"|"image", content, model_id} ->
-  {"pooled": [...], "tokens": [[...], ...]}.
-- chat client: POST {system, user, model_id, temperature} -> {"text": "..."}.
+  {"pooled": [...], "tokens": [[...], ...]}, ``model_id`` being the
+  provider id.
+- chat client: POST {system, user, model_id, temperature} -> {"text": "..."},
+  ``model_id`` being the client id and ``temperature`` always 0.0.
 
 Credentials come from per-adapter environment variables (never from config
 files). Transport failures, 5xx and 429 responses raise
@@ -15,9 +17,10 @@ files). Transport failures, 5xx and 429 responses raise
 through :func:`t2ifuse.generation.retry_transient`, which caps that delay at
 ``RETRY_AFTER_MAX_S``: ``generation.generate_all`` wraps each image backend
 call in it, and the embedding provider and chat client wrap their own
-requests. The image backend and the embedding provider have no batch
-method, so the shared miss runner (``generation.run_misses``) calls them
-once per miss, on a pool of ``generation.concurrency`` threads.
+requests, making ``retries`` attempts (the registry passes
+``generation.retries``). The image backend and the embedding provider have
+no batch method, so the shared miss runner (``generation.run_misses``)
+calls them once per miss, on a pool of ``generation.concurrency`` threads.
 """
 
 from __future__ import annotations
@@ -140,19 +143,19 @@ class HttpEmbeddingProvider(_HttpAdapter):
         provider_id: str,
         endpoint: str,
         *,
-        model_id: str | None = None,
+        retries: int = TRANSIENT_RETRIES,
         sleep: Callable[[float], None] = time.sleep,
         **kwargs,
     ):
         super().__init__(provider_id, endpoint, **kwargs)
         self.provider_id = provider_id
-        self.model_id = model_id or provider_id
+        self.retries = retries
         self.sleep = sleep
         self.dim: int | None = None
 
     def _request(self, kind: str, content: str) -> tuple[np.ndarray, np.ndarray]:
-        payload = {"kind": kind, "content": content, "model_id": self.model_id}
-        body = retry_transient(lambda: self._post(payload), sleep=self.sleep).json()
+        payload = {"kind": kind, "content": content, "model_id": self.provider_id}
+        body = retry_transient(lambda: self._post(payload), retries=self.retries, sleep=self.sleep).json()
         pooled = np.asarray(body["pooled"], dtype=np.float32)
         tokens = np.asarray(body.get("tokens") or [body["pooled"]], dtype=np.float32)
         if self.dim is None:
@@ -167,7 +170,7 @@ class HttpEmbeddingProvider(_HttpAdapter):
 
 
 class HttpChatClient(_HttpAdapter):
-    """Chat-completion-style rewrite endpoint; temperature defaults to 0 for
+    """Chat-completion-style rewrite endpoint, asked at temperature 0 for
     reproducibility."""
 
     def __init__(
@@ -175,16 +178,12 @@ class HttpChatClient(_HttpAdapter):
         client_id: str,
         endpoint: str,
         *,
-        model_id: str | None = None,
-        temperature: float = 0.0,
         retries: int = TRANSIENT_RETRIES,
         sleep: Callable[[float], None] = time.sleep,
         **kwargs,
     ):
         super().__init__(client_id, endpoint, **kwargs)
         self.client_id = client_id
-        self.model_id = model_id or client_id
-        self.temperature = temperature
         self.retries = retries
         self.sleep = sleep
 
@@ -192,8 +191,8 @@ class HttpChatClient(_HttpAdapter):
         payload = {
             "system": system,
             "user": user,
-            "model_id": self.model_id,
-            "temperature": self.temperature,
+            "model_id": self.client_id,
+            "temperature": 0.0,
         }
         try:
             response = retry_transient(

@@ -1,9 +1,11 @@
+import dataclasses
+import typing
 from pathlib import Path
 
 import yaml
 import pytest
 
-from t2ifuse.config import ConfigError, parse_config, parse_config_data
+from t2ifuse.config import ConfigError, ExperimentConfig, parse_config, parse_config_data
 
 
 def _minimal(tmp_path, **extra):
@@ -298,3 +300,68 @@ def test_a_section_with_an_ill_typed_value_is_not_range_checked(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_data(data)
     assert err.value.problems == ["sweep_axes: unknown key", "fusion.model_dim: expected int, got str"]
+
+
+def test_fields_the_pipeline_sets_are_rejected_by_name(tmp_path):
+    data = _minimal(tmp_path, fusion={"num_classes": 7}, training={"seed": 3})
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(data)
+    assert err.value.problems == [
+        "fusion.num_classes: set by the pipeline from the dataset's label count, not by the config",
+        "training.seed: set by the pipeline from each value of seeds, not by the config",
+    ]
+
+
+# Every field path a config file may set. Adding or dropping a config field
+# is an edit here.
+SETTABLE_FIELDS = [
+    "cache_dir", "cost_mode",
+    "dataset.format", "dataset.max_text_tokens", "dataset.path", "dataset.split_fractions",
+    "dataset.split_seed",
+    "evaluation.bootstrap_metric", "evaluation.bootstrap_resamples", "evaluation.bootstrap_seed",
+    "experiment_id",
+    "fusion.dropout_rate", "fusion.encoder_layers", "fusion.heads", "fusion.hidden_dim",
+    "fusion.mechanism", "fusion.model_dim", "fusion.visual_prefix_len",
+    "generation.backend", "generation.concurrency", "generation.endpoint", "generation.guidance_scale",
+    "generation.height", "generation.preset", "generation.retries", "generation.scheduler_id",
+    "generation.seed", "generation.steps", "generation.width",
+    "method", "offline", "output_dir",
+    "providers.chat_endpoint", "providers.elaborator", "providers.image", "providers.image_endpoint",
+    "providers.oracle_features", "providers.retrieval_corpus", "providers.text", "providers.text_endpoint",
+    "seeds", "strategy", "task_id",
+    "training.batch_size", "training.betas", "training.eps", "training.grad_clip_norm",
+    "training.learning_rate", "training.max_epochs", "training.patience", "training.weight_decay",
+]
+
+
+def _leaf_fields(cls, prefix=""):
+    """(path, field) for every non-section field, walking sections as the parser does."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _leaf_fields(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f
+
+
+def test_settable_config_fields_are_pinned(tmp_path):
+    accepted = []
+    for path, f in _leaf_fields(ExperimentConfig):
+        data = _minimal(tmp_path)
+        *sections, name = path.split(".")
+        target = data
+        for section in sections:
+            target = target.setdefault(section, {})
+        if f.default is not dataclasses.MISSING:
+            value = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            value = f.default_factory()
+        else:
+            value = target[name]  # required: the minimal config sets it
+        target[name] = list(value) if isinstance(value, tuple) else value
+        try:
+            parse_config_data(data)
+        except ConfigError:
+            continue
+        accepted.append(path)
+    assert sorted(accepted) == SETTABLE_FIELDS

@@ -155,6 +155,11 @@ def test_truncate_to_max_tokens():
     assert out.split() == text.split()[:256]
 
 
+def test_truncate_joins_kept_tokens_with_one_space():
+    assert truncate_text("a\tb  c\nd", 2) == "a b"
+    assert truncate_text(" a\tb \n", 2) == " a\tb \n"  # under the limit: unchanged, whitespace and all
+
+
 def test_truncate_idempotent_and_monotone():
     rng = np.random.default_rng(0)
     for _ in range(25):

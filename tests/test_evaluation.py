@@ -202,7 +202,7 @@ def test_clip_score_stats():
     assert mean == pytest.approx(1.25) and std == pytest.approx(1.25)
     rng = np.random.default_rng(2)
     scores = rng.uniform(0, 2.5, size=50)
-    mean, std = clip_score_stats([(None, s) for s in scores])
+    mean, std = clip_score_stats(list(scores))
     assert mean == pytest.approx(scores.sum() / 50, abs=1e-12)
     assert std == pytest.approx(np.sqrt(((scores - scores.mean()) ** 2).mean()), abs=1e-12)
     with pytest.raises(EvaluationError):

@@ -279,7 +279,7 @@ def test_generate_image_retries_transient_then_succeeds(open_store):
     params = GenerationParams("flaky", steps=4, guidance_scale=0.0, width=512, height=512)
     record = generate_image(
         _spec(), params, backend, open_store("img"),
-        retries=3, backoff_s=0.5, sleep=sleeps.append,
+        retries=3, sleep=sleeps.append,
     )
     assert backend.calls == 3
     assert sleeps == [0.5, 1.0]  # exponential backoff

@@ -37,13 +37,13 @@ from t2ifuse.evaluation import EvalReport
 from t2ifuse.fusion import PackBatch
 from t2ifuse.generation import GenerationError, ImageStore, PromptPair, StubImageBackend, stub_generate
 from t2ifuse.orchestrator import (
-    ComposeHelpers,
     KeywordOverlapRetriever,
     OfflineViolationError,
     OrchestrationError,
     ProviderRegistry,
     RunManifest,
     compose_input,
+    image_source,
     report_cli,
     run_experiment,
     run_sweep,
@@ -63,37 +63,34 @@ def _sample(text="a bright red kettle on the stove", sid="s1"):
 
 
 def test_compose_text_only_is_identity():
-    out = compose_input(_sample(), "text_only", ComposeHelpers())
-    assert out.effective_text == "a bright red kettle on the stove"
-    assert out.image_source == "none"
-    assert out.fallback is None
+    effective_text, fallback = compose_input(_sample(), "text_only")
+    assert effective_text == "a bright red kettle on the stove"
+    assert image_source("text_only") == "none"
+    assert fallback is None
 
 
 def test_compose_textual_expansion_appends_description():
     client = StubChatClient(response="A red vacuum on a wooden floor.")
-    out = compose_input(_sample(), "textual_expansion", ComposeHelpers(elaborator=client))
-    assert out.effective_text == (
+    effective_text, _ = compose_input(_sample(), "textual_expansion", elaborator=client)
+    assert effective_text == (
         "a bright red kettle on the stove A red vacuum on a wooden floor."
     )
     assert client.requests[0][0] == VISUAL_DESCRIPTION_SYSTEM
     with pytest.raises(OrchestrationError):
-        compose_input(_sample(), "textual_expansion", ComposeHelpers())
+        compose_input(_sample(), "textual_expansion")
 
 
 def test_compose_truncates_after_appending():
     client = StubChatClient(response="tail " * 50)
-    out = compose_input(
-        _sample(), "textual_expansion", ComposeHelpers(elaborator=client, max_tokens=10)
-    )
-    assert len(out.effective_text.split()) == 10
+    effective_text, _ = compose_input(_sample(), "textual_expansion", elaborator=client, max_tokens=10)
+    assert len(effective_text.split()) == 10
 
 
 def test_compose_gen_image_requests_generation():
-    out = compose_input(_sample(), "gen_image", ComposeHelpers())
-    assert out.image_source == "generate"
-    assert out.effective_text == _sample().text
-    oracle = compose_input(_sample(), "oracle_image", ComposeHelpers())
-    assert oracle.image_source == "oracle"
+    effective_text, _ = compose_input(_sample(), "gen_image")
+    assert image_source("gen_image") == "generate"
+    assert effective_text == _sample().text
+    assert image_source("oracle_image") == "oracle"
 
 
 def _corpus(tmp_path):
@@ -113,21 +110,21 @@ def test_retriever_exhaustive_match_over_three_docs(tmp_path):
     retriever = KeywordOverlapRetriever(_corpus(tmp_path))
     # brute-force oracle over the 3 documents: keyword "kettle(s)" only
     # overlaps the first document
-    out = compose_input(
+    effective_text, fallback = compose_input(
         TextSample(id="q", text="my kettles whistle loudly", label=0),
         "knowledge_retrieval",
-        ComposeHelpers(retriever=retriever),
+        retriever=retriever,
     )
-    assert "boiling water" in out.effective_text
-    assert out.fallback is None
+    assert "boiling water" in effective_text
+    assert fallback is None
 
-    miss = compose_input(
+    effective_text, fallback = compose_input(
         TextSample(id="q2", text="quantum flux capacitor", label=0),
         "knowledge_retrieval",
-        ComposeHelpers(retriever=retriever),
+        retriever=retriever,
     )
-    assert miss.fallback == "retrieval_miss"
-    assert miss.effective_text == "quantum flux capacitor"
+    assert fallback == "retrieval_miss"
+    assert effective_text == "quantum flux capacitor"
 
 
 def _rescan_retrieve(documents, keywords):

@@ -171,6 +171,35 @@ def test_remote_encoder_from_config_learns_its_dim(monkeypatch, tmp_path, emb_ca
         embed_text("second text", provider, emb_cache)
 
 
+def test_registry_adapters_make_the_configured_number_of_attempts(monkeypatch, tmp_path):
+    monkeypatch.setenv("SIGLIP_API_KEY", "k")
+    monkeypatch.setenv("LLAMA_API_KEY", "k")
+    config = parse_config_data({
+        "experiment_id": "remote",
+        "dataset": {"path": "data.csv"},
+        "output_dir": str(tmp_path / "run"),
+        "offline": False,
+        "generation": {"retries": 2},
+        "providers": {"text": "siglip", "text_endpoint": "https://emb.example",
+                      "image": "siglip", "image_endpoint": "https://emb.example",
+                      "elaborator": "llama", "chat_endpoint": "https://chat.example"},
+    })
+    registry = ProviderRegistry()
+    text, image = registry.resolve_text_provider(config), registry.resolve_image_provider(config)
+    chat = registry.resolve_chat_client(config)
+    for adapter in (text, image, chat):
+        adapter.session = FakeSession([FakeResponse(status_code=500)] * 3)
+        adapter.sleep = lambda seconds: None
+    with pytest.raises(GenerationError, match="after 2 attempts"):
+        text.encode_text("hello")
+    with pytest.raises(GenerationError, match="after 2 attempts"):
+        image.encode_image(b"\x00")
+    with pytest.raises(ElaborationError) as err:
+        chat.complete("s", "u")
+    assert err.value.attempts == 2
+    assert [len(adapter.session.requests) for adapter in (text, image, chat)] == [2, 2, 2]
+
+
 def _rate_limited_provider(monkeypatch, responses):
     monkeypatch.setenv("SIGLIP_API_KEY", "k")
     session = FakeSession(responses)
