@@ -14,7 +14,8 @@ dataclasses that reports every problem at once, each naming its field:
 - method requirements: a method or strategy may need a provider or a backend.
 
 The resolved config hashes identically regardless of key order in the file;
-any semantic change changes the hash.
+any semantic change changes the hash. ``output_hash`` leaves out the
+``EXECUTION_FIELDS``, which change how a run executes but not what it writes.
 """
 
 from __future__ import annotations
@@ -172,6 +173,10 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         return stable_key(self.to_dict())
 
+    def output_hash(self) -> str:
+        """The hash of what decides the run's outputs: the config less its ``EXECUTION_FIELDS``."""
+        return stable_key(without_fields(self.to_dict(), EXECUTION_FIELDS))
+
 
 # Field path -> its allowed values; a value is checked here once it has its
 # field's type. ``training.preset`` names a row of TRAIN_PRESETS.
@@ -192,6 +197,23 @@ PIPELINE_SET = {
     "fusion.num_classes": "the dataset's label count",
     "training.seed": "each value of seeds",
 }
+
+# Field path -> what it decides instead of a run's outputs; a run resumes
+# across a change to any of them.
+EXECUTION_FIELDS = {
+    "output_dir": "where the run is written",
+    "offline": "whether a remote call is refused",
+    "generation.retries": "how often a failed request is tried",
+    "generation.concurrency": "how many requests are in flight",
+}
+
+
+def without_fields(data: dict, paths) -> dict:
+    """``data``, a config's ``to_dict()``, with the fields at the dotted ``paths`` deleted."""
+    for path in paths:
+        section, _, name = path.rpartition(".")
+        del (data[section] if section else data)[name]
+    return data
 
 
 def _matches(value, hint) -> bool:

@@ -6,13 +6,13 @@ directory and a transactionally updated manifest. Re-running skips stages
 whose artifacts still hash-verify, and the content-addressed caches make any
 repeated generation/embedding work free (and remote-call free).
 
-Within one ``run_experiment`` call the stages hand on in memory what they
-wrote, keyed by artifact name and the sha256 of the artifact's bytes: the
-rows of ``prompts.jsonl`` and ``images.jsonl``, and the features of each
-sample, which training and evaluation stack into one shared batch per
-split. A reader hashes the file and parses it (or reads the embedding
-cache) only on a miss: in a resume, a single stage from the CLI, or after
-the file was rewritten. Each is released after its last reader.
+Each stage declares in ``Stage.reads`` the run artifacts it is handed, and
+``run_experiment`` alone hands them on. It keeps what a stage returned for an
+artifact (rows of a JSONL file, the label space, the features that training
+and evaluation stack into one shared batch per split) with the sha256 the
+manifest records, and hands it to a later reader while the file holds those
+bytes; otherwise (a resume, one stage from the CLI, a rewritten file) the value
+is built from the file by ``_READERS``. Each is dropped after its last reader.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .axes import AXES, GENERATIVE_METHODS
-from .config import PIPELINE_SET, ConfigError, ExperimentConfig, parse_config_data
+from .config import PIPELINE_SET, ConfigError, ExperimentConfig, parse_config_data, without_fields
 from .corpus import (
     SPLIT_NAMES,
     LabelSpace,
@@ -163,11 +163,14 @@ class ProviderRegistry:
        (an offline run raises :class:`OfflineViolationError` instead); the
        encoder and chat adapters make ``generation.retries`` attempts per
        request, as ``generate_all`` does per image;
-    4. the offline default: the stub backend or stub chat client under that
-       name; an encoder has none, so an unknown encoder is an error.
+    4. the offline default, when no endpoint is configured: the stub backend
+       or stub chat client under that name; an encoder has none, so an
+       unknown encoder is an error.
 
-    Resolved instances are kept, so their call counters survive resume tests
-    that hand the same registry to several runs.
+    Built instances are kept, so their call counters survive resume tests
+    that hand the same registry to several runs. Each is kept under the
+    arguments it was built from: a fixture or an offline default under its
+    name, a remote adapter under its name, endpoint and adapter arguments.
     """
 
     backends: dict = field(default_factory=dict)
@@ -175,24 +178,32 @@ class ProviderRegistry:
     image_providers: dict = field(default_factory=dict)
     chat_clients: dict = field(default_factory=dict)
     retrievers: dict = field(default_factory=dict)
+    _defaults: set = field(default_factory=set, init=False, repr=False)  # (table, name) of each default built
 
     def _resolve(self, kind: str, name: str, endpoint: str | None, offline: bool, **adapter_kwargs):
         table_name, fixture, adapter, default = _PROVIDER_KINDS[kind]
         table = getattr(self, table_name)
-        if name not in table:
-            instance = fixture(name)
-            if instance is None and endpoint:
-                if offline:
-                    raise OfflineViolationError(f"offline run cannot call remote {kind} {name!r}")
+        if name in table and not (endpoint and (table_name, name) in self._defaults):
+            return table[name]
+        instance = fixture(name)
+        if instance is None and endpoint:
+            if offline:
+                raise OfflineViolationError(f"offline run cannot call remote {kind} {name!r}")
+            key = (name, endpoint, *sorted(adapter_kwargs.items()))
+            if key not in table:
                 from . import remotes  # imports requests; only remote runs pay for it
 
-                instance = getattr(remotes, adapter)(name, endpoint, **adapter_kwargs)
-            if instance is None and default is None:
+                table[key] = getattr(remotes, adapter)(name, endpoint, **adapter_kwargs)
+            return table[key]
+        if instance is None:
+            if default is None:
                 raise OrchestrationError(
                     f"unknown {kind} {name!r} (register it, use hash-<dim>, or configure an endpoint)"
                 )
-            table[name] = instance if instance is not None else default(name)
-        return table[name]
+            instance = default(name)
+            self._defaults.add((table_name, name))
+        table[name] = instance
+        return instance
 
     def resolve_backend(self, config: ExperimentConfig):
         gen = config.generation
@@ -278,6 +289,7 @@ class StageStatus:
 class RunManifest:
     experiment_id: str
     config_hash: str
+    output_hash: str = ""  # absent from manifests written before it was recorded
     version: str = __version__
     descriptor: dict = field(default_factory=dict)
     stages: dict[str, StageStatus] = field(default_factory=dict)
@@ -297,6 +309,7 @@ class RunManifest:
             manifest = cls(
                 experiment_id=data["experiment_id"],
                 config_hash=data["config_hash"],
+                output_hash=data.get("output_hash", ""),
                 version=data.get("version", ""),
                 descriptor=dict(data.get("descriptor", {})),
                 created_at=data.get("created_at", ""),
@@ -352,39 +365,6 @@ class RunManifest:
 # --- stage implementations -----------------------------------------------
 
 
-class _ArtifactMemo(dict):
-    """What the stages of one ``run_experiment`` call hand to each other:
-    artifact name -> (key, value), the key being the sha256 of the bytes the
-    value stands for, and the value what a reader would build from them."""
-
-    def recall(self, name: str, key, build: Callable, *, last: bool = False):
-        """The value kept under ``name`` for ``key``, else ``build()``; it stays
-        kept for the next reader, unless this one is the ``last``."""
-        entry = self.pop(name, None) if last else self.get(name)
-        if entry is not None and entry[0] == key:
-            return entry[1]
-        value = build()
-        if not last:
-            self[name] = (key, value)
-        return value
-
-    def close(self) -> None:
-        self.clear()
-
-
-def _read_rows(caches: dict, path: Path, *, last: bool = False) -> list[dict]:
-    """The rows of a JSONL artifact: those its writer kept in this call while
-    the file holds the bytes they were written as, else parsed from it."""
-    data = path.read_bytes()
-    return caches["artifacts"].recall(path.name, sha256_hex(data), lambda: list(iter_jsonl(data)),
-                                      last=last)
-
-
-def _write_rows(caches: dict, path: Path, rows: list[dict]) -> None:
-    """Write a JSONL artifact and keep its rows for the stages after this one."""
-    caches["artifacts"][path.name] = (sha256_hex(write_jsonl(path, rows)), rows)
-
-
 def _descriptor(config: ExperimentConfig) -> dict:
     """The run's id and its value on every sweep axis, kept in the manifest."""
     values = {name: axis.value_of(config) for name, axis in AXES.items()}
@@ -392,7 +372,7 @@ def _descriptor(config: ExperimentConfig) -> dict:
 
 
 def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                   caches: dict) -> list[Path]:
+                   caches: dict, inputs: dict) -> dict[Path, object]:
     samples, label_space = load_dataset(config.dataset.path, config.dataset.format)
     splits_path = run_dir / "splits.jsonl"
     if splits_path.exists():
@@ -441,7 +421,7 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
 
     caches["chat"].sync()  # every response prompts.jsonl rests on is durable before the stage is done
     prompts_path = run_dir / "prompts.jsonl"
-    _write_rows(caches, prompts_path, records)
+    write_jsonl(prompts_path, records)
     labels_path = run_dir / "labels.json"
     atomic_write_text(labels_path, json.dumps({"class_names": list(label_space.class_names)}, sort_keys=True))
     summary_path = run_dir / "prompts_summary.json"
@@ -458,16 +438,16 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
             sort_keys=True,
         ),
     )
-    return [prompts_path, labels_path, summary_path, splits_path]
+    return {prompts_path: records, labels_path: label_space, summary_path: None, splits_path: None}
 
 
 def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                  caches: dict) -> list[Path]:
+                  caches: dict, inputs: dict) -> dict[Path, object]:
     images_path = run_dir / "images.jsonl"
     if config.method not in GENERATIVE_METHODS:
-        _write_rows(caches, images_path, [])
-        return [images_path]
-    rows = [r for r in _read_rows(caches, run_dir / "prompts.jsonl") if r["prompt"]]
+        write_jsonl(images_path, [])
+        return {images_path: []}
+    rows = [r for r in inputs["prompts.jsonl"] if r["prompt"]]
     backend = registry.resolve_backend(config)
     store: ImageStore = caches["images"]
     ledger = GenerationLedger(run_dir / "ledger.jsonl")
@@ -489,8 +469,8 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
 
     store.sync()  # every record images.jsonl names is durable before the stage is done
     image_rows = [{"sample_id": sid, **results[keys[sid]].to_dict()} for sid in sorted(keys)]
-    _write_rows(caches, images_path, image_rows)
-    return [images_path]
+    write_jsonl(images_path, image_rows)
+    return {images_path: image_rows}
 
 
 _DIM_PROBE_IMAGE = b"image feature width probe"
@@ -500,7 +480,7 @@ class _SplitFeatures:
     """Each split's sample ids, feature packs and labels, in ``features.jsonl``
     order. The first :meth:`batches` call stacks each split into one padded,
     read-only float32 batch (the cache's dtype) and drops the packs; later
-    calls return the same batches."""
+    calls return the same batches, under the label space they are given."""
 
     def __init__(self):
         self._splits = {name: ([], [], []) for name in SPLIT_NAMES}
@@ -522,6 +502,9 @@ class _SplitFeatures:
                     array.flags.writeable = False
                 batches[name] = LabeledPacks(ids=ids, batch=batch, labels=labels, label_space=label_space)
             self._batches, self._splits = batches, None
+        elif self._batches["train"].label_space != label_space:  # labels.json was rewritten
+            self._batches = {name: dataclasses.replace(packs, label_space=label_space)
+                             for name, packs in self._batches.items()}
         return self._batches
 
 
@@ -537,9 +520,9 @@ def _stand_in_image(entry: dict, sample_id: str, oracles: dict) -> tuple[np.ndar
 
 
 def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                      caches: dict) -> list[Path]:
-    rows = sorted(_read_rows(caches, run_dir / "prompts.jsonl", last=True), key=lambda r: r["sample_id"])
-    images = {r["sample_id"]: r for r in _read_rows(caches, run_dir / "images.jsonl")}
+                      caches: dict, inputs: dict) -> dict[Path, object]:
+    rows = sorted(inputs["prompts.jsonl"], key=lambda r: r["sample_id"])
+    images = {r["sample_id"]: r for r in inputs["images.jsonl"]}
     emb_cache: EmbeddingCache = caches["embeddings"]
     store: ImageStore = caches["images"]
     workers = config.generation.concurrency
@@ -601,24 +584,13 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
             }
 
     features_path = run_dir / "features.jsonl"
-    data = write_jsonl(features_path, records())
-    labels = (run_dir / "labels.json").read_bytes()
-    caches["artifacts"][features_path.name] = ((sha256_hex(data), sha256_hex(labels)), features)
-    return [features_path]
+    write_jsonl(features_path, records())
+    return {features_path: features}
 
 
-def _load_packs(config: ExperimentConfig, run_dir: Path, caches: dict,
-                label_space: LabelSpace) -> dict[str, LabeledPacks]:
-    """Each split's read-only padded feature batch, stacked once per
-    ``run_experiment`` call and shared by training and evaluation: from the
-    features the embeddings stage kept, while ``features.jsonl`` and
-    ``labels.json`` hold the bytes they were kept for, else (a resume,
-    ``t2ifuse eval``, a rewritten file) from those files and the cache."""
-    features = (run_dir / "features.jsonl").read_bytes()
-    key = (sha256_hex(features), sha256_hex((run_dir / "labels.json").read_bytes()))
-    kept = caches["artifacts"].recall("features.jsonl", key,
-                                      lambda: _read_features(features, caches["embeddings"]))
-    return kept.batches(label_space)
+def _load_packs(features: _SplitFeatures, label_space: LabelSpace) -> dict[str, LabeledPacks]:
+    """Each split's read-only padded feature batch, shared by training and evaluation."""
+    return features.batches(label_space)
 
 
 def _read_features(features: bytes, emb_cache: EmbeddingCache) -> _SplitFeatures:
@@ -637,11 +609,6 @@ def _read_features(features: bytes, emb_cache: EmbeddingCache) -> _SplitFeatures
     return split_features
 
 
-def _load_label_space(run_dir: Path) -> LabelSpace:
-    data = json.loads((run_dir / "labels.json").read_text(encoding="utf-8"))
-    return LabelSpace(tuple(data["class_names"]))
-
-
 def _head_for(config: ExperimentConfig, packs: dict[str, LabeledPacks], label_space: LabelSpace, seed: int):
     batch = packs["train"].batch
     fusion_config = dataclasses.replace(config.fusion, num_classes=len(label_space))
@@ -654,9 +621,9 @@ def _head_for(config: ExperimentConfig, packs: dict[str, LabeledPacks], label_sp
 
 
 def _stage_training(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                    caches: dict) -> list[Path]:
-    label_space = _load_label_space(run_dir)
-    packs = _load_packs(config, run_dir, caches, label_space)
+                    caches: dict, inputs: dict) -> dict[Path, object]:
+    label_space = inputs["labels.json"]
+    packs = _load_packs(inputs["features.jsonl"], label_space)
     artifacts = []
     for seed in config.seeds:
         seed_dir = run_dir / f"train_s{seed}"
@@ -676,7 +643,7 @@ def _stage_training(config: ExperimentConfig, registry: ProviderRegistry, run_di
             checkpoint_path,
             checkpoint_path.with_name(checkpoint_path.name + ".manifest.json"),
         ]
-    return artifacts
+    return dict.fromkeys(artifacts)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -739,14 +706,14 @@ def _cost_summary(config: ExperimentConfig, image_rows: list[dict]) -> dict | No
 
 
 def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                      caches: dict) -> list[Path]:
-    label_space = _load_label_space(run_dir)
-    packs = _load_packs(config, run_dir, caches, label_space)
+                      caches: dict, inputs: dict) -> dict[Path, object]:
+    label_space = inputs["labels.json"]
+    packs = _load_packs(inputs["features.jsonl"], label_space)
     eval_dir = run_dir / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     per_seed_metrics = []
-    cost = _cost_summary(config, _read_rows(caches, run_dir / "images.jsonl", last=True))
+    cost = _cost_summary(config, inputs["images.jsonl"])
     cosines, scores = _clip_pairs(packs["test"])  # the same for every seed
     headline_report: EvalReport | None = None
     for seed in config.seeds:
@@ -828,27 +795,50 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
     records_path = run_dir / "records.jsonl"
     atomic_write_text(records_path, render_records(records))
     artifacts += [summary_path, report_path, records_path]
-    return artifacts
+    return dict.fromkeys(artifacts)
 
 
 @dataclass(frozen=True)
 class Stage:
     """A pipeline stage: its ``name`` in the manifest, the CLI ``command``
-    that runs the pipeline up to it, and the function that ``run``s it and
-    returns the artifacts the manifest records."""
+    that runs the pipeline up to it, the run artifacts it ``reads``, and the
+    function that ``run``s it. ``run`` is handed ``inputs``, each read
+    artifact's value by name, and returns ``{path: value}`` for every file it
+    wrote: the value later readers are handed, or ``None`` for a file no
+    stage reads. ``reads`` covers this handoff, not every file a stage
+    opens: evaluation also opens each seed's ``best.ntc``."""
 
     name: str
     command: str
-    run: Callable[[ExperimentConfig, ProviderRegistry, Path, dict], list[Path]]
+    reads: tuple[str, ...]
+    run: Callable[[ExperimentConfig, ProviderRegistry, Path, dict, dict], dict[Path, object]]
 
 
 STAGES = (  # in run order
-    Stage("prompts", "prompt", _stage_prompts),
-    Stage("images", "generate", _stage_images),
-    Stage("embeddings", "embed", _stage_embeddings),
-    Stage("training", "train", _stage_training),
-    Stage("evaluation", "eval", _stage_evaluation),
+    Stage("prompts", "prompt", (), _stage_prompts),
+    Stage("images", "generate", ("prompts.jsonl",), _stage_images),
+    Stage("embeddings", "embed", ("prompts.jsonl", "images.jsonl"), _stage_embeddings),
+    Stage("training", "train", ("labels.json", "features.jsonl"), _stage_training),
+    Stage("evaluation", "eval", ("labels.json", "features.jsonl", "images.jsonl"), _stage_evaluation),
 )
+
+# artifact name -> (file bytes, caches) -> its value, when this call kept none for them
+_READERS: dict[str, Callable[[bytes, dict], object]] = {
+    "prompts.jsonl": lambda data, caches: list(iter_jsonl(data)),
+    "images.jsonl": lambda data, caches: list(iter_jsonl(data)),
+    "labels.json": lambda data, caches: LabelSpace(tuple(json.loads(data)["class_names"])),
+    "features.jsonl": lambda data, caches: _read_features(data, caches["embeddings"]),
+}
+
+
+def _load(run_dir: Path, name: str, kept: dict, caches: dict):
+    """The value of the run artifact ``name``: the one ``kept`` for it while
+    the file holds the bytes it was kept for, else built from them and kept."""
+    data = (run_dir / name).read_bytes()
+    digest = sha256_hex(data)
+    if name not in kept or kept[name][0] != digest:
+        kept[name] = (digest, _READERS[name](data, caches))
+    return kept[name][1]
 
 
 def _build_caches(config: ExperimentConfig) -> dict:
@@ -857,7 +847,6 @@ def _build_caches(config: ExperimentConfig) -> dict:
         "images": ImageStore(cache_root / "images"),
         "embeddings": EmbeddingCache(cache_root / "emb"),
         "chat": ArtifactCache(cache_root / "chat"),
-        "artifacts": _ArtifactMemo(),
     }
 
 
@@ -881,24 +870,30 @@ def run_experiment(
     run_dir.mkdir(parents=True, exist_ok=True)
     caches = _build_caches(config)
 
-    config_hash = config.config_hash()
+    config_hash, output_hash = config.config_hash(), config.output_hash()
     manifest_path = run_dir / "manifest.json"
     if manifest_path.exists():
         manifest = RunManifest.load(run_dir)
-        if manifest.config_hash != config_hash:
+        # an older manifest records no output hash; its config hash decides
+        recorded, current = ((manifest.output_hash, output_hash) if manifest.output_hash
+                             else (manifest.config_hash, config_hash))
+        if recorded != current:
             raise OrchestrationError(
                 f"run directory {run_dir} was produced by a different config "
-                f"({manifest.config_hash[:12]} != {config_hash[:12]}); "
+                f"({recorded[:12]} != {current[:12]}); "
                 "use a fresh output_dir"
             )
     else:
         manifest = RunManifest(
             experiment_id=config.experiment_id,
             config_hash=config_hash,
+            output_hash=output_hash,
             descriptor=_descriptor(config),
         )
         manifest.save(run_dir)
 
+    last_reader = {name: stage.name for stage in STAGES for name in stage.reads}
+    kept: dict[str, tuple[str, object]] = {}  # artifact name -> (sha256 of its bytes, value)
     try:
         for stage in STAGES:
             if not force and manifest.stage_verified(stage.name, run_dir):
@@ -906,11 +901,18 @@ def run_experiment(
             else:
                 logger.info("stage %s: running", stage.name)
                 try:
-                    artifacts = stage.run(config, registry, run_dir, caches)
+                    inputs = {name: _load(run_dir, name, kept, caches) for name in stage.reads}
+                    outputs = stage.run(config, registry, run_dir, caches, inputs)
                 except Exception as exc:
                     manifest.mark_failed(stage.name, run_dir, f"{type(exc).__name__}: {exc}")
                     raise
-                manifest.mark_done(stage.name, run_dir, artifacts)
+                manifest.mark_done(stage.name, run_dir, outputs)
+                digests = manifest.stages[stage.name].artifacts
+                kept.update((path.name, (digests[path.name], value))
+                            for path, value in outputs.items() if value is not None)
+            for name in stage.reads:
+                if last_reader[name] == stage.name:
+                    kept.pop(name, None)
             if stage.name == until_stage:
                 break
     finally:
@@ -985,12 +987,7 @@ def _cell_config(base_config: ExperimentConfig, settings: dict) -> ExperimentCon
             config = AXES[name].set_to(config, value)
         except ValueError as exc:
             raise ConfigError([f"sweep.axes.{name}: {value!r}: {exc}"]) from exc
-    data = config.to_dict()
-    del data["sweep_axes"]
-    for path in PIPELINE_SET:
-        section, _, name = path.partition(".")
-        del data[section][name]
-    return parse_config_data(data)
+    return parse_config_data(without_fields(config.to_dict(), ("sweep_axes", *PIPELINE_SET)))
 
 
 def run_sweep(

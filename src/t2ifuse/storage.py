@@ -61,11 +61,10 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
-def write_jsonl(path: Path, records: Iterable[dict]) -> bytes:
-    """Write ``records`` one canonical JSON line each; returns the bytes written."""
+def write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    """Write ``records`` one canonical JSON line each."""
     data = "".join(canonical_json(r) + "\n" for r in records).encode("utf-8")
     atomic_write_bytes(Path(path), data)
-    return data
 
 
 def append_jsonl(path: Path, record: dict) -> None:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import json
 import os
 
 import numpy as np
 import pytest
 
 from t2ifuse import orchestrator
-from t2ifuse.corpus import TextSample
+from t2ifuse.corpus import LabelSpace, TextSample
 from t2ifuse.embedding import EmbeddingCache, FeaturePack
 from t2ifuse.storage import read_jsonl
 
@@ -94,23 +95,32 @@ def _assert_same(kept, parsed, where: str) -> None:
         assert kept == parsed, where
 
 
+# A fresh read of each kept artifact, by its own parser, for the check below.
+_FRESH_READS = {
+    "prompts.jsonl": lambda path: list(read_jsonl(path)),
+    "images.jsonl": lambda path: list(read_jsonl(path)),
+    "labels.json": lambda path: LabelSpace(tuple(json.loads(path.read_text(encoding="utf-8"))["class_names"])),
+}
+
+
 @pytest.fixture(autouse=True)
-def memo_hits_match_the_file(monkeypatch):
-    """Whenever a stage takes an artifact's rows from the run's memo instead
-    of parsing the file, parse the file too and require the same rows, of
-    the same types: lists where the file has arrays, and no row that an
-    earlier reader changed. (The features a run keeps are checked against a
-    fresh read in ``test_orchestrator.py``.)"""
-    read_rows = orchestrator._read_rows
+def kept_values_match_the_file(monkeypatch):
+    """Whenever a run hands a stage the value it kept for an artifact
+    instead of reading the file, read the file too and require the same
+    value, of the same types: lists where the file has arrays, no row that
+    an earlier reader changed, and the class names ``labels.json`` holds.
+    (The features a run keeps are checked against a fresh read in
+    ``test_orchestrator.py``.)"""
+    load = orchestrator._load
 
-    def read_rows_and_check_a_hit(caches, path, **kwargs):
-        entry = caches["artifacts"].get(path.name)
-        rows = read_rows(caches, path, **kwargs)
-        if entry is not None and entry[1] is rows:
-            _assert_same(rows, list(read_jsonl(path)), path.name)
-        return rows
+    def load_and_check_a_kept_value(run_dir, name, kept, caches):
+        entry = kept.get(name)
+        value = load(run_dir, name, kept, caches)
+        if entry is not None and entry[1] is value and name in _FRESH_READS:
+            _assert_same(value, _FRESH_READS[name](run_dir / name), name)
+        return value
 
-    monkeypatch.setattr(orchestrator, "_read_rows", read_rows_and_check_a_hit)
+    monkeypatch.setattr(orchestrator, "_load", load_and_check_a_kept_value)
 
 
 @pytest.fixture

@@ -495,6 +495,37 @@ def test_run_rejects_mismatched_config_hash(tmp_path, fixture_dataset):
         run_experiment(changed)
 
 
+def test_a_finished_run_resumes_under_other_execution_settings(tmp_path, fixture_dataset):
+    config = _base_config(tmp_path, fixture_dataset)
+    registry = ProviderRegistry()
+    run_experiment(config, registry)
+    manifest_path = Path(config.output_dir) / "manifest.json"
+    before = manifest_path.read_bytes()
+    providers = (registry.backends["flux-schnell"], registry.text_providers["hash-16"],
+                 registry.image_providers["hash-16"])
+    calls = [provider.calls for provider in providers]
+    execution = _base_config(tmp_path, fixture_dataset,
+                             generation={"backend": "flux-schnell", "retries": 5, "concurrency": 1})
+    _, report = run_experiment(execution, registry)
+    assert report is not None
+    assert manifest_path.read_bytes() == before  # no stage was marked done again
+    assert [provider.calls for provider in providers] == calls
+
+    other_head = _base_config(tmp_path, fixture_dataset, fusion={
+        "mechanism": "cross_attention", "model_dim": 16, "heads": 2, "hidden_dim": 12})
+    with pytest.raises(OrchestrationError, match="different config"):
+        run_experiment(other_head, registry)
+
+    # a manifest that records no output hash: the whole config hash decides, as before
+    data = json.loads(before)
+    del data["output_hash"]
+    manifest_path.write_text(json.dumps(data))
+    with pytest.raises(OrchestrationError, match="different config"):
+        run_experiment(execution, registry)
+    _, report = run_experiment(config, registry)
+    assert report is not None and [provider.calls for provider in providers] == calls
+
+
 def test_text_only_and_oracle_methods(tmp_path, fixture_dataset):
     registry = ProviderRegistry()
     config = _base_config(tmp_path, fixture_dataset, out_name="text", method="text_only")
@@ -722,15 +753,21 @@ def test_registry_resolves_every_kind_by_one_rule(tmp_path, kind):
     assert resolve(registry, "remote-model", ENDPOINT, offline=False) is remote  # kept
     with pytest.raises(OfflineViolationError, match="remote-model"):
         resolve(ProviderRegistry(), "remote-model", ENDPOINT, offline=True)
+    with pytest.raises(OfflineViolationError, match="remote-model"):  # even once it is kept
+        resolve(registry, "remote-model", ENDPOINT, offline=True)
 
     # 4. otherwise the offline default; an encoder has none
     if default_type is None:
         with pytest.raises(OrchestrationError, match=f"unknown {kind} provider 'plain'"):
             resolve(ProviderRegistry(), "plain")
     else:
-        default = resolve(ProviderRegistry(), "plain")
+        registry = ProviderRegistry()
+        default = resolve(registry, "plain")
         assert type(default) is default_type
         assert getattr(default, "backend_id", getattr(default, "client_id", None)) == "plain"
+        # a default, built without an endpoint, is not handed to a config that names one
+        assert type(resolve(registry, "plain", ENDPOINT, offline=False)) is remote_type
+        assert resolve(registry, "plain") is default
 
 
 class _EncoderSession:
@@ -1222,6 +1259,36 @@ def test_features_rewritten_after_training_are_read_again_by_evaluation(
     assert evaluation["test"].ids == training["test"].ids[::-1]
 
 
+def test_labels_rewritten_after_training_reach_evaluation(tmp_path, fixture_dataset, monkeypatch):
+    config = _base_config(tmp_path, fixture_dataset)
+    labels_path = Path(config.output_dir) / "labels.json"
+    train = next(stage for stage in orchestrator.STAGES if stage.name == "training")
+
+    def train_then_rename(*args):
+        artifacts = train.run(*args)
+        names = json.loads(labels_path.read_text())["class_names"]
+        labels_path.write_text(json.dumps({"class_names": [f"renamed-{name}" for name in names]}))
+        return artifacts
+
+    monkeypatch.setattr(orchestrator, "STAGES", tuple(
+        dataclasses.replace(stage, run=train_then_rename) if stage is train else stage
+        for stage in orchestrator.STAGES))
+    run_experiment(config)
+    report = json.loads((Path(config.output_dir) / "eval" / "eval_seed0.json").read_text())
+    assert report["per_class"]
+    assert all(entry["name"].startswith("renamed-") for entry in report["per_class"])
+
+
+@pytest.mark.parametrize("method", ["gen_image", "oracle_image", "text_only"])
+def test_every_declared_read_has_a_reader_and_an_earlier_writer(tmp_path, fixture_dataset, method):
+    assert set(orchestrator._READERS) == {name for stage in orchestrator.STAGES for name in stage.reads}
+    manifest, _ = run_experiment(_base_config(tmp_path, fixture_dataset, method=method))
+    written = set()
+    for stage in orchestrator.STAGES:
+        assert set(stage.reads) <= written, f"{stage.name} reads {sorted(set(stage.reads) - written)}"
+        written |= set(manifest.stages[stage.name].artifacts)
+
+
 def _same_batches(kept: dict, fresh: dict) -> None:
     assert kept.keys() == fresh.keys()
     for name in kept:
@@ -1240,7 +1307,8 @@ def test_the_batches_a_run_hands_on_equal_a_fresh_read_of_its_artifacts(
     cache = orchestrator.EmbeddingCache(Path(config.resolved_cache_dir()) / "emb")
     try:
         fresh = orchestrator._read_features((run_dir / "features.jsonl").read_bytes(), cache)
-        _same_batches(pack_loads.loads[0], fresh.batches(orchestrator._load_label_space(run_dir)))
+        label_space = orchestrator._READERS["labels.json"]((run_dir / "labels.json").read_bytes(), {})
+        _same_batches(pack_loads.loads[0], fresh.batches(label_space))
     finally:
         cache.close()
 

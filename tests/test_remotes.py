@@ -200,6 +200,31 @@ def test_registry_adapters_make_the_configured_number_of_attempts(monkeypatch, t
     assert [len(adapter.session.requests) for adapter in (text, image, chat)] == [2, 2, 2]
 
 
+def test_one_registry_keeps_an_adapter_for_each_endpoint_and_attempt_count(monkeypatch, tmp_path):
+    monkeypatch.setenv("SIGLIP_API_KEY", "k")
+    registry = ProviderRegistry()
+    adapters = []
+    for endpoint, retries in (("https://a.example", 2), ("https://b.example", 5)):
+        config = parse_config_data({
+            "experiment_id": "remote",
+            "dataset": {"path": "data.csv"},
+            "output_dir": str(tmp_path / "run"),
+            "offline": False,
+            "generation": {"retries": retries},
+            "providers": {"text": "siglip", "text_endpoint": endpoint},
+        })
+        adapter = registry.resolve_text_provider(config)
+        assert registry.resolve_text_provider(config) is adapter  # kept
+        adapter.session = FakeSession([FakeResponse(status_code=500)] * 5)
+        adapter.sleep = lambda seconds: None
+        adapters.append(adapter)
+    for adapter, endpoint, retries in zip(adapters, ("https://a.example", "https://b.example"), (2, 5)):
+        with pytest.raises(GenerationError, match=f"after {retries} attempts"):
+            adapter.encode_text("hello")
+        assert len(adapter.session.requests) == retries
+        assert {r["url"] for r in adapter.session.requests} == {endpoint}
+
+
 def _rate_limited_provider(monkeypatch, responses):
     monkeypatch.setenv("SIGLIP_API_KEY", "k")
     session = FakeSession(responses)
