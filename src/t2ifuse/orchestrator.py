@@ -25,7 +25,7 @@ import logging
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -349,7 +349,7 @@ class RunManifest:
                 return False
         return True
 
-    def mark_done(self, stage: str, run_dir: Path, artifact_paths: Sequence[Path]) -> None:
+    def mark_done(self, stage: str, run_dir: Path, artifact_paths: Iterable[Path]) -> None:
         artifacts = {}
         for path in artifact_paths:
             rel = str(Path(path).relative_to(run_dir))
