@@ -109,11 +109,14 @@ class EvalReport:
         )
 
 
+def _confusion(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> np.ndarray:
+    """Counts[true class, predicted class], from one ``np.bincount``."""
+    flat = np.bincount(y_true * num_classes + y_pred, minlength=num_classes * num_classes)
+    return flat.astype(np.int64, copy=False).reshape(num_classes, num_classes)
+
+
 def confusion_matrix(preds: PredictionSet) -> np.ndarray:
-    c = preds.num_classes
-    counts = np.zeros((c, c), dtype=np.int64)
-    np.add.at(counts, (preds.y_true, preds.y_pred), 1)
-    return counts
+    return _confusion(preds.y_true, preds.y_pred, preds.num_classes)
 
 
 def _counts_metrics(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int):
@@ -123,15 +126,16 @@ def _counts_metrics(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int):
     every class in the label space, including zero-support classes.
     """
     n = y_true.shape[0]
-    accuracy = float((y_true == y_pred).sum() / n)
+    counts = _confusion(y_true, y_pred, num_classes)
+    hits = np.diagonal(counts)
+    accuracy = float(hits.sum() / n)
     precisions = np.zeros(num_classes)
     recalls = np.zeros(num_classes)
     f1s = np.zeros(num_classes)
     supports = np.zeros(num_classes, dtype=np.int64)
-    for c in range(num_classes):
-        tp = int(((y_true == c) & (y_pred == c)).sum())
-        fp = int(((y_true != c) & (y_pred == c)).sum())
-        fn = int(((y_true == c) & (y_pred != c)).sum())
+    false_positives = (counts.sum(axis=0) - hits).tolist()
+    false_negatives = (counts.sum(axis=1) - hits).tolist()
+    for c, (tp, fp, fn) in enumerate(zip(hits.tolist(), false_positives, false_negatives)):
         supports[c] = tp + fn
         precisions[c] = tp / (tp + fp) if (tp + fp) > 0 else 0.0
         recalls[c] = tp / (tp + fn) if (tp + fn) > 0 else 0.0

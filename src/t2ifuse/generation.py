@@ -434,10 +434,13 @@ def generate_all(
     retries: int = TRANSIENT_RETRIES,
     workers: int = 1,
     sleep: Callable[[float], None] = time.sleep,
-) -> dict[str, GeneratedImageRecord]:
-    """Key -> record for ``items``: prompt key -> prompt.
+) -> dict[str, dict]:
+    """Key -> record for ``items``: prompt key -> prompt. A record is in the
+    :meth:`GeneratedImageRecord.to_dict` form: a hit's holds its stored
+    meta's fields, and a miss's is the dict it stored.
 
-    Each key is looked up in ``store`` once; a hit makes no backend call.
+    Each key is looked up in ``store`` once, all in one
+    :meth:`ImageStore.lookup_many`; a hit makes no backend call.
     The misses go through :func:`run_misses`: one ``backend.generate_many``
     call per chunk, or without it one ``backend.generate`` call per item,
     each through :func:`retry_transient`. An empty image is a failure. Each
@@ -453,8 +456,10 @@ def generate_all(
     """
     generate_many = getattr(backend, "generate_many", None)
     cost = float(getattr(backend, "unit_cost_usd", 0.0))
-    results = {key: GeneratedImageRecord.from_dict(meta) for key in items
-               if (meta := store.lookup(key)) is not None}
+    # a hit's dict takes the module's field names as its keys, so thousands of
+    # hits do not each hold their own copy of every key that json.loads made
+    results = {key: {name: meta[name] for name in _RECORD_FIELDS}
+               for key, meta in store.lookup_many(items) if meta is not None}
     misses = [key for key in items if key not in results]
 
     def timed(call: Callable[[], Any]) -> tuple[Any, float]:
@@ -491,8 +496,7 @@ def generate_all(
                                         cost_usd=cost, created_at=created_at)
                    for key, (data, latency) in pairs]
         entries = [(key, data, record.to_dict()) for (key, (data, _)), record in zip(pairs, records)]
-        for record, (*_, meta), stored in zip(records, entries, store.put_many(entries)):
-            results[record.prompt_key] = record if stored is meta else GeneratedImageRecord.from_dict(stored)
+        results.update(zip((key for key, _ in pairs), store.put_many(entries)))
         if ledger is not None:
             ledger.append_many(records)
 
@@ -505,7 +509,8 @@ def generate_image(prompt: PromptSpec, params: GenerationParams, backend: ImageB
                    sleep: Callable[[float], None] = time.sleep) -> GeneratedImageRecord:
     """Generate (or fetch) the image for a prompt: a one-item :func:`generate_all`."""
     key = prompt_key(prompt.positive, prompt.negative, params)
-    return generate_all({key: prompt}, params, backend, store, ledger=ledger, retries=retries, sleep=sleep)[key]
+    return GeneratedImageRecord.from_dict(
+        generate_all({key: prompt}, params, backend, store, ledger=ledger, retries=retries, sleep=sleep)[key])
 
 
 @dataclass(frozen=True)

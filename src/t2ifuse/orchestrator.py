@@ -17,6 +17,7 @@ is built from the file by ``_READERS``. Each is dropped after its last reader.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import datetime as _dt
 import itertools
@@ -468,7 +469,7 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
         ledger.close()
 
     store.sync()  # every record images.jsonl names is durable before the stage is done
-    image_rows = [{"sample_id": sid, **results[keys[sid]].to_dict()} for sid in sorted(keys)]
+    image_rows = [{"sample_id": sid, **results[keys[sid]]} for sid in sorted(keys)]
     write_jsonl(images_path, image_rows)
     return {images_path: image_rows}
 
@@ -594,13 +595,23 @@ def _load_packs(features: _SplitFeatures, label_space: LabelSpace) -> dict[str, 
 
 
 def _read_features(features: bytes, emb_cache: EmbeddingCache) -> _SplitFeatures:
+    rows = list(iter_jsonl(features))
+    # each provider's keys, texts first, in the order the embeddings stage put them
+    keys: dict[str, dict[str, None]] = collections.defaultdict(dict)
+    for row in rows:
+        keys[row["text_provider"]][row["text_key"]] = None
+    for row in rows:
+        if row["image"]["kind"] == "cached":
+            keys[row["image"]["provider"]][row["image"]["key"]] = None
+    found = {(provider, key): value for provider, wanted in keys.items()
+             for key, value in emb_cache.get_many(provider, wanted)}
     split_features = _SplitFeatures()
     oracles: dict = {}
-    for row in iter_jsonl(features):
-        text = emb_cache.get(row["text_provider"], row["text_key"])
+    for row in rows:
+        text = found[row["text_provider"], row["text_key"]]
         image_entry = row["image"]
         if image_entry["kind"] == "cached":
-            image = emb_cache.get(image_entry["provider"], image_entry["key"])
+            image = found[image_entry["provider"], image_entry["key"]]
         else:
             image = _stand_in_image(image_entry, row["sample_id"], oracles)
         if text is None or image is None:

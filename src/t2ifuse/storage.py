@@ -5,7 +5,9 @@ A :class:`SegmentLog` is one directory of append-only segment files. Each
 record is checksummed, and each segment has one writing process, so writers
 never share a file and need no lock across processes. A log is indexed once,
 when it is opened; a lookup reads that index and this process's own appends,
-and a miss never rescans the directory. The embedding cache stores whole
+and a miss never rescans the directory. A batch of lookups reads the records
+of keys appended together with one read, so a warm run that asks in the cold
+run's order makes a few reads, not one per hit. The embedding cache stores whole
 entries in one log per provider; :class:`ArtifactCache` (images, chat
 responses) stores each entry as a payload record in ``<root>/data/`` and a
 meta record in ``<root>/meta/``, so that a hit reads no payload bytes.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import json.encoder
 import os
 import struct
 import threading
@@ -34,9 +37,22 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# One C encoder with the arguments json.dumps hands it, in place of a new
+# encoder per call. It has no ``markers`` dict, which is not safe across
+# threads and keeps a stale entry after an error, so circular input raises
+# RecursionError, not ValueError.
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+_C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _JSON_ENCODER.default, json.encoder.encode_basestring, None, ":", ",", True, False, True)
+
+
 def canonical_json(obj: Any) -> str:
-    """Key-order-independent JSON used for hashing configs and cache keys."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    """Key-order-independent JSON used for hashing configs and cache keys,
+    and for every compact sorted record written: the bytes of
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)``."""
+    if _C_ENCODE is None:
+        return _JSON_ENCODER.encode(obj)
+    return _C_ENCODE(obj, 0)[0]
 
 
 def stable_key(obj: Any) -> str:
@@ -99,6 +115,7 @@ def iter_jsonl(data: bytes) -> Iterator[dict]:
 SEGMENT_MAGIC = b"ESG1"
 SEGMENT_SUFFIX = ".seg"
 _RECORD_HEADER = struct.Struct("<4s32sII")
+READ_BOUND = 1 << 18  # bytes one read of SegmentLog.find_many spans, unless one record is larger
 
 
 def _key_digest(key: str) -> bytes:
@@ -135,7 +152,9 @@ class SegmentLog:
     this process's own appends, once their write has returned whole. A
     lookup reads the index and never rescans the directory, so a record that
     another process appends after the open is seen by the next log opened on
-    the directory, not by this one.
+    the directory, not by this one. :meth:`find_many` reads the records of
+    consecutive keys that lie back to back with one ``os.pread``;
+    :meth:`find` is a one-key :meth:`find_many`.
 
     Recovery: a scan stops at a segment's first record that is short or has
     a bad magic, so a torn tail is a miss; a torn write of several records
@@ -185,10 +204,55 @@ class SegmentLog:
     def _add(self, digest: bytes, location: tuple[int, int, int, int]) -> None:
         self._index[digest] = (*self._index.get(digest, ()), location)
 
-    def find(self, key: str, accept: Callable[[bytes], bool] | None = None) -> bytes | None:
-        """The payload of the first intact record of ``key`` that ``accept``
-        takes (any, by default), or ``None``."""
-        digest = _key_digest(key)
+    def find_many(self, keys: Iterable[str], accept: Callable[[bytes, bytes], bool] | None = None
+                  ) -> Iterator[tuple[str, bytes | None]]:
+        """Yield ``(key, payload)`` for each of ``keys``, in order: the
+        payload of the key's first intact record that ``accept(key digest,
+        payload)`` takes (any, by default), or ``None``.
+
+        The first records of consecutive keys that lie back to back in one
+        segment are read with one ``os.pread`` of at most :data:`READ_BOUND`.
+        A key whose record fails its crc, or that ``accept`` declines, tries
+        each of its records in turn, and a corrupt one leaves the index.
+        """
+        run: list[tuple[str, bytes, tuple[int, int, int, int]]] = []  # (key, digest, first record)
+        fd = start = end = 0  # the run's segment, where its first payload starts and its last ends
+        for key in keys:
+            digest = _key_digest(key)
+            first = self._index.get(digest, (None,))[0]
+            if run and (first is None or first[0] != fd or first[1] != end + _RECORD_HEADER.size
+                        or first[1] + first[2] - start > READ_BOUND):
+                yield from self._read_run(run, accept)
+                run = []
+            if first is None:
+                yield key, None
+                continue
+            if not run:
+                fd, start = first[0], first[1]
+            run.append((key, digest, first))
+            end = first[1] + first[2]
+        yield from self._read_run(run, accept)
+
+    def _read_run(self, run: list, accept: Callable[[bytes, bytes], bool] | None
+                  ) -> Iterator[tuple[str, bytes | None]]:
+        """The keys of ``run``, whose first records lie back to back in one
+        segment, served from one read."""
+        if not run:
+            return
+        fd, start, _, _ = run[0][2]
+        _, last, last_length, _ = run[-1][2]
+        data = os.pread(fd, last + last_length - start, start)
+        for key, digest, (_, offset, length, crc) in run:
+            payload = data[offset - start:offset - start + length]
+            if (len(payload) == length and _record_crc(digest, length, payload) == crc
+                    and (accept is None or accept(digest, payload))):
+                yield key, payload
+            else:
+                yield key, self._find_one(digest, accept)
+
+    def _find_one(self, digest: bytes, accept: Callable[[bytes, bytes], bool] | None) -> bytes | None:
+        """The first intact record of ``digest`` that ``accept`` takes, or
+        ``None``; each record is read on its own."""
         for location in self._index.get(digest, ()):
             fd, offset, length, crc = location
             payload = os.pread(fd, length, offset)
@@ -198,14 +262,18 @@ class SegmentLog:
                         r for r in self._index.get(digest, ()) if r != location
                     )
                 continue
-            if accept is None or accept(payload):
+            if accept is None or accept(digest, payload):
                 return payload
         return None
 
-    def crcs(self, key: str) -> set[int]:
-        """The crc of each indexed record of ``key``: which records there are,
-        without reading one."""
-        return {crc for *_, crc in self._index.get(_key_digest(key), ())}
+    def find(self, key: str, accept: Callable[[bytes, bytes], bool] | None = None) -> bytes | None:
+        """The payload :meth:`find_many` yields for ``key`` alone."""
+        return next(self.find_many([key], accept))[1]
+
+    def crcs(self, digest: bytes) -> set[int]:
+        """The crc of each indexed record of the key whose sha256 is
+        ``digest``: which records there are, without reading one."""
+        return {crc for *_, crc in self._index.get(digest, ())}
 
     def append_many(self, records: Iterable[tuple[str, bytes]], *, once: bool = False) -> list[int | None]:
         """Append a record per ``(key, payload)``, in order, with one
@@ -316,11 +384,13 @@ class ArtifactCache:
 
     Lookups: an entry is the first intact meta record of its key (oldest
     segment first) whose payload record is indexed, matched by crc. So
-    :meth:`lookup` (and :meth:`has` and :meth:`get_meta`, which wrap it)
-    reads one meta record and the data log's index, and no payload. Each log
-    is indexed when the cache first uses it, and a miss never rescans;
-    records that another process appends later are seen by the next cache
-    opened on the root. :meth:`get` returns the
+    :meth:`lookup_many` reads meta records and the data log's index, and no
+    payload; the meta records of keys put together are read together, with
+    one read (see :meth:`SegmentLog.find_many`). :meth:`lookup` is a
+    one-key :meth:`lookup_many`, and :meth:`has` and :meth:`get_meta` wrap
+    it. Each log is indexed when the cache first uses it, and a miss never
+    rescans; records that another process appends later are seen by the
+    next cache opened on the root. :meth:`get` returns the
     crc-checked payload of the key whose sha256 is the one given, by default
     the served meta's, so each writer of a lost race reads its own bytes.
 
@@ -338,19 +408,23 @@ class ArtifactCache:
         self.root = Path(root)
         self._logs = SegmentLogs(self.root)
 
-    def _meta_record(self, key: str) -> bytes | None:
-        """The meta record served for ``key``: the first whose payload record is indexed."""
-        payloads = self._logs[_DATA].crcs(key)
-        if not payloads:
-            return None
-        return self._logs[_META].find(
-            key, lambda record: _META_HEADER.unpack_from(record)[1] in payloads
-        )
+    def _meta_records(self, keys: Iterable[str]) -> Iterator[tuple[str, bytes | None]]:
+        """``(key, the meta record served for it)`` for each of ``keys``: the
+        first whose payload record is indexed, or ``None``."""
+        data_log = self._logs[_DATA]
+        return self._logs[_META].find_many(
+            keys, lambda digest, record: _META_HEADER.unpack_from(record)[1] in data_log.crcs(digest))
+
+    def lookup_many(self, keys: Iterable[str]) -> Iterator[tuple[str, dict | None]]:
+        """``(key, the meta of its entry)`` for each of ``keys``, in order,
+        ``None`` for a miss; the meta records of keys put together are read
+        together."""
+        for key, record in self._meta_records(keys):
+            yield key, None if record is None else json.loads(record[_META_HEADER.size:])
 
     def lookup(self, key: str) -> dict | None:
-        """The meta of ``key``'s entry, or ``None`` on a miss; one meta record read."""
-        record = self._meta_record(key)
-        return None if record is None else json.loads(record[_META_HEADER.size:])
+        """The meta of ``key``'s entry, or ``None`` on a miss."""
+        return next(self.lookup_many([key]))[1]
 
     def has(self, key: str) -> bool:
         return self.lookup(key) is not None
@@ -359,13 +433,13 @@ class ArtifactCache:
         """The payload of ``key`` whose sha256 (hex) is ``sha256``, by default
         the one its meta names; :class:`CacheError` if no intact record is."""
         if sha256 is None:
-            record = self._meta_record(key)
+            record = next(self._meta_records([key]))[1]
             if record is None:
                 raise CacheError(f"cache miss for key {key}")
             digest, _ = _META_HEADER.unpack_from(record)
         else:
             digest = bytes.fromhex(sha256)
-        payload = self._logs[_DATA].find(key, lambda data: hashlib.sha256(data).digest() == digest)
+        payload = self._logs[_DATA].find(key, lambda _, data: hashlib.sha256(data).digest() == digest)
         if payload is None:
             raise CacheError(f"no intact record of key {key} has sha256 {digest.hex()}")
         return payload
@@ -385,22 +459,19 @@ class ArtifactCache:
         then every meta record with one. Returns each entry's meta as
         stored, an earlier writer's where there was one."""
         data_log, meta_log = self._logs[_DATA], self._logs[_META]
-        stored: dict[str, dict] = {}
-        fresh = []
+        first = {}  # key -> its first entry's (data, meta)
+        for key, data, meta in entries:
+            first.setdefault(key, (data, meta))
         with meta_log.write_lock:
-            for key, data, meta in entries:
-                if key in stored:
-                    continue
-                # a key without a payload record has no entry: no meta record to read
-                record = self._meta_record(key) if data_log.crcs(key) else None
-                if record is None:
-                    fresh.append((key, data, meta))
-                stored[key] = meta if record is None else json.loads(record[_META_HEADER.size:])
+            # a key without a payload record has no entry: no meta record to read
+            stored = dict(self.lookup_many(key for key in first if data_log.crcs(_key_digest(key))))
+            fresh = [(key, data, meta) for key, (data, meta) in first.items() if stored.get(key) is None]
             crcs = data_log.append_many([(key, data) for key, data, _ in fresh])
             meta_log.append_many([
                 (key, _META_HEADER.pack(hashlib.sha256(data).digest(), crc) + canonical_json(meta).encode("utf-8"))
                 for (key, data, meta), crc in zip(fresh, crcs)
             ])
+        stored.update((key, meta) for key, _, meta in fresh)
         return [stored[key] for key, _, _ in entries]
 
     def sync(self) -> None:

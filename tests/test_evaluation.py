@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from t2ifuse import evaluation
 from t2ifuse.corpus import LabelSpace
 from t2ifuse.evaluation import (
     EvalReport,
@@ -146,6 +147,42 @@ def test_confusion_matches_tally_loop():
     normalized = compute_metrics(preds).confusion_normalized
     sums = normalized.sum(axis=1)
     assert np.allclose(sums[counts.sum(axis=1) > 0], 1.0, atol=1e-9)
+
+
+def _mask_loop_metrics(y_true, y_pred, num_classes):
+    """The per-class mask loop the counts once came from: the reference."""
+    n = y_true.shape[0]
+    accuracy = float((y_true == y_pred).sum() / n)
+    precisions, recalls, f1s = np.zeros(num_classes), np.zeros(num_classes), np.zeros(num_classes)
+    supports = np.zeros(num_classes, dtype=np.int64)
+    for c in range(num_classes):
+        tp = int(((y_true == c) & (y_pred == c)).sum())
+        fp = int(((y_true != c) & (y_pred == c)).sum())
+        fn = int(((y_true == c) & (y_pred != c)).sum())
+        supports[c] = tp + fn
+        precisions[c] = tp / (tp + fp) if (tp + fp) > 0 else 0.0
+        recalls[c] = tp / (tp + fn) if (tp + fn) > 0 else 0.0
+        denom = precisions[c] + recalls[c]
+        f1s[c] = 2.0 * precisions[c] * recalls[c] / denom if denom > 0 else 0.0
+    return accuracy, precisions, recalls, f1s, supports, float(f1s.mean())
+
+
+@pytest.mark.parametrize("y_true, y_pred, num_classes", [
+    (np.random.default_rng(3).integers(0, 5, 3600), np.random.default_rng(4).integers(0, 5, 3600), 5),
+    (np.random.default_rng(5).integers(0, 3, 200), np.random.default_rng(6).integers(0, 4, 200), 4),
+    (np.array([2, 2, 2]), np.array([2, 2, 0]), 4),  # zero-support classes
+    (np.ones(7, dtype=np.int64), np.ones(7, dtype=np.int64), 3),  # a split of one class
+])
+def test_counted_metrics_equal_the_mask_loop_bit_for_bit(y_true, y_pred, num_classes):
+    got = evaluation._counts_metrics(y_true, y_pred, num_classes)
+    expected = _mask_loop_metrics(y_true, y_pred, num_classes)
+    assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in expected]
+    preds = _preds(y_true.tolist(), y_pred.tolist(), c=num_classes)
+    tally = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        tally[t, p] += 1
+    counts = confusion_matrix(preds)
+    assert counts.dtype == np.int64 and np.array_equal(counts, tally)
 
 
 def test_bootstrap_degenerate_and_deterministic():

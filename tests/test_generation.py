@@ -386,7 +386,7 @@ def test_a_batch_call_splits_its_wall_time_over_its_images(open_store, monkeypat
     params = preset_params("flux-schnell", seed=1)
     misses = _misses(params, "one", "two", "three")
     records = generate_all(misses, params, StubImageBackend("flux-schnell"), open_store())
-    assert [records[key].latency_s for key in misses] == [1.0, 1.0, 1.0]
+    assert [records[key]["latency_s"] for key in misses] == [1.0, 1.0, 1.0]
 
 
 def test_a_batch_call_is_retried_whole(open_store):

@@ -437,6 +437,38 @@ def test_a_warm_gen_image_run_opens_no_image_payload(tmp_path, fixture_dataset, 
     assert data and set(data) == {44}  # the scan reads each record's header, and no image
 
 
+def test_a_warm_run_reads_its_cache_hits_a_run_of_records_at_a_time(tmp_path, monkeypatch):
+    fixture = build_separability_fixture(tmp_path / "data", samples_per_class=16, seed=3)
+    config = _base_config(tmp_path, fixture)
+    run_experiment(config)
+    cache_root = os.path.realpath(config.resolved_cache_dir())
+    reads, scanning = collections.Counter(), []
+    pread, scan = os.pread, storage.SegmentLog._scan
+
+    def recording_pread(fd, length, offset):
+        if not scanning:  # a hit's read, not the open's scan of record headers
+            log = os.path.dirname(os.readlink(f"/proc/self/fd/{fd}"))
+            reads[os.path.relpath(log, cache_root)] += 1
+        return pread(fd, length, offset)
+
+    def recording_scan(log):
+        scanning.append(log)
+        try:
+            scan(log)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(os, "pread", recording_pread)
+    monkeypatch.setattr(storage.SegmentLog, "_scan", recording_scan)
+    warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
+    run_experiment(warm, until_stage="embeddings")
+    # 64 meta records, then 64 text and 64 image embeddings: a read per lookup batch, not per hit
+    assert fixture.num_samples == 64 and reads == {"images/meta": 1, "emb/hash-16": 2}
+    reads.clear()
+    run_experiment(warm)  # resumed at training: features.jsonl's embeddings read back in one batch
+    assert reads == {"emb/hash-16": 1}
+
+
 def test_a_tampered_image_fails_the_embeddings_stage(tmp_path, fixture_dataset):
     config = _base_config(tmp_path, fixture_dataset)
     run_experiment(config, until_stage="images")
@@ -1331,9 +1363,14 @@ def test_a_warm_run_parses_no_run_artifact_and_reads_each_embedding_once(
             monkeypatch.setattr(module, "read_jsonl", recording_read_jsonl)
     iter_jsonl = orchestrator.iter_jsonl
     monkeypatch.setattr(orchestrator, "iter_jsonl", lambda data: parsed.append(data) or iter_jsonl(data))
-    get = orchestrator.EmbeddingCache.get
-    monkeypatch.setattr(orchestrator.EmbeddingCache, "get",
-                        lambda cache, *key: lookups.append(key) or get(cache, *key))
+    get_many = orchestrator.EmbeddingCache.get_many
+
+    def recording_get_many(cache, provider_id, keys):
+        keys = list(keys)
+        lookups.extend((provider_id, key) for key in keys)
+        return get_many(cache, provider_id, keys)
+
+    monkeypatch.setattr(orchestrator.EmbeddingCache, "get_many", recording_get_many)
     _, report = run_experiment(warm)
     run_dir = os.path.realpath(warm.output_dir)
     assert report is not None and samples > 0
@@ -1467,7 +1504,14 @@ def test_the_images_stage_keys_each_row_once_and_looks_up_a_warm_hit_once(
     key = counted("prompt_key", generation.prompt_key)
     monkeypatch.setattr(generation, "prompt_key", key)
     monkeypatch.setattr(orchestrator, "prompt_key", key)
-    monkeypatch.setattr(ImageStore, "_meta_record", counted("meta record", ImageStore._meta_record))
+    lookup_many = ImageStore.lookup_many
+
+    def counted_lookup_many(store, keys):
+        keys = list(keys)
+        calls["meta record"] += len(keys)
+        return lookup_many(store, keys)
+
+    monkeypatch.setattr(ImageStore, "lookup_many", counted_lookup_many)
     config = _base_config(tmp_path, fixture_dataset)
     run_experiment(config, until_stage="images")
     cold = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))

@@ -1,10 +1,14 @@
+import ast
+import json
 import multiprocessing
 import os
+import random
 import shutil
 import signal
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,3 +475,212 @@ def test_concurrent_writers_of_one_path_use_their_own_temp_files(tmp_path):
     assert errors == []
     assert path.read_bytes() in payloads
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.bin"]
+
+
+# --- batched reads -------------------------------------------------------------
+
+
+def _log_with(directory, *segments):
+    """Write each list of ``(key, payload)`` as a segment of its own, oldest first."""
+    for records in segments:
+        log = storage.SegmentLog(directory)
+        log.append_many(records)
+        log.close()
+
+
+def _flip_payload_byte(segment, key, payload):
+    """Rot one bit of the record of ``key`` whose payload is ``payload``."""
+    data = bytearray(segment.read_bytes())
+    at = data.index(storage._key_digest(key)) + 32 + 8 + len(payload) - 1
+    data[at] ^= 0x01
+    segment.write_bytes(bytes(data))
+
+
+def _absent_and_out_of_order(root):
+    _log_with(root, [(f"k{n}", b"payload %d" % n) for n in range(5)])
+    return ["k3", "absent", "k0", "k1", "k2", "k4", "k4"], [
+        b"payload 3", None, b"payload 0", b"payload 1", b"payload 2", b"payload 4", b"payload 4"]
+
+
+def _one_key_in_two_segments(root):
+    _log_with(root, [("k0", b"old"), ("k1", b"one")], [("k0", b"new"), ("k2", b"two")])
+    return ["k0", "k1", "k2"], [b"old", b"one", b"two"]
+
+
+def _a_crc_flipped_first_record(root):
+    _log_with(root, [("k0", b"zero"), ("k1", b"rotten"), ("k2", b"two")], [("k1", b"repair")])
+    _flip_payload_byte(sorted(root.glob("*.seg"))[0], "k1", b"rotten")
+    return ["k0", "k1", "k2"], [b"zero", b"repair", b"two"]
+
+
+def _a_torn_tail(root):
+    _log_with(root, [("k0", b"zero"), ("k1", b"one"), ("k2", b"two")])
+    [segment] = root.glob("*.seg")
+    segment.write_bytes(segment.read_bytes()[:-2])
+    return ["k0", "k1", "k2"], [b"zero", b"one", None]
+
+
+def _a_run_longer_than_the_read_bound(root):
+    payloads = [bytes([n]) * (storage.READ_BOUND // 4) for n in range(7)]
+    _log_with(root, [(f"k{n}", p) for n, p in enumerate(payloads)])
+    return [f"k{n}" for n in range(7)], payloads
+
+
+@pytest.mark.parametrize("case", [_absent_and_out_of_order, _one_key_in_two_segments,
+                                  _a_crc_flipped_first_record, _a_torn_tail,
+                                  _a_run_longer_than_the_read_bound])
+def test_a_batched_find_yields_what_each_find_returns(tmp_path, monkeypatch, case):
+    keys, expected = case(tmp_path / "log")
+    batched, single = storage.SegmentLog(tmp_path / "log"), storage.SegmentLog(tmp_path / "log")
+    reads, pread = [], os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, length, offset: reads.append(length) or pread(fd, length, offset))
+    try:
+        found = list(batched.find_many(keys))
+        assert found == list(zip(keys, expected))
+        assert found == [(key, single.find(key)) for key in keys]
+        reads.clear()
+        assert list(batched.find_many(keys)) == found  # again, after any corrupt record left the index
+        assert len(reads) <= len(keys) and max(reads) <= storage.READ_BOUND
+        if case is _a_crc_flipped_first_record:
+            assert len(batched._index[storage._key_digest("k1")]) == 1
+            assert len(single._index[storage._key_digest("k1")]) == 1
+        if case is _a_run_longer_than_the_read_bound:
+            assert len(reads) == 3  # three records a read, then the last one alone
+    finally:
+        batched.close()
+        single.close()
+
+
+def test_batched_lookups_and_gets_return_what_each_lookup_and_get_returns(tmp_path):
+    root = tmp_path / "c"
+    # an older meta record of k1 names a payload record that no segment holds
+    _log_with(root / "meta", [("k1", storage._META_HEADER.pack(bytes(32), 12345) + b'{"n":-1}')])
+    cache = ArtifactCache(root)
+    cache.put_many([(f"k{n}", b"payload %d" % n, {"n": n}) for n in range(4)])
+    cache.close()
+    [data] = (root / "data").glob("*.seg")
+    data.write_bytes(data.read_bytes()[:-1])  # k3's payload record is torn: its meta names no record
+    keys = ["k3", "k1", "absent", "k0", "k2", "k1"]
+    batched, single = ArtifactCache(root), ArtifactCache(root)
+    try:
+        found = list(batched.lookup_many(keys))
+        assert found == [("k3", None), ("k1", {"n": 1}), ("absent", None), ("k0", {"n": 0}),
+                         ("k2", {"n": 2}), ("k1", {"n": 1})]
+        assert found == [(key, single.lookup(key)) for key in keys]
+    finally:
+        batched.close()
+        single.close()
+
+    provider = HashProjectionProvider("hash-8", 8)
+    writer = EmbeddingCache(tmp_path / "emb")
+    for text in TEXTS:
+        embed_text(text, provider, writer)
+    writer.close()
+    keys = [sha256_hex(text.encode("utf-8")) for text in reversed(TEXTS)] + ["0" * 64]
+    batched, single = EmbeddingCache(tmp_path / "emb"), EmbeddingCache(tmp_path / "emb")
+    try:
+        got = list(batched.get_many("hash-8", keys))
+        assert [key for key, _ in got] == keys and got[-1][1] is None
+        for (key, value), expected in zip(got[:-1], (single.get("hash-8", key) for key in keys)):
+            _assert_same(value, expected)
+    finally:
+        batched.close()
+        single.close()
+
+
+# --- canonical JSON ------------------------------------------------------------
+
+_ALPHABET = ["a", "Z", "0", " ", '"', "\\", "/", "\x00", "\x01", "\x1f", "\x7f", "\n", "\t",
+             "é", "ß", "日本", " ", "\ud800", "😀"]
+_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-05, 1e16, 5e-324, 0.1, -2.5e300]
+
+
+def _text(rng):
+    return "".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(6)))
+
+
+def _json_tree(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, -1, 2**64 + rng.randrange(10**6), -(2**70), rng.randrange(-10**9, 10**9)])
+    if kind == 2:
+        return rng.choice(_FLOATS + [rng.uniform(-1e6, 1e6)])
+    if kind == 3:
+        return _text(rng)
+    if kind == 4:
+        return [_json_tree(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return tuple(_json_tree(rng, depth + 1) for _ in range(rng.randrange(3)))
+    return {_text(rng): _json_tree(rng, depth + 1) for _ in range(rng.randrange(6))}  # keys unsorted
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def test_canonical_json_writes_what_json_dumps_writes():
+    rng = random.Random(20)
+    trees = [_json_tree(rng) for _ in range(2000)] + _FLOATS + [True, 2**64, {"b": {"d": 1, "c": [2]}, "a": 0}]
+    for tree in trees:
+        assert storage.canonical_json(tree) == _dumps(tree)
+
+
+def test_threads_encoding_at_once_each_get_what_json_dumps_writes():
+    trees = [[_json_tree(random.Random(1000 * t + n)) for n in range(200)] for t in range(8)]
+    start, errors = threading.Barrier(8), []
+
+    def encode(own):
+        start.wait()
+        for _ in range(5):
+            if [storage.canonical_json(tree) for tree in own] != [_dumps(tree) for tree in own]:
+                errors.append("mismatch")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode, args=(own,)) for own in trees]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+
+
+def test_canonical_json_rejects_what_it_cannot_write_and_keeps_no_state():
+    shared = {"x": [1, 2]}
+    items = [shared, object()]
+    with pytest.raises(TypeError):
+        storage.canonical_json(items)
+    items.pop()  # the list that failed, encoded again: an error leaves no marker behind
+    assert storage.canonical_json(items) == _dumps(items) == '[{"x":[1,2]}]'
+    assert storage.canonical_json([shared, shared]) == '[{"x":[1,2]},{"x":[1,2]}]'
+    circular = []
+    circular.append(circular)
+    with pytest.raises((ValueError, RecursionError)):
+        storage.canonical_json(circular)
+    loop = {"a": {}}
+    loop["a"]["b"] = loop
+    with pytest.raises((ValueError, RecursionError)):
+        storage.canonical_json(loop)
+
+
+def test_no_module_but_storage_writes_compact_sorted_json_itself():
+    """Compact sorted JSON has one encoder, ``storage.canonical_json``."""
+    package = Path(storage.__file__).parent
+    own = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "storage.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.keyword) and node.arg == "separators":
+                try:
+                    compact = ast.literal_eval(node.value) in ((",", ":"), [",", ":"])
+                except ValueError:  # computed separators may be the compact ones
+                    compact = True
+                if compact:
+                    own.append(f"{path.relative_to(package)}:{node.value.lineno}")
+    assert own == []
