@@ -1,5 +1,6 @@
 """End-to-end offline experiment: prompts -> images -> embeddings -> training
--> evaluation, with resumable stages and call-free re-runs.
+-> evaluation, with resumable stages, call-free re-runs, and a fresh run
+directory that reuses the stages of a finished run on the same cache.
 
 Run: python3 demos/07_full_pipeline.py
 """
@@ -54,7 +55,15 @@ with tempfile.TemporaryDirectory() as tmp:
           f"(+{backend.calls - calls_before}); every stage verified and skipped\n")
 
     config_b = dataclasses.replace(config, output_dir=str(tmp / "run-b"))
-    run_experiment(config_b, registry)
+    manifest_b, _ = run_experiment(config_b, registry)
     identical = (tmp / "run" / "report.txt").read_bytes() == (tmp / "run-b" / "report.txt").read_bytes()
+    reused = [name for name, stage in manifest_b.stages.items() if stage.reused_from]
     print(f"fresh directory, shared cache: backend calls still {backend.calls}; "
           f"reports byte-identical: {identical}")
+    print(f"  stages reused from run/ by fingerprint: {', '.join(reused)}")
+
+    config_c = dataclasses.replace(config, output_dir=str(tmp / "run-c"))
+    run_experiment(config_c, registry, force=True)
+    identical = (tmp / "run" / "report.txt").read_bytes() == (tmp / "run-c" / "report.txt").read_bytes()
+    print(f"fresh directory, force=True (every stage re-derived from the caches): "
+          f"backend calls still {backend.calls}; reports byte-identical: {identical}")

@@ -115,6 +115,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         done = [s for s in manifest.stages if manifest.stages[s].status == "done"]
         print(f"{config.experiment_id}: stages done: {', '.join(done)}")
+        reused = [s for s in done if manifest.stages[s].reused_from]
+        if reused:
+            print(f"stages reused: {', '.join(reused)}")
         if report is not None:
             print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
         return 0

@@ -6,6 +6,17 @@ directory and a transactionally updated manifest. Re-running skips stages
 whose artifacts still hash-verify, and the content-addressed caches make any
 repeated generation/embedding work free (and remote-call free).
 
+A stage that does not resume may be reused. Its fingerprint hashes everything
+that decides its outputs: the package source, the config fields it does not
+declare in ``Stage.ignores``, the cache location, the files its
+``Stage.inputs`` name, and the previous stage's fingerprint. A stage that ran
+leaves ``<cache_dir>/stages/<fingerprint>``, a pointer to its run directory. A
+later run with that fingerprint, in any run directory on that cache,
+hard-links the producer's artifacts in, each checked against the sha256 its
+manifest records, instead of running the stage. Anything that does not verify
+(a missing or torn pointer, a producer recorded under another fingerprint, an
+edited artifact) runs the stage instead.
+
 Each stage declares in ``Stage.reads`` the run artifacts it is handed, and
 ``run_experiment`` alone hands them on. It keeps what a stage returned for an
 artifact (rows of a JSONL file, the label space, the features that training
@@ -20,9 +31,14 @@ from __future__ import annotations
 import collections
 import dataclasses
 import datetime as _dt
+import functools
 import itertools
 import json
 import logging
+import os
+import shutil
+import time
+import typing
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -32,7 +48,8 @@ import numpy as np
 
 from . import __version__
 from .axes import AXES, GENERATIVE_METHODS
-from .config import PIPELINE_SET, ConfigError, ExperimentConfig, parse_config_data, without_fields
+from .config import (EXECUTION_FIELDS, PIPELINE_SET, ConfigError, ExperimentConfig, parse_config_data,
+                     without_fields)
 from .corpus import (
     SPLIT_NAMES,
     LabelSpace,
@@ -84,7 +101,8 @@ from .prompting import (
     elaborate_text,
     extract_keywords,
 )
-from .storage import ArtifactCache, atomic_write_text, iter_jsonl, read_jsonl, sha256_hex, write_jsonl
+from .storage import (ArtifactCache, atomic_write_text, iter_jsonl, read_jsonl, sha256_hex, stable_key,
+                      write_jsonl)
 from .training import LabeledPacks, evaluate_split, train_loop
 from .tensorcore import load_checkpoint
 
@@ -284,6 +302,9 @@ class StageStatus:
     status: str = "pending"  # pending | done | failed
     artifacts: dict[str, str] = field(default_factory=dict)  # relpath -> sha256
     reason: str | None = None
+    fingerprint: str | None = None  # of what decided the artifacts; None when unknown
+    reused_from: str | None = None  # the run directory the artifacts were linked from
+    wall_s: float | None = None  # spent running or reusing the stage
 
 
 @dataclass
@@ -321,6 +342,9 @@ class RunManifest:
                     status=raw.get("status", "pending"),
                     artifacts=dict(raw.get("artifacts", {})),
                     reason=raw.get("reason"),
+                    fingerprint=raw.get("fingerprint"),
+                    reused_from=raw.get("reused_from"),
+                    wall_s=raw.get("wall_s"),
                 )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{source}: not a run manifest ({type(exc).__name__}: {exc})") from exc
@@ -350,17 +374,21 @@ class RunManifest:
                 return False
         return True
 
-    def mark_done(self, stage: str, run_dir: Path, artifact_paths: Iterable[Path]) -> None:
+    def mark_done(self, stage: str, run_dir: Path, artifact_paths: Iterable[Path], **fields) -> None:
+        """Record ``stage`` done with the sha256 of each file it wrote, and the
+        other :class:`StageStatus` ``fields`` given."""
         artifacts = {}
         for path in artifact_paths:
             rel = str(Path(path).relative_to(run_dir))
             artifacts[rel] = sha256_hex(Path(path).read_bytes())
-        self.stages[stage] = StageStatus(status="done", artifacts=artifacts)
+        self.record(stage, run_dir, StageStatus(status="done", artifacts=artifacts, **fields))
+
+    def record(self, stage: str, run_dir: Path, status: StageStatus) -> None:
+        self.stages[stage] = status
         self.save(run_dir)
 
     def mark_failed(self, stage: str, run_dir: Path, reason: str) -> None:
-        self.stages[stage] = StageStatus(status="failed", reason=reason)
-        self.save(run_dir)
+        self.record(stage, run_dir, StageStatus(status="failed", reason=reason))
 
 
 # --- stage implementations -----------------------------------------------
@@ -809,6 +837,20 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
     return dict.fromkeys(artifacts)
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # each config class's evaluated once, at import
+
+
+def _is_field(path: str) -> bool:
+    """Whether the dotted ``path`` names an ``ExperimentConfig`` field or section."""
+    hint = ExperimentConfig
+    for name in path.split("."):
+        hints = _type_hints(hint) if dataclasses.is_dataclass(hint) else {}
+        if name not in hints:
+            return False
+        hint = hints[name]
+    return True
+
+
 @dataclass(frozen=True)
 class Stage:
     """A pipeline stage: its ``name`` in the manifest, the CLI ``command``
@@ -817,20 +859,51 @@ class Stage:
     artifact's value by name, and returns ``{path: value}`` for every file it
     wrote: the value later readers are handed, or ``None`` for a file no
     stage reads. ``reads`` covers this handoff, not every file a stage
-    opens: evaluation also opens each seed's ``best.ntc``."""
+    opens: evaluation also opens each seed's ``best.ntc``.
+
+    Two declarations make up the stage's fingerprint. ``ignores`` names the
+    config fields, dotted, or whole sections, that ``run`` does not read;
+    every other output field is part of the fingerprint, so a field missing
+    here costs a reuse, never a stale output. ``inputs`` names the config
+    fields that name files outside the run; the sha256 of each file is part
+    of the fingerprint. Both are checked against the ``ExperimentConfig``
+    fields when the stage is built, so a renamed field fails at import.
+
+    A reused artifact is a hard link to the producing run's file, so ``run``
+    must never write into an existing artifact in place: it writes a new
+    file and renames it over the old one, or unlinks the old one first, as
+    training does with ``history.jsonl``."""
 
     name: str
     command: str
     reads: tuple[str, ...]
     run: Callable[[ExperimentConfig, ProviderRegistry, Path, dict, dict], dict[Path, object]]
+    ignores: tuple[str, ...] = ()
+    inputs: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        for path in self.ignores + self.inputs:
+            if not _is_field(path):
+                raise ValueError(f"stage {self.name}: {path!r} names no ExperimentConfig field")
+
+
+# What no stage before training reads: the head, its training and
+# evaluation, and the names a run or a sweep gives itself.
+_BEFORE_TRAINING = ("experiment_id", "sweep_axes", "cost_mode", "seeds", "fusion", "training", "evaluation")
+# What only the embeddings stage reads of the providers: the encoders and the oracle
+_ENCODERS = ("providers.text", "providers.image", "providers.text_endpoint", "providers.image_endpoint",
+             "providers.oracle_features")
 
 STAGES = (  # in run order
-    Stage("prompts", "prompt", (), _stage_prompts),
-    Stage("images", "generate", ("prompts.jsonl",), _stage_images),
-    Stage("embeddings", "embed", ("prompts.jsonl", "images.jsonl"), _stage_embeddings),
-    Stage("training", "train", ("labels.json", "features.jsonl"), _stage_training),
-    Stage("evaluation", "eval", ("labels.json", "features.jsonl", "images.jsonl"), _stage_evaluation),
+    Stage("prompts", "prompt", (), _stage_prompts, ignores=(*_BEFORE_TRAINING, *_ENCODERS, "generation"),
+          inputs=("dataset.path", "providers.retrieval_corpus")),
+    Stage("images", "generate", ("prompts.jsonl",), _stage_images, ignores=(*_BEFORE_TRAINING, *_ENCODERS)),
+    Stage("embeddings", "embed", ("prompts.jsonl", "images.jsonl"), _stage_embeddings,
+          ignores=_BEFORE_TRAINING, inputs=("providers.oracle_features",)),
+    Stage("training", "train", ("labels.json", "features.jsonl"), _stage_training,
+          ignores=("experiment_id", "sweep_axes", "cost_mode", "evaluation")),
+    Stage("evaluation", "eval", ("labels.json", "features.jsonl", "images.jsonl"), _stage_evaluation,
+          ignores=("sweep_axes",)),
 )
 
 # artifact name -> (file bytes, caches) -> its value, when this call kept none for them
@@ -861,6 +934,89 @@ def _build_caches(config: ExperimentConfig) -> dict:
     }
 
 
+@functools.cache
+def _source_hash() -> str:
+    """The sha256 of the package's own modules, read once per process: an
+    edited pipeline computes other fingerprints, so it never reuses old outputs."""
+    package = Path(__file__).parent
+    return stable_key({path.name: sha256_hex(path.read_bytes()) for path in sorted(package.glob("*.py"))})
+
+
+def _fingerprints(config: ExperimentConfig) -> dict[str, str | None]:
+    """Each stage's fingerprint under ``config``: the sha256 of its name, the
+    package source, the output fields it does not ignore, the cache location
+    (``image_ref`` names it), the sha256 of each of its input files, and the
+    previous stage's fingerprint. From a stage with an input file that cannot
+    be read on, it is ``None``."""
+    cache_dir = str(config.resolved_cache_dir())
+    fingerprints: dict[str, str | None] = {}
+    previous = ""
+    for stage in STAGES:
+        files = {}
+        for path in stage.inputs:
+            name = functools.reduce(getattr, path.split("."), config)
+            try:
+                files[path] = name and sha256_hex(Path(name).read_bytes())
+            except OSError:
+                previous = None
+        if previous is not None:
+            fields = without_fields(config.to_dict(), (*EXECUTION_FIELDS, *stage.ignores))
+            previous = stable_key([stage.name, _source_hash(), fields, cache_dir, files, previous])
+        fingerprints[stage.name] = previous
+    return fingerprints
+
+
+def _point(store: Path, fingerprint: str, run_dir: Path) -> None:
+    """Name ``run_dir`` as the producer of ``fingerprint``. The pointer is
+    renamed into place but not synced: a lost or torn one is only a miss."""
+    store.mkdir(parents=True, exist_ok=True)
+    tmp = store / f"{fingerprint}.{os.getpid()}.tmp"
+    tmp.write_text(os.path.abspath(run_dir), encoding="utf-8")
+    os.replace(tmp, store / fingerprint)
+
+
+def _reuse(stage: str, fingerprint: str, store: Path, run_dir: Path) -> StageStatus | None:
+    """The status of ``stage`` in the run the pointer for ``fingerprint``
+    names, once each of its artifacts is linked into ``run_dir`` (or copied,
+    where a link fails) and matches the sha256 that run recorded; ``None``,
+    with no temp file left, when the pointer, the producer's manifest or any
+    artifact does not verify. A run never reuses from itself: its own
+    artifacts of ``stage`` have just failed their check."""
+    try:
+        producer = Path((store / fingerprint).read_text(encoding="utf-8"))
+        usable = producer.is_absolute() and producer != Path(os.path.abspath(run_dir))
+        status = RunManifest.load(producer).stages[stage] if usable else None
+    except (OSError, ValueError, ManifestError):  # no, a torn or a dangling pointer
+        return None
+    if status is None or status.status != "done" or status.fingerprint != fingerprint:
+        return None
+    temps = {}
+    try:
+        for rel, digest in status.artifacts.items():
+            if Path(rel).is_absolute() or ".." in Path(rel).parts:
+                return None
+            target = run_dir / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            tmp = temps[target] = target.with_name(f"{target.name}.{os.getpid()}.reuse")
+            tmp.unlink(missing_ok=True)  # a copy must not write through a stale link
+            try:
+                os.link(producer / rel, tmp)
+            except OSError:  # across devices, say: a copy, not synced, as the check follows
+                shutil.copyfile(producer / rel, tmp)
+            # tmp is a name of its own for the inode it checks, so what is checked is what is used
+            if sha256_hex(tmp.read_bytes()) != digest:
+                return None
+        for target, tmp in temps.items():
+            os.replace(tmp, target)
+    except OSError:
+        return None
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+    return StageStatus(status="done", artifacts=dict(status.artifacts), fingerprint=fingerprint,
+                       reused_from=str(producer))
+
+
 def run_experiment(
     config: ExperimentConfig,
     registry: ProviderRegistry | None = None,
@@ -868,11 +1024,14 @@ def run_experiment(
     until_stage: str | None = None,
     force: bool = False,
 ) -> tuple[RunManifest, EvalReport | None]:
-    """Execute the staged pipeline, resuming past verified stages.
+    """Execute the staged pipeline, resuming past verified stages and reusing
+    a verified earlier run of each stage that does not resume.
 
-    ``until_stage`` stops after the named stage (inclusive); ``force`` ignores
-    recorded stage statuses. Returns the manifest and, when evaluation ran or
-    was already done, the headline report.
+    ``until_stage`` stops after the named stage (inclusive). ``force`` runs
+    every stage: it ignores recorded stage statuses and reuses nothing, and
+    each stage that runs still leaves its pointer for later runs. Returns the
+    manifest and, when evaluation ran or was already done, the headline
+    report.
     """
     if until_stage is not None and until_stage not in {stage.name for stage in STAGES}:
         raise OrchestrationError(f"unknown stage {until_stage!r}")
@@ -905,10 +1064,22 @@ def run_experiment(
 
     last_reader = {name: stage.name for stage in STAGES for name in stage.reads}
     kept: dict[str, tuple[str, object]] = {}  # artifact name -> (sha256 of its bytes, value)
+    fingerprints = _fingerprints(config)
+    store = config.resolved_cache_dir() / "stages"
+    # whether every stage so far holds what the current fingerprints say; a
+    # stage resumed from a run under other source or inputs breaks the chain
+    chained = True
     try:
         for stage in STAGES:
+            fingerprint = fingerprints[stage.name] if chained else None
+            start = time.perf_counter()
             if not force and manifest.stage_verified(stage.name, run_dir):
                 logger.info("stage %s: verified, skipping", stage.name)
+                chained = fingerprint is not None and manifest.stages[stage.name].fingerprint == fingerprint
+            elif not force and fingerprint and (reused := _reuse(stage.name, fingerprint, store, run_dir)):
+                logger.info("stage %s: reused from %s", stage.name, reused.reused_from)
+                reused.wall_s = round(time.perf_counter() - start, 6)
+                manifest.record(stage.name, run_dir, reused)
             else:
                 logger.info("stage %s: running", stage.name)
                 try:
@@ -917,7 +1088,10 @@ def run_experiment(
                 except Exception as exc:
                     manifest.mark_failed(stage.name, run_dir, f"{type(exc).__name__}: {exc}")
                     raise
-                manifest.mark_done(stage.name, run_dir, outputs)
+                manifest.mark_done(stage.name, run_dir, outputs, fingerprint=fingerprint,
+                                   wall_s=round(time.perf_counter() - start, 6))
+                if fingerprint:
+                    _point(store, fingerprint, run_dir)
                 digests = manifest.stages[stage.name].artifacts
                 kept.update((path.name, (digests[path.name], value))
                             for path, value in outputs.items() if value is not None)

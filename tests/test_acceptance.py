@@ -325,7 +325,7 @@ def test_criterion_8_pipeline_determinism_and_resume(tmp_path):
     snapshot = (backend.calls, text_provider.calls, image_provider.calls)
 
     config_b = dataclasses.replace(config_a, output_dir=str(tmp_path / "runB"))
-    run_experiment(config_b, registry)
+    run_experiment(config_b, registry, force=True)  # re-derived from the caches, not reused
     zero_calls = (backend.calls, text_provider.calls, image_provider.calls) == snapshot
 
     identical = all(

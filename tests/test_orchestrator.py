@@ -218,7 +218,7 @@ def test_a_runs_cost_summary_does_not_depend_on_which_run_filled_the_image_cache
     def cost_summary(out_name, cache, cost_mode, backend):
         config = _base_config(tmp_path, fixture_dataset, out_name=out_name, cache_dir=str(tmp_path / cache),
                               cost_mode=cost_mode, generation={"backend": backend})
-        run_experiment(config, registry)
+        run_experiment(config, registry, force=True)
         summary = json.loads((Path(config.output_dir) / "cost_summary.json").read_text())
         return summary["mode"], summary["note"], summary["total_cost_usd"]
 
@@ -258,7 +258,7 @@ def test_fresh_dir_shared_cache_zero_remote_calls_identical_reports(tmp_path, fi
     snapshot = (backend.calls, text_provider.calls, image_provider.calls)
 
     config_b = dataclasses.replace(config_a, output_dir=str(tmp_path / "runB"))
-    run_experiment(config_b, registry)
+    run_experiment(config_b, registry, force=True)
     assert (backend.calls, text_provider.calls, image_provider.calls) == snapshot
 
     for name in ("report.txt", "records.jsonl", "cost_summary.json", "attention.tsv"):
@@ -327,7 +327,7 @@ def test_a_warm_run_appends_nothing_and_no_run_leaves_a_segment_open(tmp_path, f
     cold = _segments(config)
     assert cold and len(_open_files()) == open_before
 
-    run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")))
+    run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")), force=True)
     assert _segments(config) == cold  # no new segment, and not one byte appended
     assert len(_open_files()) == open_before
     assert not set(_open_files()) & set(cold)
@@ -369,7 +369,7 @@ def test_prompt_and_image_stages_fsync_each_segment_once_and_a_warm_run_appends_
     logs = {cache: _log_segments(config, cache) for cache in ("chat", "images")}
 
     run_experiment(config)
-    run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")))
+    run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")), force=True)
     assert {cache: _log_segments(config, cache) for cache in ("chat", "images")} == logs
 
 
@@ -388,7 +388,7 @@ def test_a_run_lists_each_log_directory_once_however_many_misses(
     monkeypatch.setattr(os, "listdir", recording_listdir)
     for out in ("cold", "warm"):
         listed.clear()
-        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / out)))
+        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / out)), force=True)
         logs = {path: n for path, n in listed.items() if path.startswith(cache_root + os.sep)}
         expected = ["emb/hash-16"] + (["images/data", "images/meta"] if method == "gen_image" else [])
         assert logs == {os.path.join(cache_root, log): 1 for log in expected}
@@ -430,7 +430,7 @@ def test_a_warm_gen_image_run_opens_no_image_payload(tmp_path, fixture_dataset, 
 
     monkeypatch.setattr(os, "pread", recording_pread)
     with _recording_opens() as opened:
-        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")))
+        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "warm")), force=True)
     opened = [p for p in opened if p.startswith(images + os.sep)]
     assert opened and all(p.endswith(".seg") for p in opened)  # the record logs, never an image file
     data = [length for path, length in reads if path.startswith(os.path.join(images, "data", ""))]
@@ -440,7 +440,7 @@ def test_a_warm_gen_image_run_opens_no_image_payload(tmp_path, fixture_dataset, 
 def test_a_warm_run_reads_its_cache_hits_a_run_of_records_at_a_time(tmp_path, monkeypatch):
     fixture = build_separability_fixture(tmp_path / "data", samples_per_class=16, seed=3)
     config = _base_config(tmp_path, fixture)
-    run_experiment(config)
+    run_experiment(config, until_stage="embeddings")  # what fills the caches; no later stage to reuse
     cache_root = os.path.realpath(config.resolved_cache_dir())
     reads, scanning = collections.Counter(), []
     pread, scan = os.pread, storage.SegmentLog._scan
@@ -461,7 +461,7 @@ def test_a_warm_run_reads_its_cache_hits_a_run_of_records_at_a_time(tmp_path, mo
     monkeypatch.setattr(os, "pread", recording_pread)
     monkeypatch.setattr(storage.SegmentLog, "_scan", recording_scan)
     warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
-    run_experiment(warm, until_stage="embeddings")
+    run_experiment(warm, until_stage="embeddings", force=True)
     # 64 meta records, then 64 text and 64 image embeddings: a read per lookup batch, not per hit
     assert fixture.num_samples == 64 and reads == {"images/meta": 1, "emb/hash-16": 2}
     reads.clear()
@@ -606,7 +606,7 @@ def test_textual_expansion_pipeline_and_chat_cache(tmp_path, fixture_dataset):
     assert first_requests > 0
 
     config_b = dataclasses.replace(config, output_dir=str(tmp_path / "b2-again"))
-    run_experiment(config_b, registry)
+    run_experiment(config_b, registry, force=True)
     assert len(chat.requests) == first_requests  # cached rewrites, zero new calls
 
 
@@ -1260,7 +1260,9 @@ def test_a_run_resumed_after_training_rebuilds_the_batches_and_writes_the_same(
         tmp_path, fixture_dataset, pack_loads):
     whole = _base_config(tmp_path, fixture_dataset, out_name="whole", seeds=[0, 1])
     run_experiment(whole)
-    resumed = dataclasses.replace(whole, output_dir=str(tmp_path / "resumed"))
+    # on a cache of its own, so that no stage of the whole run is reused
+    resumed = dataclasses.replace(whole, output_dir=str(tmp_path / "resumed"),
+                                  cache_dir=str(tmp_path / "resumed-cache"))
     run_experiment(resumed, until_stage="training")
     run_experiment(resumed)
     assert len(pack_loads.built) == 9  # three builds: the whole run, then each call of the resumed one
@@ -1371,7 +1373,7 @@ def test_a_warm_run_parses_no_run_artifact_and_reads_each_embedding_once(
         return get_many(cache, provider_id, keys)
 
     monkeypatch.setattr(orchestrator.EmbeddingCache, "get_many", recording_get_many)
-    _, report = run_experiment(warm)
+    _, report = run_experiment(warm, force=True)
     run_dir = os.path.realpath(warm.output_dir)
     assert report is not None and samples > 0
     assert not [p for p in read if p.startswith(run_dir + os.sep)]
@@ -1480,7 +1482,7 @@ def test_a_warm_images_stage_serves_every_hit_in_the_calling_thread(
     warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
     with monkeypatch.context() as patch:
         patch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
-        run_experiment(warm, registry, until_stage="images")
+        run_experiment(warm, registry, until_stage="images", force=True)
     assert started == [] and batch.calls == 48  # every hit served here; no thread started
     assert _generated(warm.output_dir) == _generated(config.output_dir)
 
@@ -1522,7 +1524,7 @@ def test_the_images_stage_keys_each_row_once_and_looks_up_a_warm_hit_once(
 
     calls.clear()
     warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
-    run_experiment(warm, until_stage="images")
+    run_experiment(warm, until_stage="images", force=True)
     assert calls == {"prompt_key": rows, "meta record": rows}
     assert list(read_jsonl(Path(warm.output_dir) / "images.jsonl")) == cold
 
@@ -1704,11 +1706,12 @@ def test_batched_pooled_and_serial_misses_write_the_same_features_and_cache(
             registry.image_providers["hash-16"] = encoder()
         config = _base_config(tmp_path, fixture_dataset, out_name=way, method=method,
                               generation={"backend": "flux-schnell", "concurrency": concurrency})
-        run_experiment(config, registry)
+        run_experiment(config, registry, force=True)  # the pointers of the last way's stages stay
         providers = [*registry.text_providers.values(), *registry.image_providers.values()]
         calls = sum(p.calls for p in providers)
         assert calls > 0
-        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / f"{way}-warm")), registry)
+        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / f"{way}-warm")), registry,
+                       force=True)
         assert sum(p.calls for p in providers) == calls  # a warm run calls no encoder
         features[way] = (Path(config.output_dir) / "features.jsonl").read_bytes()
         records[way] = _cache_records(emb_root)
