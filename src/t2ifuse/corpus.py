@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .storage import read_jsonl, write_jsonl
+from .storage import write_jsonl
 
 SPLIT_NAMES = ("train", "validation", "test")
 DATASET_FORMATS = ("delimited_rows", "record_lines")
@@ -212,25 +212,12 @@ def make_splits(
 
 
 def write_split_assignments(samples: Sequence[TextSample], path: str | Path) -> None:
-    """Persist (id, split) records so downstream stages never recompute splits."""
+    """Record each sample's (id, split), in ``samples`` order: a record, not an
+    input, as ``make_splits`` gives the same split again from the same inputs."""
     unassigned = [s.id for s in samples if s.split is None]
     if unassigned:
         raise DatasetError(f"samples without split assignment: {unassigned[:5]}")
     write_jsonl(Path(path), ({"id": s.id, "split": s.split} for s in samples))
-
-
-def load_split_assignments(path: str | Path) -> dict[str, str]:
-    assignments = {}
-    for record in read_jsonl(Path(path)):
-        assignments[str(record["id"])] = str(record["split"])
-    return assignments
-
-
-def apply_split_assignments(samples: Sequence[TextSample], assignments: dict[str, str]) -> None:
-    for s in samples:
-        if s.id not in assignments:
-            raise DatasetError(f"no split assignment for sample {s.id!r}")
-        s.split = assignments[s.id]
 
 
 def truncate_text(text: str, max_tokens: int) -> str:

@@ -2,20 +2,17 @@
 
 An experiment runs five stages in order -- prompts, images, embeddings,
 training, evaluation -- each leaving verifiable artifacts in the run
-directory and a transactionally updated manifest. Re-running skips stages
-whose artifacts still hash-verify, and the content-addressed caches make any
-repeated generation/embedding work free (and remote-call free).
+directory and a transactionally updated manifest; the content-addressed
+caches make repeated generation/embedding work free (and remote-call free).
 
-A stage that does not resume may be reused. Its fingerprint hashes everything
-that decides its outputs: the package source, the config fields it does not
-declare in ``Stage.ignores``, the cache location, the files its
-``Stage.inputs`` name, and the previous stage's fingerprint. A stage that ran
-leaves ``<cache_dir>/stages/<fingerprint>``, a pointer to its run directory. A
-later run with that fingerprint, in any run directory on that cache,
-hard-links the producer's artifacts in, each checked against the sha256 its
-manifest records, instead of running the stage. Anything that does not verify
-(a missing or torn pointer, a producer recorded under another fingerprint, an
-edited artifact) runs the stage instead.
+One rule decides whether a stage runs: its outputs stand when a manifest
+records it done under its current fingerprint and each of its artifacts still
+has the sha256 recorded there. The fingerprint hashes all that decides the
+outputs: the package source, the config fields not in ``Stage.ignores``, the
+cache location, the files ``Stage.inputs`` names, and the previous stage's
+fingerprint. The run's own manifest is checked first, in place; next the run
+that ``<cache_dir>/stages/<fingerprint>`` names, left by each stage that ran,
+with its artifacts hard-linked in. Otherwise the stage runs.
 
 Each stage declares in ``Stage.reads`` the run artifacts it is handed, and
 ``run_experiment`` alone hands them on. It keeps what a stage returned for an
@@ -54,9 +51,7 @@ from .corpus import (
     SPLIT_NAMES,
     LabelSpace,
     TextSample,
-    apply_split_assignments,
     load_dataset,
-    load_split_assignments,
     make_splits,
     truncate_text,
     write_split_assignments,
@@ -361,19 +356,6 @@ class RunManifest:
         path = Path(run_dir) / "manifest.json"
         return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), source=str(path))
 
-    def stage_verified(self, stage: str, run_dir: Path) -> bool:
-        status = self.stages[stage]
-        if status.status != "done":
-            return False
-        for rel, digest in status.artifacts.items():
-            try:
-                data = (run_dir / rel).read_bytes()
-            except OSError:  # removed, or not a file: the stage runs again
-                return False
-            if sha256_hex(data) != digest:
-                return False
-        return True
-
     def mark_done(self, stage: str, run_dir: Path, artifact_paths: Iterable[Path], **fields) -> None:
         """Record ``stage`` done with the sha256 of each file it wrote, and the
         other :class:`StageStatus` ``fields`` given."""
@@ -403,12 +385,9 @@ def _descriptor(config: ExperimentConfig) -> dict:
 def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
                    caches: dict, inputs: dict) -> dict[Path, object]:
     samples, label_space = load_dataset(config.dataset.path, config.dataset.format)
+    make_splits(samples, config.dataset.split_fractions, config.dataset.split_seed)
     splits_path = run_dir / "splits.jsonl"
-    if splits_path.exists():
-        apply_split_assignments(samples, load_split_assignments(splits_path))
-    else:
-        make_splits(samples, config.dataset.split_fractions, config.dataset.split_seed)
-        write_split_assignments(samples, splits_path)
+    write_split_assignments(samples, splits_path)
 
     max_tokens = config.dataset.max_text_tokens
     source = image_source(config.method)
@@ -858,8 +837,9 @@ class Stage:
     function that ``run``s it. ``run`` is handed ``inputs``, each read
     artifact's value by name, and returns ``{path: value}`` for every file it
     wrote: the value later readers are handed, or ``None`` for a file no
-    stage reads. ``reads`` covers this handoff, not every file a stage
-    opens: evaluation also opens each seed's ``best.ntc``.
+    stage reads. Of the run directory, ``run`` opens no other file but one an
+    earlier stage wrote (evaluation opens each seed's ``best.ntc``), so its
+    outputs rest on its fingerprint alone.
 
     Two declarations make up the stage's fingerprint. ``ignores`` names the
     config fields, dotted, or whole sections, that ``run`` does not read;
@@ -975,13 +955,24 @@ def _point(store: Path, fingerprint: str, run_dir: Path) -> None:
     os.replace(tmp, store / fingerprint)
 
 
-def _reuse(stage: str, fingerprint: str, store: Path, run_dir: Path) -> StageStatus | None:
-    """The status of ``stage`` in the run the pointer for ``fingerprint``
-    names, once each of its artifacts is linked into ``run_dir`` (or copied,
-    where a link fails) and matches the sha256 that run recorded; ``None``,
-    with no temp file left, when the pointer, the producer's manifest or any
-    artifact does not verify. A run never reuses from itself: its own
-    artifacts of ``stage`` have just failed their check."""
+def _holds(path: Path, digest: str) -> bool:
+    """Whether ``path`` is a file whose bytes have the sha256 ``digest``."""
+    try:
+        return sha256_hex(path.read_bytes()) == digest
+    except OSError:  # removed, or not a file
+        return False
+
+
+def _standing(stage: str, fingerprint: str, own: StageStatus, store: Path,
+              run_dir: Path) -> StageStatus | None:
+    """The status under which the outputs of ``stage`` stand in ``run_dir``:
+    the ``own`` one, checked in place, or else that of the run (never this
+    one) the pointer for ``fingerprint`` names, once each of its artifacts is
+    linked into ``run_dir`` (or copied, where a link fails) and checked.
+    ``None``, with no temp file left, when neither verifies."""
+    if own.status == "done" and own.fingerprint == fingerprint and all(
+            _holds(run_dir / rel, digest) for rel, digest in own.artifacts.items()):
+        return own
     try:
         producer = Path((store / fingerprint).read_text(encoding="utf-8"))
         usable = producer.is_absolute() and producer != Path(os.path.abspath(run_dir))
@@ -1004,7 +995,7 @@ def _reuse(stage: str, fingerprint: str, store: Path, run_dir: Path) -> StageSta
             except OSError:  # across devices, say: a copy, not synced, as the check follows
                 shutil.copyfile(producer / rel, tmp)
             # tmp is a name of its own for the inode it checks, so what is checked is what is used
-            if sha256_hex(tmp.read_bytes()) != digest:
+            if not _holds(tmp, digest):
                 return None
         for target, tmp in temps.items():
             os.replace(tmp, target)
@@ -1024,8 +1015,9 @@ def run_experiment(
     until_stage: str | None = None,
     force: bool = False,
 ) -> tuple[RunManifest, EvalReport | None]:
-    """Execute the staged pipeline, resuming past verified stages and reusing
-    a verified earlier run of each stage that does not resume.
+    """Execute the staged pipeline, running each stage whose outputs do not
+    stand (see the module docstring): one with an input file that cannot be
+    read has no fingerprint, so it runs, as does each stage after it.
 
     ``until_stage`` stops after the named stage (inclusive). ``force`` runs
     every stage: it ignores recorded stage statuses and reuses nothing, and
@@ -1066,22 +1058,23 @@ def run_experiment(
     kept: dict[str, tuple[str, object]] = {}  # artifact name -> (sha256 of its bytes, value)
     fingerprints = _fingerprints(config)
     store = config.resolved_cache_dir() / "stages"
-    # whether every stage so far holds what the current fingerprints say; a
-    # stage resumed from a run under other source or inputs breaks the chain
-    chained = True
     try:
         for stage in STAGES:
-            fingerprint = fingerprints[stage.name] if chained else None
+            fingerprint = fingerprints[stage.name]
             start = time.perf_counter()
-            if not force and manifest.stage_verified(stage.name, run_dir):
+            own = manifest.stages[stage.name]
+            standing = None if force or fingerprint is None else _standing(
+                stage.name, fingerprint, own, store, run_dir)
+            if standing is own:
                 logger.info("stage %s: verified, skipping", stage.name)
-                chained = fingerprint is not None and manifest.stages[stage.name].fingerprint == fingerprint
-            elif not force and fingerprint and (reused := _reuse(stage.name, fingerprint, store, run_dir)):
-                logger.info("stage %s: reused from %s", stage.name, reused.reused_from)
-                reused.wall_s = round(time.perf_counter() - start, 6)
-                manifest.record(stage.name, run_dir, reused)
+            elif standing:
+                logger.info("stage %s: reused from %s", stage.name, standing.reused_from)
+                standing.wall_s = round(time.perf_counter() - start, 6)
+                manifest.record(stage.name, run_dir, standing)
             else:
-                logger.info("stage %s: running", stage.name)
+                changed = not force and own.status == "done" and own.fingerprint not in (None, fingerprint)
+                logger.info("stage %s: inputs changed since it ran, running" if changed
+                            else "stage %s: running", stage.name)
                 try:
                     inputs = {name: _load(run_dir, name, kept, caches) for name in stage.reads}
                     outputs = stage.run(config, registry, run_dir, caches, inputs)

@@ -8,13 +8,12 @@ from t2ifuse.corpus import (
     DatasetError,
     LabelSpace,
     TextSample,
-    apply_split_assignments,
     load_dataset,
-    load_split_assignments,
     make_splits,
     truncate_text,
     write_split_assignments,
 )
+from t2ifuse.storage import read_jsonl
 
 
 def test_load_smallest_valid_csv(tmp_path):
@@ -140,8 +139,9 @@ def test_split_assignment_round_trip(tmp_path):
     path = tmp_path / "splits.jsonl"
     write_split_assignments(samples, path)
     fresh = _balanced_samples(10)
-    apply_split_assignments(fresh, load_split_assignments(path))
-    assert [s.split for s in fresh] == [s.split for s in samples]
+    make_splits(fresh, seed=5)  # the file records what the split gives again
+    assert list(read_jsonl(path)) == [{"id": s.id, "split": s.split} for s in fresh]
+    assert {s.split for s in fresh} == {"train", "validation", "test"}
 
 
 def test_truncate_under_limit_unchanged():

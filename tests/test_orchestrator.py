@@ -514,9 +514,12 @@ def test_an_artifact_gone_when_the_manifest_checks_it_reruns_its_stage(
     assert raised and ran == ["embeddings"]
     assert manifest.stages["embeddings"].status == "done" and report is not None
 
+    prompts = manifest.stages["prompts"]
+    store = config.resolved_cache_dir() / "stages"
+    assert orchestrator._standing("prompts", prompts.fingerprint, prompts, store, run_dir) is prompts
     (run_dir / "prompts_summary.json").unlink()
     (run_dir / "prompts_summary.json").mkdir()  # a directory where an artifact was
-    assert RunManifest.load(run_dir).stage_verified("prompts", run_dir) is False
+    assert orchestrator._standing("prompts", prompts.fingerprint, prompts, store, run_dir) is None
 
 
 def test_run_rejects_mismatched_config_hash(tmp_path, fixture_dataset):

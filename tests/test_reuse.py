@@ -3,6 +3,7 @@ and whether each stage's declarations cover what it reads."""
 
 import copy
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -15,6 +16,7 @@ import yaml
 from t2ifuse import orchestrator, storage
 from t2ifuse.cli import main as cli_main
 from t2ifuse.config import EXECUTION_FIELDS, parse_config_data
+from t2ifuse.corpus import DatasetError
 from t2ifuse.generation import StubImageBackend
 from t2ifuse.orchestrator import (STAGES, ProviderRegistry, RunManifest, Stage, StageStatus, run_experiment,
                                   run_sweep)
@@ -96,6 +98,20 @@ def _segments(config) -> dict[str, int]:
     return {str(p): p.stat().st_size for p in root.rglob("*.seg")}
 
 
+def _record_runs(monkeypatch) -> list[str]:
+    """The names of the stages that run from now on, in run order."""
+    ran = []
+
+    def recording(stage):
+        def run(*args):
+            ran.append(stage.name)
+            return stage.run(*args)
+        return dataclasses.replace(stage, run=run)
+
+    monkeypatch.setattr(orchestrator, "STAGES", tuple(map(recording, STAGES)))
+    return ran
+
+
 # --- what a reused run serves ----------------------------------------------------
 
 
@@ -174,27 +190,53 @@ def test_resuming_stage_by_stage_on_top_of_reuse_gives_the_same_files(tmp_path, 
     assert _files(staged.output_dir) == _files(config.output_dir)
 
 
-def test_a_stage_resumed_under_other_inputs_leaves_no_pointer_after_it(tmp_path, fix, monkeypatch):
+def test_a_resume_under_an_edited_source_reruns_every_stage_and_points_to_each(
+        tmp_path, fix, monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="t2ifuse.orchestrator")
     config = _config(tmp_path, fix, method="text_only")
     run_experiment(config, until_stage="embeddings")
+    store = config.resolved_cache_dir() / "stages"
+    first = {p.name for p in store.iterdir()}
     monkeypatch.setattr(orchestrator, "_source_hash", lambda: "edited")
-    manifest, _ = run_experiment(config)  # resumes past embeddings, recorded under the old source
-    assert [manifest.stages[s].fingerprint for s in ("training", "evaluation")] == [None, None]
-    assert len(list((config.resolved_cache_dir() / "stages").iterdir())) == 3  # the first call's
+    ran = _record_runs(monkeypatch)
+    caplog.clear()
+    manifest, _ = run_experiment(config)
+    fingerprints = orchestrator._fingerprints(config)
+    assert ran == STAGE_NAMES
+    assert {s: manifest.stages[s].fingerprint for s in STAGE_NAMES} == fingerprints
+    assert {p.name for p in store.iterdir()} == first | set(fingerprints.values()) and len(first) == 3
+    assert all(_pointer(config, stage) == os.path.abspath(config.output_dir) for stage in STAGE_NAMES)
+    said = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage ")]
+    assert said == [f"stage {s}: inputs changed since it ran, running" for s in STAGE_NAMES[:3]] + \
+        [f"stage {s}: running" for s in STAGE_NAMES[3:]]
+
+
+def test_prompts_reads_no_file_of_its_run_directory(tmp_path, fix):
+    config = _config(tmp_path, fix, method="text_only")
+    run_experiment(config, force=True)
+    path = Path(config.dataset.path)
+    path.write_text(path.read_text().replace("syn00014", "syn00099"))
+    run_experiment(config, force=True)  # a split read back from the first run has no syn00099
+    fresh = dataclasses.replace(config, output_dir=str(tmp_path / "fresh"))
+    run_experiment(fresh, force=True)
+    assert _files(config.output_dir) == _files(fresh.output_dir)
+    assert any(row["id"] == "syn00099" for row in read_jsonl(Path(config.output_dir) / "splits.jsonl"))
 
 
 # --- what reuse refuses ----------------------------------------------------------
 
 
+# Each damage returns the stages that must run, in a fresh run directory and
+# back in the producer's own.
 def _edit_artifact(monkeypatch, producer, config):
     path = Path(producer.output_dir) / "features.jsonl"
     path.write_bytes(path.read_bytes() + b"\n")
-    return {"embeddings"}
+    return {"embeddings"}, {"embeddings"}
 
 
 def _delete_producer(monkeypatch, producer, config):
     shutil.rmtree(producer.output_dir)
-    return set(STAGE_NAMES)
+    return set(STAGE_NAMES), set(STAGE_NAMES)
 
 
 def _pointer_to(content):
@@ -202,7 +244,7 @@ def _pointer_to(content):
         store = config.resolved_cache_dir() / "stages"
         fingerprint = RunManifest.load(Path(producer.output_dir)).stages["images"].fingerprint
         (store / fingerprint).write_bytes(content(os.path.abspath(producer.output_dir)))
-        return {"images"}
+        return {"images"}, set()  # the own manifest vouches before any pointer is read
     return damage
 
 
@@ -211,13 +253,13 @@ def _other_recorded_fingerprint(monkeypatch, producer, config):
     data = json.loads(path.read_text())
     data["stages"]["training"]["fingerprint"] = "0" * 64
     path.write_text(json.dumps(data))
-    return {"training"}
+    return {"training"}, {"training"}
 
 
 def _edit_dataset(monkeypatch, producer, config):
     path = Path(config.dataset.path)
     path.write_text(path.read_text().replace("x00014", "x00099"))
-    return set(STAGE_NAMES)
+    return set(STAGE_NAMES), set(STAGE_NAMES)
 
 
 def _edit_oracle(monkeypatch, producer, config):
@@ -225,43 +267,70 @@ def _edit_oracle(monkeypatch, producer, config):
     rows = list(read_jsonl(path))
     rows[0]["values"][0] += 1.0
     write_jsonl(path, rows)
-    return {"embeddings", "training", "evaluation"}
+    ran = {"embeddings", "training", "evaluation"}
+    return ran, ran
 
 
 def _edit_source(monkeypatch, producer, config):
     monkeypatch.setattr(orchestrator, "_source_hash", lambda: "edited")
-    return set(STAGE_NAMES)
+    return set(STAGE_NAMES), set(STAGE_NAMES)
 
 
-@pytest.mark.parametrize("damage, method", [
-    (_edit_artifact, "gen_image"),
-    (_delete_producer, "gen_image"),
-    (_pointer_to(lambda path: b""), "gen_image"),
-    (_pointer_to(lambda path: b"\xff\xfe\x00garbage"), "gen_image"),
-    (_pointer_to(lambda path: path.encode()[:len(path) // 2]), "gen_image"),
-    (_pointer_to(lambda path: b"relative/run"), "gen_image"),
-    (_other_recorded_fingerprint, "gen_image"),
-    (_edit_dataset, "gen_image"),
-    (_edit_oracle, "oracle_image"),
-    (_edit_source, "gen_image"),
-], ids=["edited-artifact", "deleted-producer", "empty-pointer", "garbage-pointer", "torn-pointer",
-        "relative-pointer", "other-fingerprint", "edited-dataset", "edited-oracle", "edited-source"])
-def test_reuse_runs_each_stage_it_cannot_verify(tmp_path, fix, monkeypatch, damage, method):
+_DAMAGES = {
+    "edited-artifact": (_edit_artifact, "gen_image"),
+    "deleted-producer": (_delete_producer, "gen_image"),
+    "empty-pointer": (_pointer_to(lambda path: b""), "gen_image"),
+    "garbage-pointer": (_pointer_to(lambda path: b"\xff\xfe\x00garbage"), "gen_image"),
+    "torn-pointer": (_pointer_to(lambda path: path.encode()[:len(path) // 2]), "gen_image"),
+    "relative-pointer": (_pointer_to(lambda path: b"relative/run"), "gen_image"),
+    "other-fingerprint": (_other_recorded_fingerprint, "gen_image"),
+    "edited-dataset": (_edit_dataset, "gen_image"),
+    "edited-oracle": (_edit_oracle, "oracle_image"),
+    "edited-source": (_edit_source, "gen_image"),
+}
+_WHERE = [(case, where) for where in ("fresh", "own") for case in _DAMAGES]
+
+
+@pytest.mark.parametrize("case, where", _WHERE,
+                         ids=[case if where == "fresh" else f"{case}-in-own-dir" for case, where in _WHERE])
+def test_reuse_runs_each_stage_it_cannot_verify(tmp_path, fix, monkeypatch, case, where):
+    damage, method = _DAMAGES[case]
     producer = _config(tmp_path, fix, "producer", method=method)
     run_experiment(producer)
-    config = dataclasses.replace(producer, output_dir=str(tmp_path / "run"))
-    ran = damage(monkeypatch, producer, config)
+    config = producer if where == "own" else dataclasses.replace(producer, output_dir=str(tmp_path / "run"))
+    in_fresh, in_own = damage(monkeypatch, producer, config)
+    must_run = in_own if where == "own" else in_fresh
 
-    run_experiment(config)
-    reused = _reused(config.output_dir)
-    assert {stage for stage, source in reused.items() if source is None} == ran
-    assert all(_pointer(config, stage) == os.path.abspath(config.output_dir) for stage in ran)
+    ran = _record_runs(monkeypatch)
+    manifest, _ = run_experiment(config)
+    assert set(ran) == must_run
+    assert {s: manifest.stages[s].fingerprint for s in STAGE_NAMES} == orchestrator._fingerprints(config)
+    if where == "fresh":
+        reused = _reused(config.output_dir)
+        assert {stage for stage, source in reused.items() if source is None} == must_run
+    assert all(_pointer(config, stage) == os.path.abspath(config.output_dir) for stage in must_run)
     assert not [p for p in Path(config.output_dir).rglob("*") if ".reuse" in p.name]
 
     forced = dataclasses.replace(producer, output_dir=str(tmp_path / "forced"))
     run_experiment(forced, force=True)
     assert _digests(config.output_dir) == _digests(forced.output_dir)
     assert _files(config.output_dir) == _files(forced.output_dir)
+
+
+@pytest.mark.parametrize("field, method, reader, error", [
+    ("dataset.path", "text_only", "prompts", DatasetError),
+    ("providers.oracle_features", "oracle_image", "embeddings", FileNotFoundError),
+], ids=["dataset", "oracle"])
+def test_an_input_file_gone_fails_the_stage_that_reads_it(tmp_path, fix, field, method, reader, error):
+    config = _config(tmp_path, fix, method=method)
+    run_experiment(config)
+    Path(functools.reduce(getattr, field.split("."), config)).unlink()
+    with pytest.raises(error):
+        run_experiment(config)
+    stages = RunManifest.load(Path(config.output_dir)).stages
+    earlier = STAGE_NAMES[:STAGE_NAMES.index(reader)]
+    assert [stages[s].status for s in earlier] == ["done"] * len(earlier)
+    assert stages[reader].status == "failed" and stages[reader].reason.startswith(error.__name__ + ": ")
 
 
 # --- the manifest and the CLI ------------------------------------------------------
@@ -294,7 +363,7 @@ _OLDER_MANIFEST = {
 }
 
 
-def test_a_manifest_written_before_fingerprints_still_reads_and_resumes(tmp_path, fix):
+def test_a_manifest_written_before_fingerprints_still_reads_and_resumes(tmp_path, fix, monkeypatch):
     manifest = RunManifest.from_dict(copy.deepcopy(_OLDER_MANIFEST))
     assert manifest.stages["images"] == StageStatus(status="done", artifacts={
         "images.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"})
@@ -302,8 +371,8 @@ def test_a_manifest_written_before_fingerprints_still_reads_and_resumes(tmp_path
     assert {(s.fingerprint, s.reused_from, s.wall_s) for s in manifest.stages.values()} == {(None, None, None)}
     assert RunManifest.from_dict(manifest.to_dict()) == manifest
 
-    # a run stopped after images under such a manifest resumes past both, and
-    # the stages after them, whose inputs no fingerprint vouches for, leave no pointer
+    # a run stopped after images under such a manifest runs both again, as no
+    # fingerprint vouches for their inputs, and records one for every stage
     config = _config(tmp_path, fix, method="text_only")
     run_experiment(config, until_stage="images")
     path = Path(config.output_dir) / "manifest.json"
@@ -312,13 +381,15 @@ def test_a_manifest_written_before_fingerprints_still_reads_and_resumes(tmp_path
         for name in ("fingerprint", "reused_from", "wall_s"):
             del stage[name]
     path.write_text(json.dumps(data))
-    store = config.resolved_cache_dir() / "stages"
-    pointers = sorted(store.iterdir())
+    prompts = data["stages"]["prompts"]["artifacts"]
+    before = {rel: (Path(config.output_dir) / rel).read_bytes() for rel in prompts}
+    ran = _record_runs(monkeypatch)
     manifest, report = run_experiment(config)
-    assert report is not None
-    assert [manifest.stages[s].wall_s is None for s in STAGE_NAMES] == [True, True, False, False, False]
-    assert [manifest.stages[s].fingerprint for s in STAGE_NAMES] == [None] * 5
-    assert sorted(store.iterdir()) == pointers
+    assert report is not None and ran == STAGE_NAMES
+    assert all(manifest.stages[s].wall_s is not None for s in STAGE_NAMES)
+    assert {s: manifest.stages[s].fingerprint for s in STAGE_NAMES} == orchestrator._fingerprints(config)
+    assert all(_pointer(config, stage) == os.path.abspath(config.output_dir) for stage in STAGE_NAMES)
+    assert {rel: (Path(config.output_dir) / rel).read_bytes() for rel in before} == before
 
 
 def test_a_run_records_each_stages_fingerprint_and_wall_time(tmp_path, fix):
