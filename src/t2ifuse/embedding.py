@@ -22,7 +22,7 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -229,13 +229,11 @@ class EmbeddingCache:
     vector format. The log gives the layout, durability and recovery.
 
     Entries are write-once: :meth:`put_many` stores a batch with one append
-    and skips every key already indexed. :meth:`get_many` reads the entries
-    of keys put together with one read, so a warm stage that asks in the
-    order the cold one put makes a few reads, not one per hit. When segments
-    disagree on a key, the record in the oldest segment wins. Each
-    provider's log is indexed
-    when the cache first uses it, and a miss never rescans: entries another
-    process appends later are seen by the next cache opened on the root.
+    and skips every key already indexed; :meth:`get` reads one record. When
+    segments disagree on a key, the record in the oldest segment wins. Each
+    provider's log is indexed when the cache first uses it, and a miss never
+    rescans: entries another process appends later are seen by the next
+    cache opened on the root.
     The embeddings stage calls :meth:`sync` before it writes
     ``features.jsonl``, so every entry a recorded artifact names is on disk
     before the manifest marks the stage done. A record that fails its crc
@@ -248,18 +246,10 @@ class EmbeddingCache:
         self.root = Path(root)
         self._logs = SegmentLogs(self.root)
 
-    def get_many(self, provider_id: str, keys: Iterable[str]
-                 ) -> Iterator[tuple[str, tuple[np.ndarray, np.ndarray] | None]]:
-        """``(key, cached (pooled, tokens))`` for each of ``keys``, in order,
-        ``None`` for a miss, each decoded as it is yielded. Keys asked for in
-        the order they were put are read a run at a time (see
-        :meth:`storage.SegmentLog.find_many`)."""
-        for key, payload in self._logs[provider_id].find_many(keys):
-            yield key, None if payload is None else decode_vec_payload(payload)
-
     def get(self, provider_id: str, key: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """The cached (pooled, tokens), or ``None`` on a miss: a one-key :meth:`get_many`."""
-        return next(self.get_many(provider_id, [key]))[1]
+        """The cached (pooled, tokens), or ``None`` on a miss."""
+        payload = self._logs[provider_id].find(key)
+        return None if payload is None else decode_vec_payload(payload)
 
     def put_many(self, provider_id: str, entries: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> None:
         """Put each ``(key, pooled, tokens)`` with one append; a key already
@@ -336,7 +326,7 @@ def embed_all(
     ``read(key, item)`` reads them from, for misses only. A read that finds
     no record (:class:`storage.CacheError`) is an :class:`ImageContentError`.
 
-    Each key is looked up in ``cache`` once, in one :meth:`EmbeddingCache.get_many`
+    Each key is looked up in ``cache`` once, with one :meth:`EmbeddingCache.get`
     (with no cache, every key is a miss and nothing is put). The misses go through
     :func:`generation.run_misses`: one ``encode_<kind>s`` call per chunk, or
     without it one ``encode_<kind>`` call per item, on ``workers`` threads.
@@ -344,9 +334,7 @@ def embed_all(
     output is validated, and each chunk's valid outputs are put with one
     append; a batch of the wrong length puts nothing.
     """
-    found = dict.fromkeys(items)
-    if cache is not None and items:
-        found.update(cache.get_many(provider.provider_id, items))
+    found = {key: None if cache is None else cache.get(provider.provider_id, key) for key in items}
     misses = [key for key, hit in found.items() if hit is None]
     if not misses:
         return found

@@ -192,18 +192,6 @@ class GenerationParams:
             if value < 8 or value % 8 != 0:
                 raise ValueError(f"{name} must be a positive multiple of 8")
 
-    def key_fields(self) -> dict:
-        return {
-            "backend_id": self.backend_id,
-            "steps": self.steps,
-            "guidance_scale": self.guidance_scale,
-            "width": self.width,
-            "height": self.height,
-            "scheduler_id": self.scheduler_id,
-            "seed": self.seed,
-            "provider_managed": self.provider_managed,
-        }
-
 
 # (steps, guidance, width, height, scheduler, provider_managed) per preset.
 # "flux-schnell-1step" is the strict-latency variant: the same backend forced
@@ -310,13 +298,16 @@ class GeneratedImageRecord:
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(GeneratedImageRecord))
 
 
+def _request_bytes(positive: str, negative: str, params: GenerationParams) -> bytes:
+    """The complete generation request as canonical JSON. Every field of
+    ``params`` is a scalar, so ``vars(params)`` is ``dataclasses.asdict(params)``
+    without its per-field copies."""
+    return canonical_json({"positive": positive, "negative": negative, "params": vars(params)}).encode("utf-8")
+
+
 def prompt_key(positive: str, negative: str, params: GenerationParams) -> str:
     """Pure function of the complete generation request."""
-    return sha256_hex(
-        canonical_json(
-            {"positive": positive, "negative": negative, "params": params.key_fields()}
-        ).encode("utf-8")
-    )
+    return sha256_hex(_request_bytes(positive, negative, params))
 
 
 class ImageBackend(Protocol):
@@ -346,14 +337,7 @@ def stub_generate(prompt: PromptSpec | PromptPair, params: GenerationParams) -> 
     """Deterministic pseudo-image: a fixed-size buffer expanded from a hash of
     (positive, negative, params). Never fails; identical inputs give identical
     bytes."""
-    seed_material = canonical_json(
-        {
-            "positive": prompt.positive,
-            "negative": prompt.negative,
-            "params": params.key_fields(),
-        }
-    ).encode("utf-8")
-    digest = hashlib.sha256(seed_material).digest()
+    digest = hashlib.sha256(_request_bytes(prompt.positive, prompt.negative, params)).digest()
     out = bytearray(b"STUBIMG1")
     counter = 0
     while len(out) < STUB_IMAGE_SIZE:
@@ -439,8 +423,8 @@ def generate_all(
     :meth:`GeneratedImageRecord.to_dict` form: a hit's holds its stored
     meta's fields, and a miss's is the dict it stored.
 
-    Each key is looked up in ``store`` once, all in one
-    :meth:`ImageStore.lookup_many`; a hit makes no backend call.
+    Each key is looked up in ``store`` once, with one
+    :meth:`ImageStore.lookup`; a hit makes no backend call.
     The misses go through :func:`run_misses`: one ``backend.generate_many``
     call per chunk, or without it one ``backend.generate`` call per item,
     each through :func:`retry_transient`. An empty image is a failure. Each
@@ -459,7 +443,7 @@ def generate_all(
     # a hit's dict takes the module's field names as its keys, so thousands of
     # hits do not each hold their own copy of every key that json.loads made
     results = {key: {name: meta[name] for name in _RECORD_FIELDS}
-               for key, meta in store.lookup_many(items) if meta is not None}
+               for key in items if (meta := store.lookup(key)) is not None}
     misses = [key for key in items if key not in results]
 
     def timed(call: Callable[[], Any]) -> tuple[Any, float]:

@@ -25,7 +25,6 @@ is built from the file by ``_READERS``. Each is dropped after its last reader.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import datetime as _dt
 import functools
@@ -297,7 +296,7 @@ class StageStatus:
     status: str = "pending"  # pending | done | failed
     artifacts: dict[str, str] = field(default_factory=dict)  # relpath -> sha256
     reason: str | None = None
-    fingerprint: str | None = None  # of what decided the artifacts; None when unknown
+    fingerprint: str | None = None  # of what decided the artifacts; None before it ran, or in older manifests
     reused_from: str | None = None  # the run directory the artifacts were linked from
     wall_s: float | None = None  # spent running or reusing the stage
 
@@ -332,15 +331,9 @@ class RunManifest:
                 created_at=data.get("created_at", ""),
                 updated_at=data.get("updated_at", ""),
             )
+            known = {f.name for f in dataclasses.fields(StageStatus)}
             for name, raw in data.get("stages", {}).items():
-                manifest.stages[name] = StageStatus(
-                    status=raw.get("status", "pending"),
-                    artifacts=dict(raw.get("artifacts", {})),
-                    reason=raw.get("reason"),
-                    fingerprint=raw.get("fingerprint"),
-                    reused_from=raw.get("reused_from"),
-                    wall_s=raw.get("wall_s"),
-                )
+                manifest.stages[name] = StageStatus(**{key: value for key, value in raw.items() if key in known})
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{source}: not a run manifest ({type(exc).__name__}: {exc})") from exc
         return manifest
@@ -558,42 +551,29 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
             zero_dim = embed_image(_DIM_PROBE_IMAGE, image_provider, emb_cache)[0].shape[0]
     emb_cache.sync()  # every entry features.jsonl names is durable before it is written
 
-    oracles: dict = {}
-    features = _SplitFeatures()
+    def image_entry(row: dict) -> dict:
+        if row["image_source"] == "generate":
+            image_row = images[row["sample_id"]]
+            return {"kind": "cached", "provider": image_provider.provider_id,
+                    "key": image_row["content_hash"], "image_ref": image_row["image_ref"]}
+        if row["image_source"] == "oracle":
+            return {"kind": "oracle", "path": config.providers.oracle_features}
+        return {"kind": "zero", "dim": zero_dim}
 
-    def records():
-        # made as write_jsonl takes them, so they are never all held at once
-        for row, key in zip(rows, text_keys):
-            text_pooled, text_tokens = texts[key]
-            if row["image_source"] == "generate":
-                image_row = images[row["sample_id"]]
-                image_pooled, image_tokens = image_features[image_row["content_hash"]]
-                image_entry = {
-                    "kind": "cached",
-                    "provider": image_provider.provider_id,
-                    "key": image_row["content_hash"],
-                    "image_ref": image_row["image_ref"],
-                }
-            else:
-                if row["image_source"] == "oracle":
-                    image_entry = {"kind": "oracle", "path": config.providers.oracle_features}
-                else:
-                    image_entry = {"kind": "zero", "dim": zero_dim}
-                image_pooled, image_tokens = _stand_in_image(image_entry, row["sample_id"], oracles)
-            features.add(row, FeaturePack(text_tokens, image_tokens, text_pooled, image_pooled))
-            yield {
-                "sample_id": row["sample_id"],
-                "split": row["split"],
-                "label": row["label"],
-                "text_provider": text_provider.provider_id,
-                "text_key": key,
-                "text_dim": text_pooled.shape[0],
-                "image": image_entry,
-            }
-
+    feature_rows = [{
+        "sample_id": row["sample_id"],
+        "split": row["split"],
+        "label": row["label"],
+        "text_provider": text_provider.provider_id,
+        "text_key": key,
+        "text_dim": texts[key][0].shape[0],
+        "image": image_entry(row),
+    } for row, key in zip(rows, text_keys)]
     features_path = run_dir / "features.jsonl"
-    write_jsonl(features_path, records())
-    return {features_path: features}
+    write_jsonl(features_path, feature_rows)
+    embedded = {(text_provider.provider_id, key): value for key, value in texts.items()}
+    embedded.update(((image_provider.provider_id, key), value) for key, value in image_features.items())
+    return {features_path: _split_features(feature_rows, lambda provider, key: embedded.get((provider, key)))}
 
 
 def _load_packs(features: _SplitFeatures, label_space: LabelSpace) -> dict[str, LabeledPacks]:
@@ -601,30 +581,27 @@ def _load_packs(features: _SplitFeatures, label_space: LabelSpace) -> dict[str, 
     return features.batches(label_space)
 
 
-def _read_features(features: bytes, emb_cache: EmbeddingCache) -> _SplitFeatures:
-    rows = list(iter_jsonl(features))
-    # each provider's keys, texts first, in the order the embeddings stage put them
-    keys: dict[str, dict[str, None]] = collections.defaultdict(dict)
-    for row in rows:
-        keys[row["text_provider"]][row["text_key"]] = None
-    for row in rows:
-        if row["image"]["kind"] == "cached":
-            keys[row["image"]["provider"]][row["image"]["key"]] = None
-    found = {(provider, key): value for provider, wanted in keys.items()
-             for key, value in emb_cache.get_many(provider, wanted)}
+def _split_features(rows: Iterable[dict], embedding_of: Callable[[str, str], tuple | None]) -> _SplitFeatures:
+    """The split features of ``features.jsonl`` rows. ``embedding_of(provider,
+    key)`` gives a cached entry's (pooled, tokens), or ``None`` once the cache
+    has lost it."""
     split_features = _SplitFeatures()
     oracles: dict = {}
     for row in rows:
-        text = found[row["text_provider"], row["text_key"]]
+        text = embedding_of(row["text_provider"], row["text_key"])
         image_entry = row["image"]
         if image_entry["kind"] == "cached":
-            image = found[image_entry["provider"], image_entry["key"]]
+            image = embedding_of(image_entry["provider"], image_entry["key"])
         else:
             image = _stand_in_image(image_entry, row["sample_id"], oracles)
         if text is None or image is None:
             raise OrchestrationError(f"embedding cache lost an entry of sample {row['sample_id']!r}")
         split_features.add(row, FeaturePack(text[1], image[1], text[0], image[0]))
     return split_features
+
+
+def _read_features(features: bytes, emb_cache: EmbeddingCache) -> _SplitFeatures:
+    return _split_features(iter_jsonl(features), emb_cache.get)
 
 
 def _head_for(config: ExperimentConfig, packs: dict[str, LabeledPacks], label_space: LabelSpace, seed: int):
@@ -922,14 +899,15 @@ def _source_hash() -> str:
     return stable_key({path.name: sha256_hex(path.read_bytes()) for path in sorted(package.glob("*.py"))})
 
 
-def _fingerprints(config: ExperimentConfig) -> dict[str, str | None]:
+def _fingerprints(config: ExperimentConfig) -> dict[str, str]:
     """Each stage's fingerprint under ``config``: the sha256 of its name, the
     package source, the output fields it does not ignore, the cache location
     (``image_ref`` names it), the sha256 of each of its input files, and the
-    previous stage's fingerprint. From a stage with an input file that cannot
-    be read on, it is ``None``."""
+    previous stage's fingerprint. An input file that cannot be read hashes
+    as a marker naming the error, so a stage that reads it runs and fails,
+    and one that does not stands once it has run."""
     cache_dir = str(config.resolved_cache_dir())
-    fingerprints: dict[str, str | None] = {}
+    fingerprints: dict[str, str] = {}
     previous = ""
     for stage in STAGES:
         files = {}
@@ -937,12 +915,11 @@ def _fingerprints(config: ExperimentConfig) -> dict[str, str | None]:
             name = functools.reduce(getattr, path.split("."), config)
             try:
                 files[path] = name and sha256_hex(Path(name).read_bytes())
-            except OSError:
-                previous = None
-        if previous is not None:
-            fields = without_fields(config.to_dict(), (*EXECUTION_FIELDS, *stage.ignores))
-            previous = stable_key([stage.name, _source_hash(), fields, cache_dir, files, previous])
-        fingerprints[stage.name] = previous
+            except OSError as exc:
+                files[path] = f"unreadable: {type(exc).__name__}"
+        fields = without_fields(config.to_dict(), (*EXECUTION_FIELDS, *stage.ignores))
+        previous = fingerprints[stage.name] = stable_key(
+            [stage.name, _source_hash(), fields, cache_dir, files, previous])
     return fingerprints
 
 
@@ -1016,8 +993,7 @@ def run_experiment(
     force: bool = False,
 ) -> tuple[RunManifest, EvalReport | None]:
     """Execute the staged pipeline, running each stage whose outputs do not
-    stand (see the module docstring): one with an input file that cannot be
-    read has no fingerprint, so it runs, as does each stage after it.
+    stand (see the module docstring).
 
     ``until_stage`` stops after the named stage (inclusive). ``force`` runs
     every stage: it ignores recorded stage statuses and reuses nothing, and
@@ -1063,8 +1039,7 @@ def run_experiment(
             fingerprint = fingerprints[stage.name]
             start = time.perf_counter()
             own = manifest.stages[stage.name]
-            standing = None if force or fingerprint is None else _standing(
-                stage.name, fingerprint, own, store, run_dir)
+            standing = None if force else _standing(stage.name, fingerprint, own, store, run_dir)
             if standing is own:
                 logger.info("stage %s: verified, skipping", stage.name)
             elif standing:
@@ -1083,8 +1058,7 @@ def run_experiment(
                     raise
                 manifest.mark_done(stage.name, run_dir, outputs, fingerprint=fingerprint,
                                    wall_s=round(time.perf_counter() - start, 6))
-                if fingerprint:
-                    _point(store, fingerprint, run_dir)
+                _point(store, fingerprint, run_dir)
                 digests = manifest.stages[stage.name].artifacts
                 kept.update((path.name, (digests[path.name], value))
                             for path, value in outputs.items() if value is not None)

@@ -5,12 +5,11 @@ A :class:`SegmentLog` is one directory of append-only segment files. Each
 record is checksummed, and each segment has one writing process, so writers
 never share a file and need no lock across processes. A log is indexed once,
 when it is opened; a lookup reads that index and this process's own appends,
-and a miss never rescans the directory. A batch of lookups reads the records
-of keys appended together with one read, so a warm run that asks in the cold
-run's order makes a few reads, not one per hit. The embedding cache stores whole
-entries in one log per provider; :class:`ArtifactCache` (images, chat
-responses) stores each entry as a payload record in ``<root>/data/`` and a
-meta record in ``<root>/meta/``, so that a hit reads no payload bytes.
+and a miss never rescans the directory; a hit is one read at the offset the
+index gives. The embedding cache stores whole entries in one log per
+provider; :class:`ArtifactCache` (images, chat responses) stores each entry
+as a payload record in ``<root>/data/`` and a meta record in
+``<root>/meta/``, so that a hit reads no payload bytes.
 """
 
 from __future__ import annotations
@@ -115,7 +114,6 @@ def iter_jsonl(data: bytes) -> Iterator[dict]:
 SEGMENT_MAGIC = b"ESG1"
 SEGMENT_SUFFIX = ".seg"
 _RECORD_HEADER = struct.Struct("<4s32sII")
-READ_BOUND = 1 << 18  # bytes one read of SegmentLog.find_many spans, unless one record is larger
 
 
 def _key_digest(key: str) -> bytes:
@@ -152,9 +150,8 @@ class SegmentLog:
     this process's own appends, once their write has returned whole. A
     lookup reads the index and never rescans the directory, so a record that
     another process appends after the open is seen by the next log opened on
-    the directory, not by this one. :meth:`find_many` reads the records of
-    consecutive keys that lie back to back with one ``os.pread``;
-    :meth:`find` is a one-key :meth:`find_many`.
+    the directory, not by this one. :meth:`find` reads a key's records one
+    ``os.pread`` each, oldest first, and stops at the first it serves.
 
     Recovery: a scan stops at a segment's first record that is short or has
     a bad magic, so a torn tail is a miss; a torn write of several records
@@ -204,55 +201,11 @@ class SegmentLog:
     def _add(self, digest: bytes, location: tuple[int, int, int, int]) -> None:
         self._index[digest] = (*self._index.get(digest, ()), location)
 
-    def find_many(self, keys: Iterable[str], accept: Callable[[bytes, bytes], bool] | None = None
-                  ) -> Iterator[tuple[str, bytes | None]]:
-        """Yield ``(key, payload)`` for each of ``keys``, in order: the
-        payload of the key's first intact record that ``accept(key digest,
-        payload)`` takes (any, by default), or ``None``.
-
-        The first records of consecutive keys that lie back to back in one
-        segment are read with one ``os.pread`` of at most :data:`READ_BOUND`.
-        A key whose record fails its crc, or that ``accept`` declines, tries
-        each of its records in turn, and a corrupt one leaves the index.
-        """
-        run: list[tuple[str, bytes, tuple[int, int, int, int]]] = []  # (key, digest, first record)
-        fd = start = end = 0  # the run's segment, where its first payload starts and its last ends
-        for key in keys:
-            digest = _key_digest(key)
-            first = self._index.get(digest, (None,))[0]
-            if run and (first is None or first[0] != fd or first[1] != end + _RECORD_HEADER.size
-                        or first[1] + first[2] - start > READ_BOUND):
-                yield from self._read_run(run, accept)
-                run = []
-            if first is None:
-                yield key, None
-                continue
-            if not run:
-                fd, start = first[0], first[1]
-            run.append((key, digest, first))
-            end = first[1] + first[2]
-        yield from self._read_run(run, accept)
-
-    def _read_run(self, run: list, accept: Callable[[bytes, bytes], bool] | None
-                  ) -> Iterator[tuple[str, bytes | None]]:
-        """The keys of ``run``, whose first records lie back to back in one
-        segment, served from one read."""
-        if not run:
-            return
-        fd, start, _, _ = run[0][2]
-        _, last, last_length, _ = run[-1][2]
-        data = os.pread(fd, last + last_length - start, start)
-        for key, digest, (_, offset, length, crc) in run:
-            payload = data[offset - start:offset - start + length]
-            if (len(payload) == length and _record_crc(digest, length, payload) == crc
-                    and (accept is None or accept(digest, payload))):
-                yield key, payload
-            else:
-                yield key, self._find_one(digest, accept)
-
-    def _find_one(self, digest: bytes, accept: Callable[[bytes, bytes], bool] | None) -> bytes | None:
-        """The first intact record of ``digest`` that ``accept`` takes, or
-        ``None``; each record is read on its own."""
+    def find(self, key: str, accept: Callable[[bytes], bool] | None = None) -> bytes | None:
+        """The payload of ``key``'s first intact record that ``accept``
+        takes (any, by default), or ``None``. A record that fails its crc is
+        a miss and leaves the index."""
+        digest = _key_digest(key)
         for location in self._index.get(digest, ()):
             fd, offset, length, crc = location
             payload = os.pread(fd, length, offset)
@@ -262,18 +215,14 @@ class SegmentLog:
                         r for r in self._index.get(digest, ()) if r != location
                     )
                 continue
-            if accept is None or accept(digest, payload):
+            if accept is None or accept(payload):
                 return payload
         return None
 
-    def find(self, key: str, accept: Callable[[bytes, bytes], bool] | None = None) -> bytes | None:
-        """The payload :meth:`find_many` yields for ``key`` alone."""
-        return next(self.find_many([key], accept))[1]
-
-    def crcs(self, digest: bytes) -> set[int]:
-        """The crc of each indexed record of the key whose sha256 is
-        ``digest``: which records there are, without reading one."""
-        return {crc for *_, crc in self._index.get(digest, ())}
+    def crcs(self, key: str) -> set[int]:
+        """The crc of each indexed record of ``key``: which records there are,
+        without reading one."""
+        return {crc for *_, crc in self._index.get(_key_digest(key), ())}
 
     def append_many(self, records: Iterable[tuple[str, bytes]], *, once: bool = False) -> list[int | None]:
         """Append a record per ``(key, payload)``, in order, with one
@@ -384,13 +333,11 @@ class ArtifactCache:
 
     Lookups: an entry is the first intact meta record of its key (oldest
     segment first) whose payload record is indexed, matched by crc. So
-    :meth:`lookup_many` reads meta records and the data log's index, and no
-    payload; the meta records of keys put together are read together, with
-    one read (see :meth:`SegmentLog.find_many`). :meth:`lookup` is a
-    one-key :meth:`lookup_many`, and :meth:`has` and :meth:`get_meta` wrap
-    it. Each log is indexed when the cache first uses it, and a miss never
-    rescans; records that another process appends later are seen by the
-    next cache opened on the root. :meth:`get` returns the
+    :meth:`lookup` (and :meth:`has` and :meth:`get_meta`, which wrap it)
+    reads the data log's index, then the key's meta records one read each
+    until one is served, and no payload. Each log is indexed when the cache first uses it, and a
+    miss never rescans; records that another process appends later are seen
+    by the next cache opened on the root. :meth:`get` returns the
     crc-checked payload of the key whose sha256 is the one given, by default
     the served meta's, so each writer of a lost race reads its own bytes.
 
@@ -408,23 +355,18 @@ class ArtifactCache:
         self.root = Path(root)
         self._logs = SegmentLogs(self.root)
 
-    def _meta_records(self, keys: Iterable[str]) -> Iterator[tuple[str, bytes | None]]:
-        """``(key, the meta record served for it)`` for each of ``keys``: the
-        first whose payload record is indexed, or ``None``."""
-        data_log = self._logs[_DATA]
-        return self._logs[_META].find_many(
-            keys, lambda digest, record: _META_HEADER.unpack_from(record)[1] in data_log.crcs(digest))
-
-    def lookup_many(self, keys: Iterable[str]) -> Iterator[tuple[str, dict | None]]:
-        """``(key, the meta of its entry)`` for each of ``keys``, in order,
-        ``None`` for a miss; the meta records of keys put together are read
-        together."""
-        for key, record in self._meta_records(keys):
-            yield key, None if record is None else json.loads(record[_META_HEADER.size:])
+    def _meta_record(self, key: str) -> bytes | None:
+        """The meta record served for ``key``: the first whose payload record
+        is indexed. A key without a payload record reads no meta record."""
+        payloads = self._logs[_DATA].crcs(key)
+        if not payloads:
+            return None
+        return self._logs[_META].find(key, lambda record: _META_HEADER.unpack_from(record)[1] in payloads)
 
     def lookup(self, key: str) -> dict | None:
         """The meta of ``key``'s entry, or ``None`` on a miss."""
-        return next(self.lookup_many([key]))[1]
+        record = self._meta_record(key)
+        return None if record is None else json.loads(record[_META_HEADER.size:])
 
     def has(self, key: str) -> bool:
         return self.lookup(key) is not None
@@ -433,13 +375,13 @@ class ArtifactCache:
         """The payload of ``key`` whose sha256 (hex) is ``sha256``, by default
         the one its meta names; :class:`CacheError` if no intact record is."""
         if sha256 is None:
-            record = next(self._meta_records([key]))[1]
+            record = self._meta_record(key)
             if record is None:
                 raise CacheError(f"cache miss for key {key}")
             digest, _ = _META_HEADER.unpack_from(record)
         else:
             digest = bytes.fromhex(sha256)
-        payload = self._logs[_DATA].find(key, lambda _, data: hashlib.sha256(data).digest() == digest)
+        payload = self._logs[_DATA].find(key, lambda data: hashlib.sha256(data).digest() == digest)
         if payload is None:
             raise CacheError(f"no intact record of key {key} has sha256 {digest.hex()}")
         return payload
@@ -463,9 +405,9 @@ class ArtifactCache:
         for key, data, meta in entries:
             first.setdefault(key, (data, meta))
         with meta_log.write_lock:
-            # a key without a payload record has no entry: no meta record to read
-            stored = dict(self.lookup_many(key for key in first if data_log.crcs(_key_digest(key))))
-            fresh = [(key, data, meta) for key, (data, meta) in first.items() if stored.get(key) is None]
+            # a key without a payload record has no entry: no lookup
+            stored = {key: self.lookup(key) if data_log.crcs(key) else None for key in first}
+            fresh = [(key, data, meta) for key, (data, meta) in first.items() if stored[key] is None]
             crcs = data_log.append_many([(key, data) for key, data, _ in fresh])
             meta_log.append_many([
                 (key, _META_HEADER.pack(hashlib.sha256(data).digest(), crc) + canonical_json(meta).encode("utf-8"))

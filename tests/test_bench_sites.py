@@ -41,3 +41,39 @@ def test_the_bench_times_the_declared_stages_in_order():
     from t2ifuse import orchestrator
 
     assert _tracing().STAGES == tuple(stage.name for stage in orchestrator.STAGES)
+
+
+def test_a_forced_run_gets_each_embedding_once_through_the_traced_site(tmp_path):
+    from t2ifuse.config import parse_config_data
+    from t2ifuse.orchestrator import ProviderRegistry, run_experiment
+    from t2ifuse.storage import read_jsonl
+    from t2ifuse.synthetic import build_separability_fixture
+
+    fixture = build_separability_fixture(tmp_path / "data", samples_per_class=8, seed=3)
+
+    def config(out):
+        return parse_config_data({
+            "experiment_id": "sites",
+            "dataset": {"path": str(fixture.dataset_csv), "split_seed": 5, "split_fractions": [0.5, 0.25, 0.25]},
+            "output_dir": str(tmp_path / out),
+            "cache_dir": str(tmp_path / "cache"),
+            "method": "gen_image",
+            "strategy": "keyword",
+            "generation": {"backend": "flux-schnell"},
+            "providers": {"text": "hash-16", "image": "hash-16"},
+            "fusion": {"mechanism": "concat", "model_dim": 8, "heads": 2, "hidden_dim": 12},
+            "training": {"batch_size": 8, "max_epochs": 1, "patience": 1},
+            "seeds": [0],
+        })
+
+    run_experiment(config("cold"))  # fills the caches
+    registry, tracer = ProviderRegistry(), _tracing().Tracer()
+    with tracer.installed(registry):
+        # the name bound before the tracer wraps run_experiment: one call, the sites traced
+        run_experiment(config("forced"), registry, force=True)
+    assert tracer.missing == {}
+    features = list(read_jsonl(tmp_path / "forced" / "features.jsonl"))
+    keys = ({(row["text_provider"], row["text_key"]) for row in features}
+            | {(row["image"]["provider"], row["image"]["key"]) for row in features})
+    assert len(keys) == 2 * len(features) > 0
+    assert tracer.totals()["embedding.cache_get"][0] == len(keys)  # every one a hit

@@ -437,7 +437,7 @@ def test_a_warm_gen_image_run_opens_no_image_payload(tmp_path, fixture_dataset, 
     assert data and set(data) == {44}  # the scan reads each record's header, and no image
 
 
-def test_a_warm_run_reads_its_cache_hits_a_run_of_records_at_a_time(tmp_path, monkeypatch):
+def test_a_warm_run_reads_each_cache_hit_once(tmp_path, monkeypatch):
     fixture = build_separability_fixture(tmp_path / "data", samples_per_class=16, seed=3)
     config = _base_config(tmp_path, fixture)
     run_experiment(config, until_stage="embeddings")  # what fills the caches; no later stage to reuse
@@ -462,11 +462,15 @@ def test_a_warm_run_reads_its_cache_hits_a_run_of_records_at_a_time(tmp_path, mo
     monkeypatch.setattr(storage.SegmentLog, "_scan", recording_scan)
     warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
     run_experiment(warm, until_stage="embeddings", force=True)
-    # 64 meta records, then 64 text and 64 image embeddings: a read per lookup batch, not per hit
-    assert fixture.num_samples == 64 and reads == {"images/meta": 1, "emb/hash-16": 2}
+    features = list(read_jsonl(Path(warm.output_dir) / "features.jsonl"))
+    prompts = {row["prompt_key"] for row in read_jsonl(Path(warm.output_dir) / "images.jsonl")}
+    embeddings = {row["text_key"] for row in features} | {row["image"]["key"] for row in features}
+    assert fixture.num_samples == len(prompts) == len(embeddings) / 2 == 64
+    # a meta record per prompt, then an embedding per text and per image: one read per distinct hit
+    assert reads == {"images/meta": len(prompts), "emb/hash-16": len(embeddings)}
     reads.clear()
-    run_experiment(warm)  # resumed at training: features.jsonl's embeddings read back in one batch
-    assert reads == {"emb/hash-16": 1}
+    run_experiment(warm)  # resumed at training: features.jsonl's embeddings read back, one read each
+    assert reads == {"emb/hash-16": len(embeddings)}
 
 
 def test_a_tampered_image_fails_the_embeddings_stage(tmp_path, fixture_dataset):
@@ -1368,14 +1372,13 @@ def test_a_warm_run_parses_no_run_artifact_and_reads_each_embedding_once(
             monkeypatch.setattr(module, "read_jsonl", recording_read_jsonl)
     iter_jsonl = orchestrator.iter_jsonl
     monkeypatch.setattr(orchestrator, "iter_jsonl", lambda data: parsed.append(data) or iter_jsonl(data))
-    get_many = orchestrator.EmbeddingCache.get_many
+    get = orchestrator.EmbeddingCache.get
 
-    def recording_get_many(cache, provider_id, keys):
-        keys = list(keys)
-        lookups.extend((provider_id, key) for key in keys)
-        return get_many(cache, provider_id, keys)
+    def recording_get(cache, provider_id, key):
+        lookups.append((provider_id, key))
+        return get(cache, provider_id, key)
 
-    monkeypatch.setattr(orchestrator.EmbeddingCache, "get_many", recording_get_many)
+    monkeypatch.setattr(orchestrator.EmbeddingCache, "get", recording_get)
     _, report = run_experiment(warm, force=True)
     run_dir = os.path.realpath(warm.output_dir)
     assert report is not None and samples > 0
@@ -1509,26 +1512,19 @@ def test_the_images_stage_keys_each_row_once_and_looks_up_a_warm_hit_once(
     key = counted("prompt_key", generation.prompt_key)
     monkeypatch.setattr(generation, "prompt_key", key)
     monkeypatch.setattr(orchestrator, "prompt_key", key)
-    lookup_many = ImageStore.lookup_many
-
-    def counted_lookup_many(store, keys):
-        keys = list(keys)
-        calls["meta record"] += len(keys)
-        return lookup_many(store, keys)
-
-    monkeypatch.setattr(ImageStore, "lookup_many", counted_lookup_many)
+    monkeypatch.setattr(ImageStore, "lookup", counted("lookup", ImageStore.lookup))
     config = _base_config(tmp_path, fixture_dataset)
     run_experiment(config, until_stage="images")
     cold = list(read_jsonl(Path(config.output_dir) / "images.jsonl"))
     rows = len(cold)
     assert rows > 0 and len({row["prompt_key"] for row in cold}) == rows  # a key per row
-    # one lookup per key; storing a miss reads no meta record
-    assert calls == {"prompt_key": rows, "meta record": rows}
+    # one lookup per key; storing a miss makes none
+    assert calls == {"prompt_key": rows, "lookup": rows}
 
     calls.clear()
     warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
     run_experiment(warm, until_stage="images", force=True)
-    assert calls == {"prompt_key": rows, "meta record": rows}
+    assert calls == {"prompt_key": rows, "lookup": rows}
     assert list(read_jsonl(Path(warm.output_dir) / "images.jsonl")) == cold
 
 

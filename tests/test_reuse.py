@@ -333,6 +333,20 @@ def test_an_input_file_gone_fails_the_stage_that_reads_it(tmp_path, fix, field, 
     assert stages[reader].status == "failed" and stages[reader].reason.startswith(error.__name__ + ": ")
 
 
+def test_a_missing_input_file_that_no_stage_reads_lets_every_stage_stand(tmp_path, fix, monkeypatch):
+    providers = {"text": "hash-16", "image": "hash-16", "oracle_features": str(tmp_path / "gone.jsonl")}
+    config = _config(tmp_path, fix, method="text_only", providers=providers)
+    run_experiment(config)
+    assert all(status.fingerprint for status in RunManifest.load(Path(config.output_dir)).stages.values())
+    ran = _record_runs(monkeypatch)
+    _, report = run_experiment(config)  # a resume: every stage stands in place
+    fresh = _config(tmp_path, fix, "fresh", method="text_only", providers=providers)
+    _, fresh_report = run_experiment(fresh)  # a fresh run directory: every stage is reused
+    assert report is not None and fresh_report is not None and ran == []
+    assert all(source is not None for source in _reused(fresh.output_dir).values())
+    assert _files(fresh.output_dir) == _files(config.output_dir)
+
+
 # --- the manifest and the CLI ------------------------------------------------------
 
 

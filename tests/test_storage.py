@@ -477,7 +477,7 @@ def test_concurrent_writers_of_one_path_use_their_own_temp_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.bin"]
 
 
-# --- batched reads -------------------------------------------------------------
+# --- reads of damaged logs ------------------------------------------------------
 
 
 def _log_with(directory, *segments):
@@ -520,38 +520,25 @@ def _a_torn_tail(root):
     return ["k0", "k1", "k2"], [b"zero", b"one", None]
 
 
-def _a_run_longer_than_the_read_bound(root):
-    payloads = [bytes([n]) * (storage.READ_BOUND // 4) for n in range(7)]
-    _log_with(root, [(f"k{n}", p) for n, p in enumerate(payloads)])
-    return [f"k{n}" for n in range(7)], payloads
-
-
 @pytest.mark.parametrize("case", [_absent_and_out_of_order, _one_key_in_two_segments,
-                                  _a_crc_flipped_first_record, _a_torn_tail,
-                                  _a_run_longer_than_the_read_bound])
-def test_a_batched_find_yields_what_each_find_returns(tmp_path, monkeypatch, case):
+                                  _a_crc_flipped_first_record, _a_torn_tail])
+def test_find_serves_each_keys_first_intact_record(tmp_path, monkeypatch, case):
     keys, expected = case(tmp_path / "log")
-    batched, single = storage.SegmentLog(tmp_path / "log"), storage.SegmentLog(tmp_path / "log")
+    log = storage.SegmentLog(tmp_path / "log")
     reads, pread = [], os.pread
     monkeypatch.setattr(os, "pread", lambda fd, length, offset: reads.append(length) or pread(fd, length, offset))
     try:
-        found = list(batched.find_many(keys))
-        assert found == list(zip(keys, expected))
-        assert found == [(key, single.find(key)) for key in keys]
+        assert [log.find(key) for key in keys] == expected
         reads.clear()
-        assert list(batched.find_many(keys)) == found  # again, after any corrupt record left the index
-        assert len(reads) <= len(keys) and max(reads) <= storage.READ_BOUND
+        assert [log.find(key) for key in keys] == expected  # again, after any corrupt record left the index
+        assert len(reads) == sum(payload is not None for payload in expected)  # one read per hit
         if case is _a_crc_flipped_first_record:
-            assert len(batched._index[storage._key_digest("k1")]) == 1
-            assert len(single._index[storage._key_digest("k1")]) == 1
-        if case is _a_run_longer_than_the_read_bound:
-            assert len(reads) == 3  # three records a read, then the last one alone
+            assert len(log._index[storage._key_digest("k1")]) == 1
     finally:
-        batched.close()
-        single.close()
+        log.close()
 
 
-def test_batched_lookups_and_gets_return_what_each_lookup_and_get_returns(tmp_path):
+def test_lookups_and_gets_serve_what_a_damaged_cache_still_holds(tmp_path):
     root = tmp_path / "c"
     # an older meta record of k1 names a payload record that no segment holds
     _log_with(root / "meta", [("k1", storage._META_HEADER.pack(bytes(32), 12345) + b'{"n":-1}')])
@@ -560,32 +547,35 @@ def test_batched_lookups_and_gets_return_what_each_lookup_and_get_returns(tmp_pa
     cache.close()
     [data] = (root / "data").glob("*.seg")
     data.write_bytes(data.read_bytes()[:-1])  # k3's payload record is torn: its meta names no record
-    keys = ["k3", "k1", "absent", "k0", "k2", "k1"]
-    batched, single = ArtifactCache(root), ArtifactCache(root)
+    cache = ArtifactCache(root)
     try:
-        found = list(batched.lookup_many(keys))
-        assert found == [("k3", None), ("k1", {"n": 1}), ("absent", None), ("k0", {"n": 0}),
-                         ("k2", {"n": 2}), ("k1", {"n": 1})]
-        assert found == [(key, single.lookup(key)) for key in keys]
+        assert [cache.lookup(key) for key in ["k3", "k1", "absent", "k0", "k2", "k1"]] == [
+            None, {"n": 1}, None, {"n": 0}, {"n": 2}, {"n": 1}]
+        assert [cache.get(key) for key in ["k1", "k0", "k2"]] == [b"payload 1", b"payload 0", b"payload 2"]
+        for key in ("k3", "absent"):
+            with pytest.raises(CacheError):
+                cache.get(key)
     finally:
-        batched.close()
-        single.close()
+        cache.close()
 
     provider = HashProjectionProvider("hash-8", 8)
     writer = EmbeddingCache(tmp_path / "emb")
     for text in TEXTS:
         embed_text(text, provider, writer)
     writer.close()
-    keys = [sha256_hex(text.encode("utf-8")) for text in reversed(TEXTS)] + ["0" * 64]
-    batched, single = EmbeddingCache(tmp_path / "emb"), EmbeddingCache(tmp_path / "emb")
+    [segment] = _segments(tmp_path / "emb")
+    segment.write_bytes(segment.read_bytes()[:-1])  # the last text's record is torn
+    cache = EmbeddingCache(tmp_path / "emb")
     try:
-        got = list(batched.get_many("hash-8", keys))
-        assert [key for key, _ in got] == keys and got[-1][1] is None
-        for (key, value), expected in zip(got[:-1], (single.get("hash-8", key) for key in keys)):
-            _assert_same(value, expected)
+        for text, kept in zip(reversed(TEXTS), (False, True, True)):
+            got = cache.get("hash-8", sha256_hex(text.encode("utf-8")))
+            if kept:
+                _assert_same(got, embed_text(text, provider))
+            else:
+                assert got is None
+        assert cache.get("hash-8", "0" * 64) is None
     finally:
-        batched.close()
-        single.close()
+        cache.close()
 
 
 # --- canonical JSON ------------------------------------------------------------
