@@ -209,11 +209,14 @@ EXECUTION_FIELDS = {
 
 
 def without_fields(data: dict, paths) -> dict:
-    """``data``, a config's ``to_dict()``, with the fields at the dotted ``paths`` deleted."""
+    """A copy of ``data``, a config's ``to_dict()``, less the fields at the dotted ``paths``."""
+    out = dict(data)
     for path in paths:
         section, _, name = path.rpartition(".")
-        del (data[section] if section else data)[name]
-    return data
+        if section and out[section] is data[section]:  # a section is copied once, if a path names it
+            out[section] = dict(data[section])
+        del (out[section] if section else out)[name]
+    return out
 
 
 def _matches(value, hint) -> bool:

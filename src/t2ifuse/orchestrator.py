@@ -2,8 +2,11 @@
 
 An experiment runs five stages in order -- prompts, images, embeddings,
 training, evaluation -- each leaving verifiable artifacts in the run
-directory and a transactionally updated manifest; the content-addressed
-caches make repeated generation/embedding work free (and remote-call free).
+directory, listed in ``manifest.json``, which is committed (synced, renamed)
+when a stage that ran is marked done or failed and once after the last stage
+for reuses still unsaved: a crash between commits loses only reuse records,
+which the next run redoes. The content-addressed caches make repeated
+generation/embedding work free (and remote-call free).
 
 One rule decides whether a stage runs: its outputs stand when a manifest
 records it done under its current fingerprint and each of its artifacts still
@@ -309,7 +312,7 @@ class RunManifest:
     version: str = __version__
     descriptor: dict = field(default_factory=dict)
     stages: dict[str, StageStatus] = field(default_factory=dict)
-    created_at: str = ""
+    created_at: str = field(default_factory=lambda: _dt.datetime.now(_dt.timezone.utc).isoformat())
     updated_at: str = ""
 
     def __post_init__(self):
@@ -339,9 +342,10 @@ class RunManifest:
         return manifest
 
     def save(self, run_dir: Path) -> None:
+        """Commit: write ``manifest.json`` through a synced temp file and a
+        rename. A run commits when a stage that ran is marked done or failed,
+        and once after its last stage for a :meth:`record` still unsaved."""
         self.updated_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
-        if not self.created_at:
-            self.created_at = self.updated_at
         atomic_write_text(run_dir / "manifest.json", json.dumps(self.to_dict(), sort_keys=True, indent=2))
 
     @classmethod
@@ -351,19 +355,21 @@ class RunManifest:
 
     def mark_done(self, stage: str, run_dir: Path, artifact_paths: Iterable[Path], **fields) -> None:
         """Record ``stage`` done with the sha256 of each file it wrote, and the
-        other :class:`StageStatus` ``fields`` given."""
+        other :class:`StageStatus` ``fields`` given, and commit."""
         artifacts = {}
         for path in artifact_paths:
             rel = str(Path(path).relative_to(run_dir))
             artifacts[rel] = sha256_hex(Path(path).read_bytes())
-        self.record(stage, run_dir, StageStatus(status="done", artifacts=artifacts, **fields))
-
-    def record(self, stage: str, run_dir: Path, status: StageStatus) -> None:
-        self.stages[stage] = status
+        self.record(stage, StageStatus(status="done", artifacts=artifacts, **fields))
         self.save(run_dir)
 
+    def record(self, stage: str, status: StageStatus) -> None:
+        """Set ``stage``'s status in memory: the next :meth:`save` commits it, a crash before loses it."""
+        self.stages[stage] = status
+
     def mark_failed(self, stage: str, run_dir: Path, reason: str) -> None:
-        self.record(stage, run_dir, StageStatus(status="failed", reason=reason))
+        self.record(stage, StageStatus(status="failed", reason=reason))
+        self.save(run_dir)
 
 
 # --- stage implementations -----------------------------------------------
@@ -899,13 +905,14 @@ def _source_hash() -> str:
     return stable_key({path.name: sha256_hex(path.read_bytes()) for path in sorted(package.glob("*.py"))})
 
 
-def _fingerprints(config: ExperimentConfig) -> dict[str, str]:
+def _fingerprints(config: ExperimentConfig, data: dict | None = None) -> dict[str, str]:
     """Each stage's fingerprint under ``config``: the sha256 of its name, the
     package source, the output fields it does not ignore, the cache location
     (``image_ref`` names it), the sha256 of each of its input files, and the
     previous stage's fingerprint. An input file that cannot be read hashes
     as a marker naming the error, so a stage that reads it runs and fails,
-    and one that does not stands once it has run."""
+    and one that does not stands once it has run. ``data``: ``config.to_dict()``."""
+    data = config.to_dict() if data is None else data
     cache_dir = str(config.resolved_cache_dir())
     fingerprints: dict[str, str] = {}
     previous = ""
@@ -917,7 +924,7 @@ def _fingerprints(config: ExperimentConfig) -> dict[str, str]:
                 files[path] = name and sha256_hex(Path(name).read_bytes())
             except OSError as exc:
                 files[path] = f"unreadable: {type(exc).__name__}"
-        fields = without_fields(config.to_dict(), (*EXECUTION_FIELDS, *stage.ignores))
+        fields = without_fields(data, (*EXECUTION_FIELDS, *stage.ignores))
         previous = fingerprints[stage.name] = stable_key(
             [stage.name, _source_hash(), fields, cache_dir, files, previous])
     return fingerprints
@@ -941,30 +948,31 @@ def _holds(path: Path, digest: str) -> bool:
 
 
 def _standing(stage: str, fingerprint: str, own: StageStatus, store: Path,
-              run_dir: Path) -> StageStatus | None:
+              run_dir: Path, load: Callable[[Path], RunManifest] = RunManifest.load) -> StageStatus | None:
     """The status under which the outputs of ``stage`` stand in ``run_dir``:
     the ``own`` one, checked in place, or else that of the run (never this
     one) the pointer for ``fingerprint`` names, once each of its artifacts is
     linked into ``run_dir`` (or copied, where a link fails) and checked.
-    ``None``, with no temp file left, when neither verifies."""
+    ``None``, with no temp file left, when neither verifies. ``load`` reads a
+    producer's manifest."""
     if own.status == "done" and own.fingerprint == fingerprint and all(
             _holds(run_dir / rel, digest) for rel, digest in own.artifacts.items()):
         return own
     try:
         producer = Path((store / fingerprint).read_text(encoding="utf-8"))
         usable = producer.is_absolute() and producer != Path(os.path.abspath(run_dir))
-        status = RunManifest.load(producer).stages[stage] if usable else None
+        status = load(producer).stages[stage] if usable else None
     except (OSError, ValueError, ManifestError):  # no, a torn or a dangling pointer
         return None
-    if status is None or status.status != "done" or status.fingerprint != fingerprint:
+    if status is None or status.status != "done" or status.fingerprint != fingerprint or any(
+            Path(rel).is_absolute() or ".." in Path(rel).parts for rel in status.artifacts):
         return None
     temps = {}
     try:
+        for directory in {(run_dir / rel).parent for rel in status.artifacts}:
+            directory.mkdir(parents=True, exist_ok=True)
         for rel, digest in status.artifacts.items():
-            if Path(rel).is_absolute() or ".." in Path(rel).parts:
-                return None
             target = run_dir / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
             tmp = temps[target] = target.with_name(f"{target.name}.{os.getpid()}.reuse")
             tmp.unlink(missing_ok=True)  # a copy must not write through a stale link
             try:
@@ -995,6 +1003,10 @@ def run_experiment(
     """Execute the staged pipeline, running each stage whose outputs do not
     stand (see the module docstring).
 
+    A stage that ran commits the manifest before the next starts; reuses
+    ride on that commit or on one after the loop, and a crash before it
+    loses only them. A fresh run directory has no manifest until then.
+
     ``until_stage`` stops after the named stage (inclusive). ``force`` runs
     every stage: it ignores recorded stage statuses and reuses nothing, and
     each stage that runs still leaves its pointer for later runs. Returns the
@@ -1008,9 +1020,9 @@ def run_experiment(
     run_dir.mkdir(parents=True, exist_ok=True)
     caches = _build_caches(config)
 
-    config_hash, output_hash = config.config_hash(), config.output_hash()
-    manifest_path = run_dir / "manifest.json"
-    if manifest_path.exists():
+    data = config.to_dict()  # for config_hash(), output_hash() and every fingerprint
+    config_hash, output_hash = stable_key(data), stable_key(without_fields(data, EXECUTION_FIELDS))
+    if (run_dir / "manifest.json").exists():
         manifest = RunManifest.load(run_dir)
         # an older manifest records no output hash; its config hash decides
         recorded, current = ((manifest.output_hash, output_hash) if manifest.output_hash
@@ -1028,24 +1040,26 @@ def run_experiment(
             output_hash=output_hash,
             descriptor=_descriptor(config),
         )
-        manifest.save(run_dir)
 
     last_reader = {name: stage.name for stage in STAGES for name in stage.reads}
     kept: dict[str, tuple[str, object]] = {}  # artifact name -> (sha256 of its bytes, value)
-    fingerprints = _fingerprints(config)
+    fingerprints = _fingerprints(config, data)
     store = config.resolved_cache_dir() / "stages"
+    load = functools.cache(RunManifest.load)  # each producer's manifest is read once
+    unsaved = False  # whether a reuse is recorded since the last commit
     try:
         for stage in STAGES:
             fingerprint = fingerprints[stage.name]
             start = time.perf_counter()
             own = manifest.stages[stage.name]
-            standing = None if force else _standing(stage.name, fingerprint, own, store, run_dir)
+            standing = None if force else _standing(stage.name, fingerprint, own, store, run_dir, load)
             if standing is own:
                 logger.info("stage %s: verified, skipping", stage.name)
             elif standing:
                 logger.info("stage %s: reused from %s", stage.name, standing.reused_from)
                 standing.wall_s = round(time.perf_counter() - start, 6)
-                manifest.record(stage.name, run_dir, standing)
+                manifest.record(stage.name, standing)
+                unsaved = True
             else:
                 changed = not force and own.status == "done" and own.fingerprint not in (None, fingerprint)
                 logger.info("stage %s: inputs changed since it ran, running" if changed
@@ -1058,6 +1072,7 @@ def run_experiment(
                     raise
                 manifest.mark_done(stage.name, run_dir, outputs, fingerprint=fingerprint,
                                    wall_s=round(time.perf_counter() - start, 6))
+                unsaved = False
                 _point(store, fingerprint, run_dir)
                 digests = manifest.stages[stage.name].artifacts
                 kept.update((path.name, (digests[path.name], value))
@@ -1067,6 +1082,8 @@ def run_experiment(
                     kept.pop(name, None)
             if stage.name == until_stage:
                 break
+        if unsaved:
+            manifest.save(run_dir)
     finally:
         for cache in caches.values():
             cache.close()

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import typing
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import yaml
 import pytest
 
-from t2ifuse.config import ConfigError, ExperimentConfig, parse_config, parse_config_data
+from t2ifuse.config import (EXECUTION_FIELDS, ConfigError, ExperimentConfig, parse_config, parse_config_data,
+                            without_fields)
 
 
 def _minimal(tmp_path, **extra):
@@ -247,6 +249,18 @@ def test_example_config_keeps_its_hash():
     path = Path(__file__).resolve().parents[1] / "demos" / "config.example.yaml"
     config = parse_config_data(yaml.safe_load(path.read_text()))
     assert config.config_hash() == "0fccadfd5c871d0e79c6ddd11adecebb7ed844810aaff2face57b3dbd5653145"
+
+
+def test_without_fields_returns_a_copy_and_leaves_its_argument_as_it_was(tmp_path):
+    data = parse_config_data(_minimal(tmp_path)).to_dict()
+    before = copy.deepcopy(data)
+    paths = (*EXECUTION_FIELDS, "fusion", "training.seed", "sweep_axes")
+    expected = copy.deepcopy(data)
+    for path in paths:
+        section, _, name = path.rpartition(".")
+        del (expected[section] if section else expected)[name]
+    assert without_fields(data, paths) == expected
+    assert data == before
 
 
 def test_every_section_reports_its_own_check(tmp_path):

@@ -373,6 +373,53 @@ def test_prompt_and_image_stages_fsync_each_segment_once_and_a_warm_run_appends_
     assert {cache: _log_segments(config, cache) for cache in ("chat", "images")} == logs
 
 
+def test_a_run_syncs_each_file_it_writes_and_its_manifest_once_per_stage_it_ran(
+        tmp_path, fixture_dataset, monkeypatch):
+    """The sync budget, in closed form: each stage that ran syncs each file
+    it wrote whole, then commits the manifest once; the embeddings stage
+    also syncs each cache segment it appended to. A reused run commits once."""
+    config = _base_config(tmp_path, fixture_dataset, method="oracle_image")
+    cache_root = os.path.realpath(config.resolved_cache_dir())
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.readlink(f"/proc/self/fd/{fd}"))
+        fsync(fd)
+
+    def synced_names(run_dir) -> list[str]:
+        """What was synced: a segment by its path in the cache, any other
+        file by its path in ``run_dir``, less the suffix of its temp name."""
+        run_dir = os.path.realpath(run_dir)
+        return sorted(os.path.relpath(p, cache_root) if p.startswith(cache_root + os.sep)
+                      else re.sub(r"\.\d+\.\d+\.tmp$", "", os.path.relpath(p, run_dir)) for p in synced)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    manifest, _ = run_experiment(config)
+    commit = ["manifest.json"]
+    segments = [os.path.relpath(p, cache_root) for p in _log_segments(config, "emb")]
+    ran = {
+        "prompts": ["splits.jsonl", "prompts.jsonl", "labels.json", "prompts_summary.json", *commit],
+        "images": ["images.jsonl", *commit],
+        "embeddings": ["features.jsonl", *segments, *commit],
+        # history.jsonl is appended a line an epoch, never synced
+        "training": ["train_s0/best.ntc", "train_s0/best.ntc.manifest.json", *commit],
+        "evaluation": ["eval/eval_seed0.json", "eval/predictions_seed0.jsonl", "attention.tsv",
+                       "summary.json", "report.txt", "records.jsonl", *commit],
+    }
+    assert segments == ["emb/hash-16/" + Path(segments[0]).name]  # the text encoder's one segment
+    assert synced_names(config.output_dir) == sorted(name for names in ran.values() for name in names)
+    assert len(synced) == 20
+    for stage, names in ran.items():
+        written = set(manifest.stages[stage].artifacts) - {"train_s0/history.jsonl"}
+        assert written == set(names) - {*commit, *segments}, stage
+
+    synced.clear()
+    reused = dataclasses.replace(config, output_dir=str(tmp_path / "reused"))
+    run_experiment(reused)
+    assert synced_names(reused.output_dir) == commit
+
+
 @pytest.mark.parametrize("method", ["oracle_image", "gen_image"])
 def test_a_run_lists_each_log_directory_once_however_many_misses(
         tmp_path, fixture_dataset, monkeypatch, method):

@@ -3,6 +3,7 @@ and whether each stage's declarations cover what it reads."""
 
 import copy
 import dataclasses
+import datetime
 import functools
 import json
 import logging
@@ -434,6 +435,132 @@ def test_cli_run_says_which_stages_it_reused(tmp_path, fix, capsys, caplog):
     out = capsys.readouterr().out
     assert "stages reused: prompts, images, embeddings, training, evaluation\n" in out
     assert f"stage training: reused from {tmp_path / 'run'}" in caplog.text
+
+
+# --- when the manifest is committed ----------------------------------------------
+
+
+def _manifest_commits(monkeypatch) -> list[str]:
+    """The run directory of each ``manifest.json`` synced from now on, one entry per commit."""
+    commits = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        path = Path(os.readlink(f"/proc/self/fd/{fd}"))
+        if path.name.startswith("manifest.json."):  # the temp file renamed over it
+            commits.append(str(path.parent))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    return commits
+
+
+def test_a_run_commits_its_manifest_per_stage_it_ran_and_once_for_what_it_reused(tmp_path, fix, monkeypatch):
+    commits = _manifest_commits(monkeypatch)
+    producer = _config(tmp_path, fix, "producer")
+    run_experiment(producer, _registry())
+    assert len(commits) == len(STAGE_NAMES)  # a cold run: one per stage, none before the first
+    config = dataclasses.replace(producer, output_dir=str(tmp_path / "run"))
+    commits.clear()
+    run_experiment(config, _registry())
+    assert _reused(config.output_dir) == dict.fromkeys(STAGE_NAMES, os.path.abspath(producer.output_dir))
+    assert commits == [os.path.realpath(config.output_dir)]
+    commits.clear()
+    run_experiment(config, _registry())  # every stage stands in place
+    assert commits == []
+
+
+def test_a_run_that_fails_after_reusing_commits_its_reuses_with_the_failure(tmp_path, fix, monkeypatch):
+    config = _config(tmp_path, fix)
+    run_experiment(config, _registry(), until_stage="prompts")  # under the source before the edit
+    monkeypatch.setattr(orchestrator, "_source_hash", lambda: "edited")
+    training = {**_data(tmp_path, fix)["training"], "learning_rate": 0.1}
+    producer = _config(tmp_path, fix, "producer", training=training)
+    run_experiment(producer, _registry())  # shares every stage but training and evaluation
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("no head today")
+
+    monkeypatch.setattr(orchestrator, "train_loop", failing)
+    commits = _manifest_commits(monkeypatch)
+    with pytest.raises(RuntimeError, match="no head today"):
+        run_experiment(config, _registry())
+    assert len(commits) == 1
+    assert _reused(config.output_dir) == {**dict.fromkeys(STAGE_NAMES),
+                                          **dict.fromkeys(STAGE_NAMES[:3], os.path.abspath(producer.output_dir))}
+    stages = RunManifest.load(Path(config.output_dir)).stages
+    assert [stages[s].status for s in STAGE_NAMES] == ["done"] * 3 + ["failed", "pending"]
+    assert stages["training"].reason == "RuntimeError: no head today"
+
+
+def test_a_run_interrupted_mid_reuse_finishes_on_the_next_run_without_a_provider_call(
+        tmp_path, fix, monkeypatch, capsys):
+    producer = _config(tmp_path, fix, "producer")
+    run_experiment(producer, _registry())
+    config = dataclasses.replace(producer, output_dir=str(tmp_path / "run"))
+    standing = orchestrator._standing
+    asked = []
+
+    def interrupted(stage, *args):
+        asked.append(stage)
+        if len(asked) == 4:
+            raise KeyboardInterrupt
+        return standing(stage, *args)
+
+    monkeypatch.setattr(orchestrator, "_standing", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config, _registry())
+    assert asked == STAGE_NAMES[:4]
+    monkeypatch.setattr(orchestrator, "_standing", standing)
+
+    assert cli_main(["report", config.output_dir]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"skipped runs:\n  {config.output_dir}: ")
+    assert "Traceback" not in out + err
+
+    registry = _registry()
+    manifest, report = run_experiment(config, registry)
+    assert _calls(registry) == 0 and report is not None
+    forced = dataclasses.replace(producer, output_dir=str(tmp_path / "forced"))
+    run_experiment(forced, _registry(), force=True)
+    assert _files(config.output_dir) == _files(forced.output_dir)
+
+
+def _untimed(manifest: dict) -> dict:
+    """A manifest's data less its timestamps and each stage's ``wall_s``."""
+    data = {key: value for key, value in manifest.items() if key not in ("created_at", "updated_at")}
+    data["stages"] = {name: {key: value for key, value in status.items() if key != "wall_s"}
+                      for name, status in manifest["stages"].items()}
+    return data
+
+
+def test_a_manifest_is_created_before_its_first_stage_and_keeps_its_form_when_reused(
+        tmp_path, fix, monkeypatch):
+    started = []
+
+    def stamped(stage):
+        def run(*args):
+            started.append(datetime.datetime.now(datetime.timezone.utc))
+            return stage.run(*args)
+        return dataclasses.replace(stage, run=run)
+
+    monkeypatch.setattr(orchestrator, "STAGES", tuple(map(stamped, STAGES)))
+    producer = _config(tmp_path, fix, "producer")
+    manifest, _ = run_experiment(producer, _registry())
+    created = datetime.datetime.fromisoformat(manifest.created_at)
+    assert created <= started[0] and datetime.datetime.fromisoformat(manifest.updated_at) >= created
+    assert (manifest.config_hash, manifest.output_hash) == (producer.config_hash(), producer.output_hash())
+
+    config = dataclasses.replace(producer, output_dir=str(tmp_path / "run"))
+    run_experiment(config, _registry())
+    text = (Path(config.output_dir) / "manifest.json").read_text(encoding="utf-8")
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, indent=2)
+    expected = json.loads((Path(producer.output_dir) / "manifest.json").read_text(encoding="utf-8"))
+    expected["config_hash"] = config.config_hash()  # output_dir differs, and only that
+    for status in expected["stages"].values():
+        status["reused_from"] = os.path.abspath(producer.output_dir)
+    assert _untimed(data) == _untimed(expected)
 
 
 # --- the declarations ------------------------------------------------------------
