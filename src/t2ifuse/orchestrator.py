@@ -2,10 +2,13 @@
 
 An experiment runs five stages in order -- prompts, images, embeddings,
 training, evaluation -- each leaving verifiable artifacts in the run
-directory, listed in ``manifest.json``, which is committed (synced, renamed)
-when a stage that ran is marked done or failed and once after the last stage
-for reuses still unsaved: a crash between commits loses only reuse records,
-which the next run redoes. The content-addressed caches make repeated
+directory, listed in ``manifest.json``: only what a manifest lists is a run's
+output. The manifest is committed (synced, renamed) when a stage that ran is
+marked done or failed, and once when the run returns or raises with reuses
+recorded since. A process killed between commits loses only reuse records,
+which the next run redoes from the pointers; killed before a fresh
+directory's first commit, it leaves files no manifest lists and a directory
+any config may run in. The content-addressed caches make repeated
 generation/embedding work free (and remote-call free).
 
 One rule decides whether a stage runs: its outputs stand when a manifest
@@ -344,7 +347,7 @@ class RunManifest:
     def save(self, run_dir: Path) -> None:
         """Commit: write ``manifest.json`` through a synced temp file and a
         rename. A run commits when a stage that ran is marked done or failed,
-        and once after its last stage for a :meth:`record` still unsaved."""
+        and once when it returns or raises with a :meth:`record` unsaved."""
         self.updated_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
         atomic_write_text(run_dir / "manifest.json", json.dumps(self.to_dict(), sort_keys=True, indent=2))
 
@@ -364,7 +367,7 @@ class RunManifest:
         self.save(run_dir)
 
     def record(self, stage: str, status: StageStatus) -> None:
-        """Set ``stage``'s status in memory: the next :meth:`save` commits it, a crash before loses it."""
+        """Set ``stage``'s status in memory: the next :meth:`save` commits it, a kill before loses it."""
         self.stages[stage] = status
 
     def mark_failed(self, stage: str, run_dir: Path, reason: str) -> None:
@@ -905,14 +908,14 @@ def _source_hash() -> str:
     return stable_key({path.name: sha256_hex(path.read_bytes()) for path in sorted(package.glob("*.py"))})
 
 
-def _fingerprints(config: ExperimentConfig, data: dict | None = None) -> dict[str, str]:
+def _fingerprints(config: ExperimentConfig) -> dict[str, str]:
     """Each stage's fingerprint under ``config``: the sha256 of its name, the
     package source, the output fields it does not ignore, the cache location
     (``image_ref`` names it), the sha256 of each of its input files, and the
     previous stage's fingerprint. An input file that cannot be read hashes
     as a marker naming the error, so a stage that reads it runs and fails,
-    and one that does not stands once it has run. ``data``: ``config.to_dict()``."""
-    data = config.to_dict() if data is None else data
+    and one that does not stands once it has run."""
+    data = config.to_dict()  # one for every stage: without_fields leaves it as it was
     cache_dir = str(config.resolved_cache_dir())
     fingerprints: dict[str, str] = {}
     previous = ""
@@ -948,31 +951,30 @@ def _holds(path: Path, digest: str) -> bool:
 
 
 def _standing(stage: str, fingerprint: str, own: StageStatus, store: Path,
-              run_dir: Path, load: Callable[[Path], RunManifest] = RunManifest.load) -> StageStatus | None:
+              run_dir: Path) -> StageStatus | None:
     """The status under which the outputs of ``stage`` stand in ``run_dir``:
     the ``own`` one, checked in place, or else that of the run (never this
     one) the pointer for ``fingerprint`` names, once each of its artifacts is
     linked into ``run_dir`` (or copied, where a link fails) and checked.
-    ``None``, with no temp file left, when neither verifies. ``load`` reads a
-    producer's manifest."""
+    ``None``, with no temp file left, when neither verifies."""
     if own.status == "done" and own.fingerprint == fingerprint and all(
             _holds(run_dir / rel, digest) for rel, digest in own.artifacts.items()):
         return own
     try:
         producer = Path((store / fingerprint).read_text(encoding="utf-8"))
         usable = producer.is_absolute() and producer != Path(os.path.abspath(run_dir))
-        status = load(producer).stages[stage] if usable else None
+        status = RunManifest.load(producer).stages[stage] if usable else None
     except (OSError, ValueError, ManifestError):  # no, a torn or a dangling pointer
         return None
-    if status is None or status.status != "done" or status.fingerprint != fingerprint or any(
-            Path(rel).is_absolute() or ".." in Path(rel).parts for rel in status.artifacts):
+    if status is None or status.status != "done" or status.fingerprint != fingerprint:
         return None
     temps = {}
     try:
-        for directory in {(run_dir / rel).parent for rel in status.artifacts}:
-            directory.mkdir(parents=True, exist_ok=True)
         for rel, digest in status.artifacts.items():
+            if Path(rel).is_absolute() or ".." in Path(rel).parts:
+                return None
             target = run_dir / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
             tmp = temps[target] = target.with_name(f"{target.name}.{os.getpid()}.reuse")
             tmp.unlink(missing_ok=True)  # a copy must not write through a stale link
             try:
@@ -1004,8 +1006,9 @@ def run_experiment(
     stand (see the module docstring).
 
     A stage that ran commits the manifest before the next starts; reuses
-    ride on that commit or on one after the loop, and a crash before it
-    loses only them. A fresh run directory has no manifest until then.
+    ride on that commit or on one as the run returns or raises, and a
+    process killed before it loses only them. A fresh run directory has no
+    manifest until its first commit (see the module docstring).
 
     ``until_stage`` stops after the named stage (inclusive). ``force`` runs
     every stage: it ignores recorded stage statuses and reuses nothing, and
@@ -1020,8 +1023,7 @@ def run_experiment(
     run_dir.mkdir(parents=True, exist_ok=True)
     caches = _build_caches(config)
 
-    data = config.to_dict()  # for config_hash(), output_hash() and every fingerprint
-    config_hash, output_hash = stable_key(data), stable_key(without_fields(data, EXECUTION_FIELDS))
+    config_hash, output_hash = config.config_hash(), config.output_hash()
     if (run_dir / "manifest.json").exists():
         manifest = RunManifest.load(run_dir)
         # an older manifest records no output hash; its config hash decides
@@ -1043,16 +1045,15 @@ def run_experiment(
 
     last_reader = {name: stage.name for stage in STAGES for name in stage.reads}
     kept: dict[str, tuple[str, object]] = {}  # artifact name -> (sha256 of its bytes, value)
-    fingerprints = _fingerprints(config, data)
+    fingerprints = _fingerprints(config)
     store = config.resolved_cache_dir() / "stages"
-    load = functools.cache(RunManifest.load)  # each producer's manifest is read once
     unsaved = False  # whether a reuse is recorded since the last commit
     try:
         for stage in STAGES:
             fingerprint = fingerprints[stage.name]
             start = time.perf_counter()
             own = manifest.stages[stage.name]
-            standing = None if force else _standing(stage.name, fingerprint, own, store, run_dir, load)
+            standing = None if force else _standing(stage.name, fingerprint, own, store, run_dir)
             if standing is own:
                 logger.info("stage %s: verified, skipping", stage.name)
             elif standing:
@@ -1069,6 +1070,7 @@ def run_experiment(
                     outputs = stage.run(config, registry, run_dir, caches, inputs)
                 except Exception as exc:
                     manifest.mark_failed(stage.name, run_dir, f"{type(exc).__name__}: {exc}")
+                    unsaved = False
                     raise
                 manifest.mark_done(stage.name, run_dir, outputs, fingerprint=fingerprint,
                                    wall_s=round(time.perf_counter() - start, 6))
@@ -1082,11 +1084,11 @@ def run_experiment(
                     kept.pop(name, None)
             if stage.name == until_stage:
                 break
-        if unsaved:
-            manifest.save(run_dir)
     finally:
         for cache in caches.values():
             cache.close()
+        if unsaved:  # the run ends, or raises: its reuses since the last commit
+            manifest.save(run_dir)
 
     report = None
     if manifest.stages["evaluation"].status == "done":
@@ -1252,7 +1254,7 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
     own report verbatim.
     """
     runs: list[tuple[Path, dict, EvalReport]] = []
-    problems = []
+    problems, attention_files = [], []
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
         try:
@@ -1268,6 +1270,8 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
             problems.append(f"{run_dir}: no evaluation artifacts")
             continue
         runs.append((run_dir, manifest.descriptor, report))
+        if "attention.tsv" in manifest.stages["evaluation"].artifacts:  # a file it does not list is no output
+            attention_files.append(str(run_dir / "attention.tsv"))
 
     lines = []
     if problems:
@@ -1287,14 +1291,10 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
 
         total = Decimal(0)
         image_count = 0
-        attention_files = []
-        for run_dir, _, report in runs:
+        for _, _, report in runs:
             if report.cost_summary:
                 total += Decimal(report.cost_summary["total_cost_usd"])
                 image_count += int(report.cost_summary["images"])
-            attention = run_dir / "attention.tsv"
-            if attention.exists():
-                attention_files.append(str(attention))
         lines.append("")
         lines.append(f"generated images: {image_count}, total cost: ${total}")
         if attention_files:

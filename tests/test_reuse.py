@@ -526,6 +526,43 @@ def test_a_run_interrupted_mid_reuse_finishes_on_the_next_run_without_a_provider
     assert _files(config.output_dir) == _files(forced.output_dir)
 
 
+def test_a_directory_left_by_an_interrupted_reuse_refuses_another_config_and_never_lists_its_leftovers(
+        tmp_path, fix, monkeypatch):
+    producer = _config(tmp_path, fix, "producer")  # cross_attention: its evaluation writes attention.tsv
+    run_experiment(producer, _registry())
+    config = dataclasses.replace(producer, output_dir=str(tmp_path / "run"))
+    run_dir = Path(config.output_dir)
+    standing = orchestrator._standing
+    asked = []
+
+    def interrupted(stage, *args):
+        status = standing(stage, *args)
+        asked.append(stage)
+        if len(asked) == 5:  # evaluation's artifacts are linked in, and not yet recorded
+            raise KeyboardInterrupt
+        return status
+
+    monkeypatch.setattr(orchestrator, "_standing", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config, _registry())
+    monkeypatch.setattr(orchestrator, "_standing", standing)
+    assert (run_dir / "attention.tsv").exists()
+    # the interrupted run committed the reuses it had recorded, and with them its config
+    assert _reused(run_dir) == {**dict.fromkeys(STAGE_NAMES[:4], os.path.abspath(producer.output_dir)),
+                                "evaluation": None}
+    concat = _config(tmp_path, fix, fusion={**_data(tmp_path, fix)["fusion"], "mechanism": "concat"})
+    with pytest.raises(orchestrator.OrchestrationError, match="produced by a different config"):
+        run_experiment(concat, _registry())
+
+    (run_dir / "manifest.json").unlink()  # as a process killed before that commit leaves the directory
+    run_experiment(concat, _registry())
+    assert "attention.tsv" not in RunManifest.load(run_dir).stages["evaluation"].artifacts
+    assert (run_dir / "attention.tsv").exists()  # left over, and not an output of the run
+    assert "attention" not in orchestrator.report_cli([run_dir])
+    assert f"attention heatmaps:\n  {producer.output_dir}/attention.tsv\n" in \
+        orchestrator.report_cli([producer.output_dir])
+
+
 def _untimed(manifest: dict) -> dict:
     """A manifest's data less its timestamps and each stage's ``wall_s``."""
     data = {key: value for key, value in manifest.items() if key not in ("created_at", "updated_at")}
