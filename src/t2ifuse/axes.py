@@ -43,6 +43,12 @@ AXES = {
                                lambda c, v: _with(c, "training", learning_rate=float(v))),
 }
 
+
+def repeats_a_value(values) -> bool:
+    """Whether two values of a sweep axis name one cell, which ``str(value)`` names."""
+    return len({str(v) for v in values}) < len(values)
+
+
 # Paper table -> the axes of its cells, in cell-key order. Only
 # evaluation.table_layout reads it; the fusion table's axes follow its own rule.
 LAYOUT_AXES = {

@@ -29,13 +29,13 @@ from typing import Any
 
 import yaml
 
-from .axes import AXES, GENERATIVE_METHODS, METHODS
+from .axes import AXES, GENERATIVE_METHODS, METHODS, repeats_a_value
 from .corpus import DATASET_FORMATS, split_fractions_problem
 from .evaluation import BOOTSTRAP_METRICS
 from .fusion import FusionConfig, MECHANISMS
 from .generation import _PRESETS as GENERATION_PRESETS
 from .generation import COST_MODES, GenerationParams, preset_params
-from .prompting import STRATEGIES
+from .prompting import DEFAULT_STYLE_LEXICON, STRATEGIES
 from .storage import stable_key
 from .training import TRAIN_PRESETS, TrainConfig
 
@@ -324,6 +324,8 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
                     problems.append(f"sweep.axes.{axis}: unknown axis; have {tuple(AXES)}")
                 elif not isinstance(values, list) or not values:
                     problems.append(f"sweep.axes.{axis}: must be a non-empty list")
+                elif repeats_a_value(values):
+                    problems.append(f"sweep.axes.{axis}: must not repeat a value, got {values}")
                 else:
                     sweep_axes[axis] = tuple(values)
 
@@ -356,6 +358,10 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
         problems.append(f"generation.backend: required for method {method}")
     if strategy == "elaborated" and method in GENERATIVE_METHODS and lacks_elaborator:
         problems.append("providers.elaborator: required for strategy elaborated")
+    task_id, styled = kwargs.get("task_id", "sentiment"), DEFAULT_STYLE_LEXICON.tags_by_task
+    if strategy == "stylized" and method in GENERATIVE_METHODS and task_id not in styled:
+        problems.append(f"task_id: no style tags for task {task_id!r} under strategy stylized; "
+                        f"have {tuple(styled)}")
 
     if problems:
         raise ConfigError(problems)

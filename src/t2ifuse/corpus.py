@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .storage import write_jsonl
+from .storage import atomic_write_bytes, jsonl_bytes
 
 SPLIT_NAMES = ("train", "validation", "test")
 DATASET_FORMATS = ("delimited_rows", "record_lines")
@@ -211,13 +211,17 @@ def make_splits(
     return result
 
 
-def write_split_assignments(samples: Sequence[TextSample], path: str | Path) -> None:
-    """Record each sample's (id, split), in ``samples`` order: a record, not an
-    input, as ``make_splits`` gives the same split again from the same inputs."""
+def split_assignments(samples: Sequence[TextSample]) -> bytes:
+    """Each sample's (id, split) as JSONL, in ``samples`` order: a record, not
+    an input, as ``make_splits`` gives the same split again from the same inputs."""
     unassigned = [s.id for s in samples if s.split is None]
     if unassigned:
         raise DatasetError(f"samples without split assignment: {unassigned[:5]}")
-    write_jsonl(Path(path), ({"id": s.id, "split": s.split} for s in samples))
+    return jsonl_bytes({"id": s.id, "split": s.split} for s in samples)
+
+
+def write_split_assignments(samples: Sequence[TextSample], path: str | Path) -> None:
+    atomic_write_bytes(Path(path), split_assignments(samples))
 
 
 def truncate_text(text: str, max_tokens: int) -> str:

@@ -234,9 +234,9 @@ class EmbeddingCache:
     provider's log is indexed when the cache first uses it, and a miss never
     rescans: entries another process appends later are seen by the next
     cache opened on the root.
-    The embeddings stage calls :meth:`sync` before it writes
-    ``features.jsonl``, so every entry a recorded artifact names is on disk
-    before the manifest marks the stage done. A record that fails its crc
+    ``run_experiment`` calls :meth:`sync` when a stage that ran returns,
+    before it commits the manifest, so every entry a recorded artifact names
+    is on disk before the manifest marks the stage done. A record that fails its crc
     is a miss; re-encoding appends a fresh record to this process's own
     segment, never after the torn one. :meth:`close` releases the file
     descriptors; the next use scans again.

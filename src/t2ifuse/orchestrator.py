@@ -3,8 +3,12 @@
 An experiment runs five stages in order -- prompts, images, embeddings,
 training, evaluation -- each leaving verifiable artifacts in the run
 directory, listed in ``manifest.json``: only what a manifest lists is a run's
-output. The manifest is committed (synced, renamed) when a stage that ran is
-marked done or failed, and once when the run returns or raises with reuses
+output. One writer makes them: a stage writes each artifact through the
+``write`` that ``run_experiment`` hands it (temp file, fsync, rename), which
+keeps the sha256 of the bytes; when the stage returns, the caches are synced,
+then the manifest is committed (synced, renamed) with those digests, so all
+that a commit lists is durable before it. The manifest is also committed
+when a stage fails, and once when the run returns or raises with reuses
 recorded since. A process killed between commits loses only reuse records,
 which the next run redoes from the pointers; killed before a fresh
 directory's first commit, it leaves files no manifest lists and a directory
@@ -49,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .axes import AXES, GENERATIVE_METHODS
+from .axes import AXES, GENERATIVE_METHODS, repeats_a_value
 from .config import (EXECUTION_FIELDS, PIPELINE_SET, ConfigError, ExperimentConfig, parse_config_data,
                      without_fields)
 from .corpus import (
@@ -58,8 +62,8 @@ from .corpus import (
     TextSample,
     load_dataset,
     make_splits,
+    split_assignments,
     truncate_text,
-    write_split_assignments,
 )
 from .embedding import (
     CLIP_SCORE_WEIGHT,
@@ -97,14 +101,15 @@ from .prompting import (
     NoVisualContentError,
     PromptSpec,
     StubChatClient,
+    _STRIP_CHARS,
     build_prompt,
     elaborate_text,
     extract_keywords,
 )
-from .storage import (ArtifactCache, atomic_write_text, iter_jsonl, read_jsonl, sha256_hex, stable_key,
-                      write_jsonl)
+from . import storage
+from .storage import ArtifactCache, atomic_write_text, iter_jsonl, jsonl_bytes, read_jsonl, sha256_hex, stable_key
 from .training import LabeledPacks, evaluate_split, train_loop
-from .tensorcore import load_checkpoint
+from .tensorcore import checkpoint_bytes, load_checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -130,7 +135,8 @@ class KeywordOverlapRetriever:
     Stands in for live encyclopedia lookups: documents are a record-per-line
     file with ``text`` (and optional ``id``/``title``) fields; the best match
     is the document sharing the most query words, ties going to file order.
-    Each document's word set is built once, when the corpus is loaded.
+    Each document's word set is built once, when the corpus is loaded, its
+    words stripped of the punctuation ``extract_keywords`` strips from a query.
     """
 
     def __init__(self, corpus_path: str | Path):
@@ -139,7 +145,7 @@ class KeywordOverlapRetriever:
             self.documents.append(str(record["text"]))
         if not self.documents:
             raise OrchestrationError(f"empty retrieval corpus: {corpus_path}")
-        self._words = [frozenset(w.strip(".,;:!?").lower() for w in doc.split()) for doc in self.documents]
+        self._words = [frozenset(w.strip(_STRIP_CHARS).lower() for w in doc.split()) for doc in self.documents]
 
     def retrieve(self, keywords: Sequence[str]) -> str | None:
         terms = {w.lower() for phrase in keywords for w in phrase.split()}
@@ -356,14 +362,11 @@ class RunManifest:
         path = Path(run_dir) / "manifest.json"
         return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), source=str(path))
 
-    def mark_done(self, stage: str, run_dir: Path, artifact_paths: Iterable[Path], **fields) -> None:
-        """Record ``stage`` done with the sha256 of each file it wrote, and the
-        other :class:`StageStatus` ``fields`` given, and commit."""
-        artifacts = {}
-        for path in artifact_paths:
-            rel = str(Path(path).relative_to(run_dir))
-            artifacts[rel] = sha256_hex(Path(path).read_bytes())
-        self.record(stage, StageStatus(status="done", artifacts=artifacts, **fields))
+    def mark_done(self, stage: str, run_dir: Path, artifacts: dict[str, str], **fields) -> None:
+        """Record ``stage`` done with ``artifacts``, the sha256 of each file it
+        wrote by its path in ``run_dir``, and the other :class:`StageStatus`
+        ``fields`` given, and commit."""
+        self.record(stage, StageStatus(status="done", artifacts=dict(artifacts), **fields))
         self.save(run_dir)
 
     def record(self, stage: str, status: StageStatus) -> None:
@@ -385,11 +388,10 @@ def _descriptor(config: ExperimentConfig) -> dict:
 
 
 def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                   caches: dict, inputs: dict) -> dict[Path, object]:
+                   caches: dict, inputs: dict, write: Callable) -> dict[str, object]:
     samples, label_space = load_dataset(config.dataset.path, config.dataset.format)
     make_splits(samples, config.dataset.split_fractions, config.dataset.split_seed)
-    splits_path = run_dir / "splits.jsonl"
-    write_split_assignments(samples, splits_path)
+    write("splits.jsonl", split_assignments(samples))
 
     max_tokens = config.dataset.max_text_tokens
     source = image_source(config.method)
@@ -429,14 +431,10 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
             }
         )
 
-    caches["chat"].sync()  # every response prompts.jsonl rests on is durable before the stage is done
-    prompts_path = run_dir / "prompts.jsonl"
-    write_jsonl(prompts_path, records)
-    labels_path = run_dir / "labels.json"
-    atomic_write_text(labels_path, json.dumps({"class_names": list(label_space.class_names)}, sort_keys=True))
-    summary_path = run_dir / "prompts_summary.json"
-    atomic_write_text(
-        summary_path,
+    write("prompts.jsonl", jsonl_bytes(records))
+    write("labels.json", json.dumps({"class_names": list(label_space.class_names)}, sort_keys=True))
+    write(
+        "prompts_summary.json",
         json.dumps(
             {
                 "samples": len(records),
@@ -448,15 +446,14 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
             sort_keys=True,
         ),
     )
-    return {prompts_path: records, labels_path: label_space, summary_path: None, splits_path: None}
+    return {"prompts.jsonl": records, "labels.json": label_space}
 
 
 def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                  caches: dict, inputs: dict) -> dict[Path, object]:
-    images_path = run_dir / "images.jsonl"
+                  caches: dict, inputs: dict, write: Callable) -> dict[str, object]:
     if config.method not in GENERATIVE_METHODS:
-        write_jsonl(images_path, [])
-        return {images_path: []}
+        write("images.jsonl", b"")
+        return {"images.jsonl": []}
     rows = [r for r in inputs["prompts.jsonl"] if r["prompt"]]
     backend = registry.resolve_backend(config)
     store: ImageStore = caches["images"]
@@ -477,10 +474,9 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
     finally:
         ledger.close()
 
-    store.sync()  # every record images.jsonl names is durable before the stage is done
     image_rows = [{"sample_id": sid, **results[keys[sid]]} for sid in sorted(keys)]
-    write_jsonl(images_path, image_rows)
-    return {images_path: image_rows}
+    write("images.jsonl", jsonl_bytes(image_rows))
+    return {"images.jsonl": image_rows}
 
 
 _DIM_PROBE_IMAGE = b"image feature width probe"
@@ -530,7 +526,7 @@ def _stand_in_image(entry: dict, sample_id: str, oracles: dict) -> tuple[np.ndar
 
 
 def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                      caches: dict, inputs: dict) -> dict[Path, object]:
+                      caches: dict, inputs: dict, write: Callable) -> dict[str, object]:
     rows = sorted(inputs["prompts.jsonl"], key=lambda r: r["sample_id"])
     images = {r["sample_id"]: r for r in inputs["images.jsonl"]}
     emb_cache: EmbeddingCache = caches["embeddings"]
@@ -558,7 +554,6 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
             # A remote encoder learns its dim from its first response; the
             # probe goes through the cache, so a warm run calls nothing.
             zero_dim = embed_image(_DIM_PROBE_IMAGE, image_provider, emb_cache)[0].shape[0]
-    emb_cache.sync()  # every entry features.jsonl names is durable before it is written
 
     def image_entry(row: dict) -> dict:
         if row["image_source"] == "generate":
@@ -578,11 +573,10 @@ def _stage_embeddings(config: ExperimentConfig, registry: ProviderRegistry, run_
         "text_dim": texts[key][0].shape[0],
         "image": image_entry(row),
     } for row, key in zip(rows, text_keys)]
-    features_path = run_dir / "features.jsonl"
-    write_jsonl(features_path, feature_rows)
+    write("features.jsonl", jsonl_bytes(feature_rows))
     embedded = {(text_provider.provider_id, key): value for key, value in texts.items()}
     embedded.update(((image_provider.provider_id, key), value) for key, value in image_features.items())
-    return {features_path: _split_features(feature_rows, lambda provider, key: embedded.get((provider, key)))}
+    return {"features.jsonl": _split_features(feature_rows, lambda provider, key: embedded.get((provider, key)))}
 
 
 def _load_packs(features: _SplitFeatures, label_space: LabelSpace) -> dict[str, LabeledPacks]:
@@ -625,29 +619,18 @@ def _head_for(config: ExperimentConfig, packs: dict[str, LabeledPacks], label_sp
 
 
 def _stage_training(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                    caches: dict, inputs: dict) -> dict[Path, object]:
+                    caches: dict, inputs: dict, write: Callable) -> dict[str, object]:
     label_space = inputs["labels.json"]
     packs = _load_packs(inputs["features.jsonl"], label_space)
-    artifacts = []
     for seed in config.seeds:
-        seed_dir = run_dir / f"train_s{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        history_path = seed_dir / "history.jsonl"
-        if history_path.exists():
-            history_path.unlink()  # re-running the stage rewrites the log
         head = _head_for(config, packs, label_space, seed)
         train_config = dataclasses.replace(config.training, seed=seed)
-        checkpoint_path = seed_dir / "best.ntc"
-        train_loop(
-            head, packs["train"], packs["validation"], train_config,
-            history_path=history_path, checkpoint_path=checkpoint_path,
-        )
-        artifacts += [
-            history_path,
-            checkpoint_path,
-            checkpoint_path.with_name(checkpoint_path.name + ".manifest.json"),
-        ]
-    return dict.fromkeys(artifacts)
+        _, state = train_loop(head, packs["train"], packs["validation"], train_config)
+        write(f"train_s{seed}/history.jsonl", jsonl_bytes(stats.to_dict() for stats in state.history))
+        container, manifest = checkpoint_bytes(head.params)
+        write(f"train_s{seed}/best.ntc", container)
+        write(f"train_s{seed}/best.ntc.manifest.json", manifest)
+    return {}
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -710,12 +693,9 @@ def _cost_summary(config: ExperimentConfig, image_rows: list[dict]) -> dict | No
 
 
 def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
-                      caches: dict, inputs: dict) -> dict[Path, object]:
+                      caches: dict, inputs: dict, write: Callable) -> dict[str, object]:
     label_space = inputs["labels.json"]
     packs = _load_packs(inputs["features.jsonl"], label_space)
-    eval_dir = run_dir / "eval"
-    eval_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
     per_seed_metrics = []
     cost = _cost_summary(config, inputs["images.jsonl"])
     cosines, scores = _clip_pairs(packs["test"])  # the same for every seed
@@ -738,12 +718,10 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
         per_seed_metrics.append(
             {"seed": seed, "accuracy": accuracy, "macro_f1": macro_f1}
         )
-        report_path = eval_dir / f"eval_seed{seed}.json"
-        atomic_write_text(report_path, json.dumps(report.to_dict(), sort_keys=True, indent=2))
-        preds_path = eval_dir / f"predictions_seed{seed}.jsonl"
-        write_jsonl(
-            preds_path,
-            (
+        write(f"eval/eval_seed{seed}.json", json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        write(
+            f"eval/predictions_seed{seed}.jsonl",
+            jsonl_bytes(
                 {
                     "sample_id": sid,
                     "true": int(t),
@@ -753,7 +731,6 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
                 for sid, t, p, row in zip(preds.sample_ids, preds.y_true, preds.y_pred, preds.logits)
             ),
         )
-        artifacts += [report_path, preds_path]
         if headline_report is None:
             headline_report = report
             # Attention heatmap from the first test sample of the first seed.
@@ -771,14 +748,10 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
                     [f"tok{i}" for i in range(n_text)],
                     image_labels,
                 )
-                attention_path = run_dir / "attention.tsv"
-                atomic_write_text(attention_path, table)
-                artifacts.append(attention_path)
+                write("attention.tsv", table)
 
     if cost is not None:
-        cost_path = run_dir / "cost_summary.json"
-        atomic_write_text(cost_path, json.dumps(cost, sort_keys=True, indent=2))
-        artifacts.append(cost_path)
+        write("cost_summary.json", json.dumps(cost, sort_keys=True, indent=2))
 
     accs = np.asarray([m["accuracy"] for m in per_seed_metrics])
     f1s = np.asarray([m["macro_f1"] for m in per_seed_metrics])
@@ -788,18 +761,14 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
         "seed_std": {"accuracy": float(accs.std()), "macro_f1": float(f1s.std())},
         "dispersion_label": "bootstrap_std in reports; seed_std here",
     }
-    summary_path = run_dir / "summary.json"
-    atomic_write_text(summary_path, json.dumps(summary, sort_keys=True, indent=2))
+    write("summary.json", json.dumps(summary, sort_keys=True, indent=2))
 
     table, records = render_report(
         {(config.method,): headline_report}, ("method",), experiment_id=config.experiment_id
     )
-    report_path = run_dir / "report.txt"
-    atomic_write_text(report_path, table)
-    records_path = run_dir / "records.jsonl"
-    atomic_write_text(records_path, render_records(records))
-    artifacts += [summary_path, report_path, records_path]
-    return dict.fromkeys(artifacts)
+    write("report.txt", table)
+    write("records.jsonl", render_records(records))
+    return {}
 
 
 _type_hints = functools.cache(typing.get_type_hints)  # each config class's evaluated once, at import
@@ -821,11 +790,15 @@ class Stage:
     """A pipeline stage: its ``name`` in the manifest, the CLI ``command``
     that runs the pipeline up to it, the run artifacts it ``reads``, and the
     function that ``run``s it. ``run`` is handed ``inputs``, each read
-    artifact's value by name, and returns ``{path: value}`` for every file it
-    wrote: the value later readers are handed, or ``None`` for a file no
-    stage reads. Of the run directory, ``run`` opens no other file but one an
-    earlier stage wrote (evaluation opens each seed's ``best.ntc``), so its
-    outputs rest on its fingerprint alone.
+    artifact's value by name, and ``write(rel, data)``, the only way it makes
+    an artifact: the file at ``rel`` in the run directory, written through a
+    synced temp file and a rename (the images stage's ``ledger.jsonl`` is a
+    log of generation calls, appended as they return and listed in no
+    manifest). It returns ``{name: value}`` for each artifact a later stage
+    reads, the value that reader is handed. Of the run
+    directory, ``run`` opens no other file but one an earlier stage wrote
+    (evaluation opens each seed's ``best.ntc``), so its outputs rest on its
+    fingerprint alone.
 
     Two declarations make up the stage's fingerprint. ``ignores`` names the
     config fields, dotted, or whole sections, that ``run`` does not read;
@@ -833,17 +806,12 @@ class Stage:
     here costs a reuse, never a stale output. ``inputs`` names the config
     fields that name files outside the run; the sha256 of each file is part
     of the fingerprint. Both are checked against the ``ExperimentConfig``
-    fields when the stage is built, so a renamed field fails at import.
-
-    A reused artifact is a hard link to the producing run's file, so ``run``
-    must never write into an existing artifact in place: it writes a new
-    file and renames it over the old one, or unlinks the old one first, as
-    training does with ``history.jsonl``."""
+    fields when the stage is built, so a renamed field fails at import."""
 
     name: str
     command: str
     reads: tuple[str, ...]
-    run: Callable[[ExperimentConfig, ProviderRegistry, Path, dict, dict], dict[Path, object]]
+    run: Callable[[ExperimentConfig, ProviderRegistry, Path, dict, dict, Callable], dict[str, object]]
     ignores: tuple[str, ...] = ()
     inputs: tuple[str, ...] = ()
 
@@ -1065,20 +1033,27 @@ def run_experiment(
                 changed = not force and own.status == "done" and own.fingerprint not in (None, fingerprint)
                 logger.info("stage %s: inputs changed since it ran, running" if changed
                             else "stage %s: running", stage.name)
+                digests: dict[str, str] = {}  # each file the stage wrote, by its path in run_dir -> sha256
+
+                def write(rel: str, data: str | bytes) -> None:
+                    data = data.encode("utf-8") if isinstance(data, str) else data
+                    storage.atomic_write_bytes(run_dir / rel, data)  # on the module, where the bench wraps it
+                    digests[rel] = sha256_hex(data)
+
                 try:
                     inputs = {name: _load(run_dir, name, kept, caches) for name in stage.reads}
-                    outputs = stage.run(config, registry, run_dir, caches, inputs)
+                    outputs = stage.run(config, registry, run_dir, caches, inputs, write)
+                    for cache in caches.values():
+                        cache.sync()  # every entry the artifacts name, before the commit lists them
                 except Exception as exc:
                     manifest.mark_failed(stage.name, run_dir, f"{type(exc).__name__}: {exc}")
                     unsaved = False
                     raise
-                manifest.mark_done(stage.name, run_dir, outputs, fingerprint=fingerprint,
+                manifest.mark_done(stage.name, run_dir, digests, fingerprint=fingerprint,
                                    wall_s=round(time.perf_counter() - start, 6))
                 unsaved = False
                 _point(store, fingerprint, run_dir)
-                digests = manifest.stages[stage.name].artifacts
-                kept.update((path.name, (digests[path.name], value))
-                            for path, value in outputs.items() if value is not None)
+                kept.update((name, (digests[name], value)) for name, value in outputs.items())
             for name in stage.reads:
                 if last_reader[name] == stage.name:
                     kept.pop(name, None)
@@ -1176,6 +1151,8 @@ def run_sweep(
             raise SweepError(f"unknown sweep axis {name!r}; have {tuple(AXES)}")
         if not values:
             raise SweepError(f"sweep axis {name!r} has no values")
+        if repeats_a_value(values):
+            raise SweepError(f"sweep axis {name!r} repeats a value: {list(values)}")
     registry = registry if registry is not None else ProviderRegistry()
     axis_names = list(axes)
     sweep_dir = Path(base_config.output_dir)

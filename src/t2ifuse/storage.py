@@ -76,17 +76,13 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
+def jsonl_bytes(records: Iterable[dict]) -> bytes:
+    """``records`` as one canonical JSON line each."""
+    return "".join(canonical_json(r) + "\n" for r in records).encode("utf-8")
+
+
 def write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    """Write ``records`` one canonical JSON line each."""
-    data = "".join(canonical_json(r) + "\n" for r in records).encode("utf-8")
-    atomic_write_bytes(Path(path), data)
-
-
-def append_jsonl(path: Path, record: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(canonical_json(record) + "\n")
+    atomic_write_bytes(Path(path), jsonl_bytes(records))
 
 
 def _records(lines: Iterable[str]) -> Iterator[dict]:
@@ -347,8 +343,9 @@ class ArtifactCache:
     between the two appends), a torn record and a bad-crc record are misses,
     and the next put appends a fresh pair. Records are durable after
     :meth:`sync`, which fsyncs the payloads before the meta records that
-    name them. Payload files and ``log/`` segments of older versions are
-    ignored.
+    name them; ``run_experiment`` syncs each cache when a stage that ran
+    returns, before the manifest commit lists its artifacts. Payload files
+    and ``log/`` segments of older versions are ignored.
     """
 
     def __init__(self, root: Path):

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .storage import atomic_write_bytes, atomic_write_text
+from .storage import atomic_write_bytes
 
 
 class ShapeError(ValueError):
@@ -168,8 +168,8 @@ class ParamStore:
 CHECKPOINT_MAGIC = b"NTC1"
 
 
-def save_checkpoint(store: ParamStore, path: str | Path) -> Path:
-    path = Path(path)
+def checkpoint_bytes(store: ParamStore) -> tuple[bytes, bytes]:
+    """The ``NTC1`` container of ``store`` and its sibling manifest."""
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(store.params))]
     for name in sorted(store.params):
         p = store.params[name]
@@ -178,12 +178,18 @@ def save_checkpoint(store: ParamStore, path: str | Path) -> Path:
         chunks.append(encoded)
         chunks.append(struct.pack("<II", p.shape[0], p.shape[1]))
         chunks.append(np.ascontiguousarray(p, dtype="<f4").tobytes())
-    atomic_write_bytes(path, b"".join(chunks))
     manifest = {
         "init_seed": store.seed,
         "shapes": {name: list(p.shape) for name, p in sorted(store.params.items())},
     }
-    atomic_write_text(path.with_name(path.name + ".manifest.json"), json.dumps(manifest, sort_keys=True, indent=2))
+    return b"".join(chunks), json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8")
+
+
+def save_checkpoint(store: ParamStore, path: str | Path) -> Path:
+    path = Path(path)
+    container, manifest = checkpoint_bytes(store)
+    atomic_write_bytes(path, container)
+    atomic_write_bytes(path.with_name(path.name + ".manifest.json"), manifest)
     return path
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from .corpus import LabelSpace
 from .evaluation import PredictionSet, compute_metrics
 from .fusion import FusionHead, PackBatch, fuse_forward
-from .storage import append_jsonl
 from .tensorcore import ParamStore, cross_entropy, save_checkpoint
 
 
@@ -205,7 +204,6 @@ def train_loop(
     config: TrainConfig,
     *,
     val_metric_fn: Callable[[FusionHead, int], tuple[float, float]] | None = None,
-    history_path: str | Path | None = None,
     checkpoint_path: str | Path | None = None,
 ) -> tuple[FusionHead, TrainState]:
     """Optimize the head with AdamW and early stopping on validation Macro-F1.
@@ -258,8 +256,6 @@ def train_loop(
             improved=improved,
         )
         state.history.append(stats)
-        if history_path is not None:
-            append_jsonl(Path(history_path), stats.to_dict())
         if state.epochs_since_improvement >= config.patience:
             break
 

@@ -163,6 +163,28 @@ def test_sweep_axis_names_checked_and_dataset_paths_resolved(tmp_path):
     assert config.sweep_axes["method"] == ("text_only",)
 
 
+def test_a_repeated_sweep_value_is_rejected_by_name(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(_minimal(tmp_path, sweep={"axes": {"mechanism": ["concat", "concat"],
+                                                             "steps": [1, "1"]}}))
+    assert err.value.problems == [
+        "sweep.axes.mechanism: must not repeat a value, got ['concat', 'concat']",
+        "sweep.axes.steps: must not repeat a value, got [1, '1']",  # both name the cell steps=1
+    ]
+
+
+def test_a_stylized_strategy_needs_style_tags_for_its_task(tmp_path):
+    generative = dict(method="gen_image", generation={"backend": "stub"}, task_id="movies")
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(_minimal(tmp_path, strategy="stylized", **generative))
+    assert err.value.problems == [
+        "task_id: no style tags for task 'movies' under strategy stylized; have ('sentiment', 'news')"]
+    assert parse_config_data(_minimal(tmp_path, strategy="keyword", **generative)).task_id == "movies"
+    # a method that builds no image prompt never reads the task's tags
+    assert parse_config_data(_minimal(tmp_path, strategy="stylized", task_id="movies")).task_id == "movies"
+    assert parse_config_data(_minimal(tmp_path, strategy="stylized", **{**generative, "task_id": "news"}))
+
+
 def test_missing_file_and_empty_config(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "none.yaml")

@@ -50,7 +50,7 @@ from t2ifuse.orchestrator import (
     SweepError,
     _descriptor,
 )
-from t2ifuse.prompting import StubChatClient, VISUAL_DESCRIPTION_SYSTEM
+from t2ifuse.prompting import _STRIP_CHARS, StubChatClient, VISUAL_DESCRIPTION_SYSTEM
 from t2ifuse.remotes import HttpChatClient, HttpEmbeddingProvider, HttpImageBackend
 from t2ifuse.storage import read_jsonl, write_jsonl
 from t2ifuse.synthetic import build_separability_fixture
@@ -128,14 +128,26 @@ def test_retriever_exhaustive_match_over_three_docs(tmp_path):
 
 
 def _rescan_retrieve(documents, keywords):
-    """The reference loop: every document split and stripped again on each query."""
+    """The reference loop: every document split and stripped again on each
+    query, of the punctuation ``extract_keywords`` strips."""
     terms = {w.lower() for phrase in keywords for w in phrase.split()}
     best_score, best_doc = 0, None
     for doc in documents:
-        score = len(terms & {w.strip(".,;:!?").lower() for w in doc.split()})
+        score = len(terms & {w.strip(_STRIP_CHARS).lower() for w in doc.split()})
         if score > best_score:
             best_score, best_doc = score, doc
     return best_doc
+
+
+def test_the_retriever_strips_document_words_as_the_query_is_stripped(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    documents = ['A guide to the "espresso" machine (grinder included).', "Tea kettles whistle."]
+    write_jsonl(path, [{"text": d} for d in documents])
+    effective_text, fallback = compose_input(
+        TextSample(id="q", text="My espresso grinder broke", label=0), "knowledge_retrieval",
+        retriever=KeywordOverlapRetriever(path))
+    assert fallback is None
+    assert effective_text == "My espresso grinder broke " + documents[0]
 
 
 def test_the_retriever_picks_what_rescanning_every_document_picks(tmp_path):
@@ -402,22 +414,47 @@ def test_a_run_syncs_each_file_it_writes_and_its_manifest_once_per_stage_it_ran(
         "prompts": ["splits.jsonl", "prompts.jsonl", "labels.json", "prompts_summary.json", *commit],
         "images": ["images.jsonl", *commit],
         "embeddings": ["features.jsonl", *segments, *commit],
-        # history.jsonl is appended a line an epoch, never synced
-        "training": ["train_s0/best.ntc", "train_s0/best.ntc.manifest.json", *commit],
+        "training": ["train_s0/history.jsonl", "train_s0/best.ntc", "train_s0/best.ntc.manifest.json", *commit],
         "evaluation": ["eval/eval_seed0.json", "eval/predictions_seed0.jsonl", "attention.tsv",
                        "summary.json", "report.txt", "records.jsonl", *commit],
     }
     assert segments == ["emb/hash-16/" + Path(segments[0]).name]  # the text encoder's one segment
     assert synced_names(config.output_dir) == sorted(name for names in ran.values() for name in names)
-    assert len(synced) == 20
+    assert len(synced) == 21
     for stage, names in ran.items():
-        written = set(manifest.stages[stage].artifacts) - {"train_s0/history.jsonl"}
-        assert written == set(names) - {*commit, *segments}, stage
+        assert set(manifest.stages[stage].artifacts) == set(names) - {*commit, *segments}, stage
 
     synced.clear()
     reused = dataclasses.replace(config, output_dir=str(tmp_path / "reused"))
     run_experiment(reused)
     assert synced_names(reused.output_dir) == commit
+
+
+@pytest.mark.parametrize("method", ["gen_image", "oracle_image", "text_only"])
+def test_each_artifact_a_commit_lists_is_synced_before_that_commit(
+        tmp_path, fixture_dataset, monkeypatch, method):
+    config = _base_config(tmp_path, fixture_dataset, method=method, seeds=[0, 1])
+    run_dir = os.path.realpath(config.output_dir)
+    synced, commits = set(), []  # commits: (what was synced before it, what it lists)
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        path = os.readlink(f"/proc/self/fd/{fd}")
+        fsync(fd)
+        rel = re.sub(r"\.\d+\.\d+\.tmp$", "", os.path.relpath(path, run_dir))
+        if rel == "manifest.json":  # the temp file, synced and about to be renamed: the commit
+            stages = json.loads(Path(path).read_text(encoding="utf-8"))["stages"]
+            commits.append((set(synced), {a for stage in stages.values() for a in stage["artifacts"]}))
+        else:
+            synced.add(rel)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    manifest, _ = run_experiment(config)
+    assert len(commits) == len(orchestrator.STAGES)
+    for synced_before, listed in commits:
+        assert sorted(listed - synced_before) == []
+    assert commits[-1][1] == {a for stage in manifest.stages.values() for a in stage.artifacts}
+    assert {"train_s0/history.jsonl", "train_s1/history.jsonl"} <= commits[-1][1]
 
 
 @pytest.mark.parametrize("method", ["oracle_image", "gen_image"])
@@ -712,6 +749,22 @@ def test_sweep_empty_axis_errors(tmp_path, fixture_dataset):
         run_sweep(base, {"strategy": []})
     with pytest.raises(SweepError, match="unknown sweep axis 'seed'"):
         run_sweep(base, {"seed": [1, 2]})
+
+
+def test_a_sweep_with_a_repeated_value_runs_no_cell(tmp_path, fixture_dataset):
+    base = _base_config(tmp_path, fixture_dataset, out_name="repeated")
+    with pytest.raises(SweepError, match="sweep axis 'mechanism' repeats a value"):
+        run_sweep(base, {"mechanism": ["concat", "concat"]})
+    assert not (tmp_path / "repeated").exists()
+
+
+def test_a_stylized_cell_of_a_task_without_style_tags_fails_before_it_runs(tmp_path, fixture_dataset):
+    base = _base_config(tmp_path, fixture_dataset, out_name="styled", task_id="movies")
+    result = run_sweep(base, {"strategy": ["keyword", "stylized"]}, ProviderRegistry())
+    assert [c.status for c in result.cells] == ["done", "failed"]
+    assert result.cells[1].error.startswith("ConfigError")
+    assert "task_id: no style tags for task 'movies'" in result.cells[1].error
+    assert not (Path(result.cells[1].output_dir) / "manifest.json").exists()
 
 
 def test_sweep_failure_isolation(tmp_path, fixture_dataset):

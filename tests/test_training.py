@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -284,17 +282,15 @@ def test_early_stopping_protocol_trace(tmp_path):
         return forced[epoch], forced[epoch]
 
     config = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=5, patience=2, seed=0)
-    history_path = tmp_path / "history.jsonl"
     head, state = train_loop(
-        _toy_head(), _toy_data(seed=1), _toy_data(seed=2), config,
-        val_metric_fn=fake_val, history_path=history_path,
+        _toy_head(), _toy_data(seed=1), _toy_data(seed=2), config, val_metric_fn=fake_val,
     )
     assert state.epoch == 4  # stopped after epoch 4, never saw 0.7
     assert state.best_epoch == 2
     assert state.best_val_macro_f1 == 0.6
     for name, value in head.params.params.items():
         assert np.array_equal(value, snapshots[2][name])
-    lines = [json.loads(l) for l in history_path.read_text().splitlines()]
+    lines = [stats.to_dict() for stats in state.history]
     assert [l["epoch"] for l in lines] == [1, 2, 3, 4]
     assert [l["improved"] for l in lines] == [True, True, False, False]
 
