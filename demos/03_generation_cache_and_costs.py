@@ -41,7 +41,7 @@ with tempfile.TemporaryDirectory() as tmp:
     third = generate_image(spec, other_seed, backend, store, ledger=ledger)
     print(f"different seed -> different image: {third.content_hash != first.content_hash}\n")
 
-    store.close()  # releases the record segment of cache/images/log/
+    store.close()  # releases the segments of its data/ and meta/ logs under cache/images/
     ledger.close()
     totals = ledger_totals(ledger.read(), mode="estimated")
     print(f"ledger: {sum(t.images for t in totals.per_backend.values())} generations, "

@@ -1,8 +1,14 @@
-"""Sweep axes and the axes of each paper table: a leaf that the other modules import."""
+"""Sweep axes and the axes of each paper table: a leaf that the other modules import.
+
+A sweep cell is named ``<axis>=<value name>`` per axis, joined by ``-``, where
+a value's name is ``str(value)`` percent-encoded (:func:`value_name`), e.g.
+``dataset=%2Fdata%2Fa_b.csv``; one axis's values must have distinct names.
+"""
 
 import dataclasses
 from pathlib import Path
 from typing import Callable, NamedTuple
+from urllib.parse import quote
 
 from .fusion import MECHANISMS
 from .generation import _PRESETS as GENERATION_PRESETS
@@ -34,7 +40,7 @@ AXES = {
                            lambda c, v: _with(c, "fusion", mechanism=str(v)), MECHANISMS),
     "backend": SweepAxis(lambda c: c.generation.backend,
                          lambda c, v: _with(c, "generation", backend=str(v), preset=None),
-                         tuple(dict.fromkeys(p[0] for p in GENERATION_PRESETS.values())) + ("stub",)),
+                         tuple(dict.fromkeys(p.backend_id for p in GENERATION_PRESETS.values())) + ("stub",)),
     "strategy": SweepAxis(lambda c: c.strategy, lambda c, v: _with(c, None, strategy=str(v)), STRATEGIES),
     "method": SweepAxis(lambda c: c.method, lambda c, v: _with(c, None, method=str(v)), METHODS),
     "dataset": SweepAxis(lambda c: Path(c.dataset.path).stem, lambda c, v: _with(c, "dataset", path=str(v))),
@@ -44,9 +50,24 @@ AXES = {
 }
 
 
-def repeats_a_value(values) -> bool:
-    """Whether two values of a sweep axis name one cell, which ``str(value)`` names."""
-    return len({str(v) for v in values}) < len(values)
+def value_name(value) -> str:
+    """A sweep value's name in its cell's name: ``str(value)`` percent-encoded,
+    so a value made only of ``[A-Za-z0-9_.~-]`` is named by itself, and two
+    values share a name only when their strings are equal."""
+    return quote(str(value), safe="")
+
+
+def axis_problem(axis: str, values) -> str | None:
+    """What keeps ``values`` from being a sweep over ``axis``, as the config
+    reports it, or ``None``: an unknown axis, no values, or two values that
+    :func:`value_name` names alike."""
+    if axis not in AXES:
+        return f"sweep.axes.{axis}: unknown axis; have {tuple(AXES)}"
+    if not isinstance(values, (list, tuple)) or not values:
+        return f"sweep.axes.{axis}: must be a non-empty list"
+    if len({value_name(v) for v in values}) < len(values):
+        return f"sweep.axes.{axis}: must not repeat a value, got {list(values)}"
+    return None
 
 
 # Paper table -> the axes of its cells, in cell-key order. Only

@@ -29,7 +29,7 @@ from typing import Any
 
 import yaml
 
-from .axes import AXES, GENERATIVE_METHODS, METHODS, repeats_a_value
+from .axes import GENERATIVE_METHODS, METHODS, axis_problem
 from .corpus import DATASET_FORMATS, split_fractions_problem
 from .evaluation import BOOTSTRAP_METRICS
 from .fusion import FusionConfig, MECHANISMS
@@ -83,6 +83,10 @@ class ProvidersConfig:
                   if value.startswith("hash-") and not (value[5:].isdecimal() and int(value[5:]) > 0)))
 
 
+# The settings of a backend without a preset.
+_NO_PRESET = GenerationParams("stub", steps=4, guidance_scale=0.0, width=512, height=512)
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     backend: str = "stub"
@@ -112,20 +116,12 @@ class GenerationConfig:
         preset = self.preset
         if preset is None and self.backend in GENERATION_PRESETS:
             preset = self.backend
-        if preset is not None:
-            base = dataclasses.asdict(preset_params(preset, seed=self.seed))
-        else:
-            base = dict(
-                steps=4, guidance_scale=0.0, width=512, height=512,
-                scheduler_id=None, seed=self.seed, provider_managed=False,
-            )
-        for name in ("steps", "guidance_scale", "width", "height", "scheduler_id"):
-            if getattr(self, name) is not None:
-                base[name] = getattr(self, name)
+        overrides = {name: getattr(self, name) for name in ("steps", "guidance_scale", "width", "height",
+                                                            "scheduler_id") if getattr(self, name) is not None}
         if method == "gen_image_fast":
-            base["steps"] = 1  # strict-latency variant: single inference step
-        base["backend_id"] = self.backend
-        return GenerationParams(**base)
+            overrides["steps"] = 1  # strict-latency variant: single inference step
+        base = preset_params(preset) if preset is not None else _NO_PRESET
+        return dataclasses.replace(base, backend_id=self.backend, seed=self.seed, **overrides)
 
 
 @dataclass(frozen=True)
@@ -320,12 +316,9 @@ def parse_config_data(data: dict, *, base_dir: Path | None = None) -> Experiment
             problems.append("sweep.axes: must be a non-empty mapping of axis -> values")
         else:
             for axis, values in axes.items():
-                if axis not in AXES:
-                    problems.append(f"sweep.axes.{axis}: unknown axis; have {tuple(AXES)}")
-                elif not isinstance(values, list) or not values:
-                    problems.append(f"sweep.axes.{axis}: must be a non-empty list")
-                elif repeats_a_value(values):
-                    problems.append(f"sweep.axes.{axis}: must not repeat a value, got {values}")
+                problem = axis_problem(axis, values)
+                if problem:
+                    problems.append(problem)
                 else:
                     sweep_axes[axis] = tuple(values)
 

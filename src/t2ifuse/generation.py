@@ -193,16 +193,15 @@ class GenerationParams:
                 raise ValueError(f"{name} must be a positive multiple of 8")
 
 
-# (steps, guidance, width, height, scheduler, provider_managed) per preset.
-# "flux-schnell-1step" is the strict-latency variant: the same backend forced
-# to a single inference step.
-_PRESETS: dict[str, tuple] = {
-    "sd15": ("sd15", 50, 7.5, 512, 512, "DPM++ 2M Karras", False),
-    "sdxl": ("sdxl", 50, 8.0, 1024, 1024, "DPM++ 2M Karras", False),
-    "sdxl-lightning": ("sdxl-lightning", 4, 1.0, 1024, 1024, None, False),
-    "flux-schnell": ("flux-schnell", 4, 0.0, 1024, 1024, None, False),
-    "flux-schnell-1step": ("flux-schnell", 1, 0.0, 1024, 1024, None, False),
-    "dalle3": ("dalle3", 1, 0.0, 1024, 1024, None, True),
+# Published settings per preset. "flux-schnell-1step" is the strict-latency
+# variant: the same backend forced to a single inference step.
+_PRESETS: dict[str, GenerationParams] = {
+    "sd15": GenerationParams("sd15", 50, 7.5, 512, 512, "DPM++ 2M Karras"),
+    "sdxl": GenerationParams("sdxl", 50, 8.0, 1024, 1024, "DPM++ 2M Karras"),
+    "sdxl-lightning": GenerationParams("sdxl-lightning", 4, 1.0, 1024, 1024),
+    "flux-schnell": GenerationParams("flux-schnell", 4, 0.0, 1024, 1024),
+    "flux-schnell-1step": GenerationParams("flux-schnell", 1, 0.0, 1024, 1024),
+    "dalle3": GenerationParams("dalle3", 1, 0.0, 1024, 1024, provider_managed=True),
 }
 
 
@@ -212,17 +211,7 @@ def preset_params(preset_id: str, seed: int = 0) -> GenerationParams:
         raise UnknownBackendError(
             f"unknown generation preset {preset_id!r}; have {sorted(_PRESETS)}"
         )
-    backend_id, steps, guidance, width, height, scheduler, managed = _PRESETS[preset_id]
-    return GenerationParams(
-        backend_id=backend_id,
-        steps=steps,
-        guidance_scale=guidance,
-        width=width,
-        height=height,
-        scheduler_id=scheduler,
-        seed=seed,
-        provider_managed=managed,
-    )
+    return dataclasses.replace(_PRESETS[preset_id], seed=seed)
 
 
 @dataclass(frozen=True)

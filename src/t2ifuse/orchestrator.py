@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .axes import AXES, GENERATIVE_METHODS, repeats_a_value
+from .axes import AXES, GENERATIVE_METHODS, axis_problem, value_name
 from .config import (EXECUTION_FIELDS, PIPELINE_SET, ConfigError, ExperimentConfig, parse_config_data,
                      without_fields)
 from .corpus import (
@@ -1113,14 +1113,11 @@ def _cell_id(axis_names: Sequence[str], combo: Sequence) -> str:
     """A cell's name, which is also its directory name: its axis settings,
     or, when they are too long for one file name, a readable prefix of them
     plus a sha256 of the whole, so cells that share the prefix stay apart."""
-    cell_id = "-".join(
-        f"{name}={str(value).replace('/', '_')}" for name, value in zip(axis_names, combo)
-    )
-    raw = cell_id.encode("utf-8")
-    if len(raw) <= _MAX_NAME_BYTES:
+    cell_id = "-".join(f"{name}={value_name(value)}" for name, value in zip(axis_names, combo))
+    if len(cell_id) <= _MAX_NAME_BYTES:  # ASCII, as value_name percent-encodes the rest
         return cell_id
-    suffix = "~" + sha256_hex(raw)[:16]
-    return raw[: _MAX_NAME_BYTES - len(suffix)].decode("utf-8", errors="ignore") + suffix
+    suffix = "~" + sha256_hex(cell_id.encode("ascii"))[:16]
+    return cell_id[: _MAX_NAME_BYTES - len(suffix)] + suffix
 
 
 def _cell_config(base_config: ExperimentConfig, settings: dict) -> ExperimentConfig:
@@ -1146,13 +1143,9 @@ def run_sweep(
     axes = dict(axes if axes is not None else base_config.sweep_axes)
     if not axes:
         raise SweepError("sweep needs at least one axis")
-    for name, values in axes.items():
-        if name not in AXES:
-            raise SweepError(f"unknown sweep axis {name!r}; have {tuple(AXES)}")
-        if not values:
-            raise SweepError(f"sweep axis {name!r} has no values")
-        if repeats_a_value(values):
-            raise SweepError(f"sweep axis {name!r} repeats a value: {list(values)}")
+    problems = [p for p in (axis_problem(name, values) for name, values in axes.items()) if p]
+    if problems:
+        raise SweepError("; ".join(problems))
     registry = registry if registry is not None else ProviderRegistry()
     axis_names = list(axes)
     sweep_dir = Path(base_config.output_dir)

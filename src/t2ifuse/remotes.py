@@ -50,14 +50,11 @@ def _credential_env(name: str) -> str:
     return name.upper().replace("-", "_") + "_API_KEY"
 
 
-def _headers(api_key_env: str | None) -> dict[str, str]:
-    headers = {"Content-Type": "application/json"}
-    if api_key_env:
-        key = os.environ.get(api_key_env)
-        if not key:
-            raise GenerationError(f"missing credential: set ${api_key_env}")
-        headers["Authorization"] = f"Bearer {key}"
-    return headers
+def _headers(api_key_env: str) -> dict[str, str]:
+    key = os.environ.get(api_key_env)
+    if not key:
+        raise GenerationError(f"missing credential: set ${api_key_env}")
+    return {"Content-Type": "application/json", "Authorization": f"Bearer {key}"}
 
 
 def _retry_after_s(value: str | None) -> float | None:
@@ -82,12 +79,11 @@ class _HttpAdapter:
         adapter_id: str,
         endpoint: str,
         *,
-        api_key_env: str | None = None,
         timeout_s: float = 60.0,
         session: Any | None = None,
     ):
         self.endpoint = endpoint
-        self.api_key_env = api_key_env if api_key_env is not None else _credential_env(adapter_id)
+        self.api_key_env = _credential_env(adapter_id)
         self.timeout_s = timeout_s
         self.session = session if session is not None else requests.Session()
 

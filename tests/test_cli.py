@@ -1,7 +1,9 @@
 import json
 
+import pytest
 import yaml
 
+from t2ifuse import orchestrator
 from t2ifuse.cli import main
 from t2ifuse.synthetic import build_separability_fixture
 
@@ -104,3 +106,36 @@ def test_a_failed_stage_is_one_error_line_and_exit_code_2(tmp_path, capsys):
     assert main(["--verbose", "run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" in err and err.endswith(f"error: stage prompts failed: {reason}\n")
+
+
+def test_cli_cost_mode_reaches_the_cost_summary(tmp_path, capsys):
+    fix = build_separability_fixture(tmp_path / "data", samples_per_class=8, seed=2)
+    config = _write_config(tmp_path, fix)
+    assert main(["run", "--config", str(config), "--cost-mode", "measured"]) == 0
+    cost = json.loads((tmp_path / "run" / "cost_summary.json").read_text())
+    assert (cost["mode"], cost["note"]) == ("measured", None)  # the config file leaves it at estimated
+
+
+def test_cli_sweep_with_a_failed_cell_exits_1_and_names_it(tmp_path, capsys):
+    fix = build_separability_fixture(tmp_path / "data", samples_per_class=8, seed=2)
+    config = _write_config(tmp_path, fix, sweep={"axes": {"mechanism": ["concat", "bogus"]}})
+    assert main(["sweep", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert "concat" in out
+    assert err.startswith("cell {'mechanism': 'bogus'} failed: ConfigError: ")
+    assert "cell {'mechanism': 'concat'}" not in err
+
+
+def test_an_error_no_stage_recorded_propagates(tmp_path, capsys, monkeypatch):
+    fix = build_separability_fixture(tmp_path / "data", samples_per_class=8, seed=2)
+    config = _write_config(tmp_path, fix)
+
+    def unwritable(store, fingerprint, run_dir):
+        raise PermissionError("stage store is read-only")
+
+    monkeypatch.setattr(orchestrator, "_point", unwritable)  # after the stage is recorded done
+    with pytest.raises(PermissionError, match="read-only"):
+        main(["run", "--config", str(config)])
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["stages"]["prompts"]["status"] == "done"
+    assert "error: stage" not in capsys.readouterr().err

@@ -126,6 +126,13 @@ def test_method_requirements(tmp_path):
         parse_config_data(_minimal(tmp_path, method="textual_expansion"))
     with pytest.raises(ConfigError, match="retrieval_corpus"):
         parse_config_data(_minimal(tmp_path, method="knowledge_retrieval"))
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(_minimal(tmp_path, method="gen_image"))  # no generation section at all
+    assert err.value.problems == ["generation.backend: required for method gen_image"]
+    with pytest.raises(ConfigError) as err:
+        parse_config_data(_minimal(tmp_path, method="gen_image", strategy="elaborated",
+                                   generation={"backend": "sdxl"}))
+    assert err.value.problems == ["providers.elaborator: required for strategy elaborated"]
 
 
 def test_training_preset_resolution(tmp_path):

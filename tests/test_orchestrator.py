@@ -13,6 +13,7 @@ import time
 from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
+from urllib.parse import quote
 
 import numpy as np
 import pytest
@@ -736,9 +737,22 @@ def test_sweep_cells_with_long_dataset_paths_get_distinct_short_dirs(tmp_path, f
     result = run_sweep(base, {"dataset": [short, *long_paths]}, ProviderRegistry())
     assert [c.status for c in result.cells] == ["done"] * 3
     names = [Path(c.output_dir).name for c in result.cells]
-    assert names[0] == "dataset=" + short.replace("/", "_")  # an id that fits is kept as it is
+    assert names[0] == "dataset=" + short.replace("/", "%2F")  # an id that fits is kept as it is
     assert len(set(names)) == 3 and all(len(n.encode()) <= 255 for n in names)
-    assert names[1][:200] == names[2][:200] == "dataset=" + long_paths[0].replace("/", "_")[:192]
+    assert names[1][:200] == names[2][:200] == "dataset=" + long_paths[0].replace("/", "%2F")[:192]
+
+
+def test_dataset_values_that_differ_only_in_slash_or_underscore_get_their_own_cells(tmp_path, fixture_dataset):
+    (tmp_path / "sets" / "a").mkdir(parents=True)
+    paths = [str(tmp_path / "sets" / "a" / "b.csv"), str(tmp_path / "sets" / "a_b.csv")]
+    for path in paths:
+        Path(path).write_bytes(fixture_dataset.dataset_csv.read_bytes())
+    base = _base_config(tmp_path, fixture_dataset, out_name="slashes", method="text_only")
+    result = run_sweep(base, {"dataset": paths}, ProviderRegistry())
+    assert [c.status for c in result.cells] == ["done", "done"]
+    names = [Path(c.output_dir).name for c in result.cells]
+    assert names == ["dataset=" + quote(path, safe="") for path in paths]
+    assert all((Path(c.output_dir) / "manifest.json").exists() for c in result.cells)
 
 
 def test_sweep_empty_axis_errors(tmp_path, fixture_dataset):
@@ -747,13 +761,13 @@ def test_sweep_empty_axis_errors(tmp_path, fixture_dataset):
         run_sweep(base, {})
     with pytest.raises(SweepError):
         run_sweep(base, {"strategy": []})
-    with pytest.raises(SweepError, match="unknown sweep axis 'seed'"):
+    with pytest.raises(SweepError, match="sweep.axes.seed: unknown axis"):
         run_sweep(base, {"seed": [1, 2]})
 
 
 def test_a_sweep_with_a_repeated_value_runs_no_cell(tmp_path, fixture_dataset):
     base = _base_config(tmp_path, fixture_dataset, out_name="repeated")
-    with pytest.raises(SweepError, match="sweep axis 'mechanism' repeats a value"):
+    with pytest.raises(SweepError, match="sweep.axes.mechanism: must not repeat a value"):
         run_sweep(base, {"mechanism": ["concat", "concat"]})
     assert not (tmp_path / "repeated").exists()
 

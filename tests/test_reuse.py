@@ -318,6 +318,27 @@ def test_reuse_runs_each_stage_it_cannot_verify(tmp_path, fix, monkeypatch, case
     assert _files(config.output_dir) == _files(forced.output_dir)
 
 
+@pytest.mark.parametrize("escape", ["relative", "absolute"])
+def test_a_producer_artifact_outside_its_run_directory_is_never_linked_in(tmp_path, fix, monkeypatch, escape):
+    producer = _config(tmp_path, fix, "producer", method="text_only")
+    run_experiment(producer)
+    outside = tmp_path / "escape.txt"
+    outside.write_bytes(b"outside")
+    rel = "../escape.txt" if escape == "relative" else str(outside)
+    path = Path(producer.output_dir) / "manifest.json"
+    data = json.loads(path.read_text())
+    data["stages"]["prompts"]["artifacts"][rel] = storage.sha256_hex(b"outside")
+    path.write_text(json.dumps(data))
+
+    config = dataclasses.replace(producer, output_dir=str(tmp_path / "deep" / "run"))
+    ran = _record_runs(monkeypatch)
+    run_experiment(config)
+    assert ran == ["prompts"]
+    assert _reused(config.output_dir)["prompts"] is None
+    assert not (tmp_path / "deep" / "escape.txt").exists()  # where "../escape.txt" would land
+    assert outside.stat().st_nlink == 1 and outside.read_bytes() == b"outside"
+
+
 @pytest.mark.parametrize("field, method, reader, error", [
     ("dataset.path", "text_only", "prompts", DatasetError),
     ("providers.oracle_features", "oracle_image", "embeddings", FileNotFoundError),
