@@ -72,7 +72,7 @@ def _failed_stage(run_dir: Path, exc: Exception) -> str | None:
     """The stage whose failure the run's manifest records as ``exc``, if any."""
     try:
         manifest = RunManifest.load(run_dir)
-    except (OSError, ValueError, ManifestError):  # no manifest to read: not a stage's failure
+    except (OSError, ManifestError):  # no manifest to read: not a stage's failure
         return None
     reason = f"{type(exc).__name__}: {exc}"
     return next((name for name, stage in manifest.stages.items()

@@ -382,16 +382,6 @@ def parse_config(path: str | Path, *, overrides: dict | None = None) -> Experime
         data = yaml.safe_load(fh)
     if data is None:
         raise ConfigError([f"{path}: empty config"])
-    if overrides:
-        data = _merge(data, overrides)
+    if overrides and isinstance(data, dict):  # top-level fields, as the CLI sets them
+        data = {**data, **overrides}
     return parse_config_data(data, base_dir=path.parent)
-
-
-def _merge(base: dict, overrides: dict) -> dict:
-    out = dict(base)
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out

@@ -12,6 +12,7 @@ import numpy as np
 
 from .axes import AXES, LAYOUT_AXES
 from .corpus import LabelSpace
+from .storage import from_fields
 
 
 class EvaluationError(ValueError):
@@ -93,20 +94,10 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalReport":
-        return cls(
-            accuracy=data["accuracy"],
-            macro_f1=data["macro_f1"],
-            per_class=[PerClassStats(**s) for s in data["per_class"]],
+        return from_fields(
+            cls, data, per_class=[from_fields(PerClassStats, s) for s in data["per_class"]],
             confusion=np.asarray(data["confusion"], dtype=np.int64),
-            confusion_normalized=np.asarray(data["confusion_normalized"], dtype=np.float64),
-            zero_support_classes=list(data.get("zero_support_classes", [])),
-            bootstrap_std=data.get("bootstrap_std"),
-            clip_cos_mean=data.get("clip_cos_mean"),
-            clip_cos_std=data.get("clip_cos_std"),
-            clip_score_mean=data.get("clip_score_mean"),
-            clip_score_std=data.get("clip_score_std"),
-            cost_summary=data.get("cost_summary"),
-        )
+            confusion_normalized=np.asarray(data["confusion_normalized"], dtype=np.float64))
 
 
 def _confusion(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> np.ndarray:

@@ -169,9 +169,9 @@ class FusionHead:
     text_dim: int
     image_dim: int
     params: ParamStore
-    # Advances across train-mode forwards; reseed via reset_train_rng for a
-    # deterministic run. Inference never touches it.
-    train_rng: np.random.Generator | None = None
+    # Draws the dropout masks of train-mode forwards, advancing across them;
+    # seeded from the build seed, reseeded by reset_train_rng. Inference never touches it.
+    train_rng: np.random.Generator
 
     @property
     def num_params(self) -> int:
@@ -238,7 +238,8 @@ def build_fusion_head(
     store.add("cls.b1", 1, config.hidden_dim, init="zeros")
     store.add("cls.w2", config.hidden_dim, config.num_classes)
     store.add("cls.b2", 1, config.num_classes, init="zeros")
-    return FusionHead(config=config, text_dim=text_dim, image_dim=image_dim, params=store)
+    return FusionHead(config=config, text_dim=text_dim, image_dim=image_dim, params=store,
+                      train_rng=np.random.default_rng(seed))
 
 
 def _check_batch(head: FusionHead, batch: PackBatch) -> None:
@@ -286,7 +287,7 @@ def _layer_norm(store: ParamStore, x: np.ndarray, prefix: str):
 
 def _classifier(store: ParamStore, x: np.ndarray, train_mode: bool, config: FusionConfig, rng):
     b_drop = None
-    if train_mode and config.dropout_rate > 0.0:
+    if train_mode:  # the identity at rate 0, drawing nothing from rng
         x, b_drop = tc.dropout(x, config.dropout_rate, rng)
     h, b1 = _affine(store, x, "cls.w1", "cls.b1")
     g, bg = tc.gelu(h)
@@ -350,11 +351,6 @@ def fuse_forward(head: FusionHead, batch: PackBatch, train_mode: bool = False) -
     config = head.config
     store = head.params
     dtype = store.dtype
-    rng = None
-    if train_mode and config.dropout_rate > 0.0:
-        if head.train_rng is None:
-            head.reset_train_rng(store.seed)
-        rng = head.train_rng
 
     text_tokens = batch.text_tokens.astype(dtype, copy=False)
     image_tokens = batch.image_tokens.astype(dtype, copy=False)
@@ -409,7 +405,7 @@ def fuse_forward(head: FusionHead, batch: PackBatch, train_mode: bool = False) -
             b_pref(dx[:, :k].reshape(prefix_flat.shape))
             b_tp(dx[:, k:])
 
-    logits, b_cls = _classifier(store, pooled, train_mode, config, rng)
+    logits, b_cls = _classifier(store, pooled, train_mode, config, head.train_rng)
 
     def backward(dlogits: np.ndarray) -> None:
         features_backward(b_cls(np.asarray(dlogits)))

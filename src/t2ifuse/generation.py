@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .prompting import PromptSpec
-from .storage import ArtifactCache, canonical_json, read_jsonl, sha256_hex
+from .storage import ArtifactCache, canonical_json, from_fields, read_jsonl, sha256_hex
 
 logger = logging.getLogger(__name__)
 
@@ -270,7 +270,7 @@ class GeneratedImageRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratedImageRecord":
         """Build from any mapping holding the fields; other keys are ignored."""
-        return cls(**{name: data[name] for name in _RECORD_FIELDS})
+        return from_fields(cls, data)
 
     def ledger_line(self) -> dict:
         return {

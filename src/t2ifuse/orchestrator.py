@@ -5,15 +5,16 @@ training, evaluation -- each leaving verifiable artifacts in the run
 directory, listed in ``manifest.json``: only what a manifest lists is a run's
 output. One writer makes them: a stage writes each artifact through the
 ``write`` that ``run_experiment`` hands it (temp file, fsync, rename), which
-keeps the sha256 of the bytes; when the stage returns, the caches are synced,
-then the manifest is committed (synced, renamed) with those digests, so all
-that a commit lists is durable before it. The manifest is also committed
-when a stage fails, and once when the run returns or raises with reuses
-recorded since. A process killed between commits loses only reuse records,
-which the next run redoes from the pointers; killed before a fresh
-directory's first commit, it leaves files no manifest lists and a directory
-any config may run in. The content-addressed caches make repeated
-generation/embedding work free (and remote-call free).
+keeps the sha256 of the bytes. ``run_experiment`` is the only committer of
+the manifest (synced, renamed): when a stage that ran returns, the caches are
+synced and the stage is recorded done with those digests, then committed, so
+all that a commit lists is durable before it; a stage that raises is recorded
+failed and committed; and the manifest is committed once when the run returns
+or raises with reuses recorded since. A process killed between commits
+loses only reuse records, which the next run redoes from the pointers;
+killed before a fresh directory's first commit, it leaves files no manifest
+lists and a directory any config may run in. The content-addressed caches
+make repeated generation/embedding work free (and remote-call free).
 
 One rule decides whether a stage runs: its outputs stand when a manifest
 records it done under its current fingerprint and each of its artifacts still
@@ -107,7 +108,8 @@ from .prompting import (
     extract_keywords,
 )
 from . import storage
-from .storage import ArtifactCache, atomic_write_text, iter_jsonl, jsonl_bytes, read_jsonl, sha256_hex, stable_key
+from .storage import (ArtifactCache, atomic_write_text, from_fields, iter_jsonl, jsonl_bytes, read_jsonl, sha256_hex,
+                      stable_key)
 from .training import LabeledPacks, evaluate_split, train_loop
 from .tensorcore import checkpoint_bytes, load_checkpoint
 
@@ -324,58 +326,47 @@ class RunManifest:
     created_at: str = field(default_factory=lambda: _dt.datetime.now(_dt.timezone.utc).isoformat())
     updated_at: str = ""
 
-    def __post_init__(self):
-        for stage in STAGES:
-            self.stages.setdefault(stage.name, StageStatus())
+    def __post_init__(self):  # every stage, in run order
+        self.stages = {**{stage.name: StageStatus() for stage in STAGES}, **self.stages}
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict, source: str = "manifest") -> "RunManifest":
+        """Read by :func:`storage.from_fields`; a manifest older than a field
+        reads ``version`` and ``created_at`` as ``""``, others as their defaults."""
         try:
-            manifest = cls(
-                experiment_id=data["experiment_id"],
-                config_hash=data["config_hash"],
-                output_hash=data.get("output_hash", ""),
-                version=data.get("version", ""),
+            return from_fields(
+                cls, data, version=data.get("version", ""), created_at=data.get("created_at", ""),
                 descriptor=dict(data.get("descriptor", {})),
-                created_at=data.get("created_at", ""),
-                updated_at=data.get("updated_at", ""),
-            )
-            known = {f.name for f in dataclasses.fields(StageStatus)}
-            for name, raw in data.get("stages", {}).items():
-                manifest.stages[name] = StageStatus(**{key: value for key, value in raw.items() if key in known})
+                stages={name: from_fields(StageStatus, raw) for name, raw in data.get("stages", {}).items()})
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{source}: not a run manifest ({type(exc).__name__}: {exc})") from exc
-        return manifest
+
+    def record(self, stage: str, status: StageStatus) -> None:
+        """Set ``stage``'s status in memory: the next :meth:`save` commits it,
+        a kill before loses it. ``status.artifacts`` maps each file the stage
+        wrote, by its path in the run directory, to its sha256."""
+        self.stages[stage] = status
 
     def save(self, run_dir: Path) -> None:
         """Commit: write ``manifest.json`` through a synced temp file and a
-        rename. A run commits when a stage that ran is marked done or failed,
-        and once when it returns or raises with a :meth:`record` unsaved."""
+        rename. ``run_experiment`` alone commits: when a stage that ran is
+        recorded done or failed, and once when the run returns or raises with
+        a :meth:`record` of a reuse unsaved."""
         self.updated_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
         atomic_write_text(run_dir / "manifest.json", json.dumps(self.to_dict(), sort_keys=True, indent=2))
 
     @classmethod
     def load(cls, run_dir: Path) -> "RunManifest":
+        """The manifest of ``run_dir``; :class:`ManifestError` for text that
+        is not one, a torn write among it."""
         path = Path(run_dir) / "manifest.json"
-        return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), source=str(path))
-
-    def mark_done(self, stage: str, run_dir: Path, artifacts: dict[str, str], **fields) -> None:
-        """Record ``stage`` done with ``artifacts``, the sha256 of each file it
-        wrote by its path in ``run_dir``, and the other :class:`StageStatus`
-        ``fields`` given, and commit."""
-        self.record(stage, StageStatus(status="done", artifacts=dict(artifacts), **fields))
-        self.save(run_dir)
-
-    def record(self, stage: str, status: StageStatus) -> None:
-        """Set ``stage``'s status in memory: the next :meth:`save` commits it, a kill before loses it."""
-        self.stages[stage] = status
-
-    def mark_failed(self, stage: str, run_dir: Path, reason: str) -> None:
-        self.record(stage, StageStatus(status="failed", reason=reason))
-        self.save(run_dir)
+        try:
+            return cls.from_dict(json.loads(path.read_bytes()), source=str(path))
+        except ValueError as exc:  # bytes that are not JSON, or not UTF-8
+            raise ManifestError(f"{path}: not a run manifest ({type(exc).__name__}: {exc})") from exc
 
 
 # --- stage implementations -----------------------------------------------
@@ -1046,11 +1037,13 @@ def run_experiment(
                     for cache in caches.values():
                         cache.sync()  # every entry the artifacts name, before the commit lists them
                 except Exception as exc:
-                    manifest.mark_failed(stage.name, run_dir, f"{type(exc).__name__}: {exc}")
+                    manifest.record(stage.name, StageStatus(status="failed", reason=f"{type(exc).__name__}: {exc}"))
+                    manifest.save(run_dir)
                     unsaved = False
                     raise
-                manifest.mark_done(stage.name, run_dir, digests, fingerprint=fingerprint,
-                                   wall_s=round(time.perf_counter() - start, 6))
+                manifest.record(stage.name, StageStatus(status="done", artifacts=digests, fingerprint=fingerprint,
+                                                        wall_s=round(time.perf_counter() - start, 6)))
+                manifest.save(run_dir)
                 unsaved = False
                 _point(store, fingerprint, run_dir)
                 kept.update((name, (digests[name], value)) for name, value in outputs.items())
@@ -1078,7 +1071,7 @@ def _headline_report(run_dir: Path) -> EvalReport | None:
         summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
         path = run_dir / "eval" / f"eval_seed{summary['per_seed'][0]['seed']}.json"
         return EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, IndexError):
+    except (OSError, ValueError, KeyError, IndexError, TypeError):  # TypeError: a report field is missing
         return None
 
 
@@ -1229,7 +1222,7 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
         run_dir = Path(run_dir)
         try:
             manifest = RunManifest.load(run_dir)
-        except (OSError, json.JSONDecodeError, ManifestError) as exc:
+        except (OSError, ManifestError) as exc:
             problems.append(f"{run_dir}: unreadable manifest ({type(exc).__name__})")
             continue
         if manifest.stages["evaluation"].status != "done":

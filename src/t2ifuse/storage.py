@@ -10,10 +10,18 @@ index gives. The embedding cache stores whole entries in one log per
 provider; :class:`ArtifactCache` (images, chat responses) stores each entry
 as a payload record in ``<root>/data/`` and a meta record in
 ``<root>/meta/``, so that a hit reads no payload bytes.
+
+Every record a run persists (a manifest and its stage statuses, an
+evaluation report, a prompt spec, an image record) is read back by one rule,
+:func:`from_fields`: each key that names a field of the record's dataclass
+sets that field, other keys are ignored, and a field without its key takes
+its default. A field a later version adds, or a subclass, is therefore read
+back without its reader naming it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -25,7 +33,7 @@ import time
 import weakref
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class CacheError(RuntimeError):
@@ -101,6 +109,14 @@ def iter_jsonl(data: bytes) -> Iterator[dict]:
     """The records of JSONL bytes, split into lines as :func:`read_jsonl`
     splits a file that holds them."""
     return _records(io.StringIO(data.decode("utf-8"), newline=None))
+
+
+def from_fields(cls: type, data: Mapping, **converted):
+    """The dataclass ``cls`` built from the keys of ``data`` that name its
+    fields, with each ``converted`` value in place of its key's (the arrays,
+    tuples and nested records a reader must build); other keys are ignored."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{**{key: value for key, value in data.items() if key in names}, **converted})
 
 
 # --- segment log -------------------------------------------------------------

@@ -477,10 +477,10 @@ def cross_entropy(logits: np.ndarray, labels) -> tuple[float, Callable[[], np.nd
     loss = float(-log_p[np.arange(n), labels].mean())
     p = np.exp(log_p)
 
-    def backward(upstream: float = 1.0) -> np.ndarray:
+    def backward() -> np.ndarray:
         g = p.copy()
         g[np.arange(n), labels] -= 1.0
-        return g * (upstream / n)
+        return g * (1.0 / n)  # not g / n, which rounds differently
 
     return loss, backward
 
@@ -502,21 +502,23 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
+GRAD_CHECK_STEP = 1e-5  # of the central finite differences
+GRAD_CHECK_SAMPLE = 50  # coordinates probed per tensor
+
+
 def grad_check(
     loss_fn: Callable[[], float],
     store: ParamStore,
     tolerance: float = 1e-4,
     *,
-    step: float = 1e-5,
-    sample_size: int = 50,
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn`` must be deterministic, return a scalar loss, and populate
     ``store.grads`` as a side effect (the store is zeroed before the call).
-    Each tensor is probed on a random subsample of coordinates (all of them
-    when the tensor has fewer than ``sample_size`` entries). Relative error is
+    Each tensor is probed on a random subsample of ``GRAD_CHECK_SAMPLE``
+    coordinates (all of them when the tensor has no more). Relative error is
     |a - n| / max(|a|, |n|, 1e-8). Requires the float64 build mode.
     """
     if store.dtype != np.float64:
@@ -536,20 +538,20 @@ def grad_check(
     for name, theta in store.params.items():
         flat = theta.reshape(-1)
         size = flat.size
-        if size <= sample_size:
+        if size <= GRAD_CHECK_SAMPLE:
             coords = np.arange(size)
         else:
-            coords = rng.choice(size, size=sample_size, replace=False)
+            coords = rng.choice(size, size=GRAD_CHECK_SAMPLE, replace=False)
         worst = 0.0
         a_flat = analytic[name].reshape(-1)
         for idx in coords:
             original = flat[idx]
-            flat[idx] = original + step
+            flat[idx] = original + GRAD_CHECK_STEP
             f_plus = loss_fn()
-            flat[idx] = original - step
+            flat[idx] = original - GRAD_CHECK_STEP
             f_minus = loss_fn()
             flat[idx] = original
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             a = float(a_flat[idx])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)

@@ -139,3 +139,16 @@ def test_an_error_no_stage_recorded_propagates(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["stages"]["prompts"]["status"] == "done"
     assert "error: stage" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b'{"experiment_id": "x", "config_ha', b'{"experiment_id": "\xe2\x82', b""])
+def test_cli_on_a_torn_manifest_exits_2_not_with_a_traceback(tmp_path, capsys, text):
+    fix = build_separability_fixture(tmp_path / "data", samples_per_class=8, seed=2)
+    config = _write_config(tmp_path, fix)
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "manifest.json").write_bytes(text)
+    assert main(["run", "--config", str(config), "--offline"]) == 2
+    assert f"error: {tmp_path / 'run' / 'manifest.json'}: not a run manifest" in capsys.readouterr().err
+
+    assert main(["report", str(tmp_path / "run")]) == 0
+    assert f"{tmp_path / 'run'}: unreadable manifest (ManifestError)" in capsys.readouterr().out

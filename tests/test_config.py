@@ -192,6 +192,18 @@ def test_a_stylized_strategy_needs_style_tags_for_its_task(tmp_path):
     assert parse_config_data(_minimal(tmp_path, strategy="stylized", **{**generative, "task_id": "news"}))
 
 
+def test_a_config_root_that_is_not_a_mapping_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="config root must be a mapping"):
+        parse_config_data([{"experiment_id": "demo"}])
+    path = _write(tmp_path, [{"experiment_id": "demo"}])
+    with pytest.raises(ConfigError, match="config root must be a mapping"):
+        parse_config(path, overrides={"output_dir": str(tmp_path / "run")})  # as the CLI's --out sets it
+
+
+def test_a_single_seed_reads_as_a_one_seed_tuple(tmp_path):
+    assert parse_config_data(_minimal(tmp_path, seeds=3)).seeds == (3,)
+
+
 def test_missing_file_and_empty_config(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "none.yaml")

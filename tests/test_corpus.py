@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,28 @@ def test_unknown_format_and_empty_dataset(tmp_path):
         load_dataset(path, "parquet")
     with pytest.raises(DatasetError, match="empty dataset"):
         load_dataset(path, "delimited_rows")
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("no_label.csv", "text,category\nfine,pos\n", "header must name 'text' and 'label' columns"),
+    ("array.jsonl", '{"text": "fine", "label": "pos"}\n["text", "label"]\n', "row 2: record is not an object"),
+    ("blank.csv", "text,label\nfine,pos\n   ,neg\n", "row 3: missing or empty 'text'"),
+    ("repeat.jsonl", '{"id": "a", "text": "one", "label": "pos"}\n{"id": "a", "text": "two", "label": "neg"}\n',
+     "row 2: duplicate id 'a'"),
+])
+def test_a_malformed_dataset_names_what_is_wrong(tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_text(content)
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_dataset(path, "delimited_rows" if name.endswith(".csv") else "record_lines")
+
+
+def test_blank_record_lines_are_skipped_and_keep_their_row_numbers(tmp_path):
+    path = tmp_path / "gaps.jsonl"
+    path.write_text('\n{"text": "one", "label": "pos"}\n  \n{"text": "two", "label": "neg"}\n')
+    samples, space = load_dataset(path, "record_lines")
+    assert [(s.id, s.text) for s in samples] == [("row2", "one"), ("row4", "two")]
+    assert space.class_names == ("pos", "neg")
 
 
 def test_thousand_row_fixture_matches_line_scan_oracle(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from t2ifuse.embedding import (
 )
 from t2ifuse.fusion import PackBatch
 from t2ifuse.generation import ImageStore
-from t2ifuse.storage import CacheError
+from t2ifuse.storage import CacheError, write_jsonl
 
 
 class CountingProvider:
@@ -293,6 +294,19 @@ def test_oracle_provider_round_trip(tmp_path):
     assert provider.dim == 4
     with pytest.raises(ProviderError):
         provider.features_for("missing")
+
+
+@pytest.mark.parametrize("records, message", [
+    ([{"sample_id": "s1", "dim": 3, "values": [1.0, 2.0]}], "sample 's1' dim mismatch"),
+    ([], "empty oracle feature file"),
+    ([{"sample_id": "s1", "dim": 2, "values": [1.0, 2.0]}, {"sample_id": "s2", "dim": 3, "values": [1.0, 2.0, 3.0]}],
+     "inconsistent dims [2, 3]"),
+])
+def test_a_malformed_oracle_feature_file_is_a_provider_error(tmp_path, records, message):
+    path = tmp_path / "oracle.jsonl"
+    write_jsonl(path, records)
+    with pytest.raises(ProviderError, match=re.escape(message)):
+        OracleFeatureProvider(path)
 
 
 def test_oracle_packs_share_shape_contract(tmp_path):

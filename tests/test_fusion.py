@@ -270,6 +270,22 @@ def _batch_loss(head, batch, labels):
     return loss, out
 
 
+def test_a_head_draws_its_dropout_masks_from_a_generator_its_build_seed_decides():
+    head, packs, _ = _ragged_setup("cross_attention")
+    batch = PackBatch.from_packs(packs)
+    state = head.train_rng.bit_generator.state
+    assert state == np.random.default_rng(30).bit_generator.state
+    trained = fuse_forward(head, batch, train_mode=True)
+    assert head.train_rng.bit_generator.state == state  # rate 0 is the identity and draws nothing
+    np.testing.assert_array_equal(trained.logits, fuse_forward(head, batch).logits)
+
+    config = dataclasses.replace(head.config, dropout_rate=0.5)
+    a, b = (build_fusion_head(config, text_dim=6, image_dim=5, seed=7, dtype=np.float64) for _ in range(2))
+    first = fuse_forward(a, batch, train_mode=True).logits
+    assert not np.array_equal(first, fuse_forward(a, batch, train_mode=True).logits)  # the masks advance
+    np.testing.assert_array_equal(first, fuse_forward(b, batch, train_mode=True).logits)
+
+
 def test_pack_batch_pads_and_masks():
     _, packs, _ = _ragged_setup("concat")
     batch = PackBatch.from_packs(packs)

@@ -94,6 +94,16 @@ def test_compose_gen_image_requests_generation():
     assert image_source("oracle_image") == "oracle"
 
 
+def test_a_retriever_needs_a_document_and_a_text_without_content_words_misses(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    with pytest.raises(OrchestrationError, match=re.escape(f"empty retrieval corpus: {empty}")):
+        KeywordOverlapRetriever(empty)
+    retriever = KeywordOverlapRetriever(_corpus(tmp_path))
+    effective_text, fallback = compose_input(_sample("the and of it is"), "knowledge_retrieval", retriever=retriever)
+    assert (effective_text, fallback) == ("the and of it is", "retrieval_miss")
+
+
 def _corpus(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(

@@ -283,3 +283,10 @@ def test_retry_after_reads_delta_seconds_and_http_dates():
     assert _retry_after_s("Sun, 06 Nov 1994 08:49:37 GMT") == 0.0  # the RFC's example date, long past
     for malformed in (None, "", "-5", "1.5", "soon", "\u00b2"):
         assert _retry_after_s(malformed) is None
+
+
+def test_retry_after_reads_an_http_date_in_minus_0000_as_utc():
+    later = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(seconds=30)
+    value = email.utils.format_datetime(later.replace(tzinfo=None))  # a naive time is written "-0000"
+    assert value.endswith(" -0000")
+    assert 25 <= _retry_after_s(value) <= 30

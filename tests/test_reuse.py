@@ -179,6 +179,41 @@ def test_a_copy_serves_where_a_link_fails(tmp_path, fix, monkeypatch):
     assert not os.path.samefile(Path(config.output_dir) / "report.txt", Path(warm.output_dir) / "report.txt")
 
 
+def test_a_reuse_whose_link_and_copy_both_fail_runs_the_stage_and_leaves_no_temp(tmp_path, fix, monkeypatch):
+    config = _config(tmp_path, fix, method="text_only")
+    run_experiment(config)
+
+    def cross_device(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+
+    def disk_full(src, dst):
+        Path(dst).write_bytes(b"part")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "link", cross_device)
+    monkeypatch.setattr(shutil, "copyfile", disk_full)
+    warm = dataclasses.replace(config, output_dir=str(tmp_path / "warm"))
+    run_experiment(warm)
+    assert _reused(warm.output_dir) == dict.fromkeys(STAGE_NAMES)
+    assert _files(warm.output_dir) == _files(config.output_dir)
+    assert not [p for p in Path(warm.output_dir).rglob("*") if ".reuse" in p.name]
+
+
+def test_an_unknown_stage_to_stop_after_is_refused_before_the_run_directory_is_made(tmp_path, fix):
+    config = _config(tmp_path, fix, method="text_only")
+    with pytest.raises(orchestrator.OrchestrationError, match="unknown stage 'nope'"):
+        run_experiment(config, until_stage="nope")
+    assert not Path(config.output_dir).exists()
+
+
+def test_a_finished_run_without_its_summary_is_reported_as_having_no_evaluation_artifacts(tmp_path, fix):
+    config = _config(tmp_path, fix, method="text_only")
+    run_experiment(config)
+    (Path(config.output_dir) / "summary.json").unlink()
+    out = orchestrator.report_cli([config.output_dir])
+    assert out == f"skipped runs:\n  {config.output_dir}: no evaluation artifacts\n\n"
+
+
 def test_resuming_stage_by_stage_on_top_of_reuse_gives_the_same_files(tmp_path, fix):
     config = _config(tmp_path, fix)
     run_experiment(config)
