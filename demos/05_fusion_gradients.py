@@ -5,8 +5,7 @@ Run: python3 demos/05_fusion_gradients.py
 
 import numpy as np
 
-from t2ifuse.embedding import FeaturePack
-from t2ifuse.fusion import FusionConfig, PackBatch, build_fusion_head, export_attention, fuse_forward
+from t2ifuse.fusion import FeaturePack, FusionConfig, PackBatch, build_fusion_head, export_attention, fuse_forward
 from t2ifuse.tensorcore import cross_entropy, grad_check
 
 rng = np.random.default_rng(0)

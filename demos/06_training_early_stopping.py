@@ -6,8 +6,7 @@ Run: python3 demos/06_training_early_stopping.py
 import numpy as np
 
 from t2ifuse.corpus import LabelSpace
-from t2ifuse.embedding import FeaturePack
-from t2ifuse.fusion import FusionConfig, PackBatch, build_fusion_head
+from t2ifuse.fusion import FeaturePack, FusionConfig, PackBatch, build_fusion_head
 from t2ifuse.training import LabeledPacks, TrainConfig, evaluate_split, train_loop
 
 

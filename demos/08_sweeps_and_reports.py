@@ -8,7 +8,8 @@ import tempfile
 from pathlib import Path
 
 from t2ifuse.config import parse_config_data
-from t2ifuse.orchestrator import ProviderRegistry, run_sweep
+from t2ifuse.orchestrator import ProviderRegistry
+from t2ifuse.sweep import run_sweep
 from t2ifuse.synthetic import build_separability_fixture
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -15,7 +15,9 @@ The package is organized as a library of independently testable stages:
 - :mod:`t2ifuse.training` -- AdamW, early stopping, deterministic training loop.
 - :mod:`t2ifuse.evaluation` -- metrics, confusion matrices, bootstrap, report tables.
 - :mod:`t2ifuse.config` -- YAML config parsing and validation, presets, stable hashes.
-- :mod:`t2ifuse.orchestrator` -- config-driven staged pipeline with resume and sweeps.
+- :mod:`t2ifuse.providers` -- which backend, encoder, chat client or retriever serves a name.
+- :mod:`t2ifuse.orchestrator` -- config-driven staged pipeline with resume and reuse.
+- :mod:`t2ifuse.sweep` -- sweeps over axis grids, and reports over finished runs.
 - :mod:`t2ifuse.cli` -- the command line: run a stage, a sweep or a report.
 """
 

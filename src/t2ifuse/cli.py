@@ -16,8 +16,9 @@ import traceback
 from pathlib import Path
 
 from .config import COST_MODES, ConfigError, parse_config
-from .orchestrator import (STAGES, ManifestError, OrchestrationError, RunManifest, report_cli,
-                           run_experiment, run_sweep)
+from .orchestrator import STAGES, ManifestError, RunManifest, run_experiment
+from .providers import OrchestrationError
+from .sweep import report_cli, run_sweep
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

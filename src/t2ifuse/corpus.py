@@ -81,6 +81,14 @@ def _rows_from_jsonl(path: Path):
             yield row_no, record
 
 
+def _row_text(path: Path, row_no: int, row: dict) -> str:
+    """The ``text`` of a row, or a :class:`DatasetError` naming its file and row."""
+    text = row.get("text")
+    if text is None or not str(text).strip():
+        raise DatasetError(f"{path}: row {row_no}: missing or empty 'text'")
+    return str(text)
+
+
 def load_dataset(path: str | Path, format: str = "delimited_rows") -> tuple[list[TextSample], LabelSpace]:
     """Load samples and derive the label space in first-appearance order.
 
@@ -103,10 +111,8 @@ def load_dataset(path: str | Path, format: str = "delimited_rows") -> tuple[list
     label_order: list[str] = []
     seen_ids: set[str] = set()
     for row_no, row in rows:
-        text = row.get("text")
+        text = _row_text(path, row_no, row)
         label = row.get("label")
-        if text is None or not str(text).strip():
-            raise DatasetError(f"{path}: row {row_no}: missing or empty 'text'")
         if label is None or str(label) == "":
             raise DatasetError(f"{path}: row {row_no}: missing 'label'")
         label_name = str(label)
@@ -116,7 +122,7 @@ def load_dataset(path: str | Path, format: str = "delimited_rows") -> tuple[list
         if sample_id in seen_ids:
             raise DatasetError(f"{path}: row {row_no}: duplicate id {sample_id!r}")
         seen_ids.add(sample_id)
-        samples.append(TextSample(id=sample_id, text=str(text), label=label_order.index(label_name)))
+        samples.append(TextSample(id=sample_id, text=text, label=label_order.index(label_name)))
 
     if not samples:
         raise DatasetError(f"{path}: empty dataset")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
@@ -47,17 +46,6 @@ class ImageContentError(ProviderError):
 
 class ZeroVectorError(ValueError):
     pass
-
-
-@dataclass
-class FeaturePack:
-    """One sample's encoder outputs, as :meth:`fusion.PackBatch.from_packs`
-    takes them; that constructor validates them, once per batch."""
-
-    text_tokens: np.ndarray  # (n_text, text_dim)
-    image_tokens: np.ndarray  # (n_image, image_dim)
-    text_pooled: np.ndarray  # (text_dim,)
-    image_pooled: np.ndarray  # (image_dim,)
 
 
 class TextEncoderProvider(Protocol):

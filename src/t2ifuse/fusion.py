@@ -11,11 +11,12 @@ Three mechanisms are provided:
   then mean pooling over all positions and an MLP.
 
 Heads take only a padded batch: a ``PackBatch`` stacks the token sequences of
-B samples, padded with zero rows to the longest text and image sequence, with
-boolean masks marking the real positions. Every attention block masks padded
-keys and every pooling averages real positions only, so a sample's logits do
-not depend on what it is batched with, and padded rows take zero gradient.
-One sample runs as a batch of one.
+B samples' ``FeaturePack`` (one sample's encoder outputs), padded with zero
+rows to the longest text and image sequence, with boolean masks marking the
+real positions. Every attention block masks padded keys and every pooling
+averages real positions only, so a sample's logits do not depend on what it
+is batched with, and padded rows take zero gradient. One sample runs as a
+batch of one.
 
 Only the head trains; encoders are external providers and stay frozen.
 """
@@ -27,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import FeaturePack
 from . import tensorcore as tc
 from .tensorcore import ParamStore, ShapeError
 
@@ -88,6 +88,17 @@ class FusionOutput:
     logits: np.ndarray  # (B, num_classes)
     attention: AttentionBundle | None
     backward: Callable[[np.ndarray], None]  # accumulates parameter grads
+
+
+@dataclass
+class FeaturePack:
+    """One sample's encoder outputs, as :meth:`PackBatch.from_packs` takes
+    them; that constructor validates them, once per batch."""
+
+    text_tokens: np.ndarray  # (n_text, text_dim)
+    image_tokens: np.ndarray  # (n_image, image_dim)
+    text_pooled: np.ndarray  # (text_dim,)
+    image_pooled: np.ndarray  # (image_dim,)
 
 
 @dataclass(frozen=True)

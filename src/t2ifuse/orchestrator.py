@@ -1,4 +1,4 @@
-"""Config-driven experiment pipeline: staged execution, resume, sweeps, reports.
+"""Config-driven experiment pipeline: staged execution, resume and reuse.
 
 An experiment runs five stages in order -- prompts, images, embeddings,
 training, evaluation -- each leaving verifiable artifacts in the run
@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import datetime as _dt
 import functools
-import itertools
 import json
 import logging
 import os
@@ -47,16 +46,14 @@ import shutil
 import time
 import typing
 from dataclasses import dataclass, field
-from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import __version__
-from .axes import AXES, GENERATIVE_METHODS, axis_problem, value_name
-from .config import (EXECUTION_FIELDS, PIPELINE_SET, ConfigError, ExperimentConfig, parse_config_data,
-                     without_fields)
+from .axes import AXES, GENERATIVE_METHODS
+from .config import EXECUTION_FIELDS, ExperimentConfig, without_fields
 from .corpus import (
     SPLIT_NAMES,
     LabelSpace,
@@ -69,8 +66,6 @@ from .corpus import (
 from .embedding import (
     CLIP_SCORE_WEIGHT,
     EmbeddingCache,
-    FeaturePack,
-    HashProjectionProvider,
     OracleFeatureProvider,
     ZeroVectorError,
     embed_all,
@@ -86,11 +81,10 @@ from .evaluation import (
     render_records,
     render_report,
 )
-from .fusion import PackBatch, build_fusion_head, export_attention, fuse_forward
+from .fusion import FeaturePack, PackBatch, build_fusion_head, export_attention, fuse_forward
 from .generation import (
     GenerationLedger,
     ImageStore,
-    StubImageBackend,
     generate_all,
     generate_image,  # unused here; the benchmark's tracer wraps it as t2ifuse.orchestrator:generate_image
     ledger_totals,
@@ -101,165 +95,21 @@ from .prompting import (
     CachedChatClient,
     NoVisualContentError,
     PromptSpec,
-    StubChatClient,
-    _STRIP_CHARS,
     build_prompt,
     elaborate_text,
     extract_keywords,
 )
+from .providers import OrchestrationError, ProviderRegistry
 from . import storage
-from .storage import (ArtifactCache, atomic_write_text, from_fields, iter_jsonl, jsonl_bytes, read_jsonl, sha256_hex,
-                      stable_key)
+from .storage import ArtifactCache, atomic_write_text, from_fields, iter_jsonl, jsonl_bytes, sha256_hex, stable_key
 from .training import LabeledPacks, evaluate_split, train_loop
 from .tensorcore import checkpoint_bytes, load_checkpoint
 
 logger = logging.getLogger(__name__)
 
 
-class OrchestrationError(RuntimeError):
-    pass
-
-
-class OfflineViolationError(OrchestrationError):
-    pass
-
-
 class ManifestError(OrchestrationError):
     """A ``manifest.json`` that does not have the shape of a run manifest."""
-
-
-# --- providers ---------------------------------------------------------------
-
-
-class KeywordOverlapRetriever:
-    """Top-1 retrieval over a local corpus by content-word overlap.
-
-    Stands in for live encyclopedia lookups: documents are a record-per-line
-    file with ``text`` (and optional ``id``/``title``) fields; the best match
-    is the document sharing the most query words, ties going to file order.
-    Each document's word set is built once, when the corpus is loaded, its
-    words stripped of the punctuation ``extract_keywords`` strips from a query.
-    """
-
-    def __init__(self, corpus_path: str | Path):
-        self.documents = []
-        for record in read_jsonl(Path(corpus_path)):
-            self.documents.append(str(record["text"]))
-        if not self.documents:
-            raise OrchestrationError(f"empty retrieval corpus: {corpus_path}")
-        self._words = [frozenset(w.strip(_STRIP_CHARS).lower() for w in doc.split()) for doc in self.documents]
-
-    def retrieve(self, keywords: Sequence[str]) -> str | None:
-        terms = {w.lower() for phrase in keywords for w in phrase.split()}
-        best_score = 0
-        best_doc = None
-        for doc, words in zip(self.documents, self._words):
-            score = len(terms & words)
-            if score > best_score:
-                best_score = score
-                best_doc = doc
-        return best_doc
-
-
-def _hash_fixture(name: str):
-    return HashProjectionProvider(name, int(name[5:])) if name.startswith("hash-") else None
-
-
-# kind -> (registry table, fixture the name selects, remote adapter in
-# ``remotes``, offline default or None)
-_PROVIDER_KINDS = {
-    "backend": ("backends", lambda name: StubImageBackend() if name == "stub" else None,
-                "HttpImageBackend", StubImageBackend),
-    "text provider": ("text_providers", _hash_fixture, "HttpEmbeddingProvider", None),
-    "image provider": ("image_providers", _hash_fixture, "HttpEmbeddingProvider", None),
-    "chat client": ("chat_clients", lambda name: StubChatClient() if name == "stub-chat" else None,
-                    "HttpChatClient", lambda name: StubChatClient(client_id=name)),
-}
-
-
-@dataclass
-class ProviderRegistry:
-    """Named provider instances, resolved by one rule for every kind.
-
-    A name resolves, in this order, to:
-
-    1. the instance registered under it;
-    2. the fixture the name selects: ``hash-<dim>`` for encoders, ``stub``
-       for the image backend, ``stub-chat`` for the chat client;
-    3. the remote adapter, when the config names an endpoint for that kind
-       (an offline run raises :class:`OfflineViolationError` instead); the
-       encoder and chat adapters make ``generation.retries`` attempts per
-       request, as ``generate_all`` does per image;
-    4. the offline default, when no endpoint is configured: the stub backend
-       or stub chat client under that name; an encoder has none, so an
-       unknown encoder is an error.
-
-    Built instances are kept, so their call counters survive resume tests
-    that hand the same registry to several runs. Each is kept under the
-    arguments it was built from: a fixture or an offline default under its
-    name, a remote adapter under its name, endpoint and adapter arguments.
-    """
-
-    backends: dict = field(default_factory=dict)
-    text_providers: dict = field(default_factory=dict)
-    image_providers: dict = field(default_factory=dict)
-    chat_clients: dict = field(default_factory=dict)
-    retrievers: dict = field(default_factory=dict)
-    _defaults: set = field(default_factory=set, init=False, repr=False)  # (table, name) of each default built
-
-    def _resolve(self, kind: str, name: str, endpoint: str | None, offline: bool, **adapter_kwargs):
-        table_name, fixture, adapter, default = _PROVIDER_KINDS[kind]
-        table = getattr(self, table_name)
-        if name in table and not (endpoint and (table_name, name) in self._defaults):
-            return table[name]
-        instance = fixture(name)
-        if instance is None and endpoint:
-            if offline:
-                raise OfflineViolationError(f"offline run cannot call remote {kind} {name!r}")
-            key = (name, endpoint, *sorted(adapter_kwargs.items()))
-            if key not in table:
-                from . import remotes  # imports requests; only remote runs pay for it
-
-                table[key] = getattr(remotes, adapter)(name, endpoint, **adapter_kwargs)
-            return table[key]
-        if instance is None:
-            if default is None:
-                raise OrchestrationError(
-                    f"unknown {kind} {name!r} (register it, use hash-<dim>, or configure an endpoint)"
-                )
-            instance = default(name)
-            self._defaults.add((table_name, name))
-        table[name] = instance
-        return instance
-
-    def resolve_backend(self, config: ExperimentConfig):
-        gen = config.generation
-        return self._resolve("backend", gen.backend, gen.endpoint, config.offline)
-
-    def resolve_text_provider(self, config: ExperimentConfig):
-        p = config.providers
-        return self._resolve("text provider", p.text, p.text_endpoint, config.offline,
-                             retries=config.generation.retries)
-
-    def resolve_image_provider(self, config: ExperimentConfig):
-        p = config.providers
-        return self._resolve("image provider", p.image, p.image_endpoint, config.offline,
-                             retries=config.generation.retries)
-
-    def resolve_chat_client(self, config: ExperimentConfig):
-        p = config.providers
-        if p.elaborator is None:
-            raise OrchestrationError("no elaborator configured")
-        return self._resolve("chat client", p.elaborator, p.chat_endpoint, config.offline,
-                             retries=config.generation.retries)
-
-    def resolve_retriever(self, config: ExperimentConfig):
-        path = config.providers.retrieval_corpus
-        if path is None:
-            raise OrchestrationError("no retrieval corpus configured")
-        if path not in self.retrievers:
-            self.retrievers[path] = KeywordOverlapRetriever(path)
-        return self.retrievers[path]
 
 
 # --- input composition -------------------------------------------------------
@@ -1073,200 +923,3 @@ def _headline_report(run_dir: Path) -> EvalReport | None:
         return EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
     except (OSError, ValueError, KeyError, IndexError, TypeError):  # TypeError: a report field is missing
         return None
-
-
-# --- sweeps -------------------------------------------------------------------
-
-
-class SweepError(OrchestrationError):
-    pass
-
-
-@dataclass
-class SweepCell:
-    axes: dict[str, str]
-    output_dir: str
-    status: str
-    error: str | None = None
-
-
-@dataclass
-class SweepResult:
-    cells: list[SweepCell]
-    table: str | None
-    records: list[dict]
-    out_dir: Path
-
-
-# Longest file name, in bytes, that common file systems accept (NAME_MAX).
-_MAX_NAME_BYTES = 255
-
-
-def _cell_id(axis_names: Sequence[str], combo: Sequence) -> str:
-    """A cell's name, which is also its directory name: its axis settings,
-    or, when they are too long for one file name, a readable prefix of them
-    plus a sha256 of the whole, so cells that share the prefix stay apart."""
-    cell_id = "-".join(f"{name}={value_name(value)}" for name, value in zip(axis_names, combo))
-    if len(cell_id) <= _MAX_NAME_BYTES:  # ASCII, as value_name percent-encodes the rest
-        return cell_id
-    suffix = "~" + sha256_hex(cell_id.encode("ascii"))[:16]
-    return cell_id[: _MAX_NAME_BYTES - len(suffix)] + suffix
-
-
-def _cell_config(base_config: ExperimentConfig, settings: dict) -> ExperimentConfig:
-    """``base_config`` with the axes set to ``settings``, checked by the same
-    walk as a parsed config: a value the config file would reject raises
-    :class:`ConfigError` naming its field."""
-    config = base_config
-    for name, value in settings.items():
-        try:
-            config = AXES[name].set_to(config, value)
-        except ValueError as exc:
-            raise ConfigError([f"sweep.axes.{name}: {value!r}: {exc}"]) from exc
-    return parse_config_data(without_fields(config.to_dict(), ("sweep_axes", *PIPELINE_SET)))
-
-
-def run_sweep(
-    base_config: ExperimentConfig,
-    axes: dict[str, Sequence] | None = None,
-    registry: ProviderRegistry | None = None,
-) -> SweepResult:
-    """One experiment per cell of the axis grid; cells are independent and
-    individually resumable, and failures don't block other cells."""
-    axes = dict(axes if axes is not None else base_config.sweep_axes)
-    if not axes:
-        raise SweepError("sweep needs at least one axis")
-    problems = [p for p in (axis_problem(name, values) for name, values in axes.items()) if p]
-    if problems:
-        raise SweepError("; ".join(problems))
-    registry = registry if registry is not None else ProviderRegistry()
-    axis_names = list(axes)
-    sweep_dir = Path(base_config.output_dir)
-    sweep_dir.mkdir(parents=True, exist_ok=True)
-
-    cells: list[SweepCell] = []
-    runs: list[tuple[str, dict, EvalReport]] = []
-    for combo in itertools.product(*(axes[name] for name in axis_names)):
-        cell_id = _cell_id(axis_names, combo)
-        cell_dir = str(sweep_dir / "cells" / cell_id)
-        status, error = "done", None
-        try:
-            cell_config = _cell_config(base_config, dict(zip(axis_names, combo)))
-            cell_config = dataclasses.replace(
-                cell_config,
-                experiment_id=f"{base_config.experiment_id}/{cell_id}",
-                output_dir=cell_dir,
-                cache_dir=str(base_config.resolved_cache_dir()),
-            )
-            manifest, report = run_experiment(cell_config, registry)
-            runs.append((cell_id, manifest.descriptor, report))
-        except Exception as exc:
-            logger.warning("sweep cell %s failed: %s", cell_id, exc)
-            status, error = "failed", f"{type(exc).__name__}: {exc}"
-        cells.append(SweepCell(axes={name: str(v) for name, v in zip(axis_names, combo)},
-                               output_dir=cell_dir, status=status, error=error))
-
-    table = None
-    records: list[dict] = []
-    if runs:
-        table, records = _combined_table(runs, axis_names, base_config.experiment_id)
-        atomic_write_text(sweep_dir / "combined_table.txt", table)
-        atomic_write_text(sweep_dir / "combined_records.jsonl", render_records(records))
-
-    atomic_write_text(
-        sweep_dir / "sweep_summary.json",
-        json.dumps(
-            {
-                "axes": {k: [str(v) for v in vs] for k, vs in axes.items()},
-                "cells": [dataclasses.asdict(c) for c in cells],
-            },
-            sort_keys=True,
-            indent=2,
-        ),
-    )
-    return SweepResult(cells=cells, table=table, records=records, out_dir=sweep_dir)
-
-
-# --- consolidated reporting ----------------------------------------------
-
-
-def _combined_table(
-    runs: Sequence[tuple[str | Path, dict, EvalReport]],
-    axis_names: Sequence[str],
-    experiment_id: str = "experiment",
-) -> tuple[str, list[dict]]:
-    """One table over ``(name, descriptor, report)`` runs, keyed by their
-    descriptor values on ``axis_names``. No run is dropped: when the axes
-    leave two runs on one key (or there are none), the name becomes one last
-    axis, ``run``."""
-    axis_names = list(axis_names)
-    keys = [tuple(str(descriptor.get(a)) for a in axis_names) for _, descriptor, _ in runs]
-    if not axis_names or len(set(keys)) < len(keys):
-        axis_names.append("run")
-        keys = [key + (str(name),) for key, (name, _, _) in zip(keys, runs)]
-    cells = {key: report for key, (_, _, report) in zip(keys, runs)}
-    return render_report(cells, axis_names, experiment_id=experiment_id)
-
-
-def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None) -> str:
-    """Aggregate finished runs into consolidated tables and cost totals.
-
-    Corrupt or unfinished run directories are reported and skipped. Each run
-    shows its first configured seed. Several runs form one table over the
-    sweep axes on which their descriptors differ; a single run reproduces its
-    own report verbatim.
-    """
-    runs: list[tuple[Path, dict, EvalReport]] = []
-    problems, attention_files = [], []
-    for run_dir in run_dirs:
-        run_dir = Path(run_dir)
-        try:
-            manifest = RunManifest.load(run_dir)
-        except (OSError, ManifestError) as exc:
-            problems.append(f"{run_dir}: unreadable manifest ({type(exc).__name__})")
-            continue
-        if manifest.stages["evaluation"].status != "done":
-            problems.append(f"{run_dir}: evaluation not finished")
-            continue
-        report = _headline_report(run_dir)
-        if report is None:
-            problems.append(f"{run_dir}: no evaluation artifacts")
-            continue
-        runs.append((run_dir, manifest.descriptor, report))
-        if "attention.tsv" in manifest.stages["evaluation"].artifacts:  # a file it does not list is no output
-            attention_files.append(str(run_dir / "attention.tsv"))
-
-    lines = []
-    if problems:
-        lines.append("skipped runs:")
-        lines.extend(f"  {p}" for p in problems)
-        lines.append("")
-
-    if runs:
-        if len(runs) == 1:
-            report_txt = runs[0][0] / "report.txt"
-            if report_txt.exists():
-                lines.append(report_txt.read_text(encoding="utf-8").rstrip())
-        else:
-            varying = [a for a in AXES if len({str(d.get(a)) for _, d, _ in runs}) > 1]
-            table, _ = _combined_table(runs, varying)
-            lines.append(table.rstrip())
-
-        total = Decimal(0)
-        image_count = 0
-        for _, _, report in runs:
-            if report.cost_summary:
-                total += Decimal(report.cost_summary["total_cost_usd"])
-                image_count += int(report.cost_summary["images"])
-        lines.append("")
-        lines.append(f"generated images: {image_count}, total cost: ${total}")
-        if attention_files:
-            lines.append("attention heatmaps:")
-            lines.extend(f"  {p}" for p in attention_files)
-
-    text = "\n".join(lines) + "\n"
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out_dir / "consolidated.txt", text)
-    return text

@@ -11,7 +11,8 @@ import pytest
 
 from t2ifuse import orchestrator
 from t2ifuse.corpus import LabelSpace, TextSample
-from t2ifuse.embedding import EmbeddingCache, FeaturePack
+from t2ifuse.embedding import EmbeddingCache
+from t2ifuse.fusion import FeaturePack
 from t2ifuse.storage import read_jsonl
 
 

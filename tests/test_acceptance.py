@@ -15,9 +15,10 @@ import numpy as np
 
 from t2ifuse.config import parse_config_data
 from t2ifuse.corpus import LabelSpace, TextSample
-from t2ifuse.embedding import FeaturePack, clip_score
+from t2ifuse.embedding import clip_score
 from t2ifuse.evaluation import PredictionSet, compute_metrics
 from t2ifuse.fusion import (
+    FeaturePack,
     FusionConfig,
     PackBatch,
     build_fusion_head,
@@ -26,7 +27,7 @@ from t2ifuse.fusion import (
     head_averaged_map,
 )
 from t2ifuse.generation import GeneratedImageRecord, ledger_totals
-from t2ifuse.orchestrator import ProviderRegistry, run_experiment, run_sweep
+from t2ifuse.orchestrator import ProviderRegistry, run_experiment
 from t2ifuse.prompting import (
     IMAGE_PROMPT_SYSTEM,
     NEGATIVE_PROMPT,
@@ -36,6 +37,7 @@ from t2ifuse.prompting import (
     elaborate_text,
     extract_keywords,
 )
+from t2ifuse.sweep import run_sweep
 from t2ifuse.synthetic import build_separability_fixture
 from t2ifuse.tensorcore import cross_entropy, grad_check
 from t2ifuse.training import TrainConfig, train_loop

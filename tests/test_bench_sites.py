@@ -5,14 +5,23 @@ without failing the run. This test fails instead."""
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # where its dataclasses look
     spec.loader.exec_module(module)
     return module
 
@@ -77,3 +86,23 @@ def test_a_forced_run_gets_each_embedding_once_through_the_traced_site(tmp_path)
             | {(row["image"]["provider"], row["image"]["key"]) for row in features})
     assert len(keys) == 2 * len(features) > 0
     assert tracer.totals()["embedding.cache_get"][0] == len(keys)  # every one a hit
+
+
+def test_every_workload_runs_through_the_names_the_bench_calls(tmp_path):
+    """The bench's own entry path at 8 samples per class: its fixture, config
+    and registry, through ``orchestrator.run_experiment``. ``run_phase`` is
+    not called: it syncs the machine, and ``stub_syncs`` patches ``os.fsync``
+    for the whole process."""
+    from t2ifuse import orchestrator
+
+    workloads = _workloads()
+    calls = {}
+    for name, workload in workloads.WORKLOADS.items():
+        fixture = workloads.build_fixture(workload, tmp_path / name / "data", seed=11, samples_per_class=8)
+        config = workloads.make_config(workload, fixture, tmp_path / name / "run", tmp_path / name / "cache")
+        registry = workloads.make_registry()
+        _, report = orchestrator.run_experiment(config, registry)
+        assert report is not None
+        assert (tmp_path / name / "run" / "report.txt").read_bytes()
+        calls[name] = workloads.provider_calls(registry)
+    assert calls["gen-concat"] > 0

@@ -7,7 +7,6 @@ import pytest
 from t2ifuse.embedding import (
     CLIP_SCORE_WEIGHT,
     DimensionMismatchError,
-    FeaturePack,
     HashProjectionProvider,
     ImageContentError,
     OracleFeatureProvider,
@@ -23,7 +22,7 @@ from t2ifuse.embedding import (
     encode_vec_payload,
     write_oracle_features,
 )
-from t2ifuse.fusion import PackBatch
+from t2ifuse.fusion import FeaturePack, PackBatch
 from t2ifuse.generation import ImageStore
 from t2ifuse.storage import CacheError, write_jsonl
 

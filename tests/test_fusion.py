@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from t2ifuse.embedding import FeaturePack
 from t2ifuse.fusion import (
+    FeaturePack,
     FusionConfig,
     FusionConfigError,
     PackBatch,

@@ -21,8 +21,8 @@ import yaml
 
 from t2ifuse.cli import main as cli_main
 from t2ifuse.config import parse_config, parse_config_data
-from t2ifuse.corpus import TextSample
-from t2ifuse import embedding, generation, orchestrator, storage
+from t2ifuse.corpus import DatasetError, TextSample
+from t2ifuse import embedding, generation, orchestrator, storage, sweep
 from t2ifuse.embedding import (
     EmbeddingCache,
     HashProjectionProvider,
@@ -38,22 +38,19 @@ from t2ifuse.evaluation import EvalReport
 from t2ifuse.fusion import PackBatch
 from t2ifuse.generation import GenerationError, ImageStore, PromptPair, StubImageBackend, stub_generate
 from t2ifuse.orchestrator import (
-    KeywordOverlapRetriever,
-    OfflineViolationError,
     OrchestrationError,
     ProviderRegistry,
     RunManifest,
     compose_input,
     image_source,
-    report_cli,
     run_experiment,
-    run_sweep,
-    SweepError,
     _descriptor,
 )
 from t2ifuse.prompting import _STRIP_CHARS, StubChatClient, VISUAL_DESCRIPTION_SYSTEM
+from t2ifuse.providers import KeywordOverlapRetriever, OfflineViolationError
 from t2ifuse.remotes import HttpChatClient, HttpEmbeddingProvider, HttpImageBackend
 from t2ifuse.storage import read_jsonl, write_jsonl
+from t2ifuse.sweep import SweepError, report_cli, run_sweep
 from t2ifuse.synthetic import build_separability_fixture
 
 
@@ -102,6 +99,19 @@ def test_a_retriever_needs_a_document_and_a_text_without_content_words_misses(tm
     retriever = KeywordOverlapRetriever(_corpus(tmp_path))
     effective_text, fallback = compose_input(_sample("the and of it is"), "knowledge_retrieval", retriever=retriever)
     assert (effective_text, fallback) == ("the and of it is", "retrieval_miss")
+
+
+@pytest.mark.parametrize("line, problem", [
+    ('{"text": null}', "missing or empty 'text'"),
+    ('{"title": "x"}', "missing or empty 'text'"),
+    ("[1, 2]", "record is not an object"),
+    ('{"text": "   "}', "missing or empty 'text'"),
+])
+def test_a_bad_retrieval_corpus_line_is_a_dataset_error_naming_its_row(tmp_path, line, problem):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"text": "Kettles boil water."}\n' + line + "\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: row 2: {problem}")):
+        KeywordOverlapRetriever(path)
 
 
 def _corpus(tmp_path):
@@ -1271,7 +1281,7 @@ steps  strategy  acc    ma-f1
 def test_combined_tables_keep_their_bytes_and_records(name):
     axis_names, cells, table, record_axes, records = _GOLDEN_TABLES[name]
     runs = [(f"cell{i}", dict(zip(axis_names, key)), report) for i, (key, report) in enumerate(cells)]
-    assert orchestrator._combined_table(runs, axis_names, "golden") == (table, [
+    assert sweep._combined_table(runs, axis_names, "golden") == (table, [
         {"experiment_id": "golden", "axes": dict(zip(record_axes, key)), "metric": metric, "value": value}
         for key, metrics in records.items() for metric, value in metrics.items()
     ])
@@ -1280,7 +1290,7 @@ def test_combined_tables_keep_their_bytes_and_records(name):
 def test_two_runs_on_one_key_keep_their_bytes_and_records():
     runs = [("run-b", {"method": "text_only"}, _eval_report(0.5, 0.5)),
             ("run-a", {"method": "text_only"}, _eval_report(0.625, 0.6))]
-    table, records = orchestrator._combined_table(runs, ["method"], "golden")
+    table, records = sweep._combined_table(runs, ["method"], "golden")
     assert table == """\
 method     run    acc    ma-f1
 ---------  -----  -----  ------

@@ -14,14 +14,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from t2ifuse import orchestrator, storage
+from t2ifuse import orchestrator, storage, sweep
 from t2ifuse.cli import main as cli_main
 from t2ifuse.config import EXECUTION_FIELDS, parse_config_data
 from t2ifuse.corpus import DatasetError
 from t2ifuse.generation import StubImageBackend
-from t2ifuse.orchestrator import (STAGES, ProviderRegistry, RunManifest, Stage, StageStatus, run_experiment,
-                                  run_sweep)
+from t2ifuse.orchestrator import STAGES, ProviderRegistry, RunManifest, Stage, StageStatus, run_experiment
 from t2ifuse.prompting import StubChatClient
+from t2ifuse.sweep import run_sweep
 from t2ifuse.storage import read_jsonl, write_jsonl
 from t2ifuse.synthetic import build_separability_fixture
 
@@ -210,8 +210,18 @@ def test_a_finished_run_without_its_summary_is_reported_as_having_no_evaluation_
     config = _config(tmp_path, fix, method="text_only")
     run_experiment(config)
     (Path(config.output_dir) / "summary.json").unlink()
-    out = orchestrator.report_cli([config.output_dir])
+    out = sweep.report_cli([config.output_dir])
     assert out == f"skipped runs:\n  {config.output_dir}: no evaluation artifacts\n\n"
+
+
+@pytest.mark.parametrize("method", ["oracle_image", "gen_image", "text_only"])
+def test_a_single_run_is_reported_by_its_table_after_its_report_txt_is_gone(tmp_path, fix, method):
+    config = _config(tmp_path, fix, method=method, seeds=[2, 0])
+    run_experiment(config)
+    report_txt = Path(config.output_dir) / "report.txt"
+    table = report_txt.read_text(encoding="utf-8")
+    report_txt.unlink()
+    assert sweep.report_cli([config.output_dir]).startswith(table.rstrip() + "\n\ngenerated images: ")
 
 
 def test_resuming_stage_by_stage_on_top_of_reuse_gives_the_same_files(tmp_path, fix):
@@ -614,9 +624,9 @@ def test_a_directory_left_by_an_interrupted_reuse_refuses_another_config_and_nev
     run_experiment(concat, _registry())
     assert "attention.tsv" not in RunManifest.load(run_dir).stages["evaluation"].artifacts
     assert (run_dir / "attention.tsv").exists()  # left over, and not an output of the run
-    assert "attention" not in orchestrator.report_cli([run_dir])
+    assert "attention" not in sweep.report_cli([run_dir])
     assert f"attention heatmaps:\n  {producer.output_dir}/attention.tsv\n" in \
-        orchestrator.report_cli([producer.output_dir])
+        sweep.report_cli([producer.output_dir])
 
 
 def _untimed(manifest: dict) -> dict:
@@ -891,7 +901,7 @@ def test_a_sweep_runs_the_stages_its_cells_share_once(tmp_path, fix):
         assert (Path(alone.output_dir) / "report.txt").read_bytes() == \
             (Path(cell.output_dir) / "report.txt").read_bytes()
         runs.append((cell_id, manifest.descriptor, report))
-    table, records = orchestrator._combined_table(runs, ["mechanism"], base.experiment_id)
+    table, records = sweep._combined_table(runs, ["mechanism"], base.experiment_id)
     assert (Path(base.output_dir) / "combined_table.txt").read_text() == table
     assert (Path(base.output_dir) / "combined_records.jsonl").read_text() == \
         orchestrator.render_records(records)

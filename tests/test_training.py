@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from t2ifuse.corpus import LabelSpace
-from t2ifuse.embedding import FeaturePack
-from t2ifuse.fusion import FusionConfig, PackBatch, build_fusion_head
+from t2ifuse.fusion import FeaturePack, FusionConfig, PackBatch, build_fusion_head
 from t2ifuse.tensorcore import ParamStore
 from t2ifuse.training import (
     LabeledPacks,
