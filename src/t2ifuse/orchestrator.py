@@ -85,6 +85,7 @@ from .fusion import FeaturePack, PackBatch, build_fusion_head, export_attention,
 from .generation import (
     GenerationLedger,
     ImageStore,
+    PromptPair,
     generate_all,
     generate_image,  # unused here; the benchmark's tracer wraps it as t2ifuse.orchestrator:generate_image
     ledger_totals,
@@ -94,7 +95,6 @@ from .generation import (
 from .prompting import (
     CachedChatClient,
     NoVisualContentError,
-    PromptSpec,
     build_prompt,
     elaborate_text,
     extract_keywords,
@@ -302,13 +302,16 @@ def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir:
     params = config.generation_params()
 
     # Each row's key is computed once; generate_all looks each distinct key
-    # up once and generates the misses in chunks, in sample order.
+    # up once and generates the misses in chunks, in sample order. The
+    # prompts stage built and checked each row's spec, so a row gives only
+    # the positive and negative prompts that the key and the backend read.
     keys: dict[str, str] = {}
-    prompts: dict[str, PromptSpec] = {}
+    prompts: dict[str, PromptPair] = {}
     for row in rows:
-        spec = PromptSpec.from_dict(row["prompt"])
-        key = keys[row["sample_id"]] = prompt_key(spec.positive, spec.negative, params)
-        prompts.setdefault(key, spec)
+        positive, negative = row["prompt"]["positive"], row["prompt"]["negative"]
+        key = keys[row["sample_id"]] = prompt_key(positive, negative, params)
+        if key not in prompts:
+            prompts[key] = PromptPair(positive, negative)
     try:
         results = generate_all(prompts, params, backend, store, ledger=ledger,
                                retries=config.generation.retries, workers=config.generation.concurrency)

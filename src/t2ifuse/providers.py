@@ -16,6 +16,7 @@ from .corpus import _row_text, _rows_from_jsonl
 from .embedding import HashProjectionProvider
 from .generation import StubImageBackend
 from .prompting import _STRIP_CHARS, StubChatClient
+from .storage import sha256_hex
 
 
 class OrchestrationError(RuntimeError):
@@ -151,9 +152,12 @@ class ProviderRegistry:
                              retries=config.generation.retries)
 
     def resolve_retriever(self, config: ExperimentConfig):
+        """The retriever over the corpus file as it is now: one is kept per
+        path and content sha256, so an edited corpus is read again."""
         path = config.providers.retrieval_corpus
         if path is None:
             raise OrchestrationError("no retrieval corpus configured")
-        if path not in self.retrievers:
-            self.retrievers[path] = KeywordOverlapRetriever(path)
-        return self.retrievers[path]
+        key = (path, sha256_hex(Path(path).read_bytes()))
+        if key not in self.retrievers:
+            self.retrievers[key] = KeywordOverlapRetriever(path)
+        return self.retrievers[key]

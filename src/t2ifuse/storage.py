@@ -6,10 +6,12 @@ record is checksummed, and each segment has one writing process, so writers
 never share a file and need no lock across processes. A log is indexed once,
 when it is opened; a lookup reads that index and this process's own appends,
 and a miss never rescans the directory; a hit is one read at the offset the
-index gives. The embedding cache stores whole entries in one log per
-provider; :class:`ArtifactCache` (images, chat responses) stores each entry
-as a payload record in ``<root>/data/`` and a meta record in
-``<root>/meta/``, so that a hit reads no payload bytes.
+index gives. The index holds one int per record, which packs where the
+record is and its crc, under the sha256 of the record's key; each public
+cache call hashes each key it is given once. The embedding cache stores
+whole entries in one log per provider; :class:`ArtifactCache` (images, chat
+responses) stores each entry as a payload record in ``<root>/data/`` and a
+meta record in ``<root>/meta/``, so that a hit reads no payload bytes.
 
 Every record a run persists (a manifest and its stage statuses, an
 evaluation report, a prompt spec, an image record) is read back by one rule,
@@ -127,6 +129,16 @@ SEGMENT_MAGIC = b"ESG1"
 SEGMENT_SUFFIX = ".seg"
 _RECORD_HEADER = struct.Struct("<4s32sII")
 
+# A record's location in the index is one int: its crc in bits 0-31, its
+# payload length in bits 32-63, its payload offset in bits 64-111 and the
+# slot of its segment in ``SegmentLog._fds`` above them. A segment stops
+# taking appends before its offsets reach the 48 bits they are given.
+_U32 = 0xFFFFFFFF
+_OFFSET_BITS = 48
+_OFFSET_LIMIT = 1 << _OFFSET_BITS
+_OFFSET_MASK = _OFFSET_LIMIT - 1
+_SLOT_SHIFT = 64 + _OFFSET_BITS
+
 
 def _key_digest(key: str) -> bytes:
     return hashlib.sha256(key.encode("utf-8")).digest()
@@ -140,6 +152,13 @@ def _close_fds(fds: list[int]) -> None:
     for fd in fds:
         os.close(fd)
     fds.clear()
+
+
+def _locations(entry: int | tuple[int, ...] | None) -> tuple[int, ...]:
+    """The locations an index entry holds: a bare int is a key's one record."""
+    if entry is None:
+        return ()
+    return (entry,) if isinstance(entry, int) else entry
 
 
 class SegmentLog:
@@ -172,9 +191,14 @@ class SegmentLog:
     never appends after a torn record: after a failed or short write the
     next append starts a new segment.
 
-    ``_index`` maps a key digest to its records' ``(fd, payload offset,
-    length, crc)``. The descriptors are closed by :meth:`close`, or when the
-    log is collected.
+    ``_index`` maps a key digest to its records' locations, each one int
+    that packs the segment's slot in ``_fds``, the payload offset, the
+    length and the crc: a bare int for a key with one record, a tuple of
+    them, oldest first, for a key with several, so a record costs the
+    index its digest, one int and a dict slot. The public methods hash each
+    key once and hand the digest to the ``_``-prefixed ones, which a caller
+    that already holds it (:class:`ArtifactCache`) calls directly. The
+    descriptors are closed by :meth:`close`, or when the log is collected.
     """
 
     def __init__(self, directory: Path):
@@ -183,8 +207,8 @@ class SegmentLog:
         # held by this process's writers that check the index, then append
         self.write_lock = threading.Lock()
         self._fds: list[int] = []
-        self._index: dict[bytes, tuple[tuple[int, int, int, int], ...]] = {}
-        self._own: tuple[int, int] | None = None  # this process's segment: (fd, bytes written)
+        self._index: dict[bytes, int | tuple[int, ...]] = {}
+        self._own: tuple[int, int] | None = None  # this process's segment: (slot, bytes written)
         self._unsynced: set[int] = set()
         self._finalizer = weakref.finalize(self, _close_fds, self._fds)
         self._scan()
@@ -197,6 +221,7 @@ class SegmentLog:
             return
         for name in names:
             fd = os.open(self.directory / name, os.O_RDONLY)
+            slot = len(self._fds)
             self._fds.append(fd)
             size, pos = os.fstat(fd).st_size, 0
             while pos + _RECORD_HEADER.size <= size:
@@ -207,25 +232,31 @@ class SegmentLog:
                 end = pos + _RECORD_HEADER.size + length
                 if magic != SEGMENT_MAGIC or end > size:
                     break
-                self._add(digest, (fd, pos + _RECORD_HEADER.size, length, crc))
+                offset = pos + _RECORD_HEADER.size
+                self._add(digest, ((slot << _OFFSET_BITS | offset) << 32 | length) << 32 | crc)
                 pos = end
 
-    def _add(self, digest: bytes, location: tuple[int, int, int, int]) -> None:
-        self._index[digest] = (*self._index.get(digest, ()), location)
+    def _add(self, digest: bytes, location: int) -> None:
+        held = self._index.get(digest)
+        self._index[digest] = location if held is None else (*_locations(held), location)
 
     def find(self, key: str, accept: Callable[[bytes], bool] | None = None) -> bytes | None:
         """The payload of ``key``'s first intact record that ``accept``
         takes (any, by default), or ``None``. A record that fails its crc is
         a miss and leaves the index."""
-        digest = _key_digest(key)
-        for location in self._index.get(digest, ()):
-            fd, offset, length, crc = location
-            payload = os.pread(fd, length, offset)
-            if len(payload) != length or _record_crc(digest, length, payload) != crc:
+        return self._find(_key_digest(key), accept)
+
+    def _find(self, digest: bytes, accept: Callable[[bytes], bool] | None = None) -> bytes | None:
+        for location in _locations(self._index.get(digest)):
+            length = location >> 32 & _U32
+            payload = os.pread(self._fds[location >> _SLOT_SHIFT], length, location >> 64 & _OFFSET_MASK)
+            if len(payload) != length or _record_crc(digest, length, payload) != location & _U32:
                 with self._lock:  # corrupt: a miss, and never tried again
-                    self._index[digest] = tuple(
-                        r for r in self._index.get(digest, ()) if r != location
-                    )
+                    rest = tuple(r for r in _locations(self._index.get(digest)) if r != location)
+                    if rest:
+                        self._index[digest] = rest[0] if len(rest) == 1 else rest
+                    else:
+                        self._index.pop(digest, None)
                 continue
             if accept is None or accept(payload):
                 return payload
@@ -234,19 +265,25 @@ class SegmentLog:
     def crcs(self, key: str) -> set[int]:
         """The crc of each indexed record of ``key``: which records there are,
         without reading one."""
-        return {crc for *_, crc in self._index.get(_key_digest(key), ())}
+        return self._crcs(_key_digest(key))
+
+    def _crcs(self, digest: bytes) -> set[int]:
+        return {location & _U32 for location in _locations(self._index.get(digest))}
 
     def append_many(self, records: Iterable[tuple[str, bytes]], *, once: bool = False) -> list[int | None]:
         """Append a record per ``(key, payload)``, in order, with one
         ``os.write``; with ``once``, skip a key that is indexed or came
         earlier in ``records``. Returns each record's crc, ``None`` for a
         skipped one."""
+        return self._append_many(((_key_digest(key), payload) for key, payload in records), once=once)
+
+    def _append_many(self, records: Iterable[tuple[bytes, bytes]], *, once: bool = False) -> list[int | None]:
+        """:meth:`append_many` of ``(key digest, payload)`` records."""
         crcs: list[int | None] = []
         parts, added, seen, size = [], [], set(), 0
         with self._lock:
-            for key, payload in records:
-                digest = _key_digest(key)
-                if once and (digest in seen or self._index.get(digest)):
+            for digest, payload in records:
+                if once and (digest in seen or digest in self._index):
                     crcs.append(None)
                     continue
                 seen.add(digest)
@@ -257,25 +294,29 @@ class SegmentLog:
                 size += _RECORD_HEADER.size + len(payload)
             if not parts:
                 return crcs
-            fd, offset = self._own or self._create()
+            if self._own is None or self._own[1] + size >= _OFFSET_LIMIT:
+                self._own = self._create()
+            slot, offset = self._own
+            fd = self._fds[slot]
             # until the write is whole, no segment is this process's: after a
             # failed or short write, the next append starts a new one
             self._own = None
             self._unsynced.add(fd)
             if os.write(fd, b"".join(parts)) != size:
                 raise CacheError(f"short write to the segment in {self.directory}")
-            self._own = (fd, offset + size)
+            self._own = (slot, offset + size)
             for digest, start, length, crc in added:
-                self._add(digest, (fd, offset + start, length, crc))
+                self._add(digest, ((slot << _OFFSET_BITS | offset + start) << 32 | length) << 32 | crc)
         return crcs
 
     def _create(self) -> tuple[int, int]:
-        """A new segment of this process's own: no other writer ever appends to it."""
+        """A new segment of this process's own, as (slot, bytes written): no
+        other writer ever appends to it."""
         self.directory.mkdir(parents=True, exist_ok=True)
         name = f"{time.time_ns():020d}-{os.getpid()}{SEGMENT_SUFFIX}"
         fd = os.open(self.directory / name, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644)
         self._fds.append(fd)
-        return fd, 0
+        return len(self._fds) - 1, 0
 
     def sync(self) -> None:
         with self._lock:
@@ -347,9 +388,11 @@ class ArtifactCache:
     segment first) whose payload record is indexed, matched by crc. So
     :meth:`lookup` (and :meth:`has` and :meth:`get_meta`, which wrap it)
     reads the data log's index, then the key's meta records one read each
-    until one is served, and no payload. Each log is indexed when the cache first uses it, and a
-    miss never rescans; records that another process appends later are seen
-    by the next cache opened on the root. :meth:`get` returns the
+    until one is served, and no payload. It hashes the key once and hands
+    the digest to both logs, as :meth:`get` and :meth:`put_many` do for each
+    key they are given. Each log is indexed when the cache first uses it,
+    and a miss never rescans; records that another process appends later
+    are seen by the next cache opened on the root. :meth:`get` returns the
     crc-checked payload of the key whose sha256 is the one given, by default
     the served meta's, so each writer of a lost race reads its own bytes.
 
@@ -368,18 +411,22 @@ class ArtifactCache:
         self.root = Path(root)
         self._logs = SegmentLogs(self.root)
 
-    def _meta_record(self, key: str) -> bytes | None:
-        """The meta record served for ``key``: the first whose payload record
-        is indexed. A key without a payload record reads no meta record."""
-        payloads = self._logs[_DATA].crcs(key)
+    def _meta_record(self, digest: bytes) -> bytes | None:
+        """The meta record served for the key of ``digest``: the first whose
+        payload record is indexed. A key without a payload record reads no
+        meta record."""
+        payloads = self._logs[_DATA]._crcs(digest)
         if not payloads:
             return None
-        return self._logs[_META].find(key, lambda record: _META_HEADER.unpack_from(record)[1] in payloads)
+        return self._logs[_META]._find(digest, lambda record: _META_HEADER.unpack_from(record)[1] in payloads)
+
+    def _lookup(self, digest: bytes) -> dict | None:
+        record = self._meta_record(digest)
+        return None if record is None else json.loads(record[_META_HEADER.size:])
 
     def lookup(self, key: str) -> dict | None:
         """The meta of ``key``'s entry, or ``None`` on a miss."""
-        record = self._meta_record(key)
-        return None if record is None else json.loads(record[_META_HEADER.size:])
+        return self._lookup(_key_digest(key))
 
     def has(self, key: str) -> bool:
         return self.lookup(key) is not None
@@ -387,16 +434,17 @@ class ArtifactCache:
     def get(self, key: str, sha256: str | None = None) -> bytes:
         """The payload of ``key`` whose sha256 (hex) is ``sha256``, by default
         the one its meta names; :class:`CacheError` if no intact record is."""
+        digest = _key_digest(key)
         if sha256 is None:
-            record = self._meta_record(key)
+            record = self._meta_record(digest)
             if record is None:
                 raise CacheError(f"cache miss for key {key}")
-            digest, _ = _META_HEADER.unpack_from(record)
+            content, _ = _META_HEADER.unpack_from(record)
         else:
-            digest = bytes.fromhex(sha256)
-        payload = self._logs[_DATA].find(key, lambda data: hashlib.sha256(data).digest() == digest)
+            content = bytes.fromhex(sha256)
+        payload = self._logs[_DATA]._find(digest, lambda data: hashlib.sha256(data).digest() == content)
         if payload is None:
-            raise CacheError(f"no intact record of key {key} has sha256 {digest.hex()}")
+            raise CacheError(f"no intact record of key {key} has sha256 {content.hex()}")
         return payload
 
     def get_meta(self, key: str) -> dict:
@@ -414,19 +462,21 @@ class ArtifactCache:
         then every meta record with one. Returns each entry's meta as
         stored, an earlier writer's where there was one."""
         data_log, meta_log = self._logs[_DATA], self._logs[_META]
-        first = {}  # key -> its first entry's (data, meta)
+        first = {}  # key -> its digest and its first entry's (data, meta)
         for key, data, meta in entries:
-            first.setdefault(key, (data, meta))
+            if key not in first:
+                first[key] = (_key_digest(key), data, meta)
         with meta_log.write_lock:
             # a key without a payload record has no entry: no lookup
-            stored = {key: self.lookup(key) if data_log.crcs(key) else None for key in first}
-            fresh = [(key, data, meta) for key, (data, meta) in first.items() if stored[key] is None]
-            crcs = data_log.append_many([(key, data) for key, data, _ in fresh])
-            meta_log.append_many([
-                (key, _META_HEADER.pack(hashlib.sha256(data).digest(), crc) + canonical_json(meta).encode("utf-8"))
-                for (key, data, meta), crc in zip(fresh, crcs)
+            stored = {key: self._lookup(digest) if data_log._crcs(digest) else None
+                      for key, (digest, _, _) in first.items()}
+            fresh = [(key, *entry) for key, entry in first.items() if stored[key] is None]
+            crcs = data_log._append_many([(digest, data) for _, digest, data, _ in fresh])
+            meta_log._append_many([
+                (digest, _META_HEADER.pack(hashlib.sha256(data).digest(), crc) + canonical_json(meta).encode("utf-8"))
+                for (_, digest, data, meta), crc in zip(fresh, crcs)
             ])
-        stored.update((key, meta) for key, _, meta in fresh)
+        stored.update((key, meta) for key, _, _, meta in fresh)
         return [stored[key] for key, _, _ in entries]
 
     def sync(self) -> None:

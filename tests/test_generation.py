@@ -142,7 +142,7 @@ def test_a_payload_written_without_its_record_is_a_miss_that_regenerating_repair
     backend = NondeterministicBackend()
     store = open_store()
     params = preset_params("flux-schnell", seed=1)
-    append_many = SegmentLog.append_many
+    append_many = SegmentLog._append_many  # every append goes through it
 
     def crash_at_the_meta_record(log, records, **kwargs):
         if log.directory.name == "meta":
@@ -150,7 +150,7 @@ def test_a_payload_written_without_its_record_is_a_miss_that_regenerating_repair
         return append_many(log, records, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(SegmentLog, "append_many", crash_at_the_meta_record)
+        patch.setattr(SegmentLog, "_append_many", crash_at_the_meta_record)
         with pytest.raises(Crash):
             generate_image(_spec(), params, backend, store)
     key = prompt_key(_spec().positive, _spec().negative, params)

@@ -879,6 +879,26 @@ def test_b3_fallback_accounting(tmp_path, fixture_dataset):
     assert summary["with_retrieval"] + summary["fallbacks"] == summary["samples"]
 
 
+def test_a_registry_reads_an_edited_retrieval_corpus_again(tmp_path, fixture_dataset):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"id": "d1", "text": "Granite is a coarse igneous rock."}])
+
+    def prompts(out_name, registry, **kwargs):
+        config = _base_config(
+            tmp_path, fixture_dataset, out_name=out_name, method="knowledge_retrieval",
+            providers={"text": "hash-16", "image": "hash-16", "retrieval_corpus": str(corpus)},
+        )
+        run_experiment(config, registry, until_stage="prompts", **kwargs)
+        return (Path(config.output_dir) / "prompts.jsonl").read_bytes()
+
+    registry = ProviderRegistry()
+    before = prompts("before", registry)
+    write_jsonl(corpus, [{"id": "d1", "text": "Velvet is a soft woven fabric."}])
+    after = prompts("after", registry)
+    assert after != before
+    assert after == prompts("fresh", ProviderRegistry(), force=True)
+
+
 # --- provider resolution --------------------------------------------------------
 
 ENDPOINT = "https://remote.example/v1"

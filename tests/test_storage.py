@@ -1,4 +1,6 @@
 import ast
+import collections
+import hashlib
 import json
 import multiprocessing
 import os
@@ -8,6 +10,8 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -533,7 +537,7 @@ def test_find_serves_each_keys_first_intact_record(tmp_path, monkeypatch, case):
         assert [log.find(key) for key in keys] == expected  # again, after any corrupt record left the index
         assert len(reads) == sum(payload is not None for payload in expected)  # one read per hit
         if case is _a_crc_flipped_first_record:
-            assert len(log._index[storage._key_digest("k1")]) == 1
+            assert len(log.crcs("k1")) == 1
     finally:
         log.close()
 
@@ -576,6 +580,169 @@ def test_lookups_and_gets_serve_what_a_damaged_cache_still_holds(tmp_path):
         assert cache.get("hash-8", "0" * 64) is None
     finally:
         cache.close()
+
+
+# --- the index against a reference model ------------------------------------------
+
+
+def _whole_records(segment):
+    """``(key digest, crc, payload, intact)`` of each whole record at the
+    start of a segment file, read from the format alone."""
+    data, pos, records = segment.read_bytes(), 0, []
+    while pos + 44 <= len(data):
+        magic, digest, length = data[pos:pos + 4], data[pos + 4:pos + 36], data[pos + 36:pos + 40]
+        crc = int.from_bytes(data[pos + 40:pos + 44], "little")
+        end = pos + 44 + int.from_bytes(length, "little")
+        if magic != b"ESG1" or end > len(data):
+            break
+        payload = data[pos + 44:end]
+        records.append((digest, crc, payload, zlib.crc32(digest + length + payload) == crc))
+        pos = end
+    return records
+
+
+def _on_disk(directory):
+    """Key digest -> ``[crc, payload, intact]`` of each whole record in the
+    directory's segments, oldest segment first, then file order: the
+    records a freshly opened log indexes."""
+    model = {}
+    for segment in sorted(directory.glob("*.seg")):
+        for digest, crc, payload, intact in _whole_records(segment):
+            model.setdefault(digest, []).append([crc, payload, intact])
+    return model
+
+
+def _model_find(model, digest):
+    """The first intact record's payload; the corrupt records read before it
+    leave the model, as they leave the index."""
+    records = model.get(digest, [])
+    while records:
+        crc, payload, intact = records[0]
+        if intact:
+            return payload
+        records.pop(0)
+    return None
+
+
+def _assert_matches(log, model, keys):
+    for key in keys:
+        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        assert log.crcs(key) == {crc for crc, _, _ in model.get(digest, [])}, key
+        assert log.find(key) == _model_find(model, digest), key
+        assert log.crcs(key) == {crc for crc, _, _ in model.get(digest, [])}, key
+
+
+def _damage(directory, rng):
+    """Tear a random segment's tail, or flip a byte of a random record's
+    payload; returns which."""
+    segment = rng.choice(sorted(directory.glob("*.seg")))
+    data = bytearray(segment.read_bytes())
+    if rng.random() < 0.5:
+        segment.write_bytes(bytes(data[:len(data) - rng.randint(1, min(len(data), 60))]))
+        return "torn"
+    starts, pos = [], 0
+    for _, _, payload, _ in _whole_records(segment):
+        if payload:
+            starts.append((pos + 44, len(payload)))
+        pos += 44 + len(payload)
+    if not starts:
+        return None
+    start, length = rng.choice(starts)
+    data[start + rng.randrange(length)] ^= 1 << rng.randrange(8)
+    segment.write_bytes(bytes(data))
+    return "flipped"
+
+
+def test_find_and_crcs_agree_with_a_model_built_from_the_segments(tmp_path):
+    seen = {"torn": 0, "flipped": 0, "two segments": 0}
+    for seed in range(12):
+        rng, directory = random.Random(seed), tmp_path / f"log{seed}"
+        keys = [f"k{n}" for n in range(12)] + ["absent"]
+        for _ in range(5):
+            model = _on_disk(directory)
+            log = storage.SegmentLog(directory)
+            try:
+                _assert_matches(log, model, rng.sample(keys, len(keys)))
+                for _ in range(rng.randint(1, 4)):
+                    once = rng.random() < 0.3
+                    batch = [(rng.choice(keys[:-1]), rng.randbytes(rng.randint(0, 90)))
+                             for _ in range(rng.randint(1, 8))]
+                    expected, taken = [], set()
+                    for key, payload in batch:
+                        digest = hashlib.sha256(key.encode("utf-8")).digest()
+                        if once and (key in taken or model.get(digest)):
+                            expected.append(None)
+                            continue
+                        taken.add(key)
+                        crc = zlib.crc32(digest + len(payload).to_bytes(4, "little") + payload)
+                        model.setdefault(digest, []).append([crc, payload, True])
+                        expected.append(crc)
+                    assert log.append_many(batch, once=once) == expected
+                    _assert_matches(log, model, rng.sample(keys, rng.randint(1, len(keys))))
+            finally:
+                log.close()
+            damage = _damage(directory, rng)
+            if damage:
+                seen[damage] += 1
+        holders = collections.Counter(
+            digest for segment in directory.glob("*.seg") for digest in {r[0] for r in _whole_records(segment)})
+        seen["two segments"] += any(n > 1 for n in holders.values())
+        model = _on_disk(directory)
+        log = storage.SegmentLog(directory)
+        try:
+            _assert_matches(log, model, keys)
+        finally:
+            log.close()
+    assert all(seen.values()), seen  # every case came up
+
+
+# --- regression guards ------------------------------------------------------------
+
+
+def test_the_index_costs_at_most_180_bytes_a_record(tmp_path):
+    records = 20_000
+    _log_with(tmp_path / "log", [(f"key{n}", b"payload") for n in range(records)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = storage.SegmentLog(tmp_path / "log")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    try:
+        assert log.find("key0") == log.find(f"key{records - 1}") == b"payload"
+    finally:
+        log.close()
+    assert held / records <= 180
+
+
+def test_each_cache_call_hashes_each_key_once(tmp_path, monkeypatch):
+    hashed, key_digest = [], storage._key_digest
+    monkeypatch.setattr(storage, "_key_digest", lambda key: hashed.append(key) or key_digest(key))
+
+    def hashes(call, *args, **kwargs):
+        hashed.clear()
+        call(*args, **kwargs)
+        return sorted(hashed)
+
+    cache, keys = ArtifactCache(tmp_path / "c"), ["k0", "k1", "k2"]
+    emb = EmbeddingCache(tmp_path / "emb")
+    vectors = (np.zeros(4, np.float32), np.zeros((1, 4), np.float32))
+    try:
+        entries = [(key, key.encode(), {"key": key}) for key in keys]
+        assert hashes(cache.put_many, entries + entries[:1]) == keys  # fresh keys, one repeated
+        assert hashes(cache.put_many, entries) == keys  # each with an entry
+        for key in (*keys, "absent"):
+            assert hashes(cache.lookup, key) == [key]
+        for key in keys:
+            assert hashes(cache.get, key) == [key]
+            assert hashes(cache.get, key, sha256=sha256_hex(key.encode())) == [key]
+        assert hashes(emb.put_many, "p", [(key, *vectors) for key in keys]) == keys
+        for key in (*keys, "absent"):
+            assert hashes(emb.get, "p", key) == [key]
+    finally:
+        cache.close()
+        emb.close()
 
 
 # --- canonical JSON ------------------------------------------------------------
