@@ -3,10 +3,10 @@
 The package is organized as a library of independently testable stages:
 
 - :mod:`t2ifuse.storage` -- hashing, atomic writes, JSONL, the segment log caches keep.
-- :mod:`t2ifuse.axes` -- the methods, sweep axes and paper-table axes.
+- :mod:`t2ifuse.axes` -- the methods and their image sources, sweep axes, run descriptors, paper-table axes.
 - :mod:`t2ifuse.corpus` -- dataset loading, label spaces, deterministic splits.
 - :mod:`t2ifuse.synthetic` -- synthetic bimodal datasets and oracle features.
-- :mod:`t2ifuse.prompting` -- text-to-image prompt strategies and LLM rewrites.
+- :mod:`t2ifuse.prompting` -- text-to-image prompt strategies, LLM rewrites, each method's input text.
 - :mod:`t2ifuse.generation` -- image backends, content-addressed cache, cost ledger.
 - :mod:`t2ifuse.embedding` -- encoder providers, embedding cache, CLIP-style scoring.
 - :mod:`t2ifuse.remotes` -- HTTP adapters for remote image, encoder and chat endpoints.

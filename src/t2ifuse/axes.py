@@ -1,4 +1,5 @@
-"""Sweep axes and the axes of each paper table: a leaf that the other modules import.
+"""The methods, sweep axes and the axes of each paper table: a leaf that the
+other modules import. A run's descriptor is its value on each axis.
 
 A sweep cell is named ``<axis>=<value name>`` per axis, joined by ``-``, where
 a value's name is ``str(value)`` percent-encoded (:func:`value_name`), e.g.
@@ -11,13 +12,18 @@ from typing import Callable, NamedTuple
 from urllib.parse import quote
 
 from .fusion import MECHANISMS
-from .generation import _PRESETS as GENERATION_PRESETS
+from .generation import GENERATION_PRESETS
 from .prompting import STRATEGIES
 
 # The experiment methods, in the order the main table lists them.
 METHODS = ("text_only", "textual_expansion", "knowledge_retrieval",
            "gen_image", "gen_image_fast", "oracle_image")
 GENERATIVE_METHODS = ("gen_image", "gen_image_fast")
+
+
+def image_source(method: str) -> str:
+    """Where a method's visual features come from: "generate", "oracle" or "none"."""
+    return "generate" if method in GENERATIVE_METHODS else "oracle" if method == "oracle_image" else "none"
 
 
 def _with(config, section: str | None, **changes):
@@ -38,7 +44,7 @@ class SweepAxis(NamedTuple):
 AXES = {
     "mechanism": SweepAxis(lambda c: c.fusion.mechanism,
                            lambda c, v: _with(c, "fusion", mechanism=str(v)), MECHANISMS),
-    "backend": SweepAxis(lambda c: c.generation.backend,
+    "backend": SweepAxis(lambda c: c.generation_params().backend_id,
                          lambda c, v: _with(c, "generation", backend=str(v), preset=None),
                          tuple(dict.fromkeys(p.backend_id for p in GENERATION_PRESETS.values())) + ("stub",)),
     "strategy": SweepAxis(lambda c: c.strategy, lambda c, v: _with(c, None, strategy=str(v)), STRATEGIES),
@@ -48,6 +54,11 @@ AXES = {
     "learning_rate": SweepAxis(lambda c: c.training.learning_rate,
                                lambda c, v: _with(c, "training", learning_rate=float(v))),
 }
+
+
+def descriptor(config) -> dict:
+    """The run's id and its value on every sweep axis, kept in its manifest."""
+    return {"experiment_id": config.experiment_id, **{name: axis.value_of(config) for name, axis in AXES.items()}}
 
 
 def value_name(value) -> str:

@@ -21,6 +21,7 @@ any semantic change changes the hash. ``output_hash`` leaves out the
 from __future__ import annotations
 
 import dataclasses
+import functools
 import types
 import typing
 from dataclasses import dataclass, field
@@ -33,8 +34,7 @@ from .axes import GENERATIVE_METHODS, METHODS, axis_problem
 from .corpus import DATASET_FORMATS, split_fractions_problem
 from .evaluation import BOOTSTRAP_METRICS
 from .fusion import FusionConfig, MECHANISMS
-from .generation import _PRESETS as GENERATION_PRESETS
-from .generation import COST_MODES, GenerationParams, preset_params
+from .generation import COST_MODES, GENERATION_PRESETS, GenerationParams, preset_params
 from .prompting import DEFAULT_STYLE_LEXICON, STRATEGIES
 from .storage import stable_key
 from .training import TRAIN_PRESETS, TrainConfig
@@ -89,7 +89,7 @@ _NO_PRESET = GenerationParams("stub", steps=4, guidance_scale=0.0, width=512, he
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    backend: str = "stub"
+    backend: str | None = None  # required by a method that generates
     preset: str | None = None
     steps: int | None = None
     guidance_scale: float | None = None
@@ -110,8 +110,9 @@ class GenerationConfig:
         """Generation parameters from preset and/or explicit overrides.
 
         ``backend`` is the logical backend id carried into cache keys, ledger
-        records, and cost estimates; whether a real endpoint or the offline
-        stub executes the request is the registry's concern.
+        records, and cost estimates (unset: the preset's, else ``stub``);
+        whether a real endpoint or the offline stub executes the request is
+        the registry's concern.
         """
         preset = self.preset
         if preset is None and self.backend in GENERATION_PRESETS:
@@ -121,7 +122,7 @@ class GenerationConfig:
         if method == "gen_image_fast":
             overrides["steps"] = 1  # strict-latency variant: single inference step
         base = preset_params(preset) if preset is not None else _NO_PRESET
-        return dataclasses.replace(base, backend_id=self.backend, seed=self.seed, **overrides)
+        return dataclasses.replace(base, backend_id=self.backend or base.backend_id, seed=self.seed, **overrides)
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,20 @@ def without_fields(data: dict, paths) -> dict:
     return out
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # each config class's, evaluated once
+
+
+def is_field(path: str) -> bool:
+    """Whether the dotted ``path`` names an ``ExperimentConfig`` field or section."""
+    hint = ExperimentConfig
+    for name in path.split("."):
+        hints = _type_hints(hint) if dataclasses.is_dataclass(hint) else {}
+        if name not in hints:
+            return False
+        hint = hints[name]
+    return True
+
+
 def _matches(value, hint) -> bool:
     """Whether a parsed YAML value fits a field annotation. An int fits a
     float field and is kept as an int, so the config hash does not change."""
@@ -243,7 +258,7 @@ def _lacks(data: Any, cls, key: str) -> bool:
     reported, so it does not count as absent."""
     if not isinstance(data, dict) or key not in data:
         return True
-    return not data[key] and _matches(data[key], typing.get_type_hints(cls)[key])
+    return not data[key] and _matches(data[key], _type_hints(cls)[key])
 
 
 def _parse_section(cls, data: Any, path: str, problems: list[str], skip=()) -> tuple[dict, bool]:
@@ -255,7 +270,7 @@ def _parse_section(cls, data: Any, path: str, problems: list[str], skip=()) -> t
     if not isinstance(data, dict):
         problems.append(f"{path}: expected a mapping, got {type(data).__name__}")
         return {}, False
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     out: dict[str, Any] = {}
     buildable = True
     for key, value in data.items():

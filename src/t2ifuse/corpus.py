@@ -66,7 +66,9 @@ def _rows_from_csv(path: Path):
             yield row_no, row
 
 
-def _rows_from_jsonl(path: Path):
+def rows_from_jsonl(path: Path):
+    """Each (line number, object) of a record-per-line file, blank lines
+    skipped; a line that is not an object is a :class:`DatasetError`."""
     with open(path, "r", encoding="utf-8") as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -81,7 +83,7 @@ def _rows_from_jsonl(path: Path):
             yield row_no, record
 
 
-def _row_text(path: Path, row_no: int, row: dict) -> str:
+def row_text(path: Path, row_no: int, row: dict) -> str:
     """The ``text`` of a row, or a :class:`DatasetError` naming its file and row."""
     text = row.get("text")
     if text is None or not str(text).strip():
@@ -103,7 +105,7 @@ def load_dataset(path: str | Path, format: str = "delimited_rows") -> tuple[list
     if format == "delimited_rows":
         rows = _rows_from_csv(path)
     elif format == "record_lines":
-        rows = _rows_from_jsonl(path)
+        rows = rows_from_jsonl(path)
     else:
         raise DatasetError(f"unknown dataset format {format!r}")
 
@@ -111,7 +113,7 @@ def load_dataset(path: str | Path, format: str = "delimited_rows") -> tuple[list
     label_order: list[str] = []
     seen_ids: set[str] = set()
     for row_no, row in rows:
-        text = _row_text(path, row_no, row)
+        text = row_text(path, row_no, row)
         label = row.get("label")
         if label is None or str(label) == "":
             raise DatasetError(f"{path}: row {row_no}: missing 'label'")

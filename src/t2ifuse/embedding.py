@@ -382,3 +382,30 @@ def clip_score(image_vec: np.ndarray, text_vec: np.ndarray) -> float:
     to positive rescaling of either argument.
     """
     return CLIP_SCORE_WEIGHT * max(cosine_similarity(image_vec, text_vec), 0.0)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[i])`` for every row, bit for bit: a stacked matmul
+    reduces each row as ``np.dot`` does (``einsum`` does not)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def clip_pairs(image_pooled: np.ndarray, text_pooled: np.ndarray) -> tuple[list[float], list[float]]:
+    """Every row's :func:`cosine_similarity` and :func:`clip_score` of its
+    pooled image and text features, bit-identical to calling them row by
+    row, in one pass. As row by row, the first row holding a zero vector
+    decides: a zero image gives ``([], [])`` (nothing to score), a zero text
+    raises :class:`ZeroVectorError`. Differing dims give ``([], [])``."""
+    if text_pooled.shape[1] != image_pooled.shape[1]:
+        return [], []
+    image = image_pooled.astype(np.float64)
+    text = text_pooled.astype(np.float64)
+    image_norm = np.sqrt(_row_dots(image, image))
+    text_norm = np.sqrt(_row_dots(text, text))
+    zero = np.flatnonzero((image_norm == 0.0) | (text_norm == 0.0))
+    if zero.size:
+        if not image[zero[0]].any():
+            return [], []  # zero image features: no semantic consistency to score
+        raise ZeroVectorError("cosine undefined for the zero vector")
+    cosines = _row_dots(image / image_norm[:, None], text / text_norm[:, None]).tolist()
+    return cosines, [CLIP_SCORE_WEIGHT * max(c, 0.0) for c in cosines]

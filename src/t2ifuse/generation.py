@@ -8,7 +8,7 @@ index built when the store is opened; a record's ``image_ref`` names its
 entry, and the image bytes are read back by prompt key and content hash.
 Every fresh generation appends a ledger record carrying latency and cost, which
 :func:`ledger_totals` aggregates exactly (costs are money, so totals use
-decimal arithmetic).
+decimal arithmetic), and :func:`cost_summary` reports for a run.
 
 :func:`run_misses` is the one way a stage's cache misses are made, here and
 in :mod:`embedding`: in chunks of :data:`CHUNK`, one batch call per chunk,
@@ -195,7 +195,7 @@ class GenerationParams:
 
 # Published settings per preset. "flux-schnell-1step" is the strict-latency
 # variant: the same backend forced to a single inference step.
-_PRESETS: dict[str, GenerationParams] = {
+GENERATION_PRESETS: dict[str, GenerationParams] = {
     "sd15": GenerationParams("sd15", 50, 7.5, 512, 512, "DPM++ 2M Karras"),
     "sdxl": GenerationParams("sdxl", 50, 8.0, 1024, 1024, "DPM++ 2M Karras"),
     "sdxl-lightning": GenerationParams("sdxl-lightning", 4, 1.0, 1024, 1024),
@@ -207,11 +207,11 @@ _PRESETS: dict[str, GenerationParams] = {
 
 def preset_params(preset_id: str, seed: int = 0) -> GenerationParams:
     """Published per-backend generation settings."""
-    if preset_id not in _PRESETS:
+    if preset_id not in GENERATION_PRESETS:
         raise UnknownBackendError(
-            f"unknown generation preset {preset_id!r}; have {sorted(_PRESETS)}"
+            f"unknown generation preset {preset_id!r}; have {sorted(GENERATION_PRESETS)}"
         )
-    return dataclasses.replace(_PRESETS[preset_id], seed=seed)
+    return dataclasses.replace(GENERATION_PRESETS[preset_id], seed=seed)
 
 
 @dataclass(frozen=True)
@@ -536,3 +536,34 @@ def ledger_totals(records: Iterable[GeneratedImageRecord | dict], mode: str = "m
         total_latency_s=sum(latencies.values(), Decimal(0)),
         per_backend=per_backend,
     )
+
+
+def cost_summary(image_rows: list[dict], mode: str) -> dict | None:
+    """The ``cost_summary.json`` of a run's ``images.jsonl`` rows, ``None``
+    for none: the :func:`ledger_totals` under ``mode``, or the measured ones,
+    with a note why, when a backend has no estimate."""
+    if not image_rows:
+        return None
+    note = None
+    try:
+        totals = ledger_totals(image_rows, mode=mode)
+    except UnknownBackendError as exc:
+        totals = ledger_totals(image_rows, mode="measured")
+        note = f"estimate unavailable ({exc}); measured totals reported"
+        mode = "measured"
+    return {
+        "mode": mode,
+        "note": note,
+        "images": len(image_rows),
+        "unique_images": len({r["content_hash"] for r in image_rows}),
+        "total_cost_usd": str(totals.total_cost_usd),
+        "total_latency_s": str(totals.total_latency_s),
+        "per_backend": {
+            b: {
+                "images": t.images,
+                "cost_usd": str(t.cost_usd),
+                "latency_s": str(t.latency_s),
+            }
+            for b, t in totals.per_backend.items()
+        },
+    }

@@ -44,7 +44,6 @@ import logging
 import os
 import shutil
 import time
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -52,22 +51,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import __version__
-from .axes import AXES, GENERATIVE_METHODS
-from .config import EXECUTION_FIELDS, ExperimentConfig, without_fields
-from .corpus import (
-    SPLIT_NAMES,
-    LabelSpace,
-    TextSample,
-    load_dataset,
-    make_splits,
-    split_assignments,
-    truncate_text,
-)
+from .axes import descriptor, image_source
+from .config import EXECUTION_FIELDS, ExperimentConfig, is_field, without_fields
+from .corpus import SPLIT_NAMES, LabelSpace, load_dataset, make_splits, split_assignments
 from .embedding import (
-    CLIP_SCORE_WEIGHT,
     EmbeddingCache,
     OracleFeatureProvider,
-    ZeroVectorError,
+    clip_pairs,
     embed_all,
     embed_image,
     embed_text,  # unused here; the benchmark's tracer wraps it as t2ifuse.orchestrator:embed_text
@@ -86,19 +76,12 @@ from .generation import (
     GenerationLedger,
     ImageStore,
     PromptPair,
+    cost_summary,
     generate_all,
     generate_image,  # unused here; the benchmark's tracer wraps it as t2ifuse.orchestrator:generate_image
-    ledger_totals,
     prompt_key,
-    UnknownBackendError,
 )
-from .prompting import (
-    CachedChatClient,
-    NoVisualContentError,
-    build_prompt,
-    elaborate_text,
-    extract_keywords,
-)
+from .prompting import CachedChatClient, build_prompt, compose_input
 from .providers import OrchestrationError, ProviderRegistry
 from . import storage
 from .storage import ArtifactCache, atomic_write_text, from_fields, iter_jsonl, jsonl_bytes, sha256_hex, stable_key
@@ -110,46 +93,6 @@ logger = logging.getLogger(__name__)
 
 class ManifestError(OrchestrationError):
     """A ``manifest.json`` that does not have the shape of a run manifest."""
-
-
-# --- input composition -------------------------------------------------------
-
-
-def image_source(method: str) -> str:
-    """Where a method's visual features come from: "generate", "oracle" or "none"."""
-    return "generate" if method in GENERATIVE_METHODS else "oracle" if method == "oracle_image" else "none"
-
-
-def compose_input(sample: TextSample, method: str, *, elaborator=None, retriever=None,
-                  max_tokens: int = 256) -> tuple[str, str | None]:
-    """The effective text of one sample under ``method``, and the fallback
-    taken, if any.
-
-    Textual expansion appends an LLM scene description; knowledge retrieval
-    appends the best-matching local document (falling back to the bare text
-    when nothing matches, reported as ``"retrieval_miss"``). Both append
-    first and truncate to the token budget afterwards.
-    """
-    text = sample.text
-    fallback = None
-    if method == "textual_expansion":
-        if elaborator is None:
-            raise OrchestrationError("textual_expansion needs an elaborator client")
-        description = elaborate_text(text, "visual_description", elaborator)
-        text = f"{text} {description}"
-    elif method == "knowledge_retrieval":
-        if retriever is None:
-            raise OrchestrationError("knowledge_retrieval needs a retriever")
-        try:
-            keywords = extract_keywords(sample.text)
-        except NoVisualContentError:
-            keywords = []
-        doc = retriever.retrieve(keywords) if keywords else None
-        if doc is None:
-            fallback = "retrieval_miss"
-        else:
-            text = f"{text} {doc}"
-    return truncate_text(text, max_tokens), fallback
 
 
 # --- manifest ----------------------------------------------------------------
@@ -194,17 +137,12 @@ class RunManifest:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{source}: not a run manifest ({type(exc).__name__}: {exc})") from exc
 
-    def record(self, stage: str, status: StageStatus) -> None:
-        """Set ``stage``'s status in memory: the next :meth:`save` commits it,
-        a kill before loses it. ``status.artifacts`` maps each file the stage
-        wrote, by its path in the run directory, to its sha256."""
-        self.stages[stage] = status
-
     def save(self, run_dir: Path) -> None:
         """Commit: write ``manifest.json`` through a synced temp file and a
-        rename. ``run_experiment`` alone commits: when a stage that ran is
-        recorded done or failed, and once when the run returns or raises with
-        a :meth:`record` of a reuse unsaved."""
+        rename. A status set in ``stages`` is kept from here on, and lost to a
+        kill before. ``run_experiment`` alone commits: when a stage that ran
+        is recorded done or failed, and once when the run returns or raises
+        with a reuse recorded since the last commit."""
         self.updated_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
         atomic_write_text(run_dir / "manifest.json", json.dumps(self.to_dict(), sort_keys=True, indent=2))
 
@@ -220,12 +158,6 @@ class RunManifest:
 
 
 # --- stage implementations -----------------------------------------------
-
-
-def _descriptor(config: ExperimentConfig) -> dict:
-    """The run's id and its value on every sweep axis, kept in the manifest."""
-    values = {name: axis.value_of(config) for name, axis in AXES.items()}
-    return {"experiment_id": config.experiment_id, **values}
 
 
 def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
@@ -292,7 +224,7 @@ def _stage_prompts(config: ExperimentConfig, registry: ProviderRegistry, run_dir
 
 def _stage_images(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
                   caches: dict, inputs: dict, write: Callable) -> dict[str, object]:
-    if config.method not in GENERATIVE_METHODS:
+    if image_source(config.method) != "generate":
         write("images.jsonl", b"")
         return {"images.jsonl": []}
     rows = [r for r in inputs["prompts.jsonl"] if r["prompt"]]
@@ -477,72 +409,14 @@ def _stage_training(config: ExperimentConfig, registry: ProviderRegistry, run_di
     return {}
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot(a[i], b[i])`` for every row, bit for bit: a stacked matmul
-    reduces each row as ``np.dot`` does (``einsum`` does not)."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _clip_pairs(packs: LabeledPacks) -> tuple[list[float], list[float]]:
-    """Every row's :func:`embedding.cosine_similarity` and
-    :func:`embedding.clip_score` of its pooled image and text features,
-    bit-identical to calling them row by row, in one pass. As row by row,
-    the first row holding a zero vector decides: a zero image gives
-    ``([], [])`` (nothing to score), a zero text raises
-    :class:`ZeroVectorError`. Differing dims give ``([], [])``."""
-    batch = packs.batch
-    if batch.text_pooled.shape[1] != batch.image_pooled.shape[1]:
-        return [], []
-    image = batch.image_pooled.astype(np.float64)
-    text = batch.text_pooled.astype(np.float64)
-    image_norm = np.sqrt(_row_dots(image, image))
-    text_norm = np.sqrt(_row_dots(text, text))
-    zero = np.flatnonzero((image_norm == 0.0) | (text_norm == 0.0))
-    if zero.size:
-        if not image[zero[0]].any():
-            return [], []  # zero image features: no semantic consistency to score
-        raise ZeroVectorError("cosine undefined for the zero vector")
-    cosines = _row_dots(image / image_norm[:, None], text / text_norm[:, None]).tolist()
-    return cosines, [CLIP_SCORE_WEIGHT * max(c, 0.0) for c in cosines]
-
-
-def _cost_summary(config: ExperimentConfig, image_rows: list[dict]) -> dict | None:
-    if not image_rows:
-        return None
-    try:
-        totals = ledger_totals(image_rows, mode=config.cost_mode)
-    except UnknownBackendError as exc:
-        totals = ledger_totals(image_rows, mode="measured")
-        note = f"estimate unavailable ({exc}); measured totals reported"
-        mode = "measured"
-    else:
-        note = None
-        mode = config.cost_mode
-    return {
-        "mode": mode,
-        "note": note,
-        "images": len(image_rows),
-        "unique_images": len({r["content_hash"] for r in image_rows}),
-        "total_cost_usd": str(totals.total_cost_usd),
-        "total_latency_s": str(totals.total_latency_s),
-        "per_backend": {
-            b: {
-                "images": t.images,
-                "cost_usd": str(t.cost_usd),
-                "latency_s": str(t.latency_s),
-            }
-            for b, t in totals.per_backend.items()
-        },
-    }
-
-
 def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_dir: Path,
                       caches: dict, inputs: dict, write: Callable) -> dict[str, object]:
     label_space = inputs["labels.json"]
     packs = _load_packs(inputs["features.jsonl"], label_space)
     per_seed_metrics = []
-    cost = _cost_summary(config, inputs["images.jsonl"])
-    cosines, scores = _clip_pairs(packs["test"])  # the same for every seed
+    cost = cost_summary(inputs["images.jsonl"], config.cost_mode)
+    test = packs["test"].batch
+    cosines, scores = clip_pairs(test.image_pooled, test.text_pooled)  # the same for every seed
     headline_report: EvalReport | None = None
     for seed in config.seeds:
         head = _head_for(config, packs, label_space, seed)
@@ -579,7 +453,7 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
             headline_report = report
             # Attention heatmap from the first test sample of the first seed.
             if config.fusion.mechanism in ("cross_attention", "deep_prefix"):
-                first = packs["test"].batch.take([0])
+                first = test.take([0])
                 out = fuse_forward(head, first)
                 n_text = first.text_tokens.shape[1]
                 n_image = first.image_tokens.shape[1]
@@ -615,20 +489,6 @@ def _stage_evaluation(config: ExperimentConfig, registry: ProviderRegistry, run_
     return {}
 
 
-_type_hints = functools.cache(typing.get_type_hints)  # each config class's evaluated once, at import
-
-
-def _is_field(path: str) -> bool:
-    """Whether the dotted ``path`` names an ``ExperimentConfig`` field or section."""
-    hint = ExperimentConfig
-    for name in path.split("."):
-        hints = _type_hints(hint) if dataclasses.is_dataclass(hint) else {}
-        if name not in hints:
-            return False
-        hint = hints[name]
-    return True
-
-
 @dataclass(frozen=True)
 class Stage:
     """A pipeline stage: its ``name`` in the manifest, the CLI ``command``
@@ -661,7 +521,7 @@ class Stage:
 
     def __post_init__(self):
         for path in self.ignores + self.inputs:
-            if not _is_field(path):
+            if not is_field(path):
                 raise ValueError(f"stage {self.name}: {path!r} names no ExperimentConfig field")
 
 
@@ -852,7 +712,7 @@ def run_experiment(
             experiment_id=config.experiment_id,
             config_hash=config_hash,
             output_hash=output_hash,
-            descriptor=_descriptor(config),
+            descriptor=descriptor(config),
         )
 
     last_reader = {name: stage.name for stage in STAGES for name in stage.reads}
@@ -871,7 +731,7 @@ def run_experiment(
             elif standing:
                 logger.info("stage %s: reused from %s", stage.name, standing.reused_from)
                 standing.wall_s = round(time.perf_counter() - start, 6)
-                manifest.record(stage.name, standing)
+                manifest.stages[stage.name] = standing
                 unsaved = True
             else:
                 changed = not force and own.status == "done" and own.fingerprint not in (None, fingerprint)
@@ -890,12 +750,12 @@ def run_experiment(
                     for cache in caches.values():
                         cache.sync()  # every entry the artifacts name, before the commit lists them
                 except Exception as exc:
-                    manifest.record(stage.name, StageStatus(status="failed", reason=f"{type(exc).__name__}: {exc}"))
+                    manifest.stages[stage.name] = StageStatus(status="failed", reason=f"{type(exc).__name__}: {exc}")
                     manifest.save(run_dir)
                     unsaved = False
                     raise
-                manifest.record(stage.name, StageStatus(status="done", artifacts=digests, fingerprint=fingerprint,
-                                                        wall_s=round(time.perf_counter() - start, 6)))
+                manifest.stages[stage.name] = StageStatus(status="done", artifacts=digests, fingerprint=fingerprint,
+                                                          wall_s=round(time.perf_counter() - start, 6))
                 manifest.save(run_dir)
                 unsaved = False
                 _point(store, fingerprint, run_dir)
@@ -913,11 +773,11 @@ def run_experiment(
 
     report = None
     if manifest.stages["evaluation"].status == "done":
-        report = _headline_report(run_dir)
+        report = headline_report(run_dir)
     return manifest, report
 
 
-def _headline_report(run_dir: Path) -> EvalReport | None:
+def headline_report(run_dir: Path) -> EvalReport | None:
     """The report of the run's first configured seed, the one ``report.txt``
     shows; ``None`` when the run has not written it."""
     try:

@@ -12,13 +12,16 @@ positive prompt:
   description.
 
 All strategies attach the same universal negative prompt, ``NEGATIVE_PROMPT``.
+:func:`compose_input` gives a sample's input text under each method: the
+text itself, or the text with an LLM scene description or a retrieved
+document appended.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from .corpus import TextSample, truncate_text
 from .storage import CacheError, from_fields, stable_key
@@ -64,7 +67,7 @@ ELABORATION_MODES = {
     "visual_description": VISUAL_DESCRIPTION_SYSTEM,
 }
 
-# Words carrying no visual content under the heuristic fallback extractor.
+# Words carrying no visual content: never a keyword.
 _STOPWORDS = frozenset(
     """
     a about above after again against all am an and any are aren't as at be
@@ -84,7 +87,8 @@ _STOPWORDS = frozenset(
     """.split()
 )
 
-_STRIP_CHARS = "\"'“”‘’()[]{}<>.,;:!?*…-_/\\"
+# The punctuation stripped from each token of a keyword query.
+STRIP_CHARS = "\"'“”‘’()[]{}<>.,;:!?*…-_/\\"
 _RUN_BREAKERS = ".!?,;:"
 
 
@@ -100,15 +104,6 @@ class ElaborationError(RuntimeError):
     def __init__(self, message: str, attempts: int = 1):
         super().__init__(message)
         self.attempts = attempts
-
-
-class PosTagger(Protocol):
-    def tag(self, tokens: Sequence[str]) -> Sequence[str]:
-        """Return one coarse POS tag per token (e.g. NOUN, ADJ, VERB)."""
-        ...
-
-
-_CONTENT_TAGS = {"NOUN", "PROPN", "ADJ", "VERB"}
 
 
 class ChatClient(Protocol):
@@ -180,42 +175,25 @@ class PromptSpec:
                            style_tags=tuple(data.get("style_tags", ())))
 
 
-def extract_keywords(
-    text: str,
-    tagger: PosTagger | None = None,
-    max_keywords: int = 8,
-) -> list[str]:
+def extract_keywords(text: str, max_keywords: int = 8) -> list[str]:
     """Extract content-word phrases in original text order.
 
-    Rule (applied identically with or without a tagger, differing only in the
-    content test): whitespace tokens are stripped of surrounding punctuation;
-    a token is "content" when the tagger labels it NOUN/PROPN/ADJ/VERB, or --
-    heuristic fallback -- when it contains a letter and is not a stopword.
-    Maximal runs of consecutive content tokens become space-joined phrases;
-    a token whose raw form ends in sentence punctuation closes its run.
-    Duplicate phrases keep the first occurrence; at most ``max_keywords``
-    phrases are returned.
+    Whitespace tokens are stripped of surrounding punctuation; a token is
+    "content" when it contains a letter and is not a stopword. Maximal runs
+    of consecutive content tokens become space-joined phrases; a token whose
+    raw form ends in sentence punctuation closes its run. Duplicate phrases
+    keep the first occurrence; at most ``max_keywords`` phrases are returned.
     """
     if max_keywords < 1:
         raise ValueError("max_keywords must be >= 1")
     if not text.strip():
         raise PromptError("cannot extract keywords from empty text")
     raw_tokens = text.split()
-    cores = [t.strip(_STRIP_CHARS) for t in raw_tokens]
-    if tagger is not None:
-        tags = list(tagger.tag(cores))
-        if len(tags) != len(cores):
-            raise PromptError("tagger must return one tag per token")
-        is_content = [
-            bool(core) and tag in _CONTENT_TAGS for core, tag in zip(cores, tags)
-        ]
-    else:
-        is_content = [
-            bool(core)
-            and any(ch.isalpha() for ch in core)
-            and core.lower() not in _STOPWORDS
-            for core in cores
-        ]
+    cores = [t.strip(STRIP_CHARS) for t in raw_tokens]
+    is_content = [
+        bool(core) and any(ch.isalpha() for ch in core) and core.lower() not in _STOPWORDS
+        for core in cores
+    ]
 
     phrases: list[str] = []
     run: list[str] = []
@@ -312,6 +290,38 @@ def build_prompt(
     return PromptSpec(
         sample.id, "elaborated", positive, elaborator_id=elaborator.client_id
     )
+
+
+def compose_input(sample: TextSample, method: str, *, elaborator: ChatClient | None = None, retriever=None,
+                  max_tokens: int = 256) -> tuple[str, str | None]:
+    """The effective text of one sample under ``method``, and the fallback
+    taken, if any.
+
+    Textual expansion appends an LLM scene description; knowledge retrieval
+    appends the best-matching local document (falling back to the bare text
+    when nothing matches, reported as ``"retrieval_miss"``). Both append
+    first and truncate to the token budget afterwards.
+    """
+    text = sample.text
+    fallback = None
+    if method == "textual_expansion":
+        if elaborator is None:
+            raise PromptError("textual_expansion needs an elaborator client")
+        description = elaborate_text(text, "visual_description", elaborator)
+        text = f"{text} {description}"
+    elif method == "knowledge_retrieval":
+        if retriever is None:
+            raise PromptError("knowledge_retrieval needs a retriever")
+        try:
+            keywords = extract_keywords(sample.text)
+        except NoVisualContentError:
+            keywords = []
+        doc = retriever.retrieve(keywords) if keywords else None
+        if doc is None:
+            fallback = "retrieval_miss"
+        else:
+            text = f"{text} {doc}"
+    return truncate_text(text, max_tokens), fallback
 
 
 class StubChatClient:

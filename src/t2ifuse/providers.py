@@ -12,10 +12,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import ExperimentConfig
-from .corpus import _row_text, _rows_from_jsonl
+from .corpus import row_text, rows_from_jsonl
 from .embedding import HashProjectionProvider
 from .generation import StubImageBackend
-from .prompting import _STRIP_CHARS, StubChatClient
+from .prompting import STRIP_CHARS, StubChatClient
 from .storage import sha256_hex
 
 
@@ -42,10 +42,10 @@ class KeywordOverlapRetriever:
 
     def __init__(self, corpus_path: str | Path):
         path = Path(corpus_path)
-        self.documents = [_row_text(path, row_no, row) for row_no, row in _rows_from_jsonl(path)]
+        self.documents = [row_text(path, row_no, row) for row_no, row in rows_from_jsonl(path)]
         if not self.documents:
             raise OrchestrationError(f"empty retrieval corpus: {corpus_path}")
-        self._words = [frozenset(w.strip(_STRIP_CHARS).lower() for w in doc.split()) for doc in self.documents]
+        self._words = [frozenset(w.strip(STRIP_CHARS).lower() for w in doc.split()) for doc in self.documents]
 
     def retrieve(self, keywords: Sequence[str]) -> str | None:
         terms = {w.lower() for phrase in keywords for w in phrase.split()}
@@ -132,6 +132,8 @@ class ProviderRegistry:
 
     def resolve_backend(self, config: ExperimentConfig):
         gen = config.generation
+        if gen.backend is None:
+            raise OrchestrationError("no generation backend configured")
         return self._resolve("backend", gen.backend, gen.endpoint, config.offline)
 
     def resolve_text_provider(self, config: ExperimentConfig):

@@ -20,7 +20,7 @@ from typing import Sequence
 from .axes import AXES, axis_problem, value_name
 from .config import PIPELINE_SET, ConfigError, ExperimentConfig, parse_config_data, without_fields
 from .evaluation import EvalReport, render_records, render_report
-from .orchestrator import ManifestError, RunManifest, _headline_report, run_experiment
+from .orchestrator import ManifestError, RunManifest, headline_report, run_experiment
 from .providers import OrchestrationError, ProviderRegistry
 from .storage import atomic_write_text, sha256_hex
 
@@ -173,7 +173,7 @@ def report_cli(run_dirs: Sequence[str | Path], out_dir: str | Path | None = None
         if manifest.stages["evaluation"].status != "done":
             problems.append(f"{run_dir}: evaluation not finished")
             continue
-        report = _headline_report(run_dir)
+        report = headline_report(run_dir)
         if report is None:
             problems.append(f"{run_dir}: no evaluation artifacts")
             continue

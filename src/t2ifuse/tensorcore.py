@@ -228,8 +228,6 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
 # --- primitives -----------------------------------------------------------
 
-Backward = Callable[[np.ndarray], tuple]
-
 
 def dense_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """out = x @ w + b with bias broadcast over rows.

@@ -54,8 +54,9 @@ class TrainConfig:
 
 
 # Hyperparameter presets. "backbone-finetune" is the published recipe for
-# fine-tuning a full encoder stack; "frozen-head" is the default here because
-# only the small fusion head trains and 2e-5 is needlessly slow for it.
+# fine-tuning a full encoder stack, and TrainConfig's defaults are its values;
+# "frozen-head" suits a run where only the small fusion head trains, for which
+# 2e-5 is needlessly slow.
 TRAIN_PRESETS: dict[str, dict] = {
     "backbone-finetune": dict(
         learning_rate=2e-5, batch_size=32, weight_decay=0.01, max_epochs=5, patience=2

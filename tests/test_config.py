@@ -259,7 +259,7 @@ def test_ill_typed_required_field_is_reported_once_per_problem(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_data(data)
     assert err.value.problems == [  # two problems with one section prefix both survive
-        "generation.backend: expected str, got int",
+        "generation.backend: expected str | None, got int",
         "generation.preset: expected str | None, got list",
     ]
 

@@ -1,8 +1,9 @@
 """The package's import graph: each module imports only modules below it in
-one declared order, and uses every package name it imports at module level.
-Both read the source with ``ast``, so they see a function-local import too
-(``providers`` imports ``remotes`` only when a name resolves to a remote
-adapter)."""
+one declared order, uses every package name it imports at module level, and
+imports no ``_``-prefixed name of another module, so a rule another module
+needs is public where it is defined. The checks read the source with
+``ast``, so they see a function-local import too (``providers`` imports
+``remotes`` only when a name resolves to a remote adapter)."""
 
 from __future__ import annotations
 
@@ -72,3 +73,10 @@ def test_every_package_name_imported_at_module_level_is_used():
         unused += [f"{name}:{line}: {bound_name}" for bound_name, line in bound.items()
                    if bound_name not in used and (name, bound_name) not in UNUSED_ALLOWED]
     assert unused == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = sorted(f"{name}:{node.lineno}: {alias.name}" for name, tree in _modules().items()
+                     for node in _relative_imports(tree) for alias in node.names
+                     if alias.name.startswith("_") and not alias.name.startswith("__"))
+    assert private == []

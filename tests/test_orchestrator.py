@@ -20,7 +20,7 @@ import pytest
 import yaml
 
 from t2ifuse.cli import main as cli_main
-from t2ifuse.config import parse_config, parse_config_data
+from t2ifuse.config import DatasetConfig, ExperimentConfig, parse_config, parse_config_data
 from t2ifuse.corpus import DatasetError, TextSample
 from t2ifuse import embedding, generation, orchestrator, storage, sweep
 from t2ifuse.embedding import (
@@ -37,16 +37,9 @@ from t2ifuse.embedding import (
 from t2ifuse.evaluation import EvalReport
 from t2ifuse.fusion import PackBatch
 from t2ifuse.generation import GenerationError, ImageStore, PromptPair, StubImageBackend, stub_generate
-from t2ifuse.orchestrator import (
-    OrchestrationError,
-    ProviderRegistry,
-    RunManifest,
-    compose_input,
-    image_source,
-    run_experiment,
-    _descriptor,
-)
-from t2ifuse.prompting import _STRIP_CHARS, StubChatClient, VISUAL_DESCRIPTION_SYSTEM
+from t2ifuse.axes import descriptor, image_source
+from t2ifuse.orchestrator import OrchestrationError, ProviderRegistry, RunManifest, run_experiment
+from t2ifuse.prompting import STRIP_CHARS, PromptError, StubChatClient, VISUAL_DESCRIPTION_SYSTEM, compose_input
 from t2ifuse.providers import KeywordOverlapRetriever, OfflineViolationError
 from t2ifuse.remotes import HttpChatClient, HttpEmbeddingProvider, HttpImageBackend
 from t2ifuse.storage import read_jsonl, write_jsonl
@@ -74,7 +67,7 @@ def test_compose_textual_expansion_appends_description():
         "a bright red kettle on the stove A red vacuum on a wooden floor."
     )
     assert client.requests[0][0] == VISUAL_DESCRIPTION_SYSTEM
-    with pytest.raises(OrchestrationError):
+    with pytest.raises(PromptError):
         compose_input(_sample(), "textual_expansion")
 
 
@@ -154,7 +147,7 @@ def _rescan_retrieve(documents, keywords):
     terms = {w.lower() for phrase in keywords for w in phrase.split()}
     best_score, best_doc = 0, None
     for doc in documents:
-        score = len(terms & {w.strip(_STRIP_CHARS).lower() for w in doc.split()})
+        score = len(terms & {w.strip(STRIP_CHARS).lower() for w in doc.split()})
         if score > best_score:
             best_score, best_doc = score, doc
     return best_doc
@@ -829,6 +822,22 @@ def test_sweep_cells_are_checked_like_a_parsed_config(tmp_path, fixture_dataset)
         assert not (Path(cell.output_dir) / "manifest.json").exists()
 
 
+def test_a_sweep_cell_does_not_generate_on_a_backend_nobody_chose(tmp_path):
+    fixture = build_separability_fixture(tmp_path / "data", samples_per_class=8, seed=3)
+    base = _base_config(tmp_path, fixture, out_name="unchosen", method="text_only", generation={})
+    result = run_sweep(base, {"method": ["text_only", "gen_image"]}, ProviderRegistry())
+    assert [c.status for c in result.cells] == ["done", "failed"]
+    assert "generation.backend: required for method gen_image" in result.cells[1].error
+    assert not (Path(result.cells[1].output_dir) / "manifest.json").exists()
+
+
+def test_a_config_built_without_parsing_has_no_backend_to_resolve(tmp_path):
+    config = ExperimentConfig(experiment_id="unparsed", dataset=DatasetConfig(path=str(tmp_path / "d.csv")),
+                              output_dir=str(tmp_path / "out"), method="gen_image")
+    with pytest.raises(OrchestrationError, match="no generation backend configured"):
+        ProviderRegistry().resolve_backend(config)
+
+
 def test_report_cli_single_and_grouped(tmp_path, fixture_dataset):
     registry = ProviderRegistry()
     config_a = _base_config(tmp_path, fixture_dataset, out_name="ra")
@@ -1096,7 +1105,7 @@ def test_descriptor_keeps_its_keys_values_and_types():
     for extra, expected in pinned.items():
         data = {"experiment_id": "pinned", "dataset": {"path": "data/reviews.csv"}, "output_dir": "out"}
         config = parse_config_data({**data, **json.loads(extra)})
-        assert json.dumps(_descriptor(config), sort_keys=True) == expected
+        assert json.dumps(descriptor(config), sort_keys=True) == expected
 
 
 def test_dataset_sweep_renders_the_main_table(tmp_path, fixture_dataset):
@@ -1541,16 +1550,12 @@ def test_a_warm_run_parses_no_run_artifact_and_reads_each_embedding_once(
     assert len(lookups) == lookups_per_sample * samples
 
 
-def _pooled(image, text):
-    return SimpleNamespace(batch=SimpleNamespace(image_pooled=image, text_pooled=text))
-
-
 @pytest.mark.parametrize("dim", [1, 8, 16, 33, 512])
 def test_clip_pairs_equal_the_row_by_row_scores_bit_for_bit(dim):
     rng = np.random.default_rng(dim)
     image = rng.standard_normal((300, dim)).astype(np.float32)
     text = rng.standard_normal((300, dim)).astype(np.float32)
-    cosines, scores = orchestrator._clip_pairs(_pooled(image, text))
+    cosines, scores = embedding.clip_pairs(image, text)
     assert cosines == [cosine_similarity(i, t) for i, t in zip(image, text)]
     assert scores == [clip_score(i, t) for i, t in zip(image, text)]
     assert all(type(v) is float for v in cosines + scores)
@@ -1560,22 +1565,22 @@ def test_clip_pairs_edge_cases_match_the_row_by_row_scores():
     rng = np.random.default_rng(0)
     image = rng.standard_normal((4, 8)).astype(np.float32)
     text = rng.standard_normal((4, 8)).astype(np.float32)
-    assert orchestrator._clip_pairs(_pooled(image, text[:, :5])) == ([], [])  # mismatched dims
+    assert embedding.clip_pairs(image, text[:, :5]) == ([], [])  # mismatched dims
 
     zero_image = image.copy()
     zero_image[2] = 0.0
-    assert orchestrator._clip_pairs(_pooled(zero_image, text)) == ([], [])
+    assert embedding.clip_pairs(zero_image, text) == ([], [])
 
     zero_text = text.copy()
     zero_text[1] = 0.0
     with pytest.raises(ZeroVectorError):
         cosine_similarity(image[1], zero_text[1])
     with pytest.raises(ZeroVectorError):
-        orchestrator._clip_pairs(_pooled(image, zero_text))
+        embedding.clip_pairs(image, zero_text)
     with pytest.raises(ZeroVectorError):  # the zero text row comes first
-        orchestrator._clip_pairs(_pooled(zero_image, zero_text))
+        embedding.clip_pairs(zero_image, zero_text)
     zero_image[0] = 0.0  # now the zero image row comes first
-    assert orchestrator._clip_pairs(_pooled(zero_image, zero_text)) == ([], [])
+    assert embedding.clip_pairs(zero_image, zero_text) == ([], [])
 
 
 # --- the images stage: one lookup per key, then the misses in chunks --------------

@@ -80,18 +80,6 @@ def test_keywords_in_text_order_and_whitespace_invariant():
     assert positions == sorted(positions)
 
 
-def test_pos_tagger_provider_path():
-    class ToyTagger:
-        def tag(self, tokens):
-            table = {"cat": "NOUN", "sat": "VERB", "lazy": "ADJ"}
-            return [table.get(t, "OTHER") for t in tokens]
-
-    assert extract_keywords("the cat sat on a lazy mat", tagger=ToyTagger()) == [
-        "cat sat",
-        "lazy",
-    ]
-
-
 def test_build_prompt_direct_equals_truncation(coffee_sample):
     spec = build_prompt(coffee_sample, "direct", max_tokens=10)
     assert spec.positive == truncate_text(coffee_sample.text, 10)
